@@ -24,7 +24,6 @@ Quickstart::
 from . import (
     baselines,
     codegen,
-    core,
     machine,
     rewrite,
     search,
@@ -60,7 +59,6 @@ __all__ = [
     "baselines",
     "build_eq14",
     "codegen",
-    "core",
     "derive_multicore_ct",
     "feasible_threads",
     "format_expr",

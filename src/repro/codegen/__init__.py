@@ -11,6 +11,10 @@ Two kinds of artifact come out of this package:
   :mod:`repro.codegen.compiled_backend`), and ``simulator`` (the literal
   per-row Σ-SPL oracle).  Every runtime — smp, mp, serve, search, check —
   selects its executor through :func:`resolve_backend`.
+
+All C text — :func:`generate_c` programs and ``compiled`` shared objects
+alike — is printed by one stage emitter (:mod:`repro.codegen.c_emit`);
+the two C modules add only their drivers.
 """
 
 from .c_backend import (

@@ -1,0 +1,480 @@
+"""The one C stage emitter: Σ-SPL loop IR -> tables, codelets, stage functions.
+
+A generated C translation unit is ``[tables + codelets] + [stage
+functions] + [driver]``.  Everything but the driver is printed here, once,
+for both C targets: the standalone program of
+:mod:`repro.codegen.c_backend` (which appends ``main`` and a
+pthreads/OpenMP/sequential ``transform``) and the shared-object plan of
+:mod:`repro.codegen.compiled_backend` (whose "driver" is the exported
+per-stage ABI the Python runtimes call).  The two differ only in the
+declaration prefix of the stage functions (linkage + symbol stem).
+
+Each :class:`~repro.sigma.loops.BlockLoop`'s gather → twiddle scale →
+kernel → twiddle scale → scatter chain is fused into one loop nest:
+
+* strided index grids recovered by
+  :func:`repro.sigma.index_map.recover_grid` become closed-form address
+  arithmetic; irregular tables are emitted as ``static const int`` data;
+* ``F_2`` is a hand-unrolled butterfly, ``I_n`` a pure move, kernels up to
+  ``codelet_max`` unrolled straight-line codelets
+  (:class:`repro.codegen.unroll.Codelet`), larger ones a dense
+  coefficient-table multiply;
+* loops carrying ``nu > 1`` from the ``vec(ν)`` rewriting
+  (:mod:`repro.vector`) emit a ν-blocked body the compiler's
+  auto-vectorizer likes: ``for (jb) { for (l < ν) ... }`` with the lane
+  loop innermost and branch-free, working data in **split re/im planes**
+  laid out element-major / lane-minor (``t[u][l]`` at ``u*ν + l``) so every
+  lane-loop access is unit-stride with no ``double complex`` arithmetic
+  (no ``__muldc3`` calls), 64-byte-aligned locals, and
+  ``restrict``-qualified pointers (stage source/dest never alias: the
+  drivers double-buffer).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+import numpy as np
+
+from ..rewrite.breakdown import expand_dft, factor_pairs
+from ..sigma.index_map import recover_grid
+from ..sigma.loops import BlockLoop, SigmaProgram, Stage
+from ..spl.matrices import DFT, F2, I
+from .unroll import Codelet
+
+
+def fmt_int_table(name: str, table: np.ndarray) -> str:
+    """A flat ``static const int`` array holding an index table."""
+    flat = table.reshape(-1)
+    body = ",".join(str(int(v)) for v in flat)
+    return f"static const int {name}[{flat.size}] = {{{body}}};"
+
+
+def fmt_real_table(name: str, values: np.ndarray) -> str:
+    """A flat ``static const double`` array (one plane, not interleaved)."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    body = ",".join(repr(float(v)) for v in flat)
+    return f"static const double {name}[{flat.size}] = {{{body}}};"
+
+
+def fmt_cplx_table(name: str, values: np.ndarray) -> str:
+    """A ``static const double`` array of interleaved re/im pairs."""
+    flat = values.reshape(-1)
+    return fmt_real_table(name, np.stack((flat.real, flat.imag), axis=-1))
+
+
+def lane_contiguous(table: np.ndarray, nu: int) -> bool:
+    """Do ν consecutive rows address ν consecutive elements columnwise?
+
+    True iff ``table[jb*ν + l, u] == table[jb*ν, u] + l`` for every block
+    ``jb``, column ``u``, lane ``l`` — the condition under which a ν-lane
+    gather/scatter is a contiguous (de)interleaving copy.  Permutation
+    folding preserves this for every stage except the one that absorbed
+    the in-register transpose (whose lanes sit ν apart).
+    """
+    rows = table.shape[0]
+    if rows % nu:
+        return False
+    blocks = table.reshape(rows // nu, nu, -1)
+    expect = blocks[:, :1, :] + np.arange(nu, dtype=table.dtype)[None, :, None]
+    return bool(np.array_equal(blocks, expect))
+
+
+def codelet_formula(kernel):
+    """The formula a kernel is unrolled from (fast-expanded DFT leaves).
+
+    Unexpanded ``DFT_n`` leaves would unroll from the dense O(n²)
+    definition — thousands of statements gcc then chews on.  Expanding
+    them Cooley-Tukey first (exactly :func:`repro.codegen.unroll.dft_codelet`'s
+    policy) keeps codelets at O(n log n) straight-line ops and plan-time
+    compiles fast.
+    """
+    if isinstance(kernel, DFT) and factor_pairs(kernel.n):
+        strategy = "radix2" if kernel.n & (kernel.n - 1) == 0 else "balanced"
+        return expand_dft(kernel, strategy)
+    return kernel
+
+
+class _StageEmitter:
+    """Accumulates tables, codelets, and stage functions for one program.
+
+    Consumes :class:`~repro.sigma.loops.BlockLoop` kernels and emits (once
+    each) either an unrolled straight-line codelet or a dense coefficient
+    table into ``tables``; stage function text goes to ``lines``.
+    """
+
+    def __init__(self, codelet_max: int, decl: str) -> None:
+        self.codelet_max = codelet_max
+        self.decl = decl
+        self.tables: list[str] = []
+        self.lines: list[str] = []
+        self._codelets: dict = {}
+        self._vec_codelets: dict = {}
+        self._dense: dict = {}
+
+    # -- kernel registry ----------------------------------------------------
+
+    def _codelet(self, kernel, nu: int) -> Optional[str]:
+        """Name of the kernel's unrolled codelet, or None above the bound.
+
+        ``nu > 1`` selects the ν-lane split re/im variant
+        (:meth:`Codelet.to_c_vec`); the two families number independently.
+        """
+        if kernel.cols > self.codelet_max or kernel.rows != kernel.cols:
+            return None
+        names = self._vec_codelets if nu > 1 else self._codelets
+        key = (kernel._key(), nu)
+        if key not in names:
+            name = (
+                f"vcodelet{len(names)}_v{nu}" if nu > 1
+                else f"codelet{len(names)}"
+            )
+            names[key] = name
+            codelet = Codelet.from_formula(codelet_formula(kernel), name)
+            self.tables.append(
+                codelet.to_c_vec(nu) if nu > 1 else codelet.to_c()
+            )
+        return names[key]
+
+    def _kernel_names(
+        self, kernel, nu: int
+    ) -> tuple[Optional[str], Optional[str]]:
+        """``(codelet, dense table)`` names; both None for ``F_2``/``I_n``."""
+        if isinstance(kernel, (F2, I)):
+            return None, None
+        cname = self._codelet(kernel, nu)
+        if cname is not None:
+            return cname, None
+        key = kernel._key()
+        if key not in self._dense:  # dense fallback above the unroll bound
+            self._dense[key] = f"kmat{len(self._dense)}"
+            self.tables.append(
+                fmt_cplx_table(
+                    self._dense[key],
+                    kernel.to_matrix().astype(np.complex128),
+                )
+            )
+        return None, self._dense[key]
+
+    # -- addressing ---------------------------------------------------------
+
+    def _addr(
+        self, table: np.ndarray, name: str, paren_row: bool = False
+    ) -> Callable[[str, str], str]:
+        """C expression factory for the address ``table[row, col]``.
+
+        Closed-form when the table is a recovered grid, otherwise a
+        ``static const int`` table emitted under ``name``.  ``paren_row``
+        parenthesizes the row expression in the table form (the ν-wide
+        strided path passes a compound ``jb*ν+l`` row).
+        """
+        grid = recover_grid(table)
+        if grid is not None:
+            base, rs, cs = grid.base, grid.row_stride, grid.col_stride
+            return lambda j, u: f"{base} + {j}*{rs} + {u}*{cs}"
+        k = table.shape[1]
+        self.tables.append(fmt_int_table(name, table))
+        if paren_row:
+            return lambda j, u: f"{name}[({j})*{k} + {u}]"
+        return lambda j, u: f"{name}[{j}*{k} + {u}]"
+
+    def _lane_addr(
+        self, table: np.ndarray, nu: int, kind: str, base: str
+    ) -> tuple[bool, Callable[[str, str], str]]:
+        """``(lane-contiguous?, address factory)`` for a ν-wide access.
+
+        Lane-contiguous tables are addressed per block
+        (``A(jb, u) = table[jb*ν, u]``); the one stage per plan that
+        absorbed the :class:`~repro.vector.constructs.InRegisterTranspose`
+        is addressed per row instead.
+        """
+        if lane_contiguous(table, nu):
+            return True, self._addr(table[::nu], f"{kind}vb{base}")
+        return False, self._addr(table, f"{kind}v{base}", paren_row=True)
+
+    def _lane_tables(
+        self, scale: Optional[np.ndarray], nu: int, prefix: str
+    ) -> Optional[tuple[str, str]]:
+        """Emit a scale vector as lane-transposed re/im planes.
+
+        The loop stores scales row-major ``(j, u)``; the vector body wants
+        ``(block, u, lane)`` so the lane loop reads unit-stride.  Returns
+        the (re, im) table names; index with ``(jb*k + u)*ν + l``.
+        """
+        if scale is None:
+            return None
+        rows, k = scale.shape
+        blocked = scale.reshape(rows // nu, nu, k).transpose(0, 2, 1)
+        self.tables.append(fmt_real_table(f"{prefix}re", blocked.real))
+        self.tables.append(fmt_real_table(f"{prefix}im", blocked.imag))
+        return f"{prefix}re", f"{prefix}im"
+
+    # -- loops --------------------------------------------------------------
+
+    def emit_loop(self, loop: BlockLoop, sid: int, lid: int, ind: str) -> None:
+        """One fused gather→scale→kernel→scale→scatter loop nest.
+
+        Reads ``s`` and writes ``d`` (the current batch row's ``cplx``
+        pointers).  ``loop.nu > 1`` selects the ν-blocked split re/im body.
+        """
+        base = f"{sid}_{lid}"
+        if loop.nu > 1:
+            self._emit_vec_loop(loop, base, ind)
+            return
+        o = self.lines
+        rows, k = loop.gather.shape
+        kout = loop.scatter.shape[1]
+        g_addr = self._addr(loop.gather, f"g{base}")
+        s_addr = self._addr(loop.scatter, f"s{base}")
+        if loop.pre_scale is not None:
+            self.tables.append(fmt_cplx_table(f"w{base}", loop.pre_scale))
+        if loop.post_scale is not None:
+            self.tables.append(fmt_cplx_table(f"v{base}", loop.post_scale))
+
+        o.append(f"{ind}for (int j = 0; j < {rows}; ++j) {{")
+        o.append(f"{ind}  cplx t[{max(k, kout)}];")
+        o.append(
+            f"{ind}  for (int u = 0; u < {k}; ++u)"
+            f" t[u] = s[{g_addr('j', 'u')}];"
+        )
+        if loop.pre_scale is not None:
+            o.append(
+                f"{ind}  for (int u = 0; u < {k}; ++u)"
+                f" t[u] *= w{base}[2*(j*{k}+u)]"
+                f" + w{base}[2*(j*{k}+u)+1]*_Complex_I;"
+            )
+        cname, kname = self._kernel_names(loop.kernel, 1)
+        copy_back = f"{ind}    for (int v = 0; v < {kout}; ++v) t[v] = y[v]; }}"
+        if isinstance(loop.kernel, F2):
+            o.append(
+                f"{ind}  {{ cplx a = t[0] + t[1], b = t[0] - t[1];"
+                f" t[0] = a; t[1] = b; }} /* F_2 butterfly */"
+            )
+        elif cname is not None:
+            o.append(f"{ind}  {{ cplx y[{kout}]; {cname}(t, y);")
+            o.append(copy_back)
+        elif kname is not None:
+            o.append(f"{ind}  {{ cplx y[{kout}];")
+            o.append(f"{ind}    for (int v = 0; v < {kout}; ++v) {{")
+            o.append(f"{ind}      cplx acc = 0;")
+            o.append(
+                f"{ind}      for (int u = 0; u < {k}; ++u)"
+                f" acc += (({kname}[2*(v*{k}+u)])"
+                f" + ({kname}[2*(v*{k}+u)+1])*_Complex_I) * t[u];"
+            )
+            o.append(f"{ind}      y[v] = acc;")
+            o.append(f"{ind}    }}")
+            o.append(copy_back)
+        post = ""
+        if loop.post_scale is not None:
+            post = (
+                f" * (v{base}[2*(j*{kout}+v)]"
+                f" + v{base}[2*(j*{kout}+v)+1]*_Complex_I)"
+            )
+        o.append(
+            f"{ind}  for (int v = 0; v < {kout}; ++v)"
+            f" d[{s_addr('j', 'v')}] = t[v]{post};"
+        )
+        o.append(f"{ind}}}")
+
+    def _emit_vec_loop(self, loop: BlockLoop, base: str, ind: str) -> None:
+        """The ν-blocked loop nest: ν lanes of ``loop`` per iteration.
+
+        Gathers and scatters detect lane contiguity (after permutation
+        folding, ν consecutive rows usually address ν consecutive elements)
+        and emit contiguous deinterleaving loads; twiddle scales
+        (:class:`~repro.vector.constructs.VecDiag` diagonals folded by
+        lowering) are lane-transposed so the multiply is also unit-stride.
+        """
+        o = self.lines
+        nu = loop.nu
+        rows, k = loop.gather.shape
+        kout = loop.scatter.shape[1]
+        nb = rows // nu
+        kernel = loop.kernel
+
+        g_contig, g_addr = self._lane_addr(loop.gather, nu, "g", base)
+        s_contig, s_addr = self._lane_addr(loop.scatter, nu, "s", base)
+        w_names = self._lane_tables(loop.pre_scale, nu, f"wv{base}")
+        v_names = self._lane_tables(loop.post_scale, nu, f"vv{base}")
+        cname, kname = self._kernel_names(kernel, nu)
+
+        o.append(f"{ind}/* nu={nu} lanes x {nb} blocks"
+                 f" (gather {'contig' if g_contig else 'strided'},"
+                 f" scatter {'contig' if s_contig else 'strided'}) */")
+        o.append(f"{ind}for (int jb = 0; jb < {nb}; ++jb) {{")
+        o.append(
+            f"{ind}  double tre[{k * nu}] __attribute__((aligned(64)));"
+            f" double tim[{k * nu}] __attribute__((aligned(64)));"
+        )
+
+        # gather: deinterleave ν complex elements per column into the planes
+        if g_contig:
+            o.append(f"{ind}  for (int u = 0; u < {k}; ++u) {{")
+            o.append(
+                f"{ind}    const double *restrict p = (const double *)"
+                f"(s + ({g_addr('jb', 'u')}));"
+            )
+            o.append(
+                f"{ind}    for (int l = 0; l < {nu}; ++l)"
+                f" {{ tre[u*{nu}+l] = p[2*l]; tim[u*{nu}+l] = p[2*l+1]; }}"
+            )
+            o.append(f"{ind}  }}")
+        else:
+            o.append(f"{ind}  const double *restrict sd = (const double *)s;")
+            o.append(f"{ind}  for (int u = 0; u < {k}; ++u)")
+            o.append(
+                f"{ind}    for (int l = 0; l < {nu}; ++l)"
+                f" {{ const long a = {g_addr(f'(jb*{nu}+l)', 'u')};"
+                f" tre[u*{nu}+l] = sd[2*a]; tim[u*{nu}+l] = sd[2*a+1]; }}"
+            )
+
+        if w_names is not None:
+            wre, wim = w_names
+            o.append(f"{ind}  for (int u = 0; u < {k}; ++u)")
+            o.append(
+                f"{ind}    for (int l = 0; l < {nu}; ++l) {{"
+                f" const double xr = tre[u*{nu}+l], xi = tim[u*{nu}+l];"
+                f" const double cr = {wre}[(jb*{k}+u)*{nu}+l],"
+                f" ci = {wim}[(jb*{k}+u)*{nu}+l];"
+                f" tre[u*{nu}+l] = xr*cr - xi*ci;"
+                f" tim[u*{nu}+l] = xr*ci + xi*cr; }}"
+            )
+
+        # kernel: ν lanes at once (I_n is a pure ν-block move: the
+        # gather/scatter carry the permutation)
+        out_re, out_im = "tre", "tim"
+        if isinstance(kernel, F2):
+            o.append(
+                f"{ind}  for (int l = 0; l < {nu}; ++l) {{"
+                f" const double ar = tre[l] + tre[{nu}+l],"
+                f" ai = tim[l] + tim[{nu}+l];"
+                f" const double br = tre[l] - tre[{nu}+l],"
+                f" bi = tim[l] - tim[{nu}+l];"
+                f" tre[l] = ar; tim[l] = ai;"
+                f" tre[{nu}+l] = br; tim[{nu}+l] = bi; }} /* F_2 x {nu} */"
+            )
+        elif cname is not None or kname is not None:
+            out_re, out_im = "yre", "yim"
+            o.append(
+                f"{ind}  double yre[{kout * nu}] __attribute__((aligned(64)));"
+                f" double yim[{kout * nu}] __attribute__((aligned(64)));"
+            )
+            if cname is not None:
+                o.append(f"{ind}  {cname}(tre, tim, yre, yim);")
+            else:  # dense, lane loop innermost for unit-stride FMA chains
+                o.append(f"{ind}  for (int v = 0; v < {kout * nu}; ++v)"
+                         f" {{ yre[v] = 0; yim[v] = 0; }}")
+                o.append(f"{ind}  for (int v = 0; v < {kout}; ++v)")
+                o.append(f"{ind}    for (int u = 0; u < {k}; ++u) {{")
+                o.append(
+                    f"{ind}      const double cr = {kname}[2*(v*{k}+u)],"
+                    f" ci = {kname}[2*(v*{k}+u)+1];"
+                )
+                o.append(
+                    f"{ind}      for (int l = 0; l < {nu}; ++l) {{"
+                    f" yre[v*{nu}+l] += cr*tre[u*{nu}+l] - ci*tim[u*{nu}+l];"
+                    f" yim[v*{nu}+l] += cr*tim[u*{nu}+l] + ci*tre[u*{nu}+l]; }}"
+                )
+                o.append(f"{ind}    }}")
+
+        # scatter (+ post-scale): re-interleave the planes
+        load = (
+            f" double rr = {out_re}[v*{nu}+l]; double zi_ = {out_im}[v*{nu}+l];"
+        )
+        if v_names is not None:
+            vre, vim = v_names
+            load += (
+                f" const double pr = {vre}[(jb*{kout}+v)*{nu}+l],"
+                f" pi = {vim}[(jb*{kout}+v)*{nu}+l];"
+                f" const double zr = rr*pr - zi_*pi;"
+                f" zi_ = rr*pi + zi_*pr; rr = zr;"
+            )
+        if s_contig:
+            o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
+            o.append(
+                f"{ind}    double *restrict q = (double *)"
+                f"(d + ({s_addr('jb', 'v')}));"
+            )
+            o.append(
+                f"{ind}    for (int l = 0; l < {nu}; ++l) {{{load}"
+                f" q[2*l] = rr; q[2*l+1] = zi_; }}"
+            )
+            o.append(f"{ind}  }}")
+        else:
+            o.append(f"{ind}  double *restrict dd = (double *)d;")
+            o.append(f"{ind}  for (int v = 0; v < {kout}; ++v)")
+            o.append(
+                f"{ind}    for (int l = 0; l < {nu}; ++l) {{{load}"
+                f" const long a = {s_addr(f'(jb*{nu}+l)', 'v')};"
+                f" dd[2*a] = rr; dd[2*a+1] = zi_; }}"
+            )
+        o.append(f"{ind}}}")
+
+    # -- stages -------------------------------------------------------------
+
+    def emit_stage(self, stage: Stage, sid: int, n: int) -> None:
+        """One batched stage function ``<decl><sid>``.
+
+        The signature is the stage ABI: ``(int proc, long b, const double
+        *src, double *dst)`` over ``b`` stacked rows of ``n`` interleaved
+        re/im pairs (NumPy ``complex128`` layout).  Parallel stages branch
+        on ``proc`` exactly like the Python backend, so every runtime's
+        processor-share contract carries over.
+        """
+        o = self.lines
+        o.append(
+            f"{self.decl}{sid}(int proc, long b, "
+            f"const double *restrict srcd, double *restrict dstd) {{"
+        )
+        o.append(
+            f"  /* {stage.name}: parallel={int(stage.parallel)}"
+            f" barrier={'yes' if stage.needs_barrier else 'elided'} */"
+        )
+        o.append("  const cplx *src = (const cplx *)srcd;")
+        o.append("  cplx *dst = (cplx *)dstd;")
+        for pi, (proc, loops) in enumerate(stage.shares()):
+            if proc is None:
+                o.append("  (void)proc;")
+                pad = "  "
+            else:
+                kw = "if" if pi == 0 else "else if"
+                o.append(f"  {kw} (proc == {proc}) {{")
+                pad = "    "
+            o.append(f"{pad}for (long r = 0; r < b; ++r) {{")
+            o.append(f"{pad}  const cplx *s = src + r*{n};")
+            o.append(f"{pad}  cplx *d = dst + r*{n};")
+            for lid, loop in loops:
+                self.emit_loop(loop, sid, lid, pad + "  ")
+            o.append(f"{pad}}}")
+            if proc is not None:
+                o.append("  }")
+        o.append("}")
+        o.append("")
+
+
+def emit_stage_functions(
+    program: SigmaProgram, codelet_max: int, decl: str
+) -> list[str]:
+    """Tables, codelets, then one stage function per stage of ``program``.
+
+    ``decl`` is the stage functions' declaration prefix — linkage plus
+    symbol stem, e.g. ``"void repro_stage"`` (exported) or ``"static void
+    stage"`` — the only thing the C targets vary.  Returns source lines to
+    splice between a target's header and its driver; they assume
+    ``<complex.h>`` and ``typedef double complex cplx;``.
+    """
+    em = _StageEmitter(codelet_max, decl)
+    for sid, stage in enumerate(program.stages):
+        em.emit_stage(stage, sid, program.size)
+    return em.tables + [""] + em.lines
+
+
+__all__ = [
+    "codelet_formula",
+    "emit_stage_functions",
+    "fmt_cplx_table",
+    "fmt_int_table",
+    "fmt_real_table",
+    "lane_contiguous",
+]

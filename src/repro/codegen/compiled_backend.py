@@ -13,13 +13,13 @@ plans run unchanged on every :mod:`repro.smp` runtime, inside
 
 Codelet lifecycle (see ``docs/codegen.md``):
 
-1. **emit** — :func:`emit_plan_source` fuses each
-   :class:`~repro.sigma.loops.BlockLoop`'s gather, twiddle scale, kernel,
-   and scatter into one loop nest; kernels up to ``codelet_max`` become
-   unrolled straight-line codelets (:class:`repro.codegen.unroll.Codelet`),
-   strided index grids become closed-form address arithmetic, and each
-   stage is exported as ``repro_stage<k>(int proc, long b, ...)`` with a
-   leading batch axis;
+1. **emit** — :func:`emit_plan_source` prints the plan through the one C
+   stage emitter (:mod:`repro.codegen.c_emit`, shared with the standalone
+   programs): each :class:`~repro.sigma.loops.BlockLoop`'s gather, twiddle
+   scale, kernel, and scatter fused into one loop nest, kernels up to
+   ``codelet_max`` unrolled into straight-line codelets, and each stage
+   exported as ``repro_stage<k>(int proc, long b, ...)`` with a leading
+   batch axis;
 2. **compile** — :func:`compile_plan` invokes gcc with the shared flag
    policy (:func:`repro.codegen.flags.shared_cflags`: the ``-O3
    -march=native`` tier, or the portable ``-O2`` tier under
@@ -53,18 +53,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from ..faults import FaultInjected, get_fault_plan
-from ..sigma.index_map import recover_grid
-from ..sigma.loops import BlockLoop, SigmaProgram
+from ..faults import get_fault_plan
+from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage
-from ..spl.matrices import F2, I
 from ..trace import get_tracer
-from .c_backend import _fmt_cplx_table, _fmt_int_table
+from .c_emit import emit_stage_functions
 from .flags import shared_cflags
-from .unroll import Codelet
-from .vector_emit import emit_vec_loop
 
 #: kernels up to this size are unrolled into straight-line codelets
 DEFAULT_CODELET_MAX = 32
@@ -166,228 +160,6 @@ def codelet_cache_dir() -> Path:
 # -- emission ---------------------------------------------------------------
 
 
-def _codelet_formula(kernel):
-    """The formula a kernel is unrolled from (fast-expanded DFT leaves).
-
-    Unexpanded ``DFT_n`` leaves would unroll from the dense O(n²)
-    definition — thousands of statements gcc then chews on.  Expanding
-    them Cooley-Tukey first (exactly :func:`repro.codegen.unroll.dft_codelet`'s
-    policy) keeps codelets at O(n log n) straight-line ops and plan-time
-    compiles fast.
-    """
-    from ..rewrite.breakdown import expand_dft, factor_pairs
-    from ..spl.matrices import DFT
-
-    if isinstance(kernel, DFT) and factor_pairs(kernel.n):
-        strategy = "radix2" if kernel.n & (kernel.n - 1) == 0 else "balanced"
-        return expand_dft(kernel, strategy)
-    return kernel
-
-
-class _PlanEmitter:
-    """Accumulates tables, codelets, and stage bodies for one plan.
-
-    Private helper of :func:`emit_plan_source`; consumes
-    :class:`~repro.sigma.loops.BlockLoop` kernels and emits (once each)
-    either an unrolled straight-line codelet or a dense coefficient table.
-    """
-
-    def __init__(self, codelet_max: int) -> None:
-        self.codelet_max = codelet_max
-        self.tables: list[str] = []
-        self.lines: list[str] = []
-        self._codelets: dict = {}
-        self._vec_codelets: dict = {}
-        self._dense: dict = {}
-
-    def codelet_name(self, kernel) -> Optional[str]:
-        if isinstance(kernel, (F2, I)):
-            return None
-        if kernel.cols > self.codelet_max or kernel.rows != kernel.cols:
-            return None
-        key = kernel._key()
-        if key not in self._codelets:
-            name = f"codelet{len(self._codelets)}"
-            self._codelets[key] = name
-            self.tables.append(
-                Codelet.from_formula(_codelet_formula(kernel), name).to_c()
-            )
-        return self._codelets[key]
-
-    def vec_codelet_name(self, kernel, nu: int) -> Optional[str]:
-        """ν-lane split re/im codelet variant (see ``Codelet.to_c_vec``)."""
-        if isinstance(kernel, (F2, I)):
-            return None
-        if kernel.cols > self.codelet_max or kernel.rows != kernel.cols:
-            return None
-        key = (kernel._key(), nu)
-        if key not in self._vec_codelets:
-            name = f"vcodelet{len(self._vec_codelets)}_v{nu}"
-            self._vec_codelets[key] = name
-            self.tables.append(
-                Codelet.from_formula(
-                    _codelet_formula(kernel), name
-                ).to_c_vec(nu)
-            )
-        return self._vec_codelets[key]
-
-    def dense_name(self, kernel) -> str:
-        key = kernel._key()
-        if key not in self._dense:
-            name = f"kmat{len(self._dense)}"
-            self._dense[key] = name
-            self.tables.append(
-                _fmt_cplx_table(
-                    name, kernel.to_matrix().astype(np.complex128)
-                )
-            )
-        return self._dense[key]
-
-
-def _emit_loop(em: _PlanEmitter, loop: BlockLoop, sid: int, lid: int,
-               ind: str) -> None:
-    """One fused gather→scale→kernel→scale→scatter loop nest.
-
-    Reads ``s`` and writes ``d`` (the current batch row's buffers).
-    Strided gather/scatter grids recovered by
-    :func:`repro.sigma.index_map.recover_grid` become closed-form address
-    arithmetic; irregular tables are emitted as ``static const int`` data.
-    Loops carrying ``nu > 1`` from the ``vec(ν)`` rewriting emit through
-    :func:`repro.codegen.vector_emit.emit_vec_loop` instead (ν-blocked
-    split re/im bodies); shapes ν does not divide devectorize onto this
-    scalar path.
-    """
-    if loop.nu > 1 and loop.gather.shape[0] % loop.nu == 0:
-        emit_vec_loop(
-            em.tables, em.lines, loop, sid, lid, ind, "s", "d",
-            em.vec_codelet_name, em.dense_name, _fmt_int_table,
-        )
-        return
-    o = em.lines
-    rows, k = loop.gather.shape
-    kout = loop.scatter.shape[1]
-    base = f"{sid}_{lid}"
-    ggrid = recover_grid(loop.gather)
-    sgrid = recover_grid(loop.scatter)
-    if ggrid is None:
-        em.tables.append(_fmt_int_table(f"g{base}", loop.gather))
-    if sgrid is None:
-        em.tables.append(_fmt_int_table(f"s{base}", loop.scatter))
-    if loop.pre_scale is not None:
-        em.tables.append(_fmt_cplx_table(f"w{base}", loop.pre_scale))
-    if loop.post_scale is not None:
-        em.tables.append(_fmt_cplx_table(f"v{base}", loop.post_scale))
-
-    o.append(f"{ind}for (int j = 0; j < {rows}; ++j) {{")
-    o.append(f"{ind}  cplx t[{max(k, kout)}];")
-    if ggrid is not None:
-        o.append(
-            f"{ind}  for (int u = 0; u < {k}; ++u)"
-            f" t[u] = s[{ggrid.base} + j*{ggrid.row_stride}"
-            f" + u*{ggrid.col_stride}];"
-        )
-    else:
-        o.append(
-            f"{ind}  for (int u = 0; u < {k}; ++u)"
-            f" t[u] = s[g{base}[j*{k} + u]];"
-        )
-    if loop.pre_scale is not None:
-        o.append(
-            f"{ind}  for (int u = 0; u < {k}; ++u)"
-            f" t[u] *= w{base}[2*(j*{k}+u)]"
-            f" + w{base}[2*(j*{k}+u)+1]*_Complex_I;"
-        )
-    if isinstance(loop.kernel, F2):
-        o.append(
-            f"{ind}  {{ cplx a = t[0] + t[1], b = t[0] - t[1];"
-            f" t[0] = a; t[1] = b; }} /* F_2 butterfly */"
-        )
-    elif not isinstance(loop.kernel, I):
-        cname = em.codelet_name(loop.kernel)
-        if cname is not None:
-            o.append(f"{ind}  {{ cplx y[{kout}]; {cname}(t, y);")
-            o.append(
-                f"{ind}    for (int v = 0; v < {kout}; ++v) t[v] = y[v]; }}"
-            )
-        else:  # dense fallback for kernels above the unroll bound
-            kname = em.dense_name(loop.kernel)
-            o.append(f"{ind}  {{ cplx y[{kout}];")
-            o.append(f"{ind}    for (int v = 0; v < {kout}; ++v) {{")
-            o.append(f"{ind}      cplx acc = 0;")
-            o.append(
-                f"{ind}      for (int u = 0; u < {k}; ++u)"
-                f" acc += (({kname}[2*(v*{k}+u)])"
-                f" + ({kname}[2*(v*{k}+u)+1])*_Complex_I) * t[u];"
-            )
-            o.append(f"{ind}      y[v] = acc;")
-            o.append(f"{ind}    }}")
-            o.append(
-                f"{ind}    for (int v = 0; v < {kout}; ++v) t[v] = y[v]; }}"
-            )
-    post = ""
-    if loop.post_scale is not None:
-        post = (
-            f" * (v{base}[2*(j*{kout}+v)]"
-            f" + v{base}[2*(j*{kout}+v)+1]*_Complex_I)"
-        )
-    if sgrid is not None:
-        o.append(
-            f"{ind}  for (int v = 0; v < {kout}; ++v)"
-            f" d[{sgrid.base} + j*{sgrid.row_stride}"
-            f" + v*{sgrid.col_stride}] = t[v]{post};"
-        )
-    else:
-        o.append(
-            f"{ind}  for (int v = 0; v < {kout}; ++v)"
-            f" d[s{base}[j*{kout} + v]] = t[v]{post};"
-        )
-    o.append(f"{ind}}}")
-
-
-def _emit_stage(em: _PlanEmitter, stage, sid: int, n: int) -> None:
-    """One exported batched stage function ``repro_stage<sid>``.
-
-    The signature is the shared-object ABI: ``(int proc, long b, const
-    double *src, double *dst)`` over ``b`` stacked rows of ``n``
-    interleaved re/im pairs (NumPy ``complex128`` layout).  Parallel
-    stages branch on ``proc`` exactly like the Python backend, so every
-    runtime's processor-share contract carries over.
-    """
-    o = em.lines
-    o.append(
-        f"void repro_stage{sid}(int proc, long b, "
-        f"const double *restrict srcd, double *restrict dstd) {{"
-    )
-    o.append(
-        f"  /* {stage.name}: parallel={int(stage.parallel)}"
-        f" barrier={'yes' if stage.needs_barrier else 'elided'} */"
-    )
-    o.append("  const cplx *src = (const cplx *)srcd;")
-    o.append("  cplx *dst = (cplx *)dstd;")
-    if stage.parallel and stage.procs:
-        for pi, proc in enumerate(stage.procs):
-            kw = "if" if pi == 0 else "else if"
-            o.append(f"  {kw} (proc == {proc}) {{")
-            o.append(f"    for (long r = 0; r < b; ++r) {{")
-            o.append(f"      const cplx *s = src + r*{n};")
-            o.append(f"      cplx *d = dst + r*{n};")
-            for lid, loop in enumerate(stage.loops):
-                if loop.proc == proc:
-                    _emit_loop(em, loop, sid, lid, ind="      ")
-            o.append("    }")
-            o.append("  }")
-    else:
-        o.append("  (void)proc;")
-        o.append(f"  for (long r = 0; r < b; ++r) {{")
-        o.append(f"    const cplx *s = src + r*{n};")
-        o.append(f"    cplx *d = dst + r*{n};")
-        for lid, loop in enumerate(stage.loops):
-            _emit_loop(em, loop, sid, lid, ind="    ")
-        o.append("  }")
-    o.append("}")
-    o.append("")
-
-
 def emit_plan_source(
     program: SigmaProgram, codelet_max: int = DEFAULT_CODELET_MAX
 ) -> str:
@@ -396,13 +168,12 @@ def emit_plan_source(
     Consumes a :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop
     IR) and produces one self-contained source exporting
     ``repro_stage0..repro_stage<k-1>``, each a fused batched stage over
-    interleaved complex doubles.  Pure string construction — no compiler
-    involved — so it also serves as the readable artifact (`docs/codegen.md`
-    walks through an example emission).
+    interleaved complex doubles (:mod:`repro.codegen.c_emit` prints them;
+    the exported per-stage ABI is this target's whole driver).  Pure
+    string construction — no compiler involved — so it also serves as the
+    readable artifact (`docs/codegen.md` walks through an example
+    emission).
     """
-    em = _PlanEmitter(codelet_max)
-    for sid, stage in enumerate(program.stages):
-        _emit_stage(em, stage, sid, program.size)
     header = [
         "/* Generated by repro: compiled-codelet execution backend */",
         f"/* size={program.size} stages={len(program.stages)}"
@@ -413,7 +184,9 @@ def emit_plan_source(
         "typedef double complex cplx;",
         "",
     ]
-    return "\n".join(header + em.tables + [""] + em.lines)
+    return "\n".join(
+        header + emit_stage_functions(program, codelet_max, "void repro_stage")
+    )
 
 
 # -- compile + cache --------------------------------------------------------

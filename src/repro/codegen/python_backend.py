@@ -204,17 +204,14 @@ def _generate_impl(
             f"        # {stage.name}: parallel={stage.parallel}, "
             f"barrier={'yes' if stage.needs_barrier else 'ELIDED'}"
         )
-        procs = stage.procs
-        if stage.parallel and procs:
-            for pi, proc in enumerate(procs):
+        for pi, (proc, loops) in enumerate(stage.shares()):
+            indent = " " * 8
+            if proc is not None:
                 kw = "if" if pi == 0 else "elif"
                 em.lines.append(f"        {kw} proc == {proc}:")
-                for lid, loop in enumerate(stage.loops):
-                    if loop.proc == proc:
-                        _emit_loop(em, loop, sid, lid, indent=" " * 12)
-        else:
-            for lid, loop in enumerate(stage.loops):
-                _emit_loop(em, loop, sid, lid, indent=" " * 8)
+                indent = " " * 12
+            for lid, loop in loops:
+                _emit_loop(em, loop, sid, lid, indent)
         em.lines.append("")
     entries = ", ".join(
         f"({fn}, {s.parallel}, {s.needs_barrier}, {s.name!r})"

@@ -169,38 +169,27 @@ class SimulatorBackend(ExecutionBackend):
         n = program.size
         out: list[PlanStage] = []
         for stage in program.stages:
-            if stage.parallel and stage.procs:
-                by_proc = {
-                    proc: [lp for lp in stage.loops if lp.proc == proc]
-                    for proc in stage.procs
-                }
+            by_proc = {
+                proc: [lp for _, lp in loops] for proc, loops in stage.shares()
+            }
 
-                def work(proc, src, dst, _by_proc=by_proc, _n=n):
-                    S = src.reshape(-1, _n)
-                    D = dst.reshape(-1, _n)
-                    for row in range(S.shape[0]):
-                        for lp in _by_proc.get(proc, ()):
-                            lp.execute(S[row], D[row])
+            # a non-parallel stage is one share (None) its caller runs whole
+            def work(proc, src, dst, _by_proc=by_proc,
+                     _whole=by_proc.get(None), _n=n):
+                S = src.reshape(-1, _n)
+                D = dst.reshape(-1, _n)
+                loops = _by_proc.get(proc, ()) if _whole is None else _whole
+                for row in range(S.shape[0]):
+                    for lp in loops:
+                        lp.execute(S[row], D[row])
 
-                nprocs = len(stage.procs)
-            else:
-                loops = list(stage.loops)
-
-                def work(proc, src, dst, _loops=loops, _n=n):
-                    S = src.reshape(-1, _n)
-                    D = dst.reshape(-1, _n)
-                    for row in range(S.shape[0]):
-                        for lp in _loops:
-                            lp.execute(S[row], D[row])
-
-                nprocs = 1
             out.append(
                 PlanStage(
                     work=work,
                     parallel=stage.parallel,
                     needs_barrier=stage.needs_barrier,
                     name=stage.name,
-                    nprocs=nprocs,
+                    nprocs=len(by_proc),
                 )
             )
         return out

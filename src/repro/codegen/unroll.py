@@ -8,7 +8,8 @@ stage:
 
 * :func:`symbolic_apply` evaluates an SPL formula over *symbolic* scalars,
   producing an expression DAG with algebraic simplification built into the
-  constructors (x+0, 1*x, (-1)*x, constant folding) and hash-consing CSE;
+  constructors (x+0, 1*x, (-1)*x, constant folding) and hash-consing CSE,
+  both owned by a per-codelet :class:`NodePool`;
 * :class:`Codelet` schedules the DAG into SSA statements and emits them as
   a Python function or a C function;
 * op counts come out of the DAG, so tests can verify e.g. that the
@@ -31,122 +32,117 @@ _EPS = 1e-12
 
 
 class Node:
-    """A node of the scalar expression DAG (hash-consed)."""
+    """A node of the scalar expression DAG (hash-consed by its pool)."""
 
     __slots__ = ("op", "args", "value", "serial")
 
-    _pool: dict = {}
-    _counter: int = 0
-
-    def __init__(self, op: str, args: tuple, value: Optional[complex]):
+    def __init__(self, op: str, args: tuple, value: Optional[complex],
+                 serial: int):
         self.op = op
         self.args = args
         self.value = value
-        Node._counter += 1
-        self.serial = Node._counter
-
-    @classmethod
-    def _intern(cls, op, args, value=None) -> "Node":
-        key = (op, args, None if value is None else complex(value))
-        node = cls._pool.get(key)
-        if node is None:
-            node = cls(op, args, value)
-            cls._pool[key] = node
-        return node
-
-    # -- constructors with algebraic simplification -------------------------
-
-    @classmethod
-    def const(cls, value: complex) -> "Node":
-        """A constant node; near-zero real/imag parts snap to exact 0."""
-        value = complex(value)
-        if abs(value.real) < _EPS:
-            value = complex(0.0, value.imag)
-        if abs(value.imag) < _EPS:
-            value = complex(value.real, 0.0)
-        return cls._intern("const", (), value)
-
-    @classmethod
-    def var(cls, index: int) -> "Node":
-        """The ``index``-th input variable (``x[index]`` in emitted code)."""
-        return cls._intern("var", (index,))
-
-    @classmethod
-    def add(cls, a: "Node", b: "Node") -> "Node":
-        """``a + b``, folding constants and eliding +0 (canonical order)."""
-        if a.op == "const" and b.op == "const":
-            return cls.const(a.value + b.value)
-        if a.op == "const" and abs(a.value) < _EPS:
-            return b
-        if b.op == "const" and abs(b.value) < _EPS:
-            return a
-        if a.serial > b.serial:  # canonical order for CSE of a+b vs b+a
-            a, b = b, a
-        return cls._intern("add", (a, b))
-
-    @classmethod
-    def sub(cls, a: "Node", b: "Node") -> "Node":
-        """``a - b``, folding constants, -0, and ``a - a -> 0``."""
-        if a.op == "const" and b.op == "const":
-            return cls.const(a.value - b.value)
-        if b.op == "const" and abs(b.value) < _EPS:
-            return a
-        if a is b:
-            return cls.const(0.0)
-        return cls._intern("sub", (a, b))
-
-    @classmethod
-    def mul(cls, a: "Node", b: "Node") -> "Node":
-        """``a * b``; ±1/0 multiplies vanish, constants normalize left."""
-        if a.op == "const" and b.op == "const":
-            return cls.const(a.value * b.value)
-        # normalize constants to the left
-        if b.op == "const":
-            a, b = b, a
-        if a.op == "const":
-            if abs(a.value) < _EPS:
-                return cls.const(0.0)
-            if abs(a.value - 1.0) < _EPS:
-                return b
-            if abs(a.value + 1.0) < _EPS:
-                return cls.neg(b)
-        return cls._intern("mul", (a, b))
-
-    @classmethod
-    def neg(cls, a: "Node") -> "Node":
-        """``-a``, folding constants and double negation."""
-        if a.op == "const":
-            return cls.const(-a.value)
-        if a.op == "neg":
-            return a.args[0]
-        return cls._intern("neg", (a,))
-
-    # -- analysis -------------------------------------------------------------
+        self.serial = serial
 
     def is_const(self) -> bool:
         """True when this node is a literal constant."""
         return self.op == "const"
 
 
-def clear_node_pool() -> None:
-    """Reset the hash-consing pool (per-codelet isolation)."""
-    Node._pool = {}
-    Node._counter = 0
+class NodePool:
+    """One expression DAG's hash-consing pool and node constructors.
+
+    A pool is the unit of CSE and of serial numbering (which canonicalizes
+    commutative operands, so it shapes the emitted text): every codelet
+    builds its DAG in a pool of its own, which keeps concurrent emissions
+    — a request thread and a prewarm thread planning different keys —
+    from perturbing each other's output.  The constructors simplify
+    algebraically as they intern.
+    """
+
+    def __init__(self) -> None:
+        self._nodes: dict = {}
+
+    def _intern(self, op, args, value=None) -> Node:
+        key = (op, args, None if value is None else complex(value))
+        node = self._nodes.get(key)
+        if node is None:
+            node = Node(op, args, value, len(self._nodes) + 1)
+            self._nodes[key] = node
+        return node
+
+    def const(self, value: complex) -> Node:
+        """A constant node; near-zero real/imag parts snap to exact 0."""
+        value = complex(value)
+        if abs(value.real) < _EPS:
+            value = complex(0.0, value.imag)
+        if abs(value.imag) < _EPS:
+            value = complex(value.real, 0.0)
+        return self._intern("const", (), value)
+
+    def var(self, index: int) -> Node:
+        """The ``index``-th input variable (``x[index]`` in emitted code)."""
+        return self._intern("var", (index,))
+
+    def add(self, a: Node, b: Node) -> Node:
+        """``a + b``, folding constants and eliding +0 (canonical order)."""
+        if a.op == "const" and b.op == "const":
+            return self.const(a.value + b.value)
+        if a.op == "const" and abs(a.value) < _EPS:
+            return b
+        if b.op == "const" and abs(b.value) < _EPS:
+            return a
+        if a.serial > b.serial:  # canonical order for CSE of a+b vs b+a
+            a, b = b, a
+        return self._intern("add", (a, b))
+
+    def sub(self, a: Node, b: Node) -> Node:
+        """``a - b``, folding constants, -0, and ``a - a -> 0``."""
+        if a.op == "const" and b.op == "const":
+            return self.const(a.value - b.value)
+        if b.op == "const" and abs(b.value) < _EPS:
+            return a
+        if a is b:
+            return self.const(0.0)
+        return self._intern("sub", (a, b))
+
+    def mul(self, a: Node, b: Node) -> Node:
+        """``a * b``; ±1/0 multiplies vanish, constants normalize left."""
+        if a.op == "const" and b.op == "const":
+            return self.const(a.value * b.value)
+        # normalize constants to the left
+        if b.op == "const":
+            a, b = b, a
+        if a.op == "const":
+            if abs(a.value) < _EPS:
+                return self.const(0.0)
+            if abs(a.value - 1.0) < _EPS:
+                return b
+            if abs(a.value + 1.0) < _EPS:
+                return self.neg(b)
+        return self._intern("mul", (a, b))
+
+    def neg(self, a: Node) -> Node:
+        """``-a``, folding constants and double negation."""
+        if a.op == "const":
+            return self.const(-a.value)
+        if a.op == "neg":
+            return a.args[0]
+        return self._intern("neg", (a,))
 
 
-def symbolic_apply(expr: Expr, xs: list[Node]) -> list[Node]:
-    """Evaluate ``y = expr @ xs`` over symbolic scalars."""
+def symbolic_apply(expr: Expr, xs: list[Node], pool: NodePool) -> list[Node]:
+    """Evaluate ``y = expr @ xs`` over symbolic scalars interned in ``pool``."""
     if len(xs) != expr.cols:
         raise ValueError(f"expected {expr.cols} inputs, got {len(xs)}")
     if isinstance(expr, (I,)):
         return list(xs)
     if isinstance(expr, F2):
-        return [Node.add(xs[0], xs[1]), Node.sub(xs[0], xs[1])]
+        return [pool.add(xs[0], xs[1]), pool.sub(xs[0], xs[1])]
     if isinstance(expr, SMP):
-        return symbolic_apply(expr.child, xs)
+        return symbolic_apply(expr.child, xs, pool)
     if isinstance(expr, (Diag, DiagFunc, Twiddle)):
         vals = np.asarray(expr.values, dtype=COMPLEX)
-        return [Node.mul(Node.const(v), x) for v, x in zip(vals, xs)]
+        return [pool.mul(pool.const(v), x) for v, x in zip(vals, xs)]
     if isinstance(expr, (L, Perm, LinePerm)):
         from ..sigma.index_map import source_table
 
@@ -155,30 +151,27 @@ def symbolic_apply(expr: Expr, xs: list[Node]) -> list[Node]:
     if isinstance(expr, Compose):
         out = list(xs)
         for f in reversed(expr.factors):
-            out = symbolic_apply(f, out)
+            out = symbolic_apply(f, out, pool)
         return out
     if isinstance(expr, Tensor):
-        return _symbolic_tensor(expr.factors, xs)
+        return _symbolic_tensor(expr.factors, xs, pool)
     if isinstance(expr, (DirectSum, ParDirectSum)):
         out: list[Node] = []
         off = 0
         for b in expr.children:
-            out.extend(symbolic_apply(b, xs[off : off + b.cols]))
+            out.extend(symbolic_apply(b, xs[off : off + b.cols], pool))
             off += b.cols
         return out
     if isinstance(expr, ParTensor):
-        return _symbolic_tensor((I(expr.p), expr.child), xs)
-    if isinstance(expr, DFT):
-        # dense definition; callers should pre-expand larger sizes
-        mat = expr.to_matrix()
-        return _symbolic_dense(mat, xs)
-    # generic fallback for any other square construct: dense matrix
-    return _symbolic_dense(expr.to_matrix(), xs)
+        return _symbolic_tensor((I(expr.p), expr.child), xs, pool)
+    # DFT (callers should pre-expand larger sizes) and any other square
+    # construct: the dense matrix definition
+    return _symbolic_dense(expr.to_matrix(), xs, pool)
 
 
-def _symbolic_tensor(factors, xs: list[Node]) -> list[Node]:
+def _symbolic_tensor(factors, xs: list[Node], pool: NodePool) -> list[Node]:
     if len(factors) == 1:
-        return symbolic_apply(factors[0], xs)
+        return symbolic_apply(factors[0], xs, pool)
     head, rest = factors[0], factors[1:]
     rest_cols = 1
     for f in rest:
@@ -187,27 +180,31 @@ def _symbolic_tensor(factors, xs: list[Node]) -> list[Node]:
     mid: list[Node] = []
     for i in range(head.cols):
         mid.extend(
-            _symbolic_tensor(rest, xs[i * rest_cols : (i + 1) * rest_cols])
+            _symbolic_tensor(
+                rest, xs[i * rest_cols : (i + 1) * rest_cols], pool
+            )
         )
     # apply head over strided slices
     rest_rows = len(mid) // head.cols
     out: list[Optional[Node]] = [None] * (head.rows * rest_rows)
     for j in range(rest_rows):
         col = [mid[i * rest_rows + j] for i in range(head.cols)]
-        res = symbolic_apply(head, col)
+        res = symbolic_apply(head, col, pool)
         for i, node in enumerate(res):
             out[i * rest_rows + j] = node
     return out  # type: ignore[return-value]
 
 
-def _symbolic_dense(mat: np.ndarray, xs: list[Node]) -> list[Node]:
+def _symbolic_dense(
+    mat: np.ndarray, xs: list[Node], pool: NodePool
+) -> list[Node]:
     out = []
     for row in mat:
-        acc = Node.const(0.0)
+        acc = pool.const(0.0)
         for coeff, x in zip(row, xs):
             if abs(coeff) < _EPS:
                 continue
-            acc = Node.add(acc, Node.mul(Node.const(coeff), x))
+            acc = pool.add(acc, pool.mul(pool.const(coeff), x))
         out.append(acc)
     return out
 
@@ -231,9 +228,9 @@ class Codelet:
         column), letting the constructors fold constants and hash-cons
         common subexpressions, then topologically schedules the DAG.
         """
-        clear_node_pool()
-        xs = [Node.var(i) for i in range(expr.cols)]
-        outputs = symbolic_apply(expr, xs)
+        pool = NodePool()
+        xs = [pool.var(i) for i in range(expr.cols)]
+        outputs = symbolic_apply(expr, xs, pool)
         codelet = cls(name=name, size=expr.rows, outputs=outputs)
         codelet._schedule()
         return codelet

@@ -86,40 +86,25 @@ def batched_stages(
     n = program.size
     out: list[PlanStage] = []
     for stage in program.stages:
-        if stage.parallel and stage.procs:
-            by_proc = {
-                proc: [
-                    _loop_fn(lp, codelet_max)
-                    for lp in stage.loops
-                    if lp.proc == proc
-                ]
-                for proc in stage.procs
-            }
+        by_proc = {
+            proc: [_loop_fn(lp, codelet_max) for _, lp in loops]
+            for proc, loops in stage.shares()
+        }
 
-            def work(proc, src, dst, _by_proc=by_proc):
-                S = src.reshape(-1, n)
-                D = dst.reshape(-1, n)
-                for fn in _by_proc.get(proc, ()):
-                    fn(S, D)
+        # a non-parallel stage is one share (None) its caller runs whole
+        def work(proc, src, dst, _by_proc=by_proc, _whole=by_proc.get(None)):
+            S = src.reshape(-1, n)
+            D = dst.reshape(-1, n)
+            for fn in _by_proc.get(proc, ()) if _whole is None else _whole:
+                fn(S, D)
 
-            nprocs = len(stage.procs)
-        else:
-            fns = [_loop_fn(lp, codelet_max) for lp in stage.loops]
-
-            def work(proc, src, dst, _fns=fns):
-                S = src.reshape(-1, n)
-                D = dst.reshape(-1, n)
-                for fn in _fns:
-                    fn(S, D)
-
-            nprocs = 1
         out.append(
             PlanStage(
                 work=work,
                 parallel=stage.parallel,
                 needs_barrier=stage.needs_barrier,
                 name=stage.name,
-                nprocs=nprocs,
+                nprocs=len(by_proc),
             )
         )
     return out

@@ -11,7 +11,7 @@ memory behaviour the paper's cost arguments rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -123,6 +123,27 @@ class Stage:
     @property
     def procs(self) -> list[int]:
         return sorted({lp.proc for lp in self.loops if lp.proc is not None})
+
+    def shares(
+        self,
+    ) -> Iterator[tuple[Optional[int], list[tuple[int, BlockLoop]]]]:
+        """The stage's work shares: ``(proc, [(loop id, loop), ...])``.
+
+        A parallel stage yields one share per owning processor, in
+        processor order; any other stage yields a single ``(None, every
+        loop)`` share that whoever runs the stage executes whole.  Loop ids
+        index ``self.loops``.  Every emitter and interpreter dispatches on
+        this, so they agree on which processor owns which loop.
+        """
+        procs = self.procs if self.parallel else []
+        for proc in procs:
+            yield proc, [
+                (lid, lp)
+                for lid, lp in enumerate(self.loops)
+                if lp.proc == proc
+            ]
+        if not procs:
+            yield None, list(enumerate(self.loops))
 
     def loops_for(self, proc: Optional[int]) -> list[BlockLoop]:
         return [lp for lp in self.loops if lp.proc == proc or lp.proc is None]

@@ -11,6 +11,8 @@ from repro.codegen import (
     compiler_available,
     generate_c,
 )
+from repro.codegen.c_backend import MODES
+from repro.frontend import vectorize_formula
 from repro.rewrite import (
     cooley_tukey_step,
     derive_multicore_ct,
@@ -68,12 +70,31 @@ class TestGeneration:
         assert "F_2 butterfly" in src
 
 
+def _driver_matrix():
+    """mode x unroll_max x nu; the plain dense scalar cases keep their ids."""
+    for mode in MODES:
+        for unroll_max in (0, 8):
+            for nu in (1, 4):
+                plain = unroll_max == 0 and nu == 1
+                yield pytest.param(
+                    mode, unroll_max, nu,
+                    id=mode if plain else f"{mode}-unroll{unroll_max}-nu{nu}",
+                )
+
+
 @needs_cc
 class TestCompileAndRun:
-    @pytest.mark.parametrize("mode", ["sequential", "pthreads", "openmp"])
-    def test_small_parallel_dft(self, rng, mode):
-        f = expand_dft(derive_multicore_ct(64, 2, 2), "balanced", min_leaf=4)
-        gen = generate_c(lower(f), mode=mode)
+    @pytest.mark.parametrize("mode,unroll_max,nu", _driver_matrix())
+    def test_small_parallel_dft(self, rng, mode, unroll_max, nu):
+        # vec(nu) needs nu | mu, or line permutations would split vectors
+        f = expand_dft(
+            derive_multicore_ct(64, 2, max(2, nu)), "balanced", min_leaf=4
+        )
+        f, effective_nu = vectorize_formula(f, 64, 2, nu)
+        assert effective_nu == nu
+        gen = generate_c(lower(f), mode=mode, unroll_max=unroll_max)
+        assert (f"nu={nu} lanes" in gen.source) == (nu > 1)
+        assert ("codelet0" in gen.source) == (unroll_max > 0)
         x = random_vector(rng, 64)
         out = compile_and_run(gen, x)
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-6)

@@ -4,56 +4,59 @@ import numpy as np
 import pytest
 
 from repro.codegen import Codelet, dft_codelet, symbolic_apply
-from repro.codegen.unroll import Node, clear_node_pool
+from repro.codegen.unroll import NodePool
 from repro.rewrite import cooley_tukey_step, expand_dft
 from repro.spl import DFT, Diag, F2, I, L, Tensor, Twiddle
 from tests.conftest import random_vector
 
 
 class TestNodeAlgebra:
-    def setup_method(self):
-        clear_node_pool()
-
     def test_constant_folding(self):
-        a, b = Node.const(2.0), Node.const(3.0)
-        assert Node.add(a, b).value == 5.0
-        assert Node.mul(a, b).value == 6.0
-        assert Node.sub(a, b).value == -1.0
+        p = NodePool()
+        a, b = p.const(2.0), p.const(3.0)
+        assert p.add(a, b).value == 5.0
+        assert p.mul(a, b).value == 6.0
+        assert p.sub(a, b).value == -1.0
 
     def test_additive_identity(self):
-        x = Node.var(0)
-        assert Node.add(x, Node.const(0.0)) is x
-        assert Node.add(Node.const(0.0), x) is x
-        assert Node.sub(x, Node.const(0.0)) is x
+        p = NodePool()
+        x = p.var(0)
+        assert p.add(x, p.const(0.0)) is x
+        assert p.add(p.const(0.0), x) is x
+        assert p.sub(x, p.const(0.0)) is x
 
     def test_multiplicative_identities(self):
-        x = Node.var(0)
-        assert Node.mul(Node.const(1.0), x) is x
-        assert Node.mul(Node.const(0.0), x).value == 0.0
-        assert Node.mul(Node.const(-1.0), x).op == "neg"
+        p = NodePool()
+        x = p.var(0)
+        assert p.mul(p.const(1.0), x) is x
+        assert p.mul(p.const(0.0), x).value == 0.0
+        assert p.mul(p.const(-1.0), x).op == "neg"
 
     def test_double_negation(self):
-        x = Node.var(0)
-        assert Node.neg(Node.neg(x)) is x
+        p = NodePool()
+        x = p.var(0)
+        assert p.neg(p.neg(x)) is x
 
     def test_x_minus_x(self):
-        x = Node.var(0)
-        assert Node.sub(x, x).value == 0.0
+        p = NodePool()
+        x = p.var(0)
+        assert p.sub(x, x).value == 0.0
 
     def test_cse_by_hash_consing(self):
-        x, y = Node.var(0), Node.var(1)
-        assert Node.add(x, y) is Node.add(x, y)
+        p = NodePool()
+        x, y = p.var(0), p.var(1)
+        assert p.add(x, y) is p.add(x, y)
         # commutative canonicalization: x+y and y+x share a node
-        assert Node.add(x, y) is Node.add(y, x)
+        assert p.add(x, y) is p.add(y, x)
 
 
 class TestSymbolicApply:
     def setup_method(self):
-        clear_node_pool()
+        self.pool = NodePool()
 
     def _check(self, expr, rng, atol=1e-9):
-        xs = [Node.var(i) for i in range(expr.cols)]
-        outs = symbolic_apply(expr, xs)
+        xs = [self.pool.var(i) for i in range(expr.cols)]
+        outs = symbolic_apply(expr, xs, self.pool)
         x = random_vector(rng, expr.cols)
 
         def ev(node):
@@ -87,7 +90,7 @@ class TestSymbolicApply:
 
     def test_input_length_checked(self):
         with pytest.raises(ValueError):
-            symbolic_apply(F2(), [Node.var(0)])
+            symbolic_apply(F2(), [self.pool.var(0)], self.pool)
 
 
 class TestCodelet:
