@@ -39,17 +39,13 @@ def check_backend_program(
     the NumPy fallback would certify nothing about the backend it names.
     """
     from ..codegen.registry import get_backend
-    from ..serve.batch_exec import run_batched
+    from ..serve.plan_cache import CachedPlan
     from ..smp.runtime import SequentialRuntime
 
-    exec_backend = get_backend(backend)
     findings: list[str] = []
     n = program.size
     try:
-        if hasattr(exec_backend, "compile"):
-            stages = exec_backend.compile(program).plan_stages()
-        else:
-            stages = exec_backend.build_stages(program)
+        stages = get_backend(backend).build_stages(program, fallback=False)
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         return [f"backend {backend!r} failed to build stages: {exc}"]
 
@@ -81,11 +77,9 @@ def check_backend_program(
     ).astype(COMPLEX)
     runtime = SequentialRuntime()
     try:
-        Y, _ = run_batched(stages, n, X, runtime)
+        Y, _ = runtime.run(CachedPlan(None, program, stages, backend), X)
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         return [f"backend {backend!r} raised during execution: {exc}"]
-    finally:
-        runtime.close()
 
     ref = np.fft.fft(X, axis=-1)
     tol = _RTOL * n
@@ -102,11 +96,7 @@ def check_backend_program(
         from ..codegen.registry import NumpyBackend
 
         base = NumpyBackend().build_stages(program)
-        rt = SequentialRuntime()
-        try:
-            Y0, _ = run_batched(base, n, X, rt)
-        finally:
-            rt.close()
+        Y0, _ = runtime.run(CachedPlan(None, program, base), X)
         derr = np.abs(Y - Y0)
         if not np.all(derr <= tol * np.maximum(1.0, np.abs(Y0))):
             row, col = np.unravel_index(int(np.argmax(derr)), derr.shape)

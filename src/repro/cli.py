@@ -411,8 +411,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Sweep the pipeline's plans through the dynamic concurrency checker."""
     from .check import check_backend_program, check_program, compare_plans
     from .codegen import BackendUnavailable, resolve_backend
-    from .frontend import feasible_threads, generate_fft
+    from .frontend import feasible_threads
     from .mp.spec import PlanSpec, compile_spec
+    from .serve.plan_cache import build_plan
 
     if args.backend != "numpy":
         # strict: an explicit --backend request on a host that cannot run
@@ -450,19 +451,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for p in threads_list:
                 for mu in mu_list:
                     t = feasible_threads(n, p, mu) if p > 1 else 1
-                    programs = {}
-                    if "thread" in runtimes:
-                        programs["thread"] = generate_fft(
-                            n, threads=t, mu=mu, strategy=args.strategy,
-                            nu=args.nu,
-                        ).program
-                    if "process" in runtimes:
-                        # the plan the process pool workers compile locally
-                        spec = PlanSpec(
-                            n=n, threads=t, mu=mu, strategy=args.strategy,
-                            nu=args.nu,
-                        )
-                        programs["process"] = compile_spec(spec).program.program
+                    spec = PlanSpec(
+                        n=n, threads=t, mu=mu, strategy=args.strategy,
+                        nu=args.nu,
+                    )
+                    # one record either way: a fresh build (what a plan
+                    # cache holds) and the plan pool workers compile locally
+                    build = {"thread": build_plan, "process": compile_spec}
+                    programs = {
+                        rt: build[rt](spec).program.program for rt in runtimes
+                    }
                     for rt, prog in programs.items():
                         report = check_program(prog, mu, max_skew=args.skew)
                         checked += 1

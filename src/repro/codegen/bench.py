@@ -19,9 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..search.timer import pseudo_mflops_from_seconds, time_batched_callable
-from ..serve.batch_exec import run_batched
-from ..smp.runtime import PThreadsRuntime, SequentialRuntime
-from .registry import get_backend, resolve_backend
+from .registry import resolve_backend
 
 #: default stacked batch, matching the serving layer's coalesced shape
 DEFAULT_BATCH = 8
@@ -40,9 +38,10 @@ def run_backend_bench(
 ) -> dict:
     """Time NumPy vs ``backend`` stages for n = 2^kmin .. 2^kmax.
 
-    Both stage lists come from the *same* generated program, so the
-    comparison holds the factorization, index tables, and barrier
-    structure fixed and varies only the executor.  ``strict=True`` (the
+    Both plans come from the *same* spec but for its ``backend`` field
+    (the builder is deterministic), so the comparison holds the
+    factorization, index tables, and barrier structure fixed and varies
+    only the executor.  ``strict=True`` (the
     CLI default) raises :class:`~repro.codegen.registry.BackendUnavailable`
     when the requested backend cannot run here — an explicit benchmark
     request should fail loudly, not silently time NumPy against itself.
@@ -60,33 +59,38 @@ def run_backend_bench(
         raise ValueError(f"need threads >= 1, got {threads}")
     if nu < 1:
         raise ValueError(f"need nu >= 1, got {nu}")
-    from ..frontend import feasible_threads, generate_fft
+    from dataclasses import replace
+
+    from ..frontend import feasible_threads
+    from ..hunt.oracles import ExecutorPools
     from ..mp.bench import host_metadata
+    from ..mp.spec import PlanSpec
+    from ..serve.plan_cache import build_plan
 
     exec_backend = resolve_backend(backend, strict=strict)
-    baseline = get_backend("numpy")
-    runtime = (
-        PThreadsRuntime(threads) if threads > 1 else SequentialRuntime()
-    )
+    pools = ExecutorPools()
+    runtime = pools.get("pthreads", threads)
     rows = []
     try:
         for k in range(kmin, kmax + 1):
             n = 1 << k
             t = feasible_threads(n, threads, 4) if threads > 1 else 1
-            gen = generate_fft(n, threads=t, nu=nu)
+            spec = PlanSpec(n=n, threads=t, codelet_max=codelet_max,
+                            backend=exec_backend.name, nu=nu)
+            test = build_plan(spec)
+            base = build_plan(replace(spec, backend="numpy"))
             nu_eff = max(
-                (lp.nu for st in gen.program.stages for lp in st.loops),
+                (lp.nu for st in test.program.program.stages
+                 for lp in st.loops),
                 default=1,
             )
-            base_stages = baseline.build_stages(gen.program, codelet_max)
-            test_stages = exec_backend.build_stages(gen.program, codelet_max)
             rng = np.random.default_rng(k)
             base_s = time_batched_callable(
-                lambda x: run_batched(base_stages, n, x, runtime)[0],
+                lambda x: runtime.run(base, x)[0],
                 n, batch=batch, repeats=repeats, rng=rng,
             )
             test_s = time_batched_callable(
-                lambda x: run_batched(test_stages, n, x, runtime)[0],
+                lambda x: runtime.run(test, x)[0],
                 n, batch=batch, repeats=repeats, rng=rng,
             )
             row = {
@@ -105,12 +109,9 @@ def run_backend_bench(
                 ),
             }
             if nu > 1:
-                scalar_gen = generate_fft(n, threads=t)
-                scalar_stages = exec_backend.build_stages(
-                    scalar_gen.program, codelet_max
-                )
+                scalar = build_plan(replace(spec, nu=1))
                 scalar_s = time_batched_callable(
-                    lambda x: run_batched(scalar_stages, n, x, runtime)[0],
+                    lambda x: runtime.run(scalar, x)[0],
                     n, batch=batch, repeats=repeats, rng=rng,
                 )
                 row["scalar_backend_s"] = scalar_s
@@ -119,7 +120,7 @@ def run_backend_bench(
                 )
             rows.append(row)
     finally:
-        runtime.close()
+        pools.close()
     describe = exec_backend.describe()
     compiler = (
         {k: v for k, v in describe.items() if k != "backend"}

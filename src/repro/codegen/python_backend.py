@@ -63,6 +63,23 @@ class GeneratedProgram:
         return self.run(x)
 
 
+def kernel_kind(kernel: Expr, codelet_max: int) -> str:
+    """The emission policy for one loop kernel (see the module docstring).
+
+    ``"copy"`` (``I_1``), ``"f2"`` (butterfly), ``"matmul"`` (dense codelet
+    matrix), ``"fft"`` (library kernel) or ``"expr"`` (``kernel.apply``);
+    the printer here and the batched interpreter
+    (:mod:`repro.serve.batch_exec`) both switch on it.
+    """
+    if isinstance(kernel, I) and kernel.n == 1:
+        return "copy"
+    if isinstance(kernel, F2):
+        return "f2"
+    if kernel.cols <= codelet_max:
+        return "matmul"
+    return "fft" if isinstance(kernel, DFT) else "expr"
+
+
 class _Emitter:
     def __init__(self, codelet_max: int):
         self.codelet_max = codelet_max
@@ -76,27 +93,21 @@ class _Emitter:
 
     def kernel_ref(self, kernel: Expr) -> tuple[str, str]:
         """Return (kind, ref) for a kernel expression."""
-        if isinstance(kernel, I) and kernel.n == 1:
-            return "copy", ""
-        if isinstance(kernel, F2):
-            return "f2", ""
+        kind = kernel_kind(kernel, self.codelet_max)
+        if kind in ("copy", "f2"):
+            return kind, ""
         key = kernel._key()
         if key not in self._kernel_ids:
             kid = f"k{len(self._kernel_ids)}"
             self._kernel_ids[key] = kid
-            if kernel.cols <= self.codelet_max:
+            if kind == "matmul":
                 # dense codelet matrix, transposed for row-batched apply
                 self.consts[kid] = np.ascontiguousarray(
                     kernel.to_matrix().T.astype(COMPLEX)
                 )
             else:
                 self.consts[kid] = kernel  # library/expression kernel
-        kid = self._kernel_ids[key]
-        if kernel.cols <= self.codelet_max:
-            return "matmul", f"C[{kid!r}]"
-        if isinstance(kernel, DFT):
-            return "fft", f"C[{kid!r}]"
-        return "expr", f"C[{kid!r}]"
+        return kind, f"C[{self._kernel_ids[key]!r}]"
 
 
 def _gather_code(em: _Emitter, name: str, table: np.ndarray) -> tuple[str, str]:

@@ -67,16 +67,25 @@ class ExecutionBackend:
         return True
 
     def build_stages(
-        self, program: SigmaProgram, codelet_max: int = 32
+        self, program: SigmaProgram, codelet_max: int = 32,
+        fallback: bool = True,
     ) -> list[PlanStage]:
         """Lower ``program`` into executable batched stages.
 
         Consumes the Σ-SPL loop IR; emits one
         :class:`~repro.smp.runtime.PlanStage` per pipeline stage,
         preserving the program's parallel flags, barrier-elision
-        decisions, and processor shares.
+        decisions, and processor shares.  ``fallback=False`` forbids
+        substituting another backend's stages on a build failure; it is
+        ignored by backends that never substitute.
         """
         raise NotImplementedError
+
+    def artifact_info(
+        self, program: SigmaProgram, codelet_max: int = 32
+    ) -> Optional[dict]:
+        """Provenance of an on-disk build artifact; None when there is none."""
+        return None
 
     def describe(self) -> dict:
         """Backend identity/toolchain metadata for benchmark provenance."""
@@ -88,7 +97,7 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
-    def build_stages(self, program, codelet_max=32):
+    def build_stages(self, program, codelet_max=32, fallback=True):
         """Batch-axis NumPy stages via :mod:`repro.serve.batch_exec`."""
         from ..serve.batch_exec import batched_stages
 
@@ -164,7 +173,7 @@ class SimulatorBackend(ExecutionBackend):
 
     name = "simulator"
 
-    def build_stages(self, program, codelet_max=32):
+    def build_stages(self, program, codelet_max=32, fallback=True):
         """Per-row interpreted stages preserving the plan's structure."""
         n = program.size
         out: list[PlanStage] = []

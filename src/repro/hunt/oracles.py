@@ -68,38 +68,41 @@ class Verdict:
 class ExecutorPools:
     """Lazily built, sweep-long caches of the expensive runtimes.
 
-    Thread pools and process pools are keyed by worker count and reused
-    across every case and every reduction step; :meth:`close` tears the
-    whole set down (the driver's ``finally``).
+    Thread pools and process pools are keyed by lane and worker count and
+    reused across every case and every reduction step; :meth:`close` tears
+    the whole set down (the driver's ``finally``).
     """
 
-    _threads: dict = field(default_factory=dict)
-    _procs: dict = field(default_factory=dict)
+    _pools: dict = field(default_factory=dict)
 
-    def pthreads(self, t: int):
-        """The shared ``PThreadsRuntime(t)`` (built on first use)."""
-        from ..smp import PThreadsRuntime
+    def get(self, runtime: str, t: int):
+        """The shared runtime for ``t``-way plans on ``runtime``'s lane.
 
-        if t not in self._threads:
-            self._threads[t] = PThreadsRuntime(t)
-        return self._threads[t]
+        Sequential for ``t <= 1`` (:func:`repro.smp.runtime.lane_name`),
+        else the ``PThreadsRuntime(t)`` / ``ProcessPoolRuntime(t)`` built on
+        first use.
+        """
+        from ..smp.runtime import PThreadsRuntime, SequentialRuntime, lane_name
 
-    def process(self, t: int):
-        """The shared ``ProcessPoolRuntime(t)`` (built on first use)."""
-        from ..mp import ProcessPoolRuntime
+        lane = lane_name(runtime, t)
+        if lane == "sequential":
+            t = 1
+        rt = self._pools.get((lane, t))
+        if rt is None:
+            if lane == "process":
+                from ..mp import ProcessPoolRuntime
 
-        if t not in self._procs:
-            self._procs[t] = ProcessPoolRuntime(t)
-        return self._procs[t]
+                rt = ProcessPoolRuntime(t)
+            else:
+                rt = PThreadsRuntime(t) if t > 1 else SequentialRuntime()
+            self._pools[lane, t] = rt
+        return rt
 
     def close(self) -> None:
         """Close every cached runtime (idempotent)."""
-        for rt in self._threads.values():
+        for rt in self._pools.values():
             rt.close()
-        self._threads.clear()
-        for rt in self._procs.values():
-            rt.close()
-        self._procs.clear()
+        self._pools.clear()
 
 
 def _input_stack(case: HuntCase, seed: int) -> np.ndarray:
@@ -126,40 +129,34 @@ def _execute(
     pools: ExecutorPools,
     term: Optional[Expr],
 ) -> np.ndarray:
-    """Run the lowered plan on the case's backend × runtime; return Y.
+    """Run the plan on the case's backend × runtime; return Y.
 
-    The process runtime regenerates plans from a :class:`PlanSpec` in
-    its workers, which only round-trips full DFT configurations — for a
-    pruned term the process lane degrades to in-process sequential
-    execution of the same backend stages (the plan, not the transport,
-    is under test at that point).
+    A full DFT configuration is built from its :class:`PlanSpec` by the
+    one builder, exactly as serving would.  A pruned term has no spec, so
+    its record wraps the backend's stages for the lowered ``program``; a
+    runtime whose workers rebuild plans from the spec (the process pool)
+    cannot run it, and that lane degrades to in-process sequential
+    execution of the same stages (the plan, not the transport, is under
+    test at that point).
     """
     from ..codegen.registry import resolve_backend
-    from ..serve.batch_exec import run_batched
-    from ..smp import SequentialRuntime
+    from ..mp.spec import PlanSpec
+    from ..serve.plan_cache import CachedPlan, build_plan
 
-    t = case.threads
-    if case.runtime == "process" and term is None and t > 1:
-        from ..mp import PlanSpec
-
-        spec = PlanSpec(
-            n=case.n, threads=t, mu=case.mu, strategy=case.strategy,
-            backend=case.backend, nu=case.nu,
+    if term is None:
+        plan = build_plan(PlanSpec(
+            n=case.n, threads=case.threads, mu=case.mu,
+            strategy=case.strategy, backend=case.backend, nu=case.nu,
+        ))
+    else:
+        backend = resolve_backend(case.backend)
+        plan = CachedPlan(
+            None, program, backend.build_stages(program), backend.name
         )
-        Y, _ = pools.process(t).execute_spec(spec, X)
-        return np.asarray(Y)
-
-    stages = resolve_backend(case.backend).build_stages(program)
-    if case.runtime == "pthreads" and t > 1:
-        runtime = pools.pthreads(t)
-        Y, _ = run_batched(stages, program.size, X, runtime)
-        return Y
-    runtime = SequentialRuntime()
-    try:
-        Y, _ = run_batched(stages, program.size, X, runtime)
-    finally:
-        runtime.close()
-    return Y
+    runtime = pools.get(case.runtime, case.threads)
+    if plan.spec is None and runtime.needs_spec:
+        runtime = pools.get("sequential", 1)
+    return runtime.run(plan, X)[0]
 
 
 def run_oracle(

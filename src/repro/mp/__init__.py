@@ -2,8 +2,8 @@
 
 The thread runtimes in :mod:`repro.smp` execute generated stage plans under
 CPython's GIL, so they establish *correctness* of the multithreaded
-schedules but cannot show measured wall-clock scaling.  This package runs
-the same plans across **processes** over a shared address space —
+schedules but scale only as far as the stage closures release it.  This
+package runs the same plans across **processes** over a shared address space —
 ``multiprocessing.shared_memory`` standing in for the paper's pthreads over
 one heap — so the generated programs parallelize for real:
 
@@ -16,11 +16,11 @@ one heap — so the generated programs parallelize for real:
   boundary), amortized over the pool's lifetime;
 * :class:`SharedSenseBarrier` — the paper's sense-reversing barrier built
   on shared semaphores, with abort semantics for crashed workers;
-* :class:`ProcessPoolRuntime` — a persistent SPMD worker pool mirroring
-  :class:`repro.smp.PThreadsRuntime`'s contract (barrier elision for
-  ``needs_barrier=False`` stages, ``healthy``, typed
+* :class:`ProcessPoolRuntime` — a persistent SPMD worker pool under
+  :class:`repro.smp.PThreadsRuntime`'s contract (``run(plan, X)`` over the
+  same lockstep walk, ``healthy``, typed
   :class:`~repro.smp.runtime.WorkerPoolBroken` on worker death) so the
-  serving supervisor's self-healing applies unchanged.
+  serving layer's plan cache and self-healing apply unchanged.
 
 See ``docs/parallel.md`` for the execution model, fork-vs-spawn caveats,
 and how to read ``BENCH_mp.json``.
@@ -38,12 +38,11 @@ from .arena import (
 from .barrier import SharedSenseBarrier
 from .bench import render_mp_bench, run_mp_bench
 from .runtime import ProcessPoolRuntime, RemoteWorkerError
-from .spec import CompiledSpec, PlanSpec, compile_spec, clear_spec_cache
+from .spec import PlanSpec, compile_spec, clear_spec_cache
 
 __all__ = [
     "ArenaStats",
     "AttachedSegment",
-    "CompiledSpec",
     "PlanSpec",
     "ProcessPoolRuntime",
     "RemoteWorkerError",

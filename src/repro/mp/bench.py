@@ -22,7 +22,7 @@ import numpy as np
 
 from ..search.timer import pseudo_mflops_from_seconds, time_batched_callable
 from .runtime import ProcessPoolRuntime
-from .spec import PlanSpec
+from .spec import PlanSpec, compile_spec
 
 #: default stacked batch: the serving layer's typical coalesced execution
 DEFAULT_BATCH = 8
@@ -81,22 +81,22 @@ def run_mp_bench(
     try:
         for k in range(kmin, kmax + 1):
             n = 1 << k
-            seq_spec = PlanSpec.for_request(n, threads=1)
-            par_spec = PlanSpec.for_request(n, threads=threads)
+            seq_plan = compile_spec(PlanSpec.for_request(n, threads=1))
+            par_plan = compile_spec(PlanSpec.for_request(n, threads=threads))
             rng = np.random.default_rng(k)
             seq_s = time_batched_callable(
-                lambda x: seq_pool.execute_spec(seq_spec, x)[0],
+                lambda x: seq_pool.run(seq_plan, x)[0],
                 n, batch=batch, repeats=repeats, rng=rng,
             )
             par_s = time_batched_callable(
-                lambda x: par_pool.execute_spec(par_spec, x)[0],
+                lambda x: par_pool.run(par_plan, x)[0],
                 n, batch=batch, repeats=repeats, rng=rng,
             )
             rows.append({
                 "k": k,
                 "n": n,
                 "batch": batch,
-                "threads_used": par_spec.threads,
+                "threads_used": par_plan.spec.threads,
                 "seq_s": seq_s,
                 "par_s": par_s,
                 "speedup": seq_s / par_s if par_s > 0 else float("inf"),

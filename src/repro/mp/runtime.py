@@ -12,9 +12,10 @@ Plans cross the process boundary as :class:`~repro.mp.spec.PlanSpec`
 values: each worker compiles the spec locally into the identical stage plan
 (deterministic pipeline) and caches it, so the per-plan compile cost is
 paid once per process and amortized over the pool's lifetime — closures
-never get pickled.  Consequently :meth:`execute` (the closure-based
-:class:`~repro.smp.runtime.Runtime` entry point) is unsupported here;
-callers use :meth:`execute_spec`.
+never get pickled.  :meth:`~repro.smp.runtime.Runtime.run` therefore walks
+``plan.stages`` as processor 0 and ships ``plan.spec`` to the workers; a
+plan without a spec (and the bare-closure :meth:`execute`) is a
+``TypeError`` here.
 
 Failure contract (identical to the thread pool, so the serving
 supervisor's self-healing applies unchanged): a worker death mid-plan
@@ -36,14 +37,18 @@ from typing import Optional
 import numpy as np
 
 from ..faults import get_fault_plan
-from ..smp.runtime import ExecutionStats, Runtime, WorkerPoolBroken
-from ..spl.expr import COMPLEX
+from ..smp.runtime import (
+    ExecutionStats,
+    Runtime,
+    WorkerPoolBroken,
+    lockstep_walk,
+)
 from ..trace import get_tracer
 from ..trace.merge import merge_span_reports
 from .arena import SharedArena, SharedBuffer
 from .barrier import SharedSenseBarrier
-from .spec import CompiledSpec, PlanSpec, compile_spec
-from .worker import run_plan, worker_main
+from .spec import PlanSpec, compile_spec
+from .worker import worker_main
 
 #: environment override for the start method (CI runs both fork and spawn)
 START_METHOD_ENV = "REPRO_MP_START"
@@ -80,6 +85,15 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+#: why a spec-less plan (or a bare stage list) cannot run here
+_NEEDS_SPEC = (
+    "ProcessPoolRuntime cannot execute closure-based stage lists "
+    "(PlanStage.work does not pickle); run a plan built from a PlanSpec — "
+    "run(build_plan(spec), x) or execute_spec(spec, x) — so each worker "
+    "compiles the identical plan locally"
+)
+
+
 class RemoteWorkerError(RuntimeError):
     """A worker process raised during plan execution; carries its traceback.
 
@@ -98,17 +112,21 @@ class RemoteWorkerError(RuntimeError):
 class ProcessPoolRuntime(Runtime):
     """Persistent SPMD worker pool over ``multiprocessing.shared_memory``.
 
+    Workers rebuild each plan from ``plan.spec`` (``needs_spec``).
+
     ::
 
         with ProcessPoolRuntime(2) as pool:
-            spec = PlanSpec.for_request(4096, threads=2)
-            y, stats = pool.execute_spec(spec, x)
+            plan = compile_spec(PlanSpec.for_request(4096, threads=2))
+            y, stats = pool.run(plan, x)
 
     ``start_method`` picks ``fork``/``spawn``/``forkserver`` (default: see
     :func:`default_start_method`; fork-vs-spawn caveats in
     ``docs/parallel.md``).  Input may be one length-``n`` vector or a
     ``(b, n)`` stack; shared double buffers are pooled per distinct size.
     """
+
+    needs_spec = True
 
     def __init__(
         self,
@@ -178,21 +196,27 @@ class ProcessPoolRuntime(Runtime):
     # -- execution ------------------------------------------------------------
 
     def execute(self, stages, x, size):
-        raise TypeError(
-            "ProcessPoolRuntime cannot execute closure-based stage lists "
-            "(PlanStage.work does not pickle); build a PlanSpec and call "
-            "execute_spec(spec, x) — each worker compiles the identical "
-            "plan locally"
-        )
+        raise TypeError(_NEEDS_SPEC)
 
     def execute_spec(
         self, spec: PlanSpec, x: np.ndarray
     ) -> tuple[np.ndarray, ExecutionStats]:
-        """Run ``spec``'s plan on ``x`` (``(n,)`` or ``(b, n)``) in parallel."""
-        with self._exec_lock:
-            return self._execute_locked(spec, x)
+        """``run(compile_spec(spec), x)``: the spec-in, array-out shorthand."""
+        return self.run(compile_spec(spec), x)
 
-    def _execute_locked(self, spec, x):
+    def _walk(self, stages, flat, spec):
+        """The master's side of one job: processor 0 of the lockstep walk.
+
+        ``stages`` must come from the builder that workers apply to ``spec``
+        (:func:`repro.serve.plan_cache.build_plan`) — SPMD lockstep rests on
+        every party walking the identical stage structure.
+        """
+        if spec is None:
+            raise TypeError(_NEEDS_SPEC)
+        with self._exec_lock:
+            return self._walk_locked(stages, flat, spec)
+
+    def _walk_locked(self, stages, flat, spec):
         if self._closed:
             raise RuntimeError(
                 "ProcessPoolRuntime is closed; worker pool no longer exists"
@@ -205,22 +229,11 @@ class ProcessPoolRuntime(Runtime):
             raise ValueError(
                 f"plan spec wants {spec.threads} processors, pool has {self.p}"
             )
-        compiled: CompiledSpec = compile_spec(spec)
-        X = np.asarray(x, dtype=COMPLEX)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[np.newaxis, :]
-        if X.ndim != 2 or X.shape[1] != spec.n:
-            raise ValueError(
-                f"expected (batch, {spec.n}) input, got shape "
-                f"{np.asarray(x).shape}"
-            )
         tr = get_tracer()
         collect = tr.enabled
-        stages = compiled.stages
         stats = ExecutionStats()
-        src, dst = self._buffers_for(X.size)
-        src.array[:] = X.reshape(-1)
+        src, dst = self._buffers_for(flat.size)
+        src.array[:] = flat
 
         self._seq += 1
         seq = self._seq
@@ -230,19 +243,18 @@ class ProcessPoolRuntime(Runtime):
                 # deterministic chaos: the last worker dies before this job
                 self._cmd_qs[-1].put(("crash",))
             self._barrier.reset_accounting()
-            payload = ("run", seq, spec, src.name, dst.name, X.size, collect)
+            payload = ("run", seq, spec, src.name, dst.name, flat.size,
+                       collect)
             for q in self._cmd_qs:
                 q.put(payload)
 
         master_exc: Optional[BaseException] = None
-        master_reports = None
+        master_reports = [] if collect else None
         with tr.span("mp.execute", "mp", n=spec.n, threads=spec.threads,
-                     vectors=int(X.shape[0]), procs=self.p):
+                     vectors=flat.size // spec.n, procs=self.p):
             try:
-                master_reports = run_plan(
-                    0, stages, src.array, dst.array, self._master_wait,
-                    collect,
-                )
+                lockstep_walk(0, stages, src.array, dst.array,
+                              self._master_wait, master_reports)
             except BrokenBarrierError:
                 self._broken = True
             except BaseException as exc:
@@ -262,20 +274,17 @@ class ProcessPoolRuntime(Runtime):
             raise WorkerPoolBroken(
                 f"pool of {self.p} lost a worker mid-plan"
             )
-        if collect and master_reports:
+        if master_reports:
             merge_span_reports(tr, master_reports)
         stats.barriers = (
             self._barrier.wait_count // self.p if self.p > 1 else 0
         )
         stats.parallel_stages = sum(1 for s in stages if s.parallel)
         stats.sequential_stages = sum(1 for s in stages if not s.parallel)
-        # run_plan swaps its buffer locals each stage; recover the final
-        # buffer by parity, copy out so pooled buffers can be reused
+        # lockstep_walk swaps its buffer locals each stage; recover the
+        # final buffer by parity, copy out so pooled buffers can be reused
         final = src.array if len(stages) % 2 == 0 else dst.array
-        out = np.array(final, copy=True).reshape(X.shape)
-        if squeeze:
-            out = out[0]
-        return out, stats
+        return np.array(final, copy=True), stats
 
     def _master_wait(self) -> None:
         if self._barrier is not None:

@@ -9,13 +9,15 @@ deterministic, so a small :class:`PlanSpec` (transform size, thread count,
 locally on first use, and cache the result for the pool's lifetime — the
 compile cost is amortized exactly like the master's plan cache.
 
-:func:`compile_spec` builds the *batched* stage list through the
-execution-backend registry (:func:`repro.codegen.resolve_backend` — the
-spec's ``backend`` field selects ``numpy``, ``compiled``, or
-``simulator``), so one compiled spec serves single vectors and ``(b, n)``
-request stacks alike.  Backend choice changes only how stages *execute*,
-never the plan's stage structure or barrier flags, so SPMD lockstep across
-workers holds even if one worker falls back to numpy.
+:func:`compile_spec` is the process-local LRU around the one builder
+(:func:`repro.serve.plan_cache.build_plan`), which builds the *batched*
+stage list through the execution-backend registry
+(:func:`repro.codegen.resolve_backend` — the spec's ``backend`` field
+selects ``numpy``, ``compiled``, or ``simulator``), so one compiled spec
+serves single vectors and ``(b, n)`` request stacks alike.  Backend choice
+changes only how stages *execute*, never the plan's stage structure or
+barrier flags, so SPMD lockstep across workers holds even if one worker
+falls back to numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-#: process-local compile cache: spec -> CompiledSpec
+#: process-local compile cache: spec -> CachedPlan
 _CACHE_LOCK = threading.Lock()
-_CACHE: "OrderedDict[PlanSpec, CompiledSpec]" = OrderedDict()
+_CACHE: "OrderedDict[PlanSpec, CachedPlan]" = OrderedDict()
 _CACHE_MAX = 32
 
 
@@ -81,46 +83,21 @@ class PlanSpec:
                    nu=getattr(key, "nu", 1))
 
 
-@dataclass
-class CompiledSpec:
-    """A locally compiled spec: generated program + batched stage plan."""
+def compile_spec(spec: PlanSpec) -> "CachedPlan":
+    """``build_plan(spec)`` behind a process-local LRU.
 
-    spec: PlanSpec
-    program: object  # GeneratedProgram
-    stages: list
-
-
-def compile_spec(spec: PlanSpec) -> CompiledSpec:
-    """Compile ``spec`` through the generator pipeline (process-local LRU).
-
-    Deterministic: every process compiling the same spec produces the same
-    stage structure, index tables, and constants — the invariant the SPMD
-    process pool relies on for lockstep execution.
+    Pool workers need it (each compiles a received spec once and keeps it
+    for the pool's lifetime); masters use it as the spec-in shorthand.
     """
     with _CACHE_LOCK:
         hit = _CACHE.get(spec)
         if hit is not None:
             _CACHE.move_to_end(spec)
             return hit
-    # imports deferred: keep `import repro.mp` light and cycle-free
-    from ..codegen.registry import resolve_backend
-    from ..frontend import generate_fft
+    # import deferred: keep `import repro.mp` light and cycle-free
+    from ..serve.plan_cache import build_plan
 
-    gen = generate_fft(
-        spec.n,
-        threads=spec.threads,
-        mu=spec.mu,
-        strategy=spec.strategy,
-        min_leaf=spec.min_leaf,
-        nu=spec.nu,
-    )
-    compiled = CompiledSpec(
-        spec=spec,
-        program=gen,
-        stages=resolve_backend(spec.backend).build_stages(
-            gen.program, spec.codelet_max
-        ),
-    )
+    compiled = build_plan(spec)
     with _CACHE_LOCK:
         _CACHE[spec] = compiled
         _CACHE.move_to_end(spec)

@@ -1,13 +1,14 @@
-"""Pool worker entry point and the shared SPMD stage loop.
+"""Pool worker entry point.
 
 ``worker_main`` is a module-level function so it is importable under the
 ``spawn`` start method (the child re-imports this module and unpickles its
 arguments).  A worker is one party of the SPMD pool: it blocks on its
 command queue, compiles plan specs locally (cached), attaches the master's
 shared buffers by name, and runs the stage sequence in lockstep with its
-peers through the shared sense-reversing barrier — the exact execution
-model of :class:`repro.smp.runtime.PThreadsRuntime`, with processes for
-threads.
+peers through the shared sense-reversing barrier — the very walk
+(:func:`repro.smp.runtime.lockstep_walk`) the
+:class:`~repro.smp.runtime.PThreadsRuntime` threads run, with processes
+for threads.
 
 Failure discipline mirrors the thread pool: a worker that hits a real
 exception aborts the barrier (so peers fail fast instead of waiting
@@ -21,49 +22,17 @@ of lingering.
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from collections import OrderedDict
 from queue import Empty
 from threading import BrokenBarrierError
 
+from ..smp.runtime import lockstep_walk
 from .arena import attach
 from .spec import compile_spec
 
 #: worker-side attachment cache bound (oldest mappings are closed)
 ATTACH_CACHE_MAX = 16
-
-
-def run_plan(proc, stages, src, dst, wait, collect=False):
-    """Run one party's share of a stage plan over double buffers.
-
-    Mirrors ``PThreadsRuntime._run_stages``: a barrier before stages that
-    need one (and around sequential stages), **no** barrier for stages the
-    generator marked ``needs_barrier=False`` — the paper's minimal
-    synchronization, now across processes.  Returns per-stage span reports
-    ``(name, proc, stage, t0, t1)`` in the ``perf_counter`` clock domain
-    when ``collect`` is true (merged by :mod:`repro.trace.merge`).
-    """
-    reports = [] if collect else None
-    for si, stage in enumerate(stages):
-        if stage.needs_barrier or not stage.parallel:
-            wait()
-        t0 = time.perf_counter() if collect else 0.0
-        if stage.parallel:
-            if proc < max(1, stage.nprocs):
-                stage.work(proc, src, dst)
-        elif proc == 0:
-            stage.work(0, src, dst)
-        if reports is not None:
-            reports.append(
-                (stage.name or f"stage{si}", proc, si, t0,
-                 time.perf_counter())
-            )
-        if not stage.parallel:
-            # everyone must wait for the sequential stage to finish
-            wait()
-        src, dst = dst, src
-    return reports
 
 
 def _attached(cache: OrderedDict, name: str, nelems: int,
@@ -116,11 +85,11 @@ def worker_main(proc: int, parties: int, cmd_q, res_q, barrier,
                 continue
             _, seq, spec, src_name, dst_name, nelems, collect = cmd
             try:
-                compiled = compile_spec(spec)
+                stages = compile_spec(spec).stages
                 src = _attached(attachments, src_name, nelems, untrack)
                 dst = _attached(attachments, dst_name, nelems, untrack)
-                reports = run_plan(proc, compiled.stages, src, dst, wait,
-                                   collect)
+                reports = [] if collect else None
+                lockstep_walk(proc, stages, src, dst, wait, reports)
                 res_q.put(("done", proc, seq, reports))
             except BrokenBarrierError:
                 res_q.put(("broken", proc, seq, None))

@@ -27,11 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..codegen.python_backend import GeneratedProgram
+from ..codegen.python_backend import GeneratedProgram, kernel_kind
 from ..sigma.loops import BlockLoop, SigmaProgram
 from ..smp.runtime import ExecutionStats, PlanStage, Runtime
 from ..spl.expr import COMPLEX
-from ..spl.matrices import DFT, F2, I
 
 #: kernels up to this size become dense codelet matrices (matches codegen)
 CODELET_MAX = 32
@@ -39,19 +38,20 @@ CODELET_MAX = 32
 
 def _kernel_fn(kernel, codelet_max: int) -> Optional[Callable]:
     """Batched kernel application along the last axis (emitter policy)."""
-    if isinstance(kernel, I) and kernel.n == 1:
-        return None  # copy
-    if isinstance(kernel, F2):
+    kind = kernel_kind(kernel, codelet_max)
+    if kind == "copy":
+        return None
+    if kind == "f2":
         def butterfly(t):
             return np.concatenate(
                 (t[..., :1] + t[..., 1:], t[..., :1] - t[..., 1:]), axis=-1
             )
 
         return butterfly
-    if kernel.cols <= codelet_max:
+    if kind == "matmul":
         mat = np.ascontiguousarray(kernel.to_matrix().T.astype(COMPLEX))
         return lambda t: t @ mat
-    if isinstance(kernel, DFT):
+    if kind == "fft":
         return lambda t: np.fft.fft(t, axis=-1)
     return kernel.apply  # expression kernel, batched over leading axes
 
@@ -116,15 +116,12 @@ def run_batched(
     X: np.ndarray,
     runtime: Runtime,
 ) -> tuple[np.ndarray, ExecutionStats]:
-    """Execute a ``(b, n)`` stack through batched stages on ``runtime``."""
-    X = np.asarray(X, dtype=COMPLEX)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    if X.ndim != 2 or X.shape[1] != n:
-        raise ValueError(f"expected a (batch, {n}) stack, got {X.shape}")
-    flat = np.ascontiguousarray(X).reshape(-1)
-    out, stats = runtime.execute(stages, flat, flat.size)
-    return out.reshape(X.shape), stats
+    """Execute a ``(b, n)`` stack through bare batched stages on ``runtime``.
+
+    The stage-list form of :meth:`Runtime.run` (same prologue, same walk) for
+    callers that hold stages rather than a plan record.
+    """
+    return runtime.run_stages(stages, n, X)
 
 
 def batched_plan(gen: GeneratedProgram,

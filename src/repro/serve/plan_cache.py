@@ -1,11 +1,15 @@
-"""The serving layer's shared plan cache: LRU + single-flight planning.
+"""The one plan record, its one builder, and the serving plan cache.
 
-Sits in front of :class:`repro.wisdom.Wisdom` (or plain ``generate_fft``)
-and holds *executable* artifacts: the generated per-vector program plus the
-batched stage list built by the configured execution backend
+:class:`CachedPlan` is the value every runtime runs
+(:meth:`repro.smp.runtime.Runtime.run`): the generated per-vector program
+plus the batched stage list built by the configured execution backend
 (:func:`repro.codegen.resolve_backend` — NumPy interpreter by default, or
-JIT-compiled C codelets with ``backend="compiled"``), ready to run on a
-persistent runtime.  Three properties matter for a long-lived service:
+JIT-compiled C codelets with ``backend="compiled"``).  :func:`build_plan`
+is the only place a :class:`~repro.mp.spec.PlanSpec` (plus optional
+:class:`repro.wisdom.Wisdom`) becomes one; the process-local LRU
+:func:`repro.mp.spec.compile_spec`, the tuner, measured search and the hunt
+all call it.  :class:`PlanCache` is the single-flight LRU around it; three
+properties matter for a long-lived service:
 
 * **bounded** — an LRU of ``capacity`` plans, with eviction counters;
 * **single-flight** — N concurrent requests for the same
@@ -26,8 +30,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from ..codegen.python_backend import GeneratedProgram
+from ..codegen.registry import resolve_backend
 from ..faults import get_fault_plan
 from ..frontend import generate_fft
+from ..mp.spec import PlanSpec
 from ..smp.runtime import PlanStage
 from ..trace import get_tracer
 from ..wisdom import Wisdom
@@ -61,13 +67,65 @@ class CachedPlan:
 
     ``backend`` records which execution backend actually built the stage
     list (after any registry fallback), so stats/health endpoints report
-    what is really executing.
+    what is really executing.  ``spec`` is the :class:`PlanSpec` the plan
+    was generated from — what a process pool ships to its workers — or
+    ``None`` when no spec reproduces it (a wisdom tree, a hunt-pruned term,
+    whose ``program`` is the bare lowered ``SigmaProgram``).  ``key`` is
+    the serving cache's coalescing key (``None`` outside a cache).
     """
 
-    key: PlanKey
+    key: Optional[PlanKey]
     program: GeneratedProgram
     stages: list[PlanStage]
     backend: str = "numpy"
+    spec: Optional[PlanSpec] = None
+
+
+def build_plan(
+    spec: PlanSpec,
+    wisdom: Optional[Wisdom] = None,
+    key: Optional[PlanKey] = None,
+    portable: bool = False,
+) -> CachedPlan:
+    """The one builder: ``spec`` → generated program → backend stages.
+
+    Deterministic for a given spec, so every process building it gets the
+    same stage structure, index tables and constants — the invariant SPMD
+    lockstep across pool workers rests on.  With ``wisdom``, a scalar
+    ``balanced`` spec plans from the stored search tree instead; no spec
+    reproduces that plan, so the record carries ``spec=None``.  ν-way
+    specs always plan through the frontend: wisdom trees describe scalar
+    factorizations, and vectorize_formula degrades inadmissible ν to the
+    scalar plan deterministically.  ``portable=True`` is for holders whose
+    runtime rebuilds plans from the spec in other processes: the tree is
+    never consulted.  Plans built by the compiled backend get their
+    shared-object provenance recorded into ``wisdom`` either way, so a
+    wisdom file names the exact cached codelet artifact.
+    """
+    from_tree = (wisdom is not None and not portable
+                 and spec.strategy == "balanced" and spec.nu == 1)
+    if from_tree:
+        program = wisdom.plan(spec.n, spec.threads, spec.mu)
+    else:
+        program = generate_fft(
+            spec.n, threads=spec.threads, mu=spec.mu, strategy=spec.strategy,
+            min_leaf=spec.min_leaf, nu=spec.nu,
+        )
+    exec_backend = resolve_backend(spec.backend)
+    stages = exec_backend.build_stages(program.program, spec.codelet_max)
+    if wisdom is not None:
+        info = exec_backend.artifact_info(program.program, spec.codelet_max)
+        if info is not None:
+            wisdom.record_artifact(
+                spec.n, spec.threads, spec.mu, exec_backend.name, info
+            )
+    return CachedPlan(
+        key=key,
+        program=program,
+        stages=stages,
+        backend=exec_backend.name,
+        spec=None if from_tree else spec,
+    )
 
 
 @dataclass
@@ -109,52 +167,21 @@ class _Flight:
         self.error: Optional[BaseException] = None
 
 
-def _default_builder(
-    wisdom: Optional[Wisdom], backend: str = "numpy"
+def plan_builder(
+    wisdom: Optional[Wisdom], backend: str = "numpy", portable: bool = False
 ) -> Callable[[PlanKey], CachedPlan]:
-    """Plan builder routing codegen through the backend registry.
-
-    Plans built with the compiled backend get their shared-object
-    provenance recorded into ``wisdom`` (when given), so a wisdom file
-    names the exact cached codelet artifact alongside the tuned tree.
-    """
-    from ..codegen.registry import resolve_backend
-
-    def build(key: PlanKey) -> CachedPlan:
-        if wisdom is not None and key.strategy == "balanced" and key.nu == 1:
-            program = wisdom.plan(key.n, key.threads, key.mu)
-        else:
-            # ν-way keys always plan through the frontend: wisdom trees
-            # describe scalar factorizations, and vectorize_formula
-            # degrades inadmissible ν to the scalar plan deterministically
-            program = generate_fft(
-                key.n, threads=key.threads, mu=key.mu, strategy=key.strategy,
-                nu=key.nu,
-            )
-        exec_backend = resolve_backend(backend)
-        stages = exec_backend.build_stages(program.program)
-        if wisdom is not None and hasattr(exec_backend, "artifact_info"):
-            info = exec_backend.artifact_info(program.program)
-            if info is not None:
-                wisdom.record_artifact(
-                    key.n, key.threads, key.mu, exec_backend.name, info
-                )
-        return CachedPlan(
-            key=key,
-            program=program,
-            stages=stages,
-            backend=exec_backend.name,
-        )
-
-    return build
+    """A :class:`PlanCache` builder: :func:`build_plan` on the key's spec."""
+    return lambda key: build_plan(
+        PlanSpec.from_plan_key(key, backend), wisdom, key, portable
+    )
 
 
 class PlanCache:
     """LRU-bounded, single-flight cache of executable plans.
 
     ``builder`` maps a :class:`PlanKey` to a :class:`CachedPlan`; the
-    default plans through ``wisdom`` when given (so searches persist across
-    processes) and through :func:`repro.frontend.generate_fft` otherwise.
+    default is :func:`plan_builder`, which plans through ``wisdom`` when
+    given (so searches persist across processes).
     """
 
     def __init__(
@@ -169,7 +196,7 @@ class PlanCache:
         self.capacity = capacity
         self.wisdom = wisdom
         self.backend = backend
-        self._builder = builder or _default_builder(wisdom, backend)
+        self._builder = builder or plan_builder(wisdom, backend)
         self._lock = threading.Lock()
         self._entries: OrderedDict[PlanKey, CachedPlan] = OrderedDict()
         self.stats = CacheStats()

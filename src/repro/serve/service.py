@@ -50,9 +50,8 @@ from ..smp.runtime import (
 )
 from ..trace import get_tracer
 from ..wisdom import Wisdom
-from .batch_exec import run_batched
 from .metrics import LatencyRecorder
-from .plan_cache import PlanCache, PlanKey
+from .plan_cache import PlanCache, PlanKey, plan_builder
 
 
 class ServeError(Exception):
@@ -174,6 +173,12 @@ class FFTService:
         self.plans = PlanCache(
             capacity=self.config.cache_capacity,
             wisdom=wisdom,
+            # a pool that rebuilds plans from their spec (process workers)
+            # needs plans a spec reproduces: never a wisdom tree
+            builder=plan_builder(
+                wisdom, self.config.backend,
+                portable=self._pool_class().needs_spec,
+            ),
             backend=self.config.backend,
         )
         #: cumulative per-plan-key latency (stats endpoint), and the
@@ -344,7 +349,7 @@ class FFTService:
                 rt = self._runtimes.get(t)
                 pools[str(t)] = {
                     "workers": t,
-                    "healthy": bool(getattr(rt, "healthy", True))
+                    "healthy": bool(rt.healthy)
                     if rt is not None
                     else None,  # dropped; rebuilt on next use
                     "degraded": st["degraded"],
@@ -355,7 +360,7 @@ class FFTService:
                     str(t),
                     {
                         "workers": t,
-                        "healthy": bool(getattr(rt, "healthy", True)),
+                        "healthy": bool(rt.healthy),
                         "degraded": False,
                         "rebuilds": 0,
                     },
@@ -531,7 +536,7 @@ class FFTService:
                 st["degraded"] = False
                 st["rebuilds"] = 0
             rt = self._runtimes.get(threads)
-            if rt is not None and not getattr(rt, "healthy", True):
+            if rt is not None and not rt.healthy:
                 st = self._retire_pool_locked(threads, rt)
                 if st["degraded"]:
                     tr.count("serve.degraded_executions", 1, threads=threads)
@@ -548,25 +553,30 @@ class FFTService:
                     tr.count("serve.pool_rebuilds", 1, threads=threads)
             return rt
 
-    def _make_pool(self, threads: int) -> Runtime:
-        """Build a fresh worker pool of the configured kind.
+    def _pool_class(self) -> type[Runtime]:
+        """The configured worker-pool kind.
 
         ``runtime="process"`` pools are :class:`repro.mp.ProcessPoolRuntime`
         instances (true parallelism across OS processes); they share the
-        thread pool's health contract, so everything else in this service —
-        retirement, rebuild, degradation — applies unchanged.
+        thread pool's ``run`` and health contract, so everything else in
+        this service — plan cache, retirement, rebuild, degradation —
+        applies unchanged.
         """
         if self.config.runtime == "process":
             from ..mp import ProcessPoolRuntime
 
-            return ProcessPoolRuntime(threads)
-        return PThreadsRuntime(threads)
+            return ProcessPoolRuntime
+        return PThreadsRuntime
+
+    def _make_pool(self, threads: int) -> Runtime:
+        """Build a fresh worker pool of the configured kind."""
+        return self._pool_class()(threads)
 
     def _note_pool_failure(self, threads: int) -> None:
         """A pool broke mid-execution: retire it so the next use rebuilds."""
         with self._runtime_lock:
             rt = self._runtimes.get(threads)
-            if rt is not None and not getattr(rt, "healthy", True):
+            if rt is not None and not rt.healthy:
                 self._retire_pool_locked(threads, rt)
 
     def _supervise_loop(self) -> None:
@@ -594,7 +604,7 @@ class FFTService:
             now = time.monotonic()
             with self._runtime_lock:
                 for t, rt in list(self._runtimes.items()):
-                    if not getattr(rt, "healthy", True):
+                    if not rt.healthy:
                         st = self._retire_pool_locked(t, rt)
                         if not st["degraded"]:
                             self._runtimes[t] = self._make_pool(t)
@@ -704,24 +714,6 @@ class FFTService:
             if take:
                 self._execute_batch(key, take)
 
-    def _run_on(self, runtime: Runtime, key: PlanKey, X) -> np.ndarray:
-        """Run one stacked batch on ``runtime``.
-
-        Process pools execute from a picklable :class:`~repro.mp.spec.PlanSpec`
-        (each worker compiles the identical plan locally), so they bypass
-        this service's closure-based plan cache; every other runtime goes
-        through :class:`PlanCache` + :func:`run_batched` as before.
-        """
-        if hasattr(runtime, "execute_spec"):
-            from ..mp import PlanSpec
-
-            spec = PlanSpec.from_plan_key(key, backend=self.config.backend)
-            Y, _ = runtime.execute_spec(spec, X)
-            return Y
-        plan = self.plans.get(key)
-        Y, _ = run_batched(plan.stages, key.n, X, runtime)
-        return Y
-
     def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> None:
         tr = get_tracer()
         now = time.monotonic()
@@ -751,17 +743,19 @@ class FFTService:
             with tr.span("serve.execute", "serve", n=key.n,
                          threads=key.threads, vectors=int(X.shape[0]),
                          requests=len(live)):
+                # whatever the pool kind, it runs the plan the cache holds
+                plan = self.plans.get(key)
                 try:
-                    Y = self._run_on(runtime, key, X)
+                    Y, _ = runtime.run(plan, X)
                 except WorkerPoolBroken:
                     # the pool died under this batch; the input stack is
-                    # untouched (execute copies it), so re-run on the
-                    # sequential fallback rather than failing the tickets
+                    # untouched (execute copies it), so re-run the same plan
+                    # on the sequential fallback rather than fail the tickets
                     self._note_pool_failure(key.threads)
                     with self._metrics_lock:
                         self._metrics["failovers"] += 1
                     tr.count("serve.failovers", 1, threads=key.threads)
-                    Y = self._run_on(self._fallback, key, X)
+                    Y, _ = self._fallback.run(plan, X)
         except BaseException as exc:
             for req in live:
                 req.ticket._resolve(error=exc)

@@ -125,7 +125,7 @@ def _drive(router: ShardRouter, cfg: ShardLoadgenConfig,
         w.join()
     wall = time.perf_counter() - t0
     if killer is not None:
-        killer.join(timeout=kill_after_s or 0 + 5)
+        killer.join(timeout=(kill_after_s or 0) + 5)
     if errors:
         raise RuntimeError(
             "shard loadgen workers failed: " + "; ".join(errors)

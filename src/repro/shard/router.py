@@ -53,6 +53,7 @@ from ..serve.client import ServeClient
 from ..serve.metrics import LatencyRecorder, latency_summary
 from ..serve.protocol import dump_line, error_response, read_frame_raw, \
     write_frame_raw
+from ..smp.runtime import lane_name
 from ..trace import get_tracer
 from ..wisdom import Wisdom
 from .fleet import NoShardsAvailable, ShardFleet
@@ -489,16 +490,11 @@ class ShardRouter(socketserver.ThreadingTCPServer):
                 n, threads, mu = int(n_s), int(threads_s), int(mu_s)
             except ValueError:
                 continue
-            if threads <= 1:
-                runtime = "sequential"
-            elif cfg.runtime == "process":
-                runtime = "process"
-            else:
-                runtime = "pthreads"
             summary = {"requests": len(samples),
                        **latency_summary(samples)}
             self._wisdom.record_observation(
-                n, threads, mu, backend, runtime, summary
+                n, threads, mu, backend, lane_name(cfg.runtime, threads),
+                summary,
             )
             flushed += 1
         if flushed:

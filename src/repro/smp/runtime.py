@@ -1,9 +1,11 @@
 """Shared-memory runtimes that execute generated stage plans.
 
-A *plan* is a list of :class:`PlanStage` entries; each stage is a callable
+A *plan* is a record carrying a list of :class:`PlanStage` entries (see
+:class:`repro.serve.plan_cache.CachedPlan`); each stage is a callable
 ``work(proc, src, dst)`` that performs processor ``proc``'s share of one
-pipeline stage reading ``src`` and writing ``dst``.  Three runtimes execute
-plans, mirroring the paper's backends:
+pipeline stage reading ``src`` and writing ``dst``.  Every runtime runs a
+plan through the one entry point :meth:`Runtime.run`; four runtimes share
+that contract, mirroring the paper's backends:
 
 * :class:`PThreadsRuntime` — a persistent SPMD worker pool with
   sense-reversing barriers; barriers are *skipped* for stages whose dataflow
@@ -13,15 +15,15 @@ plans, mirroring the paper's backends:
   threads and joins them (a faithful model of a non-pooling OpenMP runtime,
   and the behaviour the paper observed for FFTW's per-call threading).
 * :class:`SequentialRuntime` — single-processor reference.
+* :class:`repro.mp.ProcessPoolRuntime` — the pthreads pool's lockstep walk
+  (:func:`lockstep_walk`, the same function) across OS processes over
+  shared memory (``repro bench --runtime process``).
 
-CPython's GIL prevents actual speedup here (NumPy kernels release it only
-partially); these runtimes establish *correctness* of the generated
-multithreaded schedules — every thread executes exactly the loops the
-formula assigned to its processor.  For measured wall-clock scaling there
-are two complements: the simulated machines (``repro.machine``) model the
-paper's platforms, and :class:`repro.mp.ProcessPoolRuntime` executes the
-same plans across OS processes over shared memory for real parallelism
-(``repro bench --runtime process``).
+Every thread executes exactly the loops the formula assigned to its
+processor.  Whether the thread runtimes also *scale* depends on the stage
+closures: the compiled backend's ctypes stages release the GIL for the whole
+native call, the NumPy interpreter's only partially.  The simulated machines
+(``repro.machine``) model the paper's platforms.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..faults import FaultInjected, get_fault_plan
+from ..spl.expr import COMPLEX
 from ..trace import get_tracer
+from ..trace.merge import merge_span_reports
 from .barrier import SenseReversingBarrier
 
 StageWork = Callable[[int, np.ndarray, np.ndarray], None]
@@ -93,15 +97,86 @@ class ExecutionStats:
     sequential_stages: int = 0
 
 
+def lane_name(runtime: str, threads: int) -> str:
+    """The executor lane a pool kind runs a ``threads``-way plan on.
+
+    ``"sequential"`` if ``threads <= 1`` (or on request), else the pool
+    kind: ``"process"``, or ``"pthreads"`` for thread pools.  Wisdom
+    observation and tuning records are keyed by these strings.
+    """
+    if threads <= 1 or runtime == "sequential":
+        return "sequential"
+    return "process" if runtime == "process" else "pthreads"
+
+
+def lockstep_walk(proc, stages, src, dst, wait, reports=None) -> None:
+    """Run party ``proc``'s share of a stage plan over double buffers.
+
+    The paper's barrier-placement rule, stated once for the thread pool and
+    the process pool alike: ``wait()`` before a stage that needs a barrier
+    and on both sides of a sequential stage, **no** barrier for stages the
+    generator marked ``needs_barrier=False``.  When ``reports`` is a list,
+    one ``(name, proc, stage, t0, t1)`` span report per stage is appended
+    in the ``perf_counter`` clock domain (see :mod:`repro.trace.merge`).
+    """
+    for si, stage in enumerate(stages):
+        if stage.needs_barrier or not stage.parallel:
+            wait()
+        t0 = time.perf_counter() if reports is not None else 0.0
+        if stage.parallel:
+            if proc < max(1, stage.nprocs):
+                stage.work(proc, src, dst)
+        elif proc == 0:
+            stage.work(0, src, dst)
+        if reports is not None:
+            reports.append(
+                (stage.name or f"stage{si}", proc, si, t0,
+                 time.perf_counter())
+            )
+        if not stage.parallel:
+            # everyone must wait for the sequential stage to finish
+            wait()
+        src, dst = dst, src
+
+
 class Runtime:
-    """Base class: executes a plan over double buffers."""
+    """Base class: runs a plan record over double buffers."""
 
     #: number of workers this runtime drives
     p: int
+    #: False once a pool lost a worker; a runtime without workers never does
+    healthy: bool = True
+    #: True when workers rebuild the plan from ``plan.spec``, so ``run``
+    #: rejects a spec-less plan with ``TypeError``
+    needs_spec: bool = False
+
+    def run(self, plan, X: np.ndarray) -> tuple[np.ndarray, ExecutionStats]:
+        """Run ``plan`` (a :func:`repro.serve.plan_cache.build_plan` record)
+        on ``X`` of shape ``(n,)`` or ``(b, n)``: the one plan-execution
+        entry point.  The result has ``X``'s shape on every runtime."""
+        Y, stats = self.run_stages(plan.stages, plan.program.size, X,
+                                   plan.spec)
+        return (Y[0] if np.ndim(X) == 1 else Y), stats
+
+    def run_stages(self, stages: Sequence[PlanStage], n: int, X: np.ndarray,
+                   spec=None) -> tuple[np.ndarray, ExecutionStats]:
+        """:meth:`run` for a bare stage list; the result is always ``(b, n)``."""
+        X = np.asarray(X, dtype=COMPLEX)
+        if X.ndim == 1:
+            X = X[np.newaxis, :]
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ValueError(f"expected a (batch, {n}) stack, got {X.shape}")
+        out, stats = self._walk(stages, np.ascontiguousarray(X).reshape(-1),
+                                spec)
+        return out.reshape(X.shape), stats
+
+    def _walk(self, stages, flat: np.ndarray, spec):
+        return self.execute(stages, flat, flat.size)
 
     def execute(
         self, stages: Sequence[PlanStage], x: np.ndarray, size: int
     ) -> tuple[np.ndarray, ExecutionStats]:
+        """Walk ``stages`` over a copy of the flat buffer ``x``."""
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -216,44 +291,23 @@ class PThreadsRuntime(Runtime):
                 self._barrier.abort()
                 self._done.abort()
 
-    def _run_stages(self, proc: int, stages, src, dst, stats) -> None:
+    def _run_stages(self, proc: int, stages, src, dst) -> None:
         tr = get_tracer()
         fp = get_fault_plan()
         if fp.enabled:
             fp.stall("runtime.worker_stall")
-        for si, stage in enumerate(stages):
-            if stage.needs_barrier or not stage.parallel:
-                self._wait_barrier(tr, proc)
-            if tr.enabled:
-                t0 = time.perf_counter()
-                with tr.span(stage.name or f"stage{si}", "smp", tid=proc,
-                             stage=si, proc=proc):
-                    self._stage_work(stage, proc, src, dst)
-                tr.count("smp.stage_wall_s", time.perf_counter() - t0,
-                         stage=si, proc=proc)
-            else:
-                self._stage_work(stage, proc, src, dst)
-            if not stage.parallel:
-                # everyone must wait for the sequential stage to finish
-                self._wait_barrier(tr, proc)
-            src, dst = dst, src
+        if not tr.enabled:
+            lockstep_walk(proc, stages, src, dst, self._barrier.wait)
+            return
+        reports: list = []
+        lockstep_walk(proc, stages, src, dst,
+                      lambda: self._timed_wait(tr, proc), reports)
+        merge_span_reports(tr, reports, cat="smp")
 
-    @staticmethod
-    def _stage_work(stage: PlanStage, proc: int, src, dst) -> None:
-        if stage.parallel:
-            if proc < max(1, stage.nprocs):
-                stage.work(proc, src, dst)
-        elif proc == 0:
-            stage.work(0, src, dst)
-
-    def _wait_barrier(self, tr, proc: int) -> None:
-        if tr.enabled:
-            t0 = time.perf_counter()
-            self._barrier.wait()
-            tr.count("smp.barrier_wait_s", time.perf_counter() - t0,
-                     proc=proc)
-        else:
-            self._barrier.wait()
+    def _timed_wait(self, tr, proc: int) -> None:
+        t0 = time.perf_counter()
+        self._barrier.wait()
+        tr.count("smp.barrier_wait_s", time.perf_counter() - t0, proc=proc)
 
     # -- master API ---------------------------------------------------------
 
@@ -288,7 +342,7 @@ class PThreadsRuntime(Runtime):
         self._errors.clear()
         self._barrier.reset_accounting()
         with self._job_ready:
-            self._job = (list(stages), src, dst, stats)
+            self._job = (list(stages), src, dst)
             self._job_seq += 1
             self._job_ready.notify_all()
         # master participates as processor 0; a BrokenBarrierError on either
@@ -296,7 +350,7 @@ class PThreadsRuntime(Runtime):
         # instead of deadlocking or leaking a half-synchronized pool
         master_exc: Optional[BaseException] = None
         try:
-            self._run_stages(0, list(stages), src, dst, stats)
+            self._run_stages(0, list(stages), src, dst)
         except threading.BrokenBarrierError:
             self._broken = True
         except BaseException as exc:
@@ -320,7 +374,7 @@ class PThreadsRuntime(Runtime):
         stats.barriers = self._barrier.wait_count // self.p
         stats.parallel_stages = sum(1 for s in stages if s.parallel)
         stats.sequential_stages = sum(1 for s in stages if not s.parallel)
-        # _run_stages swaps its locals each stage; recover the final buffer
+        # lockstep_walk swaps its locals each stage; recover the final buffer
         # by parity (even stage count ends back in `src`)
         final = src if len(stages) % 2 == 0 else dst
         return final, stats

@@ -1,12 +1,13 @@
-"""Merging span reports from pool worker processes into the master tracer.
+"""Merging per-stage span reports from pool workers into the master tracer.
 
 Worker processes cannot append to the master's :class:`Tracer` directly, so
-:mod:`repro.mp` workers collect lightweight per-stage reports —
-``(name, proc, stage, t0, t1)`` tuples in the ``time.perf_counter`` clock
-domain — and ship them back with the job result.  This module folds those
-reports into the active tracer as ordinary ``"X"`` span events keyed by the
-logical processor number, so a multiprocess execution renders in
-``chrome://tracing`` exactly like a threaded one: one row per processor.
+the one lockstep walk (:func:`repro.smp.runtime.lockstep_walk`) collects
+lightweight per-stage reports — ``(name, proc, stage, t0, t1)`` tuples in
+the ``time.perf_counter`` clock domain — which :mod:`repro.mp` workers ship
+back with the job result and pool threads hand over directly.  This module
+folds those reports into the active tracer as ordinary ``"X"`` span events
+keyed by the logical processor number, so a multiprocess execution renders
+in ``chrome://tracing`` exactly like a threaded one: one row per processor.
 
 Clock caveat: ``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, which is
 system-wide, so cross-process timestamps line up on the timeline.  On
@@ -20,9 +21,6 @@ from typing import Iterable, Sequence
 
 from .tracer import TraceEvent, Tracer
 
-#: counter name for merged per-stage wall time (mirrors smp.stage_wall_s)
-STAGE_WALL_COUNTER = "mp.stage_wall_s"
-
 
 def merge_span_reports(
     tracer: Tracer,
@@ -33,9 +31,8 @@ def merge_span_reports(
 
     Each report is ``(name, proc, stage, t0_s, t1_s)`` with times from
     ``time.perf_counter``.  Timestamps are rebased onto the tracer's epoch;
-    a ``mp.stage_wall_s`` counter accumulates alongside, keyed by stage and
-    processor, so merged executions aggregate the same way threaded ones
-    do.
+    a ``<cat>.stage_wall_s`` counter (``mp.`` for processes, ``smp.`` for
+    threads) accumulates alongside, keyed by stage and processor.
     """
     if not tracer.enabled:
         return 0
@@ -54,7 +51,7 @@ def merge_span_reports(
                 args={"stage": int(stage), "proc": int(proc)},
             )
         )
-        tracer.count(STAGE_WALL_COUNTER, t1 - t0, stage=int(stage),
+        tracer.count(f"{cat}.stage_wall_s", t1 - t0, stage=int(stage),
                      proc=int(proc))
         merged += 1
     return merged

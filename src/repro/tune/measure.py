@@ -6,7 +6,7 @@ of the paper's feedback loop — candidates are *executed* on the real
 executor registry (numpy | compiled | simulator × sequential | pthreads
 | process) and ranked by best-of-``repeats`` wall-clock time, exactly
 the way the serving layer will run them (stacked ``(batch, n)``
-execution through :func:`repro.serve.batch_exec.run_batched`).
+execution through :meth:`repro.smp.runtime.Runtime.run`).
 
 The candidate space is the cross product of breakdown strategies
 (:data:`repro.rewrite.breakdown.RADIX_STRATEGIES`) and codelet leaf
@@ -23,18 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..frontend import feasible_threads, generate_fft
+from ..frontend import feasible_threads
 from ..hunt.oracles import ExecutorPools
+from ..mp.spec import PlanSpec
 from ..rewrite.breakdown import RADIX_STRATEGIES
 from ..search.timer import pseudo_mflops_from_seconds, time_batched_callable
 from ..seeding import default_seed, derive_rng
+from ..serve.plan_cache import build_plan
 from ..trace import get_tracer
 
 #: runtimes a measured search can time against
 RUNTIMES = ("sequential", "pthreads", "process")
 
 #: codelet leaf bounds explored per strategy (in-process runtimes only;
-#: the process runtime plans from a PlanSpec, which fixes the default)
+#: the process lane times every strategy at PlanSpec's default bound)
 LEAF_BOUNDS = (16, 32)
 
 #: vector granularities explored when the backend compiles ν-wide code
@@ -147,8 +149,9 @@ def candidate_space(
     strategies = sorted(RADIX_STRATEGIES)
     nus = NU_CHOICES if backend == "compiled" else (1,)
     if runtime == "process":
-        # process workers regenerate plans from a PlanSpec, which carries
-        # no leaf bound — only the strategy (and ν) axes are reachable
+        # every process-lane candidate is one more compile in every pool
+        # worker, so this lane explores only the strategy (and ν) axes, at
+        # the default leaf bound (PlanSpec.min_leaf could carry another)
         return [Candidate(s, nu=nu) for s in strategies for nu in nus]
     return [
         Candidate(s, leaf, nu)
@@ -156,30 +159,6 @@ def candidate_space(
         for leaf in LEAF_BOUNDS
         for nu in nus
     ]
-
-
-def _timed_fn(cand, n, t, mu, backend, runtime, pools, seq):
-    """The callable a candidate is timed through, on its real executor."""
-    from ..codegen.registry import resolve_backend
-    from ..serve.batch_exec import run_batched
-
-    if runtime == "process" and t > 1:
-        from ..mp import PlanSpec
-
-        spec = PlanSpec(
-            n=n, threads=t, mu=mu, strategy=cand.strategy, backend=backend,
-            nu=cand.nu,
-        )
-        pool = pools.process(t)
-        return lambda X: pool.execute_spec(spec, X)[0]
-
-    program = generate_fft(
-        n, threads=t, mu=mu, strategy=cand.strategy, min_leaf=cand.min_leaf,
-        nu=cand.nu,
-    )
-    stages = resolve_backend(backend).build_stages(program.program)
-    rt = pools.pthreads(t) if runtime == "pthreads" and t > 1 else seq
-    return lambda X: run_batched(stages, n, X, rt)[0]
 
 
 def measured_search(
@@ -221,19 +200,22 @@ def measured_search(
     tr = get_tracer()
     own_pools = pools is None
     pools = pools or ExecutorPools()
-    from ..smp import SequentialRuntime
-
-    seq = SequentialRuntime()
     ranking: list[Measurement] = []
     try:
         with tr.span("tune.measured_search", "search", n=n, threads=t,
                      mu=mu, backend=backend, runtime=runtime,
                      budget=len(order)):
+            rt = pools.get(runtime, t)
             for cand in order:
-                fn = _timed_fn(cand, n, t, mu, backend, runtime, pools, seq)
+                # the one builder, *uncached*: a search must not evict
+                # plans a live cache is serving
+                plan = build_plan(PlanSpec(
+                    n=n, threads=t, mu=mu, strategy=cand.strategy,
+                    min_leaf=cand.min_leaf, backend=backend, nu=cand.nu,
+                ))
                 seconds = time_batched_callable(
-                    fn, n, batch=batch, repeats=repeats,
-                    rng=derive_rng(seed, "tune-input", n),
+                    lambda X: rt.run(plan, X)[0], n, batch=batch,
+                    repeats=repeats, rng=derive_rng(seed, "tune-input", n),
                 )
                 tr.count("tune.candidates_timed", 1, n=n)
                 ranking.append(
@@ -247,7 +229,6 @@ def measured_search(
                     )
                 )
     finally:
-        seq.close()
         if own_pools:
             pools.close()
 

@@ -26,9 +26,9 @@ half-installed plan.  The ``tune.swap_corrupt`` injection point fires
 *before* the commit, so a chaos-injected mid-swap failure leaves the old
 plan serving and only increments ``swap_failures``.
 
-The process runtime plans from picklable specs inside its workers and
-bypasses the in-process PlanCache, so hot-swap covers the sequential and
-pthreads lanes; process-lane observations still flow into wisdom.
+Every lane executes the plan the cache holds (a process pool ships the
+swapped plan's spec to its workers, which compile it on first use), so
+the hot-swap covers the sequential, pthreads and process lanes alike.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..faults import FaultInjected
-from ..frontend import generate_fft
+from ..mp.spec import PlanSpec
 from ..serve.metrics import latency_summary, percentile
-from ..serve.plan_cache import CachedPlan, PlanKey
+from ..serve.plan_cache import PlanKey, build_plan
+from ..smp.runtime import lane_name
 from ..trace import get_tracer
 from .measure import measured_search
 
@@ -125,15 +126,6 @@ class Tuner:
         m["tracked_keys"] = len(self._best_p50)
         return m
 
-    def _lane_runtime(self, key: PlanKey) -> str:
-        """The executor-lane name a key's latency is attributed to."""
-        if key.threads <= 1:
-            return "sequential"
-        return (
-            "process" if self.service.config.runtime == "process"
-            else "pthreads"
-        )
-
     def tick(self) -> list[PlanKey]:
         """One observe/record/adjust/retune pass; returns retuned keys."""
         with self._lock:
@@ -152,7 +144,8 @@ class Tuner:
                     self.wisdom.record_observation(
                         key.n, key.threads, key.mu,
                         self.service.config.backend,
-                        self._lane_runtime(key), summary,
+                        lane_name(self.service.config.runtime, key.threads),
+                        summary,
                     )
                 if len(samples) < self.config.min_requests:
                     continue
@@ -219,17 +212,13 @@ class Tuner:
         best = result.best
         # the winning candidate may be scalar or ν-way (the compiled
         # backend's search space carries both); the rebuilt plan follows it
-        program = generate_fft(
-            key.n, threads=key.threads, mu=key.mu,
-            strategy=best.strategy, min_leaf=best.min_leaf, nu=best.nu,
-        )
-        from ..codegen.registry import resolve_backend
-
-        exec_backend = resolve_backend(backend)
-        stages = exec_backend.build_stages(program.program)
-        plan = CachedPlan(
-            key=key, program=program, stages=stages,
-            backend=exec_backend.name,
+        plan = build_plan(
+            PlanSpec(
+                n=key.n, threads=key.threads, mu=key.mu,
+                strategy=best.strategy, min_leaf=best.min_leaf,
+                backend=backend, nu=best.nu,
+            ),
+            key=key,
         )
         try:
             committed = self.service.plans.swap(key, plan)

@@ -156,7 +156,7 @@ class TestCheckBackendProgram:
         class Broken(ExecutionBackend):
             name = "broken-test"
 
-            def build_stages(self, program, codelet_max=32):
+            def build_stages(self, program, codelet_max=32, fallback=True):
                 stages = NumpyBackend().build_stages(program, codelet_max)
                 victim = stages[0]
 

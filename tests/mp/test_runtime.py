@@ -1,9 +1,13 @@
 """ProcessPoolRuntime: correctness, barrier elision, buffers, input checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.mp import PlanSpec, ProcessPoolRuntime, compile_spec
+from repro.serve.plan_cache import build_plan
+from repro.smp import OpenMPRuntime, PThreadsRuntime, SequentialRuntime
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +22,78 @@ def pool1():
     rt = ProcessPoolRuntime(1)
     yield rt
     rt.close()
+
+
+@pytest.fixture(scope="module")
+def runtimes(pool2):
+    rts = {
+        "sequential": SequentialRuntime(),
+        "pthreads": PThreadsRuntime(2),
+        "openmp": OpenMPRuntime(2),
+        "process": pool2,
+    }
+    yield rts
+    rts["pthreads"].close()
+
+
+@pytest.fixture(scope="module")
+def plan2():
+    """One record from the one builder, run by every runtime below."""
+    return build_plan(PlanSpec.for_request(1024, threads=2))
+
+
+KINDS = ["sequential", "pthreads", "openmp", "process"]
+
+
+class TestRunContract:
+    """``rt.run(plan, X)`` means the same thing on all four runtimes."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_plan_same_answer(self, kind, runtimes, plan2, rng):
+        rt = runtimes[kind]
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        y, stats = rt.run(plan2, x)
+        assert y.shape == (1024,)
+        np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-10, rtol=0)
+        X = np.stack([x, 2 * x, x[::-1]])
+        Y, _ = rt.run(plan2, X)
+        assert Y.shape == X.shape
+        np.testing.assert_allclose(
+            Y, np.fft.fft(X, axis=-1), atol=1e-10, rtol=0
+        )
+        assert stats.parallel_stages + stats.sequential_stages == len(
+            plan2.stages
+        )
+        assert rt.healthy
+
+    def test_thread_and_process_pools_synchronize_alike(
+        self, runtimes, plan2, rng
+    ):
+        """One lockstep walk: the two pools execute the same barriers."""
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        _, threads = runtimes["pthreads"].run(plan2, x)
+        _, procs = runtimes["process"].run(plan2, x)
+        assert threads.barriers == procs.barriers > 0
+        assert threads == procs
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spec_less_plan_needs_an_in_process_runtime(
+        self, kind, runtimes, plan2
+    ):
+        bare = dataclasses.replace(plan2, spec=None)
+        x = np.ones(1024, complex)
+        if runtimes[kind].needs_spec:
+            assert kind == "process"
+            with pytest.raises(TypeError, match="PlanSpec"):
+                runtimes[kind].run(bare, x)
+        else:
+            y, _ = runtimes[kind].run(bare, x)
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wrong_length_rejected(self, kind, runtimes, plan2):
+        with pytest.raises(ValueError, match="expected"):
+            runtimes[kind].run(plan2, np.zeros(100, complex))
 
 
 class TestCorrectness:

@@ -37,6 +37,28 @@ class TestProcessBackedService:
             Y = svc.transform(X)
             np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=1e-8)
 
+    @pytest.mark.parametrize("with_wisdom", [False, True])
+    def test_pool_runs_the_cached_plan(self, with_wisdom, tmp_path):
+        """The process lane goes through the PlanCache like every other:
+        a prewarmed key is a cache hit, and the plan is spec-built (never
+        a wisdom tree, which workers could not rebuild)."""
+        cfg = ServeConfig(
+            threads=2, runtime="process", window_s=0.0,
+            wisdom_path=str(tmp_path / "w.json") if with_wisdom else None,
+        )
+        with FFTService(cfg) as svc:
+            svc.prewarm(256)
+            x = _vec(256)
+            np.testing.assert_allclose(
+                svc.transform(x), np.fft.fft(x), atol=1e-8
+            )
+            cache = svc.stats()["plan_cache"]
+            assert cache["hits"] >= 1 and cache["plans_built"] == 1
+            assert all(
+                svc.plans.get(k).spec is not None for k in svc.plans.keys()
+            )
+            assert svc.health()["counters"]["failures"] == 0
+
     def test_pools_are_process_pools(self):
         cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
         with FFTService(cfg) as svc:

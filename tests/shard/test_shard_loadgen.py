@@ -1,9 +1,13 @@
 """Shard loadgen: the report contract and the chaos kill lane."""
 
+import time
+
 import numpy as np
 
-from repro.shard import ShardLoadgenConfig, render_shard_report, \
-    run_shard_loadgen
+from repro.serve import ServeConfig
+from repro.shard import ShardFleet, ShardLoadgenConfig, ShardRouter, \
+    render_shard_report, run_shard_loadgen
+from repro.shard.loadgen import _drive
 
 
 def _cfg(**kw):
@@ -63,3 +67,25 @@ class TestShardLoadgen:
         # the ejection is visible in fleet accounting
         assert m["fleet_counters"]["ejections"] >= 1
         assert "chaos: killed" in render_shard_report(report)
+
+    def test_kill_landing_after_the_run_is_still_reported(self):
+        """A run that beats the kill timer must wait for the kill (sleep
+        plus the kill itself) before reporting, not just ``kill_after_s``:
+        otherwise it says ``killed_shard: null`` while the kill lands
+        during teardown."""
+
+        class SlowKillFleet:
+            def kill_shard(self):
+                time.sleep(0.4)
+                return "shard-late"
+
+        cfg = _cfg(shards=1, sizes=[64], clients=1, requests=2, pipeline=1)
+        with ShardFleet(1, ServeConfig()) as fleet:
+            router = ShardRouter(("127.0.0.1", 0), fleet)
+            router.serve_background()
+            try:
+                m = _drive(router, cfg, SlowKillFleet(), kill_after_s=0.05)
+            finally:
+                router.close()
+        assert m["lost"] == 0
+        assert m["killed_shard"] == "shard-late"

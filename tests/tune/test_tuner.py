@@ -102,6 +102,34 @@ class TestRetune:
         assert service.plans.stats.swaps == 1
         _drive(service, count=4)  # the swapped plan still answers correctly
 
+    def test_retune_reaches_the_process_pool(self, monkeypatch):
+        """runtime="process": the pool runs the plan the cache holds, so a
+        committed swap changes the spec its workers receive."""
+        from repro.mp import ProcessPoolRuntime
+
+        shipped = []
+        walk = ProcessPoolRuntime._walk
+
+        def spy(self, stages, flat, spec):
+            shipped.append(spec)
+            return walk(self, stages, flat, spec)
+
+        monkeypatch.setattr(ProcessPoolRuntime, "_walk", spy)
+        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        with FFTService(cfg) as svc:
+            tuner = Tuner(svc, TunerConfig(search_budget=2,
+                                           search_repeats=1))
+            _drive(svc, n=256, count=2)
+            key = PlanKey(256, 2, 4, svc.config.strategy)
+            before = svc.plans.get(key)
+            assert shipped[-1] is before.spec
+            assert tuner.retune(key) is True
+            after = svc.plans.get(key)
+            assert after is not before and after.spec is not None
+            _drive(svc, n=256, count=2)  # still matches np.fft
+            assert shipped[-1] is after.spec
+            assert svc.stats()["plan_cache"]["swaps"] == 1
+
     def test_swap_corrupt_degrades_gracefully(self, service):
         tuner = Tuner(service, TunerConfig(search_budget=1,
                                            search_repeats=1))
