@@ -4,10 +4,9 @@ Commands
 --------
 ``derive``    print the multicore Cooley-Tukey formula for (n, p, mu)
 ``generate``  generate a program and verify it; ``--emit-c`` writes C source
-``bench``     sweep one simulated machine and print the Figure 3 panel rows,
-              measure real multiprocess speedup (``--runtime process``), or
-              measure an execution backend against the NumPy interpreter
-              (``--backend compiled``)
+``bench``     sweep one simulated machine and print the Figure 3 panel rows
+              (``--prune-cache`` instead GCs the compiled-codelet cache;
+              measured speed lives in ``benchmarks/perf``)
 ``search``    autotune a factorization on a simulated machine, or with
               ``--measure`` rank candidates by measured wall-clock on
               the real executor registry (FFTW-planner style)
@@ -18,10 +17,10 @@ Commands
               ``--tune`` adds the online autotuner (knob walking + plan
               hot-swap; see docs/tuning.md)
 ``shard``     run a consistent-hash router over a fleet of serve shards
-``loadgen``   drive a running server; throughput/latency report + JSON
-              (``--shards N`` instead spins up and measures a shard
-              fleet; ``--tune`` runs the self-improving tuning-lifetime
-              lane and writes BENCH_tune.json)
+``loadgen``   drive a running server; throughput/latency report, JSON
+              with ``--output`` (``--shards N`` instead spins up and
+              drives a shard fleet; ``--tune`` runs the self-improving
+              tuning-lifetime lane) — one driver, :mod:`repro.loadgen`
 ``check``     dynamic concurrency certification: replay the pipeline's
               plans and verify race freedom, false-sharing freedom at µ,
               and load balance (non-zero exit on any violation)
@@ -108,15 +107,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.prune_cache:
         return _cmd_bench_prune_cache(args)
-    if args.backend is not None:
-        return _cmd_bench_backend(args)
-    if args.runtime == "process":
-        return _cmd_bench_process(args)
     if args.machine is None:
         print(
             "error: a machine name is required for the simulated-machine "
-            "panel (or pass --runtime process / --backend NAME for a "
-            "measured benchmark)",
+            "panel (measured speed: python3 benchmarks/perf/run.py)",
             file=sys.stderr,
         )
         return 2
@@ -162,60 +156,6 @@ def _cmd_bench_prune_cache(args: argparse.Namespace) -> int:
             "$REPRO_CODELET_CACHE_MAX to prune after every compile)",
             file=sys.stderr,
         )
-    return 0
-
-
-def _cmd_bench_process(args: argparse.Namespace) -> int:
-    """Measured wall-clock benchmark of the multiprocess runtime."""
-    import json
-
-    from .mp import render_mp_bench, run_mp_bench
-
-    with _maybe_tracing(args):
-        result = run_mp_bench(
-            kmin=args.kmin,
-            kmax=args.kmax,
-            threads=args.threads,
-            batch=args.batch,
-            repeats=args.repeats,
-        )
-    print(render_mp_bench(result))
-    out = args.output or "BENCH_mp.json"
-    with open(out, "w") as f:
-        json.dump(result, f, indent=2)
-    print(f"# report written to {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_backend(args: argparse.Namespace) -> int:
-    """Measured wall-clock comparison of an execution backend vs NumPy."""
-    import json
-
-    from .codegen import BackendUnavailable
-    from .codegen.bench import render_backend_bench, run_backend_bench
-
-    try:
-        with _maybe_tracing(args):
-            result = run_backend_bench(
-                backend=args.backend,
-                kmin=args.kmin,
-                kmax=args.kmax,
-                threads=args.threads,
-                batch=args.batch,
-                repeats=args.repeats,
-                strict=True,
-                nu=args.nu,
-            )
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_backend_bench(result))
-    out = args.output or (
-        "BENCH_simd.json" if args.nu > 1 else "BENCH_backend.json"
-    )
-    with open(out, "w") as f:
-        json.dump(result, f, indent=2)
-    print(f"# report written to {out}", file=sys.stderr)
     return 0
 
 
@@ -610,104 +550,64 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadgen_shards(args: argparse.Namespace) -> int:
-    """``loadgen --shards N``: spin up and measure a shard fleet."""
-    from .shard import ShardLoadgenConfig, render_shard_report, \
-        run_shard_loadgen
-
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    output = args.output
-    if output == "BENCH_serve.json":  # the single-server default
-        output = "BENCH_shard.json"
-    cfg = ShardLoadgenConfig(
-        shards=args.shards,
-        sizes=sizes,
-        clients=args.clients,
-        requests=args.requests,
-        pipeline=args.pipeline,
-        threads=args.threads,
-        mu=args.mu,
-        output=output,
-        verify=args.verify,
-        kill_after_s=args.kill_after,
-        baseline=not args.no_baseline,
-        replicas=args.replicas,
-        window_ms=args.window_ms,
-        queue_limit=args.queue_limit,
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    report = run_shard_loadgen(cfg)
-    print(render_shard_report(report))
-    if output:
-        print(f"# report written to {output}", file=sys.stderr)
-    return 1 if report["measured"]["lost"] else 0
-
-
-def _cmd_loadgen_tune(args: argparse.Namespace) -> int:
-    """``loadgen --tune``: self-driving tuning lifetime demonstration."""
-    from .tune import TuneLoadgenConfig, render_tune_report, \
-        run_tune_loadgen
-
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    output = args.output
-    if output == "BENCH_serve.json":  # the plain-loadgen default
-        output = "BENCH_tune.json"
-    cfg = TuneLoadgenConfig(
-        sizes=tuple(sizes),
-        threads=args.threads if args.threads is not None else 1,
-        mu=args.mu if args.mu is not None else 4,
-        clients=args.clients,
-        pipeline=args.pipeline,
-        windows=args.windows,
-        window_duration_s=args.window_duration_ms / 1e3,
-        p99_target_ms=args.p99_target_ms,
-        initial_window_ms=args.initial_window_ms,
-        tune_interval_s=args.tune_interval_ms / 1e3,
-        swap_window=args.swap_window,
-        chaos=args.chaos,
-        chaos_seed=args.chaos_seed,
-        output=output,
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    report = run_tune_loadgen(cfg)
-    print(render_tune_report(report))
-    if output:
-        print(f"# report written to {output}", file=sys.stderr)
-    integ = report["integrity"]
-    return 1 if (integ["lost"] or integ["corrupt"]) else 0
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .serve import LoadgenConfig, render_report, run_loadgen
+    """``loadgen``: one driver, three lanes (server | --shards | --tune)."""
+    from . import loadgen as lg
 
     sys.setswitchinterval(0.0005)  # same rationale as in serve
-    if args.tune:
-        return _cmd_loadgen_tune(args)
-    if args.shards is not None:
-        return _cmd_loadgen_shards(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    cfg = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        sizes=sizes,
+    traffic = dict(
+        sizes=[int(s) for s in args.sizes.split(",") if s],
         clients=args.clients,
-        requests=args.requests,
         pipeline=args.pipeline,
         threads=args.threads,
         mu=args.mu,
-        baseline_requests=args.baseline_requests,
         output=args.output,
-        verify=args.verify,
     )
     if args.seed is not None:
-        cfg.seed = args.seed
-    report = run_loadgen(cfg)
-    print(render_report(report))
+        traffic["seed"] = args.seed
+    if args.tune:
+        report = lg.run_tune_loadgen(lg.TuneLoadgenConfig(
+            **traffic,
+            windows=args.windows,
+            window_duration_s=args.window_duration_ms / 1e3,
+            p99_target_ms=args.p99_target_ms,
+            initial_window_ms=args.initial_window_ms,
+            tune_interval_s=args.tune_interval_ms / 1e3,
+            swap_window=args.swap_window,
+            chaos=args.chaos,
+            chaos_seed=args.chaos_seed,
+        ))
+        print(lg.render_tune_report(report))
+        integ = report["integrity"]
+        failed = integ["lost"] or integ["corrupt"]
+    elif args.shards is not None:
+        report = lg.run_shard_loadgen(lg.ShardLoadgenConfig(
+            **traffic,
+            shards=args.shards,
+            requests=args.requests,
+            verify=args.verify,
+            kill_after_s=args.kill_after,
+            baseline=not args.no_baseline,
+            replicas=args.replicas,
+            window_ms=args.window_ms,
+            queue_limit=args.queue_limit,
+        ))
+        print(lg.render_shard_report(report))
+        failed = report["measured"]["lost"]
+    else:
+        report = lg.run_loadgen(lg.LoadgenConfig(
+            **traffic,
+            host=args.host,
+            port=args.port,
+            requests=args.requests,
+            baseline_requests=args.baseline_requests,
+            verify=args.verify,
+        ))
+        print(lg.render_report(report))
+        failed = False
     if args.output:
         print(f"# report written to {args.output}", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -756,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="sweep a simulated machine, or measure the process runtime "
-        "(--runtime process)",
+        help="sweep a simulated machine (the Figure 3 panel), or GC the "
+        "codelet cache (--prune-cache); measured speed is benchmarks/perf",
     )
     b.add_argument(
         "machine",
@@ -765,61 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=["core_duo", "pentium_d", "opteron", "xeon_mp", "cmp8"],
         help="simulated machine for the model panel (omit with "
-        "--runtime process)",
+        "--prune-cache)",
     )
     b.add_argument("--kmin", type=int, default=6)
     b.add_argument("--kmax", type=int, default=14)
-    b.add_argument(
-        "--runtime",
-        choices=["model", "process"],
-        default="model",
-        help="model: the simulated-machine Figure 3 panel (default); "
-        "process: measured wall-clock speedup of the multiprocess "
-        "runtime on this host",
-    )
-    b.add_argument(
-        "--threads",
-        "-p",
-        type=int,
-        default=2,
-        help="worker processes for --runtime process",
-    )
-    b.add_argument(
-        "--batch",
-        type=int,
-        default=8,
-        help="stacked vectors per timed execution (--runtime process)",
-    )
-    b.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="timing repeats, best-of (--runtime process)",
-    )
-    b.add_argument(
-        "--backend",
-        choices=["numpy", "compiled", "simulator"],
-        default=None,
-        help="measure this execution backend against the NumPy "
-        "interpreter on the same plans (strict: errors if the backend "
-        "is unavailable on this host)",
-    )
-    b.add_argument(
-        "--nu",
-        type=int,
-        default=1,
-        help="with --backend: vec(ν) plan granularity; nu > 1 adds a "
-        "scalar-compiled lane so each row reports the pure SIMD "
-        "speedup, and the default report becomes BENCH_simd.json",
-    )
-    b.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="JSON report path (default: BENCH_mp.json for --runtime "
-        "process, BENCH_backend.json for --backend, BENCH_simd.json "
-        "for --backend with --nu > 1)",
-    )
     b.add_argument(
         "--prune-cache",
         action="store_true",
@@ -1193,8 +1042,9 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--output",
         metavar="PATH",
-        default="BENCH_serve.json",
-        help="write the JSON report here",
+        default=None,
+        help="write the JSON report here (default: no file; the summary "
+        "is printed either way)",
     )
     lg.add_argument(
         "--seed",
@@ -1214,9 +1064,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="measure an in-process shard fleet of this size instead of "
-        "a running server (ignores --host/--port; writes "
-        "BENCH_shard.json with per-shard percentiles and the fleet-vs-"
-        "one-shard speedup)",
+        "a running server (ignores --host/--port; reports per-shard "
+        "percentiles and the fleet-vs-one-shard speedup)",
     )
     lg.add_argument(
         "--kill-after",
@@ -1256,9 +1105,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tune",
         action="store_true",
         help="tuning-lifetime lane: start an in-process, deliberately "
-        "mistuned server with the autotuner on and prove throughput/p99 "
-        "improve over the run (writes BENCH_tune.json; a mid-run hot-"
-        "swap under load must lose zero acknowledged requests)",
+        "mistuned server with the autotuner on and report throughput/p99 "
+        "per window over the run (a mid-run hot-swap under load must "
+        "lose zero acknowledged requests)",
     )
     lg.add_argument(
         "--windows",

@@ -205,8 +205,8 @@ class CompiledPlan:
     """One plan's JIT artifact: shared object, metadata, and stage closures.
 
     Holds the loaded :mod:`ctypes` library plus enough provenance (source
-    hash, compiler fingerprint, object path) for BENCH host-metadata
-    blocks and Wisdom artifact records to make the run reproducible.
+    hash, compiler fingerprint, object path) for benchmark host blocks
+    and Wisdom artifact records to make the run reproducible.
     """
 
     size: int

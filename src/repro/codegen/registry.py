@@ -257,7 +257,7 @@ def resolve_backend(
     ``strict=True``, which raises :class:`BackendUnavailable` — the CLI
     uses strict resolution so a user who explicitly asked for
     ``--backend compiled`` on a compiler-less host gets a clear error
-    from `repro bench`, while serving/worker paths degrade quietly.
+    from ``repro check``, while serving/worker paths degrade quietly.
     """
     backend = _REGISTRY.get(name)
     if backend is not None and backend.available():

@@ -23,7 +23,7 @@ one heap — so the generated programs parallelize for real:
   serving layer's plan cache and self-healing apply unchanged.
 
 See ``docs/parallel.md`` for the execution model, fork-vs-spawn caveats,
-and how to read ``BENCH_mp.json``.
+and how the process-pool speedup is measured (``benchmarks/perf``).
 """
 
 from .arena import (
@@ -36,7 +36,6 @@ from .arena import (
     segment_stats,
 )
 from .barrier import SharedSenseBarrier
-from .bench import render_mp_bench, run_mp_bench
 from .runtime import ProcessPoolRuntime, RemoteWorkerError
 from .spec import PlanSpec, compile_spec, clear_spec_cache
 
@@ -53,7 +52,5 @@ __all__ = [
     "clear_spec_cache",
     "compile_spec",
     "live_segment_names",
-    "render_mp_bench",
-    "run_mp_bench",
     "segment_stats",
 ]

@@ -30,24 +30,22 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def time_callable(
-    fn: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    repeats: int = 5,
-    warmup: int = 1,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one application of ``fn``.
+def _best_of(fn: Callable[[np.ndarray], np.ndarray], shape,
+             repeats: int, warmup: int,
+             rng: Optional[np.random.Generator]) -> float:
+    """The one timing loop: random ``shape`` input, warm up, pause the GC,
+    take the fastest repeat.
 
     Minimum over repeats is the standard noise-robust estimator for
     autotuning (Spiral and FFTW both time this way).  At least one warmup
     application always runs before timing starts — the first call pays
     one-time costs (twiddle-table construction, plan-cache fill, code
-    paths never JITed) that would otherwise bias the measurement — and
-    the garbage collector is paused across the timed repeats.
+    paths never JITed) that would otherwise bias the measurement.
     """
     rng = rng or np.random.default_rng(0)
-    x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(COMPLEX)
+    x = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ).astype(COMPLEX)
     for _ in range(max(1, warmup)):
         fn(x)
     best = float("inf")
@@ -57,6 +55,18 @@ def time_callable(
             fn(x)
             best = min(best, time.perf_counter() - t0)
     return best
+
+
+def time_callable(
+    fn: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    repeats: int = 5,
+    warmup: int = 1,
+    rng: Optional[np.random.Generator] = None,
+) -> float:
+    """Best-of-``repeats`` wall-clock seconds for one application of ``fn``
+    to a length-``n`` vector (see :func:`_best_of` for the discipline)."""
+    return _best_of(fn, n, repeats, warmup, rng)
 
 
 def time_batched_callable(
@@ -69,29 +79,13 @@ def time_batched_callable(
 ) -> float:
     """Best-of-``repeats`` seconds for one ``(batch, n)`` stacked application.
 
-    The measured-benchmark counterpart of :func:`time_callable`: serving
-    and the process pool execute stacked request batches, so their
-    throughput is timed on the same ``(b, n)`` shape they run in
-    production.  Returns total seconds per application (divide by
-    ``batch`` for per-vector time).  Applies the same cold-start
-    discipline as :func:`time_callable`: at least one warmup run, GC
-    paused across the timed repeats.
+    The counterpart of :func:`time_callable` for the shape serving and
+    the process pool execute in production.  Returns total seconds per
+    application (divide by ``batch`` for per-vector time).
     """
     if batch < 1:
         raise ValueError(f"need batch >= 1, got {batch}")
-    rng = rng or np.random.default_rng(0)
-    x = (
-        rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
-    ).astype(COMPLEX)
-    for _ in range(max(1, warmup)):
-        fn(x)
-    best = float("inf")
-    with _gc_paused():
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(x)
-            best = min(best, time.perf_counter() - t0)
-    return best
+    return _best_of(fn, (batch, n), repeats, warmup, rng)
 
 
 def pseudo_mflops_from_seconds(n: int, seconds: float) -> float:

@@ -14,9 +14,7 @@ path (see ``docs/serving.md``):
 * :class:`FFTServer` / :class:`ServeClient` — the TCP/JSON front end
   behind ``repro serve``; the client retries retryable failures with
   seeded exponential backoff (:class:`RetryPolicy`) and reconnects after
-  resets;
-* :func:`run_loadgen` — the ``repro loadgen`` engine (throughput, latency
-  percentiles, plan-cache traffic, single-flight verification).
+  resets.
 
 Fault injection for all of the above lives in :mod:`repro.faults` and is
 activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
@@ -24,7 +22,6 @@ activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
 
 from .batch_exec import batched_plan, batched_stages, run_batched
 from .client import RemoteError, RetryPolicy, ServeClient, jitter_rng
-from .loadgen import LoadgenConfig, render_report, run_loadgen
 from .metrics import LatencyRecorder, latency_summary, percentile
 from .plan_cache import CachedPlan, CacheStats, PlanCache, PlanKey
 from .server import FFTServer, graceful_shutdown, install_signal_handlers, \
@@ -47,7 +44,6 @@ __all__ = [
     "FFTService",
     "FFTTicket",
     "LatencyRecorder",
-    "LoadgenConfig",
     "Overloaded",
     "PlanCache",
     "PlanKey",
@@ -64,8 +60,6 @@ __all__ = [
     "install_signal_handlers",
     "latency_summary",
     "percentile",
-    "render_report",
     "run_batched",
-    "run_loadgen",
     "serve",
 ]

@@ -1,4 +1,4 @@
-"""Latency/percentile helpers shared by every BENCH writer.
+"""Latency/percentile helpers shared by every latency report.
 
 One implementation of the percentile math keeps ``repro loadgen``, the
 shard router's per-shard stats, and the benchmark scripts reporting the
@@ -37,7 +37,7 @@ def percentile(sorted_vals: list[float], q: float) -> float | None:
 def latency_summary(latencies_s: list[float]) -> dict:
     """The standard p50/p95/p99/mean/max block (milliseconds).
 
-    Empty input keeps the all-zero shape every BENCH consumer expects;
+    Empty input keeps the all-zero shape every report consumer expects;
     callers that need to distinguish "no samples" check ``requests`` or
     call :func:`percentile` directly.
     """

@@ -13,14 +13,10 @@ plan cache.  This package multiplies it (see ``docs/sharding.md``):
 * :class:`ShardRouter` — the TCP front end: clients connect unchanged,
   requests relay raw to their key's owner, orphans replay on ring
   successors when a shard dies, successors are prewarmed, and
-  ``health``/``stats`` aggregate the whole fleet;
-* :func:`run_shard_loadgen` — the ``repro loadgen --shards`` engine
-  (fleet vs one-shard speedup, per-shard percentiles, chaos kill lane).
+  ``health``/``stats`` aggregate the whole fleet.
 """
 
 from .fleet import NoShardsAvailable, ShardFleet
-from .loadgen import ShardLoadgenConfig, render_shard_report, \
-    run_shard_loadgen
 from .ring import HashRing, route_key
 from .router import ShardRouter
 from .worker import ShardWorker, ShardWorkerDead, shard_worker_main
@@ -29,12 +25,9 @@ __all__ = [
     "HashRing",
     "NoShardsAvailable",
     "ShardFleet",
-    "ShardLoadgenConfig",
     "ShardRouter",
     "ShardWorker",
     "ShardWorkerDead",
-    "render_shard_report",
     "route_key",
-    "run_shard_loadgen",
     "shard_worker_main",
 ]

@@ -231,7 +231,7 @@ class ShardFleet:
         get_tracer().count("shard.chaos_kills", 1, shard=victim.shard_id)
 
     def kill_shard(self, shard_id: Optional[str] = None) -> str:
-        """SIGKILL one shard (tests, ``loadgen --shard-kill``); its id."""
+        """SIGKILL one shard (tests, ``loadgen --kill-after``); its id."""
         with self._lock:
             if shard_id is None:
                 live = [s for s in sorted(self._workers)

@@ -17,7 +17,7 @@ that contract, mirroring the paper's backends:
 * :class:`SequentialRuntime` — single-processor reference.
 * :class:`repro.mp.ProcessPoolRuntime` — the pthreads pool's lockstep walk
   (:func:`lockstep_walk`, the same function) across OS processes over
-  shared memory (``repro bench --runtime process``).
+  shared memory.
 
 Every thread executes exactly the loops the formula assigned to its
 processor.  Whether the thread runtimes also *scale* depends on the stage

@@ -15,13 +15,11 @@ telemetry instead of an offline timer (see ``docs/tuning.md``):
   regressed plans, hot-swapping the winner through the
   :class:`~repro.serve.plan_cache.PlanCache` with zero dropped or
   misrouted in-flight requests.
-* :func:`run_tune_loadgen` — the ``repro loadgen --tune`` lane: a
-  deliberately mistuned server measurably improves over its own run
-  lifetime (``BENCH_tune.json``), including a forced mid-run hot-swap
-  under load (and an inverted ``tune.swap_corrupt`` chaos mode).
+
+The acceptance lane for all of this is ``repro loadgen --tune``
+(:func:`repro.loadgen.run_tune_loadgen`).
 """
 
-from .loadgen import TuneLoadgenConfig, render_tune_report, run_tune_loadgen
 from .measure import (
     Candidate,
     Measurement,
@@ -35,11 +33,8 @@ __all__ = [
     "Candidate",
     "Measurement",
     "MeasuredSearchResult",
-    "TuneLoadgenConfig",
     "Tuner",
     "TunerConfig",
     "candidate_space",
     "measured_search",
-    "render_tune_report",
-    "run_tune_loadgen",
 ]

@@ -203,14 +203,3 @@ class TestEndToEnd:
 
         gen = generate_fft(512, threads=2)
         assert check_backend_program(gen.program, "compiled") == []
-
-    def test_bench_reports_compiler_metadata(self):
-        from repro.codegen.bench import run_backend_bench
-
-        result = run_backend_bench(
-            backend="compiled", kmin=6, kmax=7, repeats=1, threads=1
-        )
-        assert result["backend"] == "compiled"
-        assert "compiler" in result["host"]
-        assert result["host"]["compiler"]["cc"]
-        assert len(result["rows"]) == 2

@@ -249,16 +249,3 @@ class TestSimdCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "differential OK" in out
-
-    def test_backend_bench_reports_the_simd_lane(self):
-        from repro.codegen.bench import run_backend_bench
-
-        report = run_backend_bench(
-            backend="compiled", kmin=6, kmax=6, threads=1,
-            batch=2, repeats=1, nu=2,
-        )
-        assert report["nu"] == 2
-        row = report["rows"][0]
-        assert row["nu_effective"] == 2
-        assert "simd_speedup" in row and "scalar_backend_s" in row
-        assert report["best_simd_speedup"] > 0

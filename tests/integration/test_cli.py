@@ -50,23 +50,9 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "cray"])
 
-    def test_backend_bench_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_backend.json"
-        rc = main(
-            ["bench", "--backend", "numpy", "--kmin", "6", "--kmax", "7",
-             "--repeats", "1", "--threads", "1", "--output", str(out_path)]
-        )
-        assert rc == 0
-        assert "backend=numpy" in capsys.readouterr().out
-        import json
-
-        report = json.loads(out_path.read_text())
-        assert report["benchmark"] == "backend_speedup"
-        assert len(report["rows"]) == 2
-
     def test_backend_bench_unavailable_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CC", "1")
-        rc = main(["bench", "--backend", "compiled", "--kmin", "6",
+        rc = main(["check", "--backend", "compiled", "--kmin", "6",
                    "--kmax", "6"])
         assert rc == 2
         assert "not available" in capsys.readouterr().err
@@ -115,7 +101,22 @@ class TestServeParsers:
         assert args.sizes == "64,256"
         assert args.clients == 4 and args.requests == 500
         assert args.pipeline == 16
-        assert args.output == "BENCH_serve.json"
+        assert args.output is None
+
+    def test_loadgen_output_is_written_where_asked(self, monkeypatch,
+                                                   tmp_path):
+        """``--output`` is a path, not a hint: no lane renames it."""
+        import repro.loadgen as lg
+
+        seen = []
+        monkeypatch.setattr(
+            lg, "run_shard_loadgen",
+            lambda cfg: seen.append(cfg.output) or {"measured": {"lost": 0}},
+        )
+        monkeypatch.setattr(lg, "render_shard_report", lambda report: "")
+        out = str(tmp_path / "BENCH_serve.json")
+        assert main(["loadgen", "--shards", "2", "--output", out]) == 0
+        assert seen == [out]
 
 
 def test_parser_requires_command():

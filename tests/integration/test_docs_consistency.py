@@ -200,11 +200,6 @@ class TestParserIsDocumented:
         """The documented vec(ν) lanes must stay parseable."""
         gen = parser.parse_args("generate 64 --nu 4".split())
         assert gen.nu == 4
-        bench = parser.parse_args(
-            "bench --backend compiled --nu 4 --kmin 8 --kmax 12".split()
-        )
-        assert bench.backend == "compiled" and bench.nu == 4
-        assert bench.kmin == 8 and bench.kmax == 12
         check = parser.parse_args(
             "check --nu 2 --backend compiled --kmin 4 --kmax 9".split()
         )

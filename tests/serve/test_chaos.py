@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, fault_plan
+from repro.loadgen import LoadgenConfig, run_loadgen
 from repro.serve import (
     FFTService,
-    LoadgenConfig,
     Overloaded,
     ServeClient,
     ServeConfig,
-    run_loadgen,
 )
 from repro.serve.server import FFTServer
 

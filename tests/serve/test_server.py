@@ -6,13 +6,19 @@ import socket
 import numpy as np
 import pytest
 
+from repro.loadgen import (
+    LoadgenConfig,
+    ShardLoadgenConfig,
+    TuneLoadgenConfig,
+    run_loadgen,
+    run_shard_loadgen,
+    run_tune_loadgen,
+)
 from repro.serve import (
     FFTService,
-    LoadgenConfig,
     RemoteError,
     ServeClient,
     ServeConfig,
-    run_loadgen,
 )
 from repro.serve.protocol import decode_array, dump_line, encode_array
 from repro.serve.server import FFTServer
@@ -108,3 +114,36 @@ class TestLoadgen:
         assert lat["p50_ms"] <= lat["p99_ms"] <= lat["max_ms"] + 1e-9
         saved = json.loads(out.read_text())
         assert saved["single_flight"]["plans_built"] == 2
+
+    @pytest.mark.parametrize("lane", ["server", "shards", "tune"])
+    def test_every_lane_reports_the_shared_phase_keys(self, request, lane):
+        """One driver, one phase dict: the same keys whatever the lane."""
+        traffic = dict(sizes=[64], clients=2, pipeline=2)
+        if lane == "server":
+            port = request.getfixturevalue("server").port
+            report = run_loadgen(LoadgenConfig(
+                port=port, requests=4, baseline_requests=2, **traffic
+            ))
+            phases = [report["measured"], report["baseline_unbatched"]]
+        elif lane == "shards":
+            report = run_shard_loadgen(ShardLoadgenConfig(
+                shards=1, requests=4, **traffic
+            ))
+            phases = [report["measured"]]
+        else:
+            report = run_tune_loadgen(TuneLoadgenConfig(
+                windows=1, window_duration_s=0.2, swap_window=-1, **traffic
+            ))
+            phases = [report["measured"]]
+        assert report["host"]["cpu_count"] >= 1
+        for phase in phases:
+            assert {
+                "requests", "completed", "lost", "corrupt", "wall_s",
+                "throughput_rps", "latency", "overload_retries",
+                "reconnects",
+            } <= set(phase)
+            assert phase["lost"] == 0 and phase["corrupt"] == 0
+            assert phase["completed"] == phase["requests"] > 0
+            assert phase["throughput_rps"] == pytest.approx(
+                phase["completed"] / phase["wall_s"]
+            )

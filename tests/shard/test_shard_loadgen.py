@@ -4,10 +4,11 @@ import time
 
 import numpy as np
 
+from repro.loadgen import ShardLoadgenConfig, render_shard_report, \
+    run_shard_loadgen
+from repro.loadgen import _shard_phase as _drive
 from repro.serve import ServeConfig
-from repro.shard import ShardFleet, ShardLoadgenConfig, ShardRouter, \
-    render_shard_report, run_shard_loadgen
-from repro.shard.loadgen import _drive
+from repro.shard import ShardFleet, ShardRouter
 
 
 def _cfg(**kw):

@@ -1,8 +1,13 @@
 """The loadgen --tune lane end to end (short windows; smoke-sized)."""
 
 import json
+import threading
+import time
 
-from repro.tune import TuneLoadgenConfig, render_tune_report, \
+import pytest
+
+import repro.loadgen as lg
+from repro.loadgen import TuneLoadgenConfig, render_tune_report, \
     run_tune_loadgen
 
 
@@ -56,3 +61,49 @@ class TestTuneLoadgen:
         assert integ["lost"] == 0
         assert integ["corrupt"] == 0
         assert integ["acknowledged"] > 0
+
+    def test_worker_that_never_stops_is_not_a_clean_run(self, tmp_path,
+                                                        monkeypatch):
+        """A worker stuck past the join timeout has acknowledged nothing
+        and reported nothing: that is lost traffic and an error, not OK."""
+        from repro.serve import RemoteError
+
+        release = threading.Event()
+
+        class StuckClient(lg.ServeClient):
+            def fft_pipeline(self, xs, **kw):
+                release.wait(30)
+                raise RemoteError("closed", "test over")
+
+        monkeypatch.setattr(lg, "ServeClient", StuckClient)
+        monkeypatch.setattr(lg, "_JOIN_TIMEOUT_S", 0.2)
+        try:
+            report = run_tune_loadgen(
+                _short_cfg(tmp_path, windows=1, swap_window=-1)
+            )
+        finally:
+            release.set()
+        integ = report["integrity"]
+        assert integ["lost"] > 0
+        assert any("still running" in e for e in integ["errors"])
+        assert "BAD" in render_tune_report(report)
+
+    def test_swap_window_throughput_uses_the_measured_duration(
+            self, tmp_path, monkeypatch):
+        """The forced retune runs inside its window, so that window is
+        longer than nominal by the whole search."""
+        from repro.tune import Tuner
+
+        def slow_retune(self, key):
+            time.sleep(0.3)
+            return False
+
+        monkeypatch.setattr(Tuner, "retune", slow_retune)
+        report = run_tune_loadgen(_short_cfg(tmp_path))
+        plain, swap = report["windows"]
+        assert swap["duration_s"] >= 0.25 + 0.3
+        assert swap["duration_s"] > plain["duration_s"] + 0.2
+        for win in (plain, swap):
+            assert win["throughput_rps"] == pytest.approx(
+                win["requests"] / win["duration_s"]
+            )
