@@ -6,7 +6,7 @@ backend's stages (through the real runtime double-buffer protocol) and
 compares the result index-for-index against two references:
 
 * the analytic DFT (``np.fft.fft``) — ground truth, and
-* the NumPy interpreter backend — so a divergence can be attributed to
+* the NumPy backend (the printed program) — so a divergence can be attributed to
   the backend under test rather than to the plan itself.
 
 Stage structure is also cross-checked: a backend must preserve the

@@ -59,6 +59,42 @@ def _maybe_tracing(args: argparse.Namespace):
     print(f"# chrome trace written to {out}", file=sys.stderr)
 
 
+def _chaos_plan(args: argparse.Namespace):
+    """Context manager: ``--chaos SPEC`` installed as the process fault plan.
+
+    Scoped (not a bare ``set_fault_plan``) so in-process callers — tests
+    drive ``main()`` directly — get the null plan restored afterwards.
+    """
+    if not args.chaos:
+        return contextlib.nullcontext()
+    from .faults import fault_plan, parse_chaos_spec
+
+    plan = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
+    print(
+        f"# chaos mode: {args.chaos} (seed={args.chaos_seed})",
+        file=sys.stderr,
+    )
+    return fault_plan(plan)
+
+
+def _serve_config(args: argparse.Namespace, **extra):
+    """The :class:`ServeConfig` the ``_add_serve_config_flags`` flags spell."""
+    from .serve import ServeConfig
+
+    return ServeConfig(
+        threads=args.threads,
+        mu=args.mu,
+        window_s=args.window_ms / 1e3,
+        max_batch=args.max_batch,
+        queue_limit=args.queue_limit,
+        cache_capacity=args.cache_capacity,
+        wisdom_path=args.wisdom,
+        runtime=args.runtime,
+        backend=args.backend,
+        **extra,
+    )
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     from .rewrite import RewriteTrace, derive_multicore_ct
     from .spl import format_expr, is_fully_optimized
@@ -291,35 +327,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import FFTService, ServeConfig
+    from .serve import FFTService
     from .serve.server import FFTServer, graceful_shutdown, \
         install_signal_handlers
 
-    config = ServeConfig(
-        threads=args.threads,
-        mu=args.mu,
-        window_s=args.window_ms / 1e3,
-        max_batch=args.max_batch,
-        queue_limit=args.queue_limit,
-        cache_capacity=args.cache_capacity,
-        wisdom_path=args.wisdom,
-        runtime=args.runtime,
-        backend=args.backend,
+    config = _serve_config(
+        args,
         nu=args.nu,
         tune=args.tune,
         tune_interval_s=args.tune_interval_ms / 1e3,
         p99_target_ms=args.p99_target_ms,
     )
-    if args.chaos:
-        from .faults import parse_chaos_spec, set_fault_plan
-
-        plan = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-        set_fault_plan(plan)
-        print(
-            f"# chaos mode: {args.chaos} (seed={args.chaos_seed})",
-            file=sys.stderr,
-        )
-    with _maybe_tracing(args):
+    with _chaos_plan(args), _maybe_tracing(args):
         service = FFTService(config)
         server = FFTServer((args.host, args.port), service)
         tune_note = (
@@ -364,20 +383,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    if args.chaos:
-        # fault_plan (not a bare set) so in-process callers — the
-        # negative tests drive main() directly — get the plan restored
-        from .faults import fault_plan, parse_chaos_spec
-
-        chaos_ctx = fault_plan(
-            parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-        )
-        print(
-            f"# chaos mode: {args.chaos} (seed={args.chaos_seed})",
-            file=sys.stderr,
-        )
-    else:
-        chaos_ctx = contextlib.nullcontext()
     threads_list = [int(t) for t in args.threads.split(",") if t]
     mu_list = [int(m) for m in args.mu.split(",") if m]
     runtimes = (
@@ -385,7 +390,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     failures = 0
     checked = 0
-    with chaos_ctx, _maybe_tracing(args):
+    with _chaos_plan(args), _maybe_tracing(args):
         for k in range(args.kmin, args.kmax + 1):
             n = 1 << k
             for p in threads_list:
@@ -460,22 +465,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
 
-    if args.chaos:
-        # fault_plan (not a bare set) so in-process callers — the
-        # inverted-lane tests drive main() directly — get the plan
-        # restored afterwards
-        from .faults import fault_plan, parse_chaos_spec
-
-        chaos_ctx = fault_plan(
-            parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-        )
-        print(
-            f"# chaos mode: {args.chaos} (seed={args.chaos_seed})",
-            file=sys.stderr,
-        )
-    else:
-        chaos_ctx = contextlib.nullcontext()
-
     config = HuntConfig(
         budget=args.budget,
         seed=args.seed,
@@ -485,7 +474,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         wisdom_path=args.wisdom,
         nus=tuple(int(v) for v in args.nus.split(",") if v),
     )
-    with chaos_ctx, _maybe_tracing(args):
+    with _chaos_plan(args), _maybe_tracing(args):
         report = run_hunt(config)
     print(report.render_text())
     print(
@@ -500,30 +489,10 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .serve import ServeConfig
     from .shard import ShardFleet, ShardRouter
 
-    config = ServeConfig(
-        threads=args.threads,
-        mu=args.mu,
-        window_s=args.window_ms / 1e3,
-        max_batch=args.max_batch,
-        queue_limit=args.queue_limit,
-        cache_capacity=args.cache_capacity,
-        wisdom_path=args.wisdom,
-        runtime=args.runtime,
-        backend=args.backend,
-    )
-    if args.chaos:
-        from .faults import parse_chaos_spec, set_fault_plan
-
-        plan = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-        set_fault_plan(plan)
-        print(
-            f"# chaos mode: {args.chaos} (seed={args.chaos_seed})",
-            file=sys.stderr,
-        )
-    with _maybe_tracing(args):
+    config = _serve_config(args)
+    with _chaos_plan(args), _maybe_tracing(args):
         fleet = ShardFleet(
             args.shards, config, vnodes=args.vnodes, replicas=args.replicas
         )
@@ -608,6 +577,78 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.output:
         print(f"# report written to {args.output}", file=sys.stderr)
     return 1 if failed else 0
+
+
+def _add_serve_config_flags(parser, scope: str = "") -> None:
+    """The service knobs ``serve`` and ``shard`` share (see ``_serve_config``);
+    ``scope`` prefixes the help of the knobs a fleet applies per shard."""
+    parser.add_argument("--threads", "-p", type=int, default=1)
+    parser.add_argument("--mu", type=int, default=4)
+    parser.add_argument(
+        "--window-ms",
+        type=float,
+        default=0.0,
+        help=f"{scope}max batching wait in milliseconds; 0 (default) "
+        "batches continuously: each execution coalesces whatever queued "
+        "during the previous one",
+    )
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=48,
+        help=f"{scope}max vectors coalesced into one stacked execution",
+    )
+    parser.add_argument(
+        "--queue-limit",
+        type=int,
+        default=512,
+        help=f"{scope}max pending vectors before requests are rejected",
+    )
+    parser.add_argument(
+        "--cache-capacity",
+        type=int,
+        default=64,
+        help=f"{scope}plan-cache entries kept (LRU beyond this)",
+    )
+    parser.add_argument(
+        "--wisdom",
+        metavar="PATH",
+        default=None,
+        help="persist search results to this wisdom JSON file (one file "
+        "shared by every shard of a fleet: fleet-wide tuning reuse)",
+    )
+    parser.add_argument(
+        "--runtime",
+        choices=["threads", "process"],
+        default="threads",
+        help=f"{scope}worker pool kind: GIL-bound threads (default) or the "
+        "multiprocess shared-memory runtime (real parallel speedup; "
+        "see docs/parallel.md)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=["numpy", "compiled", "simulator"],
+        default="numpy",
+        help=f"{scope}execution backend for plan stages (compiled JITs C "
+        "codelets when a compiler is present; falls back to numpy "
+        "otherwise — see docs/codegen.md)",
+    )
+
+
+def _add_chaos_flags(parser, what: str) -> None:
+    """``--chaos SPEC`` / ``--chaos-seed`` (consumed by ``_chaos_plan``)."""
+    parser.add_argument(
+        "--chaos",
+        metavar="SPEC",
+        default=None,
+        help=what + " — comma-separated 'point:rate[:delay_ms]' items",
+    )
+    parser.add_argument(
+        "--chaos-seed",
+        type=int,
+        default=0,
+        help="seed for the chaos fault plan's random stream",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -823,56 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=7373)
-    sv.add_argument("--threads", "-p", type=int, default=1)
-    sv.add_argument("--mu", type=int, default=4)
-    sv.add_argument(
-        "--window-ms",
-        type=float,
-        default=0.0,
-        help="max batching wait in milliseconds; 0 (default) batches "
-        "continuously: each execution coalesces whatever queued during "
-        "the previous one",
-    )
-    sv.add_argument(
-        "--max-batch",
-        type=int,
-        default=48,
-        help="max vectors coalesced into one stacked execution",
-    )
-    sv.add_argument(
-        "--queue-limit",
-        type=int,
-        default=512,
-        help="max pending vectors before requests are rejected",
-    )
-    sv.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=64,
-        help="plan-cache entries kept (LRU beyond this)",
-    )
-    sv.add_argument(
-        "--wisdom",
-        metavar="PATH",
-        default=None,
-        help="persist search results to this wisdom JSON file",
-    )
-    sv.add_argument(
-        "--runtime",
-        choices=["threads", "process"],
-        default="threads",
-        help="worker pool kind: GIL-bound threads (default) or the "
-        "multiprocess shared-memory runtime (real parallel speedup; "
-        "see docs/parallel.md)",
-    )
-    sv.add_argument(
-        "--backend",
-        choices=["numpy", "compiled", "simulator"],
-        default="numpy",
-        help="execution backend for plan stages (compiled JITs C "
-        "codelets when a compiler is present; falls back to numpy "
-        "otherwise — see docs/codegen.md)",
-    )
+    _add_serve_config_flags(sv)
     sv.add_argument(
         "--nu",
         type=int,
@@ -902,19 +894,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --tune: latency goal the batcher knobs walk toward "
         "(omit to leave the knobs alone and only re-search regressions)",
     )
-    sv.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="inject faults: comma-separated 'point:rate[:delay_ms]' "
-        "(e.g. 'runtime.worker_crash:0.1,net.conn_reset:0.05'); see "
-        "docs/serving.md for the injection points",
-    )
-    sv.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the chaos fault plan's random stream",
+    _add_chaos_flags(
+        sv,
+        "inject faults, e.g. 'runtime.worker_crash:0.1,net.conn_reset:0.05' "
+        "(see docs/serving.md for the injection points)",
     )
     add_trace_flag(sv)
     sv.set_defaults(fn=_cmd_serve)
@@ -946,63 +929,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="ring successors prewarmed per plan key (the failover heirs)",
     )
-    sh.add_argument("--threads", "-p", type=int, default=1)
-    sh.add_argument("--mu", type=int, default=4)
-    sh.add_argument(
-        "--window-ms",
-        type=float,
-        default=0.0,
-        help="per-shard batching window (as serve --window-ms)",
-    )
-    sh.add_argument(
-        "--max-batch",
-        type=int,
-        default=48,
-        help="per-shard max vectors coalesced into one execution",
-    )
-    sh.add_argument(
-        "--queue-limit",
-        type=int,
-        default=512,
-        help="per-shard pending-vector bound before rejections",
-    )
-    sh.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=64,
-        help="per-shard plan-cache entries kept (LRU beyond this)",
-    )
-    sh.add_argument(
-        "--wisdom",
-        metavar="PATH",
-        default=None,
-        help="wisdom JSON shared by every shard (fleet-wide tuning reuse)",
-    )
-    sh.add_argument(
-        "--runtime",
-        choices=["threads", "process"],
-        default="threads",
-        help="per-shard worker pool kind (as serve --runtime)",
-    )
-    sh.add_argument(
-        "--backend",
-        choices=["numpy", "compiled", "simulator"],
-        default="numpy",
-        help="per-shard execution backend (as serve --backend)",
-    )
-    sh.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="inject faults, e.g. 'shard.worker_crash:0.01' (the "
-        "supervisor kills and heals shards) or 'shard.route_flap:0.05' "
-        "(requests divert to ring successors); see docs/sharding.md",
-    )
-    sh.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the chaos fault plan's random stream",
+    _add_serve_config_flags(sh, scope="per-shard ")
+    _add_chaos_flags(
+        sh,
+        "inject faults, e.g. 'shard.worker_crash:0.01' (the supervisor "
+        "kills and heals shards) or 'shard.route_flap:0.05' (requests "
+        "divert to ring successors); see docs/sharding.md",
     )
     add_trace_flag(sh)
     sh.set_defaults(fn=_cmd_shard)
@@ -1147,19 +1079,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --tune: window (0-based) at whose start every hot "
         "plan is force-retuned and hot-swapped under load (-1 disables)",
     )
-    lg.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="with --tune: inject faults, e.g. 'tune.swap_corrupt:1.0' "
-        "(every swap dies mid-commit; the old plan must keep serving "
-        "with a clean integrity block)",
-    )
-    lg.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="with --tune: seed for the chaos fault plan's random stream",
+    _add_chaos_flags(
+        lg,
+        "with --tune: inject faults, e.g. 'tune.swap_corrupt:1.0' (every "
+        "swap dies mid-commit; the old plan must keep serving with a "
+        "clean integrity block)",
     )
     lg.set_defaults(fn=_cmd_loadgen)
 
@@ -1206,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["numpy", "compiled", "simulator"],
         default="numpy",
         help="also differentially verify this execution backend's "
-        "stages against the DFT and the numpy interpreter on every "
+        "stages against the DFT and the numpy backend on every "
         "checked plan (strict: errors if unavailable)",
     )
     ck.add_argument(
@@ -1217,18 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
         "vector-lowered loop structure (and, with --backend, the ν-wide "
         "compiled stages) instead of the scalar plans",
     )
-    ck.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="sabotage plans before checking, e.g. "
-        "'check.overlapping_write:1.0' — the checker must fail",
-    )
-    ck.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the chaos fault plan's random stream",
+    _add_chaos_flags(
+        ck,
+        "sabotage plans before checking, e.g. 'check.overlapping_write:1.0' "
+        "(the checker must fail)",
     )
     add_trace_flag(ck)
     ck.set_defaults(fn=_cmd_check)
@@ -1289,19 +1205,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. '1' restores the scalar-only sweep; '2,4' fuzzes only "
         "ν-way plans)",
     )
-    hu.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="sabotage the oracle pipeline, e.g. 'hunt.exec_corrupt:1.0' "
-        "or 'hunt.plan_sabotage:1.0' — the hunt must find and reduce "
-        "the planted failure (the CI inverted lane)",
-    )
-    hu.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the chaos fault plan's random stream",
+    _add_chaos_flags(
+        hu,
+        "sabotage the oracle pipeline, e.g. 'hunt.exec_corrupt:1.0' or "
+        "'hunt.plan_sabotage:1.0' (the hunt must find and reduce the "
+        "planted failure: the CI inverted lane)",
     )
     add_trace_flag(hu)
     hu.set_defaults(fn=_cmd_hunt)

@@ -2,11 +2,12 @@
 
 Two kinds of artifact come out of this package:
 
-* **standalone programs** — :func:`generate` (Python source) and
+* **standalone programs** — :func:`generate` (Python source, whose
+  printed batched stages are also the ``numpy`` executor) and
   :func:`generate_c` (self-contained multithreaded C99), used for
   verification and the paper's generated-program experiments;
 * **executable stage plans** — built through the backend registry
-  (:mod:`repro.codegen.registry`): ``numpy`` (vectorized interpreter),
+  (:mod:`repro.codegen.registry`): ``numpy`` (the printed Python program),
   ``compiled`` (fused C codelets JIT-compiled at plan time,
   :mod:`repro.codegen.compiled_backend`), and ``simulator`` (the literal
   per-row Σ-SPL oracle).  Every runtime — smp, mp, serve, search, check —

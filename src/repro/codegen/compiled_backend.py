@@ -232,7 +232,7 @@ class CompiledPlan:
 
         Each ``work(proc, src, dst)`` closure recovers the batch size from
         the flat buffer length (the batched-stage contract of
-        :mod:`repro.serve.batch_exec`) and calls the exported C function;
+        :mod:`repro.codegen.registry`) and calls the exported C function;
         the ctypes call releases the GIL, so parallel stages scale on the
         pthreads pool.
         """

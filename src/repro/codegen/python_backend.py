@@ -1,11 +1,21 @@
-"""Python/NumPy code generator for Sigma-SPL programs.
+"""Python/NumPy code generator for Sigma-SPL programs — the NumPy backend.
 
 Mirrors Spiral's implementation level: a lowered loop program is translated
 into *source code* — one function per pipeline stage, with all index tables,
 twiddle factors, and codelet matrices hoisted into a constant pool.  The
 source is ``exec``-compiled and wrapped in :class:`GeneratedProgram`, whose
 stages run on any :mod:`repro.smp` runtime (sequential, persistent pthreads
-pool, or fork-join OpenMP style).
+pool, or fork-join OpenMP style) and on the :mod:`repro.mp` process pool.
+
+The printed stages are **batched**: each ``stage(proc, src, dst)`` views its
+flat double buffers as ``(b, n)`` (``b`` recovered from the buffer length,
+never baked in), gathers to ``(b, count, k)`` blocks, applies the kernel
+along the last axis and scatters back.  That is the one stage contract of
+:mod:`repro.codegen.registry`, so this printer *is* the ``numpy`` backend
+(``NumpyBackend.build_stages`` returns ``generate(...).stages``); there is
+no second walk of the loop IR on the Python side.  Barrier elision stays
+sound under batching: each processor touches the same column-index sets in
+every batch row, so per-processor access sets remain pairwise disjoint.
 
 Kernel emission policy (the codelet story):
 
@@ -19,7 +29,7 @@ Kernel emission policy (the codelet story):
 
 Structured index tables are annotated: when a gather/scatter table is a
 2-D strided grid the generated code says so, and contiguous grids become
-``reshape`` views instead of fancy indexing.
+slice views instead of index arrays.
 """
 
 from __future__ import annotations
@@ -46,38 +56,22 @@ class GeneratedProgram:
     consts: dict
     stages: list[PlanStage]
     program: SigmaProgram
+    codelet_max: int = 32
 
     def run(
         self, x: np.ndarray, runtime: Optional[Runtime] = None
     ) -> np.ndarray:
-        """Apply the transform to ``x`` on ``runtime`` (sequential default)."""
-        runtime = runtime or SequentialRuntime()
-        out, _ = runtime.execute(self.stages, x, self.size)
-        return out
+        """Apply the transform to ``x`` — one ``(n,)`` vector or a ``(b, n)``
+        stack — on ``runtime`` (sequential default)."""
+        return self.run_with_stats(x, runtime or SequentialRuntime())[0]
 
     def run_with_stats(self, x: np.ndarray, runtime: Runtime):
         """Like :meth:`run` but returns ``(result, ExecutionStats)``."""
-        return runtime.execute(self.stages, x, self.size)
+        Y, stats = runtime.run_stages(self.stages, self.size, x)
+        return (Y[0] if np.ndim(x) == 1 else Y), stats
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.run(x)
-
-
-def kernel_kind(kernel: Expr, codelet_max: int) -> str:
-    """The emission policy for one loop kernel (see the module docstring).
-
-    ``"copy"`` (``I_1``), ``"f2"`` (butterfly), ``"matmul"`` (dense codelet
-    matrix), ``"fft"`` (library kernel) or ``"expr"`` (``kernel.apply``);
-    the printer here and the batched interpreter
-    (:mod:`repro.serve.batch_exec`) both switch on it.
-    """
-    if isinstance(kernel, I) and kernel.n == 1:
-        return "copy"
-    if isinstance(kernel, F2):
-        return "f2"
-    if kernel.cols <= codelet_max:
-        return "matmul"
-    return "fft" if isinstance(kernel, DFT) else "expr"
 
 
 class _Emitter:
@@ -92,10 +86,17 @@ class _Emitter:
         return f"C[{name!r}]"
 
     def kernel_ref(self, kernel: Expr) -> tuple[str, str]:
-        """Return (kind, ref) for a kernel expression."""
-        kind = kernel_kind(kernel, self.codelet_max)
-        if kind in ("copy", "f2"):
-            return kind, ""
+        """Return (kind, ref) for a kernel expression: the emission policy
+        of the module docstring (``copy`` / ``f2`` / ``matmul`` / ``fft`` /
+        ``expr``) plus the constant-pool reference it needs, if any."""
+        if isinstance(kernel, I) and kernel.n == 1:
+            return "copy", ""
+        if isinstance(kernel, F2):
+            return "f2", ""
+        if kernel.cols <= self.codelet_max:
+            kind = "matmul"
+        else:
+            kind = "fft" if isinstance(kernel, DFT) else "expr"
         key = kernel._key()
         if key not in self._kernel_ids:
             kid = f"k{len(self._kernel_ids)}"
@@ -110,63 +111,51 @@ class _Emitter:
         return kind, f"C[{self._kernel_ids[key]!r}]"
 
 
-def _gather_code(em: _Emitter, name: str, table: np.ndarray) -> tuple[str, str]:
-    """Source reading ``src`` through an index table -> (code, comment)."""
+def _table_access(em: _Emitter, name: str, table: np.ndarray):
+    """How one ``(count, k)`` index table addresses the last axis of a
+    ``(b, n)`` buffer -> ``(index source, is a slice, comment)``.
+
+    A table that is one contiguous run becomes a basic slice (a view, no
+    index array at all); anything else is hoisted into the constant pool,
+    annotated as a strided grid when :func:`recover_grid` finds one.
+    """
     grid = recover_grid(table)
     rows, cols = table.shape
     if grid and grid.col_stride == 1 and grid.row_stride == cols:
-        lo, hi = grid.base, grid.base + rows * cols
-        return (
-            f"src[{lo}:{hi}].reshape({rows}, {cols})",
-            "contiguous block",
-        )
-    ref = em.const(name, np.ascontiguousarray(table))
+        lo = grid.base
+        return f"{lo}:{lo + rows * cols}", True, "contiguous block"
     note = (
         f"grid base={grid.base} row_stride={grid.row_stride} "
         f"col_stride={grid.col_stride}"
         if grid
         else "irregular (merged permutation)"
     )
-    return f"src[{ref}]", note
-
-
-def _scatter_code(
-    em: _Emitter, name: str, table: np.ndarray, value: str
-) -> tuple[str, str]:
-    grid = recover_grid(table)
-    rows, cols = table.shape
-    if grid and grid.col_stride == 1 and grid.row_stride == cols:
-        lo, hi = grid.base, grid.base + rows * cols
-        return (
-            f"dst[{lo}:{hi}] = ({value}).reshape(-1)",
-            "contiguous block",
-        )
-    ref = em.const(name, np.ascontiguousarray(table))
-    note = (
-        f"grid base={grid.base} row_stride={grid.row_stride} "
-        f"col_stride={grid.col_stride}"
-        if grid
-        else "irregular (merged permutation)"
-    )
-    return f"dst[{ref}] = {value}", note
+    return em.const(name, np.ascontiguousarray(table)), False, note
 
 
 def _emit_loop(em: _Emitter, loop: BlockLoop, sid: int, lid: int, indent: str):
+    """Print one loop: gather -> scale -> kernel -> scale -> scatter, every
+    step over a ``(b, count, k)`` block (batch rows lead, kernels apply
+    along the last axis)."""
     out = em.lines
     base = f"{sid}_{lid}"
-    gather_src, gnote = _gather_code(em, f"g{base}", loop.gather)
+    count, k = loop.gather.shape
+    index, sliced, gnote = _table_access(em, f"g{base}", loop.gather)
     kind, kref = em.kernel_ref(loop.kernel)
     out.append(f"{indent}# loop {lid}: {loop.count} x kernel "
                f"{type(loop.kernel).__name__}[{loop.kernel_size}]  "
                f"(gather: {gnote})")
-    out.append(f"{indent}t = {gather_src}")
+    if sliced:
+        out.append(f"{indent}t = S[:, {index}].reshape(-1, {count}, {k})")
+    else:
+        out.append(f"{indent}t = S.take({index}, axis=1)")
     if loop.pre_scale is not None:
         wref = em.const(f"w{base}", loop.pre_scale)
         out.append(f"{indent}t = t * {wref}  # merged twiddle/diagonal")
     if kind == "f2":
         out.append(
             f"{indent}t = np.concatenate("
-            f"(t[:, :1] + t[:, 1:], t[:, :1] - t[:, 1:]), axis=1)"
+            f"(t[..., :1] + t[..., 1:], t[..., :1] - t[..., 1:]), axis=-1)"
             f"  # F_2 butterfly"
         )
     elif kind == "matmul":
@@ -176,12 +165,12 @@ def _emit_loop(em: _Emitter, loop: BlockLoop, sid: int, lid: int, indent: str):
     elif kind == "expr":
         out.append(f"{indent}t = {kref}.apply(t)  # expression kernel")
     # kind == "copy": nothing to do
-    value = "t"
     if loop.post_scale is not None:
         vref = em.const(f"v{base}", loop.post_scale)
-        value = f"t * {vref}"
-    scatter_stmt, snote = _scatter_code(em, f"s{base}", loop.scatter, value)
-    out.append(f"{indent}{scatter_stmt}  # scatter: {snote}")
+        out.append(f"{indent}t = t * {vref}")
+    index, sliced, snote = _table_access(em, f"s{base}", loop.scatter)
+    value = f"t.reshape(-1, {count * k})" if sliced else "t"
+    out.append(f"{indent}D[:, {index}] = {value}  # scatter: {snote}")
 
 
 def generate(
@@ -189,7 +178,12 @@ def generate(
     codelet_max: int = 32,
     name: str = "transform",
 ) -> GeneratedProgram:
-    """Generate Python source for ``program`` and compile it."""
+    """Generate Python source for ``program`` and compile it.
+
+    The stages obey the registry's batched :class:`PlanStage` contract
+    (flat ``(b*n,)`` double buffers, batch size recovered from the buffer
+    length), so ``.stages`` *is* the NumPy backend's stage list.
+    """
     tr = get_tracer()
     with tr.span("codegen.python", "codegen", size=program.size,
                  stages=len(program.stages)):
@@ -200,8 +194,9 @@ def _generate_impl(
     program: SigmaProgram, codelet_max: int, name: str
 ) -> GeneratedProgram:
     em = _Emitter(codelet_max)
+    n = program.size
     em.lines.append("# Generated by repro: Spiral shared-memory FFT backend")
-    em.lines.append(f"# size={program.size}, stages={len(program.stages)}, "
+    em.lines.append(f"# size={n}, stages={len(program.stages)}, "
                     f"barriers={program.barrier_count()}")
     em.lines.append("import numpy as np")
     em.lines.append("")
@@ -215,6 +210,8 @@ def _generate_impl(
             f"        # {stage.name}: parallel={stage.parallel}, "
             f"barrier={'yes' if stage.needs_barrier else 'ELIDED'}"
         )
+        em.lines.append(f"        S = src.reshape(-1, {n})  # (b, n) views")
+        em.lines.append(f"        D = dst.reshape(-1, {n})")
         for pi, (proc, loops) in enumerate(stage.shares()):
             indent = " " * 8
             if proc is not None:
@@ -240,14 +237,16 @@ def _generate_impl(
             parallel=par,
             needs_barrier=bar,
             name=nm,
-            nprocs=max((len(st.procs), 1)),
+            # the shares a runtime iterates ``proc`` over
+            nprocs=len(list(st.shares())),
         )
         for (fn, par, bar, nm), st in zip(raw_stages, program.stages)
     ]
     return GeneratedProgram(
-        size=program.size,
+        size=n,
         source=source,
         consts=em.consts,
         stages=stages,
         program=program,
+        codelet_max=codelet_max,
     )

@@ -7,15 +7,17 @@ the :mod:`repro.mp` process pool, the serving layer's
 registry instead of hard-coding a code generator.  A *backend* turns a
 :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop IR) into a list
 of :class:`~repro.smp.runtime.PlanStage` entries with **batched
-semantics**: stage closures see flat ``(b*n,)`` double buffers and
-recover the batch size from the buffer length, the contract established
-by :mod:`repro.serve.batch_exec`.
+semantics**: ``work(proc, src, dst)`` sees flat ``(b*n,)`` double buffers
+and recovers the batch size from the buffer length, so one stage list per
+plan serves every request batch.  It is the only stage contract: the
+Python printer, the compiled codelets and the simulator all emit it.
 
 Three backends ship:
 
 ``numpy``
-    The vectorized interpreter (:func:`repro.serve.batch_exec.batched_stages`)
-    — always available, the universal fallback.
+    The printed Python/NumPy program
+    (:func:`repro.codegen.python_backend.generate`) — always available,
+    the universal fallback.
 ``compiled``
     Fused C codelets JIT-compiled at plan time
     (:mod:`repro.codegen.compiled_backend`) — available when a C compiler
@@ -93,15 +95,15 @@ class ExecutionBackend:
 
 
 class NumpyBackend(ExecutionBackend):
-    """The vectorized NumPy interpreter — always-available baseline."""
+    """The printed Python/NumPy program — always-available baseline."""
 
     name = "numpy"
 
     def build_stages(self, program, codelet_max=32, fallback=True):
-        """Batch-axis NumPy stages via :mod:`repro.serve.batch_exec`."""
-        from ..serve.batch_exec import batched_stages
+        """The stages of the program :mod:`.python_backend` prints."""
+        from .python_backend import generate
 
-        return batched_stages(program, codelet_max)
+        return generate(program, codelet_max).stages
 
 
 class CompiledBackend(ExecutionBackend):

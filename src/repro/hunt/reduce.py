@@ -24,7 +24,7 @@ the step cap):
   first);
 * **µ shrinking** — cache-line length toward 1;
 * **batch shrinking** — request stack toward a single vector;
-* **backend narrowing** — toward the ``numpy`` interpreter;
+* **backend narrowing** — toward the ``numpy`` backend;
 * **runtime narrowing** — process -> pthreads -> sequential;
 * **strategy canonicalization** — toward the first strategy in
   deterministic order.

@@ -5,8 +5,8 @@ path (see ``docs/serving.md``):
 
 * :class:`PlanCache` — LRU-bounded plan cache with single-flight planning
   in front of :class:`repro.wisdom.Wisdom`;
-* :mod:`~repro.serve.batch_exec` — stacked ``(b, n)`` execution of a plan
-  on the persistent SMP runtimes;
+* :func:`~repro.serve.batch_exec.run_batched` — stacked ``(b, n)``
+  execution of a bare stage list on the persistent SMP runtimes;
 * :class:`FFTService` — request batching, admission control (bounded queue
   with retry-after backpressure), per-request deadlines, and self-healing:
   a supervisor restarts dead dispatchers, rebuilds broken worker pools,
@@ -20,7 +20,7 @@ Fault injection for all of the above lives in :mod:`repro.faults` and is
 activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
 """
 
-from .batch_exec import batched_plan, batched_stages, run_batched
+from .batch_exec import run_batched
 from .client import RemoteError, RetryPolicy, ServeClient, jitter_rng
 from .metrics import LatencyRecorder, latency_summary, percentile
 from .plan_cache import CachedPlan, CacheStats, PlanCache, PlanKey
@@ -54,8 +54,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServiceClosed",
-    "batched_plan",
-    "batched_stages",
     "graceful_shutdown",
     "install_signal_handlers",
     "latency_summary",

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..seeding import default_seed, derive_seed
-from .protocol import RETRYABLE_CODES, decode_array, dump_line, read_frame, \
+from .protocol import RETRYABLE_CODES, dump_line, read_frame, \
     write_frame
 
 #: per-process client counter; decorrelates jitter streams of a fleet of
@@ -193,7 +193,7 @@ class ServeClient:
         self._wfile.flush()
         resp, arr = self._read_response()
         self._check(resp)
-        return arr if arr is not None else decode_array(resp)
+        return arr
 
     def fft_retry(
         self,
@@ -262,8 +262,7 @@ class ServeClient:
             now = time.perf_counter()
             rid = resp.get("id")
             if resp.get("ok", False):
-                y = arr if arr is not None else decode_array(resp)
-                by_id[rid] = (y, now, None)
+                by_id[rid] = (arr, now, None)
             else:
                 by_id[rid] = (
                     None,

@@ -1,10 +1,11 @@
 """The one plan record, its one builder, and the serving plan cache.
 
 :class:`CachedPlan` is the value every runtime runs
-(:meth:`repro.smp.runtime.Runtime.run`): the generated per-vector program
-plus the batched stage list built by the configured execution backend
-(:func:`repro.codegen.resolve_backend` — NumPy interpreter by default, or
-JIT-compiled C codelets with ``backend="compiled"``).  :func:`build_plan`
+(:meth:`repro.smp.runtime.Runtime.run`): the generated program plus the
+batched stage list of the configured execution backend
+(:func:`repro.codegen.resolve_backend` — by default the generated
+program's own printed NumPy stages, or JIT-compiled C codelets with
+``backend="compiled"``).  :func:`build_plan`
 is the only place a :class:`~repro.mp.spec.PlanSpec` (plus optional
 :class:`repro.wisdom.Wisdom`) becomes one; the process-local LRU
 :func:`repro.mp.spec.compile_spec`, the tuner, measured search and the hunt
@@ -112,7 +113,10 @@ def build_plan(
             min_leaf=spec.min_leaf, nu=spec.nu,
         )
     exec_backend = resolve_backend(spec.backend)
-    stages = exec_backend.build_stages(program.program, spec.codelet_max)
+    if (exec_backend.name, spec.codelet_max) == ("numpy", program.codelet_max):
+        stages = program.stages  # already printed: that *is* the backend
+    else:
+        stages = exec_backend.build_stages(program.program, spec.codelet_max)
     if wisdom is not None:
         info = exec_backend.artifact_info(program.program, spec.codelet_max)
         if info is not None:

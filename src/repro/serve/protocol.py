@@ -1,18 +1,10 @@
 """Wire protocol of the TCP front end: JSON envelopes, binary payloads.
 
-Every message is one JSON header line.  Array payloads travel in one of
-three forms, negotiated per message:
-
-* **binary frame** (what :class:`~repro.serve.client.ServeClient` speaks):
-  the header carries ``"shape"`` and ``"nbytes"`` and exactly ``nbytes``
-  of raw little-endian ``complex128`` bytes follow the newline.  This is
-  the fast path — no base64 expansion, no JSON string escaping;
-* ``"data_b64"`` + ``"shape"``: base64 of the same bytes inside the JSON
-  envelope (line-oriented clients, one message per line);
-* ``"data"``: a nested ``[[re, im], ...]`` list (hand-written clients).
-
-Responses mirror the request's form: binary-framed requests get
-binary-framed responses, JSON-only requests get ``data_b64``.
+Every message is one JSON header line.  An array payload travels in one
+form only, the **binary frame**: the header carries ``"shape"`` and
+``"nbytes"`` and exactly ``nbytes`` of raw little-endian ``complex128``
+bytes follow the newline (no base64 expansion, no JSON string escaping).
+An ``fft`` request without a payload is a ``bad-request``.
 
 Request ops::
 
@@ -36,7 +28,6 @@ depth, per-pool status, degradation and fault counters (see
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Optional
 
@@ -54,36 +45,6 @@ RETRYABLE_CODES = ("overloaded", "internal")
 
 #: refuse binary payloads beyond this (corrupt header / abuse guard)
 MAX_PAYLOAD_BYTES = 1 << 28
-
-
-def encode_array(arr: np.ndarray) -> dict:
-    """Fields encoding ``arr`` (complex) for a JSON envelope."""
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=np.complex128))
-    return {
-        "data_b64": base64.b64encode(
-            arr.astype(WIRE_DTYPE, copy=False).tobytes()
-        ).decode("ascii"),
-        "shape": list(arr.shape),
-    }
-
-
-def decode_array(msg: dict) -> np.ndarray:
-    """The complex array carried by a JSON envelope (either form)."""
-    if "data_b64" in msg:
-        buf = base64.b64decode(msg["data_b64"])
-        arr = np.frombuffer(buf, dtype=WIRE_DTYPE).astype(np.complex128)
-        shape = msg.get("shape")
-        if shape is not None:
-            arr = arr.reshape(shape)
-        return arr
-    if "data" in msg:
-        pairs = np.asarray(msg["data"], dtype=np.float64)
-        if pairs.ndim < 2 or pairs.shape[-1] != 2:
-            raise ValueError(
-                f"'data' must nest [re, im] pairs, got shape {pairs.shape}"
-            )
-        return pairs[..., 0] + 1j * pairs[..., 1]
-    raise ValueError("request carries neither 'data_b64' nor 'data'")
 
 
 def dump_line(msg: dict) -> bytes:
@@ -113,49 +74,16 @@ def write_frame(wfile, msg: dict, arr: Optional[np.ndarray] = None) -> None:
     wfile.write(arr.tobytes())
 
 
-def read_frame(rfile) -> Optional[tuple[dict, Optional[np.ndarray]]]:
-    """Read one message; returns ``(header, array-or-None)``, None at EOF.
+def read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
+    """Read one message; returns ``(header, payload-bytes-or-None)``, None
+    at EOF.
 
     Raises :class:`ValueError` on a malformed header or an oversized
     payload declaration; an EOF in the middle of a declared payload is
-    treated as a closed connection (returns None).
-    """
-    while True:
-        line = rfile.readline()
-        if not line:
-            return None
-        line = line.strip()
-        if line:
-            break
-    msg = load_line(line)
-    nbytes = msg.get("nbytes")
-    if nbytes is None:
-        return msg, None
-    nbytes = int(nbytes)
-    if not 0 <= nbytes <= MAX_PAYLOAD_BYTES:
-        raise ValueError(f"unreasonable payload size {nbytes}")
-    buf = rfile.read(nbytes)
-    if len(buf) != nbytes:
-        return None
-    # <c16 is complex128 on little-endian hosts, so this is usually a view
-    arr = np.frombuffer(buf, dtype=WIRE_DTYPE).astype(
-        np.complex128, copy=False
-    )
-    shape = msg.get("shape")
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return msg, arr
-
-
-def read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
-    """Read one message *without* decoding the payload into an array.
-
-    The relay path of :mod:`repro.shard.router`: the router needs the
-    header (to route by plan key) and the payload bytes (to forward, and
-    to resend on failover) but never the numbers themselves, so skipping
-    the ndarray conversion keeps the hop allocation-light.  Same contract
-    as :func:`read_frame` otherwise: None at EOF, ``ValueError`` on a
-    malformed header or unreasonable payload declaration.
+    treated as a closed connection (returns None).  This is all the relay
+    path of :mod:`repro.shard.router` needs: the header (to route by plan
+    key) and the payload bytes (to forward, and to resend on failover),
+    never the numbers themselves.
     """
     while True:
         line = rfile.readline()
@@ -175,6 +103,22 @@ def read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
     if len(buf) != nbytes:
         return None
     return msg, bytes(buf)
+
+
+def read_frame(rfile) -> Optional[tuple[dict, Optional[np.ndarray]]]:
+    """:func:`read_frame_raw` with the payload viewed as a complex array."""
+    frame = read_frame_raw(rfile)
+    if frame is None or frame[1] is None:
+        return frame
+    msg, buf = frame
+    # <c16 is complex128 on little-endian hosts, so this is usually a view
+    arr = np.frombuffer(buf, dtype=WIRE_DTYPE).astype(
+        np.complex128, copy=False
+    )
+    shape = msg.get("shape")
+    if shape is not None:
+        arr = arr.reshape(shape)
+    return msg, arr
 
 
 def write_frame_raw(wfile, msg: dict, payload: Optional[bytes]) -> None:

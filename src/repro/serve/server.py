@@ -23,14 +23,31 @@ import sys
 import threading
 from typing import Optional
 
-from ..faults import FaultInjected, get_fault_plan
-from ..smp.runtime import WorkerPoolBroken
+from ..faults import get_fault_plan
 from ..trace import get_tracer
-from .protocol import decode_array, dump_line, encode_array, error_response, \
-    read_frame, write_frame
+from .protocol import dump_line, error_response, read_frame, write_frame
 from .service import DeadlineExceeded, FFTService, Overloaded, ServiceClosed
 
 _SENTINEL = object()
+
+#: the one exception → wire error-code table (``docs/serving.md`` §4/§7),
+#: first match wins.  Anything not listed — a broken worker pool, an injected
+#: fault, a server bug — is ``internal``: typed and retryable, and one
+#: request's failure never wedges the connection.
+_ERROR_TABLE = (
+    (Overloaded, "overloaded"),
+    (DeadlineExceeded, "deadline"),
+    (ServiceClosed, "closed"),
+    ((ValueError, TypeError), "bad-request"),
+)
+
+
+def _error_response(req_id, exc: BaseException) -> dict:
+    """The wire error for ``exc`` (``overloaded`` carries ``retry_after``)."""
+    code = next((c for tp, c in _ERROR_TABLE if isinstance(exc, tp)),
+                "internal")
+    retry = exc.retry_after if isinstance(exc, Overloaded) else None
+    return error_response(req_id, code, str(exc), retry_after=retry)
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -42,7 +59,10 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         tr = get_tracer()
         service: FFTService = self.server.service  # type: ignore[attr-defined]
+        # responses in request order: a finished response header (a dict), or
+        # a ``(ticket, req_id, timeout)`` whose result the drain waits for
         pending: queue.Queue = queue.Queue()
+        reply = pending.put
         drain = threading.Thread(
             target=self._drain, args=(pending,), daemon=True
         )
@@ -52,10 +72,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 try:
                     frame = read_frame(self.rfile)
                 except ValueError as exc:
-                    pending.put(
-                        ("msg", error_response(None, "bad-json", str(exc)),
-                         None)
-                    )
+                    reply(error_response(None, "bad-json", str(exc)))
                     continue
                 except OSError:
                     break
@@ -64,7 +81,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 msg, arr = frame
                 req_id = msg.get("id")
                 op = msg.get("op", "fft")
-                binary = "nbytes" in msg
                 tr.count("serve.net_requests", 1, op=op)
                 fp = get_fault_plan()
                 if fp.enabled and fp.fired("net.conn_reset"):
@@ -73,52 +89,32 @@ class _Handler(socketserver.StreamRequestHandler):
                     self._reset_connection()
                     break
                 if op == "ping":
-                    pending.put(
-                        ("msg", {"id": req_id, "ok": True, "pong": True},
-                         None)
-                    )
+                    reply({"id": req_id, "ok": True, "pong": True})
                 elif op == "stats":
-                    pending.put(
-                        ("msg",
-                         {"id": req_id, "ok": True, "stats": service.stats()},
-                         None)
-                    )
+                    reply({"id": req_id, "ok": True,
+                           "stats": service.stats()})
                 elif op == "health":
-                    pending.put(
-                        ("msg",
-                         {"id": req_id, "ok": True,
-                          "health": service.health()},
-                         None)
-                    )
+                    reply({"id": req_id, "ok": True,
+                           "health": service.health()})
                 elif op == "prewarm":
-                    self._prewarm(service, pending, req_id, msg)
+                    reply(self._prewarm(service, req_id, msg))
                 elif op == "fft":
-                    self._submit_fft(service, pending, req_id, msg, arr,
-                                     binary)
+                    reply(self._submit_fft(service, req_id, msg, arr))
                 else:
-                    pending.put(
-                        ("msg",
-                         error_response(req_id, "bad-request",
-                                        f"unknown op {op!r}"),
-                         None)
-                    )
+                    reply(error_response(req_id, "bad-request",
+                                         f"unknown op {op!r}"))
         finally:
             pending.put(_SENTINEL)
             drain.join(timeout=60)
 
-    def _prewarm(self, service: FFTService, pending: queue.Queue,
-                 req_id, msg: dict) -> None:
+    @staticmethod
+    def _prewarm(service: FFTService, req_id, msg: dict) -> dict:
         """Build one plan ahead of traffic (the shard tier's warm-up op)."""
         try:
             n = int(msg["n"])
         except (KeyError, TypeError, ValueError):
-            pending.put(
-                ("msg",
-                 error_response(req_id, "bad-request",
-                                "prewarm needs an integer 'n'"),
-                 None)
-            )
-            return
+            return error_response(req_id, "bad-request",
+                                  "prewarm needs an integer 'n'")
         try:
             built = service.prewarm(
                 n,
@@ -126,19 +122,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 mu=msg.get("mu"),
                 strategy=msg.get("strategy"),
             )
-        except ServiceClosed as exc:
-            pending.put(
-                ("msg", error_response(req_id, "closed", str(exc)), None)
-            )
-        except (ValueError, RuntimeError) as exc:
-            pending.put(
-                ("msg", error_response(req_id, "bad-request", str(exc)),
-                 None)
-            )
-        else:
-            pending.put(
-                ("msg", {"id": req_id, "ok": True, "plan": built}, None)
-            )
+        except Exception as exc:
+            return _error_response(req_id, exc)
+        return {"id": req_id, "ok": True, "plan": built}
 
     def _reset_connection(self) -> None:
         """Abort the TCP connection (RST, not FIN) — the chaos reset."""
@@ -154,28 +140,19 @@ class _Handler(socketserver.StreamRequestHandler):
         except OSError:
             pass
 
-    def _submit_fft(self, service: FFTService, pending: queue.Queue,
-                    req_id, msg: dict, arr, binary: bool) -> None:
+    @staticmethod
+    def _submit_fft(service: FFTService, req_id, msg: dict, arr):
+        """Admit one fft request: an error header, or the ticket to drain."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
             # typed, retryable error, never as a silently wrong answer
-            pending.put(
-                ("msg",
-                 error_response(req_id, "internal",
-                                "injected fault: poisoned payload"),
-                 None)
-            )
-            return
+            return error_response(req_id, "internal",
+                                  "injected fault: poisoned payload")
         if arr is None:
-            try:
-                arr = decode_array(msg)
-            except (ValueError, TypeError, KeyError) as exc:
-                pending.put(
-                    ("msg", error_response(req_id, "bad-request", str(exc)),
-                     None)
-                )
-                return
+            return error_response(
+                req_id, "bad-request",
+                "fft needs a binary payload ('shape' + 'nbytes' header)")
         timeout = msg.get("timeout", service.config.default_timeout_s)
         try:
             ticket = service.submit(
@@ -186,24 +163,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 timeout=timeout,
                 no_batch=bool(msg.get("no_batch", False)),
             )
-        except Overloaded as exc:
-            pending.put(
-                ("msg",
-                 error_response(req_id, "overloaded", str(exc),
-                                retry_after=exc.retry_after),
-                 None)
-            )
-        except ServiceClosed as exc:
-            pending.put(
-                ("msg", error_response(req_id, "closed", str(exc)), None)
-            )
-        except (ValueError, RuntimeError) as exc:
-            pending.put(
-                ("msg", error_response(req_id, "bad-request", str(exc)),
-                 None)
-            )
-        else:
-            pending.put(("ticket", ticket, (req_id, binary, timeout)))
+        except Exception as exc:
+            return _error_response(req_id, exc)
+        return ticket, req_id, timeout
 
     def _drain(self, pending: queue.Queue) -> None:
         """Write responses in request order as results become available.
@@ -216,57 +178,20 @@ class _Handler(socketserver.StreamRequestHandler):
             item = pending.get()
             if item is _SENTINEL:
                 return
-            kind, payload, meta = item
             try:
-                if kind == "msg":
-                    self.wfile.write(dump_line(payload))
-                    if pending.empty():
-                        self.wfile.flush()
-                    continue
-                req_id, binary, timeout = meta
-                wait = None if timeout is None else timeout + 1.0
-                try:
-                    y = payload.result(wait)
-                except DeadlineExceeded as exc:
-                    self.wfile.write(
-                        dump_line(error_response(req_id, "deadline",
-                                                 str(exc)))
-                    )
-                except Overloaded as exc:
-                    self.wfile.write(
-                        dump_line(error_response(
-                            req_id, "overloaded", str(exc),
-                            retry_after=exc.retry_after))
-                    )
-                except ServiceClosed as exc:
-                    self.wfile.write(
-                        dump_line(error_response(req_id, "closed", str(exc)))
-                    )
-                except (FaultInjected, WorkerPoolBroken) as exc:
-                    # transient server-side trouble: typed and retryable
-                    self.wfile.write(
-                        dump_line(error_response(req_id, "internal",
-                                                 str(exc)))
-                    )
-                except (ValueError, TypeError) as exc:
-                    self.wfile.write(
-                        dump_line(error_response(req_id, "bad-request",
-                                                 str(exc)))
-                    )
-                except Exception as exc:
-                    # anything else is a server bug, but one request's
-                    # failure must not wedge the connection's drain
-                    self.wfile.write(
-                        dump_line(error_response(req_id, "internal",
-                                                 str(exc)))
-                    )
+                if isinstance(item, dict):
+                    self.wfile.write(dump_line(item))
                 else:
-                    resp = {"id": req_id, "ok": True}
-                    if binary:
-                        write_frame(self.wfile, resp, y)
+                    ticket, req_id, timeout = item
+                    wait = None if timeout is None else timeout + 1.0
+                    try:
+                        y = ticket.result(wait)
+                    except Exception as exc:
+                        self.wfile.write(
+                            dump_line(_error_response(req_id, exc))
+                        )
                     else:
-                        resp.update(encode_array(y))
-                        self.wfile.write(dump_line(resp))
+                        write_frame(self.wfile, {"id": req_id, "ok": True}, y)
                 if pending.empty():
                     self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError, OSError):

@@ -7,7 +7,7 @@ One long-lived service owns the whole serving pipeline:
 * a **request batcher**: a dispatcher thread coalesces requests for the
   same :class:`~repro.serve.plan_cache.PlanKey` that arrive within
   ``window_s`` (or until ``max_batch`` vectors are pending) into one
-  stacked ``(b, n)`` execution (:mod:`repro.serve.batch_exec`);
+  stacked ``(b, n)`` execution of the plan's batched stages;
 * **persistent runtimes**: one worker pool per thread count — a
   :class:`~repro.smp.runtime.PThreadsRuntime` by default, or a
   :class:`~repro.mp.ProcessPoolRuntime` with ``ServeConfig(runtime=

@@ -65,6 +65,17 @@ MAX_ROUTE_ATTEMPTS = 4
 _LOCAL_OPS = ("ping", "health", "stats")
 
 
+def _request_n(msg: dict) -> Optional[int]:
+    """The transform size, read off an fft header's ``shape``."""
+    shape = msg.get("shape")
+    if isinstance(shape, list) and shape:
+        try:
+            return int(shape[-1])
+        except (TypeError, ValueError):
+            pass
+    return None
+
+
 class _Pending:
     """One in-flight routed request: everything needed to replay it."""
 
@@ -162,11 +173,12 @@ class _Session:
     def route_fft(self, msg: dict, payload: Optional[bytes]) -> None:
         """Place one fft request on its owning shard (or its successor)."""
         req_id = msg.get("id")
-        n = self._request_n(msg)
+        n = _request_n(msg)
         if n is None:
             self.reply(error_response(
                 req_id, "bad-request",
-                "cannot infer n: request carries neither 'shape' nor 'data'"
+                "cannot infer n: fft needs a binary payload "
+                "('shape' + 'nbytes' header)"
             ))
             return
         fleet = self.router.fleet
@@ -190,19 +202,6 @@ class _Session:
                 self.router.count("flapped_routes")
         pend = _Pending(msg, payload, key, shard_id)
         self._dispatch(pend, first=True)
-
-    def _request_n(self, msg: dict) -> Optional[int]:
-        """The transform size, read off the header without decoding data."""
-        shape = msg.get("shape")
-        if isinstance(shape, list) and shape:
-            try:
-                return int(shape[-1])
-            except (TypeError, ValueError):
-                return None
-        data = msg.get("data")
-        if isinstance(data, list) and data:
-            return len(data)
-        return None
 
     def _dispatch(self, pend: _Pending, first: bool = False) -> None:
         """Send ``pend`` to its shard, failing over while attempts remain."""
@@ -576,20 +575,12 @@ class ShardRouter(socketserver.ThreadingTCPServer):
             if key in self._seen_keys:
                 return
             self._seen_keys.add(key)
-        spec = {
-            "n": None,
+        self._prewarm_q.put((key, {
+            "n": _request_n(msg),
             "threads": msg.get("threads"),
             "mu": msg.get("mu"),
             "strategy": msg.get("strategy"),
-        }
-        shape = msg.get("shape")
-        if isinstance(shape, list) and shape:
-            spec["n"] = int(shape[-1])
-        elif isinstance(msg.get("data"), list):
-            spec["n"] = len(msg["data"])
-        if spec["n"] is None:
-            return
-        self._prewarm_q.put((key, spec))
+        }))
 
     def prewarm_now(self, msg: dict, session: _Session) -> None:
         """A client-issued prewarm: build on the owner *and* successors."""

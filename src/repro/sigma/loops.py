@@ -132,7 +132,7 @@ class Stage:
         A parallel stage yields one share per owning processor, in
         processor order; any other stage yields a single ``(None, every
         loop)`` share that whoever runs the stage executes whole.  Loop ids
-        index ``self.loops``.  Every emitter and interpreter dispatches on
+        index ``self.loops``.  Every emitter and the simulator dispatch on
         this, so they agree on which processor owns which loop.
         """
         procs = self.procs if self.parallel else []

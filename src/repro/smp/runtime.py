@@ -22,7 +22,7 @@ that contract, mirroring the paper's backends:
 Every thread executes exactly the loops the formula assigned to its
 processor.  Whether the thread runtimes also *scale* depends on the stage
 closures: the compiled backend's ctypes stages release the GIL for the whole
-native call, the NumPy interpreter's only partially.  The simulated machines
+native call, the printed NumPy stages' only partially.  The simulated machines
 (``repro.machine``) model the paper's platforms.
 """
 

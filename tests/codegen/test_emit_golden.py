@@ -3,9 +3,12 @@
 ``golden_emit_digests.json`` holds ``sha256`` digests (no source text) of
 ``emit_plan_source`` and of the Python backend's ``generate`` source for
 k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
-``codelet_max``, recorded at the commit before the C emitters were merged.
-Every ``.so`` cache key is a hash of the plan source, so a digest that
-moves means every cached object on every host recompiles.
+``codelet_max``.  The ``"plan"`` map was recorded at the commit before the
+C emitters were merged and has never moved: every ``.so`` cache key is a
+hash of the plan source, so a digest that moves means every cached object
+on every host recompiles.  The ``"python"`` map was re-recorded once, in
+the commit that made the printer emit batched ``(b, n)`` stage bodies (the
+printed program became the NumPy backend); nothing is keyed on it.
 """
 
 import hashlib

@@ -49,6 +49,20 @@ class TestGeneratedCorrectness:
         np.testing.assert_allclose(gen(x), np.fft.fft(x), atol=1e-8)
 
 
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_stack_input_matches_fft_rowwise(self, rng, b):
+        """A generated program takes ``(b, n)`` like every plan record."""
+        from repro.frontend import generate_fft
+
+        gen = generate_fft(256, threads=2, mu=4)
+        X = np.stack([random_vector(rng, 256) for _ in range(b)])
+        Y = gen(X)
+        assert Y.shape == X.shape
+        np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=1e-6)
+        with pytest.raises(ValueError, match="stack"):
+            gen(X[:, :128])
+
+
 class TestGeneratedSource:
     def test_source_is_real_python(self):
         gen = generate(lower(cooley_tukey_step(4, 4)))

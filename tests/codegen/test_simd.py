@@ -3,7 +3,7 @@
 The satellite contract of the vectorization PR, in four layers:
 
 * **differential** — the compiled ν-way plans agree index-for-index with
-  the compiled scalar plan, the NumPy interpreter on the same vectorized
+  the compiled scalar plan, the NumPy backend on the same vectorized
   plan, and ``np.fft.fft``, across the whole small-transform range and
   the awkward edges (ν ∤ µ, non-power-of-two thread requests, batching);
 * **fallback seam** — inadmissible ν degrades to the scalar plan with a
@@ -77,7 +77,7 @@ class TestDifferentialSimd:
 
         np.testing.assert_allclose(_run_compiled(vec.program, X), ref, **tol)
         np.testing.assert_allclose(_run_compiled(scal.program, X), ref, **tol)
-        # the interpreter executes the *same* vectorized plan: backend
+        # the NumPy backend runs the *same* vectorized plan: backend
         # disagreement on identical stages is exactly what this catches
         np.testing.assert_allclose(_run_numpy(vec.program, X), ref, **tol)
 

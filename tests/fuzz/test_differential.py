@@ -21,7 +21,7 @@ from repro.frontend import feasible_threads, generate_fft, spiral_formula
 from repro.hunt.gen import sample_cases, sample_config_tuples
 from repro.mp import PlanSpec, ProcessPoolRuntime, segment_stats
 from repro.seeding import default_seed, derive_seed
-from repro.serve.batch_exec import batched_plan, run_batched
+from repro.serve.batch_exec import run_batched
 from repro.smp import PThreadsRuntime, SequentialRuntime
 from repro.spl import is_fully_optimized
 
@@ -99,7 +99,7 @@ def test_differential_against_numpy(n, req_threads, mu, strategy, batch):
         y_par = gen.run(x.copy(), runtime=_pool(threads))
         np.testing.assert_allclose(y_par, ref, atol=ATOL, rtol=0)
 
-    # batched (b, n) execution through the serving layer's stage rewrite
+    # batched (b, n) execution of the same printed stages
     X = np.stack(
         [x]
         + [
@@ -107,9 +107,8 @@ def test_differential_against_numpy(n, req_threads, mu, strategy, batch):
             for _ in range(batch - 1)
         ]
     )
-    stages = batched_plan(gen)
     runtime = _pool(threads) if threads > 1 else SequentialRuntime()
-    Y, _ = run_batched(stages, n, X, runtime)
+    Y, _ = run_batched(gen.stages, n, X, runtime)
     np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=ATOL, rtol=0)
 
 

@@ -1,11 +1,21 @@
-"""Batched execution must match numpy.fft row-for-row on every runtime."""
+"""Batched execution must match numpy.fft row-for-row on every runtime.
+
+The stages under test are the NumPy backend's — the printed Python program
+of :mod:`repro.codegen.python_backend` — built through the registry, the way
+a compiler-less host (``REPRO_NO_CC=1``) serves.
+"""
 
 import numpy as np
 import pytest
 
+from repro.codegen import resolve_backend
 from repro.frontend import generate_fft
-from repro.serve.batch_exec import batched_plan, run_batched
+from repro.serve.batch_exec import run_batched
 from repro.smp import PThreadsRuntime, SequentialRuntime
+
+
+def _numpy_stages(gen):
+    return resolve_backend("numpy").build_stages(gen.program)
 
 
 def _stack(b, n, seed=0):
@@ -23,7 +33,7 @@ def _stack(b, n, seed=0):
 @pytest.mark.parametrize("batch", [1, 3, 8])
 def test_batched_matches_fft_sequential(n, threads, mu, batch):
     gen = generate_fft(n, threads=threads, mu=mu)
-    stages = batched_plan(gen)
+    stages = _numpy_stages(gen)
     X = _stack(batch, n)
     Y, stats = run_batched(stages, n, X, SequentialRuntime())
     np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=1e-6)
@@ -33,7 +43,7 @@ def test_batched_matches_fft_sequential(n, threads, mu, batch):
 def test_batched_on_pthreads_pool():
     n, threads = 256, 2
     gen = generate_fft(n, threads=threads, mu=4)
-    stages = batched_plan(gen)
+    stages = _numpy_stages(gen)
     X = _stack(6, n, seed=1)
     with PThreadsRuntime(threads) as pool:
         Y, stats = run_batched(stages, n, X, pool)
@@ -46,18 +56,18 @@ def test_batched_on_pthreads_pool():
 
 def test_batched_preserves_schedule_structure():
     gen = generate_fft(256, threads=2, mu=4)
-    stages = batched_plan(gen)
-    assert len(stages) == len(gen.stages)
-    for b, s in zip(stages, gen.stages):
+    stages = _numpy_stages(gen)
+    assert len(stages) == len(gen.program.stages)
+    for b, s in zip(stages, gen.program.stages):
         assert b.parallel == s.parallel
         assert b.needs_barrier == s.needs_barrier
-        assert b.nprocs == s.nprocs
+        assert b.nprocs == len(list(s.shares()))
         assert b.name == s.name
 
 
 def test_one_dim_input_promoted():
     gen = generate_fft(64, threads=1, mu=4)
-    stages = batched_plan(gen)
+    stages = _numpy_stages(gen)
     x = _stack(1, 64)[0]
     Y, _ = run_batched(stages, 64, x, SequentialRuntime())
     np.testing.assert_allclose(Y[0], np.fft.fft(x), atol=1e-6)
@@ -65,6 +75,6 @@ def test_one_dim_input_promoted():
 
 def test_shape_mismatch_rejected():
     gen = generate_fft(64, threads=1, mu=4)
-    stages = batched_plan(gen)
+    stages = _numpy_stages(gen)
     with pytest.raises(ValueError, match="stack"):
         run_batched(stages, 64, _stack(2, 32), SequentialRuntime())

@@ -62,6 +62,15 @@ class TestLRU:
         assert plan.stages, "batched stages must be prebuilt"
 
 
+    def test_numpy_plan_prints_python_once(self):
+        """The printed program *is* the NumPy backend: no second walk."""
+        with tracing(Tracer()) as tr:
+            plan = PlanCache(capacity=4).get(PlanKey(64, 2, 2))
+        assert plan.backend == "numpy"
+        assert plan.stages is plan.program.stages
+        assert [e.name for e in tr.events].count("codegen.python") == 1
+
+
 class TestSingleFlight:
     def test_concurrent_same_key_builds_once(self):
         calls = []

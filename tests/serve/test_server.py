@@ -1,5 +1,6 @@
 """TCP front end + client + loadgen, on an ephemeral port."""
 
+import io
 import json
 import socket
 
@@ -20,7 +21,13 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
-from repro.serve.protocol import decode_array, dump_line, encode_array
+from repro.serve.protocol import (
+    MAX_PAYLOAD_BYTES,
+    dump_line,
+    read_frame,
+    read_frame_raw,
+    write_frame,
+)
 from repro.serve.server import FFTServer
 
 
@@ -41,18 +48,30 @@ def _vec(n, seed=0):
 
 
 class TestProtocol:
-    def test_array_roundtrip_base64(self):
+    """The one frame reader: ``read_frame`` is ``read_frame_raw`` + a view."""
+
+    @pytest.mark.parametrize("reader", [read_frame, read_frame_raw])
+    def test_frame_reader_contract(self, reader):
         X = _vec(16).reshape(2, 8)
-        np.testing.assert_array_equal(decode_array(encode_array(X)), X)
+        fft, ping = io.BytesIO(), dump_line({"op": "ping", "id": 2})
+        write_frame(fft, {"op": "fft", "id": 1}, X)
+        # blank lines between messages are skipped
+        rfile = io.BytesIO(b"\n  \n" + fft.getvalue() + ping)
+        head, payload = reader(rfile)
+        assert head["shape"] == [2, 8] and head["nbytes"] == X.nbytes
+        if reader is read_frame:
+            np.testing.assert_array_equal(payload, X)
+        else:
+            assert payload == X.astype("<c16").tobytes()
+        assert reader(rfile) == ({"op": "ping", "id": 2}, None)
+        assert reader(rfile) is None  # EOF
 
-    def test_nested_list_form(self):
-        x = _vec(4)
-        msg = {"data": [[float(v.real), float(v.imag)] for v in x]}
-        np.testing.assert_allclose(decode_array(msg), x)
-
-    def test_missing_payload_rejected(self):
+        # a short read of a declared payload is a closed connection
+        assert reader(io.BytesIO(fft.getvalue()[:-8])) is None
+        with pytest.raises(ValueError, match="unreasonable payload"):
+            reader(io.BytesIO(dump_line({"nbytes": MAX_PAYLOAD_BYTES + 1})))
         with pytest.raises(ValueError):
-            decode_array({"op": "fft"})
+            reader(io.BytesIO(b"[1, 2]\n"))  # not a JSON object
 
 
 class TestServer:
@@ -85,6 +104,18 @@ class TestServer:
             resp = json.loads(sock.makefile("rb").readline())
             assert resp["ok"] is False and resp["id"] == 9
             assert resp["error"] == "bad-request"
+
+    def test_payloadless_fft_rejected_connection_usable(self, server):
+        """``fft`` has one wire form; a header alone is a typed error."""
+        with ServeClient("127.0.0.1", server.port) as client:
+            for fields in ({}, {"shape": [64]},
+                           {"data": [[1.0, 0.0], [0.0, 0.0]]}):
+                with pytest.raises(RemoteError) as exc_info:
+                    client.request("fft", **fields)
+                assert exc_info.value.code == "bad-request"
+            x = _vec(64)
+            np.testing.assert_allclose(client.fft(x), np.fft.fft(x),
+                                       atol=1e-6)
 
     def test_remote_error_surfaces_in_client(self, server):
         with ServeClient("127.0.0.1", server.port) as client:

@@ -133,6 +133,16 @@ class TestRouterOps:
             client.request("fft")
         assert exc.value.code == "bad-request"
 
+    def test_payloadless_fft_rejected_connection_usable(self, client):
+        """Header-only ``fft`` lines: the router rejects what it cannot size,
+        the owning shard rejects a ``shape`` with no payload behind it."""
+        for fields in ({"data": [[1.0, 0.0], [0.0, 0.0]]}, {"shape": [64]}):
+            with pytest.raises(RemoteError) as exc:
+                client.request("fft", **fields)
+            assert exc.value.code == "bad-request"
+        x = _vec(64)
+        np.testing.assert_allclose(client.fft(x), np.fft.fft(x), atol=1e-6)
+
 
 class TestRouteKeyDefaults:
     def test_router_and_service_default_identically(self, tier):
