@@ -58,21 +58,27 @@ def main() -> None:
     print(f"\nMeasured-runtime DP search for DFT_{n_small}: "
           f"best tree {measured.tree} at {measured.value * 1e6:.0f} us/call")
 
-    # wisdom: persist the search result so future sessions skip the search
+    # wisdom: persist a *measured* ranking so future sessions build its
+    # winner without measuring again
     import tempfile
     from pathlib import Path
 
     from repro import Wisdom
+    from repro.serve.plan_cache import PlanCache, PlanKey
+    from repro.tune import measured_search
 
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "wisdom.json"
-        w = Wisdom(path)
-        w.plan(n)  # searches and stores
-        w2 = Wisdom(path)  # a "new session"
-        fft2 = w2.plan(n)  # rebuilt from stored wisdom, no search
-        assert np.allclose(fft2(x), np.fft.fft(x), atol=1e-6)
-        print(f"wisdom round trip through {path.name}: "
-              f"{len(w2)} stored plan(s), program verified ✓")
+        ranked = measured_search(n, budget=4, repeats=2,
+                                 wisdom=Wisdom(path))  # times and stores
+        cache = PlanCache(wisdom=Wisdom(path))  # a "new session"
+        plan = cache.get(PlanKey(n))  # requested: balanced/leaf32
+        assert plan.spec.strategy == ranked.best.strategy
+        assert np.allclose(plan.program(x), np.fft.fft(x), atol=1e-6)
+        print(f"wisdom round trip through {path.name}: requested "
+              f"{plan.key.strategy}, built the measured best "
+              f"{plan.spec.strategy}/leaf{plan.spec.min_leaf}, "
+              f"program verified ✓")
 
 
 if __name__ == "__main__":

@@ -370,7 +370,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Sweep the pipeline's plans through the dynamic concurrency checker."""
     from .check import check_backend_program, check_program, compare_plans
     from .codegen import BackendUnavailable, resolve_backend
-    from .frontend import feasible_threads
     from .mp.spec import PlanSpec, compile_spec
     from .serve.plan_cache import build_plan
 
@@ -395,11 +394,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             n = 1 << k
             for p in threads_list:
                 for mu in mu_list:
-                    t = feasible_threads(n, p, mu) if p > 1 else 1
-                    spec = PlanSpec(
-                        n=n, threads=t, mu=mu, strategy=args.strategy,
-                        nu=args.nu,
+                    spec = PlanSpec.for_request(
+                        n, p, mu, args.strategy, nu=args.nu
                     )
+                    t = spec.threads
                     # one record either way: a fresh build (what a plan
                     # cache holds) and the plan pool workers compile locally
                     build = {"thread": build_plan, "process": compile_spec}
@@ -614,8 +612,9 @@ def _add_serve_config_flags(parser, scope: str = "") -> None:
         "--wisdom",
         metavar="PATH",
         default=None,
-        help="persist search results to this wisdom JSON file (one file "
-        "shared by every shard of a fleet: fleet-wide tuning reuse)",
+        help="build each lane's measured best from this wisdom JSON file "
+        "and record into it (one file shared by every shard of a fleet: "
+        "fleet-wide tuning reuse)",
     )
     parser.add_argument(
         "--runtime",
@@ -780,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--wisdom", metavar="PATH", default=None,
         help="with --measure: persist the ranking into this wisdom "
-        "JSON (the record repro serve --tune reads)",
+        "JSON (the record repro serve --wisdom builds from)",
     )
     s.add_argument(
         "--seed", type=int, default=None,

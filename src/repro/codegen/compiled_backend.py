@@ -237,6 +237,7 @@ class CompiledPlan:
         pthreads pool.
         """
         n = self.size
+        artifact = self.artifact_info()
         stages: list[PlanStage] = []
         for sid, (parallel, needs_barrier, name, nprocs) in enumerate(
             self.stage_meta
@@ -266,6 +267,7 @@ class CompiledPlan:
                     needs_barrier=needs_barrier,
                     name=name,
                     nprocs=nprocs,
+                    artifact=artifact,
                 )
             )
         return stages

@@ -37,7 +37,6 @@ missing toolchain degrades instead of failing.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage
@@ -83,12 +82,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def artifact_info(
-        self, program: SigmaProgram, codelet_max: int = 32
-    ) -> Optional[dict]:
-        """Provenance of an on-disk build artifact; None when there is none."""
-        return None
-
     def describe(self) -> dict:
         """Backend identity/toolchain metadata for benchmark provenance."""
         return {"backend": self.name}
@@ -130,29 +123,13 @@ class CompiledBackend(ExecutionBackend):
         from .compiled_backend import CodeletCompileError, compile_plan
 
         try:
-            return self.compile(program, codelet_max).plan_stages()
+            return compile_plan(program, codelet_max).plan_stages()
         except (CodeletCompileError, FaultInjected):
             if not fallback:
                 raise
             get_tracer().count("codegen.compile_fallback", 1)
             _warn_fallback(self.name)
             return NumpyBackend().build_stages(program, codelet_max)
-
-    def compile(self, program, codelet_max=32):
-        """The underlying :class:`CompiledPlan` (exposed for provenance)."""
-        from .compiled_backend import compile_plan
-
-        return compile_plan(program, codelet_max)
-
-    def artifact_info(self, program, codelet_max=32) -> Optional[dict]:
-        """Provenance of the plan's cached .so, or None without a compiler."""
-        from ..faults import FaultInjected
-        from .compiled_backend import CodeletCompileError
-
-        try:
-            return self.compile(program, codelet_max).artifact_info()
-        except (CodeletCompileError, FaultInjected):
-            return None
 
     def describe(self) -> dict:
         """Backend name plus the compiler fingerprint (cc, version, flags)."""

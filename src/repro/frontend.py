@@ -191,14 +191,7 @@ class SpiralSMP:
         threads: int,
         profile: SyncProfile = SyncProfile.POOLED,
     ) -> CostBreakdown:
-        t = feasible_threads(n, threads, self.spec.mu) if threads > 1 else 1
-        prog = self.program(n, t)
-        return estimate_cost(
-            prog,
-            self.spec,
-            threads=t,
-            profile=profile if t > 1 else SyncProfile.NONE,
-        )
+        return self.plan(n, threads, profile).cost
 
     def plan(
         self,
@@ -206,7 +199,7 @@ class SpiralSMP:
         threads: int,
         profile: SyncProfile = SyncProfile.POOLED,
     ) -> TransformPlan:
-        t = feasible_threads(n, threads, self.spec.mu) if threads > 1 else 1
+        t = feasible_threads(n, threads, self.spec.mu)
         prog = self.program(n, t)
         cost = estimate_cost(
             prog,

@@ -112,7 +112,8 @@ class RemoteWorkerError(RuntimeError):
 class ProcessPoolRuntime(Runtime):
     """Persistent SPMD worker pool over ``multiprocessing.shared_memory``.
 
-    Workers rebuild each plan from ``plan.spec`` (``needs_spec``).
+    Workers rebuild each plan from ``plan.spec`` (``needs_spec``), the
+    *effective* spec, with no wisdom in hand.
 
     ::
 

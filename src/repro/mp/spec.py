@@ -10,7 +10,8 @@ locally on first use, and cache the result for the pool's lifetime — the
 compile cost is amortized exactly like the master's plan cache.
 
 :func:`compile_spec` is the process-local LRU around the one builder
-(:func:`repro.serve.plan_cache.build_plan`), which builds the *batched*
+(:func:`repro.serve.plan_cache.build_plan`, a pure function of the spec —
+wisdom only changes *which* spec, :meth:`PlanSpec.tuned`), which builds the *batched*
 stage list through the execution-backend registry
 (:func:`repro.codegen.resolve_backend` — the spec's ``backend`` field
 selects ``numpy``, ``compiled``, or ``simulator``), so one compiled spec
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 #: process-local compile cache: spec -> CachedPlan
 _CACHE_LOCK = threading.Lock()
@@ -71,9 +73,8 @@ class PlanSpec:
         """A spec with the thread count clamped to an admissible Eq. (14)."""
         from ..frontend import feasible_threads
 
-        t = feasible_threads(n, threads, mu) if threads > 1 else 1
-        return cls(n=n, threads=t, mu=mu, strategy=strategy, backend=backend,
-                   nu=nu)
+        return cls(n=n, threads=feasible_threads(n, threads, mu), mu=mu,
+                   strategy=strategy, backend=backend, nu=nu)
 
     @classmethod
     def from_plan_key(cls, key, backend: str = "numpy") -> "PlanSpec":
@@ -81,6 +82,25 @@ class PlanSpec:
         return cls(n=key.n, threads=key.threads, mu=key.mu,
                    strategy=key.strategy, backend=backend,
                    nu=getattr(key, "nu", 1))
+
+    def tuned(self, best: Optional[dict]) -> "PlanSpec":
+        """The requested → effective substitution, the one place a
+        measurement changes what gets built: this spec with ``strategy``,
+        ``min_leaf`` and ``nu`` from a ranking's ``best`` block
+        (:meth:`repro.wisdom.Wisdom.best`).  No block, an unknown strategy
+        or a malformed field leaves the spec as requested; an inadmissible
+        ν devectorizes in the frontend as a requested one does.
+        """
+        from ..rewrite.breakdown import RADIX_STRATEGIES
+
+        if not best or best.get("strategy") not in RADIX_STRATEGIES:
+            return self
+        try:
+            return replace(self, strategy=best["strategy"],
+                           min_leaf=int(best["min_leaf"]),
+                           nu=int(best["nu"]))
+        except (KeyError, TypeError, ValueError):
+            return self
 
 
 def compile_spec(spec: PlanSpec) -> "CachedPlan":

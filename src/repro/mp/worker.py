@@ -1,7 +1,7 @@
 """Pool worker entry point.
 
-``worker_main`` is a module-level function so it is importable under the
-``spawn`` start method (the child re-imports this module and unpickles its
+``worker_main`` is a module-level function so the ``spawn`` start method
+can import it (the child re-imports this module and unpickles its
 arguments).  A worker is one party of the SPMD pool: it blocks on its
 command queue, compiles plan specs locally (cached), attaches the master's
 shared buffers by name, and runs the stage sequence in lockstep with its

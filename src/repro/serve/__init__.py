@@ -3,8 +3,9 @@
 The serving layer turns the generator pipeline into an end-to-end request
 path (see ``docs/serving.md``):
 
-* :class:`PlanCache` — LRU-bounded plan cache with single-flight planning
-  in front of :class:`repro.wisdom.Wisdom`;
+* :class:`PlanCache` — LRU-bounded plan cache with single-flight
+  planning, building each key's measured best from an attached
+  :class:`repro.wisdom.Wisdom` file;
 * :func:`~repro.serve.batch_exec.run_batched` — stacked ``(b, n)``
   execution of a bare stage list on the persistent SMP runtimes;
 * :class:`FFTService` — request batching, admission control (bounded queue

@@ -5,16 +5,18 @@
 batched stage list of the configured execution backend
 (:func:`repro.codegen.resolve_backend` — by default the generated
 program's own printed NumPy stages, or JIT-compiled C codelets with
-``backend="compiled"``).  :func:`build_plan`
-is the only place a :class:`~repro.mp.spec.PlanSpec` (plus optional
-:class:`repro.wisdom.Wisdom`) becomes one; the process-local LRU
-:func:`repro.mp.spec.compile_spec`, the tuner, measured search and the hunt
-all call it.  :class:`PlanCache` is the single-flight LRU around it; three
-properties matter for a long-lived service:
+``backend="compiled"``).  :func:`build_plan` is the only place a
+:class:`~repro.mp.spec.PlanSpec` becomes one, and it is a pure function of
+the spec; the process-local LRU :func:`repro.mp.spec.compile_spec`, the
+tuner, measured search and the hunt all call it.  :func:`plan_builder` is
+where a :class:`repro.wisdom.Wisdom` file enters: it builds the spec the
+file's measured ranking says is fastest instead of the requested one.
+:class:`PlanCache` is the single-flight LRU around it; three properties
+matter for a long-lived service:
 
 * **bounded** — an LRU of ``capacity`` plans, with eviction counters;
 * **single-flight** — N concurrent requests for the same
-  ``(n, threads, mu, strategy)`` trigger exactly one search/codegen; the
+  ``(n, threads, mu, strategy)`` trigger exactly one codegen; the
   rest block on the in-flight build and share its result (a failed build
   propagates its exception to every waiter and is *not* cached, so the
   next request retries);
@@ -35,7 +37,7 @@ from ..codegen.registry import resolve_backend
 from ..faults import get_fault_plan
 from ..frontend import generate_fft
 from ..mp.spec import PlanSpec
-from ..smp.runtime import PlanStage
+from ..smp.runtime import PlanStage, lane_name
 from ..trace import get_tracer
 from ..wisdom import Wisdom
 
@@ -68,11 +70,12 @@ class CachedPlan:
 
     ``backend`` records which execution backend actually built the stage
     list (after any registry fallback), so stats/health endpoints report
-    what is really executing.  ``spec`` is the :class:`PlanSpec` the plan
-    was generated from — what a process pool ships to its workers — or
-    ``None`` when no spec reproduces it (a wisdom tree, a hunt-pruned term,
-    whose ``program`` is the bare lowered ``SigmaProgram``).  ``key`` is
-    the serving cache's coalescing key (``None`` outside a cache).
+    what is really executing.  ``key`` is what was requested (the serving
+    cache's coalescing key; ``None`` outside a cache) and ``spec`` what was
+    built — what a process pool ships to its workers — differing where a
+    wisdom ranking substituted a faster strategy, leaf bound or ν.  Only a
+    hunt-pruned term, whose ``program`` is the bare lowered
+    ``SigmaProgram``, has ``spec=None``.
     """
 
     key: Optional[PlanKey]
@@ -82,53 +85,28 @@ class CachedPlan:
     spec: Optional[PlanSpec] = None
 
 
-def build_plan(
-    spec: PlanSpec,
-    wisdom: Optional[Wisdom] = None,
-    key: Optional[PlanKey] = None,
-    portable: bool = False,
-) -> CachedPlan:
+def build_plan(spec: PlanSpec, key: Optional[PlanKey] = None) -> CachedPlan:
     """The one builder: ``spec`` → generated program → backend stages.
 
-    Deterministic for a given spec, so every process building it gets the
+    A pure function of the spec, so every process building it gets the
     same stage structure, index tables and constants — the invariant SPMD
-    lockstep across pool workers rests on.  With ``wisdom``, a scalar
-    ``balanced`` spec plans from the stored search tree instead; no spec
-    reproduces that plan, so the record carries ``spec=None``.  ν-way
-    specs always plan through the frontend: wisdom trees describe scalar
-    factorizations, and vectorize_formula degrades inadmissible ν to the
-    scalar plan deterministically.  ``portable=True`` is for holders whose
-    runtime rebuilds plans from the spec in other processes: the tree is
-    never consulted.  Plans built by the compiled backend get their
-    shared-object provenance recorded into ``wisdom`` either way, so a
-    wisdom file names the exact cached codelet artifact.
+    lockstep across pool workers rests on.
     """
-    from_tree = (wisdom is not None and not portable
-                 and spec.strategy == "balanced" and spec.nu == 1)
-    if from_tree:
-        program = wisdom.plan(spec.n, spec.threads, spec.mu)
-    else:
-        program = generate_fft(
-            spec.n, threads=spec.threads, mu=spec.mu, strategy=spec.strategy,
-            min_leaf=spec.min_leaf, nu=spec.nu,
-        )
+    program = generate_fft(
+        spec.n, threads=spec.threads, mu=spec.mu, strategy=spec.strategy,
+        min_leaf=spec.min_leaf, nu=spec.nu,
+    )
     exec_backend = resolve_backend(spec.backend)
     if (exec_backend.name, spec.codelet_max) == ("numpy", program.codelet_max):
         stages = program.stages  # already printed: that *is* the backend
     else:
         stages = exec_backend.build_stages(program.program, spec.codelet_max)
-    if wisdom is not None:
-        info = exec_backend.artifact_info(program.program, spec.codelet_max)
-        if info is not None:
-            wisdom.record_artifact(
-                spec.n, spec.threads, spec.mu, exec_backend.name, info
-            )
     return CachedPlan(
         key=key,
         program=program,
         stages=stages,
         backend=exec_backend.name,
-        spec=None if from_tree else spec,
+        spec=spec,
     )
 
 
@@ -172,20 +150,39 @@ class _Flight:
 
 
 def plan_builder(
-    wisdom: Optional[Wisdom], backend: str = "numpy", portable: bool = False
+    wisdom: Optional[Wisdom], backend: str = "numpy", runtime: str = "threads"
 ) -> Callable[[PlanKey], CachedPlan]:
-    """A :class:`PlanCache` builder: :func:`build_plan` on the key's spec."""
-    return lambda key: build_plan(
-        PlanSpec.from_plan_key(key, backend), wisdom, key, portable
-    )
+    """A :class:`PlanCache` builder: :func:`build_plan` on the key's spec.
+
+    With ``wisdom``, the spec built is the requested one
+    :meth:`~PlanSpec.tuned` by the ranking of the lane a ``runtime`` pool
+    runs the key on, and a compiled plan's shared-object provenance is
+    recorded back, so the file names the artifact serving each key.
+    """
+    def build(key: PlanKey) -> CachedPlan:
+        spec = PlanSpec.from_plan_key(key, backend)
+        if wisdom is None:
+            return build_plan(spec, key)
+        plan = build_plan(spec.tuned(wisdom.best(
+            key.n, key.threads, key.mu, backend,
+            lane_name(runtime, key.threads),
+        )), key)
+        artifact = plan.stages[0].artifact
+        if artifact is not None:
+            wisdom.record_artifact(
+                key.n, key.threads, key.mu, plan.backend, artifact
+            )
+        return plan
+
+    return build
 
 
 class PlanCache:
     """LRU-bounded, single-flight cache of executable plans.
 
     ``builder`` maps a :class:`PlanKey` to a :class:`CachedPlan`; the
-    default is :func:`plan_builder`, which plans through ``wisdom`` when
-    given (so searches persist across processes).
+    default is :func:`plan_builder`, which builds what ``wisdom``'s
+    measured rankings say is fastest (so tuning persists across processes).
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 One long-lived service owns the whole serving pipeline:
 
-* a :class:`~repro.serve.plan_cache.PlanCache` (LRU + single-flight) in
-  front of :class:`~repro.wisdom.Wisdom`;
+* a :class:`~repro.serve.plan_cache.PlanCache` (LRU + single-flight)
+  building what the :class:`~repro.wisdom.Wisdom` file's measured
+  rankings say is fastest;
 * a **request batcher**: a dispatcher thread coalesces requests for the
   same :class:`~repro.serve.plan_cache.PlanKey` that arrive within
   ``window_s`` (or until ``max_batch`` vectors are pending) into one
@@ -93,7 +94,7 @@ class ServeConfig:
     queue_limit: int = 512    #: max pending vectors (admission control)
     cache_capacity: int = 64  #: plan-cache entries (LRU beyond this)
     default_timeout_s: Optional[float] = 30.0  #: per-request deadline
-    wisdom_path: Optional[str] = None  #: persist searches across processes
+    wisdom_path: Optional[str] = None  #: measured rankings: built from, recorded to
     supervise_interval_s: float = 0.05  #: supervisor health-check period
     max_pool_rebuilds: int = 2  #: pool failures tolerated before degrading
     degrade_cooldown_s: float = 1.0  #: quiet time before re-promoting a pool
@@ -173,11 +174,8 @@ class FFTService:
         self.plans = PlanCache(
             capacity=self.config.cache_capacity,
             wisdom=wisdom,
-            # a pool that rebuilds plans from their spec (process workers)
-            # needs plans a spec reproduces: never a wisdom tree
             builder=plan_builder(
-                wisdom, self.config.backend,
-                portable=self._pool_class().needs_spec,
+                wisdom, self.config.backend, self.config.runtime
             ),
             backend=self.config.backend,
         )
@@ -485,8 +483,7 @@ class FFTService:
         mu = self.config.mu if mu is None else mu
         strategy = strategy or self.config.strategy
         nu = self.config.nu if nu is None else nu
-        t = feasible_threads(n, threads, mu) if threads > 1 else 1
-        return PlanKey(n=n, threads=t, mu=mu, strategy=strategy, nu=nu)
+        return PlanKey(n, feasible_threads(n, threads, mu), mu, strategy, nu)
 
     def _retry_after_locked(self) -> float:
         """Backpressure hint: roughly the time to drain the current backlog."""
@@ -553,8 +550,8 @@ class FFTService:
                     tr.count("serve.pool_rebuilds", 1, threads=threads)
             return rt
 
-    def _pool_class(self) -> type[Runtime]:
-        """The configured worker-pool kind.
+    def _make_pool(self, threads: int) -> Runtime:
+        """Build a fresh worker pool of the configured kind.
 
         ``runtime="process"`` pools are :class:`repro.mp.ProcessPoolRuntime`
         instances (true parallelism across OS processes); they share the
@@ -565,12 +562,8 @@ class FFTService:
         if self.config.runtime == "process":
             from ..mp import ProcessPoolRuntime
 
-            return ProcessPoolRuntime
-        return PThreadsRuntime
-
-    def _make_pool(self, threads: int) -> Runtime:
-        """Build a fresh worker pool of the configured kind."""
-        return self._pool_class()(threads)
+            return ProcessPoolRuntime(threads)
+        return PThreadsRuntime(threads)
 
     def _note_pool_failure(self, threads: int) -> None:
         """A pool broke mid-execution: retire it so the next use rebuilds."""

@@ -188,11 +188,7 @@ class _Session:
         try:
             shard_id = fleet.owner(key)
         except NoShardsAvailable:
-            self.reply(error_response(
-                req_id, "overloaded", "no live shards in the ring",
-                retry_after=0.05,
-            ))
-            self.router.count("no_shard_errors")
+            self._no_shards(req_id)
             return
         fp = get_fault_plan()
         if fp.enabled and fp.fired("shard.route_flap"):
@@ -202,6 +198,35 @@ class _Session:
                 self.router.count("flapped_routes")
         pend = _Pending(msg, payload, key, shard_id)
         self._dispatch(pend, first=True)
+
+    def _no_shards(self, req_id) -> None:
+        """The empty-ring reply: a retryable ``overloaded``, counted."""
+        self.reply(error_response(
+            req_id, "overloaded", "no live shards in the ring",
+            retry_after=0.05,
+        ))
+        self.router.count("no_shard_errors")
+
+    def _reroute(self, pend: _Pending) -> bool:
+        """Re-own ``pend`` after its shard failed; True when it has a new
+        owner.  Otherwise the client has been answered: ``internal`` once
+        attempts are spent, else the empty-ring reply."""
+        if pend.attempts >= MAX_ROUTE_ATTEMPTS:
+            self.reply(error_response(
+                pend.msg.get("id"), "internal",
+                f"shard {pend.shard_id} failed and all {pend.attempts} "
+                f"route attempts are spent",
+            ))
+            self.router.count("route_failures")
+            return False
+        pend.attempts += 1
+        try:
+            pend.shard_id = self.router.fleet.owner(pend.key)
+        except NoShardsAvailable:
+            self._no_shards(pend.msg.get("id"))
+            return False
+        self.router.count("failovers")
+        return True
 
     def _dispatch(self, pend: _Pending, first: bool = False) -> None:
         """Send ``pend`` to its shard, failing over while attempts remain."""
@@ -217,37 +242,16 @@ class _Session:
             except NoShardsAvailable:
                 with self._lock:
                     self._pending.pop(req_id, None)
-                self.reply(error_response(
-                    req_id, "overloaded", "no live shards in the ring",
-                    retry_after=0.05,
-                ))
-                self.router.count("no_shard_errors")
+                self._no_shards(req_id)
                 return
             except (OSError, ConnectionError):
                 with self._lock:
                     self._pending.pop(req_id, None)
                 self.router.fleet.eject(pend.shard_id, reason="connect")
                 self._drop_upstream(pend.shard_id)
-                if pend.attempts >= MAX_ROUTE_ATTEMPTS:
-                    self.reply(error_response(
-                        req_id, "internal",
-                        f"shard {pend.shard_id} unreachable after "
-                        f"{pend.attempts} attempts",
-                    ))
-                    self.router.count("route_failures")
-                    return
-                pend.attempts += 1
-                try:
-                    pend.shard_id = self.router.fleet.owner(pend.key)
-                except NoShardsAvailable:
-                    self.reply(error_response(
-                        req_id, "overloaded", "no live shards in the ring",
-                        retry_after=0.05,
-                    ))
-                    self.router.count("no_shard_errors")
-                    return
-                self.router.count("failovers")
-                continue
+                if self._reroute(pend):
+                    continue
+                return
             if first:
                 self.router.count("routed")
                 self.router.note_key(pend.key, pend.msg)
@@ -309,25 +313,8 @@ class _Session:
         get_tracer().count("shard.orphans_replayed", len(orphans),
                            shard=shard_id)
         for pend in orphans:
-            if pend.attempts >= MAX_ROUTE_ATTEMPTS:
-                self.reply(error_response(
-                    pend.msg.get("id"), "internal",
-                    f"shard {shard_id} died and retries are exhausted",
-                ))
-                self.router.count("route_failures")
-                continue
-            pend.attempts += 1
-            try:
-                pend.shard_id = self.router.fleet.owner(pend.key)
-            except NoShardsAvailable:
-                self.reply(error_response(
-                    pend.msg.get("id"), "overloaded",
-                    "no live shards in the ring", retry_after=0.05,
-                ))
-                self.router.count("no_shard_errors")
-                continue
-            self.router.count("failovers")
-            self._dispatch(pend)
+            if self._reroute(pend):
+                self._dispatch(pend)
 
     # -- teardown --------------------------------------------------------------
 
@@ -480,22 +467,26 @@ class ShardRouter(socketserver.ThreadingTCPServer):
         """
         if self._wisdom is None:
             return 0
+        drained = self._wisdom_window.drain()
+        if not drained:
+            return 0
         cfg = self.fleet.config
         flushed = 0
-        for key, samples in self._wisdom_window.drain().items():
-            try:
-                n_s, threads_s, mu_s, _strategy, backend = \
-                    key.split(":", 4)
-                n, threads, mu = int(n_s), int(threads_s), int(mu_s)
-            except ValueError:
-                continue
-            summary = {"requests": len(samples),
-                       **latency_summary(samples)}
-            self._wisdom.record_observation(
-                n, threads, mu, backend, lane_name(cfg.runtime, threads),
-                summary,
-            )
-            flushed += 1
+        with self._wisdom.transaction():  # one file rewrite per flush
+            for key, samples in drained.items():
+                try:
+                    n_s, threads_s, mu_s, _strategy, backend = \
+                        key.split(":", 4)
+                    n, threads, mu = int(n_s), int(threads_s), int(mu_s)
+                except ValueError:
+                    continue
+                summary = {"requests": len(samples),
+                           **latency_summary(samples)}
+                self._wisdom.record_observation(
+                    n, threads, mu, backend,
+                    lane_name(cfg.runtime, threads), summary,
+                )
+                flushed += 1
         if flushed:
             get_tracer().count("shard.wisdom_flushes", flushed)
         return flushed
@@ -597,10 +588,7 @@ class ShardRouter(socketserver.ThreadingTCPServer):
         try:
             targets = [self.fleet.owner(key)]
         except NoShardsAvailable:
-            session.reply(error_response(
-                req_id, "overloaded", "no live shards in the ring",
-                retry_after=0.05,
-            ))
+            session._no_shards(req_id)
             return
         targets += self.fleet.successors(key)
         built = self._prewarm_shards(targets, msg)

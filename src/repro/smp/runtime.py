@@ -62,6 +62,8 @@ class PlanStage:
     ``nprocs`` is the number of processor shares the *plan* defines for this
     stage (a property of the generated program, not of the runtime executing
     it); sequential runtimes iterate over all shares on one thread.
+    ``artifact`` is the provenance of the on-disk build ``work`` calls into
+    (the compiled backend's shared object); None when there is none.
     """
 
     work: StageWork
@@ -69,6 +71,7 @@ class PlanStage:
     needs_barrier: bool
     name: str = ""
     nprocs: int = 1
+    artifact: Optional[dict] = None
 
 
 @dataclass
@@ -147,7 +150,8 @@ class Runtime:
     #: False once a pool lost a worker; a runtime without workers never does
     healthy: bool = True
     #: True when workers rebuild the plan from ``plan.spec``, so ``run``
-    #: rejects a spec-less plan with ``TypeError``
+    #: rejects a spec-less plan (a hunt-pruned term, ``repro check``'s bare
+    #: program — every plan a service builds has one) with ``TypeError``
     needs_spec: bool = False
 
     def run(self, plan, X: np.ndarray) -> tuple[np.ndarray, ExecutionStats]:

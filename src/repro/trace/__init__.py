@@ -1,7 +1,7 @@
 """Unified tracing & profiling for the whole generator pipeline.
 
 Every layer of the system — rewriting (:mod:`repro.rewrite.engine`), search
-(:mod:`repro.search`), wisdom (:mod:`repro.wisdom`), Σ-SPL lowering
+(:mod:`repro.search`), Σ-SPL lowering
 (:mod:`repro.sigma.lower`), the simulated machine (:mod:`repro.machine`),
 code generation (:mod:`repro.codegen`), and the real thread runtimes
 (:mod:`repro.smp.runtime`) — emits *spans* (timed intervals) and *counters*

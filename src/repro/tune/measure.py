@@ -191,7 +191,7 @@ def measured_search(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     seed = default_seed() if seed is None else seed
-    t = feasible_threads(n, threads, mu) if threads > 1 else 1
+    t = feasible_threads(n, threads, mu)
 
     space = candidate_space(runtime, backend)
     rng = derive_rng(seed, "tune-candidates", n, t, mu, backend, runtime)

@@ -33,6 +33,7 @@ the hot-swap covers the sequential, pthreads and process lanes alike.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -133,28 +134,34 @@ class Tuner:
             self._metrics["ticks"] += 1
             all_samples: list[float] = []
             regressed: list[PlanKey] = []
-            for key, samples in drained.items():
-                if not samples:
-                    continue
-                self._metrics["windows_observed"] += 1
-                all_samples.extend(samples)
-                summary = {"requests": len(samples),
-                           **latency_summary(samples)}
-                if self.wisdom is not None:
-                    self.wisdom.record_observation(
-                        key.n, key.threads, key.mu,
-                        self.service.config.backend,
-                        lane_name(self.service.config.runtime, key.threads),
-                        summary,
-                    )
-                if len(samples) < self.config.min_requests:
-                    continue
-                p50 = summary["p50_ms"]
-                best = self._best_p50.get(key)
-                if best is None or p50 < best:
-                    self._best_p50[key] = p50
-                elif p50 > best * self.config.regress_factor:
-                    regressed.append(key)
+            # every window of this tick lands in one wisdom-file rewrite
+            recording = (self.wisdom.transaction()
+                         if self.wisdom is not None and drained
+                         else contextlib.nullcontext())
+            with recording:
+                for key, samples in drained.items():
+                    if not samples:
+                        continue
+                    self._metrics["windows_observed"] += 1
+                    all_samples.extend(samples)
+                    summary = {"requests": len(samples),
+                               **latency_summary(samples)}
+                    if self.wisdom is not None:
+                        self.wisdom.record_observation(
+                            key.n, key.threads, key.mu,
+                            self.service.config.backend,
+                            lane_name(self.service.config.runtime,
+                                      key.threads),
+                            summary,
+                        )
+                    if len(samples) < self.config.min_requests:
+                        continue
+                    p50 = summary["p50_ms"]
+                    best = self._best_p50.get(key)
+                    if best is None or p50 < best:
+                        self._best_p50[key] = p50
+                    elif p50 > best * self.config.regress_factor:
+                        regressed.append(key)
             self._adjust_knobs_locked(all_samples)
             for key in regressed:
                 self._retune_locked(key)
@@ -209,16 +216,11 @@ class Tuner:
             runtime="sequential", budget=self.config.search_budget,
             repeats=self.config.search_repeats, wisdom=self.wisdom,
         )
-        best = result.best
         # the winning candidate may be scalar or ν-way (the compiled
         # backend's search space carries both); the rebuilt plan follows it
         plan = build_plan(
-            PlanSpec(
-                n=key.n, threads=key.threads, mu=key.mu,
-                strategy=best.strategy, min_leaf=best.min_leaf,
-                backend=backend, nu=best.nu,
-            ),
-            key=key,
+            PlanSpec.from_plan_key(key, backend).tuned(result.best.to_json()),
+            key,
         )
         try:
             committed = self.service.plans.swap(key, plan)

@@ -1,38 +1,39 @@
-"""Wisdom: persistent autotuning results (the FFTW-style plan cache).
+"""Wisdom: the persistent record store of measured planning.
 
-Searching the factorization space costs time; its *result* — the best tree
-for a (size, threads, mu, strategy) configuration — is a few bytes.  This
-module persists those results as JSON so later sessions (or processes)
-regenerate the tuned program directly, the same role FFTW's "wisdom" files
-play.
+FFTW's "wisdom" is the saved outcome of *measured* planning.  A wisdom file
+is JSON keyed by plan configuration ``(n, threads, mu)``; an entry holds,
+per executor lane (``backend/runtime``), the **ranking**
+:func:`repro.tune.measured_search` measured (its ``best`` block names a
+buildable spec: ``strategy``, ``min_leaf``, ``nu``), the merged production
+**observations** the tuner and the shard router record, and the compiled
+**artifact** provenance.  It builds nothing: what a file contributes to a
+build is the one requested → effective substitution :meth:`Wisdom.best`
+feeds :meth:`repro.mp.spec.PlanSpec.tuned`
+(:func:`repro.serve.plan_cache.plan_builder`).
 
     wisdom = Wisdom("wisdom.json")
-    fft = wisdom.plan(4096, threads=2)   # searches once, cached afterwards
+    measured_search(4096, threads=2, wisdom=wisdom)   # persists a ranking
+    wisdom.best(4096, 2, 4, "numpy", "pthreads")      # -> its best block
 
-A :class:`Wisdom` instance is safe for concurrent use: the store and the
-program cache are lock-guarded, ``plan()`` is *single-flight* per
-configuration (N threads racing on the same key trigger exactly one search;
-the rest wait for its result), and saves are atomic (written to a temporary
-file in the same directory, then ``os.replace``\\ d over the target) so
-parallel planners can neither corrupt nor torn-read a wisdom file.
+The file is the store; an instance is a cache of it.  Every ``record_*``
+is one read-merge-write :meth:`~Wisdom.transaction` under an advisory lock
+on a ``<path>.lock`` sidecar, so instances, threads and processes sharing
+one path lose nothing, and reads reload once the file has moved on.  Saves
+are atomic (temp file in the same directory, then ``os.replace``): no
+reader sees a torn file, and a corrupt or missing one reads as empty.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from .codegen.python_backend import GeneratedProgram, generate
-from .rewrite.breakdown import expand_from_tree
-from .rewrite.derive import derive_multicore_ct
-from .rewrite.breakdown import expand_dft
-from .search.dp import Objective, dp_search, flop_objective
-from .sigma.lower import lower
 from .trace import get_tracer
 
 
@@ -43,55 +44,79 @@ from .trace import get_tracer
 TUNE_VERSION = 1
 
 
-def _tree_to_json(tree):
-    if isinstance(tree, int):
-        return tree
-    l, r = tree
-    return [_tree_to_json(l), _tree_to_json(r)]
-
-
-def _tree_from_json(obj):
-    if isinstance(obj, int):
-        return obj
-    l, r = obj
-    return (_tree_from_json(l), _tree_from_json(r))
-
-
 class Wisdom:
-    """A persistent cache of search results keyed by plan configuration."""
+    """Persistent measured-planning records keyed by plan configuration."""
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.RLock()
         self._store: dict = {}
-        self._programs: dict = {}
-        # per-key planning locks: the single-flight mechanism
-        self._planning: dict[str, threading.Lock] = {}
-        if self.path is not None and self.path.exists():
-            try:
-                self._store = json.loads(self.path.read_text())
-            except (json.JSONDecodeError, OSError):
-                self._store = {}
+        #: identity of the file version ``_store`` mirrors (see _records)
+        self._stamp: object = ()
+        #: True inside a transaction: nested ones join instead of re-locking
+        self._open = False
 
     # -- persistence -----------------------------------------------------------
 
+    def _records(self) -> dict:
+        """The current records (``_lock`` held): the cached store, re-read
+        whenever the file was replaced since — by this instance or another."""
+        if self.path is not None:
+            stamp = self._file_stamp()
+            if stamp != self._stamp:
+                try:
+                    store = json.loads(self.path.read_text())
+                except (json.JSONDecodeError, OSError):
+                    store = {}
+                self._store = store if isinstance(store, dict) else {}
+                self._stamp = stamp
+        return self._store
+
+    def _file_stamp(self) -> Optional[tuple]:
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return None
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
+
     def _save(self) -> None:
-        """Atomically persist the store (temp file + ``os.replace``)."""
+        """Atomically publish the store (temp file + ``os.replace``)."""
+        payload = json.dumps(self._store, indent=1)
+        fd, tmp = tempfile.mkstemp(
+            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        self._stamp = self._file_stamp()
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[dict]:
+        """One read-merge-write of the file; yields the records to mutate.
+
+        Holds the sidecar's advisory lock from the read to the publish, so
+        concurrent writers serialize instead of overwriting each other.
+        Nested transactions join the outer one: wrap a loop of ``record_*``
+        calls in ``with wisdom.transaction():`` to rewrite the file once.
+        """
         with self._lock:
-            if self.path is None:
+            if self._open or self.path is None:
+                yield self._store
                 return
-            payload = json.dumps(self._store, indent=1)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+            with open(f"{self.path}.lock", "a") as sidecar:
+                fcntl.flock(sidecar, fcntl.LOCK_EX)
+                store = self._records()
+                self._open = True
+                try:
+                    yield store
+                finally:
+                    self._open = False
+                    self._save()
 
     @staticmethod
     def _key(n: int, threads: int, mu: int) -> str:
@@ -99,100 +124,23 @@ class Wisdom:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._store)
+            return len(self._records())
 
     def __contains__(self, key: tuple) -> bool:
         n, threads, mu = key
         with self._lock:
-            return self._key(n, threads, mu) in self._store
+            return self._key(n, threads, mu) in self._records()
 
     def forget(self) -> None:
-        """Drop all stored plans (in memory and on disk)."""
-        with self._lock:
-            self._store = {}
-            self._programs = {}
-            self._save()
-
-    # -- planning ----------------------------------------------------------------
-
-    def plan(
-        self,
-        n: int,
-        threads: int = 1,
-        mu: int = 4,
-        objective: Optional[Objective] = None,
-        leaf_max: int = 32,
-    ) -> GeneratedProgram:
-        """Return a tuned program, searching only on a wisdom miss.
-
-        For ``threads > 1`` the multicore CT derivation fixes the top-level
-        structure (Eq. 14); the search tunes the sequential leaf
-        factorizations.  The search objective defaults to arithmetic count
-        (cheap, deterministic); pass ``measured_objective()`` or
-        ``model_objective(spec)`` for tuned plans.
-
-        Concurrent callers racing on the same configuration are coalesced:
-        exactly one performs the search (``wisdom.miss`` counts 1), the rest
-        block on the per-key planning lock and return the same program.
-        """
-        tr = get_tracer()
-        key = self._key(n, threads, mu)
-        with self._lock:
-            program = self._programs.get(key)
-            if program is not None:
-                tr.count("wisdom.hit", 1, kind="program")
-                return program
-            keylock = self._planning.setdefault(key, threading.Lock())
-        with keylock:
-            # single-flight: late arrivals find the leader's program here
-            with self._lock:
-                program = self._programs.get(key)
-                if program is not None:
-                    tr.count("wisdom.hit", 1, kind="program")
-                    return program
-                entry = self._store.get(key)
-            if entry is None or "tree" not in entry:
-                # no tree yet — the entry may still carry tune/observation
-                # records written by the measured-search side; merge into
-                # it rather than clobbering those
-                tr.count("wisdom.miss", 1)
-                with tr.span("wisdom.search", "search", key=key):
-                    res = dp_search(
-                        n, objective or flop_objective, leaf_max=leaf_max
-                    )
-                with self._lock:
-                    entry = self._store.setdefault(key, {})
-                    entry.update(
-                        tree=_tree_to_json(res.tree),
-                        value=res.value,
-                        evaluations=res.evaluations,
-                    )
-                    self._save()
-            else:
-                tr.count("wisdom.hit", 1, kind="store")
-            tree = _tree_from_json(entry["tree"])
-            program = self._build(n, threads, mu, tree, leaf_max)
-            with self._lock:
-                self._programs[key] = program
-            return program
-
-    def _build(self, n, threads, mu, tree, leaf_max) -> GeneratedProgram:
-        if threads > 1:
-            # top structure from Eq. (14); leaves re-expanded per the tuned
-            # radix profile (balanced strategy with the tuned leaf bound)
-            f = expand_dft(
-                derive_multicore_ct(n, threads, mu),
-                "balanced",
-                min_leaf=leaf_max,
-            )
-        else:
-            f = expand_from_tree(n, tree)
-        return generate(lower(f))
+        """Drop every record (in memory and on disk)."""
+        with self.transaction() as store:
+            store.clear()
 
     def entry(self, n: int, threads: int = 1, mu: int = 4) -> Optional[dict]:
-        """The stored search record (tree, objective value, evaluations)."""
+        """Everything stored for one configuration, or None."""
         with self._lock:
-            return self._store.get(self._key(n, threads, mu))
+            entry = self._records().get(self._key(n, threads, mu))
+        return entry if isinstance(entry, dict) else None
 
     # -- backend artifacts -------------------------------------------------------
 
@@ -201,28 +149,22 @@ class Wisdom:
     ) -> None:
         """Attach an execution-backend artifact record to a plan's entry.
 
-        The compiled backend passes its shared-object provenance (source
-        hash, cached ``.so`` path, compiler fingerprint) here, so a wisdom
-        file documents not just the tuned tree but the exact native
+        The compiled backend's shared-object provenance (source hash,
+        cached ``.so`` path, compiler fingerprint) lands here, so a wisdom
+        file documents not just the tuned spec but the exact native
         artifact serving it — keyed, like the on-disk codelet cache, by
-        codelet hash + compiler identity.  No-op persistence-wise until the
-        entry exists; creates a stub entry otherwise.
+        codelet hash + compiler identity.
         """
-        key = self._key(n, threads, mu)
-        with self._lock:
-            entry = self._store.setdefault(key, {})
+        with self.transaction() as store:
+            entry = store.setdefault(self._key(n, threads, mu), {})
             entry.setdefault("artifacts", {})[backend] = dict(info)
-            self._save()
 
     def artifact(
         self, n: int, threads: int, mu: int, backend: str
     ) -> Optional[dict]:
         """The recorded artifact for (config, backend), or None."""
-        with self._lock:
-            entry = self._store.get(self._key(n, threads, mu))
-            if not entry:
-                return None
-            return entry.get("artifacts", {}).get(backend)
+        entry = self.entry(n, threads, mu) or {}
+        return entry.get("artifacts", {}).get(backend)
 
     # -- measured tuning records (the live-fleet side) ---------------------------
 
@@ -230,14 +172,23 @@ class Wisdom:
     def _lane(backend: str, runtime: str) -> str:
         return f"{backend}/{runtime}"
 
-    def _tune_block(self, entry: dict) -> dict:
-        """The version-stamped ``tune`` block of ``entry``, creating or
-        resetting it when the stored version does not match."""
+    def _tune_block(self, store: dict, n, threads, mu, kind) -> dict:
+        """The ``kind`` map (``rankings`` / ``observations``) of the key's
+        version-stamped ``tune`` block in ``store``, creating the block —
+        or resetting one stamped with another version — on the way."""
+        entry = store.setdefault(self._key(n, threads, mu), {})
         tune = entry.get("tune")
         if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
-            tune = {"version": TUNE_VERSION}
-            entry["tune"] = tune
-        return tune
+            tune = entry["tune"] = {"version": TUNE_VERSION}
+        return tune.setdefault(kind, {})
+
+    def _tune_records(self, n, threads, mu, kind, backend, runtime):
+        """One lane's record of ``kind`` (``rankings`` / ``observations``);
+        blocks written under another :data:`TUNE_VERSION` read as absent."""
+        tune = (self.entry(n, threads, mu) or {}).get("tune")
+        if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
+            return None
+        return tune.get(kind, {}).get(self._lane(backend, runtime))
 
     def record_tuning(
         self,
@@ -256,32 +207,30 @@ class Wisdom:
         versions skip it, and keyed ``backend/runtime`` so the fleet
         shares rankings per (n, threads, mu, backend, runtime).
         """
-        key = self._key(n, threads, mu)
-        with self._lock:
-            entry = self._store.setdefault(key, {})
-            tune = self._tune_block(entry)
-            tune.setdefault("rankings", {})[self._lane(backend, runtime)] = (
-                dict(record)
-            )
-            self._save()
+        with self.transaction() as store:
+            rankings = self._tune_block(store, n, threads, mu, "rankings")
+            rankings[self._lane(backend, runtime)] = dict(record)
         get_tracer().count("wisdom.tune_record", 1, kind="ranking")
 
     def tuning(
         self, n: int, threads: int, mu: int, backend: str, runtime: str
     ) -> Optional[dict]:
-        """The stored measured ranking for one lane, or None.
+        """The stored measured ranking for exactly this lane, or None."""
+        return self._tune_records(n, threads, mu, "rankings", backend, runtime)
 
-        Records written under a different :data:`TUNE_VERSION` are
-        treated as absent.
+    def best(
+        self, n: int, threads: int, mu: int, backend: str, runtime: str
+    ) -> Optional[dict]:
+        """The ``best`` block a build on this lane should adopt, or None.
+
+        The lane's own ranking, else the ``sequential`` lane's: strategy
+        order carries over between runtimes — what the online tuner
+        assumes when it ranks every key on the sequential runtime.
         """
-        with self._lock:
-            entry = self._store.get(self._key(n, threads, mu))
-            if not entry:
-                return None
-            tune = entry.get("tune")
-            if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
-                return None
-            return tune.get("rankings", {}).get(self._lane(backend, runtime))
+        record = (self.tuning(n, threads, mu, backend, runtime)
+                  or self.tuning(n, threads, mu, backend, "sequential"))
+        best = record.get("best") if isinstance(record, dict) else None
+        return best if isinstance(best, dict) else None
 
     def record_observation(
         self,
@@ -301,16 +250,12 @@ class Wisdom:
         fastest median any window achieved — the tuner's regression
         baseline.
         """
-        key = self._key(n, threads, mu)
         requests = int(summary.get("requests", 0))
         p50 = summary.get("p50_ms")
-        with self._lock:
-            entry = self._store.setdefault(key, {})
-            tune = self._tune_block(entry)
-            obs = tune.setdefault("observations", {})
-            slot = obs.setdefault(
-                self._lane(backend, runtime), {"requests": 0}
-            )
+        with self.transaction() as store:
+            slot = self._tune_block(
+                store, n, threads, mu, "observations"
+            ).setdefault(self._lane(backend, runtime), {"requests": 0})
             slot["requests"] = int(slot.get("requests", 0)) + requests
             slot["last"] = {k: v for k, v in summary.items()
                             if k != "requests"}
@@ -318,20 +263,12 @@ class Wisdom:
                 best = slot.get("best_p50_ms")
                 if best is None or p50 < best:
                     slot["best_p50_ms"] = p50
-            self._save()
         get_tracer().count("wisdom.tune_record", 1, kind="observation")
 
     def observation(
         self, n: int, threads: int, mu: int, backend: str, runtime: str
     ) -> Optional[dict]:
         """The merged observation record for one lane, or None."""
-        with self._lock:
-            entry = self._store.get(self._key(n, threads, mu))
-            if not entry:
-                return None
-            tune = entry.get("tune")
-            if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
-                return None
-            return tune.get("observations", {}).get(
-                self._lane(backend, runtime)
-            )
+        return self._tune_records(
+            n, threads, mu, "observations", backend, runtime
+        )

@@ -185,6 +185,25 @@ class TestEndToEnd:
             128, 1, 4, "compiled"
         ) == art
 
+    def test_wisdom_attached_build_prints_its_c_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The artifact record rides out of the one compile: no second
+        ``compile_plan`` (and its ``emit_plan_source``) just to ask."""
+        from repro.serve.plan_cache import PlanCache, PlanKey
+        from repro.trace import Tracer, tracing
+        from repro.wisdom import Wisdom
+
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "cache"))
+        clear_compiled_memo()
+        wisdom = Wisdom(tmp_path / "w.json")
+        cache = PlanCache(wisdom=wisdom, backend="compiled")
+        with tracing(Tracer()) as tr:
+            plan = cache.get(PlanKey(n=256, threads=1, mu=4))
+        assert [e.name for e in tr.events].count("codegen.emit_c") == 1
+        assert wisdom.artifact(256, 1, 4, "compiled") == \
+            plan.stages[0].artifact
+
     def test_mp_spec_compiles_with_backend(self, rng):
         from repro.mp.spec import PlanSpec, clear_spec_cache, compile_spec
 

@@ -223,8 +223,8 @@ class TestNuPlumbing:
             assert svc.stats()["config"]["nu"] == 2
 
     def test_wisdom_is_bypassed_for_vector_keys(self, tmp_path):
-        # wisdom trees describe scalar factorizations; a ν>1 key must
-        # plan through the frontend instead of reusing one
+        # a wisdom file with no ranking for the lane substitutes nothing:
+        # a ν>1 key builds the ν-way plan it asked for
         from repro.serve.plan_cache import PlanCache, PlanKey
         from repro.wisdom import Wisdom
 

@@ -13,6 +13,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0xFF7)
 
 
+@pytest.fixture
+def wisdom_saves(monkeypatch) -> list:
+    """Grows by one entry per wisdom-file rewrite, from any instance."""
+    from repro.wisdom import Wisdom
+
+    saves: list = []
+    save = Wisdom._save
+    monkeypatch.setattr(
+        Wisdom, "_save", lambda self: (saves.append(self.path), save(self))[1]
+    )
+    return saves
+
+
 def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(COMPLEX)
 

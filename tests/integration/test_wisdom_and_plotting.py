@@ -1,69 +1,104 @@
-"""Tests for the wisdom cache and the ASCII chart renderer."""
+"""Tests for the wisdom record store and the ASCII chart renderer."""
 
 import json
 
-import numpy as np
-import pytest
-
 from repro.plotting import ascii_chart
-from repro.wisdom import Wisdom
-from tests.conftest import random_vector
+from repro.wisdom import TUNE_VERSION, Wisdom
+
+
+RECORD = {"best": {"strategy": "radix2", "min_leaf": 16, "nu": 1},
+          "ranking": []}
 
 
 class TestWisdom:
-    def test_plan_is_correct_program(self, rng, tmp_path):
-        w = Wisdom(tmp_path / "wisdom.json")
-        fft = w.plan(64)
-        x = random_vector(rng, 64)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
-
-    def test_search_runs_once(self, tmp_path):
-        w = Wisdom(tmp_path / "wisdom.json")
-        w.plan(64)
-        entry = w.entry(64)
-        assert entry is not None and entry["evaluations"] > 0
-        # second call: cached program object
-        assert w.plan(64) is w.plan(64)
-
-    def test_persistence_across_instances(self, rng, tmp_path):
+    def test_persistence_across_instances(self, tmp_path):
         path = tmp_path / "wisdom.json"
         w1 = Wisdom(path)
-        w1.plan(128)
-        tree1 = w1.entry(128)["tree"]
+        w1.record_tuning(128, 1, 4, "numpy", "sequential", RECORD)
+        w1.record_artifact(128, 1, 4, "compiled", {"so": "plan.so"})
 
         w2 = Wisdom(path)
-        assert (128, 1, 4) in w2
-        assert w2.entry(128)["tree"] == tree1
-        fft = w2.plan(128)  # rebuilt from stored tree, no new search
-        x = random_vector(rng, 128)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
+        assert (128, 1, 4) in w2 and len(w2) == 1
+        assert w2.tuning(128, 1, 4, "numpy", "sequential") == RECORD
+        assert w2.artifact(128, 1, 4, "compiled") == {"so": "plan.so"}
+        assert w2.entry(128) == w1.entry(128)
 
-    def test_parallel_plan(self, rng, tmp_path):
-        w = Wisdom(tmp_path / "wisdom.json")
-        fft = w.plan(256, threads=2, mu=4)
-        x = random_vector(rng, 256)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
+    def test_best_falls_back_to_the_sequential_lane(self):
+        w = Wisdom()
+        assert w.best(256, 2, 4, "numpy", "pthreads") is None
+        w.record_tuning(256, 2, 4, "numpy", "sequential", RECORD)
+        assert w.best(256, 2, 4, "numpy", "pthreads") == RECORD["best"]
+        own = {"best": {"strategy": "balanced", "min_leaf": 32, "nu": 1}}
+        w.record_tuning(256, 2, 4, "numpy", "pthreads", own)
+        assert w.best(256, 2, 4, "numpy", "pthreads") == own["best"]
+        # another backend's ranking is never borrowed
+        assert w.best(256, 2, 4, "compiled", "pthreads") is None
+
+    def test_parent_written_file_still_loads(self, tmp_path):
+        """A file from before wisdom stopped storing trees: its tune /
+        artifact blocks are honoured, its tree keys ignored."""
+        path = tmp_path / "wisdom.json"
+        path.write_text(json.dumps({"dft:64:p1:mu4": {
+            "tree": [8, 8], "value": 1088.0, "evaluations": 12,
+            "artifacts": {"compiled": {"so": "plan.so"}},
+            "tune": {"version": TUNE_VERSION,
+                     "rankings": {"numpy/sequential": RECORD}},
+        }}))
+        w = Wisdom(path)
+        assert w.best(64, 1, 4, "numpy", "sequential") == RECORD["best"]
+        assert w.artifact(64, 1, 4, "compiled") == {"so": "plan.so"}
+        w.record_observation(64, 1, 4, "numpy", "sequential",
+                             {"requests": 3, "p50_ms": 1.0})
+        assert json.loads(path.read_text())["dft:64:p1:mu4"]["tree"] == [8, 8]
 
     def test_forget(self, tmp_path):
         path = tmp_path / "wisdom.json"
         w = Wisdom(path)
-        w.plan(64)
+        w.record_tuning(64, 1, 4, "numpy", "sequential", RECORD)
         assert len(w) == 1
         w.forget()
         assert len(w) == 0
         assert json.loads(path.read_text()) == {}
+        assert len(Wisdom(path)) == 0
 
-    def test_memory_only_mode(self, rng):
+    def test_memory_only_mode(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         w = Wisdom()  # no path: in-memory only
-        fft = w.plan(64)
-        x = random_vector(rng, 64)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
+        w.record_tuning(64, 1, 4, "numpy", "sequential", RECORD)
+        with w.transaction():
+            w.record_observation(64, 1, 4, "numpy", "sequential",
+                                 {"requests": 2, "p50_ms": 1.5})
+        assert w.best(64, 1, 4, "numpy", "sequential") == RECORD["best"]
+        assert w.observation(64, 1, 4, "numpy", "sequential")["requests"] == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_file_tolerated(self, tmp_path):
         path = tmp_path / "wisdom.json"
         path.write_text("{not json")
         w = Wisdom(path)
         assert len(w) == 0
+        assert w.best(64, 1, 4, "numpy", "sequential") is None
+        # ... and the next record replaces it with a valid file
+        w.record_tuning(64, 1, 4, "numpy", "sequential", RECORD)
+        assert set(json.loads(path.read_text())) == {"dft:64:p1:mu4"}
+
+    def test_module_imports_no_planner(self):
+        """The record store builds nothing: ``wisdom.py`` imports the
+        stdlib and ``repro.trace``, never search / codegen / rewrite."""
+        import ast
+        from pathlib import Path
+
+        import repro.wisdom
+
+        imported = []
+        for node in ast.walk(ast.parse(Path(repro.wisdom.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+        ours = [m for m in imported
+                if m.startswith(".") or m.split(".")[0] == "repro"]
+        assert ours == [".trace"]
 
 
 class TestAsciiChart:

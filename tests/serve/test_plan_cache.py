@@ -1,13 +1,22 @@
 """Plan cache: LRU bounds, counters, and single-flight planning."""
 
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.serve.plan_cache import CachedPlan, PlanCache, PlanKey
+from repro.mp.spec import PlanSpec
+from repro.serve.plan_cache import (
+    CachedPlan,
+    PlanCache,
+    PlanKey,
+    build_plan,
+    plan_builder,
+)
 from repro.trace import Tracer, tracing
+from repro.wisdom import TUNE_VERSION, Wisdom
 
 
 def _slow_builder(calls, delay=0.02):
@@ -69,6 +78,84 @@ class TestLRU:
         assert plan.backend == "numpy"
         assert plan.stages is plan.program.stages
         assert [e.name for e in tr.events].count("codegen.python") == 1
+
+
+class TestWisdomSubstitution:
+    """What a wisdom file contributes to a build: requested → effective."""
+
+    KEY = PlanKey(64, 1, 4)
+    REQUESTED = PlanSpec.from_plan_key(KEY)
+
+    def test_build_plan_is_a_pure_function_of_the_spec(self):
+        import inspect
+
+        assert list(inspect.signature(build_plan).parameters) == [
+            "spec", "key"
+        ]
+        plan = build_plan(self.REQUESTED)
+        assert plan.spec == self.REQUESTED and plan.key is None
+
+    def test_fresh_cache_builds_the_persisted_best(self, tmp_path):
+        from repro.tune import measured_search
+
+        path = tmp_path / "w.json"
+        res = measured_search(64, budget=3, repeats=1, seed=5,
+                              wisdom=Wisdom(path))
+        plan = PlanCache(wisdom=Wisdom(path)).get(self.KEY)
+        assert plan.key == self.KEY  # what was requested ...
+        assert plan.spec == self.REQUESTED.tuned(res.best.to_json())
+        assert (plan.spec.strategy, plan.spec.min_leaf, plan.spec.nu) == (
+            res.best.strategy, res.best.min_leaf, res.best.nu
+        )  # ... and what was built
+        x = np.random.default_rng(0).standard_normal(64) + 0j
+        np.testing.assert_allclose(plan.program.run(x), np.fft.fft(x),
+                                   atol=1e-6)
+
+    def _spec_built_from(self, tmp_path, lane, best, version=TUNE_VERSION,
+                         runtime="threads", key=KEY):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({f"dft:{key.n}:p{key.threads}:mu4": {
+            "tune": {"version": version, "rankings": {lane: {"best": best}}},
+        }}))
+        build = plan_builder(Wisdom(path), "numpy", runtime)
+        return build(key).spec
+
+    def test_ranking_for_the_lane_is_adopted(self, tmp_path):
+        best = {"strategy": "radix2", "min_leaf": 16, "nu": 1}
+        spec = self._spec_built_from(tmp_path, "numpy/sequential", best)
+        assert (spec.strategy, spec.min_leaf) == ("radix2", 16)
+
+    def test_pool_lane_falls_back_to_the_sequential_ranking(self, tmp_path):
+        best = {"strategy": "radix2", "min_leaf": 16, "nu": 1}
+        key = PlanKey(256, 2, 4)
+        for runtime in ("threads", "process"):
+            spec = self._spec_built_from(
+                tmp_path, "numpy/sequential", best, runtime=runtime, key=key
+            )
+            assert (spec.strategy, spec.min_leaf, spec.threads) == (
+                "radix2", 16, 2
+            )
+
+    @pytest.mark.parametrize("lane, best, version", [
+        # written under another schema version
+        ("numpy/sequential",
+         {"strategy": "radix2", "min_leaf": 16, "nu": 1}, TUNE_VERSION + 1),
+        # a strategy this build does not know
+        ("numpy/sequential",
+         {"strategy": "radix-17", "min_leaf": 16, "nu": 1}, TUNE_VERSION),
+        # another backend's measurement
+        ("compiled/sequential",
+         {"strategy": "radix2", "min_leaf": 16, "nu": 4}, TUNE_VERSION),
+        # malformed fields
+        ("numpy/sequential",
+         {"strategy": "radix2", "min_leaf": "wide", "nu": 0}, TUNE_VERSION),
+        ("numpy/sequential", "radix2", TUNE_VERSION),
+    ])
+    def test_unusable_ranking_leaves_the_spec_as_requested(
+        self, tmp_path, lane, best, version
+    ):
+        spec = self._spec_built_from(tmp_path, lane, best, version)
+        assert spec == self.REQUESTED
 
 
 class TestSingleFlight:

@@ -6,6 +6,7 @@ same supervisor failover on a broken pool — because the two runtimes share
 one health contract.
 """
 
+import contextlib
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.mp import ProcessPoolRuntime
 from repro.serve import FFTService, ServeConfig
 from repro.serve.server import FFTServer
+from repro.wisdom import Wisdom
 
 
 def _vec(n, seed=0):
@@ -40,8 +42,8 @@ class TestProcessBackedService:
     @pytest.mark.parametrize("with_wisdom", [False, True])
     def test_pool_runs_the_cached_plan(self, with_wisdom, tmp_path):
         """The process lane goes through the PlanCache like every other:
-        a prewarmed key is a cache hit, and the plan is spec-built (never
-        a wisdom tree, which workers could not rebuild)."""
+        a prewarmed key is a cache hit, and every plan carries the spec
+        its workers rebuild it from."""
         cfg = ServeConfig(
             threads=2, runtime="process", window_s=0.0,
             wisdom_path=str(tmp_path / "w.json") if with_wisdom else None,
@@ -58,6 +60,38 @@ class TestProcessBackedService:
                 svc.plans.get(k).spec is not None for k in svc.plans.keys()
             )
             assert svc.health()["counters"]["failures"] == 0
+
+    def test_both_pool_kinds_build_the_same_plan_from_one_file(
+        self, tmp_path
+    ):
+        """A threads-backed and a process-backed service given one wisdom
+        file build the same effective spec and walk it identically."""
+        path = tmp_path / "w.json"
+        best = {"strategy": "radix2", "min_leaf": 16, "nu": 1}
+        Wisdom(path).record_tuning(
+            256, 2, 4, "numpy", "sequential", {"best": best}
+        )
+        built = {}
+        for runtime in ("threads", "process"):
+            cfg = ServeConfig(threads=2, runtime=runtime, window_s=0.0,
+                              wisdom_path=str(path))
+            with FFTService(cfg) as svc:
+                x = _vec(256)
+                np.testing.assert_allclose(
+                    svc.transform(x), np.fft.fft(x), atol=1e-8
+                )
+                plans = [svc.plans.get(k) for k in svc.plans.keys()]
+                assert plans and all(p.spec is not None for p in plans)
+                # a pool of the service's kind, but owned by this thread:
+                # a pthreads pool's barrier sense is local to its master
+                with contextlib.closing(svc._make_pool(2)) as pool:
+                    _, stats = pool.run(plans[0], x)
+                built[runtime] = ([(p.key, p.spec) for p in plans], stats)
+        assert built["threads"] == built["process"]
+        (key, spec), = built["process"][0]
+        assert (key.strategy, spec.strategy, spec.min_leaf) == (
+            "balanced", "radix2", 16
+        )
 
     def test_pools_are_process_pools(self):
         cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)

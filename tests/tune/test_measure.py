@@ -67,32 +67,39 @@ class TestMeasuredSearch:
         assert rec2 == rec
 
     def test_plan_works_on_tune_only_entries(self, tmp_path):
-        """A wisdom file written by ``repro tune`` must still plan.
-
-        record_tuning creates the (n, threads, mu) entry with only a
-        ``tune`` block; plan() must treat the missing search tree as a
-        miss and merge its result in rather than KeyError on "tree"
-        (this crashed ``repro serve --wisdom`` on tune-swept files).
+        """A wisdom file written by ``repro tune`` plans, and plans what it
+        ranked: a fresh cache on the file builds the lane's ``best`` spec
+        (an entry holding only a ``tune`` block once crashed
+        ``repro serve --wisdom`` with a KeyError on "tree").
         """
         import numpy as np
 
-        w = Wisdom(tmp_path / "w.json")
-        measured_search(64, budget=1, repeats=1, wisdom=w)
-        program = w.plan(64)
+        from repro.serve.plan_cache import PlanCache, PlanKey
+
+        res = measured_search(
+            64, budget=2, repeats=1, wisdom=Wisdom(tmp_path / "w.json")
+        )
+        plan = PlanCache(wisdom=Wisdom(tmp_path / "w.json")).get(PlanKey(64))
+        assert (plan.spec.strategy, plan.spec.min_leaf, plan.spec.nu) == (
+            res.best.strategy, res.best.min_leaf, res.best.nu
+        )
         x = np.random.default_rng(0).standard_normal(64) + 0j
-        np.testing.assert_allclose(program.run(x), np.fft.fft(x), atol=1e-6)
-        entry = w._store[w._key(64, 1, 4)]
-        # the search merged in alongside the tune record, not over it
-        assert "tree" in entry and "tune" in entry
+        np.testing.assert_allclose(plan.program.run(x), np.fft.fft(x),
+                                   atol=1e-6)
 
     def test_tune_records_are_versioned(self, tmp_path):
-        w = Wisdom(tmp_path / "w.json")
+        import json
+
+        path = tmp_path / "w.json"
+        w = Wisdom(path)
         measured_search(64, budget=1, repeats=1, wisdom=w)
-        entry = w._store[w._key(64, 1, 4)]
-        assert entry["tune"]["version"] == TUNE_VERSION
+        stored = json.loads(path.read_text())
+        assert stored["dft:64:p1:mu4"]["tune"]["version"] == TUNE_VERSION
         # a version bump invalidates the record
-        entry["tune"]["version"] = TUNE_VERSION + 1
+        stored["dft:64:p1:mu4"]["tune"]["version"] = TUNE_VERSION + 1
+        path.write_text(json.dumps(stored))
         assert w.tuning(64, 1, 4, "numpy", "sequential") is None
+        assert w.best(64, 1, 4, "numpy", "sequential") is None
 
 
 class TestObservations:

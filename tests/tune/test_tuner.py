@@ -45,6 +45,22 @@ class TestTick:
         obs = w.observation(64, 1, 4, "numpy", "sequential")
         assert obs is not None and obs["requests"] == 8
 
+    def test_tick_rewrites_the_wisdom_file_once(self, service, tmp_path,
+                                                wisdom_saves):
+        """Many plan keys in one window are one transaction, and an idle
+        tick leaves the file alone."""
+        w = Wisdom(tmp_path / "w.json")
+        tuner = Tuner(service, TunerConfig(), wisdom=w)
+        for n in (64, 128, 256):
+            _drive(service, n=n, count=4)
+        tuner.tick()
+        tuner.tick()
+        assert len(wisdom_saves) == 1
+        assert all(
+            w.observation(n, 1, 4, "numpy", "sequential")["requests"] == 4
+            for n in (64, 128, 256)
+        )
+
     def test_no_regression_below_min_requests(self, service):
         tuner = Tuner(service, TunerConfig(min_requests=1000))
         _drive(service, count=8)
