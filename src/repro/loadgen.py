@@ -585,7 +585,7 @@ def _run_tune(cfg: TuneLoadgenConfig) -> dict:
                 # the acceptance scenario: hot-swap every hot plan while
                 # the clients are mid-flight
                 for n in cfg.sizes:
-                    key = service._plan_key(n, cfg.threads, cfg.mu, None)
+                    key = service.config.plan_key(n, cfg.threads, cfg.mu)
                     forced["attempted"] += 1
                     if service.tuner.retune(key):
                         forced["committed"] += 1

@@ -13,9 +13,10 @@ path (see ``docs/serving.md``):
   a supervisor restarts dead dispatchers, rebuilds broken worker pools,
   and degrades to sequential execution when rebuilds keep failing;
 * :class:`FFTServer` / :class:`ServeClient` — the TCP/JSON front end
-  behind ``repro serve``; the client retries retryable failures with
-  seeded exponential backoff (:class:`RetryPolicy`) and reconnects after
-  resets.
+  behind ``repro serve``, both ends of the one hop in
+  :mod:`~repro.serve.protocol`; the client retries retryable failures
+  with seeded exponential backoff (:class:`RetryPolicy`) and reconnects
+  after resets.
 
 Fault injection for all of the above lives in :mod:`repro.faults` and is
 activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
@@ -25,8 +26,7 @@ from .batch_exec import run_batched
 from .client import RemoteError, RetryPolicy, ServeClient, jitter_rng
 from .metrics import LatencyRecorder, latency_summary, percentile
 from .plan_cache import CachedPlan, CacheStats, PlanCache, PlanKey
-from .server import FFTServer, graceful_shutdown, install_signal_handlers, \
-    serve
+from .server import FFTServer, graceful_shutdown, install_signal_handlers
 from .service import (
     DeadlineExceeded,
     FFTService,
@@ -60,5 +60,4 @@ __all__ = [
     "latency_summary",
     "percentile",
     "run_batched",
-    "serve",
 ]

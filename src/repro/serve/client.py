@@ -1,7 +1,8 @@
 """TCP client for the ``repro serve`` front end.
 
-One :class:`ServeClient` owns one connection and is intended for one
-thread (the load generator gives each worker its own client).  Arrays
+One :class:`ServeClient` holds one
+:class:`~repro.serve.protocol.FrameConn` and is intended for one thread
+(the load generator gives each worker its own client).  Arrays
 travel as binary frames (raw ``complex128`` after a JSON header line).
 Remote failures surface as :class:`RemoteError`; ``overloaded``
 rejections carry the server's ``retry_after`` hint so callers can
@@ -18,14 +19,16 @@ batching window from one client.
 server's ``retry_after`` hint on ``overloaded``, retrying typed
 ``internal`` faults, and transparently reconnecting after a connection
 reset.  Resending after a reset is safe because the FFT op is
-idempotent and side-effect free.
+idempotent and side-effect free.  The envelope ops (``stats``,
+``health``, ``ping``) redial through the same loop under the client's
+own policy — there is one redial loop, the policy's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-import socket
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -33,8 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..seeding import default_seed, derive_seed
-from .protocol import RETRYABLE_CODES, dump_line, read_frame, \
-    write_frame
+from .protocol import RETRYABLE_CODES, FrameConn, payload_array
 
 #: per-process client counter; decorrelates jitter streams of a fleet of
 #: clients sharing one ``REPRO_SEED``
@@ -71,6 +73,12 @@ class RemoteError(Exception):
         self.code = code
         self.retry_after = retry_after
 
+    @classmethod
+    def of(cls, resp: dict) -> "RemoteError":
+        """The error a failed response header describes."""
+        return cls(resp.get("error", "unknown"), resp.get("detail", ""),
+                   resp.get("retry_after"))
+
 
 @dataclass
 class RetryPolicy:
@@ -105,8 +113,7 @@ class ServeClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 7373,
                  timeout: float = 60.0,
                  retry: Optional[RetryPolicy] = None):
-        self._host = host
-        self._port = port
+        self._address = (host, port)
         self._timeout = timeout
         self.retry_policy = retry or RetryPolicy()
         self._rng = jitter_rng(self.retry_policy)
@@ -118,13 +125,8 @@ class ServeClient:
     # -- plumbing -------------------------------------------------------------
 
     def _connect(self) -> None:
-        self._connected = False
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
+        # one timeout: here the read timeout *is* the request timeout
+        self._conn = FrameConn.dial(self._address, self._timeout)
         self._connected = True
 
     def reconnect(self) -> None:
@@ -133,21 +135,16 @@ class ServeClient:
         self._connect()
         self.reconnects_total += 1
 
-    def _read_response(self) -> tuple[dict, Optional[np.ndarray]]:
-        frame = read_frame(self._rfile)
+    def _read_response(self) -> tuple[dict, Optional[bytes]]:
+        frame = self._conn.recv()
         if frame is None:
             raise ConnectionError("server closed the connection")
-        resp, arr = frame
-        return resp, arr
+        return frame
 
     @staticmethod
     def _check(resp: dict) -> dict:
         if not resp.get("ok", False):
-            raise RemoteError(
-                resp.get("error", "unknown"),
-                resp.get("detail", ""),
-                resp.get("retry_after"),
-            )
+            raise RemoteError.of(resp)
         return resp
 
     def _fft_header(self, threads, mu, strategy, timeout,
@@ -171,10 +168,7 @@ class ServeClient:
     def request(self, op: str, **fields) -> dict:
         """Send one JSON-envelope op and block for its response header."""
         self._next_id += 1
-        msg = {"op": op, "id": self._next_id}
-        msg.update(fields)
-        self._wfile.write(dump_line(msg))
-        self._wfile.flush()
+        self._conn.send({"op": op, "id": self._next_id, **fields})
         resp, _ = self._read_response()
         return self._check(resp)
 
@@ -189,11 +183,10 @@ class ServeClient:
     ) -> np.ndarray:
         """Transform one vector or a ``(b, n)`` stack on the server."""
         msg = self._fft_header(threads, mu, strategy, timeout, no_batch)
-        write_frame(self._wfile, msg, np.asarray(x))
-        self._wfile.flush()
-        resp, arr = self._read_response()
+        self._conn.send(msg, np.asarray(x))
+        resp, buf = self._read_response()
         self._check(resp)
-        return arr
+        return payload_array(resp, buf)
 
     def fft_retry(
         self,
@@ -212,14 +205,21 @@ class ServeClient:
         Non-retryable errors — ``bad-request``, ``deadline``, ``closed`` —
         raise immediately.
         """
-        pol = policy or self.retry_policy
+        return self._retrying(
+            functools.partial(self.fft, x, threads=threads, mu=mu,
+                              strategy=strategy, timeout=timeout,
+                              no_batch=no_batch),
+            policy or self.retry_policy,
+        )
+
+    def _retrying(self, call, pol: RetryPolicy):
+        """Run ``call`` under ``pol``: the client's one redial-and-retry loop."""
         last: Exception = RemoteError("unknown", "no attempt made")
         for attempt in range(max(1, pol.attempts)):
             try:
                 if not self._connected:
                     self.reconnect()  # a failed redial lands below
-                return self.fft(x, threads=threads, mu=mu, strategy=strategy,
-                                timeout=timeout, no_batch=no_batch)
+                return call()
             except RemoteError as exc:
                 if exc.code not in pol.retry_codes:
                     raise
@@ -251,78 +251,52 @@ class ServeClient:
         ``error`` a :class:`RemoteError` or None.
         """
         sent: list[tuple[int, float]] = []
-        for x in xs:
+        send, last = self._conn.send, len(xs) - 1
+        for i, x in enumerate(xs):
             msg = self._fft_header(threads, mu, strategy, timeout, False)
-            write_frame(self._wfile, msg, np.asarray(x))
+            send(msg, np.asarray(x), i == last)  # one flush per burst
             sent.append((msg["id"], time.perf_counter()))
-        self._wfile.flush()
         by_id: dict = {}
         for _ in sent:
-            resp, arr = self._read_response()
+            resp, buf = self._read_response()
             now = time.perf_counter()
             rid = resp.get("id")
             if resp.get("ok", False):
-                by_id[rid] = (arr, now, None)
+                by_id[rid] = (payload_array(resp, buf), now, None)
             else:
-                by_id[rid] = (
-                    None,
-                    now,
-                    RemoteError(resp.get("error", "unknown"),
-                                resp.get("detail", ""),
-                                resp.get("retry_after")),
-                )
+                by_id[rid] = (None, now, RemoteError.of(resp))
         out = []
         for rid, t0 in sent:
             y, t1, err = by_id[rid]
             out.append((y, t1 - t0, err))
         return out
 
-    def _request_reconnecting(self, op: str) -> dict:
-        """One envelope op, redialing after resets (a few attempts)."""
-        last: Exception = ConnectionError("no attempt made")
-        for _ in range(4):
-            try:
-                if not self._connected:
-                    self.reconnect()
-                return self.request(op)
-            except (ConnectionError, OSError) as exc:
-                last = exc
-                self._connected = False
-        raise last
+    def _envelope(self, op: str) -> dict:
+        """One payload-less op under the client's own retry policy."""
+        return self._retrying(functools.partial(self.request, op),
+                              self.retry_policy)
 
     def prewarm(self, n: int, threads: Optional[int] = None,
                 mu: Optional[int] = None,
                 strategy: Optional[str] = None) -> dict:
         """Ask the server to build one plan ahead of traffic."""
-        fields: dict = {"n": int(n)}
-        if threads is not None:
-            fields["threads"] = threads
-        if mu is not None:
-            fields["mu"] = mu
-        if strategy is not None:
-            fields["strategy"] = strategy
-        return self.request("prewarm", **fields)["plan"]
+        hints = {"threads": threads, "mu": mu, "strategy": strategy}
+        return self.request("prewarm", n=int(n), **{
+            k: v for k, v in hints.items() if v is not None})["plan"]
 
     def stats(self) -> dict:
-        return self._request_reconnecting("stats")["stats"]
+        return self._envelope("stats")["stats"]
 
     def health(self) -> dict:
         """The server's liveness/degradation snapshot (``health`` op)."""
-        return self._request_reconnecting("health")["health"]
+        return self._envelope("health")["health"]
 
     def ping(self) -> bool:
-        return bool(self._request_reconnecting("ping").get("pong"))
+        return bool(self._envelope("ping").get("pong"))
 
     def close(self) -> None:
         self._connected = False
-        try:
-            self._wfile.close()
-        except OSError:
-            pass
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()
+        self._conn.close()
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -1,4 +1,11 @@
-"""Wire protocol of the TCP front end: JSON envelopes, binary payloads.
+"""The hop: frame format, framed connection and TCP endpoint, each once.
+
+The only module under ``src/repro`` that touches a socket.  :class:`FrameConn`
+is what :class:`~repro.serve.client.ServeClient`, the router's upstreams
+and every accepted connection hold; :class:`FrameServer`'s one request
+loop hands each well-formed frame to a :class:`Session`, the one op ladder,
+and ``FFTServer`` / ``ShardRouter`` only say which session a connection
+gets (``docs/serving.md`` §4).
 
 Every message is one JSON header line.  An array payload travels in one
 form only, the **binary frame**: the header carries ``"shape"`` and
@@ -22,19 +29,37 @@ deadline passes while queued fails with it at expiry time.  ``internal``
 marks transient server-side trouble (a broken worker pool, an injected
 fault) and is safe to retry; ``bad-request``/``deadline``/``closed`` are
 not.  The ``health`` op returns the service's liveness snapshot — queue
-depth, per-pool status, degradation and fault counters (see
-``docs/serving.md``).
+depth, per-pool status, degradation and fault counters.
+
+A malformed frame gets one typed reply, never an exception out of the
+loop.  ``bad-json`` — the line is not a JSON object, or ``nbytes`` is not
+an integer in ``[0, MAX_PAYLOAD_BYTES]`` — means the stream is out of
+step: the connection closes after the reply.  ``bad-request`` under the
+request's own ``id`` — ``shape`` does not describe ``nbytes`` — means the
+payload was consumed and the next frame is served.
+
+Flush policy: a send flushes unless its caller knows another follows at
+once — ``fft_pipeline`` flushes after a burst's last request, the server's
+drain defers while responses are queued; every other send flushes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import socket
+import socketserver
+import struct
+import threading
 from typing import Optional
 
 import numpy as np
 
-#: wire dtype for array payloads
+from ..trace import get_tracer
+
+#: wire dtype for array payloads, and its size in bytes
 WIRE_DTYPE = "<c16"
+_ITEM_BYTES = 16
 
 #: every stable error code a response can carry; ``RETRYABLE_CODES`` are
 #: the ones a client may safely resend after backing off
@@ -47,22 +72,39 @@ RETRYABLE_CODES = ("overloaded", "internal")
 MAX_PAYLOAD_BYTES = 1 << 28
 
 
+def error_response(req_id, code: str, detail: str,
+                   retry_after: Optional[float] = None) -> dict:
+    resp = {"id": req_id, "ok": False, "error": code, "detail": detail}
+    if retry_after is not None:
+        resp["retry_after"] = retry_after
+    return resp
+
+
+class FrameError(ValueError):
+    """A malformed frame, carrying the typed reply it earns.  ``fatal``
+    (every ``bad-json``): the stream is out of step — answer, then close.
+    Otherwise the frame was consumed whole and the connection reads on."""
+
+    def __init__(self, code: str, detail: str, req_id=None):
+        super().__init__(detail)
+        self.response = error_response(req_id, code, detail)
+        self.fatal = code == "bad-json"
+
+
 def dump_line(msg: dict) -> bytes:
     """One wire line: compact JSON plus the newline terminator."""
     return json.dumps(msg, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def load_line(line: bytes) -> dict:
-    msg = json.loads(line.decode("utf-8"))
-    if not isinstance(msg, dict):
-        raise ValueError("wire messages must be JSON objects")
-    return msg
-
-
-def write_frame(wfile, msg: dict, arr: Optional[np.ndarray] = None) -> None:
-    """Write one message; ``arr`` travels as a raw binary payload."""
-    if arr is None:
+def write_frame(wfile, msg: dict, arr=None) -> None:
+    """Write one message.  An array ``arr`` travels as raw
+    :data:`WIRE_DTYPE` bytes, the header gaining the ``shape`` / ``nbytes``
+    that describe it; ``bytes`` are a payload a relay read, which ``msg``
+    already describes, and both pass through untouched."""
+    if arr is None or type(arr) is bytes:
         wfile.write(dump_line(msg))
+        if arr:
+            wfile.write(arr)
         return
     arr = np.ascontiguousarray(np.asarray(arr, dtype=np.complex128)).astype(
         WIRE_DTYPE, copy=False
@@ -74,17 +116,11 @@ def write_frame(wfile, msg: dict, arr: Optional[np.ndarray] = None) -> None:
     wfile.write(arr.tobytes())
 
 
-def read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
-    """Read one message; returns ``(header, payload-bytes-or-None)``, None
-    at EOF.
-
-    Raises :class:`ValueError` on a malformed header or an oversized
-    payload declaration; an EOF in the middle of a declared payload is
-    treated as a closed connection (returns None).  This is all the relay
-    path of :mod:`repro.shard.router` needs: the header (to route by plan
-    key) and the payload bytes (to forward, and to resend on failover),
-    never the numbers themselves.
-    """
+def _read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
+    """Read and validate one message: ``(header, payload-bytes-or-None)``,
+    all a relay needs.  ``None`` is a closed connection (EOF, also in the
+    middle of a declared payload); a malformed frame raises
+    :class:`FrameError`."""
     while True:
         line = rfile.readline()
         if not line:
@@ -92,50 +128,207 @@ def read_frame_raw(rfile) -> Optional[tuple[dict, Optional[bytes]]]:
         line = line.strip()
         if line:
             break
-    msg = load_line(line)
+    try:
+        msg = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FrameError("bad-json", f"header is not JSON: {exc}") from None
+    if type(msg) is not dict:
+        raise FrameError("bad-json", "wire messages must be JSON objects")
     nbytes = msg.get("nbytes")
     if nbytes is None:
         return msg, None
-    nbytes = int(nbytes)
-    if not 0 <= nbytes <= MAX_PAYLOAD_BYTES:
-        raise ValueError(f"unreasonable payload size {nbytes}")
+    if type(nbytes) is not int or not 0 <= nbytes <= MAX_PAYLOAD_BYTES:
+        raise FrameError("bad-json", f"unreasonable payload size {nbytes!r}",
+                         msg.get("id"))
     buf = rfile.read(nbytes)
     if len(buf) != nbytes:
         return None
-    return msg, bytes(buf)
+    shape = msg.get("shape")
+    described = -1
+    if type(shape) is list and shape:
+        described = _ITEM_BYTES
+        for dim in shape:
+            if type(dim) is not int or dim < 0:
+                described = -1
+                break
+            described *= dim
+    if described != nbytes:
+        raise FrameError(
+            "bad-request",
+            f"shape {shape!r} does not describe {nbytes} payload bytes",
+            msg.get("id"),
+        )
+    return msg, buf
+
+
+def payload_array(msg: dict, buf: bytes) -> np.ndarray:
+    """A validated frame's payload, viewed as the array its header names."""
+    # <c16 is complex128 on little-endian hosts, so this is usually a view
+    return np.frombuffer(buf, dtype=WIRE_DTYPE).astype(
+        np.complex128, copy=False
+    ).reshape(msg["shape"])
 
 
 def read_frame(rfile) -> Optional[tuple[dict, Optional[np.ndarray]]]:
-    """:func:`read_frame_raw` with the payload viewed as a complex array."""
-    frame = read_frame_raw(rfile)
+    """Read one message, the payload viewed as a complex array."""
+    frame = _read_frame_raw(rfile)
     if frame is None or frame[1] is None:
         return frame
-    msg, buf = frame
-    # <c16 is complex128 on little-endian hosts, so this is usually a view
-    arr = np.frombuffer(buf, dtype=WIRE_DTYPE).astype(
-        np.complex128, copy=False
-    )
-    shape = msg.get("shape")
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return msg, arr
+    return frame[0], payload_array(*frame)
 
 
-def write_frame_raw(wfile, msg: dict, payload: Optional[bytes]) -> None:
-    """Forward a header + raw payload pair read by :func:`read_frame_raw`.
+class FrameConn:
+    """One framed TCP connection: the only owner of a socket.
 
-    The header is re-serialized verbatim (it already carries ``shape`` /
-    ``nbytes`` when a payload follows); the payload bytes pass through
-    untouched.
+    ``recv()`` is :func:`_read_frame_raw` on the connection, and raises
+    :class:`OSError` when it breaks.  ``send`` may be called from several
+    threads; on a connection closed under it, it raises :class:`OSError`
+    or :class:`ValueError`.
     """
-    wfile.write(dump_line(msg))
-    if payload is not None:
-        wfile.write(payload)
+
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
+        # buffered: header + payload leave as one segment train
+        self._wfile = sock.makefile("wb")
+        self._wlock = threading.Lock()
+        self.recv = functools.partial(_read_frame_raw, self._rfile)
+
+    @classmethod
+    def dial(cls, address: tuple[str, int], timeout: Optional[float] = None,
+             connect_timeout: Optional[float] = None) -> "FrameConn":
+        """Connect.  ``timeout`` bounds every later read and write (``None``
+        blocks: an idle peer is not a dead one); ``connect_timeout`` bounds
+        only the connect and defaults to ``timeout``."""
+        sock = socket.create_connection(
+            address, timeout if connect_timeout is None else connect_timeout)
+        sock.settimeout(timeout)
+        return cls(sock)
+
+    def send(self, msg: dict, payload=None, flush: bool = True) -> None:
+        """Write one frame (see :func:`write_frame`)."""
+        with self._wlock:
+            write_frame(self._wfile, msg, payload)
+            if flush:
+                self._wfile.flush()
+
+    def abort(self) -> None:
+        """Make the coming :meth:`close` a hard reset (RST, not FIN): the
+        ``net.conn_reset`` chaos point."""
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                              struct.pack("ii", 1, 0))
+
+    def close(self) -> None:
+        # a thread blocked in recv() holds the reader's lock, so closing
+        # the reader would wait for the peer to speak: wake it (EOF) first
+        wake = functools.partial(self._sock.shutdown, socket.SHUT_RD)
+        for step in (self._wfile.close, wake, self._rfile.close,
+                     self._sock.close):
+            try:
+                step()
+            except OSError:
+                pass
 
 
-def error_response(req_id, code: str, detail: str,
-                   retry_after: Optional[float] = None) -> dict:
-    resp = {"id": req_id, "ok": False, "error": code, "detail": detail}
-    if retry_after is not None:
-        resp["retry_after"] = retry_after
-    return resp
+class Session:
+    """What an accepted connection does with its frames: the op ladder.
+    An endpoint's subclass adds what differs there — how a reply reaches
+    the client (``reply``), what ``fft``, ``prewarm``, ``health`` and
+    ``stats`` mean, and what ``close`` releases."""
+
+    #: what ``ping`` reports beside ``pong``
+    ping_extra: dict = {}
+    #: trace counter bumped once per request, labelled with its op
+    counter = "serve.net_requests"
+
+    def __init__(self, conn: FrameConn):
+        self.conn = conn
+        self._count = get_tracer().count
+
+    def dispatch(self, msg: dict, payload: Optional[bytes]) -> None:
+        """Answer, or start answering, one well-formed frame."""
+        op = msg.get("op", "fft")
+        req_id = msg.get("id")
+        self._count(self.counter, 1, op=op)
+        if op == "fft":
+            if payload is None:
+                self.reply(error_response(
+                    req_id, "bad-request",
+                    "fft needs a binary payload ('shape' + 'nbytes' header)"))
+            else:
+                self.fft(req_id, msg, payload)
+        elif op == "ping":
+            self.reply({"id": req_id, "ok": True, "pong": True,
+                        **self.ping_extra})
+        elif op == "health":
+            self.reply({"id": req_id, "ok": True, "health": self.health()})
+        elif op == "stats":
+            self.reply({"id": req_id, "ok": True, "stats": self.stats()})
+        elif op == "prewarm":
+            if type(msg.get("n")) is int:
+                self.prewarm(req_id, msg)
+            else:
+                self.reply(error_response(req_id, "bad-request",
+                                          "prewarm needs an integer 'n'"))
+        else:
+            self.reply(error_response(req_id, "bad-request",
+                                      f"unknown op {op!r}"))
+
+
+class _FrameHandler(socketserver.BaseRequestHandler):
+    """The one request loop: recv → typed reply or ``session.dispatch``."""
+
+    def handle(self) -> None:
+        conn = FrameConn(self.request)
+        session = self.server.session(conn)
+        recv, dispatch = conn.recv, session.dispatch
+        try:
+            while True:
+                try:
+                    frame = recv()
+                except FrameError as exc:
+                    session.reply(exc.response)
+                    if exc.fatal:
+                        break
+                    continue
+                if frame is None:
+                    break
+                try:
+                    dispatch(*frame)
+                except OSError:
+                    raise
+                except Exception as exc:  # a server bug is one request's
+                    # typed failure, not a dead connection
+                    session.reply(error_response(
+                        frame[0].get("id"), "internal", repr(exc)))
+        except OSError:
+            pass  # the peer reset, or the connection was aborted under us
+        finally:
+            session.close()
+            conn.close()
+
+
+class FrameServer(socketserver.ThreadingTCPServer):
+    """A threading TCP endpoint: one thread per accepted connection runs
+    the one request loop on the :class:`Session` a subclass's
+    ``session(conn)`` returns."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int]):
+        super().__init__(address, _FrameHandler)
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def serve_background(self) -> threading.Thread:
+        """Start ``serve_forever`` on a daemon thread (tests, loadgen)."""
+        t = threading.Thread(
+            target=self.serve_forever, name=f"{type(self).__name__}-tcp",
+            daemon=True,
+        )
+        t.start()
+        return t

@@ -1,34 +1,30 @@
 """The TCP front end: ``repro serve`` wraps an :class:`FFTService`.
 
-A :class:`FFTServer` is a threading TCP server — one handler thread per
-connection speaking the framed protocol of :mod:`repro.serve.protocol`.
-Connections are **pipelined**: the read loop submits every incoming
-request to the service immediately (it never blocks on a result), and a
-per-connection drain thread writes responses back in request order as
-their tickets resolve.  A client may therefore keep many requests in
-flight on one connection — which is how the service's batching window
-fills even from a single client, and how per-request socket and thread
-wake-up costs amortize across a burst.  Admission control still applies
-at ``submit``: an over-full queue turns into an ``overloaded`` response
-in the normal response stream.
+A :class:`FFTServer` is the framed endpoint of :mod:`repro.serve.protocol`
+(one handler thread per connection, one request loop, one op ladder);
+what is its own is how a request is answered.  Connections are
+**pipelined**: every incoming ``fft`` is submitted to the service on
+arrival (the read loop never blocks on a result), and a per-connection
+drain thread writes responses back *in request order* as their tickets
+resolve.  A client may therefore keep many requests in flight on one
+connection — which is how the service's batching window fills even from
+a single client, and how per-request socket and thread wake-up costs
+amortize across a burst.  Admission control still applies at ``submit``:
+an over-full queue turns into an ``overloaded`` response in the normal
+response stream.
 """
 
 from __future__ import annotations
 
 import queue
-import socket
-import socketserver
-import struct
 import sys
 import threading
 from typing import Optional
 
 from ..faults import get_fault_plan
-from ..trace import get_tracer
-from .protocol import dump_line, error_response, read_frame, write_frame
+from .protocol import FrameConn, FrameServer, Session, error_response, \
+    payload_array
 from .service import DeadlineExceeded, FFTService, Overloaded, ServiceClosed
-
-_SENTINEL = object()
 
 #: the one exception → wire error-code table (``docs/serving.md`` §4/§7),
 #: first match wins.  Anything not listed — a broken worker pool, an injected
@@ -42,7 +38,7 @@ _ERROR_TABLE = (
 )
 
 
-def _error_response(req_id, exc: BaseException) -> dict:
+def exception_response(req_id, exc: BaseException) -> dict:
     """The wire error for ``exc`` (``overloaded`` carries ``retry_after``)."""
     code = next((c for tp, c in _ERROR_TABLE if isinstance(exc, tp)),
                 "internal")
@@ -50,113 +46,43 @@ def _error_response(req_id, exc: BaseException) -> dict:
     return error_response(req_id, code, str(exc), retry_after=retry)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # buffer response writes (header + binary payload leave as one segment,
-    # avoiding a Nagle/delayed-ACK stall) and flush once per response
-    wbufsize = -1
-    disable_nagle_algorithm = True
+class _ServerSession(Session):
+    """Admit to the service on arrival; answer in request order."""
 
-    def handle(self) -> None:
-        tr = get_tracer()
-        service: FFTService = self.server.service  # type: ignore[attr-defined]
+    def __init__(self, conn: FrameConn, service: FFTService):
+        super().__init__(conn)
+        self.service = service
+        self.health, self.stats = service.health, service.stats
         # responses in request order: a finished response header (a dict), or
         # a ``(ticket, req_id, timeout)`` whose result the drain waits for
-        pending: queue.Queue = queue.Queue()
-        reply = pending.put
-        drain = threading.Thread(
-            target=self._drain, args=(pending,), daemon=True
-        )
-        drain.start()
-        try:
-            while True:
-                try:
-                    frame = read_frame(self.rfile)
-                except ValueError as exc:
-                    reply(error_response(None, "bad-json", str(exc)))
-                    continue
-                except OSError:
-                    break
-                if frame is None:
-                    break
-                msg, arr = frame
-                req_id = msg.get("id")
-                op = msg.get("op", "fft")
-                tr.count("serve.net_requests", 1, op=op)
-                fp = get_fault_plan()
-                if fp.enabled and fp.fired("net.conn_reset"):
-                    # chaos: hard-reset the connection mid-conversation;
-                    # clients must reconnect and resend (FFT is idempotent)
-                    self._reset_connection()
-                    break
-                if op == "ping":
-                    reply({"id": req_id, "ok": True, "pong": True})
-                elif op == "stats":
-                    reply({"id": req_id, "ok": True,
-                           "stats": service.stats()})
-                elif op == "health":
-                    reply({"id": req_id, "ok": True,
-                           "health": service.health()})
-                elif op == "prewarm":
-                    reply(self._prewarm(service, req_id, msg))
-                elif op == "fft":
-                    reply(self._submit_fft(service, req_id, msg, arr))
-                else:
-                    reply(error_response(req_id, "bad-request",
-                                         f"unknown op {op!r}"))
-        finally:
-            pending.put(_SENTINEL)
-            drain.join(timeout=60)
+        self._pending: queue.Queue = queue.Queue()
+        self.reply = self._pending.put
+        self._drainer = threading.Thread(target=self._drain, daemon=True)
+        self._drainer.start()
 
-    @staticmethod
-    def _prewarm(service: FFTService, req_id, msg: dict) -> dict:
-        """Build one plan ahead of traffic (the shard tier's warm-up op)."""
-        try:
-            n = int(msg["n"])
-        except (KeyError, TypeError, ValueError):
-            return error_response(req_id, "bad-request",
-                                  "prewarm needs an integer 'n'")
-        try:
-            built = service.prewarm(
-                n,
-                threads=msg.get("threads"),
-                mu=msg.get("mu"),
-                strategy=msg.get("strategy"),
-            )
-        except Exception as exc:
-            return _error_response(req_id, exc)
-        return {"id": req_id, "ok": True, "plan": built}
+    def dispatch(self, msg: dict, payload: Optional[bytes]) -> None:
+        fp = get_fault_plan()
+        if fp.enabled and fp.fired("net.conn_reset"):
+            # chaos: hard-reset the connection mid-conversation; clients
+            # must reconnect and resend (FFT is idempotent)
+            self.conn.abort()
+            raise ConnectionAbortedError("injected fault: connection reset")
+        Session.dispatch(self, msg, payload)
 
-    def _reset_connection(self) -> None:
-        """Abort the TCP connection (RST, not FIN) — the chaos reset."""
-        try:
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER,
-                struct.pack("ii", 1, 0),
-            )
-        except OSError:
-            pass
-        try:
-            self.connection.close()
-        except OSError:
-            pass
-
-    @staticmethod
-    def _submit_fft(service: FFTService, req_id, msg: dict, arr):
-        """Admit one fft request: an error header, or the ticket to drain."""
+    def fft(self, req_id, msg: dict, payload: bytes) -> None:
+        """Admit one request: queue an error header, or its ticket."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
             # typed, retryable error, never as a silently wrong answer
-            return error_response(req_id, "internal",
-                                  "injected fault: poisoned payload")
-        if arr is None:
-            return error_response(
-                req_id, "bad-request",
-                "fft needs a binary payload ('shape' + 'nbytes' header)")
+            self.reply(error_response(req_id, "internal",
+                                      "injected fault: poisoned payload"))
+            return
+        service = self.service
         timeout = msg.get("timeout", service.config.default_timeout_s)
         try:
             ticket = service.submit(
-                arr,
+                payload_array(msg, payload),
                 threads=msg.get("threads"),
                 mu=msg.get("mu"),
                 strategy=msg.get("strategy"),
@@ -164,45 +90,57 @@ class _Handler(socketserver.StreamRequestHandler):
                 no_batch=bool(msg.get("no_batch", False)),
             )
         except Exception as exc:
-            return _error_response(req_id, exc)
-        return ticket, req_id, timeout
+            self.reply(exception_response(req_id, exc))
+        else:
+            self.reply((ticket, req_id, timeout))
 
-    def _drain(self, pending: queue.Queue) -> None:
+    def prewarm(self, req_id, msg: dict) -> None:
+        """Build one plan here, ahead of traffic (the shard tier's warm-up)."""
+        try:
+            built = self.service.prewarm(
+                msg["n"],
+                threads=msg.get("threads"),
+                mu=msg.get("mu"),
+                strategy=msg.get("strategy"),
+            )
+        except Exception as exc:
+            self.reply(exception_response(req_id, exc))
+        else:
+            self.reply({"id": req_id, "ok": True, "plan": built})
+
+    def _drain(self) -> None:
         """Write responses in request order as results become available.
 
         The flush is deferred while more work is already queued, so the
         responses to a pipelined burst leave in one flush (one syscall,
         one TCP segment train) instead of one flush per response.
         """
+        get, empty, send = self._pending.get, self._pending.empty, \
+            self.conn.send
         while True:
-            item = pending.get()
-            if item is _SENTINEL:
+            item, y = get(), None
+            if item is None:
                 return
+            if not isinstance(item, dict):
+                ticket, req_id, timeout = item
+                try:
+                    y = ticket.result(None if timeout is None
+                                      else timeout + 1.0)
+                    item = {"id": req_id, "ok": True}
+                except Exception as exc:
+                    item = exception_response(req_id, exc)
             try:
-                if isinstance(item, dict):
-                    self.wfile.write(dump_line(item))
-                else:
-                    ticket, req_id, timeout = item
-                    wait = None if timeout is None else timeout + 1.0
-                    try:
-                        y = ticket.result(wait)
-                    except Exception as exc:
-                        self.wfile.write(
-                            dump_line(_error_response(req_id, exc))
-                        )
-                    else:
-                        write_frame(self.wfile, {"id": req_id, "ok": True}, y)
-                if pending.empty():
-                    self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                return
+                send(item, y, empty())
+            except (OSError, ValueError):
+                return  # the connection is gone, or was closed under us
+
+    def close(self) -> None:
+        self.reply(None)  # ends the drain once everything queued is written
+        self._drainer.join(timeout=60)
 
 
-class FFTServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server bound to one shared :class:`FFTService`."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class FFTServer(FrameServer):
+    """The framed endpoint bound to one shared :class:`FFTService`."""
 
     def __init__(self, address: tuple[str, int], service: FFTService):
         # Many small runnable threads (handlers, drains, the dispatcher)
@@ -211,29 +149,11 @@ class FFTServer(socketserver.ThreadingTCPServer):
         # starve.  Set it here so every embedder of the server benefits,
         # not just the CLI.
         sys.setswitchinterval(0.0005)
-        super().__init__(address, _Handler)
+        super().__init__(address)
         self.service = service
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def serve_background(self) -> threading.Thread:
-        """Start ``serve_forever`` on a daemon thread (tests, loadgen)."""
-        t = threading.Thread(
-            target=self.serve_forever, name="fft-serve-tcp", daemon=True
-        )
-        t.start()
-        return t
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 7373,
-    service: Optional[FFTService] = None,
-) -> FFTServer:
-    """Bind an :class:`FFTServer`; caller runs ``serve_forever()``."""
-    return FFTServer((host, port), service or FFTService())
+    def session(self, conn: FrameConn) -> _ServerSession:
+        return _ServerSession(conn, self.service)
 
 
 def graceful_shutdown(server: FFTServer, service: FFTService,

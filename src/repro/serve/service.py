@@ -102,6 +102,18 @@ class ServeConfig:
     tune_interval_s: float = 0.5  #: tuner tick period
     p99_target_ms: Optional[float] = None  #: batcher-knob autotuning goal
 
+    def plan_key(self, n: int, threads: Optional[int] = None,
+                 mu: Optional[int] = None, strategy: Optional[str] = None,
+                 nu: Optional[int] = None) -> PlanKey:
+        """The plan a request builds: defaults filled in and ``threads``
+        clamped to the feasible count.  The batcher coalesces on this key
+        and the shard tier routes by it."""
+        threads = self.threads if threads is None else threads
+        mu = self.mu if mu is None else mu
+        return PlanKey(n, feasible_threads(n, threads, mu), mu,
+                       strategy or self.strategy,
+                       self.nu if nu is None else nu)
+
 
 class FFTTicket:
     """A pending request's future; ``result()`` blocks for the answer."""
@@ -260,7 +272,7 @@ class FFTService:
         if x.ndim != 2 or x.shape[1] < 2:
             raise ValueError(f"expected (batch, n) input, got shape {x.shape}")
         n = int(x.shape[1])
-        key = self._plan_key(n, threads, mu, strategy, nu)
+        key = self.config.plan_key(n, threads, mu, strategy, nu)
         if timeout is None:
             timeout = self.config.default_timeout_s
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -410,7 +422,7 @@ class FFTService:
         """
         if self._closing:
             raise ServiceClosed("service is shutting down")
-        key = self._plan_key(int(n), threads, mu, strategy)
+        key = self.config.plan_key(int(n), threads, mu, strategy)
         plan = self.plans.get(key)
         get_tracer().count("serve.prewarms", 1, n=key.n)
         return {
@@ -477,13 +489,6 @@ class FFTService:
         self.close()
 
     # -- internals -----------------------------------------------------------
-
-    def _plan_key(self, n, threads, mu, strategy, nu=None) -> PlanKey:
-        threads = self.config.threads if threads is None else threads
-        mu = self.config.mu if mu is None else mu
-        strategy = strategy or self.config.strategy
-        nu = self.config.nu if nu is None else nu
-        return PlanKey(n, feasible_threads(n, threads, mu), mu, strategy, nu)
 
     def _retry_after_locked(self) -> float:
         """Backpressure hint: roughly the time to drain the current backlog."""

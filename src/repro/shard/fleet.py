@@ -7,6 +7,8 @@ subset of shards, and a supervisor thread in the mold of
 shards from the ring, respawns them, and re-admits a respawned shard
 once its server answers ``ping`` — so a killed shard's hash ranges move
 to its ring successors for the outage and flap back when it returns.
+Plan keys are the shards' own (:meth:`ServeConfig.plan_key`), so the
+ring places a request by the plan it will build, not by its spelling.
 
 Two chaos hooks live here: ``shard.worker_crash`` (the supervisor
 SIGKILLs a live shard — the full ejection/failover/restart path under a
@@ -51,7 +53,7 @@ class ShardFleet:
     ::
 
         with ShardFleet(2, ServeConfig()) as fleet:
-            sid = fleet.owner_for(4096)        # consistent-hash owner
+            sid = fleet.owner(fleet.route_key_for(4096))  # ring owner
             host, port = fleet.address(sid)
 
     ``config`` is the per-shard :class:`ServeConfig` (every shard gets an
@@ -126,19 +128,13 @@ class ShardFleet:
     def route_key_for(self, n: int, threads: Optional[int] = None,
                       mu: Optional[int] = None,
                       strategy: Optional[str] = None) -> str:
-        """The routing string for a request, with fleet defaults filled in.
-
-        Mirrors the shard service's own defaulting so the router and the
-        shard batcher coalesce on the same key.
-        """
-        cfg = self.config
-        return route_key(
-            int(n),
-            cfg.threads if threads is None else int(threads),
-            cfg.mu if mu is None else int(mu),
-            strategy or cfg.strategy,
-            cfg.backend,
-        )
+        """The routing string for a request: the plan its shard will build
+        (:meth:`ServeConfig.plan_key` — defaults filled in, ``threads``
+        clamped), so every spelling of one effective plan has one owner,
+        one batcher and one wisdom observation lane."""
+        key = self.config.plan_key(n, threads, mu, strategy)
+        return route_key(key.n, key.threads, key.mu, key.strategy,
+                         self.config.backend)
 
     def owner(self, key: str) -> str:
         """The live shard owning ``key``'s hash range."""

@@ -12,12 +12,15 @@ one substrate further.
 
 Mechanics per client connection:
 
-* requests are **relayed raw** (:func:`~repro.serve.protocol.
-  read_frame_raw`): the router parses headers for routing but never
-  decodes payload arrays;
-* one upstream connection per (client connection, shard), pipelined both
-  ways; responses return to the client as shards produce them (the
-  protocol is id-matched, so cross-shard reordering is legal);
+* the request loop, frame validation and op ladder are the server's
+  (:mod:`repro.serve.protocol`), so nothing malformed reaches the pending
+  table; requests are **relayed raw** — headers are read for routing,
+  payload arrays never decoded;
+* one upstream :class:`~repro.serve.protocol.FrameConn` per (client
+  connection, shard), pipelined both ways and read without a timeout (an
+  idle client is not a dead shard); responses return to the client as
+  shards produce them (the protocol is id-matched, so cross-shard
+  reordering is legal);
 * every in-flight request is remembered (header + payload bytes) until
   its response arrives, so when an upstream dies mid-request the router
   ejects the shard from the ring and **replays** the orphaned requests
@@ -42,8 +45,6 @@ owner's successor — exercising the invariant that *any* shard can serve
 from __future__ import annotations
 
 import queue
-import socket
-import socketserver
 import threading
 import time
 from typing import Optional
@@ -51,8 +52,8 @@ from typing import Optional
 from ..faults import get_fault_plan
 from ..serve.client import ServeClient
 from ..serve.metrics import LatencyRecorder, latency_summary
-from ..serve.protocol import dump_line, error_response, read_frame_raw, \
-    write_frame_raw
+from ..serve.protocol import FrameConn, FrameServer, Session, error_response
+from ..serve.server import exception_response
 from ..smp.runtime import lane_name
 from ..trace import get_tracer
 from ..wisdom import Wisdom
@@ -60,20 +61,6 @@ from .fleet import NoShardsAvailable, ShardFleet
 
 #: replay attempts for a request orphaned by a dying shard
 MAX_ROUTE_ATTEMPTS = 4
-
-#: ops the router answers itself; everything else is per-shard state
-_LOCAL_OPS = ("ping", "health", "stats")
-
-
-def _request_n(msg: dict) -> Optional[int]:
-    """The transform size, read off an fft header's ``shape``."""
-    shape = msg.get("shape")
-    if isinstance(shape, list) and shape:
-        try:
-            return int(shape[-1])
-        except (TypeError, ValueError):
-            pass
-    return None
 
 
 class _Pending:
@@ -91,40 +78,52 @@ class _Pending:
         self.t0 = time.perf_counter()
 
 
+#: shard counters that are high-water marks: the fleet's is the largest
+_MAXED = ("max_queue_depth", "queue_depth")
+
+
+def _sum_numeric(blocks) -> dict:
+    """Every numeric value the blocks carry, summed key by key."""
+    out: dict = {}
+    for block in blocks:
+        for k, v in block.items():
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[k] = (max(out.get(k, 0), v) if k in _MAXED
+                          else out.get(k, 0) + v)
+    return out
+
+
+def _ratio(block: dict, num: str, den: str) -> float:
+    return block.get(num, 0) / block[den] if block.get(den) else 0.0
+
+
 class _Upstream:
     """The router's pipelined connection to one shard, for one client."""
 
     def __init__(self, shard_id: str, address: tuple[str, int],
-                 session: "_Session", timeout: float = 60.0):
+                 session: "_Session"):
         self.shard_id = shard_id
         self.dead = False
         self._session = session
-        self._sock = socket.create_connection(address, timeout=5.0)
-        self._sock.settimeout(timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
-        self._wlock = threading.Lock()
-        self._reader = threading.Thread(
+        # the timeout bounds the dial only: reads block while the client
+        # stays quiet
+        self._conn = FrameConn.dial(address, connect_timeout=5.0)
+        #: forward one framed request; raises OSError on a dead pipe
+        self.send = self._conn.send
+        threading.Thread(
             target=self._read_loop,
             name=f"shard-upstream-{shard_id}",
             daemon=True,
-        )
-        self._reader.start()
-
-    def send(self, msg: dict, payload: Optional[bytes]) -> None:
-        """Forward one framed request; raises OSError on a dead pipe."""
-        with self._wlock:
-            write_frame_raw(self._wfile, msg, payload)
-            self._wfile.flush()
+        ).start()
 
     def _read_loop(self) -> None:
+        recv, respond = self._conn.recv, self._session.on_upstream_response
         try:
             while True:
-                frame = read_frame_raw(self._rfile)
+                frame = recv()
                 if frame is None:
                     break
-                self._session.on_upstream_response(self.shard_id, *frame)
+                respond(self.shard_id, *frame)
         except (OSError, ValueError):
             pass
         finally:
@@ -134,24 +133,21 @@ class _Upstream:
 
     def close(self) -> None:
         self.dead = True
-        for f in (self._wfile, self._rfile):
-            try:
-                f.close()
-            except OSError:
-                pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._conn.close()
 
 
-class _Session:
-    """Per-client-connection routing state (pending table + upstreams)."""
+class _Session(Session):
+    """The router's half of a client connection: relay raw, remember every
+    in-flight request, answer as shards answer."""
 
-    def __init__(self, router: "ShardRouter", wfile):
+    ping_extra = {"role": "router"}
+    counter = "shard.router_requests"
+
+    def __init__(self, conn: FrameConn, router: "ShardRouter"):
+        super().__init__(conn)
         self.router = router
-        self._wfile = wfile
-        self._wlock = threading.Lock()
+        self.health = router.health_snapshot
+        self.stats = router.stats_snapshot
         self._lock = threading.Lock()
         self._pending: dict[object, _Pending] = {}
         self._upstreams: dict[str, _Upstream] = {}
@@ -162,42 +158,42 @@ class _Session:
     def reply(self, msg: dict, payload: Optional[bytes] = None) -> None:
         """Write one response frame to the client (thread-safe)."""
         try:
-            with self._wlock:
-                write_frame_raw(self._wfile, msg, payload)
-                self._wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client is gone; teardown happens in the read loop
+            self.conn.send(msg, payload)
+        except (OSError, ValueError):
+            pass  # client is gone; teardown happens in the request loop
 
     # -- routing ---------------------------------------------------------------
 
-    def route_fft(self, msg: dict, payload: Optional[bytes]) -> None:
-        """Place one fft request on its owning shard (or its successor)."""
-        req_id = msg.get("id")
-        n = _request_n(msg)
-        if n is None:
-            self.reply(error_response(
-                req_id, "bad-request",
-                "cannot infer n: fft needs a binary payload "
-                "('shape' + 'nbytes' header)"
-            ))
-            return
+    def _route(self, req_id, n: int, msg: dict) -> Optional[tuple[str, str]]:
+        """``(route key, owner shard)`` of the plan ``msg`` asks for, or None
+        with the client answered: hints that name no plan get the reply the
+        owning shard would give them, an empty ring ``overloaded``."""
         fleet = self.router.fleet
-        key = fleet.route_key_for(
-            n, msg.get("threads"), msg.get("mu"), msg.get("strategy")
-        )
         try:
-            shard_id = fleet.owner(key)
+            key = fleet.route_key_for(
+                n, msg.get("threads"), msg.get("mu"), msg.get("strategy")
+            )
+            return key, fleet.owner(key)
         except NoShardsAvailable:
             self._no_shards(req_id)
+        except Exception as exc:
+            self.reply(exception_response(req_id, exc))
+        return None
+
+    def fft(self, req_id, msg: dict, payload: bytes) -> None:
+        """Place one fft request on its owning shard (or its successor)."""
+        routed = self._route(req_id, msg["shape"][-1], msg)
+        if routed is None:
             return
+        key, shard_id = routed
         fp = get_fault_plan()
         if fp.enabled and fp.fired("shard.route_flap"):
-            flapped = fleet.successors(key, 1)
+            flapped = self.router.fleet.successors(key, 1)
             if flapped:
                 shard_id = flapped[0]
                 self.router.count("flapped_routes")
         pend = _Pending(msg, payload, key, shard_id)
-        self._dispatch(pend, first=True)
+        self._forward(pend, first=True)
 
     def _no_shards(self, req_id) -> None:
         """The empty-ring reply: a retryable ``overloaded``, counted."""
@@ -228,7 +224,7 @@ class _Session:
         self.router.count("failovers")
         return True
 
-    def _dispatch(self, pend: _Pending, first: bool = False) -> None:
+    def _forward(self, pend: _Pending, first: bool = False) -> None:
         """Send ``pend`` to its shard, failing over while attempts remain."""
         while True:
             req_id = pend.msg.get("id")
@@ -239,12 +235,7 @@ class _Session:
                         return
                     self._pending[req_id] = pend
                 up.send(pend.msg, pend.payload)
-            except NoShardsAvailable:
-                with self._lock:
-                    self._pending.pop(req_id, None)
-                self._no_shards(req_id)
-                return
-            except (OSError, ConnectionError):
+            except OSError:
                 with self._lock:
                     self._pending.pop(req_id, None)
                 self.router.fleet.eject(pend.shard_id, reason="connect")
@@ -284,6 +275,17 @@ class _Session:
         if up is not None:
             up.close()
 
+    def prewarm(self, req_id, msg: dict) -> None:
+        """A client-issued prewarm: build on the owner *and* successors."""
+        routed = self._route(req_id, msg["n"], msg)
+        if routed is None:
+            return
+        key, owner = routed
+        targets = [owner] + self.router.fleet.successors(key)
+        built = self.router.prewarm_shards(targets, msg)
+        self.reply({"id": req_id, "ok": True, "plan": built,
+                    "shards": targets})
+
     # -- upstream callbacks ----------------------------------------------------
 
     def on_upstream_response(self, shard_id: str, msg: dict,
@@ -292,8 +294,7 @@ class _Session:
             pend = self._pending.pop(msg.get("id"), None)
         if pend is not None:
             dt = time.perf_counter() - pend.t0
-            self.router.record_latency(shard_id, dt)
-            self.router.record_plan_latency(pend.key, dt)
+            self.router.record(shard_id, pend.key, dt)
         self.reply(msg, payload)
 
     def on_upstream_dead(self, shard_id: str) -> None:
@@ -314,7 +315,7 @@ class _Session:
                            shard=shard_id)
         for pend in orphans:
             if self._reroute(pend):
-                self._dispatch(pend)
+                self._forward(pend)
 
     # -- teardown --------------------------------------------------------------
 
@@ -330,67 +331,12 @@ class _Session:
             up.close()
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
-    wbufsize = -1
-    disable_nagle_algorithm = True
-
-    def handle(self) -> None:
-        router: ShardRouter = self.server  # type: ignore[assignment]
-        session = _Session(router, self.wfile)
-        tr = get_tracer()
-        try:
-            while True:
-                try:
-                    frame = read_frame_raw(self.rfile)
-                except ValueError as exc:
-                    session.reply(
-                        error_response(None, "bad-json", str(exc))
-                    )
-                    continue
-                except OSError:
-                    break
-                if frame is None:
-                    break
-                msg, payload = frame
-                op = msg.get("op", "fft")
-                req_id = msg.get("id")
-                tr.count("shard.router_requests", 1, op=op)
-                if op == "ping":
-                    session.reply(
-                        {"id": req_id, "ok": True, "pong": True,
-                         "role": "router"}
-                    )
-                elif op == "health":
-                    session.reply(
-                        {"id": req_id, "ok": True,
-                         "health": router.health_snapshot()}
-                    )
-                elif op == "stats":
-                    session.reply(
-                        {"id": req_id, "ok": True,
-                         "stats": router.stats_snapshot()}
-                    )
-                elif op == "fft":
-                    session.route_fft(msg, payload)
-                elif op == "prewarm":
-                    router.prewarm_now(msg, session)
-                else:
-                    session.reply(error_response(
-                        req_id, "bad-request", f"unknown op {op!r}"
-                    ))
-        finally:
-            session.close()
-
-
-class ShardRouter(socketserver.ThreadingTCPServer):
-    """Threading TCP server routing the framed protocol onto a fleet."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class ShardRouter(FrameServer):
+    """The framed endpoint routing every connection onto a fleet."""
 
     def __init__(self, address: tuple[str, int], fleet: ShardFleet,
                  prewarm: bool = True):
-        super().__init__(address, _RouterHandler)
+        super().__init__(address)
         self.fleet = fleet
         self.prewarm_enabled = prewarm
         self.latencies = LatencyRecorder()
@@ -416,22 +362,13 @@ class ShardRouter(socketserver.ThreadingTCPServer):
         }
         self._seen_keys: set[str] = set()
         self._prewarm_q: queue.Queue = queue.Queue()
-        self._prewarmer = threading.Thread(
+        threading.Thread(
             target=self._prewarm_loop, name="shard-router-prewarm",
             daemon=True,
-        )
-        self._prewarmer.start()
+        ).start()
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def serve_background(self) -> threading.Thread:
-        t = threading.Thread(
-            target=self.serve_forever, name="shard-router-tcp", daemon=True
-        )
-        t.start()
-        return t
+    def session(self, conn: FrameConn) -> _Session:
+        return _Session(conn, self)
 
     # -- metrics ---------------------------------------------------------------
 
@@ -443,11 +380,9 @@ class ShardRouter(socketserver.ThreadingTCPServer):
         with self._mlock:
             return dict(self._counters)
 
-    def record_latency(self, shard_id: str, seconds: float) -> None:
+    def record(self, shard_id: str, key: str, seconds: float) -> None:
+        """One routed response, by shard and by plan routing string."""
         self.latencies.record(shard_id, seconds)
-
-    def record_plan_latency(self, key: str, seconds: float) -> None:
-        """One routed response, keyed by its plan routing string."""
         self.plan_latencies.record(key, seconds)
         if self._wisdom is not None:
             self._wisdom_window.record(key, seconds)
@@ -455,15 +390,12 @@ class ShardRouter(socketserver.ThreadingTCPServer):
     def flush_observations(self) -> int:
         """Merge windowed per-plan latencies into the fleet's wisdom file.
 
-        Route keys are ``n:threads:mu:strategy:backend``
-        (:func:`~repro.shard.ring.route_key`); each becomes one
-        :meth:`~repro.wisdom.Wisdom.record_observation` under the lane
-        the fleet actually runs (sequential / pthreads / process per the
-        shard :class:`~repro.serve.ServeConfig`), so router-measured
-        latency lands in the same records the serve-side Tuner reads.
+        A route key names the plan its shard built (*effective* threads),
+        so each becomes one :meth:`~repro.wisdom.Wisdom.record_observation`
+        in the very lane that shard's Tuner reads and writes (sequential /
+        pthreads / process per the shard :class:`~repro.serve.ServeConfig`).
         Returns the number of plan keys flushed.  Called from
-        :meth:`stats_snapshot`, so any stats poller doubles as the
-        flush cadence.
+        :meth:`stats_snapshot`, so any stats poller is the flush cadence.
         """
         if self._wisdom is None:
             return 0
@@ -471,25 +403,16 @@ class ShardRouter(socketserver.ThreadingTCPServer):
         if not drained:
             return 0
         cfg = self.fleet.config
-        flushed = 0
         with self._wisdom.transaction():  # one file rewrite per flush
             for key, samples in drained.items():
-                try:
-                    n_s, threads_s, mu_s, _strategy, backend = \
-                        key.split(":", 4)
-                    n, threads, mu = int(n_s), int(threads_s), int(mu_s)
-                except ValueError:
-                    continue
-                summary = {"requests": len(samples),
-                           **latency_summary(samples)}
+                n, threads, mu = map(int, key.split(":")[:3])
                 self._wisdom.record_observation(
-                    n, threads, mu, backend,
-                    lane_name(cfg.runtime, threads), summary,
+                    n, threads, mu, cfg.backend,
+                    lane_name(cfg.runtime, threads),
+                    {"requests": len(samples), **latency_summary(samples)},
                 )
-                flushed += 1
-        if flushed:
-            get_tracer().count("shard.wisdom_flushes", flushed)
-        return flushed
+        get_tracer().count("shard.wisdom_flushes", len(drained))
+        return len(drained)
 
     # -- aggregation -----------------------------------------------------------
 
@@ -506,44 +429,23 @@ class ShardRouter(socketserver.ThreadingTCPServer):
     def stats_snapshot(self) -> dict:
         """Summed shard stats + router-side routing/latency metrics.
 
-        Shape-compatible with :meth:`FFTService.stats` for the fields the
-        load generator consumes (``plan_cache``, ``avg_batch_occupancy``,
-        ``config``), with the per-shard breakdown preserved under
-        ``"shards"`` and router-only metrics under ``"router"``.
+        Every numeric counter a shard's :meth:`FFTService.stats` reports
+        (top level and ``plan_cache``) is summed over the shards that
+        answered — queue depths are maxima, the ratios are recomputed —
+        and ``config`` is a shard's own plus ``shards``; the per-shard
+        breakdown is under ``"shards"``, router-only metrics ``"router"``.
         """
         per_shard = self.fleet.stats()
-        summed_keys = (
-            "requests", "vectors", "batches", "batched_vectors",
-            "rejected", "deadline_misses", "failures",
-        )
-        agg: dict = {k: 0 for k in summed_keys}
-        cache = {"hits": 0, "misses": 0, "evictions": 0,
-                 "single_flight_waits": 0, "plans_built": 0}
-        plans_cached = 0
-        for stats in per_shard.values():
-            for k in summed_keys:
-                agg[k] += stats.get(k, 0)
-            for k in cache:
-                cache[k] += stats.get("plan_cache", {}).get(k, 0)
-            plans_cached += stats.get("plans_cached", 0)
-        total = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / total if total else 0.0
-        agg["avg_batch_occupancy"] = (
-            agg["batched_vectors"] / agg["batches"] if agg["batches"]
-            else 0.0
-        )
+        agg = _sum_numeric(per_shard.values())
+        cache = _sum_numeric(s["plan_cache"] for s in per_shard.values())
+        agg["avg_batch_occupancy"] = _ratio(agg, "batched_vectors", "batches")
+        agg["avg_request_wall_s"] = _ratio(agg, "request_wall_s", "vectors")
+        lookups = cache.get("hits", 0) + cache.get("misses", 0)
+        cache["hit_rate"] = cache.get("hits", 0) / lookups if lookups else 0.0
         agg["plan_cache"] = cache
-        agg["plans_cached"] = plans_cached
-        cfg = self.fleet.config
         agg["config"] = {
+            **next((s["config"] for s in per_shard.values()), {}),
             "shards": len(self.fleet.shard_ids),
-            "threads": cfg.threads,
-            "mu": cfg.mu,
-            "window_ms": cfg.window_s * 1e3,
-            "max_batch": cfg.max_batch,
-            "queue_limit": cfg.queue_limit,
-            "cache_capacity": cfg.cache_capacity,
-            "backend": cfg.backend,
         }
         agg["router"] = {
             "counters": self.counters(),
@@ -566,34 +468,7 @@ class ShardRouter(socketserver.ThreadingTCPServer):
             if key in self._seen_keys:
                 return
             self._seen_keys.add(key)
-        self._prewarm_q.put((key, {
-            "n": _request_n(msg),
-            "threads": msg.get("threads"),
-            "mu": msg.get("mu"),
-            "strategy": msg.get("strategy"),
-        }))
-
-    def prewarm_now(self, msg: dict, session: _Session) -> None:
-        """A client-issued prewarm: build on the owner *and* successors."""
-        req_id = msg.get("id")
-        n = msg.get("n")
-        if not isinstance(n, int):
-            session.reply(error_response(
-                req_id, "bad-request", "prewarm needs an integer 'n'"
-            ))
-            return
-        key = self.fleet.route_key_for(
-            n, msg.get("threads"), msg.get("mu"), msg.get("strategy")
-        )
-        try:
-            targets = [self.fleet.owner(key)]
-        except NoShardsAvailable:
-            session._no_shards(req_id)
-            return
-        targets += self.fleet.successors(key)
-        built = self._prewarm_shards(targets, msg)
-        session.reply({"id": req_id, "ok": True, "plan": built,
-                       "shards": targets})
+        self._prewarm_q.put((key, dict(msg, n=msg["shape"][-1])))
 
     def _prewarm_loop(self) -> None:
         while True:
@@ -602,14 +477,15 @@ class ShardRouter(socketserver.ThreadingTCPServer):
                 return
             targets = self.fleet.successors(key)
             if targets:
-                self._prewarm_shards(targets, spec)
+                self.prewarm_shards(targets, spec)
 
-    def _prewarm_shards(self, targets: list, spec: dict) -> Optional[dict]:
+    def prewarm_shards(self, targets: list, spec: dict) -> Optional[dict]:
+        """Build ``spec``'s plan on each target shard; the last plan built."""
         built = None
         for sid in targets:
             try:
-                host, port = self.fleet.address(sid)
-                with ServeClient(host, port, timeout=30.0) as c:
+                with ServeClient(*self.fleet.address(sid),
+                                 timeout=30.0) as c:
                     built = c.prewarm(
                         spec["n"],
                         threads=spec.get("threads"),

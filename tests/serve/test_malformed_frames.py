@@ -1,0 +1,230 @@
+"""Malformed frames, one battery, both endpoints.
+
+Every frame here is something a real socket can deliver and a correct
+client never sends.  The contract (``docs/serving.md`` §4): exactly one
+typed reply per frame, under the request's ``id`` whenever the header
+parsed; ``bad-request`` leaves the connection in step and serving,
+``bad-json`` closes it right after the reply; nothing ever reaches
+``socketserver``'s ``handle_error``, and nothing malformed enters the
+router's pending table — so a later shard death replays none of it.
+
+The battery runs against :class:`FFTServer` directly and against a
+:class:`ShardRouter` in front of one shard: one request loop, one answer.
+"""
+
+import json
+import socket
+import time
+
+import numpy as np
+import pytest
+
+from repro.serve import FFTServer, FFTService, ServeConfig
+from repro.serve.protocol import MAX_PAYLOAD_BYTES, dump_line
+from repro.shard import ShardFleet, ShardRouter
+
+X = np.arange(8) * (1.0 + 0.5j)
+PAYLOAD = X.astype("<c16").tobytes()
+
+
+class _Endpoint:
+    """A served endpoint plus what the battery watches on it."""
+
+    def __init__(self, srv, fleet=None):
+        self.srv, self.fleet = srv, fleet
+        self.port = srv.port
+        self.escaped: list = []   # handle_error calls
+        self.sessions: list = []  # every session the endpoint handed out
+        srv.handle_error = lambda *a: self.escaped.append(a)
+        make = srv.session
+
+        def session(conn):
+            self.sessions.append(make(conn))
+            return self.sessions[-1]
+
+        srv.session = session
+
+
+@pytest.fixture(scope="module")
+def direct():
+    service = FFTService(ServeConfig(window_s=0.001))
+    srv = FFTServer(("127.0.0.1", 0), service)
+    srv.serve_background()
+    yield _Endpoint(srv)
+    srv.shutdown()
+    srv.server_close()
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def routed():
+    with ShardFleet(1, ServeConfig(window_s=0.001)) as fleet:
+        router = ShardRouter(("127.0.0.1", 0), fleet)
+        router.serve_background()
+        try:
+            yield _Endpoint(router, fleet)
+        finally:
+            router.close()
+
+
+@pytest.fixture(params=["direct", "routed"])
+def endpoint(request):
+    ep = request.getfixturevalue(request.param)
+    yield ep
+    assert ep.escaped == [], "an exception reached socketserver.handle_error"
+
+
+def _fft(req_id, **fields) -> bytes:
+    """A well-framed fft request (a header override makes it malformed)."""
+    head = {"op": "fft", "id": req_id, "shape": [8], "nbytes": len(PAYLOAD)}
+    head.update(fields)
+    return dump_line(head) + PAYLOAD
+
+
+def _read_reply(rfile):
+    """One reply header (its payload, if any, skipped); None at EOF."""
+    try:
+        line = rfile.readline()
+    except ConnectionResetError:
+        return None
+    if not line:
+        return None
+    reply = json.loads(line)
+    rfile.read(reply.get("nbytes", 0))
+    return reply
+
+
+#: frames that were consumed whole: (frame bytes, its id, the error code)
+IN_STEP = {
+    "shape-is-a-string": (_fft(1, shape="abc"), 1, "bad-request"),
+    "shape-is-not-the-bytes": (_fft(2, shape=[7]), 2, "bad-request"),
+    "negative-dimension": (_fft(3, shape=[-8]), 3, "bad-request"),
+    "inferred-dimension": (_fft(4, shape=[2, -1]), 4, "bad-request"),
+    "float-dimension": (_fft(5, shape=[8.0]), 5, "bad-request"),
+    "bool-dimension": (_fft(6, shape=[8, True]), 6, "bad-request"),
+    "no-shape": (dump_line({"op": "fft", "id": 7, "nbytes": 128}) + PAYLOAD,
+                 7, "bad-request"),
+    "nbytes-not-whole-elements": (
+        dump_line({"op": "fft", "id": 8, "shape": [6], "nbytes": 100})
+        + bytes(100), 8, "bad-request"),
+    "unknown-op": (dump_line({"op": "frobnicate", "id": 9}), 9,
+                   "bad-request"),
+    "fft-without-payload": (dump_line({"op": "fft", "id": 10}), 10,
+                            "bad-request"),
+    "fft-shape-without-payload": (
+        dump_line({"op": "fft", "id": 11, "shape": [64]}), 11, "bad-request"),
+    "threads-is-a-string": (_fft(12, threads="two"), 12, "bad-request"),
+    "threads-is-a-float": (_fft(13, threads=2.5), 13, "bad-request"),
+    "timeout-is-a-string": (_fft(14, timeout="soon"), 14, "bad-request"),
+    "prewarm-n-is-a-string": (
+        dump_line({"op": "prewarm", "id": 15, "n": "64"}), 15, "bad-request"),
+}
+
+#: frames after which the stream cannot be trusted: (bytes, id)
+OUT_OF_STEP = {
+    "not-json": (b"this is not json\n", None),
+    "not-utf8": (b'\xff\xfe{"op":"ping"}\n', None),
+    "json-array": (b"[1, 2]\n", None),
+    "nbytes-is-a-list": (_fft(21, nbytes=[128]), 21),
+    "nbytes-is-a-string": (_fft(22, nbytes="128"), 22),
+    "nbytes-is-a-float": (_fft(23, nbytes=128.0), 23),
+    "nbytes-is-a-bool": (_fft(24, nbytes=True), 24),
+    "nbytes-oversize": (
+        dump_line({"id": 25, "nbytes": MAX_PAYLOAD_BYTES + 1}), 25),
+    # the bytes after a lying length must never be executed as a request
+    "nbytes-negative": (
+        dump_line({"id": 26, "nbytes": -1})
+        + b"garbage\n" + dump_line({"op": "ping", "id": 7}), 26),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_STEP))
+def test_consumed_frame_gets_one_typed_reply_and_the_connection_serves_on(
+        endpoint, case):
+    frame, req_id, code = IN_STEP[case]
+    with socket.create_connection(("127.0.0.1", endpoint.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(frame + dump_line({"op": "ping", "id": 99}))
+        # the router answers as shards answer: match by id, not by order
+        replies = [_read_reply(rfile), _read_reply(rfile)]
+        pong = next(r for r in replies if r["id"] == 99)
+        reply = next(r for r in replies if r["id"] != 99)
+        assert pong["ok"] is True and pong["pong"] is True
+        assert reply["id"] == req_id and reply["ok"] is False
+        assert reply["error"] == code
+        if endpoint.fleet is not None:
+            assert endpoint.sessions[-1]._pending == {}
+        # exactly one reply per frame: the next one is the next answer,
+        # and it is served correctly
+        sock.sendall(_fft(100))
+        answer = json.loads(rfile.readline())
+        assert answer == {"id": 100, "ok": True, "shape": [8],
+                          "nbytes": 128}
+        got = np.frombuffer(rfile.read(128), dtype="<c16")
+        np.testing.assert_allclose(got, np.fft.fft(X), atol=1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_STEP))
+def test_untrustworthy_frame_gets_one_reply_then_the_connection_closes(
+        endpoint, case):
+    frame, req_id = OUT_OF_STEP[case]
+    with socket.create_connection(("127.0.0.1", endpoint.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(frame)
+        reply = _read_reply(rfile)
+        assert reply["ok"] is False and reply["error"] == "bad-json"
+        assert reply["id"] == req_id
+        assert _read_reply(rfile) is None  # closed: no second reply
+
+
+def test_an_id_the_router_cannot_track_is_answered_under_that_id(endpoint):
+    """Ids are JSON scalars; the server happens to echo any JSON value,
+    the router cannot key its pending table by a list and says so."""
+    with socket.create_connection(("127.0.0.1", endpoint.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(_fft([16]) + dump_line({"op": "ping", "id": 99}))
+        replies = [_read_reply(rfile), _read_reply(rfile)]
+        assert sorted(str(r["id"]) for r in replies) == ["99", "[16]"]
+        if endpoint.fleet is not None:
+            reply = next(r for r in replies if r["id"] != 99)
+            assert reply["error"] == "internal"
+            assert endpoint.sessions[-1]._pending == {}
+
+
+def test_payload_truncated_by_eof_is_a_closed_connection(endpoint):
+    with socket.create_connection(("127.0.0.1", endpoint.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(_fft(31)[:-64])
+        sock.shutdown(socket.SHUT_WR)
+        assert _read_reply(rfile) is None
+
+
+def test_killing_the_shard_replays_nothing_malformed(routed):
+    """Malformed frames sent on a connection with a live upstream leave
+    no orphan behind for the failover path to replay."""
+    fleet, router = routed.fleet, routed.srv
+    with socket.create_connection(("127.0.0.1", routed.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(_fft(1))  # dials the upstream the kill will break
+        assert _read_reply(rfile)["ok"] is True
+        frames = [IN_STEP[c][0] for c in sorted(IN_STEP)]
+        sock.sendall(b"".join(frames))
+        replies = [_read_reply(rfile) for _ in frames]
+        assert all(r["ok"] is False for r in replies)
+        session = routed.sessions[-1]
+        assert session._pending == {}
+        ejections = fleet.counters()["ejections"]
+        fleet.kill_shard()
+        deadline = time.monotonic() + 10
+        while fleet.counters()["ejections"] == ejections:
+            assert time.monotonic() < deadline, "the kill was never seen"
+            time.sleep(0.02)
+        time.sleep(0.2)  # room for a (wrong) replay to be counted
+        assert router.counters()["replays"] == 0
+        assert session._pending == {}
+    assert routed.escaped == []

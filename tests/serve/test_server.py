@@ -23,9 +23,10 @@ from repro.serve import (
 )
 from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
+    FrameError,
+    _read_frame_raw,
     dump_line,
     read_frame,
-    read_frame_raw,
     write_frame,
 )
 from repro.serve.server import FFTServer
@@ -48,9 +49,11 @@ def _vec(n, seed=0):
 
 
 class TestProtocol:
-    """The one frame reader: ``read_frame`` is ``read_frame_raw`` + a view."""
+    """One frame reader: ``read_frame`` is what ``FrameConn.recv`` runs
+    (``_read_frame_raw``) plus the array view."""
 
-    @pytest.mark.parametrize("reader", [read_frame, read_frame_raw])
+    @pytest.mark.parametrize("reader", [read_frame, _read_frame_raw],
+                             ids=["read_frame", "read_frame_raw"])
     def test_frame_reader_contract(self, reader):
         X = _vec(16).reshape(2, 8)
         fft, ping = io.BytesIO(), dump_line({"op": "ping", "id": 2})
@@ -72,6 +75,33 @@ class TestProtocol:
             reader(io.BytesIO(dump_line({"nbytes": MAX_PAYLOAD_BYTES + 1})))
         with pytest.raises(ValueError):
             reader(io.BytesIO(b"[1, 2]\n"))  # not a JSON object
+
+    def test_write_frame_relays_bytes_untouched(self):
+        """An array and the raw bytes a relay read of it are one frame."""
+        X = _vec(16).reshape(2, 8)
+        direct, relayed = io.BytesIO(), io.BytesIO()
+        write_frame(direct, {"id": 1, "ok": True}, X)
+        write_frame(relayed, *_read_frame_raw(io.BytesIO(direct.getvalue())))
+        assert relayed.getvalue() == direct.getvalue()
+
+    def test_malformed_frames_are_typed(self):
+        """``bad-json`` is fatal; ``bad-request`` keeps its id, the payload
+        is consumed and the stream stays in step."""
+        with pytest.raises(FrameError) as exc:
+            read_frame(io.BytesIO(dump_line({"id": 3, "nbytes": "16"})))
+        assert exc.value.fatal
+        assert exc.value.response["error"] == "bad-json"
+        assert exc.value.response["id"] == 3
+        rfile = io.BytesIO(
+            dump_line({"id": 4, "shape": [7], "nbytes": 128}) + bytes(128)
+            + dump_line({"op": "ping", "id": 5})
+        )
+        with pytest.raises(FrameError) as exc:
+            read_frame(rfile)
+        assert not exc.value.fatal
+        assert exc.value.response["error"] == "bad-request"
+        assert exc.value.response["id"] == 4
+        assert read_frame(rfile) == ({"op": "ping", "id": 5}, None)
 
 
 class TestServer:

@@ -6,10 +6,14 @@ processes is the expensive part); every test drives it through plain
 clients are *unchanged* serve clients.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve import RemoteError, ServeClient, ServeConfig
+from repro.serve.protocol import FrameConn
 from repro.shard import ShardFleet, ShardRouter
 from repro.shard.ring import route_key
 
@@ -154,3 +158,105 @@ class TestRouteKeyDefaults:
         assert fleet.route_key_for(512, threads=2, mu=8) == route_key(
             512, 2, 8, cfg.strategy, cfg.backend
         )
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_route_key_is_the_plan_key_the_shard_builds(self, tier, n):
+        """Two spellings of ``threads`` share a route key exactly when
+        they share a plan: the clamp is the service's, not a copy."""
+        fleet, _ = tier
+        cfg = fleet.config
+        plans = {t: cfg.plan_key(n, t) for t in range(1, 9)}
+        routes = {t: fleet.route_key_for(n, t) for t in range(1, 9)}
+        for a in plans:
+            for b in plans:
+                assert (routes[a] == routes[b]) == (plans[a] == plans[b])
+        for t, key in plans.items():
+            assert routes[t] == route_key(n, key.threads, key.mu,
+                                          key.strategy, cfg.backend)
+
+    def test_every_spelling_of_one_plan_has_one_owner(self, tier, client):
+        """At n = 64, µ = 4 every requested ``threads`` in 2..8 builds the
+        t = 2 plan; one shard must serve them all and build it once."""
+        before = client.stats()["shards"]
+        x = _vec(64)
+        for t in range(2, 9):
+            np.testing.assert_allclose(client.fft(x, threads=t),
+                                       np.fft.fft(x), atol=1e-6)
+        after = client.stats()["shards"]
+        served = {sid: after[sid]["requests"] - before[sid]["requests"]
+                  for sid in after}
+        assert sorted(served.values()) == [0, 7]
+        owner = max(served, key=served.get)
+        assert (after[owner]["plan_cache"]["plans_built"]
+                - before[owner]["plan_cache"]["plans_built"]) == 1
+
+
+def _numeric(block: dict) -> dict:
+    return {k: v for k, v in block.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+class TestFleetStats:
+    def test_fleet_stats_carry_every_numeric_counter_a_shard_reports(
+            self, client):
+        for n in SIZES:
+            client.fft(_vec(n))
+        stats = client.stats()
+        shards = list(stats["shards"].values())
+        assert len(shards) == 2
+        for shard in shards:
+            assert set(_numeric(shard)) <= set(_numeric(stats))
+            assert set(_numeric(shard["plan_cache"])) <= \
+                set(_numeric(stats["plan_cache"]))
+        # the ones a hand-kept list used to drop
+        for key in ("failovers", "pool_rebuilds", "dispatcher_restarts",
+                    "degraded_executions", "request_wall_s",
+                    "avg_request_wall_s"):
+            assert key in stats
+        assert "swaps" in stats["plan_cache"]
+        # totals are sums, high-water marks are maxima, ratios recomputed
+        for key in ("requests", "vectors", "batches", "request_wall_s"):
+            assert stats[key] == pytest.approx(sum(s[key] for s in shards))
+        assert stats["max_queue_depth"] == \
+            max(s["max_queue_depth"] for s in shards)
+        assert stats["avg_request_wall_s"] == pytest.approx(
+            stats["request_wall_s"] / stats["vectors"])
+        # config is a shard's own (so it names nu and tune) plus the count
+        assert stats["config"] == {**shards[0]["config"], "shards": 2}
+
+
+class TestUpstreamLifetime:
+    def test_an_idle_upstream_is_not_a_dead_shard(self, tier, monkeypatch):
+        """The upstream's timeout bounds the connect, never a read: a
+        client that sits idle longer than it costs the fleet nothing."""
+        fleet, router = tier
+        dial = FrameConn.dial.__func__
+
+        def short_connect(cls, address, timeout=None, connect_timeout=None):
+            # shorten only what the caller asked to bound the connect by
+            return dial(cls, address, timeout, connect_timeout and 0.2)
+
+        monkeypatch.setattr(FrameConn, "dial", classmethod(short_connect))
+        before = fleet.counters()
+        x = _vec(128)
+        with ServeClient("127.0.0.1", router.port) as c:
+            np.testing.assert_allclose(c.fft(x), np.fft.fft(x), atol=1e-6)
+            time.sleep(0.6)  # three connect timeouts of silence
+            assert fleet.counters() == before
+            np.testing.assert_allclose(c.fft(x), np.fft.fft(x), atol=1e-6)
+        assert fleet.counters() == before
+
+    def test_a_closed_client_releases_its_handler_and_upstreams(self, tier):
+        """Closing a connection wakes the upstream readers blocked on it;
+        nothing waits for a shard to speak before letting go."""
+        _, router = tier
+        time.sleep(0.2)  # let earlier tests' connections unwind
+        before = threading.active_count()
+        for seed in range(3):
+            with ServeClient("127.0.0.1", router.port) as c:
+                c.fft(_vec(64, seed))
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, [
+                t.name for t in threading.enumerate()]
+            time.sleep(0.02)
