@@ -9,6 +9,11 @@ compares the result index-for-index against two references:
 * the NumPy backend (the printed program) — so a divergence can be attributed to
   the backend under test rather than to the plan itself.
 
+A backend whose stage list carries a whole-plan call
+(:class:`~repro.smp.runtime.FusedStages`) is run both ways — the one call
+the sequential runtime makes, and the stage-by-stage walk the pools make —
+and the two must agree bit for bit.
+
 Stage structure is also cross-checked: a backend must preserve the
 plan's stage count, parallel flags, and barrier-elision decisions, or
 the concurrency certificates issued by :mod:`repro.check.checker` for
@@ -40,7 +45,7 @@ def check_backend_program(
     """
     from ..codegen.registry import get_backend
     from ..serve.plan_cache import CachedPlan
-    from ..smp.runtime import SequentialRuntime
+    from ..smp.runtime import FusedStages, SequentialRuntime
 
     findings: list[str] = []
     n = program.size
@@ -76,10 +81,25 @@ def check_backend_program(
         rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
     ).astype(COMPLEX)
     runtime = SequentialRuntime()
+    walked = None
     try:
         Y, _ = runtime.run(CachedPlan(None, program, stages, backend), X)
+        if isinstance(stages, FusedStages):
+            # Y came from the whole-plan call; a plain copy of the sequence
+            # is walked stage by stage, as the pools walk it
+            walked, _ = runtime.run(
+                CachedPlan(None, program, list(stages), backend), X
+            )
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         return [f"backend {backend!r} raised during execution: {exc}"]
+    if walked is not None and not np.array_equal(Y, walked):
+        row, col = np.argwhere(Y != walked)[0]
+        findings.append(
+            f"backend {backend!r}: whole-plan entry diverges from its "
+            f"stages at [{row}, {col}]: got {Y[row, col]:.17g}, the "
+            f"stages give {walked[row, col]:.17g} — executor bug, not a "
+            f"plan bug"
+        )
 
     ref = np.fft.fft(X, axis=-1)
     tol = _RTOL * n

@@ -10,6 +10,10 @@ wraps each exported stage symbol in a
 :class:`~repro.smp.runtime.PlanStage`-compatible closure — so compiled
 plans run unchanged on every :mod:`repro.smp` runtime, inside
 :class:`repro.mp.ProcessPoolRuntime` workers, and behind ``repro serve``.
+The object also exports the plan's sequential driver, ``repro_plan``,
+which chains those stage functions in C; the stage list carries it
+(:class:`~repro.smp.runtime.FusedStages`), so a sequential execution is
+one ctypes crossing however many stages the plan has.
 
 Codelet lifecycle (see ``docs/codegen.md``):
 
@@ -17,9 +21,9 @@ Codelet lifecycle (see ``docs/codegen.md``):
    stage emitter (:mod:`repro.codegen.c_emit`, shared with the standalone
    programs): each :class:`~repro.sigma.loops.BlockLoop`'s gather, twiddle
    scale, kernel, and scatter fused into one loop nest, kernels up to
-   ``codelet_max`` unrolled into straight-line codelets, and each stage
+   ``codelet_max`` unrolled into straight-line codelets, each stage
    exported as ``repro_stage<k>(int proc, long b, ...)`` with a leading
-   batch axis;
+   batch axis, and after them the chain ``repro_plan(long b, x, y)``;
 2. **compile** — :func:`compile_plan` invokes gcc with the shared flag
    policy (:func:`repro.codegen.flags.shared_cflags`: the ``-O3
    -march=native`` tier, or the portable ``-O2`` tier under
@@ -28,9 +32,10 @@ Codelet lifecycle (see ``docs/codegen.md``):
    by source hash *and* compiler fingerprint (:func:`compiler_fingerprint`),
    so equal plans compile once per host and survive process restarts —
    the on-disk analogue of the in-memory PlanCache/Wisdom entries;
-4. **execute** — :meth:`CompiledPlan.plan_stages` binds the exported
-   symbols through :mod:`ctypes`; calls release the GIL, so the pthreads
-   runtime gets real parallel speedup from compiled stages.
+4. **execute** — :func:`compile_plan` binds the chain once at load and
+   :meth:`CompiledPlan.plan_stages` the stage symbols, through
+   :mod:`ctypes`; calls release the GIL, so the pthreads runtime gets real
+   parallel speedup from compiled stages.
 
 There is **no hard compiler dependency**: hosts without gcc (or with
 ``REPRO_NO_CC=1`` set) fall back to the NumPy backend through the
@@ -51,13 +56,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
-from ..smp.runtime import PlanStage
+from ..smp.runtime import FusedStages, PlanStage
 from ..trace import get_tracer
-from .c_emit import emit_stage_functions
+from .c_emit import emit_plan_chain, emit_stage_functions
 from .flags import shared_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
@@ -168,9 +175,10 @@ def emit_plan_source(
     Consumes a :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop
     IR) and produces one self-contained source exporting
     ``repro_stage0..repro_stage<k-1>``, each a fused batched stage over
-    interleaved complex doubles (:mod:`repro.codegen.c_emit` prints them;
-    the exported per-stage ABI is this target's whole driver).  Pure
-    string construction — no compiler involved — so it also serves as the
+    interleaved complex doubles, then — from
+    :data:`repro.codegen.c_emit.CHAIN_MARKER` on — the chain that calls
+    them in order (:mod:`repro.codegen.c_emit` prints both).  Pure string
+    construction — no compiler involved — so it also serves as the
     readable artifact (`docs/codegen.md` walks through an example
     emission).
     """
@@ -184,9 +192,10 @@ def emit_plan_source(
         "typedef double complex cplx;",
         "",
     ]
+    stem = "repro_stage"
     return "\n".join(
-        header + emit_stage_functions(program, codelet_max, "void repro_stage")
-    )
+        header + emit_stage_functions(program, codelet_max, f"void {stem}")
+    ) + "\n".join(emit_plan_chain(program, stem))
 
 
 # -- compile + cache --------------------------------------------------------
@@ -216,6 +225,8 @@ class CompiledPlan:
     compiler: dict
     stage_meta: list = field(default_factory=list)
     _lib: Optional[ctypes.CDLL] = None
+    #: ``repro_plan``, bound once by :func:`compile_plan`
+    _chain: Optional[Callable[[int, int, int], int]] = None
 
     def artifact_info(self) -> dict:
         """JSON-able provenance record (cached .so + toolchain identity)."""
@@ -227,14 +238,20 @@ class CompiledPlan:
             "cflags": list(self.compiler.get("flags", [])),
         }
 
-    def plan_stages(self) -> list[PlanStage]:
-        """Executable :class:`PlanStage` list bound to the stage symbols.
+    def plan_stages(self) -> FusedStages:
+        """Executable :class:`PlanStage` sequence bound to the stage symbols.
 
         Each ``work(proc, src, dst)`` closure recovers the batch size from
         the flat buffer length (the batched-stage contract of
         :mod:`repro.codegen.registry`) and calls the exported C function;
         the ctypes call releases the GIL, so parallel stages scale on the
-        pthreads pool.
+        pthreads pool.  The sequence is a
+        :class:`~repro.smp.runtime.FusedStages`: its ``whole(flat)`` makes
+        the chain's one C call on a buffer :meth:`Runtime.run_stages
+        <repro.smp.runtime.Runtime.run_stages>` vouched for (flat,
+        C-contiguous, aligned ``complex128``; read in place, never
+        written) and returns a fresh result, raising :class:`MemoryError`
+        if the chain could not allocate its scratch.
         """
         n = self.size
         artifact = self.artifact_info()
@@ -270,7 +287,15 @@ class CompiledPlan:
                     artifact=artifact,
                 )
             )
-        return stages
+
+        def whole(flat, _chain=self._chain, _n=n):
+            b = flat.size // _n
+            out = np.empty(flat.shape, flat.dtype)
+            if _chain(b, flat.ctypes.data, out.ctypes.data):
+                raise MemoryError(f"plan n={_n}: no scratch for {b} rows")
+            return out
+
+        return FusedStages(stages, whole)
 
 
 def compile_plan(
@@ -344,6 +369,9 @@ def compile_plan(
         tr.count("codegen.disk_hit", 1)
 
     lib = ctypes.CDLL(str(so_path))
+    chain = lib.repro_plan
+    chain.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    chain.restype = ctypes.c_int
     plan = CompiledPlan(
         size=program.size,
         nstages=len(program.stages),
@@ -360,6 +388,7 @@ def compile_plan(
             for s in program.stages
         ],
         _lib=lib,
+        _chain=chain,
     )
     with _MEMO_LOCK:
         _MEMO[key] = plan

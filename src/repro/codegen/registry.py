@@ -37,6 +37,7 @@ missing toolchain degrades instead of failing.
 from __future__ import annotations
 
 import warnings
+from typing import Sequence
 
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage
@@ -70,15 +71,18 @@ class ExecutionBackend:
     def build_stages(
         self, program: SigmaProgram, codelet_max: int = 32,
         fallback: bool = True,
-    ) -> list[PlanStage]:
+    ) -> Sequence[PlanStage]:
         """Lower ``program`` into executable batched stages.
 
         Consumes the Σ-SPL loop IR; emits one
         :class:`~repro.smp.runtime.PlanStage` per pipeline stage,
         preserving the program's parallel flags, barrier-elision
-        decisions, and processor shares.  ``fallback=False`` forbids
-        substituting another backend's stages on a build failure; it is
-        ignored by backends that never substitute.
+        decisions, and processor shares.  The sequence may be a
+        :class:`~repro.smp.runtime.FusedStages` (the compiled backend's
+        is), which the sequential runtime runs as one call.
+        ``fallback=False`` forbids substituting another backend's stages
+        on a build failure; it is ignored by backends that never
+        substitute.
         """
         raise NotImplementedError
 
@@ -103,10 +107,12 @@ class CompiledBackend(ExecutionBackend):
     """Fused C codelets JIT-compiled at plan time (gcc + ctypes).
 
     ``build_stages`` compiles (or disk-cache-hits) the plan's shared
-    object and returns ctypes-bound stages; with ``fallback=True`` (the
-    default) a missing compiler or an injected ``codegen.compile_fail``
-    fault silently degrades to the NumPy backend's stages so serving
-    paths never break on a toolchain problem.
+    object and returns its ctypes-bound stages — a
+    :class:`~repro.smp.runtime.FusedStages`, carrying the object's
+    whole-plan call; with ``fallback=True`` (the default) a missing
+    compiler or an injected ``codegen.compile_fail`` fault silently
+    degrades to the NumPy backend's stages so serving paths never break
+    on a toolchain problem.
     """
 
     name = "compiled"
@@ -260,7 +266,7 @@ def build_stages(
     backend: str = "numpy",
     codelet_max: int = 32,
     strict: bool = False,
-) -> list[PlanStage]:
+) -> Sequence[PlanStage]:
     """Convenience: resolve ``backend`` and build the program's stages."""
     return resolve_backend(backend, strict=strict).build_stages(
         program, codelet_max

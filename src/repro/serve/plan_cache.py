@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..codegen.python_backend import GeneratedProgram
 from ..codegen.registry import resolve_backend
@@ -80,7 +80,7 @@ class CachedPlan:
 
     key: Optional[PlanKey]
     program: GeneratedProgram
-    stages: list[PlanStage]
+    stages: Sequence[PlanStage]
     backend: str = "numpy"
     spec: Optional[PlanSpec] = None
 

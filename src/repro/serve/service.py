@@ -747,8 +747,9 @@ class FFTService:
                     Y, _ = runtime.run(plan, X)
                 except WorkerPoolBroken:
                     # the pool died under this batch; the input stack is
-                    # untouched (execute copies it), so re-run the same plan
-                    # on the sequential fallback rather than fail the tickets
+                    # untouched (no runtime writes its input), so re-run the
+                    # same plan on the sequential fallback rather than fail
+                    # the tickets
                     self._note_pool_failure(key.threads)
                     with self._metrics_lock:
                         self._metrics["failovers"] += 1

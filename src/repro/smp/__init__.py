@@ -3,6 +3,7 @@
 from .barrier import SenseReversingBarrier
 from .runtime import (
     ExecutionStats,
+    FusedStages,
     OpenMPRuntime,
     PlanStage,
     PThreadsRuntime,
@@ -12,6 +13,7 @@ from .runtime import (
 
 __all__ = [
     "ExecutionStats",
+    "FusedStages",
     "OpenMPRuntime",
     "PThreadsRuntime",
     "PlanStage",

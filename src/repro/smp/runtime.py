@@ -14,10 +14,15 @@ that contract, mirroring the paper's backends:
 * :class:`OpenMPRuntime` — fork-join: every parallel stage spawns fresh
   threads and joins them (a faithful model of a non-pooling OpenMP runtime,
   and the behaviour the paper observed for FFTW's per-call threading).
-* :class:`SequentialRuntime` — single-processor reference.
+* :class:`SequentialRuntime` — single-processor reference; runs a
+  compiled plan's :class:`FusedStages` as one whole-plan C call.
 * :class:`repro.mp.ProcessPoolRuntime` — the pthreads pool's lockstep walk
   (:func:`lockstep_walk`, the same function) across OS processes over
   shared memory.
+
+No runtime writes its input: the stage walks ping-pong two buffers of
+their own (the first a copy of the input), the whole-plan call reads the
+input in place and writes a fresh result.
 
 Every thread executes exactly the loops the formula assigned to its
 processor.  Whether the thread runtimes also *scale* depends on the stage
@@ -55,9 +60,10 @@ class WorkerPoolBroken(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanStage:
-    """One executable pipeline stage.
+    """One executable pipeline stage (immutable: wrap one with
+    ``dataclasses.replace(st, work=...)``, never by assignment).
 
     ``nprocs`` is the number of processor shares the *plan* defines for this
     stage (a property of the generated program, not of the runtime executing
@@ -72,6 +78,33 @@ class PlanStage:
     name: str = ""
     nprocs: int = 1
     artifact: Optional[dict] = None
+
+
+class FusedStages(tuple):
+    """A plan's stages plus one call that runs all of them.
+
+    ``whole(flat)`` takes the flat, C-contiguous, aligned ``complex128``
+    buffer :meth:`Runtime.run_stages` vouched for, reads it in place, and
+    returns a fresh flat result equal bit for bit to walking the stages in
+    order, every processor share in turn.  The compiled backend builds
+    these (:meth:`repro.codegen.compiled_backend.CompiledPlan.plan_stages`);
+    everything that walks stage by stage — the pools, the tracer, the
+    process-pool workers — iterates one like any stage list.
+
+    That the whole-plan call and the stages never disagree holds **by
+    construction**, not by a check per call: the sequence is a tuple of
+    frozen :class:`PlanStage` records, so no stage can be swapped or
+    rewrapped in place, and every derived sequence — ``list(stages)``, a
+    comprehension over ``dataclasses.replace(st, work=...)``, a slice, a
+    concatenation — is a plain ``list`` / ``tuple`` that carries no
+    ``whole`` and is walked stage by stage.
+    """
+
+    def __new__(cls, stages, whole: Callable[[np.ndarray], np.ndarray]):
+        self = super().__new__(cls, stages)
+        self.whole = whole
+        self.parallel_stages = sum(1 for st in self if st.parallel)
+        return self
 
 
 @dataclass
@@ -164,14 +197,22 @@ class Runtime:
 
     def run_stages(self, stages: Sequence[PlanStage], n: int, X: np.ndarray,
                    spec=None) -> tuple[np.ndarray, ExecutionStats]:
-        """:meth:`run` for a bare stage list; the result is always ``(b, n)``."""
+        """:meth:`run` for a bare stage list; the result is always ``(b, n)``.
+
+        What reaches :meth:`_walk` is flat, C-contiguous, aligned
+        ``complex128``: ``X``'s own memory when it already is all of that
+        (it is only ever read, so a read-only array is fine), else a copy.
+        """
         X = np.asarray(X, dtype=COMPLEX)
         if X.ndim == 1:
             X = X[np.newaxis, :]
         if X.ndim != 2 or X.shape[1] != n:
             raise ValueError(f"expected a (batch, {n}) stack, got {X.shape}")
-        out, stats = self._walk(stages, np.ascontiguousarray(X).reshape(-1),
-                                spec)
+        flags = X.flags
+        if not (flags.c_contiguous and flags.aligned):
+            # the whole-plan call hands this buffer's address to C as is
+            X = np.array(X, order="C")
+        out, stats = self._walk(stages, X.reshape(-1), spec)
         return out.reshape(X.shape), stats
 
     def _walk(self, stages, flat: np.ndarray, spec):
@@ -199,10 +240,25 @@ class SequentialRuntime(Runtime):
     Reports ``barriers == 0`` and ``threads_spawned == 0`` by construction:
     a single thread synchronizes with nobody, so the zeros make sequential
     traces directly comparable with the threaded runtimes'.
+
+    Through :meth:`run` / :meth:`run_stages`, a :class:`FusedStages` is
+    run as its one whole-plan call — no copy of the input, no per-stage
+    crossing into C — unless a tracer is enabled; every other stage
+    sequence, and every traced run, is walked by :meth:`execute`.  Results
+    and stats are identical either way.
     """
 
     def __init__(self, p: int = 1):
         self.p = p
+
+    def _walk(self, stages, flat, spec):
+        # a tracer wants one span per stage, which only the walk can give
+        if isinstance(stages, FusedStages) and not get_tracer().enabled:
+            par = stages.parallel_stages
+            return stages.whole(flat), ExecutionStats(
+                parallel_stages=par, sequential_stages=len(stages) - par
+            )
+        return self.execute(stages, flat, flat.size)
 
     def execute(self, stages, x, size):
         tr = get_tracer()

@@ -4,11 +4,17 @@
 ``emit_plan_source`` and of the Python backend's ``generate`` source for
 k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
 ``codelet_max``.  The ``"plan"`` map was recorded at the commit before the
-C emitters were merged and has never moved: every ``.so`` cache key is a
-hash of the plan source, so a digest that moves means every cached object
-on every host recompiles.  The ``"python"`` map was re-recorded once, in
-the commit that made the printer emit batched ``(b, n)`` stage bodies (the
-printed program became the NumPy backend); nothing is keyed on it.
+C emitters were merged and has never moved: it pins the tables, codelets
+and stage functions — the plan source up to ``CHAIN_MARKER``, which was
+the whole source until the whole-plan chain was appended after it.  The
+``"plan_chain"`` map pins that trailer (marker to end of file), recorded
+in the commit that added it.  Every ``.so`` cache key is a hash of the
+*whole* plan source, so a digest of either map that moves means every
+cached object on every host recompiles once — as adding the chain did,
+without moving a byte of stage text.  The ``"python"`` map was re-recorded
+once, in the commit that made the printer emit batched ``(b, n)`` stage
+bodies (the printed program became the NumPy backend); nothing is keyed on
+it.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.codegen import emit_plan_source
+from repro.codegen.c_emit import CHAIN_MARKER
 from repro.frontend import generate_fft
 
 GOLDEN = json.loads(
@@ -51,12 +58,17 @@ def test_golden_set_is_the_full_admissible_grid():
         if t == 1 or 2 ** k % (t * 4) ** 2 == 0
     }
     assert set(GOLDEN["plan"]) == set(GOLDEN["python"]) == admissible
+    assert set(GOLDEN["plan_chain"]) == admissible
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["plan"]))
 def test_emitted_source_matches_golden_digest(key):
     gen = _generated(key)
-    assert _sha(emit_plan_source(gen.program)) == GOLDEN["plan"][key]
+    stage_text, marker, chain = emit_plan_source(gen.program).partition(
+        CHAIN_MARKER
+    )
+    assert _sha(stage_text) == GOLDEN["plan"][key]
+    assert _sha(marker + chain) == GOLDEN["plan_chain"][key]
     assert _sha(gen.source) == GOLDEN["python"][key]
 
 

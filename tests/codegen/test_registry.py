@@ -181,3 +181,37 @@ class TestCheckBackendProgram:
             assert findings and "diverges" in findings[0]
         finally:
             reg._REGISTRY.pop("broken-test", None)
+
+    def test_whole_plan_call_disagreeing_with_its_stages_is_caught(self):
+        """Both walks are certified: the one call the sequential runtime
+        makes and the staged walk the pools make.  Here the stages are
+        right and only the whole-plan call is off by one element."""
+        from repro.check import check_backend_program
+        from repro.smp.runtime import FusedStages, SequentialRuntime
+
+        class Skewed(ExecutionBackend):
+            name = "skewed-test"
+
+            def build_stages(self, program, codelet_max=32, fallback=True):
+                stages = NumpyBackend().build_stages(program, codelet_max)
+
+                def whole(flat):
+                    out = SequentialRuntime().execute(
+                        stages, flat, flat.size
+                    )[0]
+                    out[program.size + 5] += 1e-12
+                    return out
+
+                return FusedStages(stages, whole)
+
+        try:
+            register_backend(Skewed())
+            findings = check_backend_program(
+                generate_fft(64).program, "skewed-test"
+            )
+            assert len(findings) == 1
+            assert "whole-plan entry diverges from its stages at [1, 5]" in (
+                findings[0]
+            )
+        finally:
+            reg._REGISTRY.pop("skewed-test", None)
