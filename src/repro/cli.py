@@ -184,7 +184,9 @@ def _cmd_bench_prune_cache(args: argparse.Namespace) -> int:
     print(
         f"# codelet cache: {report['entries']} entr(ies), "
         f"pruned {report['pruned']} "
-        f"({report['bytes_freed']} bytes), kept {report['kept']}"
+        f"({report['bytes_freed']} bytes), kept {report['kept']}; "
+        f"{report['codelets']} codelet object(s), "
+        f"pruned {report['codelets_pruned']}"
     )
     if args.cache_max is None:
         print(

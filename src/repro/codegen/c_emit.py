@@ -1,23 +1,37 @@
 """The one C stage emitter: Σ-SPL loop IR -> tables, codelets, stage functions.
 
-A generated C translation unit is ``[tables + codelets] + [stage
-functions] + [driver]``.  Everything but the standalone program's driver
-is printed here, once, for both C targets: the standalone program of
-:mod:`repro.codegen.c_backend` (which appends ``main`` and a
-pthreads/OpenMP/sequential ``transform``) and the shared-object plan of
-:mod:`repro.codegen.compiled_backend`, whose driver is
-:func:`emit_plan_chain` — one exported ``repro_plan`` that calls the
-plan's stage functions in order, so a sequential execution crosses into C
-once — beside the exported per-stage ABI the pools walk.  The stage
-functions of the two targets differ only in their declaration prefix
-(linkage + symbol stem).
+One walk over a program (:func:`emit_stage_functions`) yields three
+products — the constant **tables** its loops index (:class:`Table`), the
+unrolled **codelets** they call (:class:`CodeletDef`) and the **stage
+function** text — and the two C targets assemble them differently:
+
+* the standalone program of :mod:`repro.codegen.c_backend` has to stay one
+  file, so it takes :meth:`StageSource.unit_lines` — tables as decimal
+  text, codelets ``static`` — and appends ``main`` and a
+  pthreads/OpenMP/sequential ``transform``;
+* the shared-object plan of :mod:`repro.codegen.compiled_backend` hands
+  ``cc`` only what is new in the plan: :func:`plan_preamble` *declares*
+  the tables (their values ride in one binary file, :class:`TableBlob`,
+  which a file-scope assembler block places in ``.rodata`` with
+  ``.incbin``) and *binds* each codelet's local name to the
+  content-derived symbol of a separately compiled object
+  (:meth:`CodeletDef.object_source`), so the translation unit is the stage
+  functions plus the driver, :func:`emit_plan_chain` — one exported
+  ``repro_plan`` that calls the plan's stage functions in order, so a
+  sequential execution crosses into C once — beside the exported
+  per-stage ABI the pools walk.  Plan objects assume ELF and a GNU-style
+  assembler (gcc or clang on Linux).
+
+The stage function text is the same for both: the targets differ only in
+the declaration prefix (linkage + symbol stem) and in how the names the
+text uses (``g0_0``, ``vcodelet0_v4``) are defined ahead of it.
 
 Each :class:`~repro.sigma.loops.BlockLoop`'s gather → twiddle scale →
 kernel → twiddle scale → scatter chain is fused into one loop nest:
 
 * strided index grids recovered by
   :func:`repro.sigma.index_map.recover_grid` become closed-form address
-  arithmetic; irregular tables are emitted as ``static const int`` data;
+  arithmetic; irregular tables are emitted as constant ``int`` data;
 * ``F_2`` is a hand-unrolled butterfly, ``I_n`` a pure move, kernels up to
   ``codelet_max`` unrolled straight-line codelets
   (:class:`repro.codegen.unroll.Codelet`), larger ones a dense
@@ -35,7 +49,11 @@ kernel → twiddle scale → scatter chain is fused into one loop nest:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import dataclasses
+import hashlib
+from dataclasses import dataclass
+from functools import cached_property
+from typing import BinaryIO, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -45,25 +63,190 @@ from ..sigma.loops import BlockLoop, SigmaProgram, Stage
 from ..spl.matrices import DFT, F2, I
 from .unroll import Codelet
 
+#: linkage of everything a plan object shares between its translation
+#: units: visible to the link, absent from the ``.so``'s dynamic symbols
+_HIDDEN = '__attribute__((visibility("hidden")))'
 
-def fmt_int_table(name: str, table: np.ndarray) -> str:
-    """A flat ``static const int`` array holding an index table."""
-    flat = table.reshape(-1)
-    body = ",".join(str(int(v)) for v in flat)
-    return f"static const int {name}[{flat.size}] = {{{body}}};"
+#: the name every library codelet is defined under; its object source
+#: ``#define``s it to ``<CODELET_STEM>_<digest of the definition>``
+CODELET_STEM = "repro_codelet"
+
+#: preprocessor macro naming a plan unit's table file (a C string literal);
+#: :func:`repro.codegen.compiled_backend.compile_plan` passes it with ``-D``
+TABLES_MACRO = "PLAN_TABLES"
+
+#: every table starts on a cache line: what a plan unit declares of its
+#: tables and what the blob's layout keeps
+TABLE_ALIGN = 64
 
 
-def fmt_real_table(name: str, values: np.ndarray) -> str:
-    """A flat ``static const double`` array (one plane, not interleaved)."""
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    body = ",".join(repr(float(v)) for v in flat)
-    return f"static const double {name}[{flat.size}] = {{{body}}};"
+@dataclass(frozen=True, eq=False)
+class Table:
+    """One constant table the stage text indexes: a C name and its values.
+
+    Integer arrays are C ``int`` (index tables), everything else ``double``
+    (one plane, or interleaved re/im pairs from :meth:`interleaved`).  The
+    values are kept as given — usually a view of the program's own arrays
+    — and flattened on demand, so a product holds no copy of its tables.
+    """
+
+    name: str
+    values: np.ndarray
+
+    @classmethod
+    def interleaved(cls, name: str, values: np.ndarray) -> "Table":
+        """A complex array as ``double`` re/im pairs."""
+        flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)
+        return cls(name, flat.view(np.float64))
+
+    @property
+    def ctype(self) -> str:
+        """The C element type: ``int`` or ``double``."""
+        return "int" if self.values.dtype.kind in "iu" else "double"
+
+    def flat(self) -> np.ndarray:
+        """The values in C order as ``int32`` / ``float64``: the bytes of
+        the C array, exactly."""
+        dtype = np.int32 if self.ctype == "int" else np.float64
+        return np.ascontiguousarray(self.values, dtype=dtype).reshape(-1)
+
+    def to_c(self) -> str:
+        """The table as text, ``static const``: the single-file form."""
+        body = ",".join(map(repr, self.flat().tolist()))
+        return (
+            f"static const {self.ctype} {self.name}[{self.values.size}]"
+            f" = {{{body}}};"
+        )
+
+    def declaration(self) -> str:
+        """The table as a plan unit sees it: defined by the table file."""
+        return (
+            f"extern const {self.ctype} {self.name}[{self.values.size}]"
+            ' __attribute__((visibility("hidden"),'
+            f" aligned({TABLE_ALIGN})));"
+        )
 
 
-def fmt_cplx_table(name: str, values: np.ndarray) -> str:
-    """A ``static const double`` array of interleaved re/im pairs."""
-    flat = values.reshape(-1)
-    return fmt_real_table(name, np.stack((flat.real, flat.imag), axis=-1))
+class TableBlob:
+    """A plan's tables as one binary file, each distinct table once.
+
+    Tables are laid out in order at :data:`TABLE_ALIGN`-byte offsets,
+    zero-padded between; a table whose bytes equal an earlier one's shares
+    its offset (stages that repeat a twiddle plane or a scatter table
+    stream one copy, as gcc's identical-constant merging arranges for the
+    text form).  ``digest`` is the sha256 of the file's bytes, so a plan
+    unit that names it is keyed on every table value.  Nothing here holds
+    the bytes: :meth:`write` flattens each table again and streams it out.
+    """
+
+    def __init__(self, tables: Iterable[Table]) -> None:
+        #: byte offset of every table name
+        self.offsets: dict[str, int] = {}
+        self._distinct: list[tuple[int, Table]] = []
+        seen: dict[bytes, int] = {}
+        whole = hashlib.sha256()
+        size = 0
+        for table in tables:
+            data = table.flat()
+            mark = hashlib.sha256(data).digest()
+            at = seen.get(mark)
+            if at is None:
+                pad = -size % TABLE_ALIGN
+                whole.update(bytes(pad))
+                whole.update(data)
+                at = seen[mark] = size + pad
+                self._distinct.append((at, table))
+                size = at + data.nbytes
+            self.offsets[table.name] = at
+        self.nbytes = size
+        self.digest = whole.hexdigest()[:16]
+
+    def write(self, fh: BinaryIO) -> None:
+        """Stream the file's ``nbytes`` bytes to ``fh``."""
+        at = 0
+        for offset, table in self._distinct:
+            data = table.flat()
+            fh.write(bytes(offset - at))
+            fh.write(data)
+            at = offset + data.nbytes
+
+    def asm_lines(self) -> list[str]:
+        """The file-scope block that defines every table name.
+
+        One ``.incbin`` of the file :data:`TABLES_MACRO` names into
+        ``.rodata``, and one ``.set`` per table at its offset.  The
+        symbols stay local to the object.
+        """
+        o = [
+            "__asm__(",
+            '  ".pushsection .rodata\\n"',
+            f'  ".balign {TABLE_ALIGN}\\n"',
+            f'  "repro_tables: .incbin \\"" {TABLES_MACRO} "\\"\\n"',
+        ]
+        o += [
+            f'  ".set {name}, repro_tables+{at}\\n"'
+            for name, at in self.offsets.items()
+        ]
+        return o + ['  ".popsection\\n"', ");"]
+
+
+@dataclass(frozen=True, eq=False)
+class CodeletDef:
+    """One unrolled codelet: the name the stage text calls, ν, the code.
+
+    Codelet text is printed here, by :meth:`to_c`, for both C targets.
+    """
+
+    name: str
+    nu: int
+    codelet: Codelet
+
+    def to_c(self, name: Optional[str] = None, linkage: str = "static") -> str:
+        """The definition (default: ``static``, under the local name)."""
+        codelet = self.codelet
+        if name is not None:
+            codelet = dataclasses.replace(codelet, name=name)
+        if self.nu > 1:
+            return codelet.to_c_vec(self.nu, linkage)
+        return codelet.to_c(linkage)
+
+    @cached_property
+    def definition(self) -> str:
+        """The library form: hidden linkage, named :data:`CODELET_STEM`.
+
+        Independent of the plan and of the local name, so equal codelets
+        have equal definitions — the text the symbol and the object cache
+        key are derived from.
+        """
+        return self.to_c(CODELET_STEM, _HIDDEN)
+
+    @cached_property
+    def symbol(self) -> str:
+        """The content-derived symbol the library object defines."""
+        digest = hashlib.sha256(self.definition.encode()).hexdigest()[:16]
+        return f"{CODELET_STEM}_{digest}"
+
+    def object_source(self) -> str:
+        """The codelet as a translation unit of its own."""
+        lanes = f" x {self.nu} lanes" if self.nu > 1 else ""
+        return "\n".join([
+            "/* Generated by repro: codelet object"
+            f" (size {self.codelet.size}{lanes}) */",
+            "#include <complex.h>",
+            "typedef double complex cplx;",
+            f"#define {CODELET_STEM} {self.symbol}",
+            self.definition,
+        ])
+
+    def binding(self) -> list[str]:
+        """What a plan unit says in place of the definition: the local
+        name is the library symbol, declared with the definition's own
+        signature."""
+        head = self.definition.partition(" {\n")[0]
+        return [
+            f"#define {self.name} {self.symbol}",
+            head.replace(CODELET_STEM, self.name, 1) + ";",
+        ]
 
 
 def lane_contiguous(table: np.ndarray, nu: int) -> bool:
@@ -103,13 +286,14 @@ class _StageEmitter:
 
     Consumes :class:`~repro.sigma.loops.BlockLoop` kernels and emits (once
     each) either an unrolled straight-line codelet or a dense coefficient
-    table into ``tables``; stage function text goes to ``lines``.
+    table into ``preamble``, next to the index and twiddle tables, in the
+    order the stage text first names them; that text goes to ``lines``.
     """
 
     def __init__(self, codelet_max: int, decl: str) -> None:
         self.codelet_max = codelet_max
         self.decl = decl
-        self.tables: list[str] = []
+        self.preamble: list[Table | CodeletDef] = []
         self.lines: list[str] = []
         self._codelets: dict = {}
         self._vec_codelets: dict = {}
@@ -134,9 +318,7 @@ class _StageEmitter:
             )
             names[key] = name
             codelet = Codelet.from_formula(codelet_formula(kernel), name)
-            self.tables.append(
-                codelet.to_c_vec(nu) if nu > 1 else codelet.to_c()
-            )
+            self.preamble.append(CodeletDef(name, nu, codelet))
         return names[key]
 
     def _kernel_names(
@@ -151,11 +333,8 @@ class _StageEmitter:
         key = kernel._key()
         if key not in self._dense:  # dense fallback above the unroll bound
             self._dense[key] = f"kmat{len(self._dense)}"
-            self.tables.append(
-                fmt_cplx_table(
-                    self._dense[key],
-                    kernel.to_matrix().astype(np.complex128),
-                )
+            self.preamble.append(
+                Table.interleaved(self._dense[key], kernel.to_matrix())
             )
         return None, self._dense[key]
 
@@ -166,8 +345,8 @@ class _StageEmitter:
     ) -> Callable[[str, str], str]:
         """C expression factory for the address ``table[row, col]``.
 
-        Closed-form when the table is a recovered grid, otherwise a
-        ``static const int`` table emitted under ``name``.  ``paren_row``
+        Closed-form when the table is a recovered grid, otherwise an
+        ``int`` table emitted under ``name``.  ``paren_row``
         parenthesizes the row expression in the table form (the ν-wide
         strided path passes a compound ``jb*ν+l`` row).
         """
@@ -176,7 +355,7 @@ class _StageEmitter:
             base, rs, cs = grid.base, grid.row_stride, grid.col_stride
             return lambda j, u: f"{base} + {j}*{rs} + {u}*{cs}"
         k = table.shape[1]
-        self.tables.append(fmt_int_table(name, table))
+        self.preamble.append(Table(name, table))
         if paren_row:
             return lambda j, u: f"{name}[({j})*{k} + {u}]"
         return lambda j, u: f"{name}[{j}*{k} + {u}]"
@@ -208,8 +387,8 @@ class _StageEmitter:
             return None
         rows, k = scale.shape
         blocked = scale.reshape(rows // nu, nu, k).transpose(0, 2, 1)
-        self.tables.append(fmt_real_table(f"{prefix}re", blocked.real))
-        self.tables.append(fmt_real_table(f"{prefix}im", blocked.imag))
+        self.preamble.append(Table(f"{prefix}re", blocked.real))
+        self.preamble.append(Table(f"{prefix}im", blocked.imag))
         return f"{prefix}re", f"{prefix}im"
 
     # -- loops --------------------------------------------------------------
@@ -230,9 +409,13 @@ class _StageEmitter:
         g_addr = self._addr(loop.gather, f"g{base}")
         s_addr = self._addr(loop.scatter, f"s{base}")
         if loop.pre_scale is not None:
-            self.tables.append(fmt_cplx_table(f"w{base}", loop.pre_scale))
+            self.preamble.append(
+                Table.interleaved(f"w{base}", loop.pre_scale)
+            )
         if loop.post_scale is not None:
-            self.tables.append(fmt_cplx_table(f"v{base}", loop.post_scale))
+            self.preamble.append(
+                Table.interleaved(f"v{base}", loop.post_scale)
+            )
 
         o.append(f"{ind}for (int j = 0; j < {rows}; ++j) {{")
         o.append(f"{ind}  cplx t[{max(k, kout)}];")
@@ -456,21 +639,75 @@ class _StageEmitter:
         o.append("")
 
 
+@dataclass(frozen=True)
+class StageSource:
+    """What one walk over a program prints, as three products.
+
+    ``preamble`` holds the :class:`Table`\\ s and :class:`CodeletDef`\\ s
+    in the order the stage text first names them (``tables`` and
+    ``codelets`` are its two halves); ``lines`` is one stage function per
+    stage, which assumes ``<complex.h>``, ``typedef double complex cplx;``
+    and a definition of every preamble name ahead of it.
+    """
+
+    preamble: list[Table | CodeletDef]
+    lines: list[str]
+
+    @property
+    def tables(self) -> list[Table]:
+        """The preamble's tables, in order."""
+        return [it for it in self.preamble if isinstance(it, Table)]
+
+    @property
+    def codelets(self) -> list[CodeletDef]:
+        """The preamble's codelets, in order."""
+        return [it for it in self.preamble if isinstance(it, CodeletDef)]
+
+    def unit_lines(self) -> list[str]:
+        """Everything in one translation unit: tables as text, codelets
+        ``static``, then the stage functions.  The lines to splice between
+        a target's header and its driver."""
+        return [it.to_c() for it in self.preamble] + [""] + self.lines
+
+
 def emit_stage_functions(
     program: SigmaProgram, codelet_max: int, decl: str
-) -> list[str]:
-    """Tables, codelets, then one stage function per stage of ``program``.
+) -> StageSource:
+    """Walk ``program`` once: its tables, codelets and stage functions.
 
     ``decl`` is the stage functions' declaration prefix — linkage plus
     symbol stem, e.g. ``"void repro_stage"`` (exported) or ``"static void
-    stage"`` — the only thing the C targets vary.  Returns source lines to
-    splice between a target's header and its driver; they assume
-    ``<complex.h>`` and ``typedef double complex cplx;``.
+    stage"`` — the only thing the stage text of the C targets varies in.
     """
     em = _StageEmitter(codelet_max, decl)
     for sid, stage in enumerate(program.stages):
         em.emit_stage(stage, sid, program.size)
-    return em.tables + [""] + em.lines
+    return StageSource(em.preamble, em.lines)
+
+
+def plan_preamble(blob: TableBlob, source: StageSource) -> list[str]:
+    """What a plan unit says ahead of its stage functions.
+
+    Every table *declared* (``blob`` defines them: its assembler block
+    follows the declarations) and every codelet *bound* to its library
+    symbol — no table value and no codelet body, so the unit is a few
+    kilobytes at every size.  The comment carries the blob's digest, which
+    is how a table value reaches the plan's cache key.
+    """
+    tables, codelets = source.tables, source.codelets
+    o: list[str] = []
+    if tables:
+        o.append(
+            f"/* tables: {len(tables)}, in the {blob.nbytes}-byte file"
+            f" -D{TABLES_MACRO} names (sha256 {blob.digest}) */"
+        )
+        o += [table.declaration() for table in tables]
+        o += blob.asm_lines()
+    if codelets:
+        o.append("/* codelets: defined by the objects this unit links */")
+        for codelet in codelets:
+            o += codelet.binding()
+    return o + [""]
 
 
 #: first line of the chain: everything before it in a plan source is the
@@ -538,11 +775,15 @@ def emit_plan_chain(program: SigmaProgram, stem: str) -> list[str]:
 
 __all__ = [
     "CHAIN_MARKER",
+    "CODELET_STEM",
+    "CodeletDef",
+    "StageSource",
+    "TABLES_MACRO",
+    "Table",
+    "TableBlob",
     "codelet_formula",
     "emit_plan_chain",
     "emit_stage_functions",
-    "fmt_cplx_table",
-    "fmt_int_table",
-    "fmt_real_table",
     "lane_contiguous",
+    "plan_preamble",
 ]

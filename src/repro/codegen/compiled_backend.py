@@ -3,9 +3,9 @@
 This module closes the gap between the correctness-only C generator
 (:mod:`repro.codegen.c_backend`, which emits standalone programs) and the
 serving runtimes (which executed Σ-SPL through interpreted NumPy kernels):
-it lowers a :class:`~repro.sigma.loops.SigmaProgram` into one C99
-translation unit of **fused, unrolled straight-line codelets per (n,
-stage)**, compiles it with gcc *at plan time* into a shared object, and
+it lowers a :class:`~repro.sigma.loops.SigmaProgram` into **fused loop
+nests over unrolled straight-line codelets, one function per (n,
+stage)**, compiles them with gcc *at plan time* into a shared object, and
 wraps each exported stage symbol in a
 :class:`~repro.smp.runtime.PlanStage`-compatible closure — so compiled
 plans run unchanged on every :mod:`repro.smp` runtime, inside
@@ -15,24 +15,38 @@ which chains those stage functions in C; the stage list carries it
 (:class:`~repro.smp.runtime.FusedStages`), so a sequential execution is
 one ctypes crossing however many stages the plan has.
 
-Codelet lifecycle (see ``docs/codegen.md``):
+A cold plan compiles its loop nests and nothing else.  Codelet lifecycle
+(see ``docs/codegen.md``):
 
-1. **emit** — :func:`emit_plan_source` prints the plan through the one C
-   stage emitter (:mod:`repro.codegen.c_emit`, shared with the standalone
-   programs): each :class:`~repro.sigma.loops.BlockLoop`'s gather, twiddle
-   scale, kernel, and scatter fused into one loop nest, kernels up to
-   ``codelet_max`` unrolled into straight-line codelets, each stage
+1. **emit** — the one C stage emitter (:mod:`repro.codegen.c_emit`, shared
+   with the standalone programs) walks the plan once and returns three
+   products: the stage functions (each :class:`~repro.sigma.loops.BlockLoop`'s
+   gather, twiddle scale, kernel, and scatter fused into one loop nest,
    exported as ``repro_stage<k>(int proc, long b, ...)`` with a leading
-   batch axis, and after them the chain ``repro_plan(long b, x, y)``;
-2. **compile** — :func:`compile_plan` invokes gcc with the shared flag
-   policy (:func:`repro.codegen.flags.shared_cflags`: the ``-O3
-   -march=native`` tier, or the portable ``-O2`` tier under
-   ``REPRO_NO_SIMD`` / non-native compilers);
-3. **cache** — shared objects land in a content-addressed disk cache keyed
-   by source hash *and* compiler fingerprint (:func:`compiler_fingerprint`),
-   so equal plans compile once per host and survive process restarts —
-   the on-disk analogue of the in-memory PlanCache/Wisdom entries;
-4. **execute** — :func:`compile_plan` binds the chain once at load and
+   batch axis), the unrolled codelets they call (kernels up to
+   ``codelet_max``), and the index / twiddle tables they read.
+   :func:`emit_plan_source` is the translation unit ``cc`` sees per plan:
+   table *declarations*, codelet *bindings*, the stage functions, and the
+   chain ``repro_plan(long b, x, y)`` — a few kilobytes at every size;
+2. **codelet objects** — every codelet is compiled once per toolchain
+   fingerprint into ``codelet_<key>.o`` under a content-derived hidden
+   symbol, and reused by every later plan that names it;
+3. **table blob** — the tables' bytes are streamed to one binary file
+   beside the plan source (each distinct table once), which the unit's
+   assembler block places in ``.rodata``;
+4. **compile + link** — one compiler launch with the shared flag policy
+   (:func:`repro.codegen.flags.shared_cflags`: the ``-O3 -march=native``
+   tier, or the portable ``-O2`` tier under ``REPRO_NO_SIMD`` / non-native
+   compilers) compiles the unit and links the codelet objects into it
+   statically: the ``.so`` is self-contained, and nothing else in the
+   cache directory is needed to load or run it;
+5. **cache** — shared objects land in a content-addressed disk cache keyed
+   by source hash *and* compiler fingerprint (:func:`compiler_fingerprint`;
+   the source names the codelets' content symbols and the blob's digest,
+   so the key covers everything that reaches the object), so equal plans
+   compile once per host and survive process restarts — the on-disk
+   analogue of the in-memory PlanCache/Wisdom entries;
+6. **execute** — :func:`compile_plan` binds the chain once at load and
    :meth:`CompiledPlan.plan_stages` the stage symbols, through
    :mod:`ctypes`; calls release the GIL, so the pthreads runtime gets real
    parallel speedup from compiled stages.
@@ -54,9 +68,10 @@ import subprocess
 import tempfile
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -64,7 +79,14 @@ from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import FusedStages, PlanStage
 from ..trace import get_tracer
-from .c_emit import emit_plan_chain, emit_stage_functions
+from .c_emit import (
+    TABLES_MACRO,
+    CodeletDef,
+    TableBlob,
+    emit_plan_chain,
+    emit_stage_functions,
+    plan_preamble,
+)
 from .flags import shared_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
@@ -167,21 +189,19 @@ def codelet_cache_dir() -> Path:
 # -- emission ---------------------------------------------------------------
 
 
-def emit_plan_source(
-    program: SigmaProgram, codelet_max: int = DEFAULT_CODELET_MAX
-) -> str:
-    """Emit the C99 translation unit for one lowered plan.
+@dataclass(frozen=True)
+class _PlanUnit:
+    """One plan as ``cc`` sees it: the unit, and the two things it names."""
 
-    Consumes a :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop
-    IR) and produces one self-contained source exporting
-    ``repro_stage0..repro_stage<k-1>``, each a fused batched stage over
-    interleaved complex doubles, then — from
-    :data:`repro.codegen.c_emit.CHAIN_MARKER` on — the chain that calls
-    them in order (:mod:`repro.codegen.c_emit` prints both).  Pure string
-    construction — no compiler involved — so it also serves as the
-    readable artifact (`docs/codegen.md` walks through an example
-    emission).
-    """
+    text: str
+    codelets: list[CodeletDef]
+    tables: TableBlob
+
+
+def _plan_unit(program: SigmaProgram, codelet_max: int) -> _PlanUnit:
+    """Walk ``program`` once and assemble its unit around the products."""
+    source = emit_stage_functions(program, codelet_max, "void repro_stage")
+    tables = TableBlob(source.tables)
     header = [
         "/* Generated by repro: compiled-codelet execution backend */",
         f"/* size={program.size} stages={len(program.stages)}"
@@ -192,10 +212,32 @@ def emit_plan_source(
         "typedef double complex cplx;",
         "",
     ]
-    stem = "repro_stage"
-    return "\n".join(
-        header + emit_stage_functions(program, codelet_max, f"void {stem}")
-    ) + "\n".join(emit_plan_chain(program, stem))
+    text = "\n".join(
+        header + plan_preamble(tables, source) + source.lines
+    ) + "\n".join(emit_plan_chain(program, "repro_stage"))
+    return _PlanUnit(text, source.codelets, tables)
+
+
+def emit_plan_source(
+    program: SigmaProgram, codelet_max: int = DEFAULT_CODELET_MAX
+) -> str:
+    """Emit the C99 translation unit for one lowered plan.
+
+    Consumes a :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop
+    IR) and produces the source exporting
+    ``repro_stage0..repro_stage<k-1>``, each a fused batched stage over
+    interleaved complex doubles, then — from
+    :data:`repro.codegen.c_emit.CHAIN_MARKER` on — the chain that calls
+    them in order (:mod:`repro.codegen.c_emit` prints both).  Ahead of
+    them the unit only *declares* its tables and *binds* its codelets:
+    the values are in the plan's table file (named to the compiler by
+    ``-DPLAN_TABLES``, its digest in the unit's text) and the codelet
+    bodies in objects the unit is linked against, so this is what is new
+    in the plan and no more.  Pure string construction — no compiler
+    involved — so it also serves as the readable artifact
+    (`docs/codegen.md` walks through an example emission).
+    """
+    return _plan_unit(program, codelet_max).text
 
 
 # -- compile + cache --------------------------------------------------------
@@ -224,18 +266,26 @@ class CompiledPlan:
     so_path: Path
     compiler: dict
     stage_meta: list = field(default_factory=list)
+    #: cache keys of the codelet objects linked in (``codelet_<key>.o``)
+    codelets: tuple = ()
+    #: digest of the table file's bytes; ``""`` for a plan without tables
+    tables: str = ""
     _lib: Optional[ctypes.CDLL] = None
     #: ``repro_plan``, bound once by :func:`compile_plan`
     _chain: Optional[Callable[[int, int, int], int]] = None
 
     def artifact_info(self) -> dict:
-        """JSON-able provenance record (cached .so + toolchain identity)."""
+        """JSON-able provenance record: the cached .so, the toolchain
+        identity, and the build inputs (codelet object keys, table digest)
+        the object was linked from."""
         return {
             "source_hash": self.source_hash,
             "so": str(self.so_path),
             "cc": self.compiler.get("cc"),
             "cc_version": self.compiler.get("version"),
             "cflags": list(self.compiler.get("flags", [])),
+            "codelets": list(self.codelets),
+            "tables": self.tables,
         }
 
     def plan_stages(self) -> FusedStages:
@@ -298,6 +348,65 @@ class CompiledPlan:
         return FusedStages(stages, whole)
 
 
+@contextmanager
+def _publishing(cache: Path, stem: str, suffixes: tuple) -> Iterator[dict]:
+    """Build an entry's files under temporary names, then rename them in.
+
+    Yields ``{suffix: temporary path}``; on a clean exit every one of them
+    that was written is ``os.replace``\\ d to ``<stem><suffix>``, in order,
+    so a reader of the cache — another thread's link, another process's
+    ``dlopen`` — sees a whole file or none, and concurrent builders of one
+    entry race to the same bytes.  Nothing temporary is left either way.
+    """
+    fd, first = tempfile.mkstemp(dir=str(cache), prefix="build_", suffix=".tmp")
+    os.close(fd)
+    tmp = {suffix: first[:-4] + suffix for suffix in suffixes}
+    try:
+        yield tmp
+        for suffix, path in tmp.items():
+            if os.path.exists(path):
+                os.replace(path, cache / (stem + suffix))
+    finally:
+        for leftover in (first, *tmp.values()):
+            try:
+                os.unlink(leftover)
+            except OSError:
+                pass
+
+
+def _run_cc(cc: str, args: list, cache: Path) -> None:
+    """One compiler launch, in the cache directory (relative names in a
+    source — the table file's — resolve there)."""
+    proc = subprocess.run(
+        [cc, *args], capture_output=True, text=True, timeout=300,
+        cwd=str(cache),
+    )
+    if proc.returncode != 0:
+        raise CodeletCompileError(
+            f"{cc} failed (exit {proc.returncode}): {proc.stderr[-2000:]}"
+        )
+
+
+def _codelet_object(
+    key: str, source: str, cc: str, flags: list, cache: Path
+) -> None:
+    """Make sure ``codelet_<key>.o`` is in the cache, compiling ``source``
+    (kept beside it) if it is not."""
+    tr = get_tracer()
+    stem = f"codelet_{key}"
+    if (cache / (stem + ".o")).exists():
+        tr.count("codegen.codelet_hit", 1)
+        return
+    tr.count("codegen.codelet_compile", 1)
+    with tr.span("codegen.codelet_compile", "codegen", key=key):
+        with _publishing(cache, stem, (".o", ".c")) as tmp:
+            Path(tmp[".c"]).write_text(source)
+            compile_only = [f for f in flags if f != "-shared"]
+            _run_cc(
+                cc, [*compile_only, "-c", "-o", tmp[".o"], tmp[".c"]], cache
+            )
+
+
 def compile_plan(
     program: SigmaProgram,
     codelet_max: int = DEFAULT_CODELET_MAX,
@@ -307,11 +416,17 @@ def compile_plan(
 
     The cache key is the source hash combined with the compiler
     fingerprint, so a toolchain upgrade or flag change recompiles while
-    equal plans are shared across processes via the on-disk cache (writes
-    are atomic: compile to a temp name, then ``os.replace``).  Raises
-    :class:`CodeletCompileError` when no compiler is available or gcc
-    rejects the source; the ``codegen.compile_fail`` fault point makes
-    that path deterministic for chaos tests.
+    equal plans are shared across processes via the on-disk cache.  A
+    miss builds the codelet objects the cache lacks, streams the tables
+    to their file, and makes one compiler launch that compiles the unit
+    and links the objects in; every file is published atomically (temp
+    name, then ``os.replace``), the ``.so`` first — it is the whole
+    artifact, and a hit needs nothing else.  Raises
+    :class:`CodeletCompileError` when no compiler is available or any of
+    those steps is rejected (a codelet or the unit by the compiler, the
+    table block by the assembler, a damaged object by the linker); the
+    ``codegen.compile_fail`` fault point makes that path deterministic for
+    chaos tests.
     """
     tr = get_tracer()
     get_fault_plan().raise_if("codegen.compile_fail")
@@ -323,8 +438,8 @@ def compile_plan(
     fingerprint = compiler_fingerprint(cc if cc != find_compiler() else None)
     with tr.span("codegen.emit_c", "codegen", size=program.size,
                  stages=len(program.stages)):
-        source = emit_plan_source(program, codelet_max)
-    key = _source_key(source, fingerprint)
+        unit = _plan_unit(program, codelet_max)
+    key = _source_key(unit.text, fingerprint)
     with _MEMO_LOCK:
         hit = _MEMO.get(key)
         if hit is not None:
@@ -333,38 +448,39 @@ def compile_plan(
             return hit
 
     cache = codelet_cache_dir()
-    so_path = cache / f"plan_{program.size}_{key}.so"
-    c_path = cache / f"plan_{program.size}_{key}.c"
+    stem = f"plan_{program.size}_{key}"
+    so_path = cache / (stem + ".so")
+    # the codelet objects the plan links, by cache key: keyed like the
+    # plan itself (source + fingerprint), so a flag flip shares none
+    objects = {
+        _source_key(source, fingerprint): source
+        for source in (c.object_source() for c in unit.codelets)
+    }
     if not so_path.exists():
         tr.count("codegen.compile", 1)
+        tr.count("codegen.table_bytes", unit.tables.nbytes)
         with tr.span("codegen.compile", "codegen", size=program.size,
                      key=key):
-            fd, tmp_c = tempfile.mkstemp(
-                dir=str(cache), suffix=".c", prefix=f"plan_{key}."
-            )
-            tmp_so = tmp_c[:-2] + ".so"
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(source)
-                proc = subprocess.run(
-                    [cc, *fingerprint["flags"], "-o", tmp_so, tmp_c, "-lm"],
-                    capture_output=True,
-                    text=True,
-                    timeout=300,
-                )
-                if proc.returncode != 0:
-                    raise CodeletCompileError(
-                        f"{cc} failed (exit {proc.returncode}): "
-                        f"{proc.stderr[-2000:]}"
-                    )
-                os.replace(tmp_so, so_path)
-                os.replace(tmp_c, c_path)
-            finally:
-                for leftover in (tmp_c, tmp_so):
-                    try:
-                        os.unlink(leftover)
-                    except OSError:
-                        pass
+            for okey, source in objects.items():
+                _codelet_object(okey, source, cc, fingerprint["flags"], cache)
+            with _publishing(cache, stem, (".so", ".c", ".tab")) as tmp:
+                Path(tmp[".c"]).write_text(unit.text)
+                tables = []
+                if unit.tables.nbytes:
+                    with open(tmp[".tab"], "wb") as fh:
+                        unit.tables.write(fh)
+                    name = os.path.basename(tmp[".tab"])
+                    tables = [f'-D{TABLES_MACRO}="{name}"']
+                _run_cc(cc, [
+                    *tables, *fingerprint["flags"], "-o", tmp[".so"],
+                    tmp[".c"], *(f"codelet_{okey}.o" for okey in objects),
+                    "-lm",
+                ], cache)
+            # used, and later than the plan was built: the GC keeps the
+            # objects used since the oldest plan it keeps was built
+            for okey in objects:
+                with suppress(OSError):  # a concurrent pruner got there
+                    os.utime(cache / f"codelet_{okey}.o")
     else:
         tr.count("codegen.disk_hit", 1)
 
@@ -387,6 +503,8 @@ def compile_plan(
             )
             for s in program.stages
         ],
+        codelets=tuple(objects),
+        tables=unit.tables.digest if unit.tables.nbytes else "",
         _lib=lib,
         _chain=chain,
     )
@@ -408,79 +526,101 @@ def clear_compiled_memo() -> None:
         _MEMO.clear()
 
 
+def _evict(entry: Path, suffixes: tuple) -> int:
+    """Delete one entry's files; returns the bytes freed."""
+    freed = 0
+    for suffix in suffixes:
+        path = entry.with_suffix(suffix)
+        try:
+            size = path.stat().st_size
+            path.unlink()
+            freed += size
+        except OSError:
+            pass  # never written, or raced with a concurrent pruner
+    return freed
+
+
 def prune_codelet_cache(
     max_entries: Optional[int] = None, keep: Optional[set] = None
 ) -> dict:
-    """GC the content-addressed ``.so`` cache down to ``max_entries``.
+    """GC the content-addressed cache down to ``max_entries`` plans.
 
     Repeated measured searches (``repro search --measure --backend
     compiled``, the online tuner) each compile new candidate plans; the
     cache is content-addressed so nothing is ever *wrong*, but without a
-    bound it grows forever.  Entries — a ``plan_<size>_<key>.so`` plus
-    its ``.c`` sibling — are ranked by access recency (``st_atime``,
-    falling back to ``st_mtime``) and the oldest are deleted until
-    ``max_entries`` remain.  ``keep`` protects specific source-hash keys
-    (e.g. artifacts a wisdom file still references).  ``max_entries=None``
-    reads ``$REPRO_CODELET_CACHE_MAX`` (unset/invalid → no pruning).
+    bound it grows forever.  A plan entry — ``plan_<size>_<key>.so`` with
+    its ``.c`` source and ``.tab`` table file — goes as one: entries are
+    ranked by access recency (``st_atime``, falling back to ``st_mtime``)
+    and the oldest are deleted until ``max_entries`` remain.  ``keep``
+    protects specific source-hash keys (e.g. artifacts a wisdom file still
+    references).  Codelet objects (``codelet_<key>.o`` + ``.c``) are pure
+    build inputs — no ``.so`` needs one once it is linked — so they are
+    not counted against the bound: those not used (``st_mtime``: a build
+    touches the objects it linked) since the oldest *kept* plan was built
+    go, and pruning to zero plans empties the directory.
+    ``max_entries=None`` reads ``$REPRO_CODELET_CACHE_MAX`` (unset/invalid
+    → report only, nothing is deleted).
 
-    Returns ``{"entries", "pruned", "kept", "bytes_freed"}``.  Deleting
-    a shared object another process has already ``dlopen``\\ ed is safe
-    (the mapping survives the unlink), and a missing file mid-prune is
-    ignored — concurrent pruners simply race to the same end state.
+    Returns ``{"entries", "pruned", "kept", "bytes_freed", "protected",
+    "codelets", "codelets_pruned"}``.  Deleting a shared object another
+    process has already ``dlopen``\\ ed is safe (the mapping survives the
+    unlink), as is deleting an object a concurrent builder is about to
+    link (its build fails over to NumPy like any compile error; the next
+    one rebuilds the object), and a missing file mid-prune is ignored —
+    concurrent pruners simply race to the same end state.
     """
+    report_only = False
     if max_entries is None:
-        raw = os.environ.get(CACHE_MAX_ENV, "")
         try:
-            max_entries = int(raw)
+            max_entries = int(os.environ.get(CACHE_MAX_ENV, ""))
         except ValueError:
             max_entries = -1
-        if max_entries < 0:
-            cache = codelet_cache_dir()
-            count = len(list(cache.glob("plan_*.so")))
-            return {"entries": count, "pruned": 0, "kept": count,
-                    "bytes_freed": 0}
-    if max_entries < 0:
+        report_only = max_entries < 0
+    elif max_entries < 0:
         raise ValueError(f"max_entries must be >= 0, got {max_entries}")
     keep = keep or set()
     cache = codelet_cache_dir()
-    entries = []
+    plans = []
     for so in cache.glob("plan_*.so"):
         try:
             st = so.stat()
         except OSError:
             continue  # raced with a concurrent pruner
         key = so.stem.rsplit("_", 1)[-1]
-        entries.append((max(st.st_atime, st.st_mtime), so, key, st.st_size))
-    entries.sort()  # oldest-accessed first
-    total = len(entries)
-    protected = [e for e in entries if e[2] in keep]
-    evictable = [e for e in entries if e[2] not in keep]
-    overflow = total - max_entries
-    pruned = 0
-    freed = 0
-    for _, so, _key, size in evictable:
-        if pruned >= overflow:
-            break
-        c_path = so.with_suffix(".c")
+        plans.append((max(st.st_atime, st.st_mtime), st.st_mtime, so, key))
+    plans.sort()  # oldest-accessed first
+    objects = list(cache.glob("codelet_*.o"))
+    report = {
+        "entries": len(plans),
+        "pruned": 0,
+        "kept": len(plans),
+        "bytes_freed": 0,
+        "protected": sum(key in keep for *_, key in plans),
+        "codelets": len(objects),
+        "codelets_pruned": 0,
+    }
+    if report_only:
+        return report
+
+    overflow = len(plans) - max_entries
+    kept_since = float("inf")  # when the oldest plan that stays was built
+    for _, built, so, key in plans:
+        if key not in keep and report["pruned"] < overflow:
+            report["bytes_freed"] += _evict(so, (".so", ".c", ".tab"))
+            report["pruned"] += 1
+        else:
+            kept_since = min(kept_since, built)
+    report["kept"] -= report["pruned"]
+    for obj in objects:
         try:
-            so.unlink()
-            freed += size
+            stale = obj.stat().st_mtime < kept_since
         except OSError:
             continue
-        try:
-            freed += c_path.stat().st_size
-            c_path.unlink()
-        except OSError:
-            pass
-        pruned += 1
-    get_tracer().count("codegen.cache_pruned", pruned)
-    return {
-        "entries": total,
-        "pruned": pruned,
-        "kept": total - pruned,
-        "bytes_freed": freed,
-        "protected": len(protected),
-    }
+        if stale:
+            report["bytes_freed"] += _evict(obj, (".o", ".c"))
+            report["codelets_pruned"] += 1
+    get_tracer().count("codegen.cache_pruned", report["pruned"])
+    return report
 
 
 __all__ = [

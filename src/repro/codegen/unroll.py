@@ -314,10 +314,10 @@ class Codelet:
             lines.append(f"    y[{i}] = {self._ref(out, 'py')}")
         return "\n".join(lines) + "\n"
 
-    def to_c(self) -> str:
-        """The codelet as C99: a ``static void`` straight-line function."""
+    def to_c(self, linkage: str = "static") -> str:
+        """The codelet as C99: a ``<linkage> void`` straight-line function."""
         lines = [
-            f"static void {self.name}(const cplx *x, cplx *y) {{",
+            f"{linkage} void {self.name}(const cplx *x, cplx *y) {{",
             f"  /* unrolled size-{self.size} codelet: "
             f"{self.complex_ops()} complex ops */",
         ]
@@ -379,7 +379,7 @@ class Codelet:
         return [f"      const double {name}re = {ar}*{br} - {ai}*{bi}, "
                 f"{name}im = {ar}*{bi} + {ai}*{br};"]
 
-    def to_c_vec(self, nu: int) -> str:
+    def to_c_vec(self, nu: int, linkage: str = "static") -> str:
         """The codelet as a ν-lane C99 function over split re/im planes.
 
         Layout: ``x``/``y`` hold ``size`` elements of ``nu`` lanes each,
@@ -390,7 +390,7 @@ class Codelet:
         semantics (one vector instruction per scalar op of the child).
         """
         lines = [
-            f"static void {self.name}("
+            f"{linkage} void {self.name}("
             "const double *restrict xre, const double *restrict xim, "
             "double *restrict yre, double *restrict yim) {",
             f"  /* unrolled size-{self.size} codelet x {nu} lanes: "

@@ -3,18 +3,44 @@
 ``golden_emit_digests.json`` holds ``sha256`` digests (no source text) of
 ``emit_plan_source`` and of the Python backend's ``generate`` source for
 k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
-``codelet_max``.  The ``"plan"`` map was recorded at the commit before the
-C emitters were merged and has never moved: it pins the tables, codelets
-and stage functions — the plan source up to ``CHAIN_MARKER``, which was
-the whole source until the whole-plan chain was appended after it.  The
-``"plan_chain"`` map pins that trailer (marker to end of file), recorded
-in the commit that added it.  Every ``.so`` cache key is a hash of the
-*whole* plan source, so a digest of either map that moves means every
-cached object on every host recompiles once — as adding the chain did,
-without moving a byte of stage text.  The ``"python"`` map was re-recorded
-once, in the commit that made the printer emit batched ``(b, n)`` stage
-bodies (the printed program became the NumPy backend); nothing is keyed on
-it.
+``codelet_max``, in maps recorded at different times for different ends:
+
+``"stages"``
+    The stage functions — plan source from the ``repro_stage0`` definition
+    to ``CHAIN_MARKER`` — recorded at the last commit that printed tables
+    and codelets into the plan source, before the edit that moved them
+    out.  It is the "the loops did not change" alarm: the loop nests are
+    what runs, and they have not moved a byte since the C emitters were
+    merged.
+``"plan"``
+    Everything before ``CHAIN_MARKER``: the unit's preamble and the stage
+    functions.  Re-recorded once, deliberately, in the commit that made
+    the preamble *declare* tables (values in a binary file whose digest
+    the preamble carries) and *bind* codelets (bodies in content-addressed
+    objects) where it used to define both as text; until then it had
+    never moved.
+``"plan_chain"``
+    The trailer (marker to end of file), recorded in the commit that
+    added it.
+``"codelet"``
+    The library definition of each distinct codelet, k in {2,4,8,16,32} x
+    nu in {1,2,4}: the text a ``codelet_<key>.o`` is compiled from and its
+    symbol derived from.
+``"generate_c"``
+    Whole standalone programs, modes x unroll_max x nu as
+    ``test_c_backend.py::TestCompileAndRun`` walks them, recorded with
+    ``"stages"``: the single-file form (text tables, ``static`` codelets)
+    the emitter keeps.
+``"python"``
+    Re-recorded once, in the commit that made the printer emit batched
+    ``(b, n)`` stage bodies (the printed program became the NumPy
+    backend); nothing is keyed on it.
+
+Every ``.so`` cache key is a hash of the *whole* plan source, so a digest
+of ``"plan"`` or ``"plan_chain"`` that moves means every cached object on
+every host recompiles once — as adding the chain did, and as moving the
+tables and codelets out did; a ``"codelet"`` digest that moves recompiles
+that codelet's object and every plan that names it.
 """
 
 import hashlib
@@ -27,9 +53,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import emit_plan_source
-from repro.codegen.c_emit import CHAIN_MARKER
-from repro.frontend import generate_fft
+from repro.codegen import emit_plan_source, generate_c
+from repro.codegen.c_backend import MODES
+from repro.codegen.c_emit import CHAIN_MARKER, CodeletDef, codelet_formula
+from repro.codegen.unroll import Codelet
+from repro.frontend import generate_fft, vectorize_formula
+from repro.rewrite import derive_multicore_ct, expand_dft
+from repro.sigma import lower
+from repro.spl import DFT
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_emit_digests.json").read_text()
@@ -58,7 +89,7 @@ def test_golden_set_is_the_full_admissible_grid():
         if t == 1 or 2 ** k % (t * 4) ** 2 == 0
     }
     assert set(GOLDEN["plan"]) == set(GOLDEN["python"]) == admissible
-    assert set(GOLDEN["plan_chain"]) == admissible
+    assert set(GOLDEN["plan_chain"]) == set(GOLDEN["stages"]) == admissible
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["plan"]))
@@ -68,8 +99,46 @@ def test_emitted_source_matches_golden_digest(key):
         CHAIN_MARKER
     )
     assert _sha(stage_text) == GOLDEN["plan"][key]
+    stages = stage_text[stage_text.index("void repro_stage0("):]
+    assert _sha(stages) == GOLDEN["stages"][key]
     assert _sha(marker + chain) == GOLDEN["plan_chain"][key]
     assert _sha(gen.source) == GOLDEN["python"][key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["codelet"]))
+def test_codelet_definition_matches_golden_digest(key):
+    k, nu = map(int, re.fullmatch(r"k(\d+)_nu(\d+)", key).groups())
+    codelet = Codelet.from_formula(codelet_formula(DFT(k)), "codelet0")
+    assert _sha(CodeletDef("codelet0", nu, codelet).definition) == \
+        GOLDEN["codelet"][key]
+
+
+def test_codelet_set_is_the_leaf_sizes_by_nu():
+    assert set(GOLDEN["codelet"]) == {
+        f"k{k}_nu{nu}" for k in (2, 4, 8, 16, 32) for nu in (1, 2, 4)
+    }
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["generate_c"]))
+def test_standalone_program_matches_golden_digest(key):
+    mode, unroll_max, nu = re.fullmatch(
+        r"(\w+)_unroll(\d+)_nu(\d+)", key
+    ).groups()
+    unroll_max, nu = int(unroll_max), int(nu)
+    f = expand_dft(
+        derive_multicore_ct(64, 2, max(2, nu)), "balanced", min_leaf=4
+    )
+    f, effective_nu = vectorize_formula(f, 64, 2, nu)
+    assert effective_nu == nu
+    gen = generate_c(lower(f), mode=mode, unroll_max=unroll_max)
+    assert _sha(gen.source) == GOLDEN["generate_c"][key]
+
+
+def test_standalone_set_is_the_compile_and_run_matrix():
+    assert set(GOLDEN["generate_c"]) == {
+        f"{mode}_unroll{u}_nu{nu}"
+        for mode in MODES for u in (0, 8) for nu in (1, 4)
+    }
 
 
 def test_concurrent_emission_equals_serial():

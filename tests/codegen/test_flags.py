@@ -67,25 +67,26 @@ class TestTierPolicy:
             flags_mod.clear_flag_probe_cache()
 
 
+def _captured_compiles(monkeypatch, fn):
+    """Run ``fn`` while recording every compiler argv subprocess sees."""
+    calls = []
+    real_run = subprocess.run
+
+    def spy(cmd, *a, **kw):
+        if isinstance(cmd, (list, tuple)) and any(
+            str(c).endswith(".c") for c in cmd
+        ):
+            calls.append([str(c) for c in cmd])
+        return real_run(cmd, *a, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(subprocess, "run", spy)
+        fn()
+    return calls
+
+
 class TestOneFlagSet:
     """Timing and production builds provably invoke the same tier."""
-
-    def _captured_compiles(self, monkeypatch, fn):
-        """Run ``fn`` while recording every compiler argv subprocess sees."""
-        calls = []
-        real_run = subprocess.run
-
-        def spy(cmd, *a, **kw):
-            if isinstance(cmd, (list, tuple)) and any(
-                str(c).endswith(".c") for c in cmd
-            ):
-                calls.append([str(c) for c in cmd])
-            return real_run(cmd, *a, **kw)
-
-        monkeypatch.setattr(subprocess, "run", spy)
-        fn()
-        monkeypatch.undo()
-        return calls
 
     @needs_cc
     def test_timing_run_and_so_builds_use_one_tier(self, monkeypatch,
@@ -96,7 +97,7 @@ class TestOneFlagSet:
         gen = generate_c(prog, mode="sequential")
         x = np.arange(16, dtype=np.complex128)
 
-        argvs = self._captured_compiles(
+        argvs = _captured_compiles(
             monkeypatch,
             lambda: (
                 compile_and_time(prog, "sequential", reps=1),
@@ -104,7 +105,7 @@ class TestOneFlagSet:
                 compile_plan(generate_fft(64).program),
             ),
         )
-        assert len(argvs) >= 3
+        assert len(argvs) >= 4  # ... and the plan's codelet object
         tier = optimization_tier(argvs[0][0])
         for argv in argvs:
             for flag in tier:
@@ -149,4 +150,32 @@ class TestCacheInvalidation:
         assert native_plan.so_path != portable_plan.so_path
         # both objects exist side by side: nothing was silently reused
         assert native_plan.so_path.exists() and portable_plan.so_path.exists()
+        clear_compiled_memo()
+
+    @needs_cc
+    def test_flag_flip_shares_no_codelet_object(self, monkeypatch, tmp_path):
+        """Objects are keyed like plans: a portable plan built into a cache
+        full of native-tier objects compiles its own and links only those."""
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_SIMD", raising=False)
+        clear_compiled_memo()
+        program = generate_fft(128).program  # 8 x 16: two codelets
+        native_plan = compile_plan(program)
+        native = {p.name for p in tmp_path.glob("codelet_*.o")}
+        assert native == {f"codelet_{k}.o" for k in native_plan.codelets}
+        assert len(native) == 2
+
+        monkeypatch.setenv("REPRO_NO_SIMD", "1")
+        clear_compiled_memo()
+        argvs = _captured_compiles(
+            monkeypatch, lambda: compile_plan(program)
+        )
+        portable = {p.name for p in tmp_path.glob("codelet_*.o")} - native
+        assert len(portable) == 2  # same two codelets, compiled again
+        assert len(argvs) == 3
+        for argv in argvs:
+            assert "-O2" in argv and "-march=native" not in argv
+        (link,) = [argv for argv in argvs if "-shared" in argv]
+        linked = {arg for arg in link if arg.endswith(".o")}
+        assert linked == portable and not linked & native
         clear_compiled_memo()

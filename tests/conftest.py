@@ -8,6 +8,16 @@ import pytest
 from repro.spl import COMPLEX, Expr
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full-grid",
+        action="store_true",
+        help="run grids that tier-1 samples (the library-vs-single-unit "
+        "differential: all 63 plans instead of 31) in full; CI's "
+        "compiled job does",
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xFF7)
