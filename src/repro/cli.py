@@ -126,15 +126,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.emit_c:
-            from .frontend import spiral_formula
             from .codegen import generate_c
-            from .sigma import lower
 
-            f = spiral_formula(
-                args.n, args.threads, args.mu, "balanced", 32, nu=args.nu
-            )
-            src = generate_c(lower(f, barrier_mu=args.mu), mode=args.mode)
-            print(src.source)
+            # the program just verified, not a second derivation of it
+            print(generate_c(gen.program, mode=args.mode).source)
         else:
             print(gen.source)
     return 0 if ok else 1

@@ -4,7 +4,8 @@ Two kinds of artifact come out of this package:
 
 * **standalone programs** — :func:`generate` (Python source, whose
   printed batched stages are also the ``numpy`` executor) and
-  :func:`generate_c` (self-contained multithreaded C99), used for
+  :func:`generate_c` (self-contained multithreaded C99: a ``compiled``
+  plan's C text in one file, plus a driver and ``main``), used for
   verification and the paper's generated-program experiments;
 * **executable stage plans** — built through the backend registry
   (:mod:`repro.codegen.registry`): ``numpy`` (the printed Python program),
@@ -14,17 +15,12 @@ Two kinds of artifact come out of this package:
   selects its executor through :func:`resolve_backend`.
 
 All C text — :func:`generate_c` programs and ``compiled`` shared objects
-alike — is printed by one stage emitter (:mod:`repro.codegen.c_emit`);
-the two C modules add only their drivers.
+alike — is printed and assembled by one emitter
+(:mod:`repro.codegen.c_emit`) and compiled through one seam
+(:func:`repro.codegen.compiled_backend.run_cc`).
 """
 
-from .c_backend import (
-    GeneratedCSource,
-    compile_and_run,
-    compile_and_time,
-    compiler_available,
-    generate_c,
-)
+from .c_backend import GeneratedCSource, compile_and_run, generate_c
 from .compiled_backend import (
     CodeletCompileError,
     CompiledPlan,
@@ -72,10 +68,8 @@ __all__ = [
     "available_backends",
     "build_stages",
     "compile_and_run",
-    "compile_and_time",
     "compile_plan",
     "compiled_available",
-    "compiler_available",
     "compiler_fingerprint",
     "emit_plan_source",
     "generate",

@@ -1,31 +1,31 @@
-"""C code generator: Sigma-SPL programs -> self-contained C99 sources.
+"""C code generator: Sigma-SPL programs -> self-contained C99 programs.
 
-This is the paper's actual target: multithreaded C.  The tables, codelets
-and stage functions come from the one C stage emitter
-(:mod:`repro.codegen.c_emit`) — the very functions the compiled backend
-exports from its shared objects, here with ``static`` linkage; this module
-adds only what makes them a program:
+This is the paper's actual target: multithreaded C.  The program *is* the
+plan's C text — :func:`repro.codegen.c_emit.emit_plan_unit` in its
+single-file form, the unit the compiled backend builds into a shared
+object, stage functions and ``repro_plan`` chain byte for byte — and this
+module adds only what makes that text a program:
 
-* the header and two static ping-pong buffers,
-* a stage pipeline over them with one of three drivers:
+* a driver, one of three:
 
-  - ``pthreads``: persistent SPMD threads with a *sense-reversing barrier*
-    built on GCC atomics (the paper's low-latency synchronization); barriers
-    are skipped for stages whose dataflow is processor-private,
+  - ``sequential``: none of its own — ``main`` calls ``repro_plan``,
+  - ``pthreads``: SPMD threads walking ``repro_stage0..k-1`` in lockstep
+    with a *sense-reversing barrier* built on GCC atomics (the paper's
+    low-latency synchronization); barriers are skipped for stages whose
+    dataflow is processor-private,
   - ``openmp``: ``#pragma omp parallel`` fork-join regions per stage,
-  - ``sequential``: plain loop,
 
-* and a ``main``.
+* and a ``main`` that reads ``2*N`` doubles (re/im pairs) from stdin and
+  writes the transformed pairs to stdout,
 
-The ``main`` reads ``2*N`` doubles (re/im pairs) from stdin and writes the
-transformed pairs to stdout, so generated programs are verified end-to-end
-against ``numpy.fft`` by actually compiling and running them (see
+so generated programs are verified end-to-end against ``numpy.fft`` by
+actually compiling and running them (:func:`compile_and_run`, through the
+compiled backend's one compiler seam; see
 ``tests/codegen/test_c_backend.py``).
 """
 
 from __future__ import annotations
 
-import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -35,10 +35,22 @@ from typing import Optional
 import numpy as np
 
 from ..sigma.loops import SigmaProgram
-from .c_emit import emit_stage_functions
+from .c_emit import emit_plan_unit
+from .compiled_backend import (
+    DEFAULT_CODELET_MAX,
+    CodeletCompileError,
+    find_compiler,
+    run_cc,
+)
 from .flags import exe_cflags
 
-MODES = ("sequential", "pthreads", "openmp")
+#: the drivers, and what each adds to the link line
+_LINK_FLAGS = {
+    "sequential": (),
+    "pthreads": ("-lpthread",),
+    "openmp": ("-fopenmp",),
+}
+MODES = tuple(_LINK_FLAGS)
 
 
 _BARRIER_C = r"""
@@ -55,6 +67,73 @@ static void barrier_wait(int *local_sense) {
     while (bar_sense != *local_sense) { /* spin */ }
   }
   __sync_synchronize();
+}
+"""
+
+_PTHREADS_C = r"""
+static void run_stages(int proc) {
+  int local_sense = 0;
+  const double *src = bufA;
+  double *dst = bufB;
+  for (int s = 0; s < NSTAGES; ++s) {
+    if (stage_barrier[s] || !stage_parallel[s]) barrier_wait(&local_sense);
+    if (stage_parallel[s] || proc == 0) stages[s](proc, 1, src, dst);
+    if (!stage_parallel[s]) barrier_wait(&local_sense);
+    const double *t = src; src = dst; dst = (double *)t;
+  }
+  barrier_wait(&local_sense); /* final rendezvous */
+}
+
+static void *worker(void *arg) {
+  run_stages((int)(long)arg);
+  return NULL;
+}
+
+static void transform(void) {
+  pthread_t threads[P];
+  bar_count = P;
+  for (long i = 1; i < P; ++i)
+    pthread_create(&threads[i], NULL, worker, (void *)i);
+  run_stages(0);
+  for (long i = 1; i < P; ++i) pthread_join(threads[i], NULL);
+}
+"""
+
+_OPENMP_C = r"""
+static void transform(void) {
+  const double *src = bufA;
+  double *dst = bufB;
+  for (int s = 0; s < NSTAGES; ++s) {
+    if (stage_parallel[s]) {
+      #pragma omp parallel num_threads(P)
+      { stages[s](omp_get_thread_num(), 1, src, dst); }
+    } else {
+      stages[s](0, 1, src, dst);
+    }
+    const double *t = src; src = dst; dst = (double *)t;
+  }
+}
+"""
+
+#: ``main`` around the one statement pair that differs: how the transform
+#: runs and which buffer it left the result in
+_MAIN_READ = r"""
+int main(void) {
+  for (int i = 0; i < N; ++i)
+    if (scanf("%lf %lf", &bufA[2 * i], &bufA[2 * i + 1]) != 2) {
+      fprintf(stderr, "expected %d re/im pairs on stdin\n", N);
+      return 1;
+    }"""
+_RUN_CHAIN = r"""
+  if (repro_plan(1, bufA, bufB)) return 1; /* it found no scratch */
+  const double *out = bufB;"""
+_RUN_THREADS = r"""
+  transform();
+  const double *out = (NSTAGES % 2 == 0) ? bufA : bufB;"""
+_MAIN_WRITE = r"""
+  for (int i = 0; i < N; ++i)
+    printf("%.17g %.17g\n", out[2 * i], out[2 * i + 1]);
+  return 0;
 }
 """
 
@@ -75,279 +154,96 @@ class GeneratedCSource:
         return p
 
 
-_TIMING_MAIN = r"""
-int main(int argc, char **argv) {
-  int reps = (argc > 1) ? atoi(argv[1]) : 100;
-  for (int i = 0; i < N; ++i)
-    bufA[i] = (double)(i % 7) - 3.0 + ((double)(i % 5) - 2.0) * _Complex_I;
-  transform(); /* warm up */
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    struct timespec t0, t1;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    transform();
-    clock_gettime(CLOCK_MONOTONIC, &t1);
-    double sec = (t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec);
-    if (sec < best) best = sec;
-  }
-  /* fold the output into a checksum so the loop cannot be optimized out */
-  const cplx *out = (NSTAGES % 2 == 0) ? bufA : bufB;
-  double acc = 0;
-  for (int i = 0; i < N; ++i) acc += creal(out[i]) + cimag(out[i]);
-  printf("%.9e %.17g\n", best, acc);
-  return 0;
-}
-"""
-
-
 def generate_c(
     program: SigmaProgram,
     mode: str = "pthreads",
-    timing: bool = False,
-    unroll_max: int = 0,
+    codelet_max: int = DEFAULT_CODELET_MAX,
 ) -> GeneratedCSource:
-    """Emit a complete C source for ``program``.
+    """Emit a complete C program for ``program``.
 
-    With ``timing=True`` the ``main`` self-times repeated transform calls
-    (best-of wall clock via ``clock_gettime``) instead of reading stdin —
-    the generated program becomes its own benchmark, as Spiral's evaluation
-    level does.  ``unroll_max > 0`` replaces dense kernel multiplies by
-    unrolled straight-line codelets for kernels up to that size (Spiral's
-    code-optimization level; see :mod:`repro.codegen.unroll`) — the compiled
-    backend's ``codelet_max``, under the same kernel policy.
+    The plan's single-file C text under the compiled backend's
+    ``codelet_max`` (kernels up to that size are unrolled straight-line
+    codelets, larger ones a dense multiply; see
+    :mod:`repro.codegen.unroll`), then the mode's driver over
+    ``repro_stage<k>`` and ``main``.  The stage ABI is batched over
+    interleaved doubles; the program runs one row.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n = program.size
-    nprocs = max([max(s.procs, default=0) for s in program.stages], default=0) + 1
     stages = program.stages
-    nstages = len(stages)
-    stage_list = ", ".join(f"stage{i}" for i in range(nstages))
-    barrier_list = ", ".join(str(int(s.needs_barrier)) for s in stages)
-    parallel_list = ", ".join(str(int(s.parallel)) for s in stages)
-
-    header = [
-        "/* Generated by repro: Spiral shared-memory FFT, C backend */",
-        f"/* size={n} mode={mode} stages={nstages}"
-        f" barriers={program.barrier_count()} */",
-        "#include <stdio.h>",
-        "#include <stdlib.h>",
-        "#include <complex.h>",
-        "#include <math.h>",
-    ]
-    if timing:
-        header.append("#include <time.h>")
+    tail = [f"/* standalone program: mode={mode} */", "#include <stdio.h>"]
     if mode == "pthreads":
-        header.append("#include <pthread.h>")
+        tail.append("#include <pthread.h>")
     if mode == "openmp":
-        header.append("#include <omp.h>")
-    header += [
-        "",
-        f"#define N {n}",
-        f"#define P {nprocs}",
-        f"#define NSTAGES {nstages}",
-        "typedef double complex cplx;",
-        "",
-        "static cplx bufA[N], bufB[N];",
-        "",
+        tail.append("#include <omp.h>")
+    tail += [
+        f"#define N {program.size}",
+        "static double bufA[2 * N], bufB[2 * N]; /* one row of re/im pairs */",
     ]
-
-    driver: list[str] = []
-    driver.append("typedef void (*stage_fn)(int, long, const double*, double*);")
-    driver.append(f"static const stage_fn stages[NSTAGES] = {{{stage_list}}};")
-    driver.append(
-        f"static const int stage_barrier[NSTAGES] = {{{barrier_list}}};"
+    run = _RUN_CHAIN
+    if mode != "sequential":
+        nprocs = 1 + max((p for s in stages for p in s.procs), default=0)
+        tail += [
+            f"#define P {nprocs}",
+            f"#define NSTAGES {len(stages)}",
+            "typedef void (*stage_fn)(int, long, const double *, double *);",
+            "static const stage_fn stages[NSTAGES] = {"
+            + ", ".join(f"repro_stage{i}" for i in range(len(stages))) + "};",
+            "static const int stage_barrier[NSTAGES] = {"
+            + ", ".join(str(int(s.needs_barrier)) for s in stages) + "};",
+            "static const int stage_parallel[NSTAGES] = {"
+            + ", ".join(str(int(s.parallel)) for s in stages) + "};",
+        ]
+        tail += [_BARRIER_C, _PTHREADS_C] if mode == "pthreads" else [_OPENMP_C]
+        run = _RUN_THREADS
+    tail.append(_MAIN_READ + run + _MAIN_WRITE)
+    unit = emit_plan_unit(program, codelet_max, linked=False)
+    return GeneratedCSource(
+        size=program.size,
+        mode=mode,
+        source=unit.text + "\n".join(tail),
+        nstages=len(stages),
     )
-    driver.append(
-        f"static const int stage_parallel[NSTAGES] = {{{parallel_list}}};"
-    )
-    driver.append(r"""
-/* the stage ABI is batched over interleaved doubles; this program runs one row */
-static void run_stage(int s, int proc, const cplx *src, cplx *dst) {
-  stages[s](proc, 1, (const double *)src, (double *)dst);
-}
-""")
-
-    if mode == "pthreads":
-        driver.append(_BARRIER_C)
-        driver.append(r"""
-static void run_stages(int proc) {
-  int local_sense = 0;
-  const cplx *src = bufA;
-  cplx *dst = bufB;
-  for (int s = 0; s < NSTAGES; ++s) {
-    if (stage_barrier[s] || !stage_parallel[s]) barrier_wait(&local_sense);
-    if (stage_parallel[s] || proc == 0) run_stage(s, proc, src, dst);
-    if (!stage_parallel[s]) barrier_wait(&local_sense);
-    const cplx *t = src; src = dst; dst = (cplx *)t;
-  }
-  barrier_wait(&local_sense); /* final rendezvous */
-}
-
-static void *worker(void *arg) {
-  run_stages((int)(long)arg);
-  return NULL;
-}
-
-static void transform(void) {
-  pthread_t threads[P];
-  bar_count = P;
-  for (long i = 1; i < P; ++i)
-    pthread_create(&threads[i], NULL, worker, (void *)i);
-  run_stages(0);
-  for (long i = 1; i < P; ++i) pthread_join(threads[i], NULL);
-}
-""")
-    elif mode == "openmp":
-        driver.append(r"""
-static void transform(void) {
-  const cplx *src = bufA;
-  cplx *dst = bufB;
-  for (int s = 0; s < NSTAGES; ++s) {
-    if (stage_parallel[s]) {
-      #pragma omp parallel num_threads(P)
-      { run_stage(s, omp_get_thread_num(), src, dst); }
-    } else {
-      run_stage(s, 0, src, dst);
-    }
-    const cplx *t = src; src = dst; dst = (cplx *)t;
-  }
-}
-""")
-    else:
-        driver.append(r"""
-static void transform(void) {
-  const cplx *src = bufA;
-  cplx *dst = bufB;
-  for (int s = 0; s < NSTAGES; ++s) {
-    for (int proc = 0; proc < (stage_parallel[s] ? P : 1); ++proc)
-      run_stage(s, proc, src, dst);
-    const cplx *t = src; src = dst; dst = (cplx *)t;
-  }
-}
-""")
-
-    if timing:
-        driver.append(_TIMING_MAIN)
-    else:
-        driver.append(r"""
-int main(void) {
-  for (int i = 0; i < N; ++i) {
-    double re, im;
-    if (scanf("%lf %lf", &re, &im) != 2) {
-      fprintf(stderr, "expected %d re/im pairs on stdin\n", N);
-      return 1;
-    }
-    bufA[i] = re + im * _Complex_I;
-  }
-  transform();
-  const cplx *out = (NSTAGES % 2 == 0) ? bufA : bufB;
-  for (int i = 0; i < N; ++i)
-    printf("%.17g %.17g\n", creal(out[i]), cimag(out[i]));
-  return 0;
-}
-""")
-
-    source = "\n".join(
-        header
-        + emit_stage_functions(
-            program, unroll_max, "static void stage"
-        ).unit_lines()
-        + driver
-    )
-    return GeneratedCSource(size=n, mode=mode, source=source, nstages=nstages)
-
-
-def compile_and_time(
-    program: SigmaProgram,
-    mode: str = "sequential",
-    reps: int = 50,
-    cc: Optional[str] = None,
-    unroll_max: int = 0,
-) -> float:
-    """Compile a self-timing build of ``program`` and return best seconds.
-
-    Note: in ``pthreads``/``openmp`` modes every timed call pays thread
-    creation (the generated driver has no persistent pool), so parallel
-    timings on this harness resemble the paper's *per-call* overhead
-    scenario, not its pooled one.
-    """
-    gen = generate_c(program, mode=mode, timing=True, unroll_max=unroll_max)
-    cc = cc or shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        raise RuntimeError("no C compiler available")
-    with tempfile.TemporaryDirectory(prefix="repro-ctime-") as workdir:
-        src = Path(workdir) / f"time_{gen.size}_{mode}.c"
-        binary = Path(workdir) / f"time_{gen.size}_{mode}"
-        src.write_text(gen.source)
-        # same optimization tier as production .so builds (repro.codegen.flags)
-        flags = [*exe_cflags(cc), "-o", str(binary), str(src), "-lm"]
-        if mode == "pthreads":
-            flags.append("-lpthread")
-        if mode == "openmp":
-            flags.insert(0, "-fopenmp")
-        subprocess.run([cc, *flags], check=True, capture_output=True, text=True)
-        proc = subprocess.run(
-            [str(binary), str(reps)],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=300,
-        )
-        return float(proc.stdout.split()[0])
-
-
-def compiler_available() -> bool:
-    """True when a C compiler (gcc or cc) is on ``$PATH``."""
-    return shutil.which("gcc") is not None or shutil.which("cc") is not None
 
 
 def compile_and_run(
-    gen: GeneratedCSource,
-    x: np.ndarray,
-    cc: Optional[str] = None,
-    workdir: Optional[str | Path] = None,
-    extra_flags: tuple[str, ...] = (),
+    gen: GeneratedCSource, x: np.ndarray, cc: Optional[str] = None
 ) -> np.ndarray:
-    """Compile the generated C with gcc/cc and run it on input ``x``."""
-    cc = cc or shutil.which("gcc") or shutil.which("cc")
+    """Compile the generated C and run it on input ``x``.
+
+    The compiler is the compiled backend's (:func:`find_compiler`, so
+    ``REPRO_NO_CC`` switches it off) under the production optimization
+    tier (:func:`repro.codegen.flags.exe_cflags`); no compiler, or one
+    that rejects the program, is a :class:`CodeletCompileError`.
+    """
+    cc = cc or find_compiler()
     if cc is None:
-        raise RuntimeError("no C compiler available")
-    tmp_ctx = None
-    if workdir is None:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-cgen-")
-        workdir = tmp_ctx.name
-    try:
-        workdir = Path(workdir)
-        src = workdir / f"dft_{gen.size}_{gen.mode}.c"
-        binary = workdir / f"dft_{gen.size}_{gen.mode}"
-        src.write_text(gen.source)
-        # same optimization tier as production .so builds (repro.codegen.flags)
-        flags = [*exe_cflags(cc), "-o", str(binary), str(src), "-lm"]
-        if gen.mode == "pthreads":
-            flags.append("-lpthread")
-        if gen.mode == "openmp":
-            flags.insert(0, "-fopenmp")
-        flags = list(extra_flags) + flags
-        subprocess.run(
-            [cc, *flags], check=True, capture_output=True, text=True
+        raise CodeletCompileError(
+            "no C compiler available (gcc/cc not on PATH, or REPRO_NO_CC set)"
+        )
+    with tempfile.TemporaryDirectory(prefix="repro-cgen-") as tmp:
+        workdir = Path(tmp)
+        stem = f"dft_{gen.size}_{gen.mode}"
+        gen.write(workdir / f"{stem}.c")
+        run_cc(
+            cc,
+            [*exe_cflags(cc), "-o", stem, f"{stem}.c", "-lm",
+             *_LINK_FLAGS[gen.mode]],
+            workdir,
         )
         x = np.asarray(x, dtype=np.complex128)
         stdin = "\n".join(
             f"{float(v.real)!r} {float(v.imag)!r}" for v in x
         )
         proc = subprocess.run(
-            [str(binary)],
+            [str(workdir / stem)],
             input=stdin,
             capture_output=True,
             text=True,
             check=True,
             timeout=120,
         )
-        vals = np.array(
-            [float(tok) for tok in proc.stdout.split()], dtype=np.float64
-        )
-        return vals[0::2] + 1j * vals[1::2]
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
+    vals = np.array(
+        [float(tok) for tok in proc.stdout.split()], dtype=np.float64
+    )
+    return vals[0::2] + 1j * vals[1::2]

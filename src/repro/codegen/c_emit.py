@@ -1,30 +1,28 @@
-"""The one C stage emitter: Σ-SPL loop IR -> tables, codelets, stage functions.
+"""The one C emitter: Σ-SPL loop IR -> a plan's whole C text.
 
 One walk over a program (:func:`emit_stage_functions`) yields three
 products — the constant **tables** its loops index (:class:`Table`), the
 unrolled **codelets** they call (:class:`CodeletDef`) and the **stage
-function** text — and the two C targets assemble them differently:
+function** text — and one assembler (:func:`emit_plan_unit`) puts a plan's
+text together around them: header, preamble, the stage functions
+(exported ``void repro_stage<k>``), and the sequential driver
+(:func:`emit_plan_chain` — one exported ``repro_plan`` that calls the
+stage functions in order, so a sequential execution crosses into C once).
+The text comes in two forms that differ in the preamble alone, i.e. in how
+the names the stage text uses (``g0_0``, ``vcodelet0_v4``) are defined
+ahead of it:
 
-* the standalone program of :mod:`repro.codegen.c_backend` has to stay one
-  file, so it takes :meth:`StageSource.unit_lines` — tables as decimal
-  text, codelets ``static`` — and appends ``main`` and a
-  pthreads/OpenMP/sequential ``transform``;
-* the shared-object plan of :mod:`repro.codegen.compiled_backend` hands
-  ``cc`` only what is new in the plan: :func:`plan_preamble` *declares*
-  the tables (their values ride in one binary file, :class:`TableBlob`,
-  which a file-scope assembler block places in ``.rodata`` with
-  ``.incbin``) and *binds* each codelet's local name to the
-  content-derived symbol of a separately compiled object
-  (:meth:`CodeletDef.object_source`), so the translation unit is the stage
-  functions plus the driver, :func:`emit_plan_chain` — one exported
-  ``repro_plan`` that calls the plan's stage functions in order, so a
-  sequential execution crosses into C once — beside the exported
-  per-stage ABI the pools walk.  Plan objects assume ELF and a GNU-style
-  assembler (gcc or clang on Linux).
-
-The stage function text is the same for both: the targets differ only in
-the declaration prefix (linkage + symbol stem) and in how the names the
-text uses (``g0_0``, ``vcodelet0_v4``) are defined ahead of it.
+* **single-file** — tables as decimal text, codelets ``static``: a
+  translation unit that needs nothing else.  The standalone program of
+  :mod:`repro.codegen.c_backend` is this text plus a ``main`` (and, for
+  pthreads / OpenMP, a threaded driver over the same stage functions);
+* **linked** — what :mod:`repro.codegen.compiled_backend` hands ``cc``,
+  only what is new in the plan: :func:`plan_preamble` *declares* the
+  tables (their values ride in one binary file, :class:`TableBlob`, which
+  a file-scope assembler block places in ``.rodata`` with ``.incbin``) and
+  *binds* each codelet's local name to the content-derived symbol of a
+  separately compiled object (:meth:`CodeletDef.object_source`).  Plan
+  objects assume ELF and a GNU-style assembler (gcc or clang on Linux).
 
 Each :class:`~repro.sigma.loops.BlockLoop`'s gather → twiddle scale →
 kernel → twiddle scale → scatter chain is fused into one loop nest:
@@ -290,9 +288,8 @@ class _StageEmitter:
     order the stage text first names them; that text goes to ``lines``.
     """
 
-    def __init__(self, codelet_max: int, decl: str) -> None:
+    def __init__(self, codelet_max: int) -> None:
         self.codelet_max = codelet_max
-        self.decl = decl
         self.preamble: list[Table | CodeletDef] = []
         self.lines: list[str] = []
         self._codelets: dict = {}
@@ -600,7 +597,7 @@ class _StageEmitter:
     # -- stages -------------------------------------------------------------
 
     def emit_stage(self, stage: Stage, sid: int, n: int) -> None:
-        """One batched stage function ``<decl><sid>``.
+        """One batched stage function, exported as ``repro_stage<sid>``.
 
         The signature is the stage ABI: ``(int proc, long b, const double
         *src, double *dst)`` over ``b`` stacked rows of ``n`` interleaved
@@ -610,7 +607,7 @@ class _StageEmitter:
         """
         o = self.lines
         o.append(
-            f"{self.decl}{sid}(int proc, long b, "
+            f"void repro_stage{sid}(int proc, long b, "
             f"const double *restrict srcd, double *restrict dstd) {{"
         )
         o.append(
@@ -663,30 +660,19 @@ class StageSource:
         """The preamble's codelets, in order."""
         return [it for it in self.preamble if isinstance(it, CodeletDef)]
 
-    def unit_lines(self) -> list[str]:
-        """Everything in one translation unit: tables as text, codelets
-        ``static``, then the stage functions.  The lines to splice between
-        a target's header and its driver."""
-        return [it.to_c() for it in self.preamble] + [""] + self.lines
-
 
 def emit_stage_functions(
-    program: SigmaProgram, codelet_max: int, decl: str
+    program: SigmaProgram, codelet_max: int
 ) -> StageSource:
-    """Walk ``program`` once: its tables, codelets and stage functions.
-
-    ``decl`` is the stage functions' declaration prefix — linkage plus
-    symbol stem, e.g. ``"void repro_stage"`` (exported) or ``"static void
-    stage"`` — the only thing the stage text of the C targets varies in.
-    """
-    em = _StageEmitter(codelet_max, decl)
+    """Walk ``program`` once: its tables, codelets and stage functions."""
+    em = _StageEmitter(codelet_max)
     for sid, stage in enumerate(program.stages):
         em.emit_stage(stage, sid, program.size)
     return StageSource(em.preamble, em.lines)
 
 
 def plan_preamble(blob: TableBlob, source: StageSource) -> list[str]:
-    """What a plan unit says ahead of its stage functions.
+    """What a linked plan unit says ahead of its stage functions.
 
     Every table *declared* (``blob`` defines them: its assembler block
     follows the declarations) and every codelet *bound* to its library
@@ -715,12 +701,12 @@ def plan_preamble(blob: TableBlob, source: StageSource) -> list[str]:
 CHAIN_MARKER = "/* whole-plan chain: every stage above, in order, in one call */"
 
 
-def emit_plan_chain(program: SigmaProgram, stem: str) -> list[str]:
-    """The shared object's sequential driver, ``repro_plan``.
+def emit_plan_chain(program: SigmaProgram) -> list[str]:
+    """A plan's sequential driver, ``repro_plan``.
 
     ``int repro_plan(long b, const double *x, double *y)`` calls
-    ``<stem>0 .. <stem>k-1`` in order over ``b`` rows, every processor
-    share of a stage in turn (the loop of
+    ``repro_stage0 .. repro_stage<k-1>`` in order over ``b`` rows, every
+    processor share of a stage in turn (the loop of
     :meth:`repro.smp.runtime.SequentialRuntime.execute`, in C).  Stage 0
     reads ``x`` in place and the last stage writes ``y``; the stages
     between ping-pong ``y`` and one scratch row-block the call itself
@@ -766,23 +752,70 @@ def emit_plan_chain(program: SigmaProgram, stem: str) -> list[str]:
     for sid, stage in enumerate(program.stages):
         dst = "y" if (k - 1 - sid) % 2 == 0 else "t"
         for proc in range(max(len(stage.procs), 1)):
-            o.append(f"  {stem}{sid}({proc}, b, {src}, {dst});")
+            o.append(f"  repro_stage{sid}({proc}, b, {src}, {dst});")
         src = dst
     if k > 1:
         o.append("  free(t);")
     return o + ["  return 0;", "}", ""]
 
 
+@dataclass(frozen=True)
+class PlanUnit:
+    """One plan's C text, and what that text needs beside it to build:
+    the codelets to link in and the table file to place next to it (both
+    empty for the single-file form, which is complete)."""
+
+    text: str
+    codelets: list[CodeletDef]
+    tables: TableBlob
+
+
+def emit_plan_unit(
+    program: SigmaProgram, codelet_max: int, *, linked: bool
+) -> PlanUnit:
+    """Walk ``program`` once and assemble its whole C text.
+
+    Header, preamble, stage functions, chain — the one place they are put
+    together.  ``linked`` picks the preamble: :func:`plan_preamble`
+    (tables declared, codelets bound: the unit wants ``tables`` beside it
+    and ``codelets`` linked in) or the single-file form (tables as text,
+    codelets ``static``: the unit is complete).  Nothing else differs.
+    """
+    source = emit_stage_functions(program, codelet_max)
+    if linked:
+        codelets, tables = source.codelets, TableBlob(source.tables)
+        preamble = plan_preamble(tables, source)
+    else:
+        codelets, tables = [], TableBlob([])
+        preamble = [it.to_c() for it in source.preamble] + [""]
+    header = [
+        "/* Generated by repro: compiled-codelet execution backend */",
+        f"/* size={program.size} stages={len(program.stages)}"
+        f" barriers={program.barrier_count()}"
+        f" codelet_max={codelet_max} */",
+        "#include <complex.h>",
+        "#include <math.h>",
+        "typedef double complex cplx;",
+        "",
+    ]
+    text = "\n".join(header + preamble + source.lines) + "\n".join(
+        emit_plan_chain(program)
+    )
+    return PlanUnit(text, codelets, tables)
+
+
 __all__ = [
     "CHAIN_MARKER",
     "CODELET_STEM",
     "CodeletDef",
+    "PlanUnit",
     "StageSource",
     "TABLES_MACRO",
     "Table",
     "TableBlob",
     "codelet_formula",
     "emit_plan_chain",
+    "emit_plan_unit",
     "emit_stage_functions",
     "lane_contiguous",
     "plan_preamble",

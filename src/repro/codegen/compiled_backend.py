@@ -18,16 +18,18 @@ one ctypes crossing however many stages the plan has.
 A cold plan compiles its loop nests and nothing else.  Codelet lifecycle
 (see ``docs/codegen.md``):
 
-1. **emit** — the one C stage emitter (:mod:`repro.codegen.c_emit`, shared
-   with the standalone programs) walks the plan once and returns three
-   products: the stage functions (each :class:`~repro.sigma.loops.BlockLoop`'s
-   gather, twiddle scale, kernel, and scatter fused into one loop nest,
-   exported as ``repro_stage<k>(int proc, long b, ...)`` with a leading
-   batch axis), the unrolled codelets they call (kernels up to
-   ``codelet_max``), and the index / twiddle tables they read.
-   :func:`emit_plan_source` is the translation unit ``cc`` sees per plan:
-   table *declarations*, codelet *bindings*, the stage functions, and the
-   chain ``repro_plan(long b, x, y)`` — a few kilobytes at every size;
+1. **emit** — the one C emitter (:mod:`repro.codegen.c_emit`; a standalone
+   program is the same text in its single-file form plus ``main``) walks
+   the plan once and returns three products: the stage functions (each
+   :class:`~repro.sigma.loops.BlockLoop`'s gather, twiddle scale, kernel,
+   and scatter fused into one loop nest, exported as
+   ``repro_stage<k>(int proc, long b, ...)`` with a leading batch axis),
+   the unrolled codelets they call (kernels up to ``codelet_max``), and
+   the index / twiddle tables they read.  :func:`emit_plan_source`
+   (``c_emit.emit_plan_unit``'s linked form) is the translation unit
+   ``cc`` sees per plan: table *declarations*, codelet *bindings*, the
+   stage functions, and the chain ``repro_plan(long b, x, y)`` — a few
+   kilobytes at every size;
 2. **codelet objects** — every codelet is compiled once per toolchain
    fingerprint into ``codelet_<key>.o`` under a content-derived hidden
    symbol, and reused by every later plan that names it;
@@ -79,14 +81,7 @@ from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import FusedStages, PlanStage
 from ..trace import get_tracer
-from .c_emit import (
-    TABLES_MACRO,
-    CodeletDef,
-    TableBlob,
-    emit_plan_chain,
-    emit_stage_functions,
-    plan_preamble,
-)
+from .c_emit import TABLES_MACRO, emit_plan_unit
 from .flags import shared_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
@@ -189,35 +184,6 @@ def codelet_cache_dir() -> Path:
 # -- emission ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PlanUnit:
-    """One plan as ``cc`` sees it: the unit, and the two things it names."""
-
-    text: str
-    codelets: list[CodeletDef]
-    tables: TableBlob
-
-
-def _plan_unit(program: SigmaProgram, codelet_max: int) -> _PlanUnit:
-    """Walk ``program`` once and assemble its unit around the products."""
-    source = emit_stage_functions(program, codelet_max, "void repro_stage")
-    tables = TableBlob(source.tables)
-    header = [
-        "/* Generated by repro: compiled-codelet execution backend */",
-        f"/* size={program.size} stages={len(program.stages)}"
-        f" barriers={program.barrier_count()}"
-        f" codelet_max={codelet_max} */",
-        "#include <complex.h>",
-        "#include <math.h>",
-        "typedef double complex cplx;",
-        "",
-    ]
-    text = "\n".join(
-        header + plan_preamble(tables, source) + source.lines
-    ) + "\n".join(emit_plan_chain(program, "repro_stage"))
-    return _PlanUnit(text, source.codelets, tables)
-
-
 def emit_plan_source(
     program: SigmaProgram, codelet_max: int = DEFAULT_CODELET_MAX
 ) -> str:
@@ -237,7 +203,7 @@ def emit_plan_source(
     involved — so it also serves as the readable artifact
     (`docs/codegen.md` walks through an example emission).
     """
-    return _plan_unit(program, codelet_max).text
+    return emit_plan_unit(program, codelet_max, linked=True).text
 
 
 # -- compile + cache --------------------------------------------------------
@@ -374,12 +340,13 @@ def _publishing(cache: Path, stem: str, suffixes: tuple) -> Iterator[dict]:
                 pass
 
 
-def _run_cc(cc: str, args: list, cache: Path) -> None:
-    """One compiler launch, in the cache directory (relative names in a
-    source — the table file's — resolve there)."""
+def run_cc(cc: str, args: list, cwd: Path) -> None:
+    """One compiler launch — every one this package makes — in ``cwd``
+    (relative names in a source, like a plan's table file, resolve
+    there)."""
     proc = subprocess.run(
         [cc, *args], capture_output=True, text=True, timeout=300,
-        cwd=str(cache),
+        cwd=str(cwd),
     )
     if proc.returncode != 0:
         raise CodeletCompileError(
@@ -402,7 +369,7 @@ def _codelet_object(
         with _publishing(cache, stem, (".o", ".c")) as tmp:
             Path(tmp[".c"]).write_text(source)
             compile_only = [f for f in flags if f != "-shared"]
-            _run_cc(
+            run_cc(
                 cc, [*compile_only, "-c", "-o", tmp[".o"], tmp[".c"]], cache
             )
 
@@ -438,7 +405,7 @@ def compile_plan(
     fingerprint = compiler_fingerprint(cc if cc != find_compiler() else None)
     with tr.span("codegen.emit_c", "codegen", size=program.size,
                  stages=len(program.stages)):
-        unit = _plan_unit(program, codelet_max)
+        unit = emit_plan_unit(program, codelet_max, linked=True)
     key = _source_key(unit.text, fingerprint)
     with _MEMO_LOCK:
         hit = _MEMO.get(key)
@@ -471,7 +438,7 @@ def compile_plan(
                         unit.tables.write(fh)
                     name = os.path.basename(tmp[".tab"])
                     tables = [f'-D{TABLES_MACRO}="{name}"']
-                _run_cc(cc, [
+                run_cc(cc, [
                     *tables, *fingerprint["flags"], "-o", tmp[".so"],
                     tmp[".c"], *(f"codelet_{okey}.o" for okey in objects),
                     "-lm",
@@ -634,4 +601,5 @@ __all__ = [
     "emit_plan_source",
     "find_compiler",
     "prune_codelet_cache",
+    "run_cc",
 ]

@@ -1,11 +1,11 @@
 """Compiler-flag policy: one source of truth for every codelet build.
 
-Before this module existed the repo had three divergent flag sets:
+Before this module existed the repo had divergent flag sets:
 ``compiled_backend.CFLAGS`` compiled production shared objects at ``-O2``
-while ``compile_and_time``/``compile_and_run`` in :mod:`.c_backend`
-hardcoded their own ``-O2 -std=gnu99`` — so the measured cost model timed
-binaries built differently from the code the serving path actually runs.
-Every builder now derives its flags from :func:`optimization_tier`:
+while the standalone builds in :mod:`.c_backend` hardcoded their own
+``-O2 -std=gnu99`` — so a standalone program was built differently from
+the code the serving path actually runs.  Every builder now derives its
+flags from :func:`optimization_tier`:
 
 * **native tier** (default): ``-O3 -march=native`` — lets gcc/clang
   auto-vectorize the ν-wide loop bodies the vector emitter produces
@@ -15,7 +15,7 @@ Every builder now derives its flags from :func:`optimization_tier`:
   set (the forced-scalar CI lane) or when the compiler rejects
   ``-march=native`` (probed once per compiler path, memoized).
 
-:func:`exe_cflags` (timing/run executables) and :func:`shared_cflags`
+:func:`exe_cflags` (standalone executables) and :func:`shared_cflags`
 (production ``.so`` builds) share the tier verbatim, and the full
 ``shared_cflags`` value is folded into
 :func:`repro.codegen.compiled_backend.compiler_fingerprint` — and through
@@ -74,11 +74,11 @@ def _accepts_march_native(cc: str) -> bool:
 def optimization_tier(cc: Optional[str] = None) -> tuple[str, ...]:
     """The optimization flags **every** build shares.
 
-    Timing binaries (:func:`repro.codegen.c_backend.compile_and_time`),
-    verification runs (:func:`~repro.codegen.c_backend.compile_and_run`),
-    and production shared objects
-    (:func:`~repro.codegen.compiled_backend.compile_plan`) all call this —
-    the measured cost model times exactly the tier production serves.
+    Standalone verification runs
+    (:func:`repro.codegen.c_backend.compile_and_run`) and production
+    shared objects (:func:`~repro.codegen.compiled_backend.compile_plan`)
+    both call this — the paper's program is built at exactly the tier
+    production serves.
     """
     if simd_disabled():
         return OPT_PORTABLE
@@ -88,7 +88,7 @@ def optimization_tier(cc: Optional[str] = None) -> tuple[str, ...]:
 
 
 def exe_cflags(cc: Optional[str] = None) -> tuple[str, ...]:
-    """Flags for standalone executables (timing and stdin/stdout runs)."""
+    """Flags for standalone executables (the stdin/stdout programs)."""
     return optimization_tier(cc) + ("-std=gnu99",)
 
 

@@ -193,9 +193,11 @@ class FFTService:
         )
         #: cumulative per-plan-key latency (stats endpoint), and the
         #: tuner's observation window (drained every tick; keys are
-        #: PlanKey tuples, stringified only at the stats boundary)
+        #: PlanKey tuples, stringified only at the stats boundary).  The
+        #: window belongs to its drainer: None until a Tuner attaches and
+        #: creates it, so an untuned service retains nothing per request
         self.latencies = LatencyRecorder()
-        self.tune_window = LatencyRecorder()
+        self.tune_window: Optional[LatencyRecorder] = None
         self._cond = threading.Condition()
         self._queue: list[_Request] = []
         self._pending_vectors = 0
@@ -763,6 +765,7 @@ class FFTService:
             tr.count("serve.failures", len(live))
             return
         done = time.monotonic()
+        window = self.tune_window
         row = 0
         for req in live:
             result = Y[row] if req.squeeze else Y[row:row + req.rows]
@@ -770,7 +773,8 @@ class FFTService:
             row += req.rows
             wall = done - req.arrival
             self.latencies.record(key, wall)
-            self.tune_window.record(key, wall)
+            if window is not None:
+                window.record(key, wall)
             tr.count("serve.request_wall_s", wall)
         with self._metrics_lock:
             self._metrics["batches"] += 1

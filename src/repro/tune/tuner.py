@@ -40,7 +40,7 @@ from typing import Optional
 
 from ..faults import FaultInjected
 from ..mp.spec import PlanSpec
-from ..serve.metrics import latency_summary, percentile
+from ..serve.metrics import LatencyRecorder, latency_summary, percentile
 from ..serve.plan_cache import PlanKey, build_plan
 from ..smp.runtime import lane_name
 from ..trace import get_tracer
@@ -79,6 +79,10 @@ class Tuner:
         self.service = service
         self.config = config or TunerConfig()
         self.wisdom = wisdom
+        # the service records into the window only from here on: it exists
+        # once something drains it (a second tuner shares the first's)
+        if service.tune_window is None:
+            service.tune_window = LatencyRecorder()
         self._stop = threading.Event()
         self._lock = threading.Lock()
         #: best observed window p50 (ms) per plan key — regression baseline

@@ -1,17 +1,20 @@
 """Tests for the C backend: generation, compilation, and execution.
 
-Compilation/execution tests are skipped when no C compiler is present.
+Compilation/execution tests are skipped when no C compiler is present or
+``REPRO_NO_CC`` switches it off (``compiled_available`` is the one answer).
 """
 
 import numpy as np
 import pytest
 
 from repro.codegen import (
+    CodeletCompileError,
     compile_and_run,
-    compiler_available,
+    compiled_available,
     generate_c,
 )
 from repro.codegen.c_backend import MODES
+from repro.codegen.compiled_backend import DEFAULT_CODELET_MAX
 from repro.frontend import vectorize_formula
 from repro.rewrite import (
     cooley_tukey_step,
@@ -24,7 +27,7 @@ from repro.spl import DFT
 from tests.conftest import random_vector
 
 needs_cc = pytest.mark.skipif(
-    not compiler_available(), reason="no C compiler on this machine"
+    not compiled_available(), reason="no usable C compiler on this host"
 )
 
 
@@ -38,6 +41,7 @@ class TestGeneration:
         assert "sense-reversing" in src
         assert "#define P 2" in src
         assert "int main(void)" in src
+        assert "stages[NSTAGES] = {repro_stage0, " in src
 
     def test_openmp_pragmas(self):
         f = expand_dft(derive_multicore_ct(64, 2, 2), "balanced", min_leaf=4)
@@ -48,6 +52,20 @@ class TestGeneration:
     def test_sequential_has_no_threads(self):
         src = generate_c(lower(cooley_tukey_step(4, 4)), mode="sequential").source
         assert "pthread" not in src and "#pragma omp" not in src
+
+    def test_sequential_has_no_driver_of_its_own(self):
+        """``main`` calls the plan's chain; nothing else walks the stages."""
+        src = generate_c(lower(cooley_tukey_step(4, 4)), mode="sequential").source
+        assert "repro_plan(1, bufA, bufB)" in src
+        assert "transform" not in src and "NSTAGES" not in src
+
+    def test_default_unroll_bound_is_the_compiled_backends(self):
+        """No dense-by-default path: a size-8 kernel is a codelet unless
+        ``codelet_max`` says otherwise."""
+        prog = lower(cooley_tukey_step(8, 8))
+        assert "codelet0" in generate_c(prog, mode="sequential").source
+        dense = generate_c(prog, mode="sequential", codelet_max=0).source
+        assert "codelet0" not in dense and "kmat0" in dense
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -71,30 +89,31 @@ class TestGeneration:
 
 
 def _driver_matrix():
-    """mode x unroll_max x nu; the plain dense scalar cases keep their ids."""
+    """mode x codelet_max (dense, a small bound, the default) x nu; the
+    plain dense scalar cases keep their ids."""
     for mode in MODES:
-        for unroll_max in (0, 8):
+        for codelet_max in (0, 8, DEFAULT_CODELET_MAX):
             for nu in (1, 4):
-                plain = unroll_max == 0 and nu == 1
+                plain = codelet_max == 0 and nu == 1
                 yield pytest.param(
-                    mode, unroll_max, nu,
-                    id=mode if plain else f"{mode}-unroll{unroll_max}-nu{nu}",
+                    mode, codelet_max, nu,
+                    id=mode if plain else f"{mode}-unroll{codelet_max}-nu{nu}",
                 )
 
 
 @needs_cc
 class TestCompileAndRun:
-    @pytest.mark.parametrize("mode,unroll_max,nu", _driver_matrix())
-    def test_small_parallel_dft(self, rng, mode, unroll_max, nu):
+    @pytest.mark.parametrize("mode,codelet_max,nu", _driver_matrix())
+    def test_small_parallel_dft(self, rng, mode, codelet_max, nu):
         # vec(nu) needs nu | mu, or line permutations would split vectors
         f = expand_dft(
             derive_multicore_ct(64, 2, max(2, nu)), "balanced", min_leaf=4
         )
         f, effective_nu = vectorize_formula(f, 64, 2, nu)
         assert effective_nu == nu
-        gen = generate_c(lower(f), mode=mode, unroll_max=unroll_max)
+        gen = generate_c(lower(f), mode=mode, codelet_max=codelet_max)
         assert (f"nu={nu} lanes" in gen.source) == (nu > 1)
-        assert ("codelet0" in gen.source) == (unroll_max > 0)
+        assert ("codelet0" in gen.source) == (codelet_max > 0)
         x = random_vector(rng, 64)
         out = compile_and_run(gen, x)
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-6)
@@ -125,35 +144,29 @@ class TestCompileAndRun:
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-7)
 
     def test_odd_stage_count_buffer_parity(self, rng):
-        """Programs with an odd number of stages return the right buffer."""
-        prog = lower(cooley_tukey_step(4, 4))
-        if len(prog.stages) % 2 == 0:
-            prog2 = lower(DFT(16))  # single-stage program
-            assert len(prog2.stages) % 2 == 1
-            gen = generate_c(prog2, mode="sequential")
-            x = random_vector(rng, 16)
-            out = compile_and_run(gen, x)
+        """Programs with an odd number of stages return the right buffer:
+        the chain's ``y`` (sequential), the ping-pong's parity (threaded)."""
+        prog = lower(DFT(16))  # single-stage program
+        assert len(prog.stages) == 1
+        x = random_vector(rng, 16)
+        for mode in MODES:
+            out = compile_and_run(generate_c(prog, mode=mode), x)
             np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-7)
 
 
-@needs_cc
-class TestTimingHarness:
-    def test_timing_build_runs(self):
-        from repro.codegen import compile_and_time
+class TestNoCompiler:
+    def test_kill_switch_reaches_the_standalone_build(self, monkeypatch):
+        """``REPRO_NO_CC`` is the compiled backend's switch, and this is
+        the compiled backend's compiler seam: no second lookup runs gcc."""
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        assert not compiled_available()
+        gen = generate_c(lower(cooley_tukey_step(4, 4)), mode="sequential")
+        with pytest.raises(CodeletCompileError):
+            compile_and_run(gen, np.zeros(16, dtype=complex))
 
-        prog = lower(expand_dft(DFT(64), "radix2"))
-        t = compile_and_time(prog, "sequential", reps=10)
-        assert 0 < t < 1.0  # a 64-point FFT takes far less than a second
-
-    def test_timing_source_structure(self):
-        gen = generate_c(lower(cooley_tukey_step(4, 4)), timing=True)
-        assert "clock_gettime" in gen.source
-        assert "scanf" not in gen.source
-        assert "#include <time.h>" in gen.source
-
-    def test_timing_pthreads_build(self):
-        from repro.codegen import compile_and_time
-
-        f = expand_dft(derive_multicore_ct(64, 2, 2), "balanced", min_leaf=4)
-        t = compile_and_time(lower(f), "pthreads", reps=3)
-        assert t > 0
+    @needs_cc
+    def test_rejected_program_is_a_compile_error(self):
+        gen = generate_c(lower(cooley_tukey_step(4, 4)), mode="sequential")
+        gen.source += "\n#error not C\n"
+        with pytest.raises(CodeletCompileError, match="not C"):
+            compile_and_run(gen, np.zeros(16, dtype=complex))

@@ -59,7 +59,7 @@ def _program(n, threads=1, nu=1):
 
 
 def _source(program, codelet_max=32):
-    return emit_stage_functions(program, codelet_max, "void repro_stage")
+    return emit_stage_functions(program, codelet_max)
 
 
 def _verify(plan, n, seed=0):

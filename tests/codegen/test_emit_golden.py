@@ -27,10 +27,16 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     nu in {1,2,4}: the text a ``codelet_<key>.o`` is compiled from and its
     symbol derived from.
 ``"generate_c"``
-    Whole standalone programs, modes x unroll_max x nu as
-    ``test_c_backend.py::TestCompileAndRun`` walks them, recorded with
-    ``"stages"``: the single-file form (text tables, ``static`` codelets)
-    the emitter keeps.
+    The standalone program's driver tail, one per mode: what
+    ``generate_c`` appends to the plan's single-file text (driver +
+    ``main``).  Re-recorded once, deliberately, in the commit that made
+    the standalone program *be* the plan unit: until then this map held 12
+    whole-program digests (modes x unroll bound x nu) of a text with its
+    own header, ``static void stage<k>`` functions and a second sequential
+    driver.  Everything ahead of the tail is now pinned by identity, not
+    by digest — over ``test_c_backend.py::TestCompileAndRun``'s matrix
+    the program's stage functions and chain equal ``emit_plan_source``'s
+    byte for byte, so ``"stages"`` and ``"plan_chain"`` speak for both.
 ``"python"``
     Re-recorded once, in the commit that made the printer emit batched
     ``(b, n)`` stage bodies (the printed program became the NumPy
@@ -56,6 +62,7 @@ import pytest
 from repro.codegen import emit_plan_source, generate_c
 from repro.codegen.c_backend import MODES
 from repro.codegen.c_emit import CHAIN_MARKER, CodeletDef, codelet_formula
+from repro.codegen.compiled_backend import DEFAULT_CODELET_MAX
 from repro.codegen.unroll import Codelet
 from repro.frontend import generate_fft, vectorize_formula
 from repro.rewrite import derive_multicore_ct, expand_dft
@@ -119,26 +126,47 @@ def test_codelet_set_is_the_leaf_sizes_by_nu():
     }
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN["generate_c"]))
+#: modes x unroll bound (dense, small, the default) x nu
+STANDALONE_GRID = [
+    f"{mode}_unroll{u}_nu{nu}"
+    for mode in MODES for u in (0, 8, DEFAULT_CODELET_MAX) for nu in (1, 4)
+]
+
+
+@pytest.mark.parametrize("key", STANDALONE_GRID)
 def test_standalone_program_matches_golden_digest(key):
-    mode, unroll_max, nu = re.fullmatch(
+    """Standalone = the plan unit's header, stage functions and chain,
+    then the mode's pinned driver tail."""
+    mode, codelet_max, nu = re.fullmatch(
         r"(\w+)_unroll(\d+)_nu(\d+)", key
     ).groups()
-    unroll_max, nu = int(unroll_max), int(nu)
+    codelet_max, nu = int(codelet_max), int(nu)
     f = expand_dft(
         derive_multicore_ct(64, 2, max(2, nu)), "balanced", min_leaf=4
     )
     f, effective_nu = vectorize_formula(f, 64, 2, nu)
     assert effective_nu == nu
-    gen = generate_c(lower(f), mode=mode, unroll_max=unroll_max)
-    assert _sha(gen.source) == GOLDEN["generate_c"][key]
+    program = lower(f)
+    head, _, rest = generate_c(
+        program, mode=mode, codelet_max=codelet_max
+    ).source.partition(CHAIN_MARKER)
+    plan_head, _, plan_chain = emit_plan_source(
+        program, codelet_max
+    ).partition(CHAIN_MARKER)
+    typedef, stage0 = "typedef double complex cplx;\n", "void repro_stage0("
+    assert head[:head.index(typedef)] == plan_head[:plan_head.index(typedef)]
+    assert head[head.index(stage0):] == plan_head[plan_head.index(stage0):]
+    assert rest.startswith(plan_chain)
+    assert _sha(rest[len(plan_chain):]) == GOLDEN["generate_c"][mode]
 
 
 def test_standalone_set_is_the_compile_and_run_matrix():
-    assert set(GOLDEN["generate_c"]) == {
-        f"{mode}_unroll{u}_nu{nu}"
-        for mode in MODES for u in (0, 8) for nu in (1, 4)
+    from tests.codegen.test_c_backend import _driver_matrix
+
+    assert set(STANDALONE_GRID) == {
+        "{}_unroll{}_nu{}".format(*point.values) for point in _driver_matrix()
     }
+    assert set(GOLDEN["generate_c"]) == set(MODES)
 
 
 def test_concurrent_emission_equals_serial():

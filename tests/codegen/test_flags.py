@@ -1,8 +1,8 @@
 """Compiler-flag policy: one flag set, cache invalidation on change.
 
-The regression suite for the flag-drift bugfix: timing builds
-(``compile_and_time``/``compile_and_run``) and production ``.so`` builds
-(``compile_plan``) must share one optimization tier, and any change to the
+The regression suite for the flag-drift bugfix: standalone executables
+(``compile_and_run``) and production ``.so`` builds (``compile_plan``)
+must share one optimization tier, and any change to the
 flag set must miss the content-addressed codelet cache instead of serving
 an object built under other flags.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import flags as flags_mod
-from repro.codegen.c_backend import compile_and_run, compile_and_time, generate_c
+from repro.codegen.c_backend import compile_and_run, generate_c
 from repro.codegen.compiled_backend import (
     _source_key,
     clear_compiled_memo,
@@ -86,11 +86,10 @@ def _captured_compiles(monkeypatch, fn):
 
 
 class TestOneFlagSet:
-    """Timing and production builds provably invoke the same tier."""
+    """Standalone and production builds provably invoke the same tier."""
 
     @needs_cc
-    def test_timing_run_and_so_builds_use_one_tier(self, monkeypatch,
-                                                   tmp_path):
+    def test_run_and_so_builds_use_one_tier(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
         clear_compiled_memo()
         prog = lower(expand_dft(DFT(16), "radix2"))
@@ -100,12 +99,13 @@ class TestOneFlagSet:
         argvs = _captured_compiles(
             monkeypatch,
             lambda: (
-                compile_and_time(prog, "sequential", reps=1),
                 compile_and_run(gen, x),
                 compile_plan(generate_fft(64).program),
             ),
         )
-        assert len(argvs) >= 4  # ... and the plan's codelet object
+        assert len(argvs) >= 3  # ... and the plan's codelet object
+        exe = exe_cflags(argvs[0][0])  # compile_and_run's launch
+        assert tuple(argvs[0][1:1 + len(exe)]) == exe
         tier = optimization_tier(argvs[0][0])
         for argv in argvs:
             for flag in tier:

@@ -2,10 +2,12 @@
 
 A plan object is linked from three artifacts — its loop nests, codelet
 objects, a table blob — where it used to be one translation unit with the
-tables as text and the codelets ``static``.  That single-unit form is
-still what the emitter hands the standalone programs
-(``StageSource.unit_lines``), so it can be built beside the library form
-from one walk of one program and the two compared:
+tables as text and the codelets ``static``.  That single-file form is
+still the other preamble of the one assembler
+(``c_emit.emit_plan_unit(..., linked=False)``) and the text every
+standalone program starts with, so it can be built beside the library
+form and the two compared — which makes this the standalone-vs-``.so``
+differential too:
 
 * **Bit for bit where the C text fixes every bit.**  Built without
   floating-point contraction (``-O0 -ffp-contract=off``: every ``a*b + c``
@@ -46,7 +48,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import compiled_backend
-from repro.codegen.c_emit import emit_plan_chain, emit_stage_functions
+from repro.codegen.c_emit import emit_plan_unit
 from repro.codegen.compiled_backend import (
     DEFAULT_CODELET_MAX,
     clear_compiled_memo,
@@ -118,18 +120,7 @@ def _both_forms(program, workdir):
     """``(library-linked, single-unit)`` plans of ``program``, built with
     whatever flags ``compile_plan`` would use now."""
     fingerprint = compiler_fingerprint()
-    source = emit_stage_functions(
-        program, DEFAULT_CODELET_MAX, "void repro_stage"
-    )
-    header = [
-        "#include <complex.h>",
-        "#include <math.h>",
-        "typedef double complex cplx;",
-        "",
-    ]
-    unit = "\n".join(header + source.unit_lines()) + "\n".join(
-        emit_plan_chain(program, "repro_stage")
-    )
+    unit = emit_plan_unit(program, DEFAULT_CODELET_MAX, linked=False).text
     digest = hashlib.sha256(
         (unit + repr(fingerprint["flags"])).encode()
     ).hexdigest()[:16]

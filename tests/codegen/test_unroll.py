@@ -147,13 +147,13 @@ class TestCBackendIntegration:
         from repro.sigma import lower
 
         prog = lower(cooley_tukey_step(8, 8))
-        src = generate_c(prog, mode="sequential", unroll_max=8).source
+        src = generate_c(prog, mode="sequential", codelet_max=8).source
         assert "codelet0" in src
         assert "unrolled size-8 codelet" in src
 
     @pytest.mark.skipif(
-        not __import__("repro.codegen", fromlist=["compiler_available"])
-        .compiler_available(),
+        not __import__("repro.codegen", fromlist=["compiled_available"])
+        .compiled_available(),
         reason="no C compiler",
     )
     def test_unrolled_c_runs(self, rng):
@@ -161,7 +161,7 @@ class TestCBackendIntegration:
         from repro.sigma import lower
 
         prog = lower(expand_dft(DFT(64), "balanced", min_leaf=8))
-        gen = generate_c(prog, mode="sequential", unroll_max=8)
+        gen = generate_c(prog, mode="sequential", codelet_max=8)
         x = random_vector(rng, 64)
         np.testing.assert_allclose(
             compile_and_run(gen, x), np.fft.fft(x), atol=1e-7

@@ -31,6 +31,30 @@ class TestGenerate:
         assert "#include <pthread.h>" in out
         assert "int main(void)" in out
 
+    @pytest.mark.parametrize("flags", [["--nu", "4"], ["--threads", "2"]])
+    def test_generate_c_prints_the_verified_program(
+        self, capsys, monkeypatch, flags
+    ):
+        """``--emit-c`` prints the program ``verified=`` was said about, not
+        a second derivation: hand the verb a tree the defaults would not
+        build and the C must be that tree's."""
+        from repro import frontend
+
+        real, seen = frontend.generate_fft, []
+
+        def generate_fft(n, **kw):
+            seen.append(real(n, min_leaf=8, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(frontend, "generate_fft", generate_fft)
+        assert main(["generate", "1024", *flags, "--emit-c"]) == 0
+        out = capsys.readouterr()
+        (gen,) = seen
+        nstages = len(gen.program.stages)
+        assert nstages == 4  # the default tree has 2
+        assert f" stages={nstages} " in out.out.splitlines()[1]
+        assert f"{nstages} stages, verified=True" in out.err
+
     def test_generate_c_sequential(self, capsys):
         assert (
             main(["generate", "32", "--emit-c", "--mode", "sequential"]) == 0

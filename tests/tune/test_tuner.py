@@ -25,6 +25,31 @@ def _drive(svc, n=64, count=20):
         np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
 
 
+class TestWindowOwnership:
+    """The observation window exists once something drains it."""
+
+    def test_untuned_service_holds_no_window(self, service):
+        _drive(service, count=8)
+        assert service.tune_window is None
+
+    def test_late_tuner_sees_every_later_request_once(self, service):
+        _drive(service, count=5)  # before anyone listens: not retained
+        tuner = Tuner(service, TunerConfig())
+        _drive(service, count=8)
+        key = PlanKey(64, 1, 4, service.config.strategy)
+        assert service.tune_window.counts() == {key: 8}
+        tuner.tick()
+        assert tuner.snapshot()["windows_observed"] == 1
+        assert service.tune_window.counts() == {}
+
+    def test_configured_tuner_owns_the_window_from_the_start(self):
+        with FFTService(ServeConfig(window_s=0.0, tune=True,
+                                    tune_interval_s=60.0)) as svc:
+            _drive(svc, count=3)
+            key = PlanKey(64, 1, 4, svc.config.strategy)
+            assert svc.tune_window.counts() == {key: 3}
+
+
 class TestTick:
     def test_tick_drains_window_and_counts(self, service):
         tuner = Tuner(service, TunerConfig())
