@@ -29,8 +29,8 @@ Three backends ship:
     against, and the access pattern the machine simulator replays.
 
 :func:`resolve_backend` implements the fallback policy: asking for an
-unavailable backend returns ``numpy`` (with a trace counter and a
-one-time warning) unless ``strict=True``, so a serving fleet with a
+unavailable backend returns ``numpy`` (counted in :data:`counters` and
+warned once) unless ``strict=True``, so a serving fleet with a
 missing toolchain degrades instead of failing.
 """
 
@@ -41,10 +41,13 @@ from typing import Sequence
 
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage
-from ..trace import get_tracer
+from ..trace import Counters
 
 #: canonical backend names, in fallback-preference order
 BACKEND_NAMES: tuple[str, ...] = ("numpy", "compiled", "simulator")
+
+#: process-wide fallback counts (``FFTService.stats()["codegen"]``)
+counters = Counters("codegen", ("backend_fallback", "compile_fallback"))
 
 
 class BackendUnavailable(RuntimeError):
@@ -133,7 +136,7 @@ class CompiledBackend(ExecutionBackend):
         except (CodeletCompileError, FaultInjected):
             if not fallback:
                 raise
-            get_tracer().count("codegen.compile_fallback", 1)
+            counters.add("compile_fallback")
             _warn_fallback(self.name)
             return NumpyBackend().build_stages(program, codelet_max)
 
@@ -237,8 +240,8 @@ def resolve_backend(
     """The backend to execute with: requested if available, else NumPy.
 
     The graceful-degradation seam every runtime shares: an unknown or
-    host-unavailable backend resolves to ``numpy`` (counted on the tracer
-    as ``codegen.backend_fallback`` and warned once per process) unless
+    host-unavailable backend resolves to ``numpy`` (counted as
+    ``codegen.backend_fallback`` and warned once per process) unless
     ``strict=True``, which raises :class:`BackendUnavailable` — the CLI
     uses strict resolution so a user who explicitly asked for
     ``--backend compiled`` on a compiler-less host gets a clear error
@@ -256,7 +259,7 @@ def resolve_backend(
             f"backend {name!r} is not available on this host "
             f"(available: {available_backends()})"
         )
-    get_tracer().count("codegen.backend_fallback", 1, requested=name)
+    counters.add("backend_fallback", requested=name)
     _warn_fallback(name)
     return _REGISTRY["numpy"]
 

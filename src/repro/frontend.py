@@ -32,7 +32,7 @@ from .rewrite.derive import derive_multicore_ct, derive_sequential_ct
 from .sigma.loops import SigmaProgram
 from .sigma.lower import lower
 from .spl.expr import Expr, SPLError
-from .trace import get_tracer
+from .trace import Counters, get_tracer
 
 
 def feasible_threads(n: int, p: int, mu: int) -> int:
@@ -49,6 +49,9 @@ def feasible_threads(n: int, p: int, mu: int) -> int:
 
 
 _VEC_WARNED = False
+
+#: process-wide vec→scalar degradations (``FFTService.stats()["vector"]``)
+counters = Counters("vector", ("fallback", "no_simd"))
 
 
 def _warn_vector_fallback(n: int, threads: int, nu: int, why: str) -> None:
@@ -71,7 +74,7 @@ def vectorize_formula(f: Expr, n: int, threads: int, nu: int) -> tuple[Expr, int
     :func:`~repro.codegen.registry.resolve_backend` seam: a formula the
     vec rules cannot fully discharge (ν ∤ µ LinePerms, bare small-DFT
     leaves, odd shapes) degrades to the scalar formula with a
-    ``vector.fallback`` trace counter and a once-per-process warning —
+    ``vector.fallback`` count and a once-per-process warning —
     plan building never fails because a ν was requested.  ``REPRO_NO_SIMD``
     forces scalar plans outright (counted as ``vector.no_simd``).
     """
@@ -81,14 +84,14 @@ def vectorize_formula(f: Expr, n: int, threads: int, nu: int) -> tuple[Expr, int
         return f, 1
     tr = get_tracer()
     if simd_disabled():
-        tr.count("vector.no_simd", 1)
+        counters.add("no_simd")
         return f, 1
     try:
         with tr.span("frontend.vectorize", "rewrite", nu=nu):
             v = vectorize_smp(f, nu) if threads > 1 else vectorize(f, nu)
         return v, nu
     except SPLError as exc:  # includes VectorizationError
-        tr.count("vector.fallback", 1, nu=nu)
+        counters.add("fallback", nu=nu)
         _warn_vector_fallback(n, threads, nu, str(exc)[:120])
         return f, 1
 

@@ -25,7 +25,7 @@ activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
 from .batch_exec import run_batched
 from .client import RemoteError, RetryPolicy, ServeClient, jitter_rng
 from .metrics import LatencyRecorder, latency_summary, percentile
-from .plan_cache import CachedPlan, CacheStats, PlanCache, PlanKey
+from .plan_cache import CachedPlan, PlanCache, PlanKey
 from .server import FFTServer, graceful_shutdown, install_signal_handlers
 from .service import (
     DeadlineExceeded,
@@ -39,7 +39,6 @@ from .service import (
 
 __all__ = [
     "CachedPlan",
-    "CacheStats",
     "DeadlineExceeded",
     "FFTServer",
     "FFTService",

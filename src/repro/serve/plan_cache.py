@@ -20,16 +20,16 @@ matter for a long-lived service:
   rest block on the in-flight build and share its result (a failed build
   propagates its exception to every waiter and is *not* cached, so the
   next request retries);
-* **observable** — hit/miss/eviction/wait counts both as a
-  :class:`CacheStats` snapshot (for ``stats`` endpoints) and as
-  ``serve.plan_cache.*`` counters on the active :mod:`repro.trace` tracer.
+* **observable** — hit/miss/eviction/wait counts in one
+  :class:`~repro.trace.Counters` (``stats``; :meth:`PlanCache.stats_snapshot`
+  for ``stats`` endpoints, ``serve.plan_cache.<name>`` on an active tracer).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..codegen.python_backend import GeneratedProgram
@@ -38,7 +38,7 @@ from ..faults import get_fault_plan
 from ..frontend import generate_fft
 from ..mp.spec import PlanSpec
 from ..smp.runtime import PlanStage, lane_name
-from ..trace import get_tracer
+from ..trace import Counters, get_tracer
 from ..wisdom import Wisdom
 
 
@@ -110,34 +110,6 @@ def build_plan(spec: PlanSpec, key: Optional[PlanKey] = None) -> CachedPlan:
     )
 
 
-@dataclass
-class CacheStats:
-    """Cumulative plan-cache traffic counters."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    single_flight_waits: int = 0
-    plans_built: int = 0
-    swaps: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "single_flight_waits": self.single_flight_waits,
-            "plans_built": self.plans_built,
-            "swaps": self.swaps,
-            "hit_rate": self.hit_rate,
-        }
-
-
 class _Flight:
     """An in-progress plan build other threads can wait on."""
 
@@ -185,6 +157,10 @@ class PlanCache:
     measured rankings say is fastest (so tuning persists across processes).
     """
 
+    #: cumulative traffic counts (``stats``; tracer ``serve.plan_cache.<name>``)
+    COUNTERS = ("hits", "misses", "evictions", "single_flight_waits",
+                "plans_built", "swaps")
+
     def __init__(
         self,
         capacity: int = 64,
@@ -200,8 +176,7 @@ class PlanCache:
         self._builder = builder or plan_builder(wisdom, backend)
         self._lock = threading.Lock()
         self._entries: OrderedDict[PlanKey, CachedPlan] = OrderedDict()
-        self.stats = CacheStats()
-
+        self.stats = Counters("serve.plan_cache", self.COUNTERS)
         self._inflight: dict[PlanKey, _Flight] = {}
 
     def __len__(self) -> int:
@@ -220,31 +195,30 @@ class PlanCache:
         with self._lock:
             return list(self._entries)
 
-    def stats_snapshot(self) -> dict:
+    def values(self) -> list[CachedPlan]:
         with self._lock:
-            return self.stats.snapshot()
+            return list(self._entries.values())
+
+    def stats_snapshot(self) -> dict:
+        """The counts plus ``hit_rate`` = hits / (hits + misses)."""
+        m = self.stats.snapshot()
+        lookups = m["hits"] + m["misses"]
+        m["hit_rate"] = m["hits"] / lookups if lookups else 0.0
+        return m
 
     def get(self, key: PlanKey) -> CachedPlan:
         """The cached plan for ``key``; builds it (single-flight) on a miss."""
-        tr = get_tracer()
         with self._lock:
             plan = self._entries.get(key)
             if plan is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                tr.count("serve.plan_cache.hit", 1)
+                self.stats.add("hits")
                 return plan
             flight = self._inflight.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-                leader = True
-                self.stats.misses += 1
-                tr.count("serve.plan_cache.miss", 1)
-            else:
-                leader = False
-                self.stats.single_flight_waits += 1
-                tr.count("serve.plan_cache.single_flight_wait", 1)
+            leader = flight is None
+            if leader:
+                flight = self._inflight[key] = _Flight()
+            self.stats.add("misses" if leader else "single_flight_waits")
 
         if not leader:
             flight.event.wait()
@@ -253,9 +227,9 @@ class PlanCache:
             return flight.plan  # type: ignore[return-value]
 
         try:
-            with tr.span("serve.plan_build", "serve", n=key.n,
-                         threads=key.threads, mu=key.mu,
-                         strategy=key.strategy):
+            with get_tracer().span("serve.plan_build", "serve", n=key.n,
+                                   threads=key.threads, mu=key.mu,
+                                   strategy=key.strategy):
                 # chaos: a "slow planner" stalls the build (and, via
                 # single-flight, every waiter) without changing its result
                 get_fault_plan().stall("plan.slow")
@@ -269,11 +243,10 @@ class PlanCache:
         with self._lock:
             self._entries[key] = plan
             self._entries.move_to_end(key)
-            self.stats.plans_built += 1
+            self.stats.add("plans_built")
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                tr.count("serve.plan_cache.eviction", 1)
+                self._entries.popitem(last=False)
+                self.stats.add("evictions")
             self._inflight.pop(key, None)
         flight.plan = plan
         flight.event.set()
@@ -298,19 +271,15 @@ class PlanCache:
         """
         if plan.key != key:
             raise ValueError(f"plan.key {plan.key} does not match {key}")
-        tr = get_tracer()
         get_fault_plan().raise_if("tune.swap_corrupt")
         with self._lock:
             if key in self._inflight:
                 return False
-            present = key in self._entries
             self._entries[key] = plan
             self._entries.move_to_end(key)
-            self.stats.swaps += 1
-            tr.count("serve.plan_cache.swap", 1)
-            if not present:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-                    tr.count("serve.plan_cache.eviction", 1)
+            self.stats.add("swaps")
+            # a no-op when the key was present: only a new entry overflows
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.add("evictions")
         return True

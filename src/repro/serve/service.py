@@ -27,9 +27,9 @@ One long-lived service owns the whole serving pipeline:
   ``health()`` snapshot / wire op reports all of this).  Failure seams
   are exercised deterministically through :mod:`repro.faults`.
 
-Every stage emits ``repro.trace`` spans/counters (``serve.*``) when a
-tracer is active, and the service keeps its own always-on metrics for the
-``stats`` endpoint.
+Every event is counted once, in the service's :class:`~repro.trace.Counters`
+(``stats`` / ``health`` read its snapshot; an active tracer sees the same
+counts as ``serve.<name>``), and every stage emits ``serve.*`` spans.
 """
 
 from __future__ import annotations
@@ -41,15 +41,16 @@ from typing import Optional
 
 import numpy as np
 
+from ..codegen.registry import counters as codegen_counters, get_backend
 from ..faults import get_fault_plan
-from ..frontend import feasible_threads
+from ..frontend import counters as vector_counters, feasible_threads
 from ..smp.runtime import (
     PThreadsRuntime,
     Runtime,
     SequentialRuntime,
     WorkerPoolBroken,
 )
-from ..trace import get_tracer
+from ..trace import Counters, get_tracer
 from ..wisdom import Wisdom
 from .metrics import LatencyRecorder
 from .plan_cache import PlanCache, PlanKey, plan_builder
@@ -167,6 +168,19 @@ class FFTService:
             y = t.result(timeout=1.0)       # ... resolved by the batcher
     """
 
+    #: every count the service keeps (``stats()``; tracer ``serve.<name>``)
+    COUNTERS = (
+        "requests", "vectors", "batches", "batched_vectors", "rejected",
+        "deadline_misses", "failures", "max_queue_depth", "request_wall_s",
+        "failovers", "pool_rebuilds", "dispatcher_restarts",
+        "degraded_executions", "pool_degraded", "pool_promoted", "prewarms",
+    )
+    #: the self-healing subset ``health()["counters"]`` carries
+    HEALTH_COUNTERS = (
+        "failovers", "pool_rebuilds", "dispatcher_restarts",
+        "degraded_executions", "deadline_misses", "failures", "rejected",
+    )
+
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         if self.config.runtime not in ("threads", "process"):
@@ -174,8 +188,6 @@ class FFTService:
                 f"unknown runtime {self.config.runtime!r}; "
                 "expected 'threads' or 'process'"
             )
-        from ..codegen.registry import get_backend
-
         get_backend(self.config.backend)  # reject unknown names up front
         wisdom = (
             Wisdom(self.config.wisdom_path)
@@ -208,22 +220,7 @@ class FFTService:
         self._pool_state: dict[int, dict] = {}
         #: the always-safe execution fallback degraded pools route through
         self._fallback = SequentialRuntime()
-        self._metrics_lock = threading.Lock()
-        self._metrics = {
-            "requests": 0,
-            "vectors": 0,
-            "batches": 0,
-            "batched_vectors": 0,
-            "rejected": 0,
-            "deadline_misses": 0,
-            "failures": 0,
-            "max_queue_depth": 0,
-            "request_wall_s": 0.0,
-            "failovers": 0,
-            "pool_rebuilds": 0,
-            "dispatcher_restarts": 0,
-            "degraded_executions": 0,
-        }
+        self.counters = Counters("serve", self.COUNTERS)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="fft-serve-dispatch", daemon=True
         )
@@ -280,7 +277,6 @@ class FFTService:
         deadline = None if timeout is None else time.monotonic() + timeout
         req = _Request(key, x, deadline, no_batch, squeeze=squeeze)
 
-        tr = get_tracer()
         fp = get_fault_plan()
         with self._cond:
             if self._closing:
@@ -292,21 +288,16 @@ class FFTService:
                 self._pending_vectors + req.rows > self.config.queue_limit
             ):
                 retry = self._retry_after_locked()
-                with self._metrics_lock:
-                    self._metrics["rejected"] += 1
-                tr.count("serve.rejected", 1)
+                self.counters.add("rejected")
                 raise Overloaded(retry, self._pending_vectors)
             self._queue.append(req)
             self._pending_vectors += req.rows
             depth = self._pending_vectors
             self._cond.notify_all()
-        tr.count("serve.requests", 1)
-        tr.sample("serve.queue_depth", depth)
-        with self._metrics_lock:
-            self._metrics["requests"] += 1
-            self._metrics["vectors"] += req.rows
-            if depth > self._metrics["max_queue_depth"]:
-                self._metrics["max_queue_depth"] = depth
+        get_tracer().sample("serve.queue_depth", depth)
+        self.counters.add("requests")
+        self.counters.add("vectors", req.rows)
+        self.counters.peak("max_queue_depth", depth)
         return req.ticket
 
     def transform(self, x: np.ndarray, **kw) -> np.ndarray:
@@ -318,8 +309,7 @@ class FFTService:
 
     def stats(self) -> dict:
         """A JSON-able snapshot of service and plan-cache metrics."""
-        with self._metrics_lock:
-            m = dict(self._metrics)
+        m = self.counters.snapshot()
         m["avg_batch_occupancy"] = (
             m["batched_vectors"] / m["batches"] if m["batches"] else 0.0
         )
@@ -335,6 +325,9 @@ class FFTService:
             k.label(): block for k, block in self.latencies.summary().items()
         }
         m["tuner"] = self.tuner.snapshot() if self.tuner else None
+        # process-wide degradations no plan record carries yet
+        m["codegen"] = codegen_counters.snapshot()
+        m["vector"] = vector_counters.snapshot()
         m["config"] = {
             "threads": self.config.threads,
             "mu": self.config.mu,
@@ -352,11 +345,19 @@ class FFTService:
         """Liveness/degradation snapshot (the wire protocol's ``health`` op).
 
         ``status`` is ``"ok"`` only while the dispatcher is alive, no pool
-        is degraded, and every existing worker pool is healthy; chaos tests
-        poll this until the service reports recovery after faults stop.
+        is degraded, every existing worker pool is healthy and no cached
+        plan runs on another backend than the configured one
+        (``fallbacks`` names each that does); chaos tests poll this until
+        the service reports recovery after faults stop.
         """
+        want = self.config.backend
+        fallbacks = [
+            f"{plan.key.label()} {want}->{plan.backend}"
+            for plan in self.plans.values() if plan.backend != want
+        ]
         with self._runtime_lock:
             pools = {}
+            # every pool has a state record: _runtime_for makes it first
             for t, st in self._pool_state.items():
                 rt = self._runtimes.get(t)
                 pools[str(t)] = {
@@ -367,38 +368,17 @@ class FFTService:
                     "degraded": st["degraded"],
                     "rebuilds": st["rebuilds"],
                 }
-            for t, rt in self._runtimes.items():
-                pools.setdefault(
-                    str(t),
-                    {
-                        "workers": t,
-                        "healthy": bool(rt.healthy),
-                        "degraded": False,
-                        "rebuilds": 0,
-                    },
-                )
         dispatcher_alive = self._dispatcher.is_alive()
         degraded = any(p["degraded"] for p in pools.values())
         unhealthy = any(p["healthy"] is False for p in pools.values())
         if self._closing:
             status = "closed"
-        elif dispatcher_alive and not degraded and not unhealthy:
+        elif (dispatcher_alive and not degraded and not unhealthy
+              and not fallbacks):
             status = "ok"
         else:
             status = "degraded"
-        with self._metrics_lock:
-            counters = {
-                k: self._metrics[k]
-                for k in (
-                    "failovers",
-                    "pool_rebuilds",
-                    "dispatcher_restarts",
-                    "degraded_executions",
-                    "deadline_misses",
-                    "failures",
-                    "rejected",
-                )
-            }
+        snap = self.counters.snapshot()
         with self._cond:
             depth = self._pending_vectors
         return {
@@ -406,7 +386,8 @@ class FFTService:
             "dispatcher_alive": dispatcher_alive,
             "queue_depth": depth,
             "pools": pools,
-            "counters": counters,
+            "fallbacks": fallbacks,
+            "counters": {k: snap[k] for k in self.HEALTH_COUNTERS},
             "faults": get_fault_plan().snapshot(),
         }
 
@@ -426,7 +407,7 @@ class FFTService:
             raise ServiceClosed("service is shutting down")
         key = self.config.plan_key(int(n), threads, mu, strategy)
         plan = self.plans.get(key)
-        get_tracer().count("serve.prewarms", 1, n=key.n)
+        self.counters.add("prewarms", n=key.n)
         return {
             "n": key.n,
             "threads": key.threads,
@@ -520,21 +501,18 @@ class FFTService:
         st["last_failure"] = time.monotonic()
         if st["rebuilds"] > self.config.max_pool_rebuilds and not st["degraded"]:
             st["degraded"] = True
-            get_tracer().count("serve.pool_degraded", 1, threads=threads)
+            self.counters.add("pool_degraded", threads=threads)
         return st
 
     def _runtime_for(self, threads: int) -> Runtime:
         if threads <= 1:
             return self._fallback
-        tr = get_tracer()
         with self._runtime_lock:
             st = self._pool_state_for(threads)
             if st["degraded"]:
                 since = time.monotonic() - st["last_failure"]
                 if since < self.config.degrade_cooldown_s:
-                    tr.count("serve.degraded_executions", 1, threads=threads)
-                    with self._metrics_lock:
-                        self._metrics["degraded_executions"] += 1
+                    self.counters.add("degraded_executions", threads=threads)
                     return self._fallback
                 # failure-free cooldown passed: promote back to a real pool
                 st["degraded"] = False
@@ -543,18 +521,14 @@ class FFTService:
             if rt is not None and not rt.healthy:
                 st = self._retire_pool_locked(threads, rt)
                 if st["degraded"]:
-                    tr.count("serve.degraded_executions", 1, threads=threads)
-                    with self._metrics_lock:
-                        self._metrics["degraded_executions"] += 1
+                    self.counters.add("degraded_executions", threads=threads)
                     return self._fallback
                 rt = None
             if rt is None:
                 rt = self._make_pool(threads)
                 self._runtimes[threads] = rt
                 if st["rebuilds"] > 0:
-                    with self._metrics_lock:
-                        self._metrics["pool_rebuilds"] += 1
-                    tr.count("serve.pool_rebuilds", 1, threads=threads)
+                    self.counters.add("pool_rebuilds", threads=threads)
             return rt
 
     def _make_pool(self, threads: int) -> Runtime:
@@ -587,7 +561,6 @@ class FFTService:
         recovers without waiting for traffic); degraded thread counts are
         promoted back once they have been quiet for ``degrade_cooldown_s``.
         """
-        tr = get_tracer()
         while not self._stop_supervisor.wait(self.config.supervise_interval_s):
             if self._closing:
                 return
@@ -598,9 +571,7 @@ class FFTService:
                     daemon=True,
                 )
                 self._dispatcher.start()
-                with self._metrics_lock:
-                    self._metrics["dispatcher_restarts"] += 1
-                tr.count("serve.dispatcher_restarts", 1)
+                self.counters.add("dispatcher_restarts")
             now = time.monotonic()
             with self._runtime_lock:
                 for t, rt in list(self._runtimes.items()):
@@ -608,9 +579,7 @@ class FFTService:
                         st = self._retire_pool_locked(t, rt)
                         if not st["degraded"]:
                             self._runtimes[t] = self._make_pool(t)
-                            with self._metrics_lock:
-                                self._metrics["pool_rebuilds"] += 1
-                            tr.count("serve.pool_rebuilds", 1, threads=t)
+                            self.counters.add("pool_rebuilds", threads=t)
                 for t, st in self._pool_state.items():
                     if (
                         st["degraded"]
@@ -619,7 +588,7 @@ class FFTService:
                     ):
                         st["degraded"] = False
                         st["rebuilds"] = 0
-                        tr.count("serve.pool_promoted", 1, threads=t)
+                        self.counters.add("pool_promoted", threads=t)
 
     def _sweep_expired_locked(self) -> None:
         """Fail queued requests whose deadline has passed (``_cond`` held).
@@ -630,26 +599,23 @@ class FFTService:
         """
         if not self._queue:
             return
-        now = time.monotonic()
-        expired = [
-            r
-            for r in self._queue
-            if r.deadline is not None and now > r.deadline
-        ]
-        if not expired:
-            return
-        for r in expired:
+        for r in self._fail_expired(self._queue, time.monotonic()):
             self._queue.remove(r)
             self._pending_vectors -= r.rows
-            r.ticket._resolve(
-                error=DeadlineExceeded(
-                    f"deadline passed while queued "
-                    f"(waited {now - r.arrival:.3f}s)"
-                )
-            )
-        with self._metrics_lock:
-            self._metrics["deadline_misses"] += len(expired)
-        get_tracer().count("serve.deadline_misses", len(expired))
+
+    def _fail_expired(self, reqs, now: float) -> list[_Request]:
+        """Resolve (typed, counted once) those of ``reqs`` past their
+        deadline; returns them."""
+        expired = [
+            r for r in reqs if r.deadline is not None and now > r.deadline
+        ]
+        for r in expired:
+            r.ticket._resolve(error=DeadlineExceeded(
+                f"deadline passed while queued (waited {now - r.arrival:.3f}s)"
+            ))
+        if expired:
+            self.counters.add("deadline_misses", len(expired))
+        return expired
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -716,21 +682,8 @@ class FFTService:
 
     def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> None:
         tr = get_tracer()
-        now = time.monotonic()
-        live: list[_Request] = []
-        for req in batch:
-            if req.deadline is not None and now > req.deadline:
-                req.ticket._resolve(
-                    error=DeadlineExceeded(
-                        f"deadline passed while queued "
-                        f"(waited {now - req.arrival:.3f}s)"
-                    )
-                )
-                with self._metrics_lock:
-                    self._metrics["deadline_misses"] += 1
-                tr.count("serve.deadline_misses", 1)
-            else:
-                live.append(req)
+        expired = self._fail_expired(batch, time.monotonic())
+        live = [r for r in batch if r not in expired] if expired else batch
         if not live:
             return
         try:
@@ -753,16 +706,12 @@ class FFTService:
                     # same plan on the sequential fallback rather than fail
                     # the tickets
                     self._note_pool_failure(key.threads)
-                    with self._metrics_lock:
-                        self._metrics["failovers"] += 1
-                    tr.count("serve.failovers", 1, threads=key.threads)
+                    self.counters.add("failovers", threads=key.threads)
                     Y, _ = self._fallback.run(plan, X)
         except BaseException as exc:
             for req in live:
                 req.ticket._resolve(error=exc)
-            with self._metrics_lock:
-                self._metrics["failures"] += len(live)
-            tr.count("serve.failures", len(live))
+            self.counters.add("failures", len(live))
             return
         done = time.monotonic()
         window = self.tune_window
@@ -775,13 +724,8 @@ class FFTService:
             self.latencies.record(key, wall)
             if window is not None:
                 window.record(key, wall)
-            tr.count("serve.request_wall_s", wall)
-        with self._metrics_lock:
-            self._metrics["batches"] += 1
-            self._metrics["batched_vectors"] += int(Y.shape[0])
-            self._metrics["request_wall_s"] += sum(
-                done - r.arrival for r in live
-            )
-        tr.count("serve.batches", 1)
-        tr.count("serve.batched_vectors", int(Y.shape[0]))
+        self.counters.add("batches")
+        self.counters.add("batched_vectors", int(Y.shape[0]))
+        self.counters.add("request_wall_s",
+                          sum(done - r.arrival for r in live))
         tr.sample("serve.batch_occupancy", int(Y.shape[0]))

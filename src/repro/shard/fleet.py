@@ -26,7 +26,7 @@ from typing import Optional
 from ..faults import get_fault_plan
 from ..serve.client import ServeClient
 from ..serve.service import ServeConfig
-from ..trace import get_tracer
+from ..trace import Counters
 from .ring import HashRing, route_key
 from .worker import ShardWorker, ShardWorkerDead
 
@@ -62,6 +62,9 @@ class ShardFleet:
     ring successors get plan prewarms and failover retries.
     """
 
+    #: every count the fleet keeps (``counters()``; tracer ``shard.<name>``)
+    COUNTERS = ("ejections", "rejoins", "restarts", "chaos_kills")
+
     def __init__(
         self,
         shards: int,
@@ -82,12 +85,7 @@ class ShardFleet:
         self._workers: dict[str, ShardWorker] = {}
         self._ejected: set[str] = set()
         self._closing = False
-        self._counters = {
-            "ejections": 0,
-            "rejoins": 0,
-            "restarts": 0,
-            "chaos_kills": 0,
-        }
+        self._counts = Counters("shard", self.COUNTERS)
         for i in range(shards):
             sid = f"shard-{i}"
             self._workers[sid] = ShardWorker(
@@ -168,9 +166,7 @@ class ShardFleet:
                 return False
             self._ring.remove(shard_id)
             self._ejected.add(shard_id)
-            self._counters["ejections"] += 1
-        get_tracer().count("shard.ejections", 1, shard=shard_id,
-                           reason=reason)
+        self._counts.add("ejections", shard=shard_id, reason=reason)
         return True
 
     def _try_rejoin(self, shard_id: str) -> None:
@@ -187,8 +183,7 @@ class ShardFleet:
                 return
             self._ejected.discard(shard_id)
             self._ring.add(shard_id)
-            self._counters["rejoins"] += 1
-        get_tracer().count("shard.rejoins", 1, shard=shard_id)
+        self._counts.add("rejoins", shard=shard_id)
 
     def _supervise_loop(self) -> None:
         while not self._stop.wait(self._interval):
@@ -208,9 +203,7 @@ class ShardFleet:
                         w.respawn()
                     except ShardWorkerDead:
                         continue
-                    with self._lock:
-                        self._counters["restarts"] += 1
-                    get_tracer().count("shard.restarts", 1, shard=sid)
+                    self._counts.add("restarts", shard=sid)
                 elif sid in self._ejected:
                     self._try_rejoin(sid)
 
@@ -222,9 +215,8 @@ class ShardFleet:
             if len(live) < 2:
                 return  # never chaos-kill the only shard
             victim = self._workers[live[-1]]
-            self._counters["chaos_kills"] += 1
         victim.kill()
-        get_tracer().count("shard.chaos_kills", 1, shard=victim.shard_id)
+        self._counts.add("chaos_kills", shard=victim.shard_id)
 
     def kill_shard(self, shard_id: Optional[str] = None) -> str:
         """SIGKILL one shard (tests, ``loadgen --kill-after``); its id."""
@@ -240,8 +232,7 @@ class ShardFleet:
     # -- observability ---------------------------------------------------------
 
     def counters(self) -> dict:
-        with self._lock:
-            return dict(self._counters)
+        return self._counts.snapshot()
 
     def health(self, probe_timeout: float = 2.0) -> dict:
         """Aggregate fleet health in the ``FFTService.health`` shape.
@@ -278,7 +269,6 @@ class ShardFleet:
             shards[sid] = entry
         all_ok = shards and all(s["healthy"] for s in shards.values())
         with self._lock:
-            counters = dict(self._counters)
             ring_members = self._ring.members
             closing = self._closing
         return {
@@ -288,7 +278,7 @@ class ShardFleet:
             "shards": shards,
             "ring": {"members": ring_members,
                      "ejected": sorted(ejected)},
-            "counters": counters,
+            "counters": self.counters(),
             "faults": get_fault_plan().snapshot(),
         }
 

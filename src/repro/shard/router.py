@@ -55,7 +55,7 @@ from ..serve.metrics import LatencyRecorder, latency_summary
 from ..serve.protocol import FrameConn, FrameServer, Session, error_response
 from ..serve.server import exception_response
 from ..smp.runtime import lane_name
-from ..trace import get_tracer
+from ..trace import Counters
 from ..wisdom import Wisdom
 from .fleet import NoShardsAvailable, ShardFleet
 
@@ -311,8 +311,7 @@ class _Session(Session):
             self.router.count("ejections_seen")
         if not orphans:
             return
-        get_tracer().count("shard.orphans_replayed", len(orphans),
-                           shard=shard_id)
+        self.router.count("orphans_replayed", len(orphans), shard=shard_id)
         for pend in orphans:
             if self._reroute(pend):
                 self._forward(pend)
@@ -334,6 +333,12 @@ class _Session(Session):
 class ShardRouter(FrameServer):
     """The framed endpoint routing every connection onto a fleet."""
 
+    #: every count the router keeps (``counters()``; tracer ``shard.<name>``)
+    COUNTERS = ("routed", "replays", "failovers", "flapped_routes",
+                "ejections_seen", "route_failures", "no_shard_errors",
+                "prewarms_sent", "prewarm_errors", "orphans_replayed",
+                "wisdom_flushes")
+
     def __init__(self, address: tuple[str, int], fleet: ShardFleet,
                  prewarm: bool = True):
         super().__init__(address)
@@ -348,18 +353,10 @@ class ShardRouter(FrameServer):
             Wisdom(fleet.config.wisdom_path)
             if fleet.config.wisdom_path else None
         )
-        self._mlock = threading.Lock()
-        self._counters = {
-            "routed": 0,
-            "replays": 0,
-            "failovers": 0,
-            "flapped_routes": 0,
-            "ejections_seen": 0,
-            "route_failures": 0,
-            "no_shard_errors": 0,
-            "prewarms_sent": 0,
-            "prewarm_errors": 0,
-        }
+        self._counts = Counters("shard", self.COUNTERS)
+        #: ``count(name, by=1, **tracer_attrs)``: one routing event
+        self.count = self._counts.add
+        self._seen_lock = threading.Lock()
         self._seen_keys: set[str] = set()
         self._prewarm_q: queue.Queue = queue.Queue()
         threading.Thread(
@@ -372,13 +369,8 @@ class ShardRouter(FrameServer):
 
     # -- metrics ---------------------------------------------------------------
 
-    def count(self, key: str, by: int = 1) -> None:
-        with self._mlock:
-            self._counters[key] += by
-
     def counters(self) -> dict:
-        with self._mlock:
-            return dict(self._counters)
+        return self._counts.snapshot()
 
     def record(self, shard_id: str, key: str, seconds: float) -> None:
         """One routed response, by shard and by plan routing string."""
@@ -411,7 +403,7 @@ class ShardRouter(FrameServer):
                     lane_name(cfg.runtime, threads),
                     {"requests": len(samples), **latency_summary(samples)},
                 )
-        get_tracer().count("shard.wisdom_flushes", len(drained))
+        self.count("wisdom_flushes", len(drained))
         return len(drained)
 
     # -- aggregation -----------------------------------------------------------
@@ -419,9 +411,7 @@ class ShardRouter(FrameServer):
     def health_snapshot(self) -> dict:
         """Fleet health plus router counters, in the service-health shape."""
         snap = self.fleet.health()
-        counters = dict(snap.get("counters", {}))
-        counters.update(self.counters())
-        snap["counters"] = counters
+        snap["counters"] = {**snap["counters"], **self.counters()}
         snap["router"] = {"live_shards": len(self.fleet.live_shards),
                           "shards": len(self.fleet.shard_ids)}
         return snap
@@ -464,7 +454,7 @@ class ShardRouter(FrameServer):
         """First sighting of a plan key → queue successor prewarms."""
         if not self.prewarm_enabled:
             return
-        with self._mlock:
+        with self._seen_lock:
             if key in self._seen_keys:
                 return
             self._seen_keys.add(key)
@@ -492,8 +482,7 @@ class ShardRouter(FrameServer):
                         mu=spec.get("mu"),
                         strategy=spec.get("strategy"),
                     )
-                self.count("prewarms_sent")
-                get_tracer().count("shard.prewarms", 1, shard=sid)
+                self.count("prewarms_sent", shard=sid)
             except Exception:
                 self.count("prewarm_errors")
         return built

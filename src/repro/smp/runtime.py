@@ -421,6 +421,11 @@ class PThreadsRuntime(Runtime):
                 self._done.wait()
             except threading.BrokenBarrierError:
                 self._broken = True
+        if self._broken:
+            # a worker whose stage raised has recorded its error and parked
+            # at the rendezvous the master just skipped; nobody else will
+            # arrive, so break it and let the worker take its exit path
+            self._done.abort()
         # a real work exception outranks the secondary barrier breakage it
         # causes; pure breakage (a worker died) surfaces as WorkerPoolBroken
         if master_exc is not None:

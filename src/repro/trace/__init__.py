@@ -37,6 +37,7 @@ from .export import (
 from .merge import merge_span_reports
 from .tracer import (
     NULL_TRACER,
+    Counters,
     NullTracer,
     Span,
     TraceEvent,
@@ -61,6 +62,7 @@ def __getattr__(name):
 
 
 __all__ = [
+    "Counters",
     "NULL_TRACER",
     "NullTracer",
     "ProfileResult",

@@ -15,6 +15,9 @@ Design constraints (see ``docs/profiling.md``):
   accumulator with optional key attributes (``stage=3``, ``proc=1``) that
   aggregates across the run.  Everything the profiler reports is built from
   these two.
+* **One count per event.**  :class:`Counters` is the always-on store the
+  serving components count in; it forwards each change here when a tracer
+  is enabled, so no site counts an event twice.
 """
 
 from __future__ import annotations
@@ -303,6 +306,53 @@ def set_tracer(tracer: Optional[Tracer]) -> Tracer:
         previous = _active
         _active = tracer if tracer is not None else NULL_TRACER
     return previous
+
+
+class Counters:
+    """One component's always-on counts, mirrored to the active tracer.
+
+    The only place the serving components count: ``names`` are declared up
+    front (an undeclared one is a ``KeyError``), :meth:`snapshot` is what
+    their ``stats`` / ``health`` blocks read, and every change also lands on
+    the active tracer as ``<prefix>.<name>`` when one is enabled — so the
+    always-on number and the traced one are one event counted once.
+    """
+
+    def __init__(self, prefix: str, names):
+        self.prefix = prefix
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+
+    def add(self, name: str, value: float = 1, **attrs) -> None:
+        """Add ``value`` to ``name``; ``attrs`` key the tracer's copy only."""
+        # acquire/release, not ``with``: the context-manager protocol is
+        # half of this call's cost and it runs ~8 times per served request
+        self._lock.acquire()
+        try:
+            self._values[name] += value
+        finally:
+            self._lock.release()
+        if _active.enabled:
+            _active.count(f"{self.prefix}.{name}", value, **attrs)
+
+    def peak(self, name: str, value: float) -> None:
+        """Raise the high-water mark ``name`` to ``value`` if it is higher
+        (the tracer is sent the rise, so its total is the same maximum)."""
+        if value <= self._values[name]:
+            return  # unlocked: the mark only rises, so a stale read is lower
+        with self._lock:
+            rise = value - self._values[name]
+            if rise > 0:
+                self._values[name] = value
+        if rise > 0 and _active.enabled:
+            _active.count(f"{self.prefix}.{name}", rise)
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return dict(self._values)
+
+    def __getitem__(self, name: str):
+        return self._values[name]
 
 
 @contextmanager

@@ -43,7 +43,7 @@ from ..mp.spec import PlanSpec
 from ..serve.metrics import LatencyRecorder, latency_summary, percentile
 from ..serve.plan_cache import PlanKey, build_plan
 from ..smp.runtime import lane_name
-from ..trace import get_tracer
+from ..trace import Counters
 from .measure import measured_search
 
 
@@ -74,6 +74,11 @@ class Tuner:
     scenario).
     """
 
+    #: every count the tuner keeps (``snapshot()``; tracer ``tune.<name>``)
+    COUNTERS = ("ticks", "windows_observed", "retunes", "swaps",
+                "swap_failures", "swaps_deferred", "knob_adjustments",
+                "tick_errors")
+
     def __init__(self, service, config: Optional[TunerConfig] = None,
                  wisdom=None):
         self.service = service
@@ -87,16 +92,8 @@ class Tuner:
         self._lock = threading.Lock()
         #: best observed window p50 (ms) per plan key — regression baseline
         self._best_p50: dict[PlanKey, float] = {}
-        self._metrics = {
-            "ticks": 0,
-            "windows_observed": 0,
-            "retunes": 0,
-            "swaps": 0,
-            "swap_failures": 0,
-            "swaps_deferred": 0,
-            "knob_adjustments": 0,
-            "last_p99_ms": None,
-        }
+        self.counters = Counters("tune", self.COUNTERS)
+        self._last_p99_ms: Optional[float] = None
         self._thread = threading.Thread(
             target=self._loop, name="fft-serve-tuner", daemon=True
         )
@@ -116,14 +113,14 @@ class Tuner:
             try:
                 self.tick()
             except Exception:  # noqa: BLE001 - the tuner must never kill serve
-                get_tracer().count("tune.tick_errors", 1)
+                self.counters.add("tick_errors")
 
     # -- observation + control ----------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able tuner state for the ``stats`` endpoint."""
-        with self._lock:
-            m = dict(self._metrics)
+        m = self.counters.snapshot()
+        m["last_p99_ms"] = self._last_p99_ms
         cfg = self.service.config
         m["window_ms"] = cfg.window_s * 1e3
         m["max_batch"] = cfg.max_batch
@@ -135,7 +132,7 @@ class Tuner:
         """One observe/record/adjust/retune pass; returns retuned keys."""
         with self._lock:
             drained = self.service.tune_window.drain()
-            self._metrics["ticks"] += 1
+            self.counters.add("ticks")
             all_samples: list[float] = []
             regressed: list[PlanKey] = []
             # every window of this tick lands in one wisdom-file rewrite
@@ -146,7 +143,7 @@ class Tuner:
                 for key, samples in drained.items():
                     if not samples:
                         continue
-                    self._metrics["windows_observed"] += 1
+                    self.counters.add("windows_observed")
                     all_samples.extend(samples)
                     summary = {"requests": len(samples),
                                **latency_summary(samples)}
@@ -177,7 +174,7 @@ class Tuner:
         if target is None or not samples:
             return
         p99_ms = percentile(sorted(samples), 0.99) * 1e3
-        self._metrics["last_p99_ms"] = p99_ms
+        self._last_p99_ms = p99_ms
         cfg = self.service.config
         c = self.config
         window, batch = cfg.window_s, cfg.max_batch
@@ -193,8 +190,7 @@ class Tuner:
         if window != cfg.window_s or batch != cfg.max_batch:
             cfg.window_s = window
             cfg.max_batch = batch
-            self._metrics["knob_adjustments"] += 1
-            get_tracer().count("tune.knob_adjustments", 1)
+            self.counters.add("knob_adjustments")
 
     # -- retune + hot-swap ----------------------------------------------------
 
@@ -209,9 +205,7 @@ class Tuner:
             return self._retune_locked(key)
 
     def _retune_locked(self, key: PlanKey) -> bool:
-        tr = get_tracer()
-        self._metrics["retunes"] += 1
-        tr.count("tune.retunes", 1, n=key.n)
+        self.counters.add("retunes", n=key.n)
         backend = self.service.config.backend
         # rank candidates in-process on the sequential runtime: cheap,
         # safe next to live traffic, and strategy order carries over
@@ -231,17 +225,14 @@ class Tuner:
         except FaultInjected:
             # chaos: the swap died mid-commit; the cache still holds the
             # old plan, so traffic degrades gracefully to "not retuned"
-            self._metrics["swap_failures"] += 1
-            tr.count("tune.swap_failures", 1)
+            self.counters.add("swap_failures")
             return False
         if committed:
-            self._metrics["swaps"] += 1
-            tr.count("tune.swaps", 1, n=key.n)
+            self.counters.add("swaps", n=key.n)
             # the new plan starts a fresh regression baseline
             self._best_p50.pop(key, None)
         else:
             # a single-flight build is in progress for this key; the
             # tuner defers and will retry on a later tick
-            self._metrics["swaps_deferred"] += 1
-            tr.count("tune.swaps_deferred", 1)
+            self.counters.add("swaps_deferred")
         return committed

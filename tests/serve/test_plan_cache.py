@@ -36,11 +36,11 @@ class TestLRU:
         cache.get(k)
         cache.get(k)
         cache.get(k)
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 2
-        assert cache.stats.plans_built == 1
+        assert cache.stats["misses"] == 1
+        assert cache.stats["hits"] == 2
+        assert cache.stats["plans_built"] == 1
         assert calls == [k]
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+        assert cache.stats_snapshot()["hit_rate"] == pytest.approx(2 / 3)
 
     def test_eviction_is_lru(self):
         calls = []
@@ -50,7 +50,7 @@ class TestLRU:
         cache.get(k2)
         cache.get(k1)  # refresh k1 -> k2 is now least recent
         cache.get(k3)  # evicts k2
-        assert cache.stats.evictions == 1
+        assert cache.stats["evictions"] == 1
         assert k2 not in cache
         assert k1 in cache and k3 in cache
         # k2 must be rebuilt
@@ -177,9 +177,9 @@ class TestSingleFlight:
             t.join()
         assert len(calls) == 1, "single-flight must coalesce the build"
         assert all(r is results[0] for r in results)
-        assert cache.stats.misses == 1
-        assert cache.stats.single_flight_waits == 7
-        assert cache.stats.plans_built == 1
+        assert cache.stats["misses"] == 1
+        assert cache.stats["single_flight_waits"] == 7
+        assert cache.stats["plans_built"] == 1
 
     def test_trace_counters_record_traffic(self):
         calls = []
@@ -187,8 +187,8 @@ class TestSingleFlight:
         with tracing(Tracer()) as tr:
             cache.get(PlanKey(64, 1, 4))
             cache.get(PlanKey(64, 1, 4))
-        assert tr.counter_total("serve.plan_cache.miss") == 1
-        assert tr.counter_total("serve.plan_cache.hit") == 1
+        assert tr.counter_total("serve.plan_cache.misses") == 1
+        assert tr.counter_total("serve.plan_cache.hits") == 1
 
     def test_failed_build_propagates_and_is_not_cached(self):
         attempts = []
@@ -256,9 +256,9 @@ class TestFailureAccounting:
         # leader (a miss), not a waiter on a dead flight
         assert cache._inflight == {}
         cache.get(key)
-        assert cache.stats.misses == 2
-        assert cache.stats.single_flight_waits == 0
-        assert cache.stats.plans_built == 1
+        assert cache.stats["misses"] == 2
+        assert cache.stats["single_flight_waits"] == 0
+        assert cache.stats["plans_built"] == 1
 
     def test_failure_does_not_count_as_built_or_evict(self):
         def failing(key):
@@ -269,9 +269,9 @@ class TestFailureAccounting:
             with pytest.raises(RuntimeError):
                 cache.get(PlanKey(n, 1, 4))
         assert len(cache) == 0
-        assert cache.stats.plans_built == 0
-        assert cache.stats.evictions == 0
-        assert cache.stats.misses == 3
+        assert cache.stats["plans_built"] == 0
+        assert cache.stats["evictions"] == 0
+        assert cache.stats["misses"] == 3
 
     def test_eviction_counters_consistent_under_concurrent_failures(self):
         fail_first = {PlanKey(n, 1, 4) for n in range(0, 64, 3)}
@@ -309,7 +309,7 @@ class TestFailureAccounting:
         assert len(cache) <= cache.capacity
         # every resident or evicted plan was built exactly once; failed
         # attempts never enter the LRU, so the books must balance
-        assert stats.evictions == stats.plans_built - len(cache)
+        assert stats["evictions"] == stats["plans_built"] - len(cache)
         assert cache._inflight == {}
         # every key that ever failed is rebuildable afterwards
         for key in set(errors):

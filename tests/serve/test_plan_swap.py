@@ -36,7 +36,7 @@ class TestSwapAtomicity:
         assert cache.swap(k, new) is True
         assert cache.get(k) is new
         assert cache.get(k) is not old
-        assert cache.stats.swaps == 1
+        assert cache.stats["swaps"] == 1
 
     def test_swap_key_mismatch_rejected(self):
         cache = PlanCache(capacity=4, builder=_instant_builder)
@@ -68,7 +68,7 @@ class TestSwapAtomicity:
         for t in readers:
             t.join()
         assert not torn
-        assert cache.stats.swaps == 200
+        assert cache.stats["swaps"] == 200
 
     def test_executing_batch_keeps_its_plan_reference(self):
         """A swap must not affect a plan already handed to an executor."""
@@ -96,7 +96,7 @@ class TestSwapSingleFlightDeferral:
         assert entered.wait(timeout=5)
         # builder is mid-flight: the swap must refuse, not race
         assert cache.swap(k, _plan(k, "swapped")) is False
-        assert cache.stats.swaps == 0
+        assert cache.stats["swaps"] == 0
         release.set()
         leader.join()
         # once the build lands, the swap commits
@@ -113,7 +113,7 @@ class TestSwapEvictionAccounting:
         assert cache.swap(k3, _plan(k3, "swapped")) is True
         assert len(cache) == 2
         assert k1 not in cache  # LRU fell out
-        assert cache.stats.evictions == 1
+        assert cache.stats["evictions"] == 1
 
     def test_swap_of_present_key_does_not_evict(self):
         cache = PlanCache(capacity=2, builder=_instant_builder)
@@ -122,7 +122,7 @@ class TestSwapEvictionAccounting:
         cache.get(k2)
         assert cache.swap(k1, _plan(k1, "swapped")) is True
         assert len(cache) == 2
-        assert cache.stats.evictions == 0
+        assert cache.stats["evictions"] == 0
 
     def test_accounting_consistent_under_concurrent_load(self):
         """gets + swaps racing: totals must still reconcile."""
@@ -150,10 +150,10 @@ class TestSwapEvictionAccounting:
             t.join()
         time.sleep(0.01)
         s = cache.stats
-        assert s.swaps == committed
+        assert s["swaps"] == committed
         # every entry ever installed either still lives or was evicted
         assert len(cache) <= cache.capacity
-        assert s.plans_built + s.swaps >= s.evictions + len(cache)
+        assert s["plans_built"] + s["swaps"] >= s["evictions"] + len(cache)
 
 
 class TestSwapChaos:
@@ -166,4 +166,4 @@ class TestSwapChaos:
                 cache.swap(k, _plan(k, "swapped"))
         # the injected failure left the old plan serving
         assert cache.get(k) is old
-        assert cache.stats.swaps == 0
+        assert cache.stats["swaps"] == 0

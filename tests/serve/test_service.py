@@ -1,5 +1,6 @@
 """FFTService: batching, admission control, deadlines, lifecycle."""
 
+import dataclasses
 import threading
 import time
 
@@ -165,3 +166,73 @@ class TestLifecycle:
                 assert key in stats
             assert stats["requests"] == 1
             assert stats["plan_cache"]["plans_built"] == 1
+
+    def test_stats_report_every_declared_count_and_process_fallbacks(self):
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            svc.prewarm(64)
+            stats = svc.stats()
+            assert set(FFTService.COUNTERS) <= set(stats)
+            assert stats["prewarms"] == 1
+            assert set(stats["codegen"]) == {"backend_fallback",
+                                             "compile_fallback"}
+            assert set(stats["vector"]) == {"fallback", "no_simd"}
+
+
+class TestHealthFallbacks:
+    def test_default_config_is_ok_with_no_fallbacks(self):
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            svc.transform(_vec(64))
+            snap = svc.health()
+            assert snap["status"] == "ok" and snap["fallbacks"] == []
+
+    @pytest.mark.filterwarnings("ignore:backend 'compiled' unavailable")
+    def test_numpy_serving_a_compiled_config_is_degraded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        with FFTService(ServeConfig(window_s=0.0, backend="compiled")) as svc:
+            assert svc.health()["status"] == "ok"  # nothing built yet
+            x = _vec(1024)
+            np.testing.assert_allclose(svc.transform(x), np.fft.fft(x),
+                                       atol=1e-6)
+            snap = svc.health()
+            assert snap["status"] == "degraded"
+            assert snap["fallbacks"] == [
+                "n1024:t1:mu4:balanced compiled->numpy"]
+            assert svc.stats()["codegen"]["backend_fallback"] >= 1
+            # derived from the cache: the reason leaves with the plan
+            svc.plans.clear()
+            assert svc.health()["status"] == "ok"
+
+
+class TestStageFailure:
+    def test_a_raising_stage_strands_no_worker(self):
+        """A work exception on a threads=2 plan: the ticket carries it, and
+        once the supervisor has rebuilt the pool the process holds as many
+        threads as before (the old worker used to stay parked forever, and
+        retiring its pool held ``_runtime_lock`` for five seconds)."""
+        def boom(proc, src, dst):
+            if proc == 1:
+                raise RuntimeError("kernel failed")
+            time.sleep(0.02)  # the master meets the broken barrier next
+
+        with FFTService(ServeConfig(threads=2, window_s=0.0)) as svc:
+            x = _vec(256)
+            key = svc.config.plan_key(256)
+            np.testing.assert_allclose(svc.transform(x), np.fft.fft(x),
+                                       atol=1e-6)
+            good = svc.plans.get(key)
+            before = threading.active_count()
+            bad = dataclasses.replace(good, stages=[
+                dataclasses.replace(st, work=boom) for st in good.stages])
+            assert svc.plans.swap(key, bad)
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                svc.submit(x).result(timeout=2.0)
+            assert svc.plans.swap(key, good)
+            t0 = time.monotonic()
+            while (svc.health()["status"] != "ok"
+                   or not svc.stats()["pool_rebuilds"]):
+                assert time.monotonic() - t0 < 2.0, svc.health()
+                time.sleep(0.01)
+            assert threading.active_count() == before
+            assert svc.stats()["failures"] == 1
+            np.testing.assert_allclose(svc.transform(x), np.fft.fft(x),
+                                       atol=1e-6)

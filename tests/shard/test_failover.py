@@ -21,6 +21,7 @@ from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.serve import RetryPolicy, ServeClient, ServeConfig
 from repro.shard import NoShardsAvailable, ShardFleet, ShardRouter
 from repro.shard.worker import ShardWorker
+from repro.trace import tracing
 
 RECOVERY_S = 10.0
 
@@ -174,6 +175,72 @@ class TestChaosInjectionPoints:
                 )
         assert router.counters()["flapped_routes"] == before + 4
         client.close()
+
+
+class TestCounterParity:
+    def test_fleet_and_router_counts_reach_the_tracer(self):
+        """Requests, one route flap, one kill: every declared fleet and
+        router name reads the same from ``counters()`` and from the tracer
+        (at the parent none of the router's nine reached a trace)."""
+        with tracing() as tr:
+            with ShardFleet(2, ServeConfig(window_s=0.001),
+                            supervise_interval_s=0.05) as fleet:
+                router = ShardRouter(("127.0.0.1", 0), fleet)
+                router.serve_background()
+                try:
+                    client = ServeClient("127.0.0.1", router.port)
+                    sizes = (64, 128, 256, 512)
+                    for n in sizes:
+                        client.fft(_vec(n))
+                    assert _wait(lambda: sum(
+                        router.counters()[k]
+                        for k in ("prewarms_sent", "prewarm_errors")
+                    ) == len(sizes))
+                    flap = FaultPlan(
+                        [FaultSpec("shard.route_flap", max_fires=1)], seed=5)
+                    with fault_plan(flap):
+                        client.fft(_vec(64, seed=1))
+                    fleet.kill_shard()
+                    retry = RetryPolicy(attempts=8, seed=7)
+                    for i, n in enumerate(sizes):
+                        x = _vec(n, seed=i)
+                        np.testing.assert_allclose(
+                            client.fft_retry(x, policy=retry),
+                            np.fft.fft(x), atol=1e-6)
+                    assert _wait(lambda: fleet.counters()["rejoins"] >= 1)
+                    client.close()
+                finally:
+                    router.close()
+        fc, rc = fleet.counters(), router.counters()
+        assert set(fc) == set(ShardFleet.COUNTERS)
+        assert set(rc) == set(ShardRouter.COUNTERS)
+        assert fc["ejections"] >= 1 and fc["restarts"] >= 1
+        assert rc["routed"] >= 9 and rc["flapped_routes"] == 1
+        assert rc["prewarms_sent"] >= len(sizes)
+        for name, value in {**fc, **rc}.items():
+            assert tr.counter_total(f"shard.{name}") == value, name
+
+
+class TestDegradedShard:
+    def test_a_shard_serving_numpy_for_compiled_is_degraded_not_ejected(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CC", "1")  # the children inherit it
+        with ShardFleet(1, ServeConfig(window_s=0.001, backend="compiled"),
+                        supervise_interval_s=0.05) as fleet:
+            assert fleet.health()["status"] == "ok"  # nothing built yet
+            with ServeClient(*fleet.address("shard-0")) as c:
+                x = _vec(64)
+                np.testing.assert_allclose(c.fft(x), np.fft.fft(x),
+                                           atol=1e-6)
+                assert c.health()["fallbacks"] == [
+                    "n64:t1:mu4:balanced compiled->numpy"]
+            time.sleep(0.2)  # several supervisor ticks
+            snap = fleet.health()
+            assert snap["status"] == "degraded"
+            assert snap["shards"]["shard-0"]["status"] == "degraded"
+            assert snap["shards"]["shard-0"]["in_ring"] is True
+            assert fleet.live_shards == ["shard-0"]
+            assert fleet.counters()["ejections"] == 0
 
 
 class TestWorkerLifecycle:

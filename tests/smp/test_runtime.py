@@ -1,5 +1,7 @@
 """Tests for the SMP runtimes (sequential, pthreads pool, OpenMP fork-join)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.smp import (
     PThreadsRuntime,
     SequentialRuntime,
 )
+from repro.smp.runtime import WorkerPoolBroken
 from tests.conftest import random_vector
 
 
@@ -90,9 +93,37 @@ class TestPThreadsRuntime:
             raise RuntimeError("kernel failed")
 
         stage = PlanStage(work=boom, parallel=True, needs_barrier=True, nprocs=2)
-        with PThreadsRuntime(2) as rt:
-            with pytest.raises(RuntimeError, match="kernel failed"):
-                rt.execute([stage], np.zeros(4, dtype=complex), 4)
+        rt = PThreadsRuntime(2)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            rt.execute([stage], np.zeros(4, dtype=complex), 4)
+        # whichever side of the stage barrier the failure broke, no worker
+        # stays parked at the job rendezvous for close() to time out on
+        t0 = time.perf_counter()
+        rt.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(t.is_alive() for t in rt._threads)
+
+    def test_worker_only_exception_strands_nobody(self):
+        """The worker alone fails, while the master is still inside the
+        stage barrier's wait: the master sees a broken barrier, skips the
+        rendezvous the worker is parked at, and must release it."""
+        def boom_on_worker(proc, src, dst):
+            if proc == 1:
+                raise RuntimeError("kernel failed")
+            time.sleep(0.05)
+
+        stages = [PlanStage(work=boom_on_worker, parallel=True,
+                            needs_barrier=True, nprocs=2)] * 2
+        rt = PThreadsRuntime(2)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            rt.execute(stages, np.zeros(4, dtype=complex), 4)
+        assert not rt.healthy
+        with pytest.raises(WorkerPoolBroken):
+            rt.execute(stages, np.zeros(4, dtype=complex), 4)
+        t0 = time.perf_counter()
+        rt.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(t.is_alive() for t in rt._threads)
 
     def test_rejects_oversized_plan(self):
         stage = PlanStage(

@@ -1,5 +1,7 @@
 """The online Tuner against a real FFTService: observe, adjust, swap."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ class TestRetune:
         assert tuner.retune(key) is True
         snap = tuner.snapshot()
         assert snap["retunes"] == 1 and snap["swaps"] == 1
-        assert service.plans.stats.swaps == 1
+        assert service.plans.stats["swaps"] == 1
         _drive(service, count=4)  # the swapped plan still answers correctly
 
     def test_retune_reaches_the_process_pool(self, monkeypatch):
@@ -180,8 +182,34 @@ class TestRetune:
             assert tuner.retune(key) is False
         snap = tuner.snapshot()
         assert snap["swap_failures"] == 1 and snap["swaps"] == 0
-        assert service.plans.stats.swaps == 0
+        assert service.plans.stats["swaps"] == 0
         _drive(service, count=4)  # the old plan keeps serving
+
+
+class TestTickErrors:
+    def test_a_failing_tick_is_counted_and_serving_continues(
+            self, service, monkeypatch):
+        """A tuner whose every retune raises used to look idle: the loop
+        swallowed the error into a tracer-only counter."""
+        def broken(*a, **kw):
+            raise RuntimeError("search exploded")
+
+        monkeypatch.setattr("repro.tune.tuner.measured_search", broken)
+        tuner = Tuner(service, TunerConfig(interval_s=0.01, min_requests=1))
+        service.tuner = tuner  # stats() reports it; close() stops it
+        key = PlanKey(64, 1, 4, service.config.strategy)
+        tuner._best_p50[key] = 1e-9  # any window now reads as regressed
+        _drive(service, count=4)
+        tuner.start()
+        deadline = time.monotonic() + 5.0
+        while (not tuner.snapshot()["tick_errors"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        tuner.close()
+        snap = service.stats()["tuner"]
+        assert snap["tick_errors"] == 1 and snap["retunes"] == 1
+        assert snap["swaps"] == 0
+        _drive(service, count=4)  # the cached plan keeps serving
 
 
 class TestServiceIntegration:
