@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..spl.expr import COMPLEX
+from ..spl.matrices import omega
 
 
 def bit_reverse_indices(n: int) -> np.ndarray:
@@ -64,5 +65,4 @@ def dft_naive(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=COMPLEX)
     n = x.shape[-1]
     k = np.arange(n)
-    w = np.exp(-2j * np.pi / n)
-    return x @ (w ** np.outer(k, k)).T
+    return x @ omega(n, np.outer(k, k)).T

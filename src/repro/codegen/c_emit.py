@@ -27,22 +27,23 @@ ahead of it:
 Each :class:`~repro.sigma.loops.BlockLoop`'s gather → twiddle scale →
 kernel → twiddle scale → scatter chain is fused into one loop nest:
 
-* strided index grids recovered by
-  :func:`repro.sigma.index_map.recover_grid` become closed-form address
-  arithmetic; irregular tables are emitted as constant ``int`` data;
+* index maps recovered by :func:`repro.sigma.index_map.recover_affine`
+  become closed-form address arithmetic, one term per mixed-radix digit
+  of the loop index (a Cooley-Tukey plan carries no index table); a map
+  no affine form reproduces is emitted as constant ``int`` data;
 * ``F_2`` is a hand-unrolled butterfly, ``I_n`` a pure move, kernels up to
   ``codelet_max`` unrolled straight-line codelets
   (:class:`repro.codegen.unroll.Codelet`), larger ones a dense
   coefficient-table multiply;
 * loops carrying ``nu > 1`` from the ``vec(ν)`` rewriting
-  (:mod:`repro.vector`) emit a ν-blocked body the compiler's
-  auto-vectorizer likes: ``for (jb) { for (l < ν) ... }`` with the lane
-  loop innermost and branch-free, working data in **split re/im planes**
-  laid out element-major / lane-minor (``t[u][l]`` at ``u*ν + l``) so every
-  lane-loop access is unit-stride with no ``double complex`` arithmetic
-  (no ``__muldc3`` calls), 64-byte-aligned locals, and
-  ``restrict``-qualified pointers (stage source/dest never alias: the
-  drivers double-buffer).
+  (:mod:`repro.vector`) run ν lanes per iteration in **explicit**
+  GCC/Clang vector-extension statements (:func:`vector_prelude`), never
+  lane loops left to an auto-vectorizer: working data in **split re/im
+  planes** of ν-vectors (element-major, lane-minor — the codelets'
+  layout), no ``double complex`` arithmetic (no ``__muldc3`` calls),
+  64-byte-aligned locals, ``restrict``-qualified stage pointers (source
+  and dest never alias: the drivers double-buffer), and twiddle planes
+  that repeat stored once (:meth:`_StageEmitter._lane_scale`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import BinaryIO, Callable, Iterable, Optional
 import numpy as np
 
 from ..rewrite.breakdown import expand_dft, factor_pairs
-from ..sigma.index_map import recover_grid
+from ..sigma.index_map import recover_affine
 from ..sigma.loops import BlockLoop, SigmaProgram, Stage
 from ..spl.matrices import DFT, F2, I
 from .unroll import Codelet
@@ -73,9 +74,11 @@ CODELET_STEM = "repro_codelet"
 #: :func:`repro.codegen.compiled_backend.compile_plan` passes it with ``-D``
 TABLES_MACRO = "PLAN_TABLES"
 
-#: every table starts on a cache line: what a plan unit declares of its
-#: tables and what the blob's layout keeps
-TABLE_ALIGN = 64
+#: the cache line, in bytes.  Every table starts on one (what a plan unit
+#: declares of its tables and what the blob's layout keeps), and so do the
+#: chain's scratch and the result the runtime hands it: a ν-lane group of
+#: a buffer at ``malloc``'s 16 mod 64 straddles two lines on every access
+CACHE_LINE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +124,14 @@ class Table:
         return (
             f"extern const {self.ctype} {self.name}[{self.values.size}]"
             ' __attribute__((visibility("hidden"),'
-            f" aligned({TABLE_ALIGN})));"
+            f" aligned({CACHE_LINE})));"
         )
 
 
 class TableBlob:
     """A plan's tables as one binary file, each distinct table once.
 
-    Tables are laid out in order at :data:`TABLE_ALIGN`-byte offsets,
+    Tables are laid out in order at :data:`CACHE_LINE`-byte offsets,
     zero-padded between; a table whose bytes equal an earlier one's shares
     its offset (stages that repeat a twiddle plane or a scatter table
     stream one copy, as gcc's identical-constant merging arranges for the
@@ -149,7 +152,7 @@ class TableBlob:
             mark = hashlib.sha256(data).digest()
             at = seen.get(mark)
             if at is None:
-                pad = -size % TABLE_ALIGN
+                pad = -size % CACHE_LINE
                 whole.update(bytes(pad))
                 whole.update(data)
                 at = seen[mark] = size + pad
@@ -178,7 +181,7 @@ class TableBlob:
         o = [
             "__asm__(",
             '  ".pushsection .rodata\\n"',
-            f'  ".balign {TABLE_ALIGN}\\n"',
+            f'  ".balign {CACHE_LINE}\\n"',
             f'  "repro_tables: .incbin \\"" {TABLES_MACRO} "\\"\\n"',
         ]
         o += [
@@ -247,23 +250,6 @@ class CodeletDef:
         ]
 
 
-def lane_contiguous(table: np.ndarray, nu: int) -> bool:
-    """Do ν consecutive rows address ν consecutive elements columnwise?
-
-    True iff ``table[jb*ν + l, u] == table[jb*ν, u] + l`` for every block
-    ``jb``, column ``u``, lane ``l`` — the condition under which a ν-lane
-    gather/scatter is a contiguous (de)interleaving copy.  Permutation
-    folding preserves this for every stage except the one that absorbed
-    the in-register transpose (whose lanes sit ν apart).
-    """
-    rows = table.shape[0]
-    if rows % nu:
-        return False
-    blocks = table.reshape(rows // nu, nu, -1)
-    expect = blocks[:, :1, :] + np.arange(nu, dtype=table.dtype)[None, :, None]
-    return bool(np.array_equal(blocks, expect))
-
-
 def codelet_formula(kernel):
     """The formula a kernel is unrolled from (fast-expanded DFT leaves).
 
@@ -277,6 +263,44 @@ def codelet_formula(kernel):
         strategy = "radix2" if kernel.n & (kernel.n - 1) == 0 else "balanced"
         return expand_dft(kernel, strategy)
     return kernel
+
+
+def _lane_list(lanes: Iterable) -> str:
+    return ", ".join(map(str, lanes))
+
+
+def _broadcast(nu: int, re: str, im: str) -> str:
+    """C text declaring ν-vectors ``cr``, ``ci``: ``re``, ``im`` per lane."""
+    return (
+        f"const double wr = {re}, wi = {im};"
+        f" const v{nu} cr = {{{_lane_list(['wr'] * nu)}}},"
+        f" ci = {{{_lane_list(['wi'] * nu)}}};"
+    )
+
+
+def vector_prelude(widths: Iterable[int]) -> list[str]:
+    """What ν-lane stage text assumes ahead of it, per vector width:
+    ``v<w>`` (``w`` doubles, GCC/Clang vector extensions; aliases
+    ``double`` as the intrinsic types do), ``v<w>u`` (the same through a
+    pointer that promises a double's alignment only — request buffers are
+    read in place) and ``SHUF(w, a, b, lanes...)``, the two-operand
+    shuffle under the name this compiler knows it by."""
+    sizes = [(w, f"vector_size({8 * w})") for w in sorted(widths)]
+    o = []
+    for w, size in sizes:
+        o.append(f"typedef double v{w} __attribute__(({size}, may_alias));")
+        o.append(f"typedef double v{w}u"
+                 f" __attribute__(({size}, may_alias, aligned(8)));")
+    o += [
+        "#if defined(__clang__) || __GNUC__ >= 12",
+        "#define SHUF(w, a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)",
+        "#else",
+        "#define SHUF(w, a, b, ...)"
+        " __builtin_shuffle(a, b, (v##w##i){__VA_ARGS__})",
+    ]
+    o += [f"typedef long long v{w}i __attribute__(({size}));"
+          for w, size in sizes]
+    return o + ["#endif"]
 
 
 class _StageEmitter:
@@ -338,55 +362,102 @@ class _StageEmitter:
     # -- addressing ---------------------------------------------------------
 
     def _addr(
-        self, table: np.ndarray, name: str, paren_row: bool = False
-    ) -> Callable[[str, str], str]:
-        """C expression factory for the address ``table[row, col]``.
+        self, table: np.ndarray, kind: str, base: str, nu: int = 1
+    ) -> tuple[bool, Callable[..., str]]:
+        """``(lane-contiguous?, C expression factory)`` for ``table``.
 
-        Closed-form when the table is a recovered grid, otherwise an
-        ``int`` table emitted under ``name``.  ``paren_row``
-        parenthesizes the row expression in the table form (the ν-wide
-        strided path passes a compound ``jb*ν+l`` row).
+        ``addr(j, u, l=0)`` is the element column ``u`` of row ``j``
+        addresses — with ``nu > 1``, of lane ``l`` of *block* ``j``; the
+        lanes are contiguous when ν consecutive rows address ν consecutive
+        elements (permutation folding keeps that in every stage but the
+        one that absorbed the in-register transpose, whose lanes sit ν
+        apart).  Closed-form when the table is a recovered
+        :class:`~repro.sigma.index_map.AffineForm` (one term per digit of
+        ``j``); a map no form reproduces is emitted as ``int`` data:
+        ``<kind><base>`` for a scalar loop, per block (``vb``) when the
+        lanes are contiguous, else per row (``v``).
         """
-        grid = recover_grid(table)
-        if grid is not None:
-            base, rs, cs = grid.base, grid.row_stride, grid.col_stride
-            return lambda j, u: f"{base} + {j}*{rs} + {u}*{cs}"
+        form = recover_affine(table, nu)
+        if form is not None:
+            terms, div = [], 1
+            for radix, stride in form.digits:
+                digit = "{j}" if div == 1 else f"({{j}}/{div})"
+                div *= radix
+                if div < table.shape[0] // nu:
+                    digit = f"({digit}%{radix})"
+                terms.append(f"{digit}*{stride}")
+            text = " + ".join(
+                [str(form.base), *terms, f"{{u}}*{form.col_stride}"]
+            )
+            return form.lane_stride == 1, lambda j, u, l=0: (
+                text.format(j=j, u=u)
+                + (f" + {l * form.lane_stride}" if l else "")
+            )
         k = table.shape[1]
-        self.preamble.append(Table(name, table))
-        if paren_row:
-            return lambda j, u: f"{name}[({j})*{k} + {u}]"
-        return lambda j, u: f"{name}[{j}*{k} + {u}]"
+        blocks = table.reshape(-1, nu, k)
+        contig = nu > 1 and np.array_equal(
+            blocks, blocks[:, :1] + np.arange(nu)[:, None]
+        )
+        name = kind + ("vb" if contig else "v" if nu > 1 else "") + base
+        self.preamble.append(Table(name, table[::nu] if contig else table))
+        if contig or nu == 1:
+            return contig, lambda j, u, l=0: f"{name}[{j}*{k} + {u}]"
+        return False, lambda j, u, l=0: f"{name}[({j}*{nu}+{l})*{k} + {u}]"
 
-    def _lane_addr(
-        self, table: np.ndarray, nu: int, kind: str, base: str
-    ) -> tuple[bool, Callable[[str, str], str]]:
-        """``(lane-contiguous?, address factory)`` for a ν-wide access.
+    def _lane_scale(
+        self, scale: Optional[np.ndarray], nu: int, kind: str, base: str
+    ) -> Optional[Callable[[str], str]]:
+        """Emit a ν-lane loop's scale vector -> ``factor(u)``, C text that
+        declares column ``u``'s factor in block ``jb`` as ν-vectors
+        ``cr``, ``ci``.
 
-        Lane-contiguous tables are addressed per block
-        (``A(jb, u) = table[jb*ν, u]``); the one stage per plan that
-        absorbed the :class:`~repro.vector.constructs.InRegisterTranspose`
-        is addressed per row instead.
-        """
-        if lane_contiguous(table, nu):
-            return True, self._addr(table[::nu], f"{kind}vb{base}")
-        return False, self._addr(table, f"{kind}v{base}", paren_row=True)
-
-    def _lane_tables(
-        self, scale: Optional[np.ndarray], nu: int, prefix: str
-    ) -> Optional[tuple[str, str]]:
-        """Emit a scale vector as lane-transposed re/im planes.
-
-        The loop stores scales row-major ``(j, u)``; the vector body wants
-        ``(block, u, lane)`` so the lane loop reads unit-stride.  Returns
-        the (re, im) table names; index with ``(jb*k + u)*ν + l``.
+        Stored as ``(block, u, lane)`` re/im planes (``<kind>v<base>re`` /
+        ``im``), so a factor is one unit-stride load — each distinct block
+        once: twiddles are digit-periodic, constant along a low digit of
+        ``jb`` (runs of ``lo`` equal blocks) and of period ``p`` along the
+        rest, both found by checking.  A scale constant across the lanes
+        too is a **broadcast** table of scalars (``<kind>b<base>re`` /
+        ``im``): a few KiB in L1 where the plane is the size of the data.
         """
         if scale is None:
             return None
         rows, k = scale.shape
-        blocked = scale.reshape(rows // nu, nu, k).transpose(0, 2, 1)
-        self.preamble.append(Table(f"{prefix}re", blocked.real))
-        self.preamble.append(Table(f"{prefix}im", blocked.imag))
-        return f"{prefix}re", f"{prefix}im"
+        nb = rows // nu
+        blocks = scale.reshape(nb, nu, k).transpose(0, 2, 1)
+        flat = blocks.reshape(nb, -1)
+        differs = np.flatnonzero((flat != flat[0]).any(axis=1))
+        lo = int(differs[0]) if differs.size else nb
+        if nb % lo or not np.array_equal(flat, flat[::lo].repeat(lo, axis=0)):
+            lo = 1
+        flat = flat[::lo]
+        again = np.flatnonzero((flat[1:] == flat[0]).all(axis=1))
+        p = int(again[0]) + 1 if again.size else len(flat)
+        if len(flat) % p or not np.array_equal(
+            flat, np.tile(flat[:p], (len(flat) // p, 1))
+        ):
+            p = len(flat)
+        row = "jb" if lo == 1 else f"(jb/{lo})"
+        if p < len(flat):
+            row = f"({row}%{p})"
+        blocks = blocks[::lo][:p]
+        splat = bool((blocks == blocks[..., :1]).all())
+        if splat:
+            blocks = blocks[..., 0]
+        name = f"{kind}{'b' if splat else 'v'}{base}"
+        self.preamble.append(Table(f"{name}re", blocks.real))
+        self.preamble.append(Table(f"{name}im", blocks.imag))
+
+        def factor(u: str) -> str:
+            at = f"{row}*{k}+{u}"
+            if not splat:
+                return (
+                    f"const v{nu} cr = *(const v{nu}u *)"
+                    f"({name}re + ({at})*{nu}),"
+                    f" ci = *(const v{nu}u *)({name}im + ({at})*{nu});"
+                )
+            return _broadcast(nu, f"{name}re[{at}]", f"{name}im[{at}]")
+
+        return factor
 
     # -- loops --------------------------------------------------------------
 
@@ -403,8 +474,8 @@ class _StageEmitter:
         o = self.lines
         rows, k = loop.gather.shape
         kout = loop.scatter.shape[1]
-        g_addr = self._addr(loop.gather, f"g{base}")
-        s_addr = self._addr(loop.scatter, f"s{base}")
+        _, g_addr = self._addr(loop.gather, "g", base)
+        _, s_addr = self._addr(loop.scatter, "s", base)
         if loop.pre_scale is not None:
             self.preamble.append(
                 Table.interleaved(f"w{base}", loop.pre_scale)
@@ -461,13 +532,15 @@ class _StageEmitter:
         o.append(f"{ind}}}")
 
     def _emit_vec_loop(self, loop: BlockLoop, base: str, ind: str) -> None:
-        """The ν-blocked loop nest: ν lanes of ``loop`` per iteration.
+        """The ν-blocked loop nest: ν lanes of ``loop`` per iteration, the
+        glue around the codelet in explicit vector statements
+        (:func:`vector_prelude`) — nothing is left to an auto-vectorizer.
 
-        Gathers and scatters detect lane contiguity (after permutation
-        folding, ν consecutive rows usually address ν consecutive elements)
-        and emit contiguous deinterleaving loads; twiddle scales
-        (:class:`~repro.vector.constructs.VecDiag` diagonals folded by
-        lowering) are lane-transposed so the multiply is also unit-stride.
+        Working data sits in split re/im planes of ν-vectors (``tre[u]``
+        is element ``u`` of all ν lanes), the codelet's layout.  A
+        lane-contiguous gather is two loads and two shuffles that
+        de-interleave and a strided one ν 16-byte loads combined; scatters
+        mirror them; twiddle scales multiply in registers in between.
         """
         o = self.lines
         nu = loop.nu
@@ -475,11 +548,13 @@ class _StageEmitter:
         kout = loop.scatter.shape[1]
         nb = rows // nu
         kernel = loop.kernel
+        vec, mem = f"v{nu}", f"v{nu}u"
+        lanes = range(nu)
 
-        g_contig, g_addr = self._lane_addr(loop.gather, nu, "g", base)
-        s_contig, s_addr = self._lane_addr(loop.scatter, nu, "s", base)
-        w_names = self._lane_tables(loop.pre_scale, nu, f"wv{base}")
-        v_names = self._lane_tables(loop.post_scale, nu, f"vv{base}")
+        g_contig, g_addr = self._addr(loop.gather, "g", base, nu)
+        s_contig, s_addr = self._addr(loop.scatter, "s", base, nu)
+        w_factor = self._lane_scale(loop.pre_scale, nu, "w", base)
+        v_factor = self._lane_scale(loop.post_scale, nu, "v", base)
         cname, kname = self._kernel_names(kernel, nu)
 
         o.append(f"{ind}/* nu={nu} lanes x {nb} blocks"
@@ -487,111 +562,117 @@ class _StageEmitter:
                  f" scatter {'contig' if s_contig else 'strided'}) */")
         o.append(f"{ind}for (int jb = 0; jb < {nb}; ++jb) {{")
         o.append(
-            f"{ind}  double tre[{k * nu}] __attribute__((aligned(64)));"
-            f" double tim[{k * nu}] __attribute__((aligned(64)));"
+            f"{ind}  {vec} tre[{k}] __attribute__((aligned(64))),"
+            f" tim[{k}] __attribute__((aligned(64)));"
         )
 
-        # gather: deinterleave ν complex elements per column into the planes
+        # gather (+ pre-scale): ν complex elements per column into the planes
+        if not g_contig:
+            o.append(f"{ind}  const v2u *sc = (const v2u *)s;")
+        o.append(f"{ind}  for (int u = 0; u < {k}; ++u) {{")
         if g_contig:
-            o.append(f"{ind}  for (int u = 0; u < {k}; ++u) {{")
             o.append(
-                f"{ind}    const double *restrict p = (const double *)"
+                f"{ind}    const double *p = (const double *)"
                 f"(s + ({g_addr('jb', 'u')}));"
             )
             o.append(
-                f"{ind}    for (int l = 0; l < {nu}; ++l)"
-                f" {{ tre[u*{nu}+l] = p[2*l]; tim[u*{nu}+l] = p[2*l+1]; }}"
+                f"{ind}    const {vec} lo = *(const {mem} *)p,"
+                f" hi = *(const {mem} *)(p + {nu});"
             )
-            o.append(f"{ind}  }}")
+            o.append(
+                f"{ind}    const {vec}"
+                f" xr = SHUF({nu}, lo, hi, {_lane_list(range(0, 2 * nu, 2))}),"
+                f" xi = SHUF({nu}, lo, hi, {_lane_list(range(1, 2 * nu, 2))});"
+            )
         else:
-            o.append(f"{ind}  const double *restrict sd = (const double *)s;")
-            o.append(f"{ind}  for (int u = 0; u < {k}; ++u)")
+            o.append(f"{ind}    const v2 " + ", ".join(
+                f"c{l} = sc[{g_addr('jb', 'u', l)}]" for l in lanes
+            ) + ";")
             o.append(
-                f"{ind}    for (int l = 0; l < {nu}; ++l)"
-                f" {{ const long a = {g_addr(f'(jb*{nu}+l)', 'u')};"
-                f" tre[u*{nu}+l] = sd[2*a]; tim[u*{nu}+l] = sd[2*a+1]; }}"
+                f"{ind}    const {vec}"
+                f" xr = {{{_lane_list(f'c{l}[0]' for l in lanes)}}},"
+                f" xi = {{{_lane_list(f'c{l}[1]' for l in lanes)}}};"
             )
-
-        if w_names is not None:
-            wre, wim = w_names
-            o.append(f"{ind}  for (int u = 0; u < {k}; ++u)")
+        if w_factor is None:
+            o.append(f"{ind}    tre[u] = xr; tim[u] = xi;")
+        else:
+            o.append(f"{ind}    {w_factor('u')}")
             o.append(
-                f"{ind}    for (int l = 0; l < {nu}; ++l) {{"
-                f" const double xr = tre[u*{nu}+l], xi = tim[u*{nu}+l];"
-                f" const double cr = {wre}[(jb*{k}+u)*{nu}+l],"
-                f" ci = {wim}[(jb*{k}+u)*{nu}+l];"
-                f" tre[u*{nu}+l] = xr*cr - xi*ci;"
-                f" tim[u*{nu}+l] = xr*ci + xi*cr; }}"
+                f"{ind}    tre[u] = xr*cr - xi*ci; tim[u] = xr*ci + xi*cr;"
             )
+        o.append(f"{ind}  }}")
 
         # kernel: ν lanes at once (I_n is a pure ν-block move: the
         # gather/scatter carry the permutation)
         out_re, out_im = "tre", "tim"
         if isinstance(kernel, F2):
             o.append(
-                f"{ind}  for (int l = 0; l < {nu}; ++l) {{"
-                f" const double ar = tre[l] + tre[{nu}+l],"
-                f" ai = tim[l] + tim[{nu}+l];"
-                f" const double br = tre[l] - tre[{nu}+l],"
-                f" bi = tim[l] - tim[{nu}+l];"
-                f" tre[l] = ar; tim[l] = ai;"
-                f" tre[{nu}+l] = br; tim[{nu}+l] = bi; }} /* F_2 x {nu} */"
+                f"{ind}  {{ const {vec} ar = tre[0] + tre[1],"
+                f" ai = tim[0] + tim[1], br = tre[0] - tre[1],"
+                f" bi = tim[0] - tim[1]; tre[0] = ar; tim[0] = ai;"
+                f" tre[1] = br; tim[1] = bi; }} /* F_2 x {nu} */"
             )
         elif cname is not None or kname is not None:
             out_re, out_im = "yre", "yim"
             o.append(
-                f"{ind}  double yre[{kout * nu}] __attribute__((aligned(64)));"
-                f" double yim[{kout * nu}] __attribute__((aligned(64)));"
+                f"{ind}  {vec} yre[{kout}] __attribute__((aligned(64))),"
+                f" yim[{kout}] __attribute__((aligned(64)));"
             )
             if cname is not None:
-                o.append(f"{ind}  {cname}(tre, tim, yre, yim);")
-            else:  # dense, lane loop innermost for unit-stride FMA chains
-                o.append(f"{ind}  for (int v = 0; v < {kout * nu}; ++v)"
-                         f" {{ yre[v] = 0; yim[v] = 0; }}")
-                o.append(f"{ind}  for (int v = 0; v < {kout}; ++v)")
-                o.append(f"{ind}    for (int u = 0; u < {k}; ++u) {{")
                 o.append(
-                    f"{ind}      const double cr = {kname}[2*(v*{k}+u)],"
-                    f" ci = {kname}[2*(v*{k}+u)+1];"
+                    f"{ind}  {cname}((const double *)tre, (const double *)tim,"
+                    f" (double *)yre, (double *)yim);"
                 )
+            else:  # dense: one coefficient against ν lanes at a time
+                at = f"{kname}[2*(v*{k}+u)"
+                o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
+                o.append(f"{ind}    {vec} ar = {{0}}, ai = {{0}};")
+                o.append(f"{ind}    for (int u = 0; u < {k}; ++u) {{")
+                o.append(f"{ind}      {_broadcast(nu, at + ']', at + '+1]')}")
                 o.append(
-                    f"{ind}      for (int l = 0; l < {nu}; ++l) {{"
-                    f" yre[v*{nu}+l] += cr*tre[u*{nu}+l] - ci*tim[u*{nu}+l];"
-                    f" yim[v*{nu}+l] += cr*tim[u*{nu}+l] + ci*tre[u*{nu}+l]; }}"
+                    f"{ind}      ar += cr*tre[u] - ci*tim[u];"
+                    f" ai += cr*tim[u] + ci*tre[u];"
                 )
                 o.append(f"{ind}    }}")
+                o.append(f"{ind}    yre[v] = ar; yim[v] = ai;")
+                o.append(f"{ind}  }}")
 
         # scatter (+ post-scale): re-interleave the planes
-        load = (
-            f" double rr = {out_re}[v*{nu}+l]; double zi_ = {out_im}[v*{nu}+l];"
-        )
-        if v_names is not None:
-            vre, vim = v_names
-            load += (
-                f" const double pr = {vre}[(jb*{kout}+v)*{nu}+l],"
-                f" pi = {vim}[(jb*{kout}+v)*{nu}+l];"
-                f" const double zr = rr*pr - zi_*pi;"
-                f" zi_ = rr*pi + zi_*pr; rr = zr;"
+        if not s_contig:
+            o.append(f"{ind}  v2u *dc = (v2u *)d;")
+        o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
+        if v_factor is None:
+            o.append(
+                f"{ind}    const {vec} zr = {out_re}[v], zi = {out_im}[v];"
+            )
+        else:
+            o.append(
+                f"{ind}    const {vec} yr = {out_re}[v], yi = {out_im}[v];"
+            )
+            o.append(f"{ind}    {v_factor('v')}")
+            o.append(
+                f"{ind}    const {vec} zr = yr*cr - yi*ci, zi = yr*ci + yi*cr;"
             )
         if s_contig:
-            o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
+            half = nu // 2
+            lo, hi = (
+                _lane_list(x for l in part for x in (l, nu + l))
+                for part in (range(half), range(half, nu))
+            )
             o.append(
-                f"{ind}    double *restrict q = (double *)"
+                f"{ind}    double *q = (double *)"
                 f"(d + ({s_addr('jb', 'v')}));"
             )
             o.append(
-                f"{ind}    for (int l = 0; l < {nu}; ++l) {{{load}"
-                f" q[2*l] = rr; q[2*l+1] = zi_; }}"
+                f"{ind}    *({mem} *)q = SHUF({nu}, zr, zi, {lo});"
+                f" *({mem} *)(q + {nu}) = SHUF({nu}, zr, zi, {hi});"
             )
-            o.append(f"{ind}  }}")
         else:
-            o.append(f"{ind}  double *restrict dd = (double *)d;")
-            o.append(f"{ind}  for (int v = 0; v < {kout}; ++v)")
-            o.append(
-                f"{ind}    for (int l = 0; l < {nu}; ++l) {{{load}"
-                f" const long a = {s_addr(f'(jb*{nu}+l)', 'v')};"
-                f" dd[2*a] = rr; dd[2*a+1] = zi_; }}"
-            )
+            o.append(f"{ind}   " + "".join(
+                f" dc[{s_addr('jb', 'v', l)}] = (v2){{zr[{l}], zi[{l}]}};"
+                for l in lanes
+            ))
+        o.append(f"{ind}  }}")
         o.append(f"{ind}}}")
 
     # -- stages -------------------------------------------------------------
@@ -704,56 +785,44 @@ CHAIN_MARKER = "/* whole-plan chain: every stage above, in order, in one call */
 def emit_plan_chain(program: SigmaProgram) -> list[str]:
     """A plan's sequential driver, ``repro_plan``.
 
-    ``int repro_plan(long b, const double *x, double *y)`` calls
-    ``repro_stage0 .. repro_stage<k-1>`` in order over ``b`` rows, every
-    processor share of a stage in turn (the loop of
-    :meth:`repro.smp.runtime.SequentialRuntime.execute`, in C).  Stage 0
-    reads ``x`` in place and the last stage writes ``y``; the stages
-    between ping-pong ``y`` and one scratch row-block the call itself
-    ``malloc``s and frees, so concurrent callers share nothing (a
-    one-stage plan allocates nothing).  ``x`` is never written.  Returns
+    ``int repro_plan(long b, const double *x, double *y)`` runs the plan
+    over ``b`` rows **row by row**: for each row it calls
+    ``repro_stage0 .. repro_stage<k-1>`` in order with a batch of one,
+    every processor share of a stage in turn (the loop of
+    :meth:`repro.smp.runtime.SequentialRuntime.execute`, in C), so a row
+    stays in cache between its stages instead of the whole stack being
+    streamed once per stage.  Stage 0 reads the row of ``x`` in place and
+    the last stage writes the row of ``y``; the stages between ping-pong
+    that row of ``y`` and a **one-row**, cache-line-aligned scratch the
+    call itself allocates and frees, so concurrent callers share nothing
+    (a one-stage plan allocates nothing).  ``x`` is never written.  Returns
     non-zero, having run no stage, iff the scratch could not be
     allocated.  The chain only *calls* the stage functions: they stay the
     one implementation of a stage.  The lines begin at
     :data:`CHAIN_MARKER`.
-
-    A scratch of 4 MiB or more gets ``madvise(MADV_HUGEPAGE)`` where
-    the platform has it, which is what NumPy does for the equally large
-    buffers of its own that this one stands in for: without it the
-    scratch is the one buffer of a large transform on 4 KiB pages, and
-    n = 2^16 x 8 (8 MiB, first touched on every call) reads 6 % slower
-    than the Python walk instead of 11 % faster.
     """
     k = len(program.stages)
+    row = 2 * program.size  # doubles
     o = [CHAIN_MARKER]
     if k > 1:
-        o += [
-            "#include <stdlib.h>",
-            "#ifdef __linux__",
-            "#include <sys/mman.h>",
-            "#endif",
-        ]
+        o.append("#include <stdlib.h>")
     o.append("int repro_plan(long b, const double *x, double *y) {")
     if k > 1:
         o += [
-            "  if (b <= 0) return 0; /* malloc(0) may be NULL: no failure */",
-            f"  const size_t bytes = (size_t)b * {2 * program.size}"
-            " * sizeof(double);",
-            "  double *t = malloc(bytes);",
-            "  if (!t) return 1;",
-            "#ifdef MADV_HUGEPAGE",
-            "  if (bytes >= (size_t)1 << 22) { /* as NumPy backs its own */",
-            "    const size_t skip = 4096 - (size_t)t % 4096;",
-            "    madvise((char *)t + skip, bytes - skip, MADV_HUGEPAGE);",
-            "  }",
-            "#endif",
+            "  if (b <= 0) return 0;",
+            "  void *line = NULL; /* one row, on a cache line */",
+            f"  if (posix_memalign(&line, {CACHE_LINE},"
+            f" {row} * sizeof(double))) return 1;",
+            "  double *t = line;",
         ]
+    o.append(f"  for (long r = 0; r < b; ++r, x += {row}, y += {row}) {{")
     src = "x"
     for sid, stage in enumerate(program.stages):
         dst = "y" if (k - 1 - sid) % 2 == 0 else "t"
         for proc in range(max(len(stage.procs), 1)):
-            o.append(f"  repro_stage{sid}({proc}, b, {src}, {dst});")
+            o.append(f"    repro_stage{sid}({proc}, 1, {src}, {dst});")
         src = dst
+    o.append("  }")
     if k > 1:
         o.append("  free(t);")
     return o + ["  return 0;", "}", ""]
@@ -788,6 +857,7 @@ def emit_plan_unit(
     else:
         codelets, tables = [], TableBlob([])
         preamble = [it.to_c() for it in source.preamble] + [""]
+    widths = {lp.nu for st in program.stages for lp in st.loops} - {1}
     header = [
         "/* Generated by repro: compiled-codelet execution backend */",
         f"/* size={program.size} stages={len(program.stages)}"
@@ -796,6 +866,7 @@ def emit_plan_unit(
         "#include <complex.h>",
         "#include <math.h>",
         "typedef double complex cplx;",
+        *(vector_prelude(widths | {2}) if widths else []),
         "",
     ]
     text = "\n".join(header + preamble + source.lines) + "\n".join(
@@ -805,6 +876,7 @@ def emit_plan_unit(
 
 
 __all__ = [
+    "CACHE_LINE",
     "CHAIN_MARKER",
     "CODELET_STEM",
     "CodeletDef",
@@ -817,6 +889,5 @@ __all__ = [
     "emit_plan_chain",
     "emit_plan_unit",
     "emit_stage_functions",
-    "lane_contiguous",
     "plan_preamble",
 ]

@@ -81,7 +81,7 @@ from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import FusedStages, PlanStage
 from ..trace import get_tracer
-from .c_emit import TABLES_MACRO, emit_plan_unit
+from .c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
 from .flags import shared_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
@@ -266,8 +266,10 @@ class CompiledPlan:
         the chain's one C call on a buffer :meth:`Runtime.run_stages
         <repro.smp.runtime.Runtime.run_stages>` vouched for (flat,
         C-contiguous, aligned ``complex128``; read in place, never
-        written) and returns a fresh result, raising :class:`MemoryError`
-        if the chain could not allocate its scratch.
+        written) and returns a fresh result that starts on a cache line
+        (a slice of an allocation one line longer, which it alone keeps
+        alive), raising :class:`MemoryError` if the chain could not
+        allocate its scratch.
         """
         n = self.size
         artifact = self.artifact_info()
@@ -304,12 +306,15 @@ class CompiledPlan:
                 )
             )
 
-        def whole(flat, _chain=self._chain, _n=n):
-            b = flat.size // _n
-            out = np.empty(flat.shape, flat.dtype)
-            if _chain(b, flat.ctypes.data, out.ctypes.data):
-                raise MemoryError(f"plan n={_n}: no scratch for {b} rows")
-            return out
+        def whole(flat, _chain=self._chain, _n=n, _pad=CACHE_LINE // 16):
+            # one line over, sliced to start on a line (malloc's is 16 mod
+            # 64); the address is worked out from the one fetch of it
+            raw = np.empty(flat.size + _pad, flat.dtype)
+            at = raw.ctypes.data
+            skip = (-at % CACHE_LINE) // 16
+            if _chain(flat.size // _n, flat.ctypes.data, at + 16 * skip):
+                raise MemoryError(f"plan n={_n}: no scratch for a row")
+            return raw[skip:skip + flat.size]
 
         return FusedStages(stages, whole)
 

@@ -7,10 +7,10 @@ while the standalone builds in :mod:`.c_backend` hardcoded their own
 the code the serving path actually runs.  Every builder now derives its
 flags from :func:`optimization_tier`:
 
-* **native tier** (default): ``-O3 -march=native`` — lets gcc/clang
-  auto-vectorize the ν-wide loop bodies the vector emitter produces
-  (:mod:`repro.vector` → :mod:`repro.sigma.lower` → the C emitters) into
-  SSE/AVX on the build host;
+* **native tier** (default): ``-O3 -march=native`` — the ν-lane stage
+  text is explicit vector-extension code at any tier; this one lowers it
+  to the build host's widest ISA and lets gcc/clang auto-vectorize the
+  ν-wide codelet bodies (:mod:`repro.codegen.unroll`) beside it;
 * **portable tier**: plain ``-O2``, selected when ``REPRO_NO_SIMD`` is
   set (the forced-scalar CI lane) or when the compiler rejects
   ``-march=native`` (probed once per compiler path, memoized).

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..sigma.index_map import recover_grid
+from ..sigma.index_map import recover_affine
 from ..sigma.loops import BlockLoop, SigmaProgram
 from ..smp.runtime import PlanStage, Runtime, SequentialRuntime
 from ..spl.expr import COMPLEX, Expr
@@ -117,15 +117,19 @@ def _table_access(em: _Emitter, name: str, table: np.ndarray):
 
     A table that is one contiguous run becomes a basic slice (a view, no
     index array at all); anything else is hoisted into the constant pool,
-    annotated as a strided grid when :func:`recover_grid` finds one.
+    annotated as a strided grid when :func:`recover_affine` finds one of
+    rank 2 (a single row digit).
     """
-    grid = recover_grid(table)
+    grid = recover_affine(table)
+    if grid is not None and len(grid.digits) > 1:
+        grid = None
     rows, cols = table.shape
-    if grid and grid.col_stride == 1 and grid.row_stride == cols:
+    row_stride = grid.digits[0][1] if grid else None
+    if grid and grid.col_stride == 1 and row_stride == cols:
         lo = grid.base
         return f"{lo}:{lo + rows * cols}", True, "contiguous block"
     note = (
-        f"grid base={grid.base} row_stride={grid.row_stride} "
+        f"grid base={grid.base} row_stride={row_stride} "
         f"col_stride={grid.col_stride}"
         if grid
         else "irregular (merged permutation)"

@@ -73,7 +73,8 @@ def vectorize_formula(f: Expr, n: int, threads: int, nu: int) -> tuple[Expr, int
     Returns ``(formula, effective_nu)``.  Mirrors the backend registry's
     :func:`~repro.codegen.registry.resolve_backend` seam: a formula the
     vec rules cannot fully discharge (ν ∤ µ LinePerms, bare small-DFT
-    leaves, odd shapes) degrades to the scalar formula with a
+    leaves, odd shapes), or a ν that is not a power of two (the C glue's
+    ``vN`` types have 2^k lanes), degrades to the scalar formula with a
     ``vector.fallback`` count and a once-per-process warning —
     plan building never fails because a ν was requested.  ``REPRO_NO_SIMD``
     forces scalar plans outright (counted as ``vector.no_simd``).
@@ -87,6 +88,8 @@ def vectorize_formula(f: Expr, n: int, threads: int, nu: int) -> tuple[Expr, int
         counters.add("no_simd")
         return f, 1
     try:
+        if nu & (nu - 1):
+            raise SPLError(f"ν = {nu} is not a power of two")
         with tr.span("frontend.vectorize", "rewrite", nu=nu):
             v = vectorize_smp(f, nu) if threads > 1 else vectorize(f, nu)
         return v, nu

@@ -1,11 +1,11 @@
 """Sigma-SPL: loop-level intermediate representation and loop merging."""
 
 from .index_map import (
-    GridForm,
+    AffineForm,
     SliceForm,
     diag_values,
     invert_table,
-    recover_grid,
+    recover_affine,
     recover_slice,
     source_table,
 )
@@ -14,8 +14,8 @@ from .lower import LoweringError, is_diag_stage, is_perm_stage, lower
 from .normalize import normalize_for_lowering
 
 __all__ = [
+    "AffineForm",
     "BlockLoop",
-    "GridForm",
     "LoweringError",
     "SigmaProgram",
     "SigmaValidationError",
@@ -27,7 +27,7 @@ __all__ = [
     "is_perm_stage",
     "lower",
     "normalize_for_lowering",
-    "recover_grid",
+    "recover_affine",
     "recover_slice",
     "source_table",
 ]

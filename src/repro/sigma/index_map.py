@@ -91,34 +91,69 @@ def recover_slice(row: np.ndarray) -> Optional[SliceForm]:
 
 
 @dataclass(frozen=True)
-class GridForm:
-    """A recovered 2-D strided access family for a whole loop.
+class AffineForm:
+    """A recovered mixed-radix affine access family for a whole loop.
 
-    Row ``j`` of the gather/scatter matrix is
-    ``base + j*row_stride + col_stride*arange(k)``.
+    Row ``j`` of the gather/scatter matrix is lane ``l = j % lanes`` of
+    block ``jb = j // lanes``, and ``jb`` is read in the mixed radix
+    ``digits`` — ``((radix, stride), ...)``, least significant first::
+
+        index[j, u] = base + l*lane_stride + sum(digit_d(jb)*stride_d)
+                      + u*col_stride
+
+    One digit and one lane is the rank-2 grid ``base + j*row_stride +
+    u*col_stride``; a stride permutation folded into a loop adds a digit,
+    never a table (the index-function algebra of the paper's ref [11],
+    recovered here by checking rather than derived).
     """
 
     base: int
-    row_stride: int
+    digits: tuple[tuple[int, int], ...]
     col_stride: int
-    rows: int
     cols: int
+    lanes: int = 1
+    lane_stride: int = 0
 
     def indices(self) -> np.ndarray:
-        j = np.arange(self.rows, dtype=np.intp)[:, None]
+        rows = np.zeros(1, dtype=np.intp)
+        for radix, stride in self.digits:
+            step = stride * np.arange(radix, dtype=np.intp)
+            rows = (step[:, None] + rows[None, :]).reshape(-1)
+        lane = self.lane_stride * np.arange(self.lanes, dtype=np.intp)
+        rows = (rows[:, None] + lane[None, :]).reshape(-1, 1)
         t = np.arange(self.cols, dtype=np.intp)[None, :]
-        return self.base + j * self.row_stride + t * self.col_stride
+        return self.base + rows + t * self.col_stride
 
 
-def recover_grid(table: np.ndarray) -> Optional[GridForm]:
-    """Recognize a rank-1-in-each-axis structure in a 2-D index table."""
-    if table.ndim != 2 or table.size == 0:
+def recover_affine(table: np.ndarray, lanes: int = 1) -> Optional[AffineForm]:
+    """Recognize a mixed-radix affine structure in a 2-D index table.
+
+    Strides are read off the first row and column, each digit's radix is
+    the length of its arithmetic run, and the form is accepted only if it
+    reproduces ``table`` exactly.
+    """
+    if table.ndim != 2 or table.size == 0 or table.shape[0] % lanes:
         return None
-    rows, cols = table.shape
-    base = int(table[0, 0])
-    col_stride = int(table[0, 1] - table[0, 0]) if cols > 1 else 1
-    row_stride = int(table[1, 0] - table[0, 0]) if rows > 1 else 1
-    form = GridForm(base, row_stride, col_stride, rows, cols)
+    cols = table.shape[1]
+    first = table[:, 0] - table[0, 0]
+    block = first[::lanes]
+    digits = []
+    while not digits or block.size > 1:  # one row is one digit of radix 1
+        stride = int(block[1]) if block.size > 1 else 1
+        run = block == stride * np.arange(block.size)
+        radix = block.size if run.all() else int(np.argmin(run))
+        if block.size % radix:
+            return None
+        digits.append((radix, stride))
+        block = block[::radix]
+    form = AffineForm(
+        int(table[0, 0]),
+        tuple(digits),
+        int(table[0, 1] - table[0, 0]) if cols > 1 else 1,
+        cols,
+        lanes,
+        int(first[1]) if lanes > 1 else 0,
+    )
     if np.array_equal(form.indices(), table):
         return form
     return None

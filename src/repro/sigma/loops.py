@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..spl.expr import COMPLEX, Expr
-from .index_map import GridForm, recover_grid
 
 
 @dataclass
@@ -98,12 +97,6 @@ class BlockLoop:
         if self.post_scale is not None:
             total += 6 * self.post_scale.size
         return total
-
-    def gather_grid(self) -> Optional[GridForm]:
-        return recover_grid(self.gather)
-
-    def scatter_grid(self) -> Optional[GridForm]:
-        return recover_grid(self.scatter)
 
 
 @dataclass

@@ -23,8 +23,8 @@ import pytest
 
 from repro.codegen import registry
 from repro.codegen.c_emit import (
+    CACHE_LINE,
     CODELET_STEM,
-    TABLE_ALIGN,
     CodeletDef,
     Table,
     TableBlob,
@@ -112,7 +112,7 @@ class TestThreeProducts:
                 [float(tok) for tok in body.rstrip("};").split(",")]
             ).astype(dtype)
             at = blob.offsets[table.name]
-            assert at % TABLE_ALIGN == 0
+            assert at % CACHE_LINE == 0
             stored = np.frombuffer(data, dtype, parsed.size, at)
             assert stored.tobytes() == parsed.tobytes()  # bit for bit
 
@@ -120,7 +120,6 @@ class TestThreeProducts:
         tables = _source(_program(2 ** 12, nu=4)).tables
         blob = TableBlob(tables)
         total = sum(t.flat().nbytes for t in tables)
-        assert blob.nbytes < 0.75 * total  # 221,184 B of tables in 151,552
         by_offset: dict = {}
         for t in tables:
             by_offset.setdefault(blob.offsets[t.name], []).append(t)
@@ -128,14 +127,20 @@ class TestThreeProducts:
         assert shared
         for ts in shared:
             assert len({t.flat().tobytes() for t in ts}) == 1
+        # every repeated byte is saved, none else: 67,584 B of tables in
+        # 66,560 — stages 1 and 3 share one 2 x 512 B broadcast pair (it
+        # was 221,184 in 151,552 while they carried whole planes and
+        # ``int`` tables, most of what there was to share)
+        repeated = sum(t.flat().nbytes for ts in shared for t in ts[1:])
+        assert repeated == 1024 and blob.nbytes == total - repeated == 66560
 
     def test_dedupe_is_by_content_not_by_name(self):
         a = Table("a", np.arange(5))
         b = Table("b", np.arange(5).astype(np.int64))
         c = Table("c", np.arange(5) + 1)
         blob = TableBlob([a, c, b])
-        assert blob.offsets == {"a": 0, "c": TABLE_ALIGN, "b": 0}
-        assert blob.nbytes == TABLE_ALIGN + 5 * 4
+        assert blob.offsets == {"a": 0, "c": CACHE_LINE, "b": 0}
+        assert blob.nbytes == CACHE_LINE + 5 * 4
 
     def test_the_unit_declares_and_binds_and_defines_neither(self):
         program = _program(2 ** 12, nu=4)

@@ -7,25 +7,35 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
 
 ``"stages"``
     The stage functions — plan source from the ``repro_stage0`` definition
-    to ``CHAIN_MARKER`` — recorded at the last commit that printed tables
-    and codelets into the plan source, before the edit that moved them
-    out.  It is the "the loops did not change" alarm: the loop nests are
-    what runs, and they have not moved a byte since the C emitters were
-    merged.
+    to ``CHAIN_MARKER``.  It is the "the loops did not change" alarm: the
+    loop nests are what runs.  First recorded at the last commit that
+    printed tables and codelets into the plan source; re-recorded once,
+    deliberately, in PR 22's step 3, which changed what the loops *are*:
+    every ν > 1 nest became explicit vector-extension statements over
+    affine index forms (42 digests), and the ν = 1 nests of k = 11 and 12
+    moved because an ``int`` table became a two-digit affine expression
+    (6 digests).  The other 15 — ν = 1, k <= 10 — did not move a byte.
 ``"plan"``
     Everything before ``CHAIN_MARKER``: the unit's preamble and the stage
-    functions.  Re-recorded once, deliberately, in the commit that made
-    the preamble *declare* tables (values in a binary file whose digest
-    the preamble carries) and *bind* codelets (bodies in content-addressed
-    objects) where it used to define both as text; until then it had
-    never moved.
+    functions.  Re-recorded in the commit that made the preamble *declare*
+    tables (values in a binary file whose digest the preamble carries) and
+    *bind* codelets (bodies in content-addressed objects), and twice in
+    PR 22: all 63 with the twiddle fix (``spl.matrices.omega``: roots of
+    unity from an exactly reduced exponent instead of a rounded root
+    raised to a power, so every table digest and every codelet symbol the
+    preamble names changed value — the loops did not: ``"stages"`` held),
+    then the 48 of step 3 above (plus the vector prelude ahead of them).
 ``"plan_chain"``
     The trailer (marker to end of file), recorded in the commit that
-    added it.
+    added it and re-recorded in PR 22's steps 1 and 2: the chain runs row
+    by row over a one-row scratch, allocated by ``posix_memalign``.
 ``"codelet"``
     The library definition of each distinct codelet, k in {2,4,8,16,32} x
     nu in {1,2,4}: the text a ``codelet_<key>.o`` is compiled from and its
-    symbol derived from.
+    symbol derived from.  The nine with k >= 8 moved with PR 22's twiddle
+    fix (their constants are now correctly rounded and symmetric:
+    ``0.7071067811865476`` four times, where ``...75``, ``...74`` and
+    ``...77`` stood beside it); untouched by steps 1-3.
 ``"generate_c"``
     The standalone program's driver tail, one per mode: what
     ``generate_c`` appends to the plan's single-file text (driver +
@@ -44,9 +54,9 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
 
 Every ``.so`` cache key is a hash of the *whole* plan source, so a digest
 of ``"plan"`` or ``"plan_chain"`` that moves means every cached object on
-every host recompiles once — as adding the chain did, and as moving the
-tables and codelets out did; a ``"codelet"`` digest that moves recompiles
-that codelet's object and every plan that names it.
+every host recompiles once — as adding the chain did, as moving the
+tables and codelets out did, and as PR 22 did; a ``"codelet"`` digest that
+moves recompiles that codelet's object and every plan that names it.
 """
 
 import hashlib

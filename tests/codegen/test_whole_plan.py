@@ -6,7 +6,11 @@ stage inside the shared object; :class:`SequentialRuntime` takes it, every
 pool and the tracer still walk stage by stage.  Pinned here:
 
 * **bit for bit** — the one call and the walk run the same C functions in
-  the same order: equal outputs, equal ``ExecutionStats``;
+  the same order per row (the chain runs a row through every stage before
+  the next row, over a one-row scratch): equal outputs, equal
+  ``ExecutionStats``;
+* **the result starts on a cache line and owns its memory** — wherever the
+  input sits in its line;
 * **only the sequence as built is fused** — every derived or edited list is
   walked, counted by wrapping ``work`` and by spying on the chain;
 * **tracing keeps its stages** — one ``smp`` span and one
@@ -21,6 +25,7 @@ Everything needs a C compiler; the ``no-compiler`` lane skips the module.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import sys
 import threading
@@ -29,8 +34,16 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codegen.c_emit import CHAIN_MARKER
-from repro.codegen.compiled_backend import compile_plan, compiled_available
+from repro.codegen.c_emit import CHAIN_MARKER, emit_plan_unit
+from repro.codegen.compiled_backend import (
+    DEFAULT_CODELET_MAX,
+    compile_plan,
+    compiled_available,
+    emit_plan_source,
+    find_compiler,
+    run_cc,
+)
+from repro.codegen.flags import shared_cflags
 from repro.frontend import feasible_threads, generate_fft
 from repro.mp import PlanSpec, ProcessPoolRuntime
 from repro.serve.batch_exec import run_batched
@@ -134,7 +147,7 @@ def test_every_stage_count_lands_in_the_result(k, nstages, rng):
     trailer = plan.so_path.with_suffix(".c").read_text().partition(
         CHAIN_MARKER
     )[2]
-    assert ("malloc(" in trailer) == (nstages > 1)
+    assert ("posix_memalign(" in trailer) == (nstages > 1)
     stages, calls = _spied(plan)
     X = _stack(rng, 3, n)
     fused, _ = run_batched(stages, n, X, SEQ)
@@ -145,6 +158,49 @@ def test_every_stage_count_lands_in_the_result(k, nstages, rng):
     np.testing.assert_allclose(
         fused, np.fft.fft(X, axis=-1), atol=1e-9 * n, rtol=1e-9
     )
+
+
+@pytest.mark.parametrize("offset", [0, 16, 48])
+@pytest.mark.parametrize("b", [0, 1, 3, 8])
+def test_row_resident_chain_on_line_aligned_buffers(b, offset, rng):
+    """Rows are independent, so row-outermost equals stage-outermost bit
+    for bit; the input is read where it lies (0 / 16 / 48 bytes into a
+    line, read-only), the result is 64-byte aligned, and the only thing
+    that outlives the call is the result's own allocation."""
+    n = 4096
+    plan = _plan(n, nu=4)
+    assert plan.nstages == 4
+    raw = np.empty(b * n * 16 + 128, np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    X = raw[start:start + b * n * 16].view(COMPLEX).reshape(b, n)
+    X[...] = _stack(rng, b, n)
+    X.flags.writeable = False
+    assert not b or X.ctypes.data % 64 == offset
+    stages, calls = _spied(plan)
+    fused, _ = run_batched(stages, n, X, SEQ)
+    assert calls == [b]
+    np.testing.assert_array_equal(
+        fused, run_batched(list(stages), n, X, SEQ)[0]
+    )
+    assert fused.shape == (b, n)
+    assert not b or fused.ctypes.data % 64 == 0
+    owner = fused.base
+    assert owner.base is None and owner.flags.owndata
+    assert owner.size == b * n + 4  # one line longer, nothing more
+    del owner
+    holders = sys.getrefcount(fused.base)
+    assert holders == 2  # the result's reference, and this call's
+
+
+def test_the_scratch_is_one_row_whatever_the_batch():
+    n = 4096
+    trailer = emit_plan_source(generate_fft(n, nu=4).program).partition(
+        CHAIN_MARKER
+    )[2]
+    head, _, body = trailer.partition("for (long r = 0; r < b; ++r")
+    assert f"posix_memalign(&line, 64, {2 * n} * sizeof(double))" in head
+    assert "b *" not in head and "b*" not in head
+    assert body.count("repro_stage") == 4 and body.count("(0, 1, ") == 4
 
 
 def test_portable_flag_tier_through_the_chain(rng, monkeypatch):
@@ -309,14 +365,36 @@ class TestInputIsReadNeverWritten:
         assert calls == []
 
 
-def test_failed_scratch_allocation_is_a_memory_error(plan256, rng):
+def test_failed_scratch_allocation_is_a_memory_error(plan256, rng, tmp_path):
     n = 256
     assert plan256.nstages > 1
-    # the chain allocates before it runs any stage: with a row count no
-    # allocator can serve it returns non-zero having touched neither buffer
-    assert plan256._chain(1 << 44, 0, 0) != 0
-    failing = dataclasses.replace(plan256, _chain=lambda b, x, y: 1)
+    # the chain allocates its one row before it runs any stage and returns
+    # non-zero, having touched neither buffer, when it cannot: the same
+    # program's single-file unit, built against an allocator that refuses
+    # (the scratch is one row whatever ``b``, so no row count exhausts it)
+    cc = find_compiler()
+    unit = emit_plan_unit(
+        generate_fft(n, nu=4).program, DEFAULT_CODELET_MAX, linked=False
+    )
+    (tmp_path / "plan.c").write_text(unit.text)
+    (tmp_path / "nomem.c").write_text(
+        "int nomem(void **p, unsigned long a, unsigned long n) { return 12; }"
+    )
+    run_cc(
+        cc,
+        [*shared_cflags(cc), "-Dposix_memalign=nomem", "-o", "plan.so",
+         "plan.c", "nomem.c", "-lm"],
+        tmp_path,
+    )
+    chain = ctypes.CDLL(str(tmp_path / "plan.so")).repro_plan
+    chain.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
     X = _stack(rng, 2, n)
+    Y = np.full_like(X, 7.0)
+    before = X.copy()
+    assert chain(2, X.ctypes.data, Y.ctypes.data) != 0
+    assert (Y == 7.0).all() and np.array_equal(X, before)
+    # ... which the runtime turns into the caller's exception
+    failing = dataclasses.replace(plan256, _chain=lambda b, x, y: 1)
     with pytest.raises(MemoryError, match="scratch"):
         run_batched(failing.plan_stages(), n, X, SEQ)
 

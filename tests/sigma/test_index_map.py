@@ -6,7 +6,7 @@ import pytest
 from repro.sigma import (
     diag_values,
     invert_table,
-    recover_grid,
+    recover_affine,
     recover_slice,
     source_table,
 )
@@ -84,13 +84,40 @@ class TestStructureRecovery:
         j = np.arange(4)[:, None]
         t = np.arange(3)[None, :]
         table = 7 + 12 * j + 2 * t
-        g = recover_grid(table)
-        assert (g.base, g.row_stride, g.col_stride) == (7, 12, 2)
+        g = recover_affine(table)
+        assert (g.base, g.digits, g.col_stride) == (7, ((4, 12),), 2)
         np.testing.assert_array_equal(g.indices(), table)
 
     def test_grid_rejects_irregular(self):
         table = np.array([[0, 1], [2, 4]])
-        assert recover_grid(table) is None
+        assert recover_affine(table) is None
+        # a run that does not divide the row count is no digit
+        assert recover_affine(np.array([[0], [1], [2], [7], [8]])) is None
+
+    def test_a_folded_stride_permutation_is_one_more_digit(self):
+        """2^16's stage-2 gather: ``(jb%64)*1024 + jb/64 + l*256 + u*16``."""
+        jb = np.arange(1024)[:, None, None]
+        lane = np.arange(4)[None, :, None]
+        u = np.arange(16)[None, None, :]
+        table = (jb % 64 * 1024 + jb // 64 + lane * 256 + u * 16).reshape(
+            4096, 16
+        )
+        f = recover_affine(table, 4)
+        assert (f.base, f.digits, f.col_stride) == (
+            0, ((64, 1024), (16, 1)), 16
+        )
+        assert (f.lanes, f.lane_stride) == (4, 256)
+        np.testing.assert_array_equal(f.indices(), table)
+        # read row by row the lane is the lowest digit, and 4 steps of 256
+        # run on into 64 of 1024: one digit
+        assert recover_affine(table).digits == ((256, 256), (16, 1))
+        assert recover_affine(table, 3) is None  # lanes must divide rows
+
+    def test_one_row_and_one_column(self):
+        f = recover_affine(np.array([[5, 8, 11]]))
+        assert (f.base, f.digits, f.col_stride) == (5, ((1, 1),), 3)
+        f = recover_affine(np.array([[5], [5], [5]]))
+        assert (f.digits, f.col_stride) == (((3, 0),), 1)
 
     def test_grid_on_lowered_ct_gathers(self):
         """The strided stage of a CT formula recovers as a clean grid."""
@@ -101,4 +128,4 @@ class TestStructureRecovery:
         # second stage is DFT_4 (x) I_4: gathers should be grid-structured
         stage = prog.stages[-1]
         for lp in stage.loops:
-            assert lp.gather_grid() is not None
+            assert len(recover_affine(lp.gather).digits) == 1
