@@ -135,7 +135,7 @@ class ServeClient:
         self._connect()
         self.reconnects_total += 1
 
-    def _read_response(self) -> tuple[dict, Optional[bytes]]:
+    def _read_response(self) -> tuple[dict, Optional[memoryview]]:
         frame = self._conn.recv()
         if frame is None:
             raise ConnectionError("server closed the connection")

@@ -60,7 +60,7 @@ class _ServerSession(Session):
         self._drainer = threading.Thread(target=self._drain, daemon=True)
         self._drainer.start()
 
-    def dispatch(self, msg: dict, payload: Optional[bytes]) -> None:
+    def dispatch(self, msg: dict, payload: Optional[memoryview]) -> None:
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.conn_reset"):
             # chaos: hard-reset the connection mid-conversation; clients
@@ -69,7 +69,7 @@ class _ServerSession(Session):
             raise ConnectionAbortedError("injected fault: connection reset")
         Session.dispatch(self, msg, payload)
 
-    def fft(self, req_id, msg: dict, payload: bytes) -> None:
+    def fft(self, req_id, msg: dict, payload: memoryview) -> None:
         """Admit one request: queue an error header, or its ticket."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
@@ -112,25 +112,32 @@ class _ServerSession(Session):
         """Write responses in request order as results become available.
 
         The flush is deferred while more work is already queued, so the
-        responses to a pipelined burst leave in one flush (one syscall,
-        one TCP segment train) instead of one flush per response.
+        responses to a pipelined burst leave in one write (one syscall,
+        one TCP segment train) instead of one per response.  What is
+        queued are *unresolved* tickets: before blocking on one, whatever
+        a deferred flush owes is sent — a finished response never waits
+        for the next request's compute.
         """
-        get, empty, send = self._pending.get, self._pending.empty, \
-            self.conn.send
+        get, empty = self._pending.get, self._pending.empty
+        send, flush = self.conn.send, self.conn.flush
+        owed = False  # an earlier send deferred its flush
         while True:
             item, y = get(), None
             if item is None:
-                return
-            if not isinstance(item, dict):
-                ticket, req_id, timeout = item
-                try:
-                    y = ticket.result(None if timeout is None
-                                      else timeout + 1.0)
-                    item = {"id": req_id, "ok": True}
-                except Exception as exc:
-                    item = exception_response(req_id, exc)
+                return  # whatever is still owed, the connection's close sends
             try:
-                send(item, y, empty())
+                if not isinstance(item, dict):
+                    ticket, req_id, timeout = item
+                    if owed and not ticket.done():
+                        flush()
+                    try:
+                        y = ticket.result(None if timeout is None
+                                          else timeout + 1.0)
+                        item = {"id": req_id, "ok": True}
+                    except Exception as exc:
+                        item = exception_response(req_id, exc)
+                owed = not empty()
+                send(item, y, not owed)
             except (OSError, ValueError):
                 return  # the connection is gone, or was closed under us
 

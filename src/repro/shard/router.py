@@ -21,11 +21,11 @@ Mechanics per client connection:
   idle client is not a dead shard); responses return to the client as
   shards produce them (the protocol is id-matched, so cross-shard
   reordering is legal);
-* every in-flight request is remembered (header + payload bytes) until
-  its response arrives, so when an upstream dies mid-request the router
-  ejects the shard from the ring and **replays** the orphaned requests
-  on the ranges' new owners — FFT is idempotent, which is what makes
-  transparent failover sound;
+* every in-flight request is remembered (header + the payload buffer it
+  was received into) until its response arrives, so when an upstream dies
+  mid-request the router ejects the shard from the ring and **replays**
+  the orphaned requests on the ranges' new owners — FFT is idempotent,
+  which is what makes transparent failover sound;
 * the first sighting of a plan key triggers an async **prewarm** of the
   owner's ring successors (the shards that inherit the key's range on
   failure), so failover lands on a warm plan cache;
@@ -68,7 +68,7 @@ class _Pending:
 
     __slots__ = ("msg", "payload", "key", "shard_id", "attempts", "t0")
 
-    def __init__(self, msg: dict, payload: Optional[bytes], key: str,
+    def __init__(self, msg: dict, payload: Optional[memoryview], key: str,
                  shard_id: str):
         self.msg = msg
         self.payload = payload
@@ -155,7 +155,7 @@ class _Session(Session):
 
     # -- client side -----------------------------------------------------------
 
-    def reply(self, msg: dict, payload: Optional[bytes] = None) -> None:
+    def reply(self, msg: dict, payload: Optional[memoryview] = None) -> None:
         """Write one response frame to the client (thread-safe)."""
         try:
             self.conn.send(msg, payload)
@@ -180,7 +180,7 @@ class _Session(Session):
             self.reply(exception_response(req_id, exc))
         return None
 
-    def fft(self, req_id, msg: dict, payload: bytes) -> None:
+    def fft(self, req_id, msg: dict, payload: memoryview) -> None:
         """Place one fft request on its owning shard (or its successor)."""
         routed = self._route(req_id, msg["shape"][-1], msg)
         if routed is None:
@@ -289,7 +289,7 @@ class _Session(Session):
     # -- upstream callbacks ----------------------------------------------------
 
     def on_upstream_response(self, shard_id: str, msg: dict,
-                             payload: Optional[bytes]) -> None:
+                             payload: Optional[memoryview]) -> None:
         with self._lock:
             pend = self._pending.pop(msg.get("id"), None)
         if pend is not None:

@@ -3,6 +3,7 @@
 import io
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -23,13 +24,16 @@ from repro.serve import (
 )
 from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
+    FrameConn,
     FrameError,
     _read_frame_raw,
     dump_line,
+    payload_array,
     read_frame,
     write_frame,
 )
 from repro.serve.server import FFTServer
+from repro.serve.service import FFTTicket
 
 
 @pytest.fixture()
@@ -152,6 +156,50 @@ class TestServer:
             with pytest.raises(RemoteError) as exc_info:
                 client.request("fft", data="nope")
             assert exc_info.value.code == "bad-request"
+
+
+class _GatedService:
+    """As much of a service as a session uses; tickets resolve only when
+    the test says so."""
+
+    config = ServeConfig()
+    health = stats = staticmethod(dict)
+
+    def __init__(self):
+        self.tickets: list = []
+        self.admitted = threading.Semaphore(0)
+
+    def submit(self, x, **hints):
+        self.tickets.append((FFTTicket(), x))
+        self.admitted.release()
+        return self.tickets[-1][0]
+
+
+def test_a_finished_response_does_not_wait_for_the_next_requests_compute():
+    """The drain defers a flush while more is queued — but what is queued
+    are unresolved tickets: before blocking on one it must send what it
+    holds (the n=64 reply used to arrive with the big one behind it)."""
+    service = _GatedService()
+    srv = FFTServer(("127.0.0.1", 0), service)
+    srv.serve_background()
+    try:
+        conn = FrameConn.dial(("127.0.0.1", srv.port), 10.0)
+        conn.send({"op": "fft", "id": 1}, _vec(8), flush=False)
+        conn.send({"op": "fft", "id": 2}, _vec(8))
+        for _ in range(2):  # both admitted: the second is queued
+            assert service.admitted.acquire(timeout=10)
+        (first, x1), (second, x2) = service.tickets
+        first._resolve(result=2 * x1)
+        # readable now, with the second ticket still unresolved
+        msg, buf = conn.recv()
+        assert msg["id"] == 1 and not second.done()
+        np.testing.assert_array_equal(payload_array(msg, buf), 2 * x1)
+        second._resolve(result=3 * x2)
+        assert conn.recv()[0]["id"] == 2
+        conn.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 class TestLoadgen:
