@@ -35,15 +35,16 @@ kernel → twiddle scale → scatter chain is fused into one loop nest:
   ``codelet_max`` unrolled straight-line codelets
   (:class:`repro.codegen.unroll.Codelet`), larger ones a dense
   coefficient-table multiply;
-* loops carrying ``nu > 1`` from the ``vec(ν)`` rewriting
-  (:mod:`repro.vector`) run ν lanes per iteration in **explicit**
-  GCC/Clang vector-extension statements (:func:`vector_prelude`), never
-  lane loops left to an auto-vectorizer: working data in **split re/im
-  planes** of ν-vectors (element-major, lane-minor — the codelets'
-  layout), no ``double complex`` arithmetic (no ``__muldc3`` calls),
-  64-byte-aligned locals, ``restrict``-qualified stage pointers (source
-  and dest never alias: the drivers double-buffer), and twiddle planes
-  that repeat stored once (:meth:`_StageEmitter._lane_scale`).
+* every loop runs its ν lanes per iteration (``loop.nu``: 1 for a scalar
+  loop — the one-lane case of the same text — more from the ``vec(ν)``
+  rewriting, :mod:`repro.vector`) in **explicit** GCC/Clang
+  vector-extension statements (:func:`vector_prelude`), never lane loops
+  left to an auto-vectorizer: working data in **split re/im planes** of
+  ν-vectors (element-major, lane-minor — the codelets' layout), no
+  ``double complex`` arithmetic (no ``__muldc3`` calls), 64-byte-aligned
+  locals, ``restrict``-qualified stage pointers (source and dest never
+  alias: the drivers double-buffer), and twiddle planes that repeat stored
+  once (:meth:`_StageEmitter._lane_scale`).
 """
 
 from __future__ import annotations
@@ -86,19 +87,14 @@ class Table:
     """One constant table the stage text indexes: a C name and its values.
 
     Integer arrays are C ``int`` (index tables), everything else ``double``
-    (one plane, or interleaved re/im pairs from :meth:`interleaved`).  The
-    values are kept as given — usually a view of the program's own arrays
-    — and flattened on demand, so a product holds no copy of its tables.
+    (one plane of a twiddle table, or a dense kernel's interleaved re/im
+    pairs).  The values are kept as given — usually a view of the
+    program's own arrays — and flattened on demand, so a product holds no
+    copy of its tables.
     """
 
     name: str
     values: np.ndarray
-
-    @classmethod
-    def interleaved(cls, name: str, values: np.ndarray) -> "Table":
-        """A complex array as ``double`` re/im pairs."""
-        flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)
-        return cls(name, flat.view(np.float64))
 
     @property
     def ctype(self) -> str:
@@ -195,7 +191,8 @@ class TableBlob:
 class CodeletDef:
     """One unrolled codelet: the name the stage text calls, ν, the code.
 
-    Codelet text is printed here, by :meth:`to_c`, for both C targets.
+    Codelet text is printed here, by :meth:`to_c`, for both C targets and
+    every ν: ν lanes over split re/im planes (:meth:`Codelet.to_c_vec`).
     """
 
     name: str
@@ -207,9 +204,7 @@ class CodeletDef:
         codelet = self.codelet
         if name is not None:
             codelet = dataclasses.replace(codelet, name=name)
-        if self.nu > 1:
-            return codelet.to_c_vec(self.nu, linkage)
-        return codelet.to_c(linkage)
+        return codelet.to_c_vec(self.nu, linkage)
 
     @cached_property
     def definition(self) -> str:
@@ -229,10 +224,9 @@ class CodeletDef:
 
     def object_source(self) -> str:
         """The codelet as a translation unit of its own."""
-        lanes = f" x {self.nu} lanes" if self.nu > 1 else ""
         return "\n".join([
             "/* Generated by repro: codelet object"
-            f" (size {self.codelet.size}{lanes}) */",
+            f" (size {self.codelet.size} x {self.nu} lanes) */",
             "#include <complex.h>",
             "typedef double complex cplx;",
             f"#define {CODELET_STEM} {self.symbol}",
@@ -317,27 +311,19 @@ class _StageEmitter:
         self.preamble: list[Table | CodeletDef] = []
         self.lines: list[str] = []
         self._codelets: dict = {}
-        self._vec_codelets: dict = {}
         self._dense: dict = {}
 
     # -- kernel registry ----------------------------------------------------
 
     def _codelet(self, kernel, nu: int) -> Optional[str]:
-        """Name of the kernel's unrolled codelet, or None above the bound.
-
-        ``nu > 1`` selects the ν-lane split re/im variant
-        (:meth:`Codelet.to_c_vec`); the two families number independently.
-        """
+        """Name of the kernel's unrolled ν-lane codelet
+        (:meth:`Codelet.to_c_vec`), or None above the bound."""
         if kernel.cols > self.codelet_max or kernel.rows != kernel.cols:
             return None
-        names = self._vec_codelets if nu > 1 else self._codelets
+        names = self._codelets
         key = (kernel._key(), nu)
         if key not in names:
-            name = (
-                f"vcodelet{len(names)}_v{nu}" if nu > 1
-                else f"codelet{len(names)}"
-            )
-            names[key] = name
+            names[key] = name = f"vcodelet{len(names)}_v{nu}"
             codelet = Codelet.from_formula(codelet_formula(kernel), name)
             self.preamble.append(CodeletDef(name, nu, codelet))
         return names[key]
@@ -354,28 +340,29 @@ class _StageEmitter:
         key = kernel._key()
         if key not in self._dense:  # dense fallback above the unroll bound
             self._dense[key] = f"kmat{len(self._dense)}"
-            self.preamble.append(
-                Table.interleaved(self._dense[key], kernel.to_matrix())
+            matrix = np.ascontiguousarray(kernel.to_matrix(), np.complex128)
+            self.preamble.append(  # as double re/im pairs
+                Table(self._dense[key], matrix.reshape(-1).view(np.float64))
             )
         return None, self._dense[key]
 
     # -- addressing ---------------------------------------------------------
 
     def _addr(
-        self, table: np.ndarray, kind: str, base: str, nu: int = 1
+        self, table: np.ndarray, kind: str, base: str, nu: int
     ) -> tuple[bool, Callable[..., str]]:
         """``(lane-contiguous?, C expression factory)`` for ``table``.
 
-        ``addr(j, u, l=0)`` is the element column ``u`` of row ``j``
-        addresses — with ``nu > 1``, of lane ``l`` of *block* ``j``; the
-        lanes are contiguous when ν consecutive rows address ν consecutive
-        elements (permutation folding keeps that in every stage but the
-        one that absorbed the in-register transpose, whose lanes sit ν
-        apart).  Closed-form when the table is a recovered
-        :class:`~repro.sigma.index_map.AffineForm` (one term per digit of
-        ``j``); a map no form reproduces is emitted as ``int`` data:
-        ``<kind><base>`` for a scalar loop, per block (``vb``) when the
-        lanes are contiguous, else per row (``v``).
+        ``addr(j, u, l=0)`` is the element column ``u`` of lane ``l`` of
+        *block* ``j`` addresses; the lanes are contiguous when ν
+        consecutive rows address ν consecutive elements (permutation
+        folding keeps that in every stage but the one that absorbed the
+        in-register transpose, whose lanes sit ν apart; one lane has no
+        neighbour to be contiguous with).  Closed-form when the table is a
+        recovered :class:`~repro.sigma.index_map.AffineForm` (one term per
+        digit of ``j``); a map no form reproduces is emitted as ``int``
+        data: per block (``<kind>vb<base>``) when the lanes are
+        contiguous, else per row (``<kind>v<base>``).
         """
         form = recover_affine(table, nu)
         if form is not None:
@@ -395,13 +382,12 @@ class _StageEmitter:
             )
         k = table.shape[1]
         blocks = table.reshape(-1, nu, k)
-        contig = nu > 1 and np.array_equal(
-            blocks, blocks[:, :1] + np.arange(nu)[:, None]
-        )
-        name = kind + ("vb" if contig else "v" if nu > 1 else "") + base
+        steps = np.diff(blocks, axis=1)  # lane to lane: none at one lane
+        contig = steps.size > 0 and bool((steps == 1).all())
+        name = kind + ("vb" if contig else "v") + base
         self.preamble.append(Table(name, table[::nu] if contig else table))
-        if contig or nu == 1:
-            return contig, lambda j, u, l=0: f"{name}[{j}*{k} + {u}]"
+        if contig:
+            return True, lambda j, u, l=0: f"{name}[{j}*{k} + {u}]"
         return False, lambda j, u, l=0: f"{name}[({j}*{nu}+{l})*{k} + {u}]"
 
     def _lane_scale(
@@ -462,86 +448,19 @@ class _StageEmitter:
     # -- loops --------------------------------------------------------------
 
     def emit_loop(self, loop: BlockLoop, sid: int, lid: int, ind: str) -> None:
-        """One fused gather→scale→kernel→scale→scatter loop nest.
-
-        Reads ``s`` and writes ``d`` (the current batch row's ``cplx``
-        pointers).  ``loop.nu > 1`` selects the ν-blocked split re/im body.
-        """
-        base = f"{sid}_{lid}"
-        if loop.nu > 1:
-            self._emit_vec_loop(loop, base, ind)
-            return
-        o = self.lines
-        rows, k = loop.gather.shape
-        kout = loop.scatter.shape[1]
-        _, g_addr = self._addr(loop.gather, "g", base)
-        _, s_addr = self._addr(loop.scatter, "s", base)
-        if loop.pre_scale is not None:
-            self.preamble.append(
-                Table.interleaved(f"w{base}", loop.pre_scale)
-            )
-        if loop.post_scale is not None:
-            self.preamble.append(
-                Table.interleaved(f"v{base}", loop.post_scale)
-            )
-
-        o.append(f"{ind}for (int j = 0; j < {rows}; ++j) {{")
-        o.append(f"{ind}  cplx t[{max(k, kout)}];")
-        o.append(
-            f"{ind}  for (int u = 0; u < {k}; ++u)"
-            f" t[u] = s[{g_addr('j', 'u')}];"
-        )
-        if loop.pre_scale is not None:
-            o.append(
-                f"{ind}  for (int u = 0; u < {k}; ++u)"
-                f" t[u] *= w{base}[2*(j*{k}+u)]"
-                f" + w{base}[2*(j*{k}+u)+1]*_Complex_I;"
-            )
-        cname, kname = self._kernel_names(loop.kernel, 1)
-        copy_back = f"{ind}    for (int v = 0; v < {kout}; ++v) t[v] = y[v]; }}"
-        if isinstance(loop.kernel, F2):
-            o.append(
-                f"{ind}  {{ cplx a = t[0] + t[1], b = t[0] - t[1];"
-                f" t[0] = a; t[1] = b; }} /* F_2 butterfly */"
-            )
-        elif cname is not None:
-            o.append(f"{ind}  {{ cplx y[{kout}]; {cname}(t, y);")
-            o.append(copy_back)
-        elif kname is not None:
-            o.append(f"{ind}  {{ cplx y[{kout}];")
-            o.append(f"{ind}    for (int v = 0; v < {kout}; ++v) {{")
-            o.append(f"{ind}      cplx acc = 0;")
-            o.append(
-                f"{ind}      for (int u = 0; u < {k}; ++u)"
-                f" acc += (({kname}[2*(v*{k}+u)])"
-                f" + ({kname}[2*(v*{k}+u)+1])*_Complex_I) * t[u];"
-            )
-            o.append(f"{ind}      y[v] = acc;")
-            o.append(f"{ind}    }}")
-            o.append(copy_back)
-        post = ""
-        if loop.post_scale is not None:
-            post = (
-                f" * (v{base}[2*(j*{kout}+v)]"
-                f" + v{base}[2*(j*{kout}+v)+1]*_Complex_I)"
-            )
-        o.append(
-            f"{ind}  for (int v = 0; v < {kout}; ++v)"
-            f" d[{s_addr('j', 'v')}] = t[v]{post};"
-        )
-        o.append(f"{ind}}}")
-
-    def _emit_vec_loop(self, loop: BlockLoop, base: str, ind: str) -> None:
-        """The ν-blocked loop nest: ν lanes of ``loop`` per iteration, the
+        """One fused gather→scale→kernel→scale→scatter loop nest: ν lanes
+        of ``loop`` per iteration (a scalar loop is the one-lane case), the
         glue around the codelet in explicit vector statements
         (:func:`vector_prelude`) — nothing is left to an auto-vectorizer.
 
-        Working data sits in split re/im planes of ν-vectors (``tre[u]``
-        is element ``u`` of all ν lanes), the codelet's layout.  A
-        lane-contiguous gather is two loads and two shuffles that
+        Reads ``s`` and writes ``d`` (the current batch row's ``cplx``
+        pointers).  Working data sits in split re/im planes of ν-vectors
+        (``tre[u]`` is element ``u`` of all ν lanes), the codelet's layout.
+        A lane-contiguous gather is two loads and two shuffles that
         de-interleave and a strided one ν 16-byte loads combined; scatters
         mirror them; twiddle scales multiply in registers in between.
         """
+        base = f"{sid}_{lid}"
         o = self.lines
         nu = loop.nu
         rows, k = loop.gather.shape
@@ -857,7 +776,7 @@ def emit_plan_unit(
     else:
         codelets, tables = [], TableBlob([])
         preamble = [it.to_c() for it in source.preamble] + [""]
-    widths = {lp.nu for st in program.stages for lp in st.loops} - {1}
+    widths = {lp.nu for st in program.stages for lp in st.loops}
     header = [
         "/* Generated by repro: compiled-codelet execution backend */",
         f"/* size={program.size} stages={len(program.stages)}"
@@ -866,7 +785,7 @@ def emit_plan_unit(
         "#include <complex.h>",
         "#include <math.h>",
         "typedef double complex cplx;",
-        *(vector_prelude(widths | {2}) if widths else []),
+        *vector_prelude(widths | {2}),
         "",
     ]
     text = "\n".join(header + preamble + source.lines) + "\n".join(

@@ -72,6 +72,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -96,9 +97,6 @@ CACHE_ENV = "REPRO_CODELET_CACHE"
 #: environment variable bounding the on-disk cache (entries); when set,
 #: every compile prunes least-recently-used entries past the bound
 CACHE_MAX_ENV = "REPRO_CODELET_CACHE_MAX"
-
-_FINGERPRINT_LOCK = threading.Lock()
-_FINGERPRINT: Optional[dict] = None  # memoized (cc, version) probe only
 
 _MEMO_LOCK = threading.Lock()
 _MEMO: "OrderedDict[str, CompiledPlan]" = OrderedDict()
@@ -127,42 +125,33 @@ def compiled_available() -> bool:
     return find_compiler() is not None
 
 
+@lru_cache(maxsize=None)
+def _compiler_version(path: str) -> str:
+    """First line of ``path --version``: probed once per path and process."""
+    try:
+        out = subprocess.run(
+            [path, "--version"], capture_output=True, text=True, timeout=30,
+        ).stdout.splitlines()
+        return out[0].strip() if out else "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
 def compiler_fingerprint(cc: Optional[str] = None) -> dict:
     """Identity of the toolchain baked into every codelet cache key.
 
-    Returns ``{"cc", "version", "flags"}``; two hosts (or two toolchain
-    upgrades on one host) with different fingerprints never share cached
-    shared objects.  Only the ``--version`` probe is memoized per process
-    — ``flags`` is recomputed on every call so a flag-policy change
-    (``REPRO_NO_SIMD``, a portable-tier fallback) lands in the cache key
-    immediately, never serving a stale object built under other flags.
+    Returns ``{"cc", "version", "flags"}`` for ``cc`` (default: the host
+    compiler, :func:`find_compiler`); two hosts (or two toolchain upgrades
+    on one host) with different fingerprints never share cached shared
+    objects.  Only the ``--version`` probe is memoized, per compiler path
+    and process — ``flags`` is recomputed on every call so a flag-policy
+    change (``REPRO_NO_SIMD``, a portable-tier fallback) lands in the
+    cache key immediately, never serving a stale object built under other
+    flags.
     """
-    global _FINGERPRINT
-    identity: Optional[dict] = None
-    if cc is None:
-        with _FINGERPRINT_LOCK:
-            if _FINGERPRINT is not None:
-                identity = dict(_FINGERPRINT)
-    if identity is None:
-        path = cc or find_compiler()
-        if path is None:
-            identity = {"cc": None, "version": "unavailable"}
-        else:
-            try:
-                out = subprocess.run(
-                    [path, "--version"],
-                    capture_output=True, text=True, timeout=30,
-                ).stdout.splitlines()
-                version = out[0].strip() if out else "unknown"
-            except (OSError, subprocess.SubprocessError):
-                version = "unknown"
-            identity = {"cc": path, "version": version}
-        if cc is None:
-            with _FINGERPRINT_LOCK:
-                _FINGERPRINT = dict(identity)
-    info = dict(identity)
-    info["flags"] = list(shared_cflags(info.get("cc")))
-    return info
+    path = cc or find_compiler()
+    version = _compiler_version(path) if path else "unavailable"
+    return {"cc": path, "version": version, "flags": list(shared_cflags(path))}
 
 
 def codelet_cache_dir() -> Path:
@@ -407,7 +396,7 @@ def compile_plan(
         raise CodeletCompileError(
             "no C compiler available (gcc/cc not on PATH, or REPRO_NO_CC set)"
         )
-    fingerprint = compiler_fingerprint(cc if cc != find_compiler() else None)
+    fingerprint = compiler_fingerprint(cc)
     with tr.span("codegen.emit_c", "codegen", size=program.size,
                  stages=len(program.stages)):
         unit = emit_plan_unit(program, codelet_max, linked=True)

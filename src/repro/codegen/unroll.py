@@ -11,7 +11,8 @@ stage:
   constructors (x+0, 1*x, (-1)*x, constant folding) and hash-consing CSE,
   both owned by a per-codelet :class:`NodePool`;
 * :class:`Codelet` schedules the DAG into SSA statements and emits them as
-  a Python function or a C function;
+  a Python function (the reference the tests compare against) or a C
+  function of ν lanes over split re/im planes (every ν, one included);
 * op counts come out of the DAG, so tests can verify e.g. that the
   generated radix-2 DFT_8 costs 78 real flops — far below both the 5n log n
   pseudo count (120) and the O(n^2) dense definition (~500).
@@ -278,29 +279,23 @@ class Codelet:
 
     # -- emission ---------------------------------------------------------------
 
-    def _ref(self, node: Node, lang: str) -> str:
+    def _ref(self, node: Node) -> str:
         if node.op == "var":
             return f"x[{node.args[0]}]"
         if node.op == "const":
             v = node.value
-            if lang == "py":
-                return f"({v.real!r}{v.imag:+}j)" if v.imag else f"{v.real!r}"
-            if v.imag == 0:
-                return repr(v.real)
-            return f"({v.real!r} + {v.imag!r}*_Complex_I)"
+            return f"({v.real!r}{v.imag:+}j)" if v.imag else f"{v.real!r}"
         return self._names[id(node)]
 
-    def _stmt(self, name: str, node: Node, lang: str) -> str:
-        a = [self._ref(arg, lang) for arg in node.args]
+    def _stmt(self, name: str, node: Node) -> str:
+        a = [self._ref(arg) for arg in node.args]
         rhs = {
             "add": lambda: f"{a[0]} + {a[1]}",
             "sub": lambda: f"{a[0]} - {a[1]}",
             "mul": lambda: f"{a[0]} * {a[1]}",
             "neg": lambda: f"-{a[0]}",
         }[node.op]()
-        if lang == "py":
-            return f"    {name} = {rhs}"
-        return f"  cplx {name} = {rhs};"
+        return f"    {name} = {rhs}"
 
     def to_python(self) -> str:
         """The codelet as Python source: ``def name(x, y)`` straight-line."""
@@ -309,25 +304,12 @@ class Codelet:
             f"    # unrolled size-{self.size} codelet: "
             f"{self.complex_ops()} complex ops ({self.real_flops()} flops)",
         ]
-        lines += [self._stmt(nm, node, "py") for nm, node in self.schedule]
+        lines += [self._stmt(nm, node) for nm, node in self.schedule]
         for i, out in enumerate(self.outputs):
-            lines.append(f"    y[{i}] = {self._ref(out, 'py')}")
+            lines.append(f"    y[{i}] = {self._ref(out)}")
         return "\n".join(lines) + "\n"
 
-    def to_c(self, linkage: str = "static") -> str:
-        """The codelet as C99: a ``<linkage> void`` straight-line function."""
-        lines = [
-            f"{linkage} void {self.name}(const cplx *x, cplx *y) {{",
-            f"  /* unrolled size-{self.size} codelet: "
-            f"{self.complex_ops()} complex ops */",
-        ]
-        lines += [self._stmt(nm, node, "c") for nm, node in self.schedule]
-        for i, out in enumerate(self.outputs):
-            lines.append(f"  y[{i}] = {self._ref(out, 'c')};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    # -- vectorized emission ----------------------------------------------------
+    # -- C emission: ν lanes over split re/im planes ----------------------------
 
     def _ref_vec(self, node: Node, nu: int) -> tuple[str, str]:
         """(re, im) C expressions for a node inside the lane loop."""
@@ -380,7 +362,8 @@ class Codelet:
                 f"{name}im = {ar}*{bi} + {ai}*{br};"]
 
     def to_c_vec(self, nu: int, linkage: str = "static") -> str:
-        """The codelet as a ν-lane C99 function over split re/im planes.
+        """The codelet as C99 — the one C printer: a ν-lane function over
+        split re/im planes (``nu = 1``, a scalar codelet, is one lane).
 
         Layout: ``x``/``y`` hold ``size`` elements of ``nu`` lanes each,
         element-major (``x[u][l]`` at index ``u*nu + l``).  The lane loop

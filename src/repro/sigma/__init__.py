@@ -2,11 +2,9 @@
 
 from .index_map import (
     AffineForm,
-    SliceForm,
     diag_values,
     invert_table,
     recover_affine,
-    recover_slice,
     source_table,
 )
 from .loops import BlockLoop, SigmaProgram, SigmaValidationError, Stage
@@ -19,7 +17,6 @@ __all__ = [
     "LoweringError",
     "SigmaProgram",
     "SigmaValidationError",
-    "SliceForm",
     "Stage",
     "diag_values",
     "invert_table",
@@ -28,6 +25,5 @@ __all__ = [
     "lower",
     "normalize_for_lowering",
     "recover_affine",
-    "recover_slice",
     "source_table",
 ]

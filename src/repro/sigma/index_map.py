@@ -4,8 +4,8 @@ Spiral's loop merging (Franchetti/Voronenko/Pueschel, PLDI'05 — the paper's
 ref [11]) folds permutations and diagonals into the gather/scatter index
 functions of adjacent loops.  This reproduction performs the same merging
 with *index tables*: every permutation expression is materialized as a
-source-index table, composition is table indexing, and closed forms (strided
-slices) are *recovered* from the tables when the code generator wants to emit
+source-index table, composition is table indexing, and closed forms (mixed-radix
+affine grids) are *recovered* from the tables when the code generator wants to emit
 structured array accesses.  The result is identical merged loops with a far
 simpler (and exhaustively testable) algebra.
 
@@ -56,38 +56,6 @@ def diag_values(diag_expr: Expr) -> np.ndarray:
     """Diagonal entries of a diagonal expression (via application to ones)."""
     n = diag_expr.rows
     return diag_expr.apply(np.ones(n, dtype=COMPLEX))
-
-
-@dataclass(frozen=True)
-class SliceForm:
-    """A recovered 1-D strided access: ``base + stride * arange(length)``."""
-
-    base: int
-    stride: int
-    length: int
-
-    def indices(self) -> np.ndarray:
-        return self.base + self.stride * np.arange(self.length, dtype=np.intp)
-
-    def as_python_slice(self) -> str:
-        """Python slice source text (requires positive stride)."""
-        stop = self.base + self.stride * self.length
-        if self.stride == 1:
-            return f"{self.base}:{stop}"
-        return f"{self.base}:{stop}:{self.stride}"
-
-
-def recover_slice(row: np.ndarray) -> Optional[SliceForm]:
-    """Recognize an arithmetic progression in an index row, if present."""
-    n = int(row.size)
-    if n == 0:
-        return None
-    if n == 1:
-        return SliceForm(int(row[0]), 1, 1)
-    d = np.diff(row)
-    if np.all(d == d[0]) and d[0] > 0:
-        return SliceForm(int(row[0]), int(d[0]), n)
-    return None
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ What the C emitter prints for a loop, pinned from the outside:
   recovers again from its own ``indices()``) or stays a table; sequential
   Cooley-Tukey plans recover everywhere, so they carry **no** ``int``
   table;
-* **no lane loop** — ν > 1 stage text has no ``for (int l = 0;`` outside a
-  codelet body: with explicit vectors there is no vectorizer decision
-  left to audit;
+* **no lane loop** — stage text at every ν (a scalar loop is the one-lane
+  case of the same nest) has no ``for (int l = 0;`` outside a codelet
+  body, and no ``double complex`` arithmetic: with explicit vectors there
+  is no vectorizer decision left to audit;
 * **same values, fewer copies** — a twiddle table indexed the way the
   stage text indexes it reads exactly the loop's scale, lane by lane;
 * **the table fallback** — maps no form reproduces (lane-contiguous and
@@ -32,7 +33,7 @@ import pytest
 
 from repro.codegen import generate_c
 from repro.codegen.c_backend import compile_and_run
-from repro.codegen.c_emit import emit_stage_functions
+from repro.codegen.c_emit import TableBlob, emit_stage_functions
 from repro.codegen.compiled_backend import (
     DEFAULT_CODELET_MAX,
     compile_plan,
@@ -133,18 +134,35 @@ def test_sixteen_bit_plan_is_the_nest_the_docs_print():
     }
 
 
+def test_one_lane_plan_stores_what_the_four_lane_plan_stores():
+    """2^16 at ν = 1 carried three interleaved twiddle tables the size of
+    the data (3 x 1 MiB) while ν = 4 stored each distinct block once; one
+    emitter means one table policy, so the blobs are the same size — only
+    stage 2's plane, split re/im, is as large as a row."""
+    row = (1 << 16) * 16
+    blobs = {}
+    for nu in (1, 4):
+        source = emit_stage_functions(_program(1 << 16, nu), DEFAULT_CODELET_MAX)
+        assert all(t.flat().nbytes < row for t in source.tables)
+        blobs[nu] = TableBlob(source.tables).nbytes
+    assert blobs[1] == blobs[4] == 1_052_672
+
+
 # -- no lane loop -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("codelet_max", [0, DEFAULT_CODELET_MAX])
 @pytest.mark.parametrize(
-    "n,nu,threads", [(64, 2, 1), (256, 4, 2), (1024, 4, 1), (4096, 2, 1)]
+    "n,nu,threads",
+    [(64, 1, 1), (256, 1, 2), (1024, 1, 1),
+     (64, 2, 1), (256, 4, 2), (1024, 4, 1), (4096, 2, 1)],
 )
 def test_vector_stage_text_has_no_scalar_lane_loop(n, nu, threads, codelet_max):
     program = _program(n, nu, threads)
     assert {lp.nu for lp in _loops(program)} == {nu}
     text = "\n".join(emit_stage_functions(program, codelet_max).lines)
     assert f"v{nu} tre[" in text
+    assert "cplx t[" not in text and "_Complex_I" not in text
     assert "for (int l = 0;" not in text
     assert not re.search(r"for \(int l\b", text)
 
@@ -155,7 +173,7 @@ _READ = re.compile(r"\b([wv][bv]\d+_\d+)re(?:\[| \+ \()([^\];]+?)(?:\]|\)\*\d+\)
 
 
 @pytest.mark.parametrize("n", [1 << 11, 1 << 12, 1 << 14])
-@pytest.mark.parametrize("nu", [2, 4])
+@pytest.mark.parametrize("nu", [1, 2, 4])
 def test_twiddle_tables_read_the_loops_own_scale(n, nu):
     program = _program(n, nu)
     source = emit_stage_functions(program, DEFAULT_CODELET_MAX)
@@ -218,17 +236,21 @@ def _irregular_program(nu: int, rng) -> SigmaProgram:
 
 @needs_cc
 @pytest.mark.parametrize("portable", [False, True], ids=["native", "portable"])
-@pytest.mark.parametrize("nu", [2, 4])
+@pytest.mark.parametrize("nu", [1, 2, 4])
 def test_tables_no_form_reproduces_still_run(nu, portable, rng, monkeypatch):
     if portable:
         monkeypatch.setenv("REPRO_NO_SIMD", "1")
     program = _irregular_program(nu, rng)
     source = emit_stage_functions(program, DEFAULT_CODELET_MAX)
+    # one lane has no neighbour to be contiguous with (a per-row table),
+    # and a plane of one lane is a broadcast table
+    blocks, plane = ("vb", "v") if nu > 1 else ("v", "b")
     assert [t.name for t in source.tables] == [
-        "gv0_0", "svb0_0", "wv0_0re", "wv0_0im",
-        "gvb1_0", "sv1_0", "vv1_0re", "vv1_0im",
+        "gv0_0", f"s{blocks}0_0", f"w{plane}0_0re", f"w{plane}0_0im",
+        f"g{blocks}1_0", "sv1_0", f"v{plane}1_0re", f"v{plane}1_0im",
     ]
-    assert source.tables[-1].values.shape == (2, 4, nu)  # one period
+    period = (2, 4, nu) if nu > 1 else (2, 4)
+    assert source.tables[-1].values.shape == period
     plan = compile_plan(program)
     assert ("-march=native" in plan.compiler["flags"]) != portable
     X = (rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64)))

@@ -79,13 +79,14 @@ class TestGeneration:
     def test_grid_indices_closed_form(self):
         """Strided accesses are emitted as arithmetic, not tables."""
         src = generate_c(lower(cooley_tukey_step(4, 4)), mode="sequential").source
-        assert "j*" in src  # closed-form strided indexing present
+        assert "sc[0 + jb*1 + u*4]" in src  # closed-form strided indexing
+        assert "const int" not in src  # ... and no index table beside it
 
     def test_f2_butterfly_unrolled(self):
         src = generate_c(
             lower(expand_dft(DFT(8), "radix2")), mode="sequential"
         ).source
-        assert "F_2 butterfly" in src
+        assert "/* F_2 x 1 */" in src and "codelet0" not in src
 
 
 def _driver_matrix():
@@ -112,7 +113,8 @@ class TestCompileAndRun:
         f, effective_nu = vectorize_formula(f, 64, 2, nu)
         assert effective_nu == nu
         gen = generate_c(lower(f), mode=mode, codelet_max=codelet_max)
-        assert (f"nu={nu} lanes" in gen.source) == (nu > 1)
+        assert f"/* nu={nu} lanes x " in gen.source
+        assert f"_v{nu}(" in gen.source or codelet_max == 0
         assert ("codelet0" in gen.source) == (codelet_max > 0)
         x = random_vector(rng, 64)
         out = compile_and_run(gen, x)

@@ -19,6 +19,7 @@ from repro.codegen.compiled_backend import (
     compiled_available,
     compiler_fingerprint,
     emit_plan_source,
+    find_compiler,
 )
 from repro.codegen.registry import CompiledBackend, NumpyBackend
 from repro.frontend import generate_fft
@@ -96,6 +97,32 @@ class TestArtifactCache:
         assert second.so_path == first.so_path
         assert os.path.getmtime(second.so_path) == mtime
         assert second.source_hash == first.source_hash
+
+    def test_compiler_is_resolved_once_per_call(self, tmp_path, monkeypatch):
+        """``compile_plan`` walks ``$PATH`` once for the default compiler and
+        not at all for an explicit one; the ``--version`` probe is memoized
+        by compiler path, so both spellings share it and one fingerprint."""
+        import shutil
+        import subprocess
+
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        clear_compiled_memo()
+        program = generate_fft(64).program
+        cc = find_compiler()
+        first = compile_plan(program)
+        walks, real_which = [], shutil.which
+
+        def which(*args, **kwargs):
+            walks.append(args)
+            return real_which(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "which", which)
+        assert compile_plan(program) is first  # memo hit, default compiler
+        assert len(walks) == 1
+        monkeypatch.setattr(subprocess, "run", None)  # no probe, no launch
+        assert compile_plan(program, cc=cc) is first  # ... the same entry
+        assert compiler_fingerprint(cc) == first.compiler
+        assert len(walks) == 1
 
     def test_artifact_info_names_the_toolchain(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))

@@ -14,7 +14,11 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     every ν > 1 nest became explicit vector-extension statements over
     affine index forms (42 digests), and the ν = 1 nests of k = 11 and 12
     moved because an ``int`` table became a two-digit affine expression
-    (6 digests).  The other 15 — ν = 1, k <= 10 — did not move a byte.
+    (6 digests).  The other 15 — ν = 1, k <= 10 — did not move a byte
+    then; all 21 ν = 1 digests were re-recorded when the scalar body was
+    deleted and ν = 1 became the one-lane case of the ν-lane nest (``v1``
+    planes, broadcast twiddle tables, no ``double complex`` arithmetic).
+    No ν > 1 digest moved: :data:`FROZEN` pins them.
 ``"plan"``
     Everything before ``CHAIN_MARKER``: the unit's preamble and the stage
     functions.  Re-recorded in the commit that made the preamble *declare*
@@ -24,7 +28,10 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     unity from an exactly reduced exponent instead of a rounded root
     raised to a power, so every table digest and every codelet symbol the
     preamble names changed value — the loops did not: ``"stages"`` held),
-    then the 48 of step 3 above (plus the vector prelude ahead of them).
+    then the 48 of step 3 above (plus the vector prelude ahead of them);
+    the 21 ν = 1 entries again with the one-lane text (the prelude, split
+    re/im broadcast tables where interleaved ones stood, ``vcodelet<i>_v1``
+    bindings).
 ``"plan_chain"``
     The trailer (marker to end of file), recorded in the commit that
     added it and re-recorded in PR 22's steps 1 and 2: the chain runs row
@@ -35,7 +42,9 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     symbol derived from.  The nine with k >= 8 moved with PR 22's twiddle
     fix (their constants are now correctly rounded and symmetric:
     ``0.7071067811865476`` four times, where ``...75``, ``...74`` and
-    ``...77`` stood beside it); untouched by steps 1-3.
+    ``...77`` stood beside it); untouched by steps 1-3.  The five ν = 1
+    entries moved when the scalar ``cplx`` printer was deleted: a ν = 1
+    codelet is :meth:`Codelet.to_c_vec` at one lane.
 ``"generate_c"``
     The standalone program's driver tail, one per mode: what
     ``generate_c`` appends to the plan's single-file text (driver +
@@ -96,6 +105,24 @@ def _generated(key: str):
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: sha256 of the entries the one-lane re-record had no business moving:
+#: every ν > 1 entry of ``plan`` / ``stages`` / ``codelet`` and the whole
+#: ``plan_chain``, ``python`` and ``generate_c`` maps, as they stood at the
+#: commit before it.  A deliberate re-record of any of them re-pins this.
+FROZEN = "2ef9edde2e5999b1597cdc37318ae7208745bd5e60198fdbee6b305237989571"
+
+
+def test_one_lane_rerecord_left_every_other_entry_alone():
+    by_nu = ("plan", "stages", "codelet")
+    frozen = {
+        name: {k: v for k, v in entries.items() if "_nu1" not in k}
+        if name in by_nu else entries
+        for name, entries in GOLDEN.items()
+    }
+    assert {len(frozen[name]) for name in by_nu} == {42, 10}
+    assert _sha(json.dumps(frozen, sort_keys=True)) == FROZEN
 
 
 def test_golden_set_is_the_full_admissible_grid():

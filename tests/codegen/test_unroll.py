@@ -124,9 +124,10 @@ class TestCodelet:
         assert len(temps) == len(set(temps))
 
     def test_c_source_compiles_shape(self):
-        src = dft_codelet(8).to_c()
-        assert src.startswith("static void dft_8(const cplx *x, cplx *y)")
-        assert "cplx t0 =" in src
+        src = dft_codelet(8).to_c_vec(1)
+        assert src.startswith("static void dft_8(const double *restrict xre,")
+        assert "for (int l = 0; l < 1; ++l) {" in src
+        assert "const double t0re =" in src and "cplx" not in src
 
     def test_mixed_radix_codelet(self, rng):
         fn = dft_codelet(12).compile_python()

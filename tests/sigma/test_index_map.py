@@ -7,7 +7,6 @@ from repro.sigma import (
     diag_values,
     invert_table,
     recover_affine,
-    recover_slice,
     source_table,
 )
 from repro.spl import Compose, Diag, DFT, I, L, LinePerm, Perm, Tensor, Twiddle
@@ -67,19 +66,6 @@ class TestDiagValues:
 
 
 class TestStructureRecovery:
-    def test_slice_recovery(self):
-        sf = recover_slice(np.array([3, 5, 7, 9]))
-        assert (sf.base, sf.stride, sf.length) == (3, 2, 4)
-        np.testing.assert_array_equal(sf.indices(), [3, 5, 7, 9])
-        assert sf.as_python_slice() == "3:11:2"
-
-    def test_unit_stride_slice_text(self):
-        assert recover_slice(np.array([4, 5, 6])).as_python_slice() == "4:7"
-
-    def test_non_affine_rejected(self):
-        assert recover_slice(np.array([0, 1, 3])) is None
-        assert recover_slice(np.array([3, 2, 1])) is None  # negative stride
-
     def test_grid_recovery(self):
         j = np.arange(4)[:, None]
         t = np.arange(3)[None, :]
