@@ -48,7 +48,9 @@ user space: see :data:`BY_REFERENCE_BYTES` and :func:`_read_frame_raw`.
 from __future__ import annotations
 
 import functools
+import io
 import json
+import select
 import socket
 import socketserver
 import struct
@@ -191,6 +193,34 @@ def read_frame(rfile) -> Optional[tuple[dict, Optional[np.ndarray]]]:
     return frame[0], payload_array(*frame)
 
 
+class _SocketReader(io.RawIOBase):
+    """What a connection's buffered reader fills from: ``recv_into`` the
+    socket, as ``socket.makefile("rb")``'s raw stream does (a read timeout
+    leaves the stream out of step, so every later read raises), except
+    that while ``held`` is set a fill returns "nothing yet" instead of
+    blocking."""
+
+    def __init__(self, sock):
+        super().__init__()
+        self._sock = sock
+        self._timed_out = False
+        self.held = False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b):
+        if self.held:
+            return None
+        if self._timed_out:
+            raise OSError("cannot read from timed out object")
+        try:
+            return self._sock.recv_into(b)
+        except TimeoutError:
+            self._timed_out = True
+            raise
+
+
 class FrameConn:
     """One framed TCP connection: the only owner of a socket.
 
@@ -203,7 +233,9 @@ class FrameConn:
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._rfile = sock.makefile("rb")
+        self._raw = _SocketReader(sock)
+        self._rfile = io.BufferedReader(self._raw)
+        self._poll = None  # the socket's poll object, made by idle()
         # headers, small payloads and whatever a deferred flush still owes
         self._out = bytearray()
         self._wlock = threading.Lock()
@@ -245,6 +277,22 @@ class FrameConn:
             if flush or len(out) >= BY_REFERENCE_BYTES:
                 sock.sendall(out)
                 out.clear()
+
+    def idle(self) -> bool:
+        """True when nothing has arrived that ``recv()`` has not returned:
+        the reader holds no bytes and none wait on the socket.  Never
+        blocks; a hang-up reads as not idle (``recv()`` reports it).  Call
+        it from the thread that calls ``recv()``."""
+        self._raw.held = True  # a fill asked for now means the reader is empty
+        try:
+            if self._rfile.peek(1):
+                return False
+        finally:
+            self._raw.held = False
+        if self._poll is None:
+            self._poll = select.poll()
+            self._poll.register(self._sock, select.POLLIN)
+        return not self._poll.poll(0)
 
     def flush(self) -> None:
         """Send what deferred flushes still owe."""

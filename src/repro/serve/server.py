@@ -4,14 +4,17 @@ A :class:`FFTServer` is the framed endpoint of :mod:`repro.serve.protocol`
 (one handler thread per connection, one request loop, one op ladder);
 what is its own is how a request is answered.  Connections are
 **pipelined**: every incoming ``fft`` is submitted to the service on
-arrival (the read loop never blocks on a result), and a per-connection
-drain thread writes responses back *in request order* as their tickets
-resolve.  A client may therefore keep many requests in flight on one
-connection — which is how the service's batching window fills even from
-a single client, and how per-request socket and thread wake-up costs
-amortize across a burst.  Admission control still applies at ``submit``:
-an over-full queue turns into an ``overloaded`` response in the normal
-response stream.
+arrival (the read loop never blocks on a queued result), and a
+per-connection drain thread writes responses back *in request order* as
+their tickets resolve.  A client may therefore keep many requests in
+flight on one connection — which is how the service's batching window
+fills even from a single client, and how per-request socket and thread
+wake-up costs amortize across a burst.  A request that arrives alone —
+nothing further read from its connection, an idle service, a zero window
+— runs on the handler thread instead, which writes its reply itself when
+no earlier reply is still owed: no dispatcher, ticket or drain wake-up.
+Admission control still applies at ``submit``: an over-full queue turns
+into an ``overloaded`` response in the normal response stream.
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ def exception_response(req_id, exc: BaseException) -> dict:
     return error_response(req_id, code, str(exc), retry_after=retry)
 
 
+def _answer(ticket, req_id, timeout) -> tuple[dict, object]:
+    """A ticket's reply, header and payload, once it resolves."""
+    try:
+        y = ticket.result(None if timeout is None else timeout + 1.0)
+    except Exception as exc:
+        return exception_response(req_id, exc), None
+    return {"id": req_id, "ok": True}, y
+
+
 class _ServerSession(Session):
     """Admit to the service on arrival; answer in request order."""
 
@@ -70,7 +82,9 @@ class _ServerSession(Session):
         Session.dispatch(self, msg, payload)
 
     def fft(self, req_id, msg: dict, payload: memoryview) -> None:
-        """Admit one request: queue an error header, or its ticket."""
+        """Admit one request — run here if nothing further has arrived on
+        the connection — and answer it now if it is resolved and nothing
+        earlier is owed; else queue its ticket (or error) for the drain."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
@@ -88,9 +102,15 @@ class _ServerSession(Session):
                 strategy=msg.get("strategy"),
                 timeout=timeout,
                 no_batch=bool(msg.get("no_batch", False)),
+                inline=self.conn.idle,
             )
         except Exception as exc:
             self.reply(exception_response(req_id, exc))
+            return
+        # nothing owed: the drain marks a reply done only once written, and
+        # this thread is the only one that queues replies
+        if not self._pending.unfinished_tasks and ticket.done():
+            self.conn.send(*_answer(ticket, req_id, timeout))
         else:
             self.reply((ticket, req_id, timeout))
 
@@ -118,7 +138,8 @@ class _ServerSession(Session):
         a deferred flush owes is sent — a finished response never waits
         for the next request's compute.
         """
-        get, empty = self._pending.get, self._pending.empty
+        pending = self._pending
+        get, empty, done = pending.get, pending.empty, pending.task_done
         send, flush = self.conn.send, self.conn.flush
         owed = False  # an earlier send deferred its flush
         while True:
@@ -130,16 +151,12 @@ class _ServerSession(Session):
                     ticket, req_id, timeout = item
                     if owed and not ticket.done():
                         flush()
-                    try:
-                        y = ticket.result(None if timeout is None
-                                          else timeout + 1.0)
-                        item = {"id": req_id, "ok": True}
-                    except Exception as exc:
-                        item = exception_response(req_id, exc)
+                    item, y = _answer(ticket, req_id, timeout)
                 owed = not empty()
                 send(item, y, not owed)
             except (OSError, ValueError):
                 return  # the connection is gone, or was closed under us
+            done()
 
     def close(self) -> None:
         self.reply(None)  # ends the drain once everything queued is written

@@ -8,7 +8,11 @@ One long-lived service owns the whole serving pipeline:
 * a **request batcher**: a dispatcher thread coalesces requests for the
   same :class:`~repro.serve.plan_cache.PlanKey` that arrive within
   ``window_s`` (or until ``max_batch`` vectors are pending) into one
-  stacked ``(b, n)`` execution of the plan's batched stages;
+  stacked ``(b, n)`` execution of the plan's batched stages — and a
+  request with nothing to wait for (zero window, nothing queued or
+  executing, nothing further from its sender) runs on the thread that
+  submitted it instead, as a batch of its own rows: one baton, so one
+  batch executes at a time, always through ``_execute_batch``;
 * **persistent runtimes**: one worker pool per thread count — a
   :class:`~repro.smp.runtime.PThreadsRuntime` by default, or a
   :class:`~repro.mp.ProcessPoolRuntime` with ``ServeConfig(runtime=
@@ -37,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -142,6 +146,10 @@ class FFTTicket:
         return self._result
 
 
+def _always() -> bool:
+    return True
+
+
 class _Request:
     __slots__ = ("key", "x", "rows", "arrival", "deadline", "no_batch",
                  "squeeze", "ticket")
@@ -213,6 +221,8 @@ class FFTService:
         self._cond = threading.Condition()
         self._queue: list[_Request] = []
         self._pending_vectors = 0
+        #: the baton: a batch is executing (dispatched or inline; _cond)
+        self._executing = False
         self._closing = False
         self._runtimes: dict[int, Runtime] = {}
         self._runtime_lock = threading.Lock()
@@ -256,6 +266,7 @@ class FFTService:
         nu: Optional[int] = None,
         timeout: Optional[float] = None,
         no_batch: bool = False,
+        inline: Optional[Callable[[], bool]] = None,
     ) -> FFTTicket:
         """Enqueue a request (one vector or a ``(b, n)`` stack); returns a ticket.
 
@@ -263,6 +274,13 @@ class FFTService:
         :class:`ServiceClosed` during shutdown.  ``no_batch=True`` flushes
         the request immediately instead of waiting out the batching window
         (the one-request-at-a-time baseline path).
+
+        ``inline`` says whether the caller has nothing further to submit
+        behind this request (a server session passes ``FrameConn.idle``);
+        it is asked only when the window is zero and nothing is queued or
+        executing, and if it holds the request runs on this thread and the
+        returned ticket is already resolved.  Without it a request is
+        always queued, so a burst of ``submit`` calls batches.
         """
         x = np.asarray(x, dtype=np.complex128)
         squeeze = x.ndim == 1
@@ -284,28 +302,40 @@ class FFTService:
             # chaos: a queue-full burst rejects admissions regardless of the
             # real backlog, exercising the client's retry-after handling
             burst = fp.enabled and fp.fired("serve.queue_burst")
-            if burst or (
-                self._pending_vectors + req.rows > self.config.queue_limit
-            ):
+            depth = self._pending_vectors + req.rows
+            if burst or depth > self.config.queue_limit:
                 retry = self._retry_after_locked()
                 self.counters.add("rejected")
                 raise Overloaded(retry, self._pending_vectors)
-            self._queue.append(req)
-            self._pending_vectors += req.rows
-            depth = self._pending_vectors
-            self._cond.notify_all()
+            run_here = (inline is not None and not self._queue
+                        and not self._executing
+                        and (no_batch or self.config.window_s == 0)
+                        and inline())
+            if run_here:
+                self._executing = True
+            else:
+                self._queue.append(req)
+                self._pending_vectors = depth
+                self._cond.notify_all()
         get_tracer().sample("serve.queue_depth", depth)
         self.counters.add("requests")
         self.counters.add("vectors", req.rows)
         self.counters.peak("max_queue_depth", depth)
+        if run_here:
+            try:
+                self._execute_batch(key, [req])
+            finally:
+                self._release_baton()
         return req.ticket
 
     def transform(self, x: np.ndarray, **kw) -> np.ndarray:
-        """Blocking convenience: ``submit(...).result()``."""
+        """Blocking convenience: ``submit(...).result()``, run on this
+        thread when the service is idle (nothing can follow a blocking
+        call from this caller)."""
         timeout = kw.get("timeout", self.config.default_timeout_s)
         # grace so queue-side deadline handling (not the ticket wait) decides
         wait = None if timeout is None else timeout + 1.0
-        return self.submit(x, **kw).result(wait)
+        return self.submit(x, inline=_always, **kw).result(wait)
 
     def stats(self) -> dict:
         """A JSON-able snapshot of service and plan-cache metrics."""
@@ -417,7 +447,8 @@ class FFTService:
         }
 
     def drain(self, timeout: Optional[float] = 5.0) -> bool:
-        """Wait for the request queue to empty; True when fully drained.
+        """Wait for the request queue to empty and the executing batch to
+        finish; True when fully drained.
 
         The graceful-shutdown half-step between "stop accepting" and
         :meth:`close`: callers cut off intake first (stop the TCP
@@ -429,7 +460,7 @@ class FFTService:
             None if timeout is None else time.monotonic() + timeout
         )
         with self._cond:
-            while self._pending_vectors > 0:
+            while self._pending_vectors > 0 or self._executing:
                 if deadline is None:
                     self._cond.wait(0.02)
                     continue
@@ -455,6 +486,8 @@ class FFTService:
         self._supervisor.join(timeout=10)
         self._dispatcher.join(timeout=10)
         with self._cond:
+            # a batch run inline may still hold the baton and its pool
+            self._cond.wait_for(lambda: not self._executing, timeout=10)
             leftovers = list(self._queue)
             self._queue.clear()
             self._pending_vectors = 0
@@ -626,11 +659,12 @@ class FFTService:
                 fp.raise_if("serve.dispatcher_crash")
             with self._cond:
                 self._sweep_expired_locked()
-                while not self._queue and not self._closing:
+                # an inline batch holds the baton: its release notifies
+                while self._executing or not (self._queue or self._closing):
                     self._cond.wait()
                     self._sweep_expired_locked()
-                if not self._queue and self._closing:
-                    return
+                if not self._queue:
+                    return  # closing, and nothing left to run
                 head = self._queue[0]
                 key = head.key
                 window = 0.0 if head.no_batch else self.config.window_s
@@ -677,8 +711,20 @@ class FFTService:
                 for r in take:
                     self._queue.remove(r)
                 self._pending_vectors -= total
+                self._executing = bool(take)
             if take:
-                self._execute_batch(key, take)
+                try:
+                    self._execute_batch(key, take)
+                finally:
+                    self._release_baton()
+
+    def _release_baton(self) -> None:
+        """A batch finished: free the baton, waking the dispatcher if work
+        queued behind it and ``close`` if it waits."""
+        with self._cond:
+            self._executing = False
+            if self._queue or self._closing:
+                self._cond.notify_all()
 
     def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> None:
         tr = get_tracer()

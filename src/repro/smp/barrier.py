@@ -2,10 +2,16 @@
 
 This is the classical low-latency software barrier the paper's generated
 pthreads code relies on for its "low-latency minimal overhead
-synchronization" (Section 3.2).  Each thread flips its local *sense*; the
-last thread to arrive releases the others by flipping the shared sense.  A
-condition variable stands in for the spin-wait of the C implementation
-(spinning burns the GIL in CPython).
+synchronization" (Section 3.2).  Each arrival takes the flipped shared
+*sense* as its own; the last thread to arrive releases the others by
+flipping the shared sense.  A condition variable stands in for the
+spin-wait of the C implementation (spinning burns the GIL in CPython).
+
+A party's sense is read on arrival, under the lock, not kept per thread
+(an episode cannot complete before every party has arrived, so all of
+its arrivals read the same value): a pool's master role may pass between
+threads, as a service's batches do between its dispatcher and the
+connections that run a request inline.
 """
 
 from __future__ import annotations
@@ -31,15 +37,13 @@ class SenseReversingBarrier:
         self._broken = False
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._local = threading.local()
         self.wait_count = 0  # total number of wait() calls (for accounting)
 
     def wait(self) -> None:
-        local_sense = not getattr(self._local, "sense", False)
-        self._local.sense = local_sense
         with self._cond:
             if self._broken:
                 raise threading.BrokenBarrierError
+            local_sense = not self._sense
             self.wait_count += 1
             self._count -= 1
             if self._count == 0:

@@ -1,0 +1,356 @@
+"""A request with nothing to wait for runs on the thread that read it.
+
+Zero window, nothing queued or executing in the service, nothing further
+read from its connection: the handler thread runs the batch and writes the
+reply itself when no earlier reply is owed.  Anything else — a pipelined
+burst, an in-process ``submit`` burst, a reply owed before it — takes the
+dispatcher and the drain as before, in request order.  ``drain`` and
+``close`` wait for whichever thread holds the baton.
+"""
+
+import dataclasses
+import select
+import socket
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.serve import FFTService, ServeClient, ServeConfig, graceful_shutdown
+from repro.serve.protocol import FrameConn, dump_line, payload_array
+from repro.serve.server import FFTServer
+from repro.serve.service import FFTTicket
+from repro.smp.runtime import SequentialRuntime
+
+
+def _vec(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _until(pred, within=10.0) -> None:
+    t0 = time.monotonic()
+    while not pred():
+        assert time.monotonic() - t0 < within
+        time.sleep(0.001)
+
+
+def _record_threads(svc: FFTService, n: int) -> list:
+    """Swap the cached plan for one whose stages record the thread that
+    runs them; returns the list they append to."""
+    seen: list = []
+    key = svc.config.plan_key(n)
+    plan = svc.plans.get(key)
+
+    def wrap(work):
+        def recorded(proc, src, dst):
+            seen.append(threading.get_ident())
+            return work(proc, src, dst)
+        return recorded
+
+    assert svc.plans.swap(key, dataclasses.replace(plan, stages=[
+        dataclasses.replace(st, work=wrap(st.work)) for st in plan.stages]))
+    return seen
+
+
+class _RecordingServer(FFTServer):
+    """Remembers each session, its handler thread, and what it queued for
+    its drain."""
+
+    def __init__(self, address, service):
+        super().__init__(address, service)
+        self.sessions: list = []
+
+    def session(self, conn):
+        s = super().session(conn)
+        s.handler = threading.get_ident()
+        s.queued = []
+        put = s.reply
+        s.reply = lambda item: (s.queued.append(item), put(item))[1]
+        self.sessions.append(s)
+        return s
+
+
+@pytest.fixture()
+def served():
+    svc = FFTService(ServeConfig(window_s=0.0))
+    srv = _RecordingServer(("127.0.0.1", 0), svc)
+    srv.serve_background()
+    yield svc, srv
+    srv.shutdown()
+    srv.server_close()
+    svc.close()
+
+
+def test_an_idle_request_runs_on_its_handler_thread_without_the_drain(served):
+    svc, srv = served
+    seen = _record_threads(svc, 64)
+    with ServeClient("127.0.0.1", srv.port) as client:
+        for seed in range(3):
+            x = _vec(64, seed)
+            np.testing.assert_allclose(client.fft(x), np.fft.fft(x),
+                                       atol=1e-6)
+        (session,) = srv.sessions
+        assert set(seen) == {session.handler}
+        assert session.queued == []  # the drain never woke
+    stats = svc.stats()
+    assert stats["requests"] == stats["batches"] == 3
+    assert stats["max_queue_depth"] == 1
+
+
+def test_a_pipelined_burst_still_batches(served):
+    """Frames already read behind a request keep it off the inline path,
+    so a burst on one connection coalesces at a zero window."""
+    svc, srv = served
+    svc.prewarm(64)
+    xs = [_vec(64, seed) for seed in range(16)]
+    with ServeClient("127.0.0.1", srv.port) as client:
+        for x, (y, _, err) in zip(xs, client.fft_pipeline(xs)):
+            assert err is None
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
+    stats = svc.stats()
+    assert stats["batched_vectors"] == 16
+    assert stats["avg_batch_occupancy"] > 1
+
+
+def test_an_in_process_submit_burst_runs_on_the_dispatcher():
+    """``submit`` never runs inline; ``transform`` does when idle."""
+    with FFTService(ServeConfig(window_s=0.0)) as svc:
+        seen = _record_threads(svc, 64)
+        xs = [_vec(64, seed) for seed in range(16)]
+        tickets = [svc.submit(x) for x in xs]
+        for x, t in zip(xs, tickets):
+            np.testing.assert_allclose(t.result(5.0), np.fft.fft(x),
+                                       atol=1e-6)
+        assert threading.get_ident() not in seen
+        assert svc.stats()["avg_batch_occupancy"] > 1
+        seen.clear()
+        svc.transform(xs[0])
+        assert set(seen) == {threading.get_ident()}
+
+
+def test_one_batch_at_a_time_under_contention():
+    """More threads than cores contend for the baton, inline and through
+    the dispatcher: never two batches at once, every answer right, every
+    vector counted once."""
+    lock, running, peak = threading.Lock(), [0], [0]
+
+    class _Counting:
+        def run(self, plan, X):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                return SequentialRuntime().run(plan, X)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+    errors: list = []
+
+    def client(seed):
+        try:
+            for i in range(40):
+                x = _vec(64, seed * 100 + i)
+                y = (svc.submit(x).result(10.0) if i % 4 == 0
+                     else svc.transform(x))
+                np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            rt = _Counting()
+            svc._runtime_for = lambda threads: rt
+            clients = [threading.Thread(target=client, args=(s,), daemon=True)
+                       for s in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(60)
+                assert not t.is_alive()
+            stats = svc.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert peak[0] == 1
+    assert stats["requests"] == stats["vectors"] == 320
+    assert stats["batched_vectors"] == 320
+
+
+class _StubService:
+    """As much of a service as a session uses.  Each ``submit`` either
+    leaves its ticket for the test to resolve, or — when the session says
+    nothing follows — resolves it at once, as an inline run would."""
+
+    config = ServeConfig()
+    health = stats = staticmethod(dict)
+
+    def __init__(self, plan):
+        self.plan = list(plan)  # "gate" | "inline", one per request
+        self.tickets: list = []
+        self.admitted = threading.Semaphore(0)
+
+    def submit(self, x, inline=None, **hints):
+        ticket = FFTTicket()
+        if self.plan.pop(0) == "inline" and inline is not None and inline():
+            ticket._resolve(result=2 * x)
+        self.tickets.append((ticket, x))
+        self.admitted.release()
+        return ticket
+
+
+def test_replies_stay_in_request_order_across_inline_and_drained():
+    """An inline result is written by the handler only when nothing earlier
+    is owed; behind an unresolved reply it waits its turn in the drain."""
+    service = _StubService(["gate", "inline", "inline"])
+    srv = _RecordingServer(("127.0.0.1", 0), service)
+    srv.serve_background()
+    try:
+        conn = FrameConn.dial(("127.0.0.1", srv.port), 10.0)
+        xs = [_vec(8, seed) for seed in range(3)]
+        conn.send({"op": "fft", "id": 1}, xs[0])
+        assert service.admitted.acquire(timeout=10)
+        conn.send({"op": "fft", "id": 2}, xs[1])
+        assert service.admitted.acquire(timeout=10)
+        (first, _), (second, _) = service.tickets
+        assert second.done() and not first.done()
+        (session,) = srv.sessions
+        _until(lambda: len(session.queued) == 2)  # behind the first
+        first._resolve(result=2 * xs[0])
+        for i in (0, 1):
+            msg, buf = conn.recv()
+            assert msg["id"] == i + 1
+            np.testing.assert_array_equal(payload_array(msg, buf), 2 * xs[i])
+        _until(lambda: not session._pending.unfinished_tasks)
+        conn.send({"op": "fft", "id": 3}, xs[2])
+        msg, buf = conn.recv()
+        assert msg["id"] == 3
+        np.testing.assert_array_equal(payload_array(msg, buf), 2 * xs[2])
+        assert len(session.queued) == 2  # nothing owed: written directly
+        conn.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+class TestIdleNeverBlocks:
+    """``FrameConn.idle`` on a blocking (server-side) and a timed socket."""
+
+    @pytest.fixture(params=[None, 30.0], ids=["blocking", "timed"])
+    def pair(self, request):
+        with socket.create_server(("127.0.0.1", 0)) as lsock:
+            near = FrameConn.dial(lsock.getsockname(), 30.0)
+            sock, _ = lsock.accept()
+        sock.settimeout(request.param)
+        far = FrameConn(sock)
+        yield near, far
+        near.close()
+        far.close()
+
+    @staticmethod
+    def _idle(conn) -> bool:
+        out: list = []
+        t = threading.Thread(target=lambda: out.append(conn.idle()),
+                             daemon=True)
+        t.start()
+        t.join(5.0)
+        assert out, "idle() blocked"
+        return out[0]
+
+    @staticmethod
+    def _arrived(conn) -> None:
+        assert select.select([conn._sock], [], [], 5.0)[0]
+
+    def test_each_state(self, pair):
+        near, far = pair
+        ping1, ping2 = (dump_line({"op": "ping", "id": i}) for i in (1, 2))
+        assert self._idle(far)  # nothing received
+
+        near._sock.sendall(ping1[:5])  # a partial frame, on the socket
+        self._arrived(far)
+        assert not self._idle(far)
+
+        near._sock.sendall(ping1[5:] + ping2)
+        time.sleep(0.05)  # both frames in, so one fill reads both
+        assert far.recv() == ({"op": "ping", "id": 1}, None)
+        assert not self._idle(far)  # the second frame, in the reader
+        assert far.recv() == ({"op": "ping", "id": 2}, None)
+        assert self._idle(far)
+
+        near.send({"op": "ping", "id": 3})  # a frame readable on the socket
+        self._arrived(far)
+        assert not self._idle(far)
+        assert far.recv() == ({"op": "ping", "id": 3}, None)
+        assert self._idle(far)
+
+        near.close()  # a hang-up is for recv() to report
+        self._arrived(far)
+        assert not self._idle(far)
+        assert far.recv() is None
+
+
+class _SlowRuntime:
+    """Runs the plan sequentially after a pause, saying when it started
+    and finished."""
+
+    def __init__(self):
+        self.started, self.finished = threading.Event(), threading.Event()
+
+    def run(self, plan, X):
+        self.started.set()
+        time.sleep(0.2)
+        out = SequentialRuntime().run(plan, X)
+        self.finished.set()
+        return out
+
+
+@pytest.mark.parametrize("path", ["dispatched", "inline"])
+def test_drain_waits_for_the_executing_batch(path):
+    with FFTService(ServeConfig(window_s=0.0)) as svc:
+        rt = _SlowRuntime()
+        svc._runtime_for = lambda threads: rt
+        x = _vec(64)
+        if path == "dispatched":
+            ticket = svc.submit(x)
+        else:
+            out: list = []
+            worker = threading.Thread(
+                target=lambda: out.append(svc.transform(x)))
+            worker.start()
+        assert rt.started.wait(5.0)
+        assert svc.drain(timeout=5.0)
+        assert rt.finished.is_set()
+        if path == "dispatched":
+            assert ticket.done()
+        else:
+            worker.join(5.0)
+            np.testing.assert_allclose(out[0], np.fft.fft(x), atol=1e-6)
+
+
+def test_graceful_shutdown_answers_a_request_running_inline():
+    svc = FFTService(ServeConfig(window_s=0.0))
+    rt = _SlowRuntime()
+    svc._runtime_for = lambda threads: rt
+    srv = _RecordingServer(("127.0.0.1", 0), svc)
+    srv.serve_background()
+    x, out = _vec(64), []
+    with ServeClient("127.0.0.1", srv.port) as client:
+        asker = threading.Thread(target=lambda: out.append(client.fft(x)))
+        asker.start()
+        assert rt.started.wait(5.0)
+        drain = svc.drain
+        drained_after_run: list = []
+        svc.drain = lambda timeout: (drain(timeout),
+                                     drained_after_run.append(
+                                         rt.finished.is_set()))[0]
+        assert graceful_shutdown(srv, svc, drain_timeout=5.0)
+        asker.join(5.0)
+        assert not asker.is_alive()
+        assert srv.sessions[0].queued == []  # it ran on the handler thread
+    assert drained_after_run == [True]
+    np.testing.assert_allclose(out[0], np.fft.fft(x), atol=1e-6)

@@ -1,5 +1,6 @@
 """Tests for the SMP runtimes (sequential, pthreads pool, OpenMP fork-join)."""
 
+import threading
 import time
 
 import numpy as np
@@ -124,6 +125,33 @@ class TestPThreadsRuntime:
         rt.close()
         assert time.perf_counter() - t0 < 1.0
         assert not any(t.is_alive() for t in rt._threads)
+
+    def test_master_role_may_pass_between_threads(self, rng):
+        """Every job submitted from a fresh thread, as a service's baton
+        hands the pool from the dispatcher to a connection's thread: the
+        barrier must not remember which thread arrived before (a
+        thread-local sense put the pool out of lockstep and hung it)."""
+        gen = make_plan(256, 2, 4, 16)
+        xs = [random_vector(rng, 256) for _ in range(200)]
+        outs: list = []
+
+        def one(x):
+            outs.append(gen.run_with_stats(x, rt)[0])
+
+        def jobs():
+            for x in xs:
+                t = threading.Thread(target=one, args=(x,))
+                t.start()
+                t.join()
+
+        with PThreadsRuntime(2) as rt:
+            driver = threading.Thread(target=jobs, daemon=True)
+            driver.start()
+            driver.join(timeout=60)
+            assert not driver.is_alive(), f"hung after {len(outs)} jobs"
+        assert len(outs) == len(xs)
+        for x, y in zip(xs, outs):
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-7)
 
     def test_rejects_oversized_plan(self):
         stage = PlanStage(
