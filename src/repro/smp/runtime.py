@@ -83,11 +83,13 @@ class PlanStage:
 class FusedStages(tuple):
     """A plan's stages plus one call that runs all of them.
 
-    ``whole(flat)`` takes the flat, C-contiguous, aligned ``complex128``
-    buffer :meth:`Runtime.run_stages` vouched for, reads it in place, and
-    returns a fresh flat result equal bit for bit to walking the stages in
-    order, every processor share in turn.  The compiled backend builds
-    these (:meth:`repro.codegen.compiled_backend.CompiledPlan.plan_stages`);
+    ``whole(X, writable)`` takes the ``(b, n)`` C-contiguous, aligned
+    ``complex128`` stack :meth:`Runtime.run_stages` vouched for (and
+    whether its memory is writable, from the flags it already read), reads
+    it in place, and returns a fresh ``(b, n)`` result equal bit for bit to
+    walking the stages in order, every processor share in turn.  The
+    compiled backend builds these
+    (:meth:`repro.codegen.compiled_backend.CompiledPlan.plan_stages`);
     everything that walks stage by stage — the pools, the tracer, the
     process-pool workers — iterates one like any stage list.
 
@@ -100,7 +102,7 @@ class FusedStages(tuple):
     ``whole`` and is walked stage by stage.
     """
 
-    def __new__(cls, stages, whole: Callable[[np.ndarray], np.ndarray]):
+    def __new__(cls, stages, whole: Callable[[np.ndarray, bool], np.ndarray]):
         self = super().__new__(cls, stages)
         self.whole = whole
         self.parallel_stages = sum(1 for st in self if st.parallel)
@@ -186,6 +188,9 @@ class Runtime:
     #: rejects a spec-less plan (a hunt-pruned term, ``repro check``'s bare
     #: program — every plan a service builds has one) with ``TypeError``
     needs_spec: bool = False
+    #: True when an untraced :class:`FusedStages` runs as its one
+    #: whole-plan call; otherwise it is walked like any stage list
+    fuses: bool = False
 
     def run(self, plan, X: np.ndarray) -> tuple[np.ndarray, ExecutionStats]:
         """Run ``plan`` (a :func:`repro.serve.plan_cache.build_plan` record)
@@ -199,9 +204,10 @@ class Runtime:
                    spec=None) -> tuple[np.ndarray, ExecutionStats]:
         """:meth:`run` for a bare stage list; the result is always ``(b, n)``.
 
-        What reaches :meth:`_walk` is flat, C-contiguous, aligned
-        ``complex128``: ``X``'s own memory when it already is all of that
-        (it is only ever read, so a read-only array is fine), else a copy.
+        What reaches the whole-plan call or :meth:`_walk` (flattened) is
+        C-contiguous, aligned ``complex128``: ``X``'s own memory when it
+        already is all of that (it is only ever read, so a read-only array
+        is fine), else a copy.
         """
         X = np.asarray(X, dtype=COMPLEX)
         if X.ndim == 1:
@@ -209,9 +215,17 @@ class Runtime:
         if X.ndim != 2 or X.shape[1] != n:
             raise ValueError(f"expected a (batch, {n}) stack, got {X.shape}")
         flags = X.flags
+        writable = flags.writeable
         if not (flags.c_contiguous and flags.aligned):
             # the whole-plan call hands this buffer's address to C as is
-            X = np.array(X, order="C")
+            X, writable = np.array(X, order="C"), True
+        # a tracer wants one span per stage, which only the walk can give
+        if (self.fuses and isinstance(stages, FusedStages)
+                and not get_tracer().enabled):
+            par = stages.parallel_stages
+            return stages.whole(X, writable), ExecutionStats(
+                parallel_stages=par, sequential_stages=len(stages) - par
+            )
         out, stats = self._walk(stages, X.reshape(-1), spec)
         return out.reshape(X.shape), stats
 
@@ -248,17 +262,10 @@ class SequentialRuntime(Runtime):
     and stats are identical either way.
     """
 
+    fuses = True
+
     def __init__(self, p: int = 1):
         self.p = p
-
-    def _walk(self, stages, flat, spec):
-        # a tracer wants one span per stage, which only the walk can give
-        if isinstance(stages, FusedStages) and not get_tracer().enabled:
-            par = stages.parallel_stages
-            return stages.whole(flat), ExecutionStats(
-                parallel_stages=par, sequential_stages=len(stages) - par
-            )
-        return self.execute(stages, flat, flat.size)
 
     def execute(self, stages, x, size):
         tr = get_tracer()

@@ -195,11 +195,11 @@ class TestCheckBackendProgram:
             def build_stages(self, program, codelet_max=32, fallback=True):
                 stages = NumpyBackend().build_stages(program, codelet_max)
 
-                def whole(flat):
+                def whole(X, writable):
                     out = SequentialRuntime().execute(
-                        stages, flat, flat.size
-                    )[0]
-                    out[program.size + 5] += 1e-12
+                        stages, X.reshape(-1), X.size
+                    )[0].reshape(X.shape)
+                    out[1, 5] += 1e-12
                     return out
 
                 return FusedStages(stages, whole)

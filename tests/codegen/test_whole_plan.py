@@ -18,7 +18,11 @@ pool and the tracer still walk stage by stage.  Pinned here:
 * **the input is read, never written, never assumed aligned** — read-only,
   misaligned, strided, ``complex64`` and zero-row inputs, on both paths;
 * **concurrent callers share nothing**, and a failed scratch allocation is
-  a ``MemoryError``.
+  a ``MemoryError``;
+* **the call is its C call plus a few Python steps** — one chain entry, no
+  NumPy ``.ctypes`` object for a writable input, a fixed count of frames;
+* **a stage closure refuses what C would overrun** — the wrong dtype, a
+  short ``dst``, a size that is not a multiple of ``n``.
 
 Everything needs a C compiler; the ``no-compiler`` lane skips the module.
 """
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import gc
+import os
 import sys
 import threading
 import warnings
@@ -429,3 +435,100 @@ def test_concurrent_callers_of_one_plan_share_nothing(plan256, rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == [0] * workers
+
+
+# -- what the call costs in Python --------------------------------------------
+
+#: every Python frame one whole-plan ``run_batched`` enters outside this
+#: module: ``run_batched``, ``Runtime.run_stages``, ``get_tracer``, ``whole``
+#: and ``ExecutionStats.__init__``
+CALL_FRAMES = 5
+
+
+def _frames(fn, *args):
+    """``fn(*args)`` under ``sys.setprofile``, and the ``(file, name)`` of
+    every Python frame it entered (the collector off, so no finalizer runs
+    inside)."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, entered
+
+
+def _numpy_internal(entered):
+    """The frames in NumPy's ``_internal.py``, where ``.ctypes`` builds
+    its object (one ``__init__`` per array asked)."""
+    return [
+        (f, name) for f, name in entered
+        if os.path.basename(f) == "_internal.py" and "numpy" in f
+    ]
+
+
+def test_the_call_is_its_c_call_plus_a_few_python_steps(rng):
+    n = 1024
+    stages, calls = _spied(_plan(n, nu=4))
+    X = _stack(rng, 1, n)
+    want = run_batched(list(stages), n, X, SEQ)[0]
+    (got, _), entered = _frames(run_batched, stages, n, X, SEQ)
+    np.testing.assert_array_equal(got, want)
+    assert calls == [1]
+    ours = [(f, name) for f, name in entered if f != __file__]
+    assert [name for f, name in entered if f == __file__] == ["chain"]
+    assert not _numpy_internal(ours), ours
+    assert len(ours) <= CALL_FRAMES, ours
+
+    # a read-only wire payload pays for its one address through NumPy
+    calls.clear()
+    wire = np.frombuffer(X.tobytes(), dtype=COMPLEX).reshape(1, n)
+    (got, _), entered = _frames(run_batched, stages, n, wire, SEQ)
+    np.testing.assert_array_equal(got, want)
+    assert calls == [1]
+    assert [name for _, name in _numpy_internal(entered)].count(
+        "__init__"
+    ) == 1
+
+    # no rows: nothing to address, and the shape survives
+    calls.clear()
+    (got, _), entered = _frames(run_batched, stages, n, X[:0], SEQ)
+    assert got.shape == (0, n) and calls == [0]
+    assert not _numpy_internal(entered)
+
+
+# -- the staged closure's boundary --------------------------------------------
+
+
+def test_a_stage_refuses_buffers_c_would_overrun(rng):
+    """Each stage function trusts its buffers' length and layout, so the
+    closure refuses every pair it cannot vouch for — the wrong dtype on
+    either side, a short ``dst``, a size that is not a multiple of ``n``,
+    a strided or read-only buffer — with a ``ValueError`` before C, both
+    buffers left as they were.  The pools' walks of this plan are pinned
+    bit for bit in ``test_pools_walk_the_same_sequence``."""
+    n = 1024
+    st = _plan(n, threads=2, nu=4).plan_stages()
+    src = _stack(rng, 2, n).reshape(-1)
+    for bad_src, bad_dst in [
+        (src, np.zeros(2 * n, np.complex64)),
+        (src, np.zeros(n, COMPLEX)),
+        (np.ones(2 * n), np.zeros(2 * n, COMPLEX)),
+        (np.ones(n + 4, COMPLEX), np.zeros(n + 4, COMPLEX)),
+        (src[::2], np.zeros(n, COMPLEX)),
+        (np.frombuffer(src.tobytes(), COMPLEX), np.zeros(2 * n, COMPLEX)),
+    ]:
+        before = bad_src.tobytes(), bad_dst.tobytes()
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            st[0].work(0, bad_src, bad_dst)
+        assert (bad_src.tobytes(), bad_dst.tobytes()) == before
+    dst = np.zeros_like(src)
+    st[0].work(0, src, dst)
+    assert dst.any()
