@@ -4,8 +4,9 @@ The runtime counterpart of the structural Definition 1 checker: replays
 compiled Σ-SPL stage plans and certifies race freedom across every
 barrier-elided window, false-sharing freedom at cache-line granularity
 µ, and per-stage load balance.  ``repro check`` (see :mod:`repro.cli`)
-sweeps the default pipeline's plans for both the thread and process
-runtimes and exits non-zero on any violation; the fault plan's
+sweeps the default pipeline's plans (the one record every runtime runs,
+compared with a second build for determinism) and exits non-zero on any
+violation; the fault plan's
 ``check.overlapping_write`` / ``check.misaligned_split`` points seed
 deliberately broken plans the checker must catch.  See
 ``docs/checking.md``.

@@ -123,9 +123,9 @@ def compare_plans(a: SigmaProgram, b: SigmaProgram) -> list:
     """Structural identity of two independently compiled plans.
 
     The process runtime relies on every process compiling the same
-    :class:`~repro.mp.spec.PlanSpec` into the identical plan; this
-    cross-checks the thread-side and process-side compilations of one
-    configuration.  Returns :class:`~repro.check.checker.Finding`s.
+    :class:`~repro.mp.spec.PlanSpec` into the identical plan; ``repro
+    check`` compares two independent builds of every configuration it
+    certifies.  Returns :class:`~repro.check.checker.Finding`s.
     """
     from .checker import Finding
 

@@ -112,16 +112,15 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .frontend import generate_fft, verify_program
+    from .frontend import feasible_threads, generate_fft, verify_program
 
+    t = feasible_threads(args.n, args.threads, args.mu)
     with _maybe_tracing(args):
-        gen = generate_fft(
-            args.n, threads=args.threads, mu=args.mu, nu=args.nu
-        )
+        gen = generate_fft(args.n, threads=t, mu=args.mu, nu=args.nu)
         ok = verify_program(gen)
         nu_note = f", nu={args.nu}" if args.nu > 1 else ""
         print(
-            f"# DFT_{args.n}, p={args.threads}, mu={args.mu}{nu_note}: "
+            f"# DFT_{args.n}, p={args.threads}(t={t}), mu={args.mu}{nu_note}: "
             f"{len(gen.stages)} stages, verified={ok}",
             file=sys.stderr,
         )
@@ -314,6 +313,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         machine_name=args.machine,
         runtime=args.runtime,
     )
+    print(
+        f"# DFT_{args.size}, p={args.threads}(t={result.threads}), "
+        f"mu={args.mu}",
+        file=sys.stderr,
+    )
     print(result.render_text())
     if args.trace is not None:
         result.write_trace(args.trace)
@@ -367,7 +371,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Sweep the pipeline's plans through the dynamic concurrency checker."""
     from .check import check_backend_program, check_program, compare_plans
     from .codegen import BackendUnavailable, resolve_backend
-    from .mp.spec import PlanSpec, compile_spec
+    from .mp.spec import PlanSpec
     from .serve.plan_cache import build_plan
 
     if args.backend != "numpy":
@@ -381,9 +385,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     threads_list = [int(t) for t in args.threads.split(",") if t]
     mu_list = [int(m) for m in args.mu.split(",") if m]
-    runtimes = (
-        ["thread", "process"] if args.runtime == "both" else [args.runtime]
-    )
     failures = 0
     checked = 0
     with _chaos_plan(args), _maybe_tracing(args):
@@ -395,46 +396,37 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         n, p, mu, args.strategy, nu=args.nu
                     )
                     t = spec.threads
-                    # one record either way: a fresh build (what a plan
-                    # cache holds) and the plan pool workers compile locally
-                    build = {"thread": build_plan, "process": compile_spec}
-                    programs = {
-                        rt: build[rt](spec).program.program for rt in runtimes
-                    }
-                    for rt, prog in programs.items():
-                        report = check_program(prog, mu, max_skew=args.skew)
-                        checked += 1
-                        status = "OK" if report.ok else "FAIL"
-                        print(
-                            f"n=2^{k} p={p}(t={t}) mu={mu} {rt}: "
-                            f"stages={report.stages} "
-                            f"windows={report.windows} "
-                            f"elided={report.elided_certified}/"
-                            f"{report.elided} {status}"
-                        )
-                        for f in report.findings:
-                            print(f"  {f}")
-                        if not report.ok:
+                    # every runtime runs this one record (a process-pool
+                    # worker builds the same spec); a second build must
+                    # reproduce it exactly
+                    prog = build_plan(spec).program.program
+                    report = check_program(prog, mu, max_skew=args.skew)
+                    checked += 1
+                    status = "OK" if report.ok else "FAIL"
+                    print(
+                        f"n=2^{k} p={p}(t={t}) mu={mu}: "
+                        f"stages={report.stages} "
+                        f"windows={report.windows} "
+                        f"elided={report.elided_certified}/"
+                        f"{report.elided} {status}"
+                    )
+                    for f in report.findings:
+                        print(f"  {f}")
+                    if not report.ok:
+                        failures += 1
+                    if args.backend != "numpy":
+                        diffs = check_backend_program(prog, args.backend)
+                        for f in diffs:
+                            print(f"  backend: {f}")
+                        if diffs:
                             failures += 1
-                        if args.backend != "numpy":
-                            diffs = check_backend_program(
-                                prog, args.backend
-                            )
-                            for f in diffs:
-                                print(f"  backend: {f}")
-                            if diffs:
-                                failures += 1
-                            else:
-                                print(
-                                    f"  backend={args.backend}: "
-                                    f"differential OK"
-                                )
-                    if len(programs) == 2:
-                        for f in compare_plans(
-                            programs["thread"], programs["process"]
-                        ):
-                            print(f"n=2^{k} p={p} mu={mu}  {f}")
-                            failures += 1
+                        else:
+                            print(f"  backend={args.backend}: differential OK")
+                    for f in compare_plans(
+                        prog, build_plan(spec).program.program
+                    ):
+                        print(f"  {f}")
+                        failures += 1
     print(
         f"# {checked} plan(s) checked, {failures} failure(s)",
         file=sys.stderr,
@@ -847,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--machine", default="core_duo")
     pr.add_argument(
         "--runtime",
-        choices=["pthreads", "openmp", "sequential"],
+        choices=["pthreads", "sequential"],
         default="pthreads",
     )
     add_trace_flag(pr)
@@ -1112,14 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.25,
         help="load-balance bound: max per-proc work over the mean",
-    )
-    ck.add_argument(
-        "--runtime",
-        choices=["thread", "process", "both"],
-        default="both",
-        help="which runtime's plan to check: the thread plan, the plan "
-        "process-pool workers compile from a PlanSpec, or both "
-        "(cross-checked for determinism)",
     )
     ck.add_argument(
         "--backend",

@@ -4,8 +4,8 @@ Mirrors Spiral's implementation level: a lowered loop program is translated
 into *source code* — one function per pipeline stage, with all index tables,
 twiddle factors, and codelet matrices hoisted into a constant pool.  The
 source is ``exec``-compiled and wrapped in :class:`GeneratedProgram`, whose
-stages run on any :mod:`repro.smp` runtime (sequential, persistent pthreads
-pool, or fork-join OpenMP style) and on the :mod:`repro.mp` process pool.
+stages run on any :mod:`repro.smp` runtime (sequential or the persistent
+pthreads pool) and on the :mod:`repro.mp` process pool.
 
 The printed stages are **batched**: each ``stage(proc, src, dst)`` views its
 flat double buffers as ``(b, n)`` (``b`` recovered from the buffer length,

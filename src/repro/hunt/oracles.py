@@ -79,23 +79,17 @@ class ExecutorPools:
         """The shared runtime for ``t``-way plans on ``runtime``'s lane.
 
         Sequential for ``t <= 1`` (:func:`repro.smp.runtime.lane_name`),
-        else the ``PThreadsRuntime(t)`` / ``ProcessPoolRuntime(t)`` built on
-        first use.
+        else the pool :func:`repro.smp.runtime.make_runtime` builds on
+        first use; an unknown ``runtime`` raises ``ValueError``.
         """
-        from ..smp.runtime import PThreadsRuntime, SequentialRuntime, lane_name
+        from ..smp.runtime import lane_name, make_runtime
 
         lane = lane_name(runtime, t)
         if lane == "sequential":
             t = 1
         rt = self._pools.get((lane, t))
         if rt is None:
-            if lane == "process":
-                from ..mp import ProcessPoolRuntime
-
-                rt = ProcessPoolRuntime(t)
-            else:
-                rt = PThreadsRuntime(t) if t > 1 else SequentialRuntime()
-            self._pools[lane, t] = rt
+            rt = self._pools[lane, t] = make_runtime(runtime, t)
         return rt
 
     def close(self) -> None:

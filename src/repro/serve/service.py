@@ -16,7 +16,8 @@ One long-lived service owns the whole serving pipeline:
 * **persistent runtimes**: one worker pool per thread count — a
   :class:`~repro.smp.runtime.PThreadsRuntime` by default, or a
   :class:`~repro.mp.ProcessPoolRuntime` with ``ServeConfig(runtime=
-  "process")`` for true parallel speedup — created lazily, reused across
+  "process")`` for true parallel speedup, built by
+  :func:`~repro.smp.runtime.make_runtime` — created lazily, reused across
   every request, and closed exactly once on shutdown;
 * **admission control**: a bounded queue (``queue_limit`` pending vectors);
   an over-full queue rejects with :class:`Overloaded` carrying a
@@ -49,10 +50,10 @@ from ..codegen.registry import counters as codegen_counters, get_backend
 from ..faults import get_fault_plan
 from ..frontend import counters as vector_counters, feasible_threads
 from ..smp.runtime import (
-    PThreadsRuntime,
     Runtime,
     SequentialRuntime,
     WorkerPoolBroken,
+    make_runtime,
 )
 from ..trace import Counters, get_tracer
 from ..wisdom import Wisdom
@@ -558,26 +559,11 @@ class FFTService:
                     return self._fallback
                 rt = None
             if rt is None:
-                rt = self._make_pool(threads)
+                rt = make_runtime(self.config.runtime, threads)
                 self._runtimes[threads] = rt
                 if st["rebuilds"] > 0:
                     self.counters.add("pool_rebuilds", threads=threads)
             return rt
-
-    def _make_pool(self, threads: int) -> Runtime:
-        """Build a fresh worker pool of the configured kind.
-
-        ``runtime="process"`` pools are :class:`repro.mp.ProcessPoolRuntime`
-        instances (true parallelism across OS processes); they share the
-        thread pool's ``run`` and health contract, so everything else in
-        this service — plan cache, retirement, rebuild, degradation —
-        applies unchanged.
-        """
-        if self.config.runtime == "process":
-            from ..mp import ProcessPoolRuntime
-
-            return ProcessPoolRuntime(threads)
-        return PThreadsRuntime(threads)
 
     def _note_pool_failure(self, threads: int) -> None:
         """A pool broke mid-execution: retire it so the next use rebuilds."""
@@ -611,7 +597,9 @@ class FFTService:
                     if not rt.healthy:
                         st = self._retire_pool_locked(t, rt)
                         if not st["degraded"]:
-                            self._runtimes[t] = self._make_pool(t)
+                            self._runtimes[t] = make_runtime(
+                                self.config.runtime, t
+                            )
                             self.counters.add("pool_rebuilds", threads=t)
                 for t, st in self._pool_state.items():
                     if (

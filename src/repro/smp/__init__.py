@@ -1,23 +1,24 @@
-"""Shared-memory runtimes: thread pools, barriers, fork-join execution."""
+"""Shared-memory runtimes: the sequential reference, the pooled thread
+runtime and its barriers, and :func:`make_runtime`, which picks one by name."""
 
 from .barrier import SenseReversingBarrier
 from .runtime import (
     ExecutionStats,
     FusedStages,
-    OpenMPRuntime,
     PlanStage,
     PThreadsRuntime,
     Runtime,
     SequentialRuntime,
+    make_runtime,
 )
 
 __all__ = [
     "ExecutionStats",
     "FusedStages",
-    "OpenMPRuntime",
     "PThreadsRuntime",
     "PlanStage",
     "Runtime",
     "SenseReversingBarrier",
     "SequentialRuntime",
+    "make_runtime",
 ]

@@ -4,21 +4,22 @@ A *plan* is a record carrying a list of :class:`PlanStage` entries (see
 :class:`repro.serve.plan_cache.CachedPlan`); each stage is a callable
 ``work(proc, src, dst)`` that performs processor ``proc``'s share of one
 pipeline stage reading ``src`` and writing ``dst``.  Every runtime runs a
-plan through the one entry point :meth:`Runtime.run`; four runtimes share
-that contract, mirroring the paper's backends:
+plan through the one entry point :meth:`Runtime.run`; three runtimes share
+that contract, and :func:`make_runtime` picks one by name:
 
 * :class:`PThreadsRuntime` — a persistent SPMD worker pool with
   sense-reversing barriers; barriers are *skipped* for stages whose dataflow
   is processor-local (``needs_barrier=False``), reproducing the generated
   pthreads code's minimal synchronization.
-* :class:`OpenMPRuntime` — fork-join: every parallel stage spawns fresh
-  threads and joins them (a faithful model of a non-pooling OpenMP runtime,
-  and the behaviour the paper observed for FFTW's per-call threading).
 * :class:`SequentialRuntime` — single-processor reference; runs a
   compiled plan's :class:`FusedStages` as one whole-plan C call.
 * :class:`repro.mp.ProcessPoolRuntime` — the pthreads pool's lockstep walk
   (:func:`lockstep_walk`, the same function) across OS processes over
   shared memory.
+
+Per-call fork-join threading (the paper's OpenMP and FFTW comparison) is
+modeled by :attr:`repro.machine.cost_model.SyncProfile.FORK_JOIN` and
+emitted by the standalone C program's ``openmp`` driver, not run here.
 
 No runtime writes its input: the stage walks ping-pong two buffers of
 their own (the first a copy of the input), the whole-plan call reads the
@@ -116,23 +117,22 @@ class ExecutionStats:
     The counters mean the same thing on every runtime, so traces are
     comparable across backends:
 
-    * ``barriers`` — synchronization points the runtime *actually executed*:
-      sense-reversing barrier episodes for the pthreads pool, fork-join
-      joins for the OpenMP runtime.  Stages that fork no threads (sequential
-      stages, or parallel stages with one processor share) cost no barrier
-      on a fork-join runtime and are not counted.  Always 0 for
-      :class:`SequentialRuntime`.
-    * ``threads_spawned`` — OS threads created during the call.  0 for the
-      sequential runtime *and* for the pthreads pool (workers persist).
+    * ``barriers`` — sense-reversing barrier episodes the pool *actually
+      executed* (the thread pool and the process pool walk alike).  Always
+      0 for :class:`SequentialRuntime`.
     * ``parallel_stages`` / ``sequential_stages`` — counted by the plan's
       ``PlanStage.parallel`` flag (a property of the generated program), not
       by how the runtime happened to execute the stage.
     """
 
     barriers: int = 0
-    threads_spawned: int = 0
     parallel_stages: int = 0
     sequential_stages: int = 0
+
+
+#: the pool kinds :func:`lane_name` and :func:`make_runtime` accept
+#: (``"threads"`` is :class:`repro.serve.ServeConfig`'s ``"pthreads"``)
+RUNTIME_NAMES = ("sequential", "pthreads", "threads", "process")
 
 
 def lane_name(runtime: str, threads: int) -> str:
@@ -140,11 +140,34 @@ def lane_name(runtime: str, threads: int) -> str:
 
     ``"sequential"`` if ``threads <= 1`` (or on request), else the pool
     kind: ``"process"``, or ``"pthreads"`` for thread pools.  Wisdom
-    observation and tuning records are keyed by these strings.
+    observation and tuning records are keyed by these strings.  A kind
+    outside :data:`RUNTIME_NAMES` raises ``ValueError``.
     """
+    if runtime not in RUNTIME_NAMES:
+        raise ValueError(
+            f"unknown runtime {runtime!r}; expected one of "
+            f"{', '.join(RUNTIME_NAMES)}"
+        )
     if threads <= 1 or runtime == "sequential":
         return "sequential"
     return "process" if runtime == "process" else "pthreads"
+
+
+def make_runtime(runtime: str, threads: int) -> "Runtime":
+    """A fresh runtime for ``threads``-way plans on ``runtime``'s lane.
+
+    :func:`lane_name` picks the lane and the lane picks the class:
+    :class:`SequentialRuntime`, ``PThreadsRuntime(threads)`` or
+    ``ProcessPoolRuntime(threads)``.  The caller closes it.
+    """
+    lane = lane_name(runtime, threads)
+    if lane == "sequential":
+        return SequentialRuntime()
+    if lane == "process":
+        from ..mp import ProcessPoolRuntime  # repro.mp imports this module
+
+        return ProcessPoolRuntime(threads)
+    return PThreadsRuntime(threads)
 
 
 def lockstep_walk(proc, stages, src, dst, wait, reports=None) -> None:
@@ -251,9 +274,9 @@ class Runtime:
 class SequentialRuntime(Runtime):
     """Runs every stage's work items on the calling thread.
 
-    Reports ``barriers == 0`` and ``threads_spawned == 0`` by construction:
-    a single thread synchronizes with nobody, so the zeros make sequential
-    traces directly comparable with the threaded runtimes'.
+    Reports ``barriers == 0`` by construction: a single thread
+    synchronizes with nobody, so the zero makes sequential traces directly
+    comparable with the pools'.
 
     Through :meth:`run` / :meth:`run_stages`, a :class:`FusedStages` is
     run as its one whole-plan call — no copy of the input, no per-stage
@@ -262,10 +285,8 @@ class SequentialRuntime(Runtime):
     and stats are identical either way.
     """
 
+    p = 1
     fuses = True
-
-    def __init__(self, p: int = 1):
-        self.p = p
 
     def execute(self, stages, x, size):
         tr = get_tracer()
@@ -462,58 +483,3 @@ class PThreadsRuntime(Runtime):
         for t in self._threads:
             t.join(timeout=5)
 
-
-class OpenMPRuntime(Runtime):
-    """Fork-join runtime: threads are created per parallel region.
-
-    Thread creation cost is paid at *every parallel stage* — the overhead
-    profile of non-pooled OpenMP/per-call threading that makes small-size
-    parallelization unprofitable (paper Sections 2.2 and 4).  Stages that
-    fork no threads (sequential passes, one-processor shares) run inline
-    and execute no join barrier.
-    """
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError(f"need p >= 1 workers, got {p}")
-        self.p = p
-
-    def execute(self, stages, x, size):
-        tr = get_tracer()
-        stats = ExecutionStats()
-        src = np.array(x, dtype=np.complex128, copy=True)
-        dst = np.empty_like(src)
-        for si, stage in enumerate(stages):
-            if tr.enabled:
-                t0 = time.perf_counter()
-            forked = stage.parallel and stage.nprocs > 1
-            if forked:
-                threads = [
-                    threading.Thread(target=stage.work, args=(i, src, dst))
-                    for i in range(1, stage.nprocs)
-                ]
-                for t in threads:
-                    t.start()
-                stats.threads_spawned += len(threads)
-                stage.work(0, src, dst)
-                for t in threads:
-                    t.join()
-                # the join ending a fork-join region is the one implicit
-                # barrier this runtime executes; stages that fork no
-                # threads synchronize nothing and cost no barrier
-                stats.barriers += 1
-            else:
-                for proc in range(max(1, stage.nprocs)):
-                    stage.work(proc, src, dst)
-            if stage.parallel:
-                stats.parallel_stages += 1
-            else:
-                stats.sequential_stages += 1
-            if tr.enabled:
-                tr.count("smp.stage_wall_s", time.perf_counter() - t0,
-                         stage=si, proc=0)
-                if forked:
-                    tr.count("smp.threads_spawned", stage.nprocs - 1,
-                             stage=si)
-            src, dst = dst, src
-        return src, stats

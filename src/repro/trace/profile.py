@@ -31,12 +31,7 @@ from ..machine.cost_model import CostBreakdown, SyncProfile, estimate_cost
 from ..machine.replay import ReplayResult, replay
 from ..machine.topology import MachineSpec, machine
 from ..sigma.lower import lower
-from ..smp.runtime import (
-    ExecutionStats,
-    OpenMPRuntime,
-    PThreadsRuntime,
-    SequentialRuntime,
-)
+from ..smp.runtime import ExecutionStats, make_runtime
 from .export import render_counters, write_chrome_trace
 from .tracer import Tracer, tracing
 
@@ -156,7 +151,6 @@ class ProfileResult:
         if self.exec_stats is not None:
             totals.append(
                 f"runtime execution: {self.exec_stats.barriers} barriers, "
-                f"{self.exec_stats.threads_spawned} threads spawned, "
                 f"{self.exec_stats.parallel_stages} parallel / "
                 f"{self.exec_stats.sequential_stages} sequential stages"
             )
@@ -173,16 +167,6 @@ class ProfileResult:
         if tr is not None and tr.counter_names():
             totals += ["", "## counters", render_counters(tr)]
         return "\n".join(head + rows + totals)
-
-
-def _make_runtime(kind: str, threads: int):
-    if threads <= 1 or kind == "sequential":
-        return SequentialRuntime()
-    if kind == "pthreads":
-        return PThreadsRuntime(threads)
-    if kind == "openmp":
-        return OpenMPRuntime(threads)
-    raise ValueError(f"unknown runtime {kind!r}")
 
 
 def profile_transform(
@@ -203,9 +187,13 @@ def profile_transform(
     ``replay_cache`` controls the O(accesses) cache-simulator replay; the
     default runs it up to ``n <= REPLAY_SIZE_LIMIT`` and skips it beyond.
     ``run=False`` skips the real threaded execution (model-only profile).
+    ``threads`` is clamped by :func:`repro.frontend.feasible_threads`; the
+    result's ``threads`` is the count that ran.
     """
-    from ..frontend import spiral_formula  # late import; frontend imports us
+    # late import; frontend imports us
+    from ..frontend import feasible_threads, spiral_formula
 
+    threads = feasible_threads(n, threads, mu)
     spec = spec or machine(machine_name)
     tr = tracer if tracer is not None else Tracer()
     if replay_cache is None:
@@ -250,7 +238,7 @@ def profile_transform(
             if run:
                 rng = np.random.default_rng(0)
                 x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                rt = _make_runtime(result.runtime, threads)
+                rt = make_runtime(result.runtime, threads)
                 try:
                     with tr.span("execute", "smp", runtime=result.runtime):
                         out, exec_stats = gen.run_with_stats(x, rt)

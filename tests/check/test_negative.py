@@ -7,6 +7,8 @@ library path (:func:`repro.check.apply_check_faults` inside
 exit non-zero with a named diagnostic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,39 @@ class TestCheckCLI:
         assert isinstance(get_fault_plan(), NullFaultPlan)
 
     def test_runtime_selection(self, capsys):
-        rc = main(["check", "--kmin", "4", "--kmax", "4", "--mu", "1",
-                   "--runtime", "thread"])
+        """Every runtime runs the one record, so there is no runtime to
+        pick: one row per config, each compared with a second build."""
+        with pytest.raises(SystemExit):
+            main(["check", "--runtime", "thread"])
+        capsys.readouterr()
+        rc = main(["check", "--kmin", "4", "--kmax", "6", "--threads", "2,4",
+                   "--mu", "1,2"])
         out = capsys.readouterr()
         assert rc == 0
-        assert "thread" in out.out and "process" not in out.out
+        rows = [ln for ln in out.out.splitlines() if ln.startswith("n=2^")]
+        assert len(rows) == 3 * 2 * 2
+        assert not any("thread" in r or "process" in r for r in rows)
+        assert "12 plan(s) checked, 0 failure(s)" in out.err
+
+    def test_second_build_is_compared(self, capsys, monkeypatch):
+        """A second build that differs from the first is a failure."""
+        import repro.serve.plan_cache as plan_cache
+
+        real, builds = plan_cache.build_plan, []
+
+        def build(spec, key=None):
+            plan = real(spec, key)
+            builds.append(plan)
+            if len(builds) % 2:  # the config's first build
+                return plan
+            gen = plan.program
+            return dataclasses.replace(plan, program=dataclasses.replace(
+                gen, program=inject_misaligned_split(gen.program)
+            ))
+
+        monkeypatch.setattr(plan_cache, "build_plan", build)
+        rc = main(["check", "--kmin", "6", "--kmax", "6", "--threads", "2",
+                   "--mu", "2"])
+        out = capsys.readouterr()
+        assert rc == 1 and len(builds) == 2
+        assert "determinism" in out.out

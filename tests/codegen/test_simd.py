@@ -244,7 +244,6 @@ class TestSimdCli:
         rc = main([
             "check", "--kmin", "6", "--kmax", "6", "--threads", "1",
             "--mu", "4", "--nu", "2", "--backend", "compiled",
-            "--runtime", "thread",
         ])
         out = capsys.readouterr().out
         assert rc == 0

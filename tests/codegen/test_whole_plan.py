@@ -57,7 +57,6 @@ from repro.serve.plan_cache import build_plan
 from repro.smp.runtime import (
     ExecutionStats,
     FusedStages,
-    OpenMPRuntime,
     PThreadsRuntime,
     SequentialRuntime,
 )
@@ -115,8 +114,7 @@ def test_whole_plan_equals_the_stage_walk(k, nu, threads, rng, pthreads2):
     assert isinstance(stages, FusedStages)
     par = sum(st.parallel for st in stages)
     want_stats = ExecutionStats(
-        barriers=0, threads_spawned=0,
-        parallel_stages=par, sequential_stages=len(stages) - par,
+        barriers=0, parallel_stages=par, sequential_stages=len(stages) - par,
     )
     for b in (1, 3):
         X = _stack(rng, b, n)
@@ -301,7 +299,7 @@ def test_pools_walk_the_same_sequence(rng, pthreads2):
         want, run_batched(list(plan.stages), n, X, SEQ)[0]
     )
     with ProcessPoolRuntime(2) as procs:
-        for rt in (pthreads2, OpenMPRuntime(2), procs):
+        for rt in (pthreads2, procs):
             got, stats = rt.run(plan, X)
             np.testing.assert_array_equal(got, want)
             assert stats.barriers > 0

@@ -61,6 +61,27 @@ class TestGenerate:
         )
         assert "pthread" not in capsys.readouterr().out
 
+    def test_generate_clamps_infeasible_threads(self, capsys):
+        """(4·4)² does not divide 64: the verb runs the feasible t=2."""
+        assert main(["generate", "64", "-p", "4"]) == 0
+        err = capsys.readouterr().err
+        assert "p=4(t=2)" in err and "verified=True" in err
+
+
+class TestProfile:
+    def test_profile_clamps_infeasible_threads(self, capsys):
+        assert main(["profile", "--size", "64", "--threads", "4"]) == 0
+        out = capsys.readouterr()
+        assert "p=4(t=2)" in out.err
+        assert "# repro profile: DFT_64  p=2  mu=4" in out.out
+        assert "verified against numpy.fft: True" in out.out
+
+    def test_openmp_runtime_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["profile", "--size", "64", "--runtime", "openmp"]
+            )
+
 
 class TestBench:
     def test_bench_rows(self, capsys):

@@ -11,7 +11,7 @@ from repro.frontend import (
     verify_program,
 )
 from repro.machine import SyncProfile, core_duo, opteron
-from repro.smp import OpenMPRuntime, PThreadsRuntime
+from repro.smp import PThreadsRuntime
 from tests.conftest import random_vector
 
 
@@ -29,8 +29,6 @@ class TestGenerateFFT:
         with PThreadsRuntime(threads) as rt:
             out = gen.run(x, rt)
         np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-6)
-        out2 = gen.run(x, OpenMPRuntime(threads))
-        np.testing.assert_allclose(out2, np.fft.fft(x), atol=1e-6)
 
     def test_verify_helper(self):
         assert verify_program(generate_fft(64))

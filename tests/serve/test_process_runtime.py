@@ -16,6 +16,7 @@ from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.mp import ProcessPoolRuntime
 from repro.serve import FFTService, ServeConfig
 from repro.serve.server import FFTServer
+from repro.smp import make_runtime
 from repro.wisdom import Wisdom
 
 
@@ -84,7 +85,7 @@ class TestProcessBackedService:
                 assert plans and all(p.spec is not None for p in plans)
                 # a pool of the service's kind, but owned by this thread:
                 # a pthreads pool's barrier sense is local to its master
-                with contextlib.closing(svc._make_pool(2)) as pool:
+                with contextlib.closing(make_runtime(runtime, 2)) as pool:
                     _, stats = pool.run(plans[0], x)
                 built[runtime] = ([(p.key, p.spec) for p in plans], stats)
         assert built["threads"] == built["process"]

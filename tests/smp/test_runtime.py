@@ -1,4 +1,4 @@
-"""Tests for the SMP runtimes (sequential, pthreads pool, OpenMP fork-join)."""
+"""Tests for the SMP runtimes (sequential, pthreads pool) and make_runtime."""
 
 import threading
 import time
@@ -9,13 +9,15 @@ import pytest
 from repro.codegen import generate
 from repro.rewrite import derive_multicore_ct, expand_dft
 from repro.sigma import lower
+from repro.hunt import ExecutorPools
+from repro.mp import ProcessPoolRuntime
 from repro.smp import (
-    OpenMPRuntime,
     PlanStage,
     PThreadsRuntime,
     SequentialRuntime,
+    make_runtime,
 )
-from repro.smp.runtime import WorkerPoolBroken
+from repro.smp.runtime import RUNTIME_NAMES, WorkerPoolBroken
 from tests.conftest import random_vector
 
 
@@ -50,16 +52,14 @@ class TestSequentialRuntime:
             random_vector(rng, 256), SequentialRuntime()
         )
         assert stats.parallel_stages == len(gen.stages)
-        assert stats.threads_spawned == 0
 
     def test_no_synchronization_ever(self, rng):
-        """One thread synchronizes with nobody: barriers and spawns are 0."""
+        """One thread synchronizes with nobody: barriers are 0."""
         for gen in (make_plan(), make_mixed_plan(), make_mixed_plan(2)):
             _, stats = gen.run_with_stats(
                 random_vector(rng, gen.size), SequentialRuntime()
             )
             assert stats.barriers == 0
-            assert stats.threads_spawned == 0
 
 
 class TestPThreadsRuntime:
@@ -166,60 +166,14 @@ class TestPThreadsRuntime:
             PThreadsRuntime(0)
 
 
-class TestOpenMPRuntime:
-    def test_correct(self, rng):
-        gen = make_plan()
-        x = random_vector(rng, 256)
-        out, stats = gen.run_with_stats(x, OpenMPRuntime(2))
-        np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-7)
-        # fork-join: one spawn per extra thread per parallel stage
-        assert stats.threads_spawned == len(gen.stages) * 1
-
-    def test_every_stage_costs_a_join(self, rng):
-        gen = make_plan()
-        _, stats = gen.run_with_stats(
-            random_vector(rng, 256), OpenMPRuntime(2)
-        )
-        assert stats.barriers == len(gen.stages)
-
-    def test_sequential_stages_fork_nothing(self, rng):
-        """A stage that forks no threads joins no threads: an all-sequential
-        plan must report zero barriers and zero spawns (regression for the
-        fork-join accounting that used to charge every stage)."""
-        gen = make_mixed_plan()
-        assert all(not s.parallel for s in gen.stages)
-        x = random_vector(rng, 64)
-        out, stats = gen.run_with_stats(x, OpenMPRuntime(2))
-        np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-7)
-        assert stats.barriers == 0
-        assert stats.threads_spawned == 0
-        assert stats.parallel_stages == 0
-        assert stats.sequential_stages == len(gen.stages)
-
-    def test_mixed_plan_charges_only_forked_stages(self, rng):
-        gen = make_mixed_plan(copy_procs=2)
-        forked = sum(1 for s in gen.stages if s.parallel and s.nprocs > 1)
-        assert 0 < forked < len(gen.stages)  # genuinely mixed
-        x = random_vector(rng, 64)
-        out, stats = gen.run_with_stats(x, OpenMPRuntime(2))
-        np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-7)
-        assert stats.barriers == forked
-        # one extra OS thread per forked stage at p=2
-        assert stats.threads_spawned == forked * 1
-        assert stats.parallel_stages == forked
-        assert stats.sequential_stages == len(gen.stages) - forked
-
-
 class TestCrossRuntimeAgreement:
     @pytest.mark.parametrize("n,p,mu,leaf", [(256, 2, 4, 8), (576, 2, 2, 8)])
     def test_all_runtimes_agree(self, rng, n, p, mu, leaf):
         gen = make_plan(n, p, mu, leaf)
         x = random_vector(rng, n)
         seq = gen.run(x, SequentialRuntime())
-        omp = gen.run(x, OpenMPRuntime(p))
         with PThreadsRuntime(p) as rt:
             pth = gen.run(x, rt)
-        np.testing.assert_allclose(seq, omp, atol=1e-9)
         np.testing.assert_allclose(seq, pth, atol=1e-9)
 
     def test_sequential_stage_in_plan(self, rng):
@@ -235,6 +189,36 @@ class TestCrossRuntimeAgreement:
         np.testing.assert_allclose(gen.run(x), want, atol=1e-7)
         with PThreadsRuntime(2) as rt:
             np.testing.assert_allclose(gen.run(x, rt), want, atol=1e-7)
-        np.testing.assert_allclose(
-            gen.run(x, OpenMPRuntime(2)), want, atol=1e-7
-        )
+
+
+class TestMakeRuntime:
+    CLASSES = {
+        "sequential": SequentialRuntime,
+        "pthreads": PThreadsRuntime,
+        "threads": PThreadsRuntime,
+        "process": ProcessPoolRuntime,
+    }
+
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    @pytest.mark.parametrize("name", RUNTIME_NAMES)
+    def test_each_name_gives_its_class(self, name, threads):
+        """``threads <= 1`` is sequential whatever the name."""
+        with make_runtime(name, threads) as rt:
+            want = SequentialRuntime if threads <= 1 else self.CLASSES[name]
+            assert type(rt) is want
+            assert rt.p == (1 if want is SequentialRuntime else threads)
+
+    @pytest.mark.parametrize("name", ["thread", "openmp", "bogus"])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(ValueError, match="expected one of"):
+            make_runtime(name, 2)
+
+    def test_executor_pools_refuse_unknown_names(self):
+        pools = ExecutorPools()
+        try:
+            pools.get("pthreads", 2)
+            # a cached thread pool on the same lane must not answer for it
+            with pytest.raises(ValueError, match="bogus"):
+                pools.get("bogus", 2)
+        finally:
+            pools.close()
