@@ -65,6 +65,7 @@ def main() -> None:
 
     from repro import Wisdom
     from repro.serve.plan_cache import PlanCache, PlanKey
+    from repro.smp.runtime import SequentialRuntime
     from repro.tune import measured_search
 
     with tempfile.TemporaryDirectory() as d:
@@ -74,7 +75,8 @@ def main() -> None:
         cache = PlanCache(wisdom=Wisdom(path))  # a "new session"
         plan = cache.get(PlanKey(n))  # requested: balanced/leaf32
         assert plan.spec.strategy == ranked.best.strategy
-        assert np.allclose(plan.program(x), np.fft.fft(x), atol=1e-6)
+        y, _ = SequentialRuntime().run(plan, x[np.newaxis])
+        assert np.allclose(y[0], np.fft.fft(x), atol=1e-6)
         print(f"wisdom round trip through {path.name}: requested "
               f"{plan.key.strategy}, built the measured best "
               f"{plan.spec.strategy}/leaf{plan.spec.min_leaf}, "

@@ -399,7 +399,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     # every runtime runs this one record (a process-pool
                     # worker builds the same spec); a second build must
                     # reproduce it exactly
-                    prog = build_plan(spec).program.program
+                    prog = build_plan(spec).program
                     report = check_program(prog, mu, max_skew=args.skew)
                     checked += 1
                     status = "OK" if report.ok else "FAIL"
@@ -422,9 +422,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             failures += 1
                         else:
                             print(f"  backend={args.backend}: differential OK")
-                    for f in compare_plans(
-                        prog, build_plan(spec).program.program
-                    ):
+                    for f in compare_plans(prog, build_plan(spec).program):
                         print(f"  {f}")
                         failures += 1
     print(

@@ -18,9 +18,11 @@ tests install a real plan with :func:`fault_plan` and ``repro serve
         ...                      # next pthreads execution loses a worker
     fp.fires("runtime.worker_crash")   # -> 1
 
-Everything downstream (the supervisor, pool rebuilds, degradation to the
-sequential runtime, client retry) is exercised by ``tests/serve/test_chaos.py``
-against these points.  See ``docs/serving.md``.
+Everything downstream (pool retirement and rebuilds, degradation to the
+sequential runtime, the dispatcher carrying on past its crash, client
+retry) is exercised by ``tests/serve/test_chaos.py`` and
+``tests/serve/test_healing.py`` against these points.  See
+``docs/serving.md``.
 """
 
 from .plan import (

@@ -120,6 +120,17 @@ def spiral_formula(n: int, threads: int, mu: int, strategy: str = "balanced",
     return f
 
 
+def lower_fft(n: int, threads: int = 1, mu: int = 4,
+              strategy: str = "balanced", min_leaf: int = 32,
+              nu: int = 1) -> SigmaProgram:
+    """The lowered Σ-SPL program for ``DFT_n``: what every backend builds
+    its stages from (:func:`generate_fft` prints it as Python)."""
+    f = spiral_formula(n, threads, mu, strategy, min_leaf, nu=nu)
+    # mu-aware elision: unsynchronized chains must be line-disjoint,
+    # not just element-disjoint (certified by `repro check`)
+    return lower(f, barrier_mu=mu)
+
+
 def generate_fft(
     n: int,
     threads: int = 1,
@@ -147,10 +158,7 @@ def generate_fft(
     tr = get_tracer()
     with tr.span("generate_fft", "frontend", n=n, threads=threads, mu=mu,
                  nu=nu):
-        f = spiral_formula(n, threads, mu, strategy, min_leaf, nu=nu)
-        # mu-aware elision: unsynchronized chains must be line-disjoint,
-        # not just element-disjoint (certified by `repro check`)
-        return generate(lower(f, barrier_mu=mu))
+        return generate(lower_fft(n, threads, mu, strategy, min_leaf, nu))
 
 
 @dataclass
@@ -185,10 +193,9 @@ class SpiralSMP:
         """Lowered (merged, mu-aware) program for ``n`` on ``threads`` cores."""
         key = (n, threads)
         if key not in self._programs:
-            f = spiral_formula(
+            self._programs[key] = lower_fft(
                 n, threads, self.spec.mu, self.strategy, self.min_leaf
             )
-            self._programs[key] = lower(f, barrier_mu=self.spec.mu)
         return self._programs[key]
 
     def cost(

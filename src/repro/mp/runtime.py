@@ -17,8 +17,8 @@ never get pickled.  :meth:`~repro.smp.runtime.Runtime.run` therefore walks
 plan without a spec (and the bare-closure :meth:`execute`) is a
 ``TypeError`` here.
 
-Failure contract (identical to the thread pool, so the serving
-supervisor's self-healing applies unchanged): a worker death mid-plan
+Failure contract (identical to the thread pool, so the serving layer's
+self-healing applies unchanged): a worker death mid-plan
 surfaces as a typed :class:`~repro.smp.runtime.WorkerPoolBroken` instead
 of a hang, ``healthy`` turns False, and the holder is expected to
 ``close()`` the pool and build a replacement.

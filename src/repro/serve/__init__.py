@@ -9,9 +9,11 @@ path (see ``docs/serving.md``):
 * :func:`~repro.serve.batch_exec.run_batched` — stacked ``(b, n)``
   execution of a bare stage list on the persistent SMP runtimes;
 * :class:`FFTService` — request batching, admission control (bounded queue
-  with retry-after backpressure), per-request deadlines, and self-healing:
-  a supervisor restarts dead dispatchers, rebuilds broken worker pools,
-  and degrades to sequential execution when rebuilds keep failing;
+  with retry-after backpressure), per-request deadlines, and self-healing
+  where the pool is used: the batch that breaks a worker pool retires it,
+  the next one rebuilds it, a thread count that keeps failing runs
+  sequentially until a cooldown passes, and the dispatcher carries on
+  past a pass that raises;
 * :class:`FFTServer` / :class:`ServeClient` — the TCP/JSON front end
   behind ``repro serve``, both ends of the one hop in
   :mod:`~repro.serve.protocol`; the client retries retryable failures

@@ -1,11 +1,11 @@
 """The one plan record, its one builder, and the serving plan cache.
 
 :class:`CachedPlan` is the value every runtime runs
-(:meth:`repro.smp.runtime.Runtime.run`): the generated program plus the
-batched stage list of the configured execution backend
-(:func:`repro.codegen.resolve_backend` — by default the generated
-program's own printed NumPy stages, or JIT-compiled C codelets with
-``backend="compiled"``).  :func:`build_plan` is the only place a
+(:meth:`repro.smp.runtime.Runtime.run`): the lowered Σ-SPL program plus
+the batched stage list the configured execution backend builds from it
+(:func:`repro.codegen.resolve_backend` — by default the printed NumPy
+stages, or JIT-compiled C codelets with ``backend="compiled"``).
+:func:`build_plan` is the only place a
 :class:`~repro.mp.spec.PlanSpec` becomes one, and it is a pure function of
 the spec; the process-local LRU :func:`repro.mp.spec.compile_spec`, the
 tuner, measured search and the hunt all call it.  :func:`plan_builder` is
@@ -32,11 +32,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ..codegen.python_backend import GeneratedProgram
 from ..codegen.registry import resolve_backend
 from ..faults import get_fault_plan
-from ..frontend import generate_fft
+from ..frontend import lower_fft
 from ..mp.spec import PlanSpec
+from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage, lane_name
 from ..trace import Counters, get_tracer
 from ..wisdom import Wisdom
@@ -66,7 +66,7 @@ class PlanKey(NamedTuple):
 
 @dataclass
 class CachedPlan:
-    """An executable plan: the generated program and its batched stages.
+    """An executable plan: the lowered program and its batched stages.
 
     ``backend`` records which execution backend actually built the stage
     list (after any registry fallback), so stats/health endpoints report
@@ -74,37 +74,31 @@ class CachedPlan:
     cache's coalescing key; ``None`` outside a cache) and ``spec`` what was
     built — what a process pool ships to its workers — differing where a
     wisdom ranking substituted a faster strategy, leaf bound or ν.  Only a
-    hunt-pruned term, whose ``program`` is the bare lowered
-    ``SigmaProgram``, has ``spec=None``.
+    hunt-pruned term or a ``repro check`` differential, built from a bare
+    program, has ``spec=None``.
     """
 
     key: Optional[PlanKey]
-    program: GeneratedProgram
+    program: SigmaProgram
     stages: Sequence[PlanStage]
     backend: str = "numpy"
     spec: Optional[PlanSpec] = None
 
 
 def build_plan(spec: PlanSpec, key: Optional[PlanKey] = None) -> CachedPlan:
-    """The one builder: ``spec`` → generated program → backend stages.
+    """The one builder: ``spec`` → lowered program → backend stages.
 
     A pure function of the spec, so every process building it gets the
     same stage structure, index tables and constants — the invariant SPMD
     lockstep across pool workers rests on.
     """
-    program = generate_fft(
-        spec.n, threads=spec.threads, mu=spec.mu, strategy=spec.strategy,
-        min_leaf=spec.min_leaf, nu=spec.nu,
-    )
+    program = lower_fft(spec.n, spec.threads, spec.mu, spec.strategy,
+                        spec.min_leaf, spec.nu)
     exec_backend = resolve_backend(spec.backend)
-    if (exec_backend.name, spec.codelet_max) == ("numpy", program.codelet_max):
-        stages = program.stages  # already printed: that *is* the backend
-    else:
-        stages = exec_backend.build_stages(program.program, spec.codelet_max)
     return CachedPlan(
         key=key,
         program=program,
-        stages=stages,
+        stages=exec_backend.build_stages(program, spec.codelet_max),
         backend=exec_backend.name,
         spec=spec,
     )

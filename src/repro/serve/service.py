@@ -24,13 +24,15 @@ One long-lived service owns the whole serving pipeline:
   ``retry_after`` hint, and each request carries a deadline — requests
   whose deadline passes while queued fail *at expiry time* with a typed
   :class:`DeadlineExceeded` instead of wasting an execution slot;
-* **self-healing**: a supervisor thread restarts a dead dispatcher and
-  rebuilds broken :class:`~repro.smp.runtime.PThreadsRuntime` pools; a
-  batch whose pool dies mid-plan fails over to the sequential runtime,
-  and a thread count that keeps failing is *degraded* to sequential
-  execution until it has been quiet for ``degrade_cooldown_s`` (the
-  ``health()`` snapshot / wire op reports all of this).  Failure seams
-  are exercised deterministically through :mod:`repro.faults`.
+* **self-healing where the pool is used**: the batch that breaks a
+  worker pool retires it (and fails over to the sequential runtime when
+  the pool died under it), the next batch that needs the pool rebuilds
+  it, and a thread count that fails more than ``MAX_POOL_REBUILDS`` times
+  runs *degraded* — sequentially — until ``DEGRADE_COOLDOWN_S`` has
+  passed since its last failure; the dispatcher survives its own crash.
+  No thread watches: the ``health()`` snapshot / wire op brings the same
+  records up to date when it reads them.  Failure seams are exercised
+  deterministically through :mod:`repro.faults`.
 
 Every event is counted once, in the service's :class:`~repro.trace.Counters`
 (``stats`` / ``health`` read its snapshot; an active tracer sees the same
@@ -59,6 +61,11 @@ from ..trace import Counters, get_tracer
 from ..wisdom import Wisdom
 from .metrics import LatencyRecorder
 from .plan_cache import PlanCache, PlanKey, plan_builder
+
+#: pool failures a thread count absorbs before it runs degraded
+MAX_POOL_REBUILDS = 2
+#: failure-free time after which a degraded thread count gets a pool again
+DEGRADE_COOLDOWN_S = 1.0
 
 
 class ServeError(Exception):
@@ -101,9 +108,6 @@ class ServeConfig:
     cache_capacity: int = 64  #: plan-cache entries (LRU beyond this)
     default_timeout_s: Optional[float] = 30.0  #: per-request deadline
     wisdom_path: Optional[str] = None  #: measured rankings: built from, recorded to
-    supervise_interval_s: float = 0.05  #: supervisor health-check period
-    max_pool_rebuilds: int = 2  #: pool failures tolerated before degrading
-    degrade_cooldown_s: float = 1.0  #: quiet time before re-promoting a pool
     tune: bool = False  #: run a background Tuner (see repro.tune)
     tune_interval_s: float = 0.5  #: tuner tick period
     p99_target_ms: Optional[float] = None  #: batcher-knob autotuning goal
@@ -227,7 +231,8 @@ class FFTService:
         self._closing = False
         self._runtimes: dict[int, Runtime] = {}
         self._runtime_lock = threading.Lock()
-        #: per-thread-count pool health bookkeeping (guarded by _runtime_lock)
+        #: per-thread-count pool failures: {"failures", "last_failure"}
+        #: (guarded by _runtime_lock; see _pool_locked)
         self._pool_state: dict[int, dict] = {}
         #: the always-safe execution fallback degraded pools route through
         self._fallback = SequentialRuntime()
@@ -236,12 +241,6 @@ class FFTService:
             target=self._dispatch_loop, name="fft-serve-dispatch", daemon=True
         )
         self._dispatcher.start()
-        self._stop_supervisor = threading.Event()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name="fft-serve-supervise",
-            daemon=True,
-        )
-        self._supervisor.start()
         self.tuner = None
         if self.config.tune:
             from ..tune import Tuner, TunerConfig
@@ -376,36 +375,39 @@ class FFTService:
         """Liveness/degradation snapshot (the wire protocol's ``health`` op).
 
         ``status`` is ``"ok"`` only while the dispatcher is alive, no pool
-        is degraded, every existing worker pool is healthy and no cached
-        plan runs on another backend than the configured one
-        (``fallbacks`` names each that does); chaos tests poll this until
-        the service reports recovery after faults stop.
+        is degraded and no cached plan runs on another backend than the
+        configured one (``fallbacks`` names each that does); chaos tests
+        poll this until the service reports recovery after faults stop.
+        Reading brings each pool record up to date first, exactly as the
+        next batch would: a broken pool is retired (``healthy: None`` until
+        a batch rebuilds it) and an expired degradation is promoted.
         """
         want = self.config.backend
         fallbacks = [
             f"{plan.key.label()} {want}->{plan.backend}"
             for plan in self.plans.values() if plan.backend != want
         ]
+        now = time.monotonic()
+        pools, retired = {}, []
         with self._runtime_lock:
-            pools = {}
             # every pool has a state record: _runtime_for makes it first
-            for t, st in self._pool_state.items():
-                rt = self._runtimes.get(t)
+            for t in list(self._pool_state):
+                st, broken = self._pool_locked(t, now)
+                if broken is not None:
+                    retired.append(broken)
                 pools[str(t)] = {
                     "workers": t,
-                    "healthy": bool(rt.healthy)
-                    if rt is not None
-                    else None,  # dropped; rebuilt on next use
-                    "degraded": st["degraded"],
-                    "rebuilds": st["rebuilds"],
+                    "healthy": True if t in self._runtimes else None,
+                    "degraded": st["failures"] > MAX_POOL_REBUILDS,
+                    "rebuilds": st["failures"],
                 }
+        for rt in retired:
+            rt.close()
         dispatcher_alive = self._dispatcher.is_alive()
         degraded = any(p["degraded"] for p in pools.values())
-        unhealthy = any(p["healthy"] is False for p in pools.values())
         if self._closing:
             status = "closed"
-        elif (dispatcher_alive and not degraded and not unhealthy
-              and not fallbacks):
+        elif dispatcher_alive and not degraded and not fallbacks:
             status = "ok"
         else:
             status = "degraded"
@@ -478,13 +480,9 @@ class FFTService:
                 return
             self._closing = True
             self._cond.notify_all()
-        # stop the tuner first so no hot-swap lands mid-shutdown, then the
-        # supervisor so it cannot resurrect the dispatcher (or rebuild
-        # pools) underneath the shutdown sequence
+        # stop the tuner first so no hot-swap lands mid-shutdown
         if self.tuner is not None:
             self.tuner.close()
-        self._stop_supervisor.set()
-        self._supervisor.join(timeout=10)
         self._dispatcher.join(timeout=10)
         with self._cond:
             # a batch run inline may still hold the baton and its pool
@@ -514,102 +512,62 @@ class FFTService:
         )
         return max(self.config.window_s, 0.001) * backlog_batches
 
-    def _pool_state_for(self, threads: int) -> dict:
-        """This thread-count's health record (``_runtime_lock`` held)."""
-        return self._pool_state.setdefault(
-            threads,
-            {"rebuilds": 0, "degraded": False, "last_failure": 0.0},
-        )
+    def _pool_locked(self, threads: int, now: float):
+        """``threads``' failure record, brought up to date
+        (``_runtime_lock`` held) → ``(record, retired pool or None)``.
 
-    def _retire_pool_locked(self, threads: int, rt: Runtime) -> dict:
-        """Drop a broken pool and record the failure (``_runtime_lock`` held).
-
-        After ``max_pool_rebuilds`` failures the thread count is *degraded*:
-        execution falls back to the sequential runtime until the pool has
-        been failure-free for ``degrade_cooldown_s``.
+        A pool found broken is popped and its failure counted; the caller
+        closes it outside the lock.  The count is *degraded* while it has
+        failed more than ``MAX_POOL_REBUILDS`` times and its last failure
+        is less than ``DEGRADE_COOLDOWN_S`` old; the first look after that
+        promotes it, so traffic and ``health()`` count a promotion once.
         """
-        self._runtimes.pop(threads, None)
-        rt.close()
-        st = self._pool_state_for(threads)
-        st["rebuilds"] += 1
-        st["last_failure"] = time.monotonic()
-        if st["rebuilds"] > self.config.max_pool_rebuilds and not st["degraded"]:
-            st["degraded"] = True
-            self.counters.add("pool_degraded", threads=threads)
-        return st
+        st = self._pool_state.setdefault(
+            threads, {"failures": 0, "last_failure": 0.0}
+        )
+        retired = None
+        rt = self._runtimes.get(threads)
+        if rt is not None and not rt.healthy:
+            retired = self._runtimes.pop(threads)
+            st["failures"] += 1
+            st["last_failure"] = now
+            if st["failures"] == MAX_POOL_REBUILDS + 1:
+                self.counters.add("pool_degraded", threads=threads)
+        if (st["failures"] > MAX_POOL_REBUILDS
+                and now - st["last_failure"] >= DEGRADE_COOLDOWN_S):
+            st["failures"] = 0
+            self.counters.add("pool_promoted", threads=threads)
+        return st, retired
 
     def _runtime_for(self, threads: int) -> Runtime:
+        """The runtime a batch on ``threads`` runs on: the sequential
+        fallback for one thread or a degraded count, else its pool —
+        rebuilt here when a failure retired the last one."""
         if threads <= 1:
             return self._fallback
         with self._runtime_lock:
-            st = self._pool_state_for(threads)
-            if st["degraded"]:
-                since = time.monotonic() - st["last_failure"]
-                if since < self.config.degrade_cooldown_s:
-                    self.counters.add("degraded_executions", threads=threads)
-                    return self._fallback
-                # failure-free cooldown passed: promote back to a real pool
-                st["degraded"] = False
-                st["rebuilds"] = 0
+            rebuild = threads in self._pool_state
+            st, retired = self._pool_locked(threads, time.monotonic())
             rt = self._runtimes.get(threads)
-            if rt is not None and not rt.healthy:
-                st = self._retire_pool_locked(threads, rt)
-                if st["degraded"]:
-                    self.counters.add("degraded_executions", threads=threads)
-                    return self._fallback
-                rt = None
-            if rt is None:
+            if rt is None and st["failures"] > MAX_POOL_REBUILDS:
+                self.counters.add("degraded_executions", threads=threads)
+                rt = self._fallback
+            elif rt is None:
                 rt = make_runtime(self.config.runtime, threads)
                 self._runtimes[threads] = rt
-                if st["rebuilds"] > 0:
+                if rebuild:
                     self.counters.add("pool_rebuilds", threads=threads)
-            return rt
+        if retired is not None:
+            retired.close()
+        return rt
 
-    def _note_pool_failure(self, threads: int) -> None:
-        """A pool broke mid-execution: retire it so the next use rebuilds."""
+    def _retire_if_broken(self, threads: int) -> None:
+        """A batch raised on ``threads``' pool: retire the pool if that
+        broke it, so the next batch that needs one rebuilds it."""
         with self._runtime_lock:
-            rt = self._runtimes.get(threads)
-            if rt is not None and not rt.healthy:
-                self._retire_pool_locked(threads, rt)
-
-    def _supervise_loop(self) -> None:
-        """Self-healing: restart a dead dispatcher, rebuild broken pools.
-
-        Runs every ``supervise_interval_s``.  Broken pools of a
-        non-degraded thread count are rebuilt eagerly (so ``health``
-        recovers without waiting for traffic); degraded thread counts are
-        promoted back once they have been quiet for ``degrade_cooldown_s``.
-        """
-        while not self._stop_supervisor.wait(self.config.supervise_interval_s):
-            if self._closing:
-                return
-            if not self._dispatcher.is_alive():
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name="fft-serve-dispatch",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-                self.counters.add("dispatcher_restarts")
-            now = time.monotonic()
-            with self._runtime_lock:
-                for t, rt in list(self._runtimes.items()):
-                    if not rt.healthy:
-                        st = self._retire_pool_locked(t, rt)
-                        if not st["degraded"]:
-                            self._runtimes[t] = make_runtime(
-                                self.config.runtime, t
-                            )
-                            self.counters.add("pool_rebuilds", threads=t)
-                for t, st in self._pool_state.items():
-                    if (
-                        st["degraded"]
-                        and now - st["last_failure"]
-                        >= self.config.degrade_cooldown_s
-                    ):
-                        st["degraded"] = False
-                        st["rebuilds"] = 0
-                        self.counters.add("pool_promoted", threads=t)
+            _, retired = self._pool_locked(threads, time.monotonic())
+        if retired is not None:
+            retired.close()
 
     def _sweep_expired_locked(self) -> None:
         """Fail queued requests whose deadline has passed (``_cond`` held).
@@ -639,72 +597,84 @@ class FFTService:
         return expired
 
     def _dispatch_loop(self) -> None:
+        """Run queued batches until close.  A pass that raises is counted
+        in ``dispatcher_restarts`` and the loop goes on with the queue as
+        that pass left it: nothing queued is lost and the thread never
+        dies."""
         while True:
-            fp = get_fault_plan()  # re-read: chaos may start/stop mid-run
-            if fp.enabled:
-                # chaos: the dispatcher dies here; the supervisor restarts
-                # it without losing anything already queued
-                fp.raise_if("serve.dispatcher_crash")
-            with self._cond:
+            try:
+                if not self._dispatch_once():
+                    return
+            except Exception:  # noqa: BLE001 - the dispatcher must not die
+                self.counters.add("dispatcher_restarts")
+
+    def _dispatch_once(self) -> bool:
+        """Wait for a batch, run it; False once closing left nothing."""
+        fp = get_fault_plan()  # re-read: chaos may start/stop mid-run
+        if fp.enabled:
+            # chaos: this pass dies here, before it touches the queue
+            fp.raise_if("serve.dispatcher_crash")
+        with self._cond:
+            self._sweep_expired_locked()
+            # an inline batch holds the baton: its release notifies
+            while self._executing or not (self._queue or self._closing):
+                self._cond.wait()
                 self._sweep_expired_locked()
-                # an inline batch holds the baton: its release notifies
-                while self._executing or not (self._queue or self._closing):
-                    self._cond.wait()
-                    self._sweep_expired_locked()
-                if not self._queue:
-                    return  # closing, and nothing left to run
-                head = self._queue[0]
-                key = head.key
-                window = 0.0 if head.no_batch else self.config.window_s
-                flush_at = head.arrival + window
-                # the window is a *maximum* wait: once the queue goes
-                # quiescent (no arrival within a fraction of the window)
-                # the batch flushes early, so closed-loop clients never
-                # pay the full window once all their requests are in
-                quiescence = max(window / 8.0, 0.0002)
-                prev_vectors = -1
-                quiet_deadline = 0.0
-                while not self._closing:
-                    self._sweep_expired_locked()
-                    group = [r for r in self._queue if r.key == key]
-                    if not group:
-                        break  # the whole key expired while queued
-                    vectors = sum(r.rows for r in group)
-                    now = time.monotonic()
-                    if (
-                        vectors >= self.config.max_batch
-                        or now >= flush_at
-                        or any(r.no_batch for r in group)
-                    ):
-                        break
-                    if vectors != prev_vectors:  # group grew: restart timer
-                        prev_vectors = vectors
-                        quiet_deadline = now + quiescence
-                    elif now >= quiet_deadline:
-                        break  # quiescent: this key saw no new arrivals
-                    # never sleep past the earliest queued deadline
-                    wake_at = min(flush_at, quiet_deadline)
-                    for r in self._queue:
-                        if r.deadline is not None and r.deadline < wake_at:
-                            wake_at = r.deadline
-                    self._cond.wait(timeout=max(wake_at - now, 0.0001))
+            if not self._queue:
+                return False  # closing, and nothing left to run
+            head = self._queue[0]
+            key = head.key
+            window = 0.0 if head.no_batch else self.config.window_s
+            flush_at = head.arrival + window
+            # the window is a *maximum* wait: once the queue goes
+            # quiescent (no arrival within a fraction of the window)
+            # the batch flushes early, so closed-loop clients never
+            # pay the full window once all their requests are in
+            quiescence = max(window / 8.0, 0.0002)
+            prev_vectors = -1
+            quiet_deadline = 0.0
+            while not self._closing:
+                self._sweep_expired_locked()
                 group = [r for r in self._queue if r.key == key]
-                take: list[_Request] = []
-                total = 0
-                for r in group:
-                    if take and total + r.rows > self.config.max_batch:
-                        break
-                    take.append(r)
-                    total += r.rows
-                for r in take:
-                    self._queue.remove(r)
-                self._pending_vectors -= total
-                self._executing = bool(take)
-            if take:
-                try:
-                    self._execute_batch(key, take)
-                finally:
-                    self._release_baton()
+                if not group:
+                    break  # the whole key expired while queued
+                vectors = sum(r.rows for r in group)
+                now = time.monotonic()
+                if (
+                    vectors >= self.config.max_batch
+                    or now >= flush_at
+                    or any(r.no_batch for r in group)
+                ):
+                    break
+                if vectors != prev_vectors:  # group grew: restart timer
+                    prev_vectors = vectors
+                    quiet_deadline = now + quiescence
+                elif now >= quiet_deadline:
+                    break  # quiescent: this key saw no new arrivals
+                # never sleep past the earliest queued deadline
+                wake_at = min(flush_at, quiet_deadline)
+                for r in self._queue:
+                    if r.deadline is not None and r.deadline < wake_at:
+                        wake_at = r.deadline
+                self._cond.wait(timeout=max(wake_at - now, 0.0001))
+            group = [r for r in self._queue if r.key == key]
+            take: list[_Request] = []
+            total = 0
+            for r in group:
+                if take and total + r.rows > self.config.max_batch:
+                    break
+                take.append(r)
+                total += r.rows
+            for r in take:
+                self._queue.remove(r)
+            self._pending_vectors -= total
+            self._executing = bool(take)
+        if take:
+            try:
+                self._execute_batch(key, take)
+            finally:
+                self._release_baton()
+        return True
 
     def _release_baton(self) -> None:
         """A batch finished: free the baton, waking the dispatcher if work
@@ -734,12 +704,16 @@ class FFTService:
                 plan = self.plans.get(key)
                 try:
                     Y, _ = runtime.run(plan, X)
-                except WorkerPoolBroken:
+                except BaseException as exc:
+                    # the batch that breaks a pool retires it
+                    if runtime is not self._fallback:
+                        self._retire_if_broken(key.threads)
+                    if not isinstance(exc, WorkerPoolBroken):
+                        raise
                     # the pool died under this batch; the input stack is
                     # untouched (no runtime writes its input), so re-run the
                     # same plan on the sequential fallback rather than fail
                     # the tickets
-                    self._note_pool_failure(key.threads)
                     self.counters.add("failovers", threads=key.threads)
                     Y, _ = self._fallback.run(plan, X)
         except BaseException as exc:

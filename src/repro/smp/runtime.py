@@ -57,7 +57,7 @@ class WorkerPoolBroken(RuntimeError):
     worker thread disappears (crash, injected fault).  The pool is
     permanently broken afterwards (``healthy`` is False); holders are
     expected to ``close()`` it and build a replacement — which is exactly
-    what the serving supervisor does.
+    what the serving layer's next batch on that thread count does.
     """
 
 

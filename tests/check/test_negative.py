@@ -92,7 +92,7 @@ class TestPlanDeterminism:
         a = generate_fft(n, threads=t, mu=mu, strategy="balanced").program
         b = compile_spec(
             PlanSpec(n=n, threads=t, mu=mu, strategy="balanced")
-        ).program.program
+        ).program
         assert compare_plans(a, b) == []
 
     def test_mutated_plan_is_flagged(self, plan):
@@ -166,10 +166,8 @@ class TestCheckCLI:
             builds.append(plan)
             if len(builds) % 2:  # the config's first build
                 return plan
-            gen = plan.program
-            return dataclasses.replace(plan, program=dataclasses.replace(
-                gen, program=inject_misaligned_split(gen.program)
-            ))
+            return dataclasses.replace(
+                plan, program=inject_misaligned_split(plan.program))
 
         monkeypatch.setattr(plan_cache, "build_plan", build)
         rc = main(["check", "--kmin", "6", "--kmax", "6", "--threads", "2",

@@ -232,7 +232,7 @@ class TestNuPlumbing:
         cache = PlanCache(capacity=4, wisdom=wisdom)
         plan = cache.get(PlanKey(64, 1, 4, "balanced", 2))
         assert max(
-            lp.nu for st in plan.program.program.stages for lp in st.loops
+            lp.nu for st in plan.program.stages for lp in st.loops
         ) == 2
 
 

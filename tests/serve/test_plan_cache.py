@@ -15,6 +15,8 @@ from repro.serve.plan_cache import (
     build_plan,
     plan_builder,
 )
+from repro.sigma.loops import SigmaProgram
+from repro.smp.runtime import SequentialRuntime
 from repro.trace import Tracer, tracing
 from repro.wisdom import TUNE_VERSION, Wisdom
 
@@ -65,9 +67,8 @@ class TestLRU:
         cache = PlanCache(capacity=4)
         plan = cache.get(PlanKey(64, 2, 2))
         x = np.random.default_rng(0).standard_normal(64) + 0j
-        np.testing.assert_allclose(
-            plan.program.run(x), np.fft.fft(x), atol=1e-6
-        )
+        y, _ = SequentialRuntime().run(plan, x[np.newaxis])
+        np.testing.assert_allclose(y[0], np.fft.fft(x), atol=1e-6)
         assert plan.stages, "batched stages must be prebuilt"
 
 
@@ -76,8 +77,22 @@ class TestLRU:
         with tracing(Tracer()) as tr:
             plan = PlanCache(capacity=4).get(PlanKey(64, 2, 2))
         assert plan.backend == "numpy"
-        assert plan.stages is plan.program.stages
+        assert isinstance(plan.program, SigmaProgram)
         assert [e.name for e in tr.events].count("codegen.python") == 1
+
+    def test_compiled_plan_prints_no_python(self):
+        """Every backend builds from the one lowered program; only the
+        NumPy backend prints it as Python."""
+        from repro.codegen.compiled_backend import compiled_available
+
+        if not compiled_available():
+            pytest.skip("no C compiler")
+        spec = PlanSpec.from_plan_key(PlanKey(64), "compiled")
+        with tracing(Tracer()) as tr:
+            plan = build_plan(spec)
+        assert plan.backend == "compiled"
+        assert isinstance(plan.program, SigmaProgram)
+        assert "codegen.python" not in [e.name for e in tr.events]
 
 
 class TestWisdomSubstitution:
@@ -108,8 +123,8 @@ class TestWisdomSubstitution:
             res.best.strategy, res.best.min_leaf, res.best.nu
         )  # ... and what was built
         x = np.random.default_rng(0).standard_normal(64) + 0j
-        np.testing.assert_allclose(plan.program.run(x), np.fft.fft(x),
-                                   atol=1e-6)
+        y, _ = SequentialRuntime().run(plan, x[np.newaxis])
+        np.testing.assert_allclose(y[0], np.fft.fft(x), atol=1e-6)
 
     def _spec_built_from(self, tmp_path, lane, best, version=TUNE_VERSION,
                          runtime="threads", key=KEY):

@@ -106,7 +106,7 @@ class TestParity:
         """Requests, one Overloaded, one queued deadline miss, one
         worker-crash failover, one eviction, one swap, one tick."""
         cfg = ServeConfig(threads=2, window_s=0.2, max_batch=64,
-                          cache_capacity=2, degrade_cooldown_s=0.05)
+                          cache_capacity=2)
         with tracing() as tr:
             svc = FFTService(cfg)
             tuner = Tuner(svc, TunerConfig(search_budget=1, search_repeats=1))

@@ -75,6 +75,7 @@ class TestMeasuredSearch:
         import numpy as np
 
         from repro.serve.plan_cache import PlanCache, PlanKey
+        from repro.smp.runtime import SequentialRuntime
 
         res = measured_search(
             64, budget=2, repeats=1, wisdom=Wisdom(tmp_path / "w.json")
@@ -84,8 +85,8 @@ class TestMeasuredSearch:
             res.best.strategy, res.best.min_leaf, res.best.nu
         )
         x = np.random.default_rng(0).standard_normal(64) + 0j
-        np.testing.assert_allclose(plan.program.run(x), np.fft.fft(x),
-                                   atol=1e-6)
+        y, _ = SequentialRuntime().run(plan, x[np.newaxis])
+        np.testing.assert_allclose(y[0], np.fft.fft(x), atol=1e-6)
 
     def test_tune_records_are_versioned(self, tmp_path):
         import json
