@@ -139,7 +139,7 @@ class ServeClient:
         frame = self._conn.recv()
         if frame is None:
             raise ConnectionError("server closed the connection")
-        return frame
+        return frame[0], frame[1]
 
     @staticmethod
     def _check(resp: dict) -> dict:

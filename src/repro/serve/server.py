@@ -72,16 +72,17 @@ class _ServerSession(Session):
         self._drainer = threading.Thread(target=self._drain, daemon=True)
         self._drainer.start()
 
-    def dispatch(self, msg: dict, payload: Optional[memoryview]) -> None:
+    def dispatch(self, msg: dict, payload: Optional[memoryview],
+                 line: bytes) -> None:
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.conn_reset"):
             # chaos: hard-reset the connection mid-conversation; clients
             # must reconnect and resend (FFT is idempotent)
             self.conn.abort()
             raise ConnectionAbortedError("injected fault: connection reset")
-        Session.dispatch(self, msg, payload)
+        Session.dispatch(self, msg, payload, line)
 
-    def fft(self, req_id, msg: dict, payload: memoryview) -> None:
+    def fft(self, req_id, msg: dict, payload: memoryview, line: bytes) -> None:
         """Admit one request — run here if nothing further has arrived on
         the connection — and answer it now if it is resolved and nothing
         earlier is owed; else queue its ticket (or error) for the drain."""

@@ -126,25 +126,32 @@ class ServeConfig:
 
 
 class FFTTicket:
-    """A pending request's future; ``result()`` blocks for the answer."""
+    """A request's future; ``result()`` blocks for the answer.
+
+    A queued request's ticket waits on a ``threading.Event`` the batch sets.
+    One made with ``queued=False`` is for a request run on the thread that
+    submitted it: resolved before ``submit`` returns, it has nothing to wait
+    for and allocates no ``Event``.
+    """
 
     __slots__ = ("_event", "_result", "_error")
 
-    def __init__(self):
-        self._event = threading.Event()
+    def __init__(self, queued: bool = True):
+        self._event = threading.Event() if queued else None
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is None or self._event.is_set()
 
     def _resolve(self, result=None, error=None) -> None:
         self._result = result
         self._error = error
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if not self._event.wait(timeout):
+        if self._event is not None and not self._event.wait(timeout):
             raise DeadlineExceeded("timed out waiting for result")
         if self._error is not None:
             raise self._error
@@ -167,7 +174,7 @@ class _Request:
         self.arrival = time.monotonic()
         self.deadline = deadline
         self.no_batch = no_batch
-        self.ticket = FFTTicket()
+        self.ticket: Optional[FFTTicket] = None  # set once admitted
 
 
 class FFTService:
@@ -311,6 +318,7 @@ class FFTService:
                         and not self._executing
                         and (no_batch or self.config.window_s == 0)
                         and inline())
+            req.ticket = FFTTicket(queued=not run_here)
             if run_here:
                 self._executing = True
             else:
@@ -318,14 +326,17 @@ class FFTService:
                 self._pending_vectors = depth
                 self._cond.notify_all()
         get_tracer().sample("serve.queue_depth", depth)
-        self.counters.add("requests")
-        self.counters.add("vectors", req.rows)
         self.counters.peak("max_queue_depth", depth)
-        if run_here:
-            try:
-                self._execute_batch(key, [req])
-            finally:
-                self._release_baton()
+        admitted = [("requests", 1), ("vectors", req.rows)]
+        if not run_here:
+            self.counters.add_many(admitted)
+            return req.ticket
+        # one lock round counts the admission and the batch together
+        try:
+            admitted += self._execute_batch(key, [req])
+        finally:
+            self._release_baton()
+            self.counters.add_many(admitted)
         return req.ticket
 
     def transform(self, x: np.ndarray, **kw) -> np.ndarray:
@@ -671,7 +682,7 @@ class FFTService:
             self._executing = bool(take)
         if take:
             try:
-                self._execute_batch(key, take)
+                self.counters.add_many(self._execute_batch(key, take))
             finally:
                 self._release_baton()
         return True
@@ -684,12 +695,14 @@ class FFTService:
             if self._queue or self._closing:
                 self._cond.notify_all()
 
-    def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> None:
+    def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> list:
+        """Run ``batch`` and resolve its tickets; returns the ``(name,
+        value)`` counts it owes, for the caller's one ``add_many``."""
         tr = get_tracer()
         expired = self._fail_expired(batch, time.monotonic())
         live = [r for r in batch if r not in expired] if expired else batch
         if not live:
-            return
+            return []
         try:
             runtime = self._runtime_for(key.threads)
             X = (
@@ -719,8 +732,7 @@ class FFTService:
         except BaseException as exc:
             for req in live:
                 req.ticket._resolve(error=exc)
-            self.counters.add("failures", len(live))
-            return
+            return [("failures", len(live))]
         done = time.monotonic()
         window = self.tune_window
         row = 0
@@ -732,8 +744,6 @@ class FFTService:
             self.latencies.record(key, wall)
             if window is not None:
                 window.record(key, wall)
-        self.counters.add("batches")
-        self.counters.add("batched_vectors", int(Y.shape[0]))
-        self.counters.add("request_wall_s",
-                          sum(done - r.arrival for r in live))
         tr.sample("serve.batch_occupancy", int(Y.shape[0]))
+        return [("batches", 1), ("batched_vectors", int(Y.shape[0])),
+                ("request_wall_s", sum(done - r.arrival for r in live))]

@@ -11,7 +11,7 @@ plan cache.  This package multiplies it (see ``docs/sharding.md``):
 * :class:`ShardFleet` — spawn/eject/respawn/rejoin supervision plus the
   live ring, with the ``shard.worker_crash`` chaos hook;
 * :class:`ShardRouter` — the TCP front end: clients connect unchanged,
-  requests relay raw to their key's owner, orphans replay on ring
+  requests relay as read to their key's owner, orphans replay on ring
   successors when a shard dies, successors are prewarmed, and
   ``health``/``stats`` aggregate the whole fleet.
 """

@@ -13,19 +13,23 @@ one substrate further.
 Mechanics per client connection:
 
 * the request loop, frame validation and op ladder are the server's
-  (:mod:`repro.serve.protocol`), so nothing malformed reaches the pending
-  table; requests are **relayed raw** — headers are read for routing,
-  payload arrays never decoded;
+  (:mod:`repro.serve.protocol`), so nothing malformed is ever in flight;
+  requests are **relayed as read** — each header is parsed once, for
+  routing, and forwarded as the line the client sent; replies come back
+  the same way (parsed for their ``nbytes``, relayed as their line), and
+  payload arrays are never decoded;
 * one upstream :class:`~repro.serve.protocol.FrameConn` per (client
   connection, shard), pipelined both ways and read without a timeout (an
   idle client is not a dead shard); responses return to the client as
-  shards produce them (the protocol is id-matched, so cross-shard
-  reordering is legal);
-* every in-flight request is remembered (header + the payload buffer it
-  was received into) until its response arrives, so when an upstream dies
-  mid-request the router ejects the shard from the ring and **replays**
-  the orphaned requests on the ranges' new owners — FFT is idempotent,
-  which is what makes transparent failover sound;
+  shards produce them (cross-shard reordering is legal: the client
+  matches by ``id``);
+* a shard answers a connection in request order, so each upstream keeps
+  its in-flight requests in send order (header line + the payload buffer
+  it was received into) and matches each reply to the oldest — never by
+  the client's ``id``, which may repeat or be any JSON value.  When an
+  upstream dies mid-request the router ejects the shard from the ring and
+  **replays** the orphaned requests on the ranges' new owners — FFT is
+  idempotent, which is what makes transparent failover sound;
 * the first sighting of a plan key triggers an async **prewarm** of the
   owner's ring successors (the shards that inherit the key's range on
   failure), so failover lands on a warm plan cache;
@@ -47,6 +51,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from typing import Optional
 
 from ..faults import get_fault_plan
@@ -61,20 +66,25 @@ from .fleet import NoShardsAvailable, ShardFleet
 
 #: replay attempts for a request orphaned by a dying shard
 MAX_ROUTE_ATTEMPTS = 4
+#: route keys a router remembers, one per spelling of a plan request
+ROUTE_MEMO_SIZE = 256
 
 
 class _Pending:
     """One in-flight routed request: everything needed to replay it."""
 
-    __slots__ = ("msg", "payload", "key", "shard_id", "attempts", "t0")
+    __slots__ = ("msg", "line", "payload", "key", "shard_id", "attempts",
+                 "sent", "t0")
 
-    def __init__(self, msg: dict, payload: Optional[memoryview], key: str,
-                 shard_id: str):
+    def __init__(self, msg: dict, line: bytes, payload: memoryview,
+                 key: str, shard_id: str):
         self.msg = msg
+        self.line = line
         self.payload = payload
         self.key = key
         self.shard_id = shard_id
         self.attempts = 1
+        self.sent = False  # a send has succeeded: the next one is a replay
         self.t0 = time.perf_counter()
 
 
@@ -98,7 +108,12 @@ def _ratio(block: dict, num: str, den: str) -> float:
 
 
 class _Upstream:
-    """The router's pipelined connection to one shard, for one client."""
+    """The router's pipelined connection to one shard, for one client.
+
+    A shard answers a connection in request order, so ``_sent`` — the
+    requests forwarded and not yet answered, in send order — pairs each
+    reply with its request: the reply is the oldest's.
+    """
 
     def __init__(self, shard_id: str, address: tuple[str, int],
                  session: "_Session"):
@@ -108,37 +123,62 @@ class _Upstream:
         # the timeout bounds the dial only: reads block while the client
         # stays quiet
         self._conn = FrameConn.dial(address, connect_timeout=5.0)
-        #: forward one framed request; raises OSError on a dead pipe
-        self.send = self._conn.send
+        self._sent: deque[_Pending] = deque()
+        # keeps _sent in wire order when two threads forward here at once
+        # (a client's handler and a replay); the reader pops unlocked
+        self._send_lock = threading.Lock()
         threading.Thread(
             target=self._read_loop,
             name=f"shard-upstream-{shard_id}",
             daemon=True,
         ).start()
 
+    def forward(self, pend: _Pending) -> bool:
+        """Send ``pend`` as received; False when this upstream is already
+        dead (``pend`` was not taken).  A write that fails closes the
+        connection, and ``pend`` is then replayed with the other orphans
+        when the reader sees the close."""
+        with self._send_lock:
+            if self.dead:
+                return False
+            self._sent.append(pend)
+            try:
+                self._conn.send(pend.line, pend.payload)
+            except (OSError, ValueError):
+                self._conn.close()
+        return True
+
     def _read_loop(self) -> None:
-        recv, respond = self._conn.recv, self._session.on_upstream_response
+        recv, answered = self._conn.recv, self._session.on_upstream_response
+        oldest = self._sent.popleft
         try:
             while True:
                 frame = recv()
                 if frame is None:
                     break
-                respond(self.shard_id, *frame)
+                answered(self.shard_id, oldest(), *frame)
         except (OSError, ValueError):
             pass
         finally:
-            if not self.dead:
+            with self._send_lock:  # no forward lands after this
+                broken = not self.dead
                 self.dead = True
-                self._session.on_upstream_dead(self.shard_id)
+                orphans = list(self._sent)
+                self._sent.clear()
+            self._conn.close()
+            if broken:
+                self._session.lost(self, orphans)
 
     def close(self) -> None:
+        """Close on purpose: what is still in flight is dropped, not
+        replayed (the client left, or a dial race made this one spare)."""
         self.dead = True
         self._conn.close()
 
 
 class _Session(Session):
-    """The router's half of a client connection: relay raw, remember every
-    in-flight request, answer as shards answer."""
+    """The router's half of a client connection: relay as read, keep every
+    in-flight request on its upstream, answer as shards answer."""
 
     ping_extra = {"role": "router"}
     counter = "shard.router_requests"
@@ -149,14 +189,14 @@ class _Session(Session):
         self.health = router.health_snapshot
         self.stats = router.stats_snapshot
         self._lock = threading.Lock()
-        self._pending: dict[object, _Pending] = {}
         self._upstreams: dict[str, _Upstream] = {}
         self._closed = False
 
     # -- client side -----------------------------------------------------------
 
-    def reply(self, msg: dict, payload: Optional[memoryview] = None) -> None:
-        """Write one response frame to the client (thread-safe)."""
+    def reply(self, msg, payload: Optional[memoryview] = None) -> None:
+        """Write one response frame to the client (thread-safe): a header
+        dict, or a shard's header line relayed with its payload."""
         try:
             self.conn.send(msg, payload)
         except (OSError, ValueError):
@@ -168,19 +208,19 @@ class _Session(Session):
         """``(route key, owner shard)`` of the plan ``msg`` asks for, or None
         with the client answered: hints that name no plan get the reply the
         owning shard would give them, an empty ring ``overloaded``."""
-        fleet = self.router.fleet
         try:
-            key = fleet.route_key_for(
+            key = self.router.route_key_for(
                 n, msg.get("threads"), msg.get("mu"), msg.get("strategy")
             )
-            return key, fleet.owner(key)
+            return key, self.router.fleet.owner(key)
         except NoShardsAvailable:
             self._no_shards(req_id)
         except Exception as exc:
             self.reply(exception_response(req_id, exc))
         return None
 
-    def fft(self, req_id, msg: dict, payload: memoryview) -> None:
+    def fft(self, req_id, msg: dict, payload: memoryview,
+            line: bytes) -> None:
         """Place one fft request on its owning shard (or its successor)."""
         routed = self._route(req_id, msg["shape"][-1], msg)
         if routed is None:
@@ -192,8 +232,7 @@ class _Session(Session):
             if flapped:
                 shard_id = flapped[0]
                 self.router.count("flapped_routes")
-        pend = _Pending(msg, payload, key, shard_id)
-        self._forward(pend, first=True)
+        self._forward(_Pending(msg, line, payload, key, shard_id))
 
     def _no_shards(self, req_id) -> None:
         """The empty-ring reply: a retryable ``overloaded``, counted."""
@@ -224,56 +263,47 @@ class _Session(Session):
         self.router.count("failovers")
         return True
 
-    def _forward(self, pend: _Pending, first: bool = False) -> None:
+    def _forward(self, pend: _Pending) -> None:
         """Send ``pend`` to its shard, failing over while attempts remain."""
         while True:
-            req_id = pend.msg.get("id")
             try:
                 up = self._upstream(pend.shard_id)
-                with self._lock:
-                    if self._closed:
-                        return
-                    self._pending[req_id] = pend
-                up.send(pend.msg, pend.payload)
-            except OSError:
-                with self._lock:
-                    self._pending.pop(req_id, None)
+            except OSError:  # the dial failed: that shard is gone
                 self.router.fleet.eject(pend.shard_id, reason="connect")
-                self._drop_upstream(pend.shard_id)
-                if self._reroute(pend):
-                    continue
-                return
-            if first:
-                self.router.count("routed")
-                self.router.note_key(pend.key, pend.msg)
             else:
-                self.router.count("replays")
-            return
+                if up is None:
+                    return  # the client left
+                if up.forward(pend):
+                    break
+            if not self._reroute(pend):
+                return
+        if pend.sent:
+            self.router.count("replays")
+        else:
+            pend.sent = True
+            self.router.count("routed")
+            self.router.note_key(pend.key, pend.msg)
 
-    def _upstream(self, shard_id: str) -> _Upstream:
+    def _upstream(self, shard_id: str) -> Optional[_Upstream]:
+        """``shard_id``'s live upstream, dialed if need be (``OSError``
+        when the dial fails); None once the session has closed."""
         with self._lock:
             if self._closed:
-                raise OSError("session closed")
+                return None
             up = self._upstreams.get(shard_id)
-            if up is not None and not up.dead:
-                return up
+        if up is not None and not up.dead:
+            return up
         # dial outside the lock; losing a benign race just means the
         # loser's connection replaces the winner's identical one
         address = self.router.fleet.address(shard_id)
         up = _Upstream(shard_id, address, self)
         with self._lock:
             old = self._upstreams.get(shard_id)
-            if old is not None and not old.dead:
+            if self._closed or (old is not None and not old.dead):
                 up.close()
-                return old
+                return None if self._closed else old
             self._upstreams[shard_id] = up
         return up
-
-    def _drop_upstream(self, shard_id: str) -> None:
-        with self._lock:
-            up = self._upstreams.pop(shard_id, None)
-        if up is not None:
-            up.close()
 
     def prewarm(self, req_id, msg: dict) -> None:
         """A client-issued prewarm: build on the owner *and* successors."""
@@ -288,30 +318,25 @@ class _Session(Session):
 
     # -- upstream callbacks ----------------------------------------------------
 
-    def on_upstream_response(self, shard_id: str, msg: dict,
-                             payload: Optional[memoryview]) -> None:
-        with self._lock:
-            pend = self._pending.pop(msg.get("id"), None)
-        if pend is not None:
-            dt = time.perf_counter() - pend.t0
-            self.router.record(shard_id, pend.key, dt)
-        self.reply(msg, payload)
+    def on_upstream_response(self, shard_id: str, pend: _Pending, msg: dict,
+                             payload: Optional[memoryview],
+                             line: bytes) -> None:
+        """``pend``'s reply: recorded, and relayed as the shard wrote it."""
+        self.router.record(shard_id, pend.key, time.perf_counter() - pend.t0)
+        self.reply(line, payload)
 
-    def on_upstream_dead(self, shard_id: str) -> None:
-        """An upstream broke: eject the shard, replay its orphans."""
+    def lost(self, up: _Upstream, orphans: list[_Pending]) -> None:
+        """An upstream broke: eject its shard, replay what it still owed."""
         with self._lock:
+            if self._upstreams.get(up.shard_id) is up:
+                del self._upstreams[up.shard_id]
             if self._closed:
                 return
-            orphans = [p for p in self._pending.values()
-                       if p.shard_id == shard_id]
-            for p in orphans:
-                self._pending.pop(p.msg.get("id"), None)
-        self._drop_upstream(shard_id)
-        if self.router.fleet.eject(shard_id, reason="upstream-eof"):
+        if self.router.fleet.eject(up.shard_id, reason="upstream-eof"):
             self.router.count("ejections_seen")
         if not orphans:
             return
-        self.router.count("orphans_replayed", len(orphans), shard=shard_id)
+        self.router.count("orphans_replayed", len(orphans), shard=up.shard_id)
         for pend in orphans:
             if self._reroute(pend):
                 self._forward(pend)
@@ -325,7 +350,6 @@ class _Session(Session):
             self._closed = True
             upstreams = list(self._upstreams.values())
             self._upstreams.clear()
-            self._pending.clear()
         for up in upstreams:
             up.close()
 
@@ -356,6 +380,7 @@ class ShardRouter(FrameServer):
         self._counts = Counters("shard", self.COUNTERS)
         #: ``count(name, by=1, **tracer_attrs)``: one routing event
         self.count = self._counts.add
+        self._route_keys: dict[tuple, str] = {}  # see route_key_for
         self._seen_lock = threading.Lock()
         self._seen_keys: set[str] = set()
         self._prewarm_q: queue.Queue = queue.Queue()
@@ -366,6 +391,27 @@ class ShardRouter(FrameServer):
 
     def session(self, conn: FrameConn) -> _Session:
         return _Session(conn, self)
+
+    def route_key_for(self, n: int, threads, mu, strategy) -> str:
+        """:meth:`ShardFleet.route_key_for`, remembered per spelling of a
+        request — each hint's value *and* type, so ``2`` and ``2.0`` (an
+        error) never share an entry.  What raises is not remembered and
+        raises again; an unhashable hint is computed every time.  At most
+        :data:`ROUTE_MEMO_SIZE` spellings are kept."""
+        spelling = (n, threads, mu, strategy,
+                    type(threads), type(mu), type(strategy))
+        memo = self._route_keys
+        try:
+            return memo[spelling]
+        except KeyError:
+            pass
+        except TypeError:  # a list or object hint
+            return self.fleet.route_key_for(n, threads, mu, strategy)
+        key = self.fleet.route_key_for(n, threads, mu, strategy)
+        if len(memo) >= ROUTE_MEMO_SIZE:
+            memo.clear()
+        memo[spelling] = key
+        return key
 
     # -- metrics ---------------------------------------------------------------
 
@@ -452,8 +498,8 @@ class ShardRouter(FrameServer):
 
     def note_key(self, key: str, msg: dict) -> None:
         """First sighting of a plan key → queue successor prewarms."""
-        if not self.prewarm_enabled:
-            return
+        if not self.prewarm_enabled or key in self._seen_keys:
+            return  # the set only grows: an unlocked hit is final
         with self._seen_lock:
             if key in self._seen_keys:
                 return

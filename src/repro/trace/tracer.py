@@ -326,7 +326,7 @@ class Counters:
     def add(self, name: str, value: float = 1, **attrs) -> None:
         """Add ``value`` to ``name``; ``attrs`` key the tracer's copy only."""
         # acquire/release, not ``with``: the context-manager protocol is
-        # half of this call's cost and it runs ~8 times per served request
+        # half of this call's cost
         self._lock.acquire()
         try:
             self._values[name] += value
@@ -334,6 +334,21 @@ class Counters:
             self._lock.release()
         if _active.enabled:
             _active.count(f"{self.prefix}.{name}", value, **attrs)
+
+    def add_many(self, pairs) -> None:
+        """:meth:`add` each ``(name, value)`` of the sequence ``pairs`` in
+        one lock round (a served request's counts are one round, not five);
+        the tracer sees each addition as :meth:`add` sends it."""
+        values = self._values
+        self._lock.acquire()
+        try:
+            for name, value in pairs:
+                values[name] += value
+        finally:
+            self._lock.release()
+        if _active.enabled:
+            for name, value in pairs:
+                _active.count(f"{self.prefix}.{name}", value)
 
     def peak(self, name: str, value: float) -> None:
         """Raise the high-water mark ``name`` to ``value`` if it is higher

@@ -100,6 +100,65 @@ def test_an_idle_request_runs_on_its_handler_thread_without_the_drain(served):
     assert stats["max_queue_depth"] == 1
 
 
+class _CountingLock:
+    """A lock that counts its acquisitions: one per lock round."""
+
+    def __init__(self, lock):
+        self._lock, self.rounds = lock, 0
+
+    def acquire(self, *args):
+        self.rounds += 1
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_an_inline_request_costs_no_event_and_one_counter_round(
+        served, monkeypatch):
+    """The per-request budget as counts: a request run on the thread that
+    submitted it — through ``transform`` and through a server session —
+    builds no ``threading.Event`` and counts everything in one lock round;
+    a queued request still gets its ``Event``, and its admission and its
+    batch one round each."""
+    svc, srv = served
+    x = _vec(64)
+    made: list = []
+
+    class _Event(threading.Event):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    with ServeClient("127.0.0.1", srv.port) as client:
+        client.fft(x)  # plan built, handler running, max_queue_depth at 1
+        rounds = _CountingLock(svc.counters._lock)
+        monkeypatch.setattr(svc.counters, "_lock", rounds)
+        monkeypatch.setattr(threading, "Event", _Event)
+        np.testing.assert_allclose(svc.transform(x), np.fft.fft(x),
+                                   atol=1e-6)
+        assert (made, rounds.rounds) == ([], 1)
+        np.testing.assert_allclose(client.fft(x), np.fft.fft(x), atol=1e-6)
+        assert (made, rounds.rounds) == ([], 2)
+        assert srv.sessions[0].queued == []  # both ran inline
+        ticket = svc.submit(x)
+        np.testing.assert_allclose(ticket.result(5.0), np.fft.fft(x),
+                                   atol=1e-6)
+        assert made == [ticket._event]
+        assert svc.drain(5.0)
+        assert rounds.rounds == 4
+    stats = svc.stats()
+    assert stats["requests"] == stats["batches"] == 4
+    assert stats["max_queue_depth"] == 1
+
+
 def test_a_pipelined_burst_still_batches(served):
     """Frames already read behind a request keep it off the inline path,
     so a burst on one connection coalesces at a zero window."""
@@ -223,12 +282,12 @@ def test_replies_stay_in_request_order_across_inline_and_drained():
         _until(lambda: len(session.queued) == 2)  # behind the first
         first._resolve(result=2 * xs[0])
         for i in (0, 1):
-            msg, buf = conn.recv()
+            msg, buf, _ = conn.recv()
             assert msg["id"] == i + 1
             np.testing.assert_array_equal(payload_array(msg, buf), 2 * xs[i])
         _until(lambda: not session._pending.unfinished_tasks)
         conn.send({"op": "fft", "id": 3}, xs[2])
-        msg, buf = conn.recv()
+        msg, buf, _ = conn.recv()
         assert msg["id"] == 3
         np.testing.assert_array_equal(payload_array(msg, buf), 2 * xs[2])
         assert len(session.queued) == 2  # nothing owed: written directly
@@ -277,15 +336,15 @@ class TestIdleNeverBlocks:
 
         near._sock.sendall(ping1[5:] + ping2)
         time.sleep(0.05)  # both frames in, so one fill reads both
-        assert far.recv() == ({"op": "ping", "id": 1}, None)
+        assert far.recv()[:2] == ({"op": "ping", "id": 1}, None)
         assert not self._idle(far)  # the second frame, in the reader
-        assert far.recv() == ({"op": "ping", "id": 2}, None)
+        assert far.recv()[:2] == ({"op": "ping", "id": 2}, None)
         assert self._idle(far)
 
         near.send({"op": "ping", "id": 3})  # a frame readable on the socket
         self._arrived(far)
         assert not self._idle(far)
-        assert far.recv() == ({"op": "ping", "id": 3}, None)
+        assert far.recv()[:2] == ({"op": "ping", "id": 3}, None)
         assert self._idle(far)
 
         near.close()  # a hang-up is for recv() to report

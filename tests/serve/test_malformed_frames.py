@@ -5,8 +5,8 @@ client never sends.  The contract (``docs/serving.md`` §4): exactly one
 typed reply per frame, under the request's ``id`` whenever the header
 parsed; ``bad-request`` leaves the connection in step and serving,
 ``bad-json`` closes it right after the reply; nothing ever reaches
-``socketserver``'s ``handle_error``, and nothing malformed enters the
-router's pending table — so a later shard death replays none of it.
+``socketserver``'s ``handle_error``, and nothing malformed is ever in
+flight at the router — so a later shard death replays none of it.
 
 The battery runs against :class:`FFTServer` directly and against a
 :class:`ShardRouter` in front of one shard: one request loop, one answer.
@@ -79,6 +79,11 @@ def _fft(req_id, **fields) -> bytes:
     head = {"op": "fft", "id": req_id, "shape": [8], "nbytes": len(PAYLOAD)}
     head.update(fields)
     return dump_line(head) + PAYLOAD
+
+
+def _in_flight(session) -> int:
+    """Requests a router session has forwarded and not seen answered."""
+    return sum(len(up._sent) for up in session._upstreams.values())
 
 
 def _read_reply(rfile):
@@ -154,7 +159,7 @@ def test_consumed_frame_gets_one_typed_reply_and_the_connection_serves_on(
         assert reply["id"] == req_id and reply["ok"] is False
         assert reply["error"] == code
         if endpoint.fleet is not None:
-            assert endpoint.sessions[-1]._pending == {}
+            assert _in_flight(endpoint.sessions[-1]) == 0
         # exactly one reply per frame: the next one is the next answer,
         # and it is served correctly
         sock.sendall(_fft(100))
@@ -179,19 +184,23 @@ def test_untrustworthy_frame_gets_one_reply_then_the_connection_closes(
         assert _read_reply(rfile) is None  # closed: no second reply
 
 
-def test_an_id_the_router_cannot_track_is_answered_under_that_id(endpoint):
-    """Ids are JSON scalars; the server happens to echo any JSON value,
-    the router cannot key its pending table by a list and says so."""
+@pytest.mark.parametrize("req_id", [[16], {"k": [1, 2]}, None],
+                         ids=["array", "object", "null"])
+def test_any_json_id_is_served_and_echoed(endpoint, req_id):
+    """The server echoes any JSON value as the id, and so does the router:
+    it pairs a shard's reply with the oldest request on that upstream, so
+    an id it could not key a table by is served like any other."""
     with socket.create_connection(("127.0.0.1", endpoint.port)) as sock, \
             sock.makefile("rb") as rfile:
         sock.settimeout(10)
-        sock.sendall(_fft([16]) + dump_line({"op": "ping", "id": 99}))
-        replies = [_read_reply(rfile), _read_reply(rfile)]
-        assert sorted(str(r["id"]) for r in replies) == ["99", "[16]"]
+        sock.sendall(_fft(req_id) + dump_line({"op": "ping", "id": 99}))
+        replies = {json.dumps(r["id"]): r for r in (_read_reply(rfile),
+                                                     _read_reply(rfile))}
+        assert replies["99"]["pong"] is True
+        assert replies[json.dumps(req_id)] == {
+            "id": req_id, "ok": True, "shape": [8], "nbytes": 128}
         if endpoint.fleet is not None:
-            reply = next(r for r in replies if r["id"] != 99)
-            assert reply["error"] == "internal"
-            assert endpoint.sessions[-1]._pending == {}
+            assert _in_flight(endpoint.sessions[-1]) == 0
 
 
 def test_payload_truncated_by_eof_is_a_closed_connection(endpoint):
@@ -217,7 +226,7 @@ def test_killing_the_shard_replays_nothing_malformed(routed):
         replies = [_read_reply(rfile) for _ in frames]
         assert all(r["ok"] is False for r in replies)
         session = routed.sessions[-1]
-        assert session._pending == {}
+        assert _in_flight(session) == 0
         ejections = fleet.counters()["ejections"]
         fleet.kill_shard()
         deadline = time.monotonic() + 10
@@ -226,5 +235,5 @@ def test_killing_the_shard_replays_nothing_malformed(routed):
             time.sleep(0.02)
         time.sleep(0.2)  # room for a (wrong) replay to be counted
         assert router.counters()["replays"] == 0
-        assert session._pending == {}
+        assert _in_flight(session) == 0
     assert routed.escaped == []

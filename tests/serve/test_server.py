@@ -28,6 +28,7 @@ from repro.serve.protocol import (
     FrameError,
     _read_frame_raw,
     dump_line,
+    frame_buffers,
     payload_array,
     read_frame,
     write_frame,
@@ -54,7 +55,8 @@ def _vec(n, seed=0):
 
 class TestProtocol:
     """One frame reader: ``read_frame`` is what ``FrameConn.recv`` runs
-    (``_read_frame_raw``) plus the array view."""
+    (``_read_frame_raw``, which also returns the header line as read)
+    plus the array view."""
 
     @pytest.mark.parametrize("reader", [read_frame, _read_frame_raw],
                              ids=["read_frame", "read_frame_raw"])
@@ -64,13 +66,18 @@ class TestProtocol:
         write_frame(fft, {"op": "fft", "id": 1}, X)
         # blank lines between messages are skipped
         rfile = io.BytesIO(b"\n  \n" + fft.getvalue() + ping)
-        head, payload = reader(rfile)
+        frame = reader(rfile)
+        head, payload = frame[:2]
         assert head["shape"] == [2, 8] and head["nbytes"] == X.nbytes
         if reader is read_frame:
             np.testing.assert_array_equal(payload, X)
         else:
             assert payload == X.astype("<c16").tobytes()
-        assert reader(rfile) == ({"op": "ping", "id": 2}, None)
+            assert frame[2] == fft.getvalue()[:-X.nbytes]
+        frame = reader(rfile)
+        assert frame[:2] == ({"op": "ping", "id": 2}, None)
+        if reader is _read_frame_raw:
+            assert frame[2] == ping
         assert reader(rfile) is None  # EOF
 
         # a short read of a declared payload is a closed connection
@@ -81,12 +88,17 @@ class TestProtocol:
             reader(io.BytesIO(b"[1, 2]\n"))  # not a JSON object
 
     def test_write_frame_relays_bytes_untouched(self):
-        """An array and the raw bytes a relay read of it are one frame."""
+        """An array and the line and bytes a relay read of it are one
+        frame; a header line goes out exactly as it was read."""
         X = _vec(16).reshape(2, 8)
         direct, relayed = io.BytesIO(), io.BytesIO()
         write_frame(direct, {"id": 1, "ok": True}, X)
-        write_frame(relayed, *_read_frame_raw(io.BytesIO(direct.getvalue())))
+        _, payload, line = _read_frame_raw(io.BytesIO(direct.getvalue()))
+        write_frame(relayed, line, payload)
         assert relayed.getvalue() == direct.getvalue()
+        spaced = b'{ "id": 2,  "ok": true }\r\n'
+        _, payload, line = _read_frame_raw(io.BytesIO(spaced))
+        assert frame_buffers(line, payload) == [spaced]
 
     def test_malformed_frames_are_typed(self):
         """``bad-json`` is fatal; ``bad-request`` keeps its id, the payload
@@ -191,7 +203,7 @@ def test_a_finished_response_does_not_wait_for_the_next_requests_compute():
         (first, x1), (second, x2) = service.tickets
         first._resolve(result=2 * x1)
         # readable now, with the second ticket still unresolved
-        msg, buf = conn.recv()
+        msg, buf, _ = conn.recv()
         assert msg["id"] == 1 and not second.done()
         np.testing.assert_array_equal(payload_array(msg, buf), 2 * x1)
         second._resolve(result=3 * x2)

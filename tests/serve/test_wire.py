@@ -4,20 +4,24 @@
 one module (``serve/protocol.py``): what :class:`ServeClient` sends for an
 ``fft`` with hints, a ``prewarm`` and a ``ping``, and the header line
 :class:`FFTServer` answers each with.  Well-formed traffic must stay
-byte-identical across that move.  The import check pins the move itself:
-one module under ``serve`` + ``shard`` owns sockets.
+byte-identical across that move, and a :class:`ShardRouter` relays an
+``fft`` and its reply byte for byte, encoding nothing.  The import check
+pins the move itself: one module under ``serve`` + ``shard`` owns sockets.
 """
 
 import ast
 import json
 import socket
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 import repro
 from repro.serve import FFTServer, FFTService, ServeClient, ServeConfig
+from repro.serve import protocol
+from repro.shard import ShardRouter
 
 GOLDEN = Path(__file__).with_name("golden_wire.json")
 
@@ -37,20 +41,48 @@ def _read_message(rfile) -> bytes:
     return line + rfile.read(json.loads(line).get("nbytes", 0))
 
 
+def _peer(lsock, replies, got: list) -> threading.Thread:
+    """A scripted peer on ``lsock``: on the one connection it accepts, read
+    a message into ``got`` and answer with the next of ``replies``; then
+    wait for the other side to hang up first."""
+
+    def run() -> None:
+        conn, _ = lsock.accept()
+        with conn, conn.makefile("rb") as rfile:
+            for reply in replies:
+                got.append(_read_message(rfile))
+                conn.sendall(reply)
+            rfile.read()
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    return t
+
+
+class _OnePeer:
+    """As much of a fleet as a router relaying ``fft`` uses: every key
+    is owned by one scripted peer."""
+
+    config = ServeConfig()
+
+    def __init__(self, address):
+        self._address = address
+
+    def route_key_for(self, n, threads=None, mu=None, strategy=None):
+        return str(n)
+
+    def owner(self, key):
+        return "peer"
+
+    def address(self, shard_id):
+        return self._address
+
+
 def _client_requests() -> list[bytes]:
     """Drive a ServeClient against a scripted peer; what the peer read."""
     got: list[bytes] = []
-
-    def peer() -> None:
-        conn, _ = lsock.accept()
-        with conn, conn.makefile("rb") as rfile:
-            for reply in _REPLIES:
-                got.append(_read_message(rfile))
-                conn.sendall(reply)
-
     with socket.create_server(("127.0.0.1", 0)) as lsock:
-        t = threading.Thread(target=peer, daemon=True)
-        t.start()
+        t = _peer(lsock, _REPLIES, got)
         with ServeClient(*lsock.getsockname()) as client:
             client.fft(X, threads=2, timeout=1.0)
             client.prewarm(64)
@@ -93,6 +125,56 @@ def test_wire_bytes_match_the_golden():
     assert [bytes.fromhex(r) for r in got["requests"]] == \
         [bytes.fromhex(r) for r in golden["requests"]]
     assert got["responses"] == golden["responses"]
+
+
+@contextmanager
+def _routed(replies, got: list):
+    """A ShardRouter in front of a scripted peer answering ``replies``."""
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        peer = _peer(lsock, replies, got)
+        router = ShardRouter(("127.0.0.1", 0), _OnePeer(lsock.getsockname()),
+                             prewarm=False)
+        router.serve_background()
+        try:
+            yield router
+        finally:
+            router.close()
+            peer.join(5)
+
+
+def test_the_router_relays_the_golden_fft_byte_for_byte():
+    """The golden ``fft`` a ServeClient sends reaches the shard as sent,
+    and the shard's reply reaches the client as the shard wrote it."""
+    golden = bytes.fromhex(json.loads(GOLDEN.read_text())["requests"][0])
+    got: list[bytes] = []
+    reply = _REPLIES[0][:-128] + (2 * X).astype("<c16").tobytes()
+    with _routed([reply], got) as router, \
+            ServeClient("127.0.0.1", router.port) as client:
+        y = client.fft(X, threads=2, timeout=1.0)
+    assert got == [golden]
+    np.testing.assert_array_equal(y, 2 * X)
+
+
+def test_the_router_relays_lines_as_read_and_encodes_nothing(monkeypatch):
+    """A header with non-canonical spacing is relayed exactly as sent, both
+    ways, and no line is encoded while an ``fft`` and its reply pass."""
+    payload = X.astype("<c16").tobytes()
+    request = (b'{ "op": "fft",  "id": 7, "shape": [8], "nbytes": 128 }\r\n'
+               + payload)
+    reply = b'{"id": 7,  "ok": true, "shape": [8], "nbytes": 128}\n' + payload
+    encoded: list = []
+    dump_line = protocol.dump_line
+    monkeypatch.setattr(protocol, "dump_line",
+                        lambda msg: (encoded.append(msg), dump_line(msg))[1])
+    got: list[bytes] = []
+    with _routed([reply], got) as router, \
+            socket.create_connection(("127.0.0.1", router.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(request)
+        assert _read_message(rfile) == reply
+    assert got == [request]
+    assert encoded == []
 
 
 def test_one_module_owns_the_sockets():

@@ -19,6 +19,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.serve import RetryPolicy, ServeClient, ServeConfig
+from repro.serve.protocol import FrameConn, payload_array
 from repro.shard import NoShardsAvailable, ShardFleet, ShardRouter
 from repro.shard.worker import ShardWorker
 from repro.trace import tracing
@@ -107,6 +108,34 @@ class TestKillMidLoad:
         assert snap["status"] == "ok"
         assert snap["shards"]["shard-1"]["in_ring"] is True
         client.close()
+
+
+class TestReplayByOrder:
+    def test_two_in_flight_requests_sharing_an_id_are_both_replayed(self):
+        """Replies pair with requests by their order on an upstream, not by
+        ``id``: two requests under one id, both queued on a shard when it
+        dies, are both replayed and answered, each with its own result."""
+        # a long window keeps both queued on the shard until the kill
+        with ShardFleet(2, ServeConfig(window_s=10.0),
+                        supervise_interval_s=0.05) as fleet:
+            router = ShardRouter(("127.0.0.1", 0), fleet, prewarm=False)
+            router.serve_background()
+            conn = FrameConn.dial(("127.0.0.1", router.port), 15.0)
+            try:
+                xs = [_vec(64, seed) for seed in (1, 2)]
+                for x in xs:
+                    conn.send({"op": "fft", "id": 7}, x)
+                assert _wait(lambda: router.counters()["routed"] == 2, 5.0)
+                fleet.kill_shard(fleet.owner(fleet.route_key_for(64)))
+                for x in xs:
+                    msg, buf, _ = conn.recv()
+                    assert msg["id"] == 7 and msg["ok"] is True
+                    np.testing.assert_allclose(payload_array(msg, buf),
+                                               np.fft.fft(x), atol=1e-6)
+                assert router.counters()["replays"] == 2
+            finally:
+                conn.close()
+                router.close()
 
 
 class TestSingleShardDegradation:

@@ -60,6 +60,7 @@ class TestPrimitive:
             for _ in range(10_000):
                 c.add("a")
                 c.add("b", 2)
+                c.add_many((("a", 1), ("b", 2)))
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -72,8 +73,8 @@ class TestPrimitive:
         finally:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
-        assert c.snapshot() == {"a": 80_000, "b": 160_000}
-        assert c["a"] == 80_000
+        assert c.snapshot() == {"a": 160_000, "b": 320_000}
+        assert c["a"] == 160_000
 
     def test_peak_keeps_the_maximum(self):
         c = Counters("t", ("high",))
