@@ -7,11 +7,11 @@ Commands
 ``bench``     sweep one simulated machine and print the Figure 3 panel rows
               (``--prune-cache`` instead GCs the compiled-codelet cache;
               measured speed lives in ``benchmarks/perf``)
-``search``    autotune a factorization on a simulated machine, or with
-              ``--measure`` rank candidates by measured wall-clock on
-              the real executor registry (FFTW-planner style)
-``tune``      offline measured-search sweep over sizes; persists the
-              rankings as wisdom for serve/shard to reuse
+``search``    autotune a factorization by modeled cycles on a simulated
+              machine (the paper's dynamic-programming search)
+``tune``      measured search over sizes: rank candidates by wall-clock
+              on the real executor registry (FFTW-planner style) and
+              persist the rankings as wisdom for serve/shard to build from
 ``profile``   trace one transform end to end and print the per-stage report
 ``serve``     run the TCP/JSON FFT service (plan cache + request batching);
               ``--tune`` adds the online autotuner (knob walking + plan
@@ -192,8 +192,6 @@ def _cmd_bench_prune_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.measure:
-        return _cmd_search_measure(args)
     from .machine import machine, SyncProfile
     from .search import dp_search, model_objective
 
@@ -208,44 +206,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"tree: {res.tree}")
         print(f"modeled cycles: {res.value:.0f}")
         print(f"objective evaluations: {res.evaluations}")
-    return 0
-
-
-def _cmd_search_measure(args: argparse.Namespace) -> int:
-    """``search --measure``: time real candidates instead of the model."""
-    from .tune import measured_search
-    from .wisdom import Wisdom
-
-    wisdom = Wisdom(args.wisdom) if args.wisdom else None
-    with _maybe_tracing(args):
-        result = measured_search(
-            args.n,
-            threads=args.threads,
-            mu=args.mu,
-            backend=args.backend,
-            runtime=args.runtime,
-            budget=args.budget,
-            repeats=args.repeats,
-            batch=args.batch,
-            seed=args.seed,
-            wisdom=wisdom,
-        )
-    print(
-        f"# measured search for DFT_{args.n} "
-        f"(threads={result.threads}, mu={result.mu}, "
-        f"backend={result.backend}, runtime={result.runtime}, "
-        f"batch={result.batch}, best-of-{result.repeats}, "
-        f"seed={result.seed})"
-    )
-    print("rank,candidate,per_vector_ms,pseudo_mflops")
-    for i, m in enumerate(result.ranking):
-        vec = f"/v{m.nu}" if m.nu > 1 else ""
-        print(
-            f"{i},{m.strategy}/leaf{m.min_leaf}{vec},"
-            f"{m.per_vector_ms:.4f},{m.pseudo_mflops:.0f}"
-        )
-    if wisdom is not None:
-        print(f"# ranking persisted to {args.wisdom}", file=sys.stderr)
     return 0
 
 
@@ -600,8 +560,8 @@ def _add_serve_config_flags(parser, scope: str = "") -> None:
         metavar="PATH",
         default=None,
         help="build each lane's measured best from this wisdom JSON file "
-        "and record into it (one file shared by every shard of a fleet: "
-        "fleet-wide tuning reuse)",
+        "(with --tune, a retune records its ranking into it; one file "
+        "shared by every shard of a fleet: fleet-wide tuning reuse)",
     )
     parser.add_argument(
         "--runtime",
@@ -717,74 +677,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "search",
-        help="autotune a factorization (modeled cycles by default; "
-        "--measure times real candidates on this host)",
+        help="autotune a factorization by modeled cycles on a simulated "
+        "machine (the paper's DP search; measured ranking is repro tune)",
     )
     s.add_argument("n", type=int)
     s.add_argument("--machine", default="core_duo")
     s.add_argument("--leaf-max", type=int, default=32)
-    s.add_argument(
-        "--measure",
-        action="store_true",
-        help="rank candidates by measured wall-clock on the real "
-        "executor registry instead of the analytic cycle model "
-        "(FFTW-planner style; see docs/tuning.md)",
-    )
-    s.add_argument(
-        "--threads", "-p", type=int, default=1,
-        help="with --measure: worker count for the timed executor",
-    )
-    s.add_argument(
-        "--mu", type=int, default=4,
-        help="with --measure: cache-line length of the timed plans",
-    )
-    s.add_argument(
-        "--backend",
-        choices=["numpy", "compiled", "simulator"],
-        default="numpy",
-        help="with --measure: execution backend the candidates run on",
-    )
-    s.add_argument(
-        "--runtime",
-        choices=["sequential", "pthreads", "process"],
-        default="sequential",
-        help="with --measure: runtime the candidates are timed under",
-    )
-    s.add_argument(
-        "--budget", type=int, default=8,
-        help="with --measure: max candidates timed (seeded-shuffle "
-        "prefix of the space)",
-    )
-    s.add_argument(
-        "--repeats", type=int, default=3,
-        help="with --measure: timing repeats, best-of",
-    )
-    s.add_argument(
-        "--batch", type=int, default=1,
-        help="with --measure: stacked vectors per timed execution",
-    )
-    s.add_argument(
-        "--wisdom", metavar="PATH", default=None,
-        help="with --measure: persist the ranking into this wisdom "
-        "JSON (the record repro serve --wisdom builds from)",
-    )
-    s.add_argument(
-        "--seed", type=int, default=None,
-        help="with --measure: candidate-order/input seed "
-        "(default: $REPRO_SEED, else 0)",
-    )
     add_trace_flag(s)
     s.set_defaults(fn=_cmd_search)
 
     tn = sub.add_parser(
         "tune",
-        help="offline measured-search sweep over sizes; persists "
-        "rankings as wisdom for serve/shard to reuse",
+        help="measured search over sizes: rank real candidates by "
+        "wall-clock on this host; persists rankings as wisdom for "
+        "serve/shard to build from",
     )
     tn.add_argument(
         "--sizes",
         default="64,128,256",
-        help="comma-separated transform sizes to tune",
+        help="comma-separated transform sizes to tune (one size: the "
+        "measured search of a single n)",
     )
     tn.add_argument("--threads", "-p", type=int, default=1)
     tn.add_argument("--mu", type=int, default=4)
@@ -818,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tn.add_argument(
         "--output", metavar="PATH", default=None,
-        help="also write the full sweep report as JSON here",
+        help="also write the full sweep report as JSON here (every "
+        "size's per-candidate ranking)",
     )
     tn.add_argument(
         "--seed", type=int, default=None,
@@ -862,10 +775,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--tune",
         action="store_true",
-        help="run the background autotuner: records per-plan latency "
-        "into wisdom, AIMD-tunes the batcher knobs toward "
-        "--p99-target-ms, and hot-swaps regressed plans with zero "
-        "dropped requests (see docs/tuning.md)",
+        help="run the background autotuner: watches per-plan latency, "
+        "AIMD-tunes the batcher knobs toward --p99-target-ms, and "
+        "re-searches and hot-swaps regressed plans with zero dropped "
+        "requests (see docs/tuning.md)",
     )
     sv.add_argument(
         "--tune-interval-ms",

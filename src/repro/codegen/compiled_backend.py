@@ -218,8 +218,8 @@ class CompiledPlan:
     """One plan's JIT artifact: shared object, metadata, and stage closures.
 
     Holds the loaded :mod:`ctypes` library plus enough provenance (source
-    hash, compiler fingerprint, object path) for benchmark host blocks
-    and Wisdom artifact records to make the run reproducible.
+    hash, compiler fingerprint, object path) for :meth:`artifact_info` to
+    name the exact build a run used.
     """
 
     size: int
@@ -271,7 +271,6 @@ class CompiledPlan:
         could not allocate its scratch.
         """
         n = self.size
-        artifact = self.artifact_info()
         stages: list[PlanStage] = []
         for sid, (parallel, needs_barrier, name, nprocs) in enumerate(
             self.stage_meta
@@ -308,7 +307,6 @@ class CompiledPlan:
                     needs_barrier=needs_barrier,
                     name=name,
                     nprocs=nprocs,
-                    artifact=artifact,
                 )
             )
 
@@ -531,15 +529,15 @@ def prune_codelet_cache(
 ) -> dict:
     """GC the content-addressed cache down to ``max_entries`` plans.
 
-    Repeated measured searches (``repro search --measure --backend
+    Repeated measured searches (``repro tune --sizes N --backend
     compiled``, the online tuner) each compile new candidate plans; the
     cache is content-addressed so nothing is ever *wrong*, but without a
     bound it grows forever.  A plan entry — ``plan_<size>_<key>.so`` with
     its ``.c`` source and ``.tab`` table file — goes as one: entries are
     ranked by access recency (``st_atime``, falling back to ``st_mtime``)
     and the oldest are deleted until ``max_entries`` remain.  ``keep``
-    protects specific source-hash keys (e.g. artifacts a wisdom file still
-    references).  Codelet objects (``codelet_<key>.o`` + ``.c``) are pure
+    protects specific source-hash keys (e.g. the plan a compile just
+    loaded).  Codelet objects (``codelet_<key>.o`` + ``.c``) are pure
     build inputs — no ``.so`` needs one once it is linked — so they are
     not counted against the bound: those not used (``st_mtime``: a build
     touches the objects it linked) since the oldest *kept* plan was built

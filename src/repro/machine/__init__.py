@@ -5,7 +5,6 @@ from .coherence import (
     SharingReport,
     StageSharing,
     analyze_sharing,
-    communication_lines,
     count_false_sharing,
 )
 from .cost_model import (
@@ -51,7 +50,6 @@ __all__ = [
     "StageSharing",
     "SyncProfile",
     "analyze_sharing",
-    "communication_lines",
     "core_duo",
     "count_false_sharing",
     "estimate_cost",

@@ -153,8 +153,3 @@ def analyze_sharing(program: SigmaProgram, mu: int) -> SharingReport:
 def count_false_sharing(program: SigmaProgram, mu: int) -> int:
     """Falsely shared lines over the whole program (0 for Spiral schedules)."""
     return analyze_sharing(program, mu).total_false_shared_lines
-
-
-def communication_lines(program: SigmaProgram, mu: int) -> int:
-    """True-sharing line transfers (the algorithm's communication volume)."""
-    return analyze_sharing(program, mu).total_coherence_misses

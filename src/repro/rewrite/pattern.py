@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional
 
 from ..spl.expr import Compose, DirectSum, Expr, Tensor
 from ..spl.matrices import DFT, Diag, DiagFunc, I, L, Perm, Twiddle
-from ..spl.parallel import LinePerm, ParTensor, SMP
+from ..spl.parallel import LinePerm, SMP
 
 Bindings = dict
 
@@ -232,22 +232,6 @@ class PSMP(Pattern):
         if out is None:
             return
         out = _bind_int(self.mu, expr.mu, out)
-        if out is None:
-            return
-        yield from self.inner.match_all(expr.child, out)
-
-
-class PParTensor(Pattern):
-    """Matches ``I_p (x)|| A``."""
-
-    def __init__(self, p, inner: Pattern):
-        self.p = p
-        self.inner = inner
-
-    def match_all(self, expr: Expr, b: Bindings) -> Iterator[Bindings]:
-        if not isinstance(expr, ParTensor):
-            return
-        out = _bind_int(self.p, expr.p, b)
         if out is None:
             return
         yield from self.inner.match_all(expr.child, out)

@@ -122,23 +122,16 @@ def plan_builder(
 
     With ``wisdom``, the spec built is the requested one
     :meth:`~PlanSpec.tuned` by the ranking of the lane a ``runtime`` pool
-    runs the key on, and a compiled plan's shared-object provenance is
-    recorded back, so the file names the artifact serving each key.
+    runs the key on.  A build only reads the file.
     """
     def build(key: PlanKey) -> CachedPlan:
         spec = PlanSpec.from_plan_key(key, backend)
         if wisdom is None:
             return build_plan(spec, key)
-        plan = build_plan(spec.tuned(wisdom.best(
+        return build_plan(spec.tuned(wisdom.best(
             key.n, key.threads, key.mu, backend,
             lane_name(runtime, key.threads),
         )), key)
-        artifact = plan.stages[0].artifact
-        if artifact is not None:
-            wisdom.record_artifact(
-                key.n, key.threads, key.mu, plan.backend, artifact
-            )
-        return plan
 
     return build
 
@@ -165,7 +158,6 @@ class PlanCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.wisdom = wisdom
         self.backend = backend
         self._builder = builder or plan_builder(wisdom, backend)
         self._lock = threading.Lock()

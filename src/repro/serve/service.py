@@ -214,10 +214,8 @@ class FFTService:
             if self.config.wisdom_path
             else None
         )
-        self.wisdom = wisdom
         self.plans = PlanCache(
             capacity=self.config.cache_capacity,
-            wisdom=wisdom,
             builder=plan_builder(
                 wisdom, self.config.backend, self.config.runtime
             ),

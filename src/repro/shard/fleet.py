@@ -57,7 +57,7 @@ class ShardFleet:
             host, port = fleet.address(sid)
 
     ``config`` is the per-shard :class:`ServeConfig` (every shard gets an
-    identical copy; a shared ``wisdom_path`` makes tuning results
+    identical copy; a shared ``wisdom_path`` makes measured rankings
     fleet-wide).  ``vnodes`` tunes ring balance, ``replicas`` is how many
     ring successors get plan prewarms and failover retries.
     """
@@ -129,7 +129,7 @@ class ShardFleet:
         """The routing string for a request: the plan its shard will build
         (:meth:`ServeConfig.plan_key` — defaults filled in, ``threads``
         clamped), so every spelling of one effective plan has one owner,
-        one batcher and one wisdom observation lane."""
+        one batcher and one ``per_plan_latency`` row at the router."""
         key = self.config.plan_key(n, threads, mu, strategy)
         return route_key(key.n, key.threads, key.mu, key.strategy,
                          self.config.backend)

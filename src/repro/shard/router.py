@@ -36,10 +36,9 @@ Mechanics per client connection:
 * the ``health`` op aggregates per-shard health into the familiar
   :meth:`~repro.serve.service.FFTService.health` shape, and ``stats``
   sums shard counters and adds per-shard *and per-plan* latency
-  percentiles measured at the router; when the fleet shares a wisdom
-  file, each stats poll also flushes the windowed per-plan latencies
-  into it as tuning observations (see :mod:`repro.tune`), so
-  router-measured truth feeds the same records the serving tuner reads.
+  percentiles measured at the router — for operators to read; the
+  router writes nothing into the fleet's wisdom file, which its shards
+  only read (:mod:`repro.wisdom`).
 
 The ``shard.route_flap`` fault point diverts single requests to the
 owner's successor — exercising the invariant that *any* shard can serve
@@ -56,12 +55,10 @@ from typing import Optional
 
 from ..faults import get_fault_plan
 from ..serve.client import ServeClient
-from ..serve.metrics import LatencyRecorder, latency_summary
+from ..serve.metrics import LatencyRecorder
 from ..serve.protocol import FrameConn, FrameServer, Session, error_response
 from ..serve.server import exception_response
-from ..smp.runtime import lane_name
 from ..trace import Counters
-from ..wisdom import Wisdom
 from .fleet import NoShardsAvailable, ShardFleet
 
 #: replay attempts for a request orphaned by a dying shard
@@ -360,8 +357,7 @@ class ShardRouter(FrameServer):
     #: every count the router keeps (``counters()``; tracer ``shard.<name>``)
     COUNTERS = ("routed", "replays", "failovers", "flapped_routes",
                 "ejections_seen", "route_failures", "no_shard_errors",
-                "prewarms_sent", "prewarm_errors", "orphans_replayed",
-                "wisdom_flushes")
+                "prewarms_sent", "prewarm_errors", "orphans_replayed")
 
     def __init__(self, address: tuple[str, int], fleet: ShardFleet,
                  prewarm: bool = True):
@@ -369,14 +365,7 @@ class ShardRouter(FrameServer):
         self.fleet = fleet
         self.prewarm_enabled = prewarm
         self.latencies = LatencyRecorder()
-        # per-plan observations: cumulative (for stats) + a window the
-        # wisdom flush drains, mirroring FFTService.latencies/tune_window
         self.plan_latencies = LatencyRecorder()
-        self._wisdom_window = LatencyRecorder()
-        self._wisdom: Optional[Wisdom] = (
-            Wisdom(fleet.config.wisdom_path)
-            if fleet.config.wisdom_path else None
-        )
         self._counts = Counters("shard", self.COUNTERS)
         #: ``count(name, by=1, **tracer_attrs)``: one routing event
         self.count = self._counts.add
@@ -422,35 +411,6 @@ class ShardRouter(FrameServer):
         """One routed response, by shard and by plan routing string."""
         self.latencies.record(shard_id, seconds)
         self.plan_latencies.record(key, seconds)
-        if self._wisdom is not None:
-            self._wisdom_window.record(key, seconds)
-
-    def flush_observations(self) -> int:
-        """Merge windowed per-plan latencies into the fleet's wisdom file.
-
-        A route key names the plan its shard built (*effective* threads),
-        so each becomes one :meth:`~repro.wisdom.Wisdom.record_observation`
-        in the very lane that shard's Tuner reads and writes (sequential /
-        pthreads / process per the shard :class:`~repro.serve.ServeConfig`).
-        Returns the number of plan keys flushed.  Called from
-        :meth:`stats_snapshot`, so any stats poller is the flush cadence.
-        """
-        if self._wisdom is None:
-            return 0
-        drained = self._wisdom_window.drain()
-        if not drained:
-            return 0
-        cfg = self.fleet.config
-        with self._wisdom.transaction():  # one file rewrite per flush
-            for key, samples in drained.items():
-                n, threads, mu = map(int, key.split(":")[:3])
-                self._wisdom.record_observation(
-                    n, threads, mu, cfg.backend,
-                    lane_name(cfg.runtime, threads),
-                    {"requests": len(samples), **latency_summary(samples)},
-                )
-        self.count("wisdom_flushes", len(drained))
-        return len(drained)
 
     # -- aggregation -----------------------------------------------------------
 
@@ -487,7 +447,6 @@ class ShardRouter(FrameServer):
             "counters": self.counters(),
             "per_shard_latency": self.latencies.summary(),
             "per_plan_latency": self.plan_latencies.summary(),
-            "wisdom_flushed": self.flush_observations(),
             "fleet": self.fleet.counters(),
         }
         agg["shards"] = per_shard

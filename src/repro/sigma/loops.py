@@ -210,9 +210,6 @@ class SigmaProgram:
     def barrier_count(self) -> int:
         return sum(1 for s in self.stages if s.needs_barrier)
 
-    def parallel_stage_count(self) -> int:
-        return sum(1 for s in self.stages if s.parallel)
-
     def analyze_barriers(self, mu: int = 1) -> None:
         """Elide barriers between stages whose dataflow is processor-private.
 

@@ -69,8 +69,6 @@ class PlanStage:
     ``nprocs`` is the number of processor shares the *plan* defines for this
     stage (a property of the generated program, not of the runtime executing
     it); sequential runtimes iterate over all shares on one thread.
-    ``artifact`` is the provenance of the on-disk build ``work`` calls into
-    (the compiled backend's shared object); None when there is none.
     """
 
     work: StageWork
@@ -78,7 +76,6 @@ class PlanStage:
     needs_barrier: bool
     name: str = ""
     nprocs: int = 1
-    artifact: Optional[dict] = None
 
 
 class FusedStages(tuple):
@@ -140,8 +137,8 @@ def lane_name(runtime: str, threads: int) -> str:
 
     ``"sequential"`` if ``threads <= 1`` (or on request), else the pool
     kind: ``"process"``, or ``"pthreads"`` for thread pools.  Wisdom
-    observation and tuning records are keyed by these strings.  A kind
-    outside :data:`RUNTIME_NAMES` raises ``ValueError``.
+    rankings are keyed by these strings.  A kind outside
+    :data:`RUNTIME_NAMES` raises ``ValueError``.
     """
     if runtime not in RUNTIME_NAMES:
         raise ValueError(

@@ -23,14 +23,12 @@ from .parallel import LinePerm, ParDirectSum, ParTensor, SMP, smp
 from .pprint import format_expr, format_tree
 from .properties import (
     CheckResult,
-    avoids_false_sharing,
     check_fully_optimized,
     has_smp_tags,
     is_fully_optimized,
     is_load_balanced,
     is_parallel_construct,
     parallel_region_count,
-    verify_definition1_dynamically,
 )
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "SPLError",
     "Tensor",
     "Twiddle",
-    "avoids_false_sharing",
     "invert",
     "check_fully_optimized",
     "compose",
@@ -65,7 +62,6 @@ __all__ = [
     "is_load_balanced",
     "is_parallel_construct",
     "parallel_region_count",
-    "verify_definition1_dynamically",
     "smp",
     "tensor",
     "transpose",

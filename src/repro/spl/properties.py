@@ -10,8 +10,9 @@ and avoids false sharing.  Definition 1 makes this a structural property:
   optimized.
 
 The checker reports *why* a formula fails, which makes rewriting bugs easy to
-localize; :func:`verify_no_false_sharing_empirically` complements the
-structural proof with a trace-driven cache-line ownership check.
+localize; :mod:`repro.check` complements the structural proof with a
+dynamic replay of the lowered plan (races, false sharing at line
+granularity, load balance).
 """
 
 from __future__ import annotations
@@ -113,41 +114,8 @@ def check_fully_optimized(expr: Expr, p: int, mu: int) -> CheckResult:
     )
 
 
-def verify_definition1_dynamically(
-    expr: Expr, p: int, mu: int, max_skew: float = 1.25
-) -> CheckResult:
-    """Cross-check Definition 1 on the *lowered plan*, not the formula.
-
-    Lowers ``expr`` and replays its stage plan through the dynamic
-    concurrency checker (:mod:`repro.check`): race freedom over every
-    barrier-elided window, false-sharing freedom at line granularity
-    ``mu``, and per-stage load balance within ``max_skew``.  The
-    structural verdict of :func:`check_fully_optimized` implies this one
-    on honestly lowered formulas; a disagreement localizes a bug in the
-    rewriting, the lowering, or the barrier analysis.
-    """
-    from ..check import check_program
-    from ..sigma.lower import lower
-
-    report = check_program(lower(expr, barrier_mu=mu), mu, max_skew=max_skew)
-    if report.ok:
-        return CheckResult(True)
-    reasons = "; ".join(str(f) for f in report.errors[:3])
-    return CheckResult(False, f"dynamic check failed: {reasons}")
-
-
 def is_load_balanced(expr: Expr, p: int, mu: int) -> bool:
     """Definition 1 load-balance predicate (structural)."""
-    return bool(check_fully_optimized(expr, p, mu))
-
-
-def avoids_false_sharing(expr: Expr, p: int, mu: int) -> bool:
-    """Definition 1 false-sharing predicate (structural).
-
-    Definition 1 gives the same structural characterization for both
-    properties; they are distinguished empirically by the trace checker in
-    :mod:`repro.machine.coherence`.
-    """
     return bool(check_fully_optimized(expr, p, mu))
 
 

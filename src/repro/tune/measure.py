@@ -14,8 +14,8 @@ bounds; the evaluation *order* is a seeded shuffle derived from
 ``REPRO_SEED`` (:mod:`repro.seeding`), so a truncated budget times a
 stable, reproducible prefix rather than whatever ``dict`` order happens
 to be.  Results feed :meth:`repro.wisdom.Wisdom.record_tuning`, the
-versioned fleet-shared record the online :class:`~repro.tune.Tuner`
-reads.
+versioned fleet-shared ranking a wisdom-attached plan cache builds from
+(:func:`repro.serve.plan_cache.plan_builder`).
 """
 
 from __future__ import annotations

@@ -4,9 +4,6 @@ A :class:`Tuner` rides inside a live :class:`~repro.serve.FFTService`.
 Each tick it drains the service's per-plan observation window
 (:meth:`repro.serve.metrics.LatencyRecorder.drain`), and then:
 
-* **records** every window into the shared :class:`~repro.wisdom.Wisdom`
-  store (versioned per-lane observation records), so the whole fleet
-  sees what each plan measured in production;
 * **auto-tunes the batcher** toward a p99 target with AIMD: a window
   whose p99 overshoots the target halves the batching window
   (multiplicative decrease), one comfortably under it grows the window
@@ -14,9 +11,12 @@ Each tick it drains the service's per-plan observation window
   the dispatcher re-reads both knobs every loop, so adjustments apply
   live with no restart;
 * **re-searches** hot plan keys whose observed median regressed past
-  ``regress_factor`` × their best window, using the measured cost model
-  (:func:`~repro.tune.measured_search`), and **hot-swaps** the winner
-  into the :class:`~repro.serve.plan_cache.PlanCache`.
+  ``regress_factor`` × their best window (kept in memory), using the
+  measured cost model (:func:`~repro.tune.measured_search`, which
+  records its ranking into the tuner's :class:`~repro.wisdom.Wisdom`
+  file when it has one — the tuner's only write to it), and
+  **hot-swaps** the winner into the
+  :class:`~repro.serve.plan_cache.PlanCache`.
 
 The swap protocol is zero-drop by construction: the cache replacement is
 atomic under the cache lock, defers (rather than races) when a
@@ -33,16 +33,14 @@ the hot-swap covers the sequential, pthreads and process lanes alike.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from ..faults import FaultInjected
 from ..mp.spec import PlanSpec
-from ..serve.metrics import LatencyRecorder, latency_summary, percentile
+from ..serve.metrics import LatencyRecorder, percentile
 from ..serve.plan_cache import PlanKey, build_plan
-from ..smp.runtime import lane_name
 from ..trace import Counters
 from .measure import measured_search
 
@@ -129,40 +127,25 @@ class Tuner:
         return m
 
     def tick(self) -> list[PlanKey]:
-        """One observe/record/adjust/retune pass; returns retuned keys."""
+        """One observe/adjust/retune pass; returns retuned keys."""
         with self._lock:
             drained = self.service.tune_window.drain()
             self.counters.add("ticks")
             all_samples: list[float] = []
             regressed: list[PlanKey] = []
-            # every window of this tick lands in one wisdom-file rewrite
-            recording = (self.wisdom.transaction()
-                         if self.wisdom is not None and drained
-                         else contextlib.nullcontext())
-            with recording:
-                for key, samples in drained.items():
-                    if not samples:
-                        continue
-                    self.counters.add("windows_observed")
-                    all_samples.extend(samples)
-                    summary = {"requests": len(samples),
-                               **latency_summary(samples)}
-                    if self.wisdom is not None:
-                        self.wisdom.record_observation(
-                            key.n, key.threads, key.mu,
-                            self.service.config.backend,
-                            lane_name(self.service.config.runtime,
-                                      key.threads),
-                            summary,
-                        )
-                    if len(samples) < self.config.min_requests:
-                        continue
-                    p50 = summary["p50_ms"]
-                    best = self._best_p50.get(key)
-                    if best is None or p50 < best:
-                        self._best_p50[key] = p50
-                    elif p50 > best * self.config.regress_factor:
-                        regressed.append(key)
+            for key, samples in drained.items():
+                if not samples:
+                    continue
+                self.counters.add("windows_observed")
+                all_samples.extend(samples)
+                if len(samples) < self.config.min_requests:
+                    continue
+                p50 = percentile(sorted(samples), 0.5) * 1e3
+                best = self._best_p50.get(key)
+                if best is None or p50 < best:
+                    self._best_p50[key] = p50
+                elif p50 > best * self.config.regress_factor:
+                    regressed.append(key)
             self._adjust_knobs_locked(all_samples)
             for key in regressed:
                 self._retune_locked(key)

@@ -1,22 +1,24 @@
-"""Wisdom: the persistent record store of measured planning.
+"""Wisdom: the persistent ranking store of measured planning.
 
-FFTW's "wisdom" is the saved outcome of *measured* planning.  A wisdom file
-is JSON keyed by plan configuration ``(n, threads, mu)``; an entry holds,
-per executor lane (``backend/runtime``), the **ranking**
-:func:`repro.tune.measured_search` measured (its ``best`` block names a
-buildable spec: ``strategy``, ``min_leaf``, ``nu``), the merged production
-**observations** the tuner and the shard router record, and the compiled
-**artifact** provenance.  It builds nothing: what a file contributes to a
-build is the one requested → effective substitution :meth:`Wisdom.best`
-feeds :meth:`repro.mp.spec.PlanSpec.tuned`
+FFTW's "wisdom" is the saved outcome of *measured* planning, and the next
+planner reads it.  A wisdom file is JSON keyed by plan configuration
+``(n, threads, mu)``; an entry holds, per executor lane
+(``backend/runtime``), the **ranking** :func:`repro.tune.measured_search`
+measured (its ``best`` block names a buildable spec: ``strategy``,
+``min_leaf``, ``nu``) — and nothing else: a file holds only what a build
+reads.  Keys other writers left in an entry (older files carry
+``observations`` and ``artifacts``) are kept and ignored.  It builds
+nothing: what a file contributes to a build is the one requested →
+effective substitution :meth:`Wisdom.best` feeds
+:meth:`repro.mp.spec.PlanSpec.tuned`
 (:func:`repro.serve.plan_cache.plan_builder`).
 
     wisdom = Wisdom("wisdom.json")
     measured_search(4096, threads=2, wisdom=wisdom)   # persists a ranking
     wisdom.best(4096, 2, 4, "numpy", "pthreads")      # -> its best block
 
-The file is the store; an instance is a cache of it.  Every ``record_*``
-is one read-merge-write :meth:`~Wisdom.transaction` under an advisory lock
+The file is the store; an instance is a cache of it.  Every write is one
+read-merge-write :meth:`~Wisdom.transaction` under an advisory lock
 on a ``<path>.lock`` sidecar, so instances, threads and processes sharing
 one path lose nothing, and reads reload once the file has moved on.  Saves
 are atomic (temp file in the same directory, then ``os.replace``): no
@@ -38,14 +40,14 @@ from .trace import get_tracer
 
 
 #: schema version of the ``tune`` block inside a wisdom entry.  Bumped
-#: whenever the measured-record layout changes; readers ignore records
-#: from other versions, so stale fleet wisdom degrades to "no record"
-#: instead of misguiding the tuner.
+#: whenever the ranking layout changes; readers ignore rankings from
+#: other versions, so stale fleet wisdom degrades to "no record" instead
+#: of misguiding a build.
 TUNE_VERSION = 1
 
 
 class Wisdom:
-    """Persistent measured-planning records keyed by plan configuration."""
+    """Persistent measured rankings keyed by plan configuration."""
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
@@ -101,8 +103,9 @@ class Wisdom:
 
         Holds the sidecar's advisory lock from the read to the publish, so
         concurrent writers serialize instead of overwriting each other.
-        Nested transactions join the outer one: wrap a loop of ``record_*``
-        calls in ``with wisdom.transaction():`` to rewrite the file once.
+        Nested transactions join the outer one: wrap a loop of
+        :meth:`record_tuning` calls in ``with wisdom.transaction():`` to
+        rewrite the file once.
         """
         with self._lock:
             if self._open or self.path is None:
@@ -142,53 +145,21 @@ class Wisdom:
             entry = self._records().get(self._key(n, threads, mu))
         return entry if isinstance(entry, dict) else None
 
-    # -- backend artifacts -------------------------------------------------------
-
-    def record_artifact(
-        self, n: int, threads: int, mu: int, backend: str, info: dict
-    ) -> None:
-        """Attach an execution-backend artifact record to a plan's entry.
-
-        The compiled backend's shared-object provenance (source hash,
-        cached ``.so`` path, compiler fingerprint) lands here, so a wisdom
-        file documents not just the tuned spec but the exact native
-        artifact serving it — keyed, like the on-disk codelet cache, by
-        codelet hash + compiler identity.
-        """
-        with self.transaction() as store:
-            entry = store.setdefault(self._key(n, threads, mu), {})
-            entry.setdefault("artifacts", {})[backend] = dict(info)
-
-    def artifact(
-        self, n: int, threads: int, mu: int, backend: str
-    ) -> Optional[dict]:
-        """The recorded artifact for (config, backend), or None."""
-        entry = self.entry(n, threads, mu) or {}
-        return entry.get("artifacts", {}).get(backend)
-
-    # -- measured tuning records (the live-fleet side) ---------------------------
+    # -- measured rankings ------------------------------------------------------
 
     @staticmethod
     def _lane(backend: str, runtime: str) -> str:
         return f"{backend}/{runtime}"
 
-    def _tune_block(self, store: dict, n, threads, mu, kind) -> dict:
-        """The ``kind`` map (``rankings`` / ``observations``) of the key's
-        version-stamped ``tune`` block in ``store``, creating the block —
-        or resetting one stamped with another version — on the way."""
+    def _tune_block(self, store: dict, n, threads, mu) -> dict:
+        """The ``rankings`` map of the key's version-stamped ``tune`` block
+        in ``store``, creating the block — or resetting one stamped with
+        another version — on the way."""
         entry = store.setdefault(self._key(n, threads, mu), {})
         tune = entry.get("tune")
         if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
             tune = entry["tune"] = {"version": TUNE_VERSION}
-        return tune.setdefault(kind, {})
-
-    def _tune_records(self, n, threads, mu, kind, backend, runtime):
-        """One lane's record of ``kind`` (``rankings`` / ``observations``);
-        blocks written under another :data:`TUNE_VERSION` read as absent."""
-        tune = (self.entry(n, threads, mu) or {}).get("tune")
-        if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
-            return None
-        return tune.get(kind, {}).get(self._lane(backend, runtime))
+        return tune.setdefault("rankings", {})
 
     def record_tuning(
         self,
@@ -208,15 +179,19 @@ class Wisdom:
         shares rankings per (n, threads, mu, backend, runtime).
         """
         with self.transaction() as store:
-            rankings = self._tune_block(store, n, threads, mu, "rankings")
+            rankings = self._tune_block(store, n, threads, mu)
             rankings[self._lane(backend, runtime)] = dict(record)
-        get_tracer().count("wisdom.tune_record", 1, kind="ranking")
+        get_tracer().count("wisdom.tune_record", 1)
 
     def tuning(
         self, n: int, threads: int, mu: int, backend: str, runtime: str
     ) -> Optional[dict]:
-        """The stored measured ranking for exactly this lane, or None."""
-        return self._tune_records(n, threads, mu, "rankings", backend, runtime)
+        """The stored measured ranking for exactly this lane, or None;
+        blocks written under another :data:`TUNE_VERSION` read as absent."""
+        tune = (self.entry(n, threads, mu) or {}).get("tune")
+        if not isinstance(tune, dict) or tune.get("version") != TUNE_VERSION:
+            return None
+        return tune.get("rankings", {}).get(self._lane(backend, runtime))
 
     def best(
         self, n: int, threads: int, mu: int, backend: str, runtime: str
@@ -231,44 +206,3 @@ class Wisdom:
                   or self.tuning(n, threads, mu, backend, "sequential"))
         best = record.get("best") if isinstance(record, dict) else None
         return best if isinstance(best, dict) else None
-
-    def record_observation(
-        self,
-        n: int,
-        threads: int,
-        mu: int,
-        backend: str,
-        runtime: str,
-        summary: dict,
-    ) -> None:
-        """Merge one observed-latency window into the fleet record.
-
-        ``summary`` is a :func:`repro.serve.metrics.latency_summary`
-        block plus a ``requests`` count (what FFTServer/shard stats
-        report per plan key).  ``requests`` accumulates across windows;
-        ``last`` holds the most recent window; ``best_p50_ms`` keeps the
-        fastest median any window achieved — the tuner's regression
-        baseline.
-        """
-        requests = int(summary.get("requests", 0))
-        p50 = summary.get("p50_ms")
-        with self.transaction() as store:
-            slot = self._tune_block(
-                store, n, threads, mu, "observations"
-            ).setdefault(self._lane(backend, runtime), {"requests": 0})
-            slot["requests"] = int(slot.get("requests", 0)) + requests
-            slot["last"] = {k: v for k, v in summary.items()
-                            if k != "requests"}
-            if isinstance(p50, (int, float)) and requests > 0:
-                best = slot.get("best_p50_ms")
-                if best is None or p50 < best:
-                    slot["best_p50_ms"] = p50
-        get_tracer().count("wisdom.tune_record", 1, kind="observation")
-
-    def observation(
-        self, n: int, threads: int, mu: int, backend: str, runtime: str
-    ) -> Optional[dict]:
-        """The merged observation record for one lane, or None."""
-        return self._tune_records(
-            n, threads, mu, "observations", backend, runtime
-        )

@@ -198,25 +198,31 @@ class TestEndToEnd:
         plan = cache.get(PlanKey(n=256, threads=1, mu=4))
         assert plan.backend == "compiled"
 
-    def test_wisdom_records_compiled_artifact(self, tmp_path):
+    def test_a_compiled_miss_rewrites_the_wisdom_file_zero_times(
+        self, tmp_path, wisdom_saves
+    ):
+        """A compiled build reads the file and writes nothing back: a file
+        holding a ranking is byte for byte the same after the miss."""
         from repro.serve.plan_cache import PlanCache, PlanKey
+        from repro.tune import measured_search
         from repro.wisdom import Wisdom
 
         wisdom = Wisdom(tmp_path / "w.json")
+        measured_search(128, backend="compiled", budget=2, repeats=1,
+                        wisdom=wisdom)
+        written = wisdom.path.read_bytes()
+        wisdom_saves.clear()
         cache = PlanCache(wisdom=wisdom, backend="compiled")
-        cache.get(PlanKey(n=128, threads=1, mu=4))
-        art = wisdom.artifact(128, 1, 4, "compiled")
-        assert art is not None and "source_hash" in art
-        # provenance survives a reload from disk
-        assert Wisdom(tmp_path / "w.json").artifact(
-            128, 1, 4, "compiled"
-        ) == art
+        plan = cache.get(PlanKey(n=128, threads=1, mu=4))
+        assert plan.backend == "compiled"
+        assert wisdom_saves == []
+        assert wisdom.path.read_bytes() == written
 
     def test_wisdom_attached_build_prints_its_c_once(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, wisdom_saves
     ):
-        """The artifact record rides out of the one compile: no second
-        ``compile_plan`` (and its ``emit_plan_source``) just to ask."""
+        """A miss on a wisdom-attached cache compiles once and only reads
+        the file: one ``emit_plan_source``, zero rewrites."""
         from repro.serve.plan_cache import PlanCache, PlanKey
         from repro.trace import Tracer, tracing
         from repro.wisdom import Wisdom
@@ -227,9 +233,9 @@ class TestEndToEnd:
         cache = PlanCache(wisdom=wisdom, backend="compiled")
         with tracing(Tracer()) as tr:
             plan = cache.get(PlanKey(n=256, threads=1, mu=4))
+        assert plan.backend == "compiled"
         assert [e.name for e in tr.events].count("codegen.emit_c") == 1
-        assert wisdom.artifact(256, 1, 4, "compiled") == \
-            plan.stages[0].artifact
+        assert wisdom_saves == [] and not wisdom.path.exists()
 
     def test_mp_spec_compiles_with_backend(self, rng):
         from repro.mp.spec import PlanSpec, clear_spec_cache, compile_spec

@@ -158,11 +158,15 @@ class TestParserIsDocumented:
         assert sweep.sizes == "64,128,256" and sweep.budget == 4
         assert sweep.wisdom == "wisdom.json"
         measure = parser.parse_args(
-            "search 4096 --measure --backend compiled "
+            "tune --sizes 4096 --backend compiled "
             "--runtime pthreads --threads 2 --budget 6".split()
         )
-        assert measure.measure is True and measure.n == 4096
+        assert measure.sizes == "4096" and measure.budget == 6
         assert measure.backend == "compiled" and measure.runtime == "pthreads"
+        model = parser.parse_args("search 4096 --machine opteron".split())
+        assert model.n == 4096 and model.machine == "opteron"
+        with pytest.raises(SystemExit):
+            parser.parse_args("search 4096 --measure".split())
         serve = parser.parse_args(
             "serve --tune --p99-target-ms 5 --tune-interval-ms 250 "
             "--wisdom wisdom.json".split()

@@ -15,13 +15,19 @@ class TestWisdom:
         path = tmp_path / "wisdom.json"
         w1 = Wisdom(path)
         w1.record_tuning(128, 1, 4, "numpy", "sequential", RECORD)
-        w1.record_artifact(128, 1, 4, "compiled", {"so": "plan.so"})
+        w1.record_tuning(128, 1, 4, "compiled", "sequential", RECORD)
 
         w2 = Wisdom(path)
         assert (128, 1, 4) in w2 and len(w2) == 1
         assert w2.tuning(128, 1, 4, "numpy", "sequential") == RECORD
-        assert w2.artifact(128, 1, 4, "compiled") == {"so": "plan.so"}
+        assert w2.tuning(128, 1, 4, "compiled", "sequential") == RECORD
         assert w2.entry(128) == w1.entry(128)
+        # a ranking is all an entry holds
+        assert w2.entry(128) == {"tune": {
+            "version": TUNE_VERSION,
+            "rankings": {"numpy/sequential": RECORD,
+                         "compiled/sequential": RECORD},
+        }}
 
     def test_best_falls_back_to_the_sequential_lane(self):
         w = Wisdom()
@@ -35,21 +41,28 @@ class TestWisdom:
         assert w.best(256, 2, 4, "compiled", "pthreads") is None
 
     def test_parent_written_file_still_loads(self, tmp_path):
-        """A file from before wisdom stopped storing trees: its tune /
-        artifact blocks are honoured, its tree keys ignored."""
+        """A file from before wisdom held only rankings — with trees,
+        artifacts and observation blocks: its rankings are honoured and
+        still pick the build, everything else is ignored and kept."""
+        from repro.serve.plan_cache import PlanCache, PlanKey
+
         path = tmp_path / "wisdom.json"
         path.write_text(json.dumps({"dft:64:p1:mu4": {
             "tree": [8, 8], "value": 1088.0, "evaluations": 12,
             "artifacts": {"compiled": {"so": "plan.so"}},
             "tune": {"version": TUNE_VERSION,
-                     "rankings": {"numpy/sequential": RECORD}},
+                     "rankings": {"numpy/sequential": RECORD},
+                     "observations": {"numpy/sequential": {
+                         "requests": 40, "best_p50_ms": 0.2,
+                         "last": {"p50_ms": 0.3}}}},
         }}))
         w = Wisdom(path)
         assert w.best(64, 1, 4, "numpy", "sequential") == RECORD["best"]
-        assert w.artifact(64, 1, 4, "compiled") == {"so": "plan.so"}
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 3, "p50_ms": 1.0})
-        assert json.loads(path.read_text())["dft:64:p1:mu4"]["tree"] == [8, 8]
+        spec = PlanCache(wisdom=w).get(PlanKey(64)).spec
+        assert (spec.strategy, spec.min_leaf, spec.nu) == ("radix2", 16, 1)
+        w.record_tuning(128, 1, 4, "numpy", "sequential", RECORD)
+        old = json.loads(path.read_text())["dft:64:p1:mu4"]
+        assert old["tree"] == [8, 8] and "observations" in old["tune"]
 
     def test_forget(self, tmp_path):
         path = tmp_path / "wisdom.json"
@@ -66,10 +79,9 @@ class TestWisdom:
         w = Wisdom()  # no path: in-memory only
         w.record_tuning(64, 1, 4, "numpy", "sequential", RECORD)
         with w.transaction():
-            w.record_observation(64, 1, 4, "numpy", "sequential",
-                                 {"requests": 2, "p50_ms": 1.5})
+            w.record_tuning(128, 1, 4, "numpy", "sequential", RECORD)
         assert w.best(64, 1, 4, "numpy", "sequential") == RECORD["best"]
-        assert w.observation(64, 1, 4, "numpy", "sequential")["requests"] == 2
+        assert w.best(128, 1, 4, "numpy", "sequential") == RECORD["best"]
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_file_tolerated(self, tmp_path):

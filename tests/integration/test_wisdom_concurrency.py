@@ -17,19 +17,17 @@ def _record():
 
 
 def _write_all(path, who, rounds=ROUNDS):
-    """One writer: its own instance, interleaving all three record kinds.
+    """One writer: its own instance, interleaving two kinds of ranking.
 
-    Rankings and artifacts go under the writer's own sizes (a lost update
-    drops a key); observations all merge into one shared slot (a lost
-    update breaks the request sum).
+    Some go under the writer's own sizes (a lost update drops a key);
+    the rest all land in one shared entry, each under a lane of its own
+    (a lost update drops a lane another writer added).
     """
     w = Wisdom(path)
     for i in range(rounds):
         n = 2 ** (4 + i % 8)
         w.record_tuning(n, who, 4, "numpy", "sequential", _record())
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 1, "p50_ms": 1.0 + who})
-        w.record_artifact(n, who, 4, "compiled", {"so": f"{who}-{i}.so"})
+        w.record_tuning(64, 1, 8, "numpy", f"w{who}.{i}", _record())
 
 
 def _assert_all_survived(path, writers, rounds=ROUNDS):
@@ -39,13 +37,12 @@ def _assert_all_survived(path, writers, rounds=ROUNDS):
         for i in range(rounds):
             n = 2 ** (4 + i % 8)
             assert w.tuning(n, who, 4, "numpy", "sequential") == _record()
-            assert w.artifact(n, who, 4, "compiled") is not None
-    obs = w.observation(64, 1, 4, "numpy", "sequential")
-    assert obs["requests"] == len(writers) * rounds
-    assert obs["best_p50_ms"] == 1.0 + min(writers)
+            assert w.tuning(64, 1, 8, "numpy", f"w{who}.{i}") == _record()
+    shared = stored["dft:64:p1:mu8"]["tune"]["rankings"]
+    assert len(shared) == len(writers) * rounds
     assert set(stored) == {
         f"dft:{2 ** (4 + i)}:p{who}:mu4" for who in writers for i in range(8)
-    } | {"dft:64:p1:mu4"}
+    } | {"dft:64:p1:mu8"}
     residue = sorted(p.name for p in path.parent.iterdir())
     assert residue == [path.name, path.name + ".lock"], residue
 
@@ -55,28 +52,28 @@ class TestRoundTrip:
         path = tmp_path / "wisdom.json"
         w1 = Wisdom(path)
         w1.record_tuning(256, 2, 4, "numpy", "pthreads", _record())
-        w1.record_observation(256, 2, 4, "numpy", "pthreads",
-                              {"requests": 7, "p50_ms": 0.4})
+        w1.record_tuning(256, 2, 4, "numpy", "sequential",
+                         {"best": {"strategy": "balanced"}})
 
         # the file is valid JSON holding the versioned tune block
         stored = json.loads(path.read_text())
         assert set(stored) == {"dft:256:p2:mu4"}
         assert set(stored["dft:256:p2:mu4"]["tune"]) == {
-            "version", "rankings", "observations"
+            "version", "rankings"
         }
 
         # a fresh instance reloads exactly what was recorded
         w2 = Wisdom(path)
         assert (256, 2, 4) in w2
         assert w2.tuning(256, 2, 4, "numpy", "pthreads") == _record()
-        assert w2.observation(256, 2, 4, "numpy", "pthreads") == \
-            w1.observation(256, 2, 4, "numpy", "pthreads")
+        assert w2.tuning(256, 2, 4, "numpy", "sequential") == \
+            w1.tuning(256, 2, 4, "numpy", "sequential")
 
     def test_save_leaves_no_temp_residue(self, tmp_path):
         path = tmp_path / "wisdom.json"
         w = Wisdom(path)
         w.record_tuning(64, 1, 4, "numpy", "sequential", _record())
-        w.record_artifact(128, 1, 4, "compiled", {"so": "x.so"})
+        w.record_tuning(128, 1, 4, "compiled", "sequential", _record())
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name not in ("wisdom.json", "wisdom.json.lock")]
         assert leftovers == [], f"temp files left behind: {leftovers}"
@@ -87,15 +84,15 @@ class TestSharedFile:
     def test_two_instances_do_not_overwrite_each_other(self, tmp_path):
         path = tmp_path / "wisdom.json"
         a, b = Wisdom(path), Wisdom(path)
-        a.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 5, "p50_ms": 1.0})
-        b.record_observation(128, 1, 4, "numpy", "sequential",
-                             {"requests": 3, "p50_ms": 2.0})
+        a.record_tuning(64, 1, 4, "numpy", "sequential", _record())
+        b.record_tuning(128, 1, 4, "numpy", "sequential",
+                        {"best": {"strategy": "balanced"}})
         assert set(json.loads(path.read_text())) == {
             "dft:64:p1:mu4", "dft:128:p1:mu4"
         }
         # the instance is a cache of the file: a sees what b wrote
-        assert a.observation(128, 1, 4, "numpy", "sequential")["requests"] == 3
+        assert a.best(128, 1, 4, "numpy", "sequential") == \
+            {"strategy": "balanced"}
         assert len(a) == len(b) == 2
 
     def test_concurrent_distinct_configs(self, tmp_path):
@@ -171,9 +168,7 @@ class TestSharedFile:
         w = Wisdom(tmp_path / "wisdom.json")
         with w.transaction():
             for n in (64, 128, 256):
-                w.record_observation(n, 1, 4, "numpy", "sequential",
-                                     {"requests": 1, "p50_ms": 1.0})
+                w.record_tuning(n, 1, 4, "numpy", "sequential", _record())
         assert len(wisdom_saves) == 1 and len(Wisdom(w.path)) == 3
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 1, "p50_ms": 1.0})
+        w.record_tuning(64, 1, 4, "numpy", "sequential", _record())
         assert len(wisdom_saves) == 2

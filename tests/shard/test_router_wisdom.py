@@ -1,11 +1,18 @@
-"""Router-side per-plan observations flushing into the fleet's wisdom."""
+"""A fleet sharing a wisdom file only reads it while it serves.
+
+The router's per-plan latencies are for operators (``stats``); neither the
+router nor a tuning shard writes what it observed into the file.
+"""
+
+import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.serve import ServeClient, ServeConfig
 from repro.shard import ShardFleet, ShardRouter
-from repro.wisdom import Wisdom
+from repro.wisdom import TUNE_VERSION, Wisdom
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +28,9 @@ def tier(tmp_path_factory):
             router.close()
 
 
-def test_stats_expose_and_flush_per_plan_latency(tier):
+def test_stats_expose_and_flush_per_plan_latency(tier, wisdom_saves):
+    """``stats`` exposes the per-plan latency; the poll flushes none of it
+    into the wisdom file."""
     _, router, wpath = tier
     x = np.random.default_rng(0).standard_normal(64) + 0j
     with ServeClient("127.0.0.1", router.port) as c:
@@ -33,14 +42,14 @@ def test_stats_expose_and_flush_per_plan_latency(tier):
     r = stats["router"]
     assert "64:1:4:balanced:numpy" in r["per_plan_latency"]
     assert r["per_plan_latency"]["64:1:4:balanced:numpy"]["requests"] == 5
-    assert r["wisdom_flushed"] == 1
-    # the observation reached the shared wisdom file, attributed to the
-    # lane the fleet actually runs
-    obs = Wisdom(wpath).observation(64, 1, 4, "numpy", "sequential")
-    assert obs is not None and obs["requests"] == 5
+    assert "wisdom_flushed" not in r
+    assert "wisdom_flushes" not in r["counters"]
+    assert wisdom_saves == [] and not wpath.exists()
 
 
 def test_flush_window_drains_but_cumulative_stays(tier):
+    """There is no flush window left to drain: the cumulative per-plan
+    summary reads the same on a second poll."""
     _, router, wpath = tier
     x = np.random.default_rng(1).standard_normal(128) + 0j
     with ServeClient("127.0.0.1", router.port) as c:
@@ -48,24 +57,26 @@ def test_flush_window_drains_but_cumulative_stays(tier):
             c.fft_retry(x)
         first = c.stats()["router"]
         second = c.stats()["router"]
-    # cumulative per-plan summary survives the wisdom flush...
     assert first["per_plan_latency"]["128:1:4:balanced:numpy"]["requests"] == 3
     assert second["per_plan_latency"]["128:1:4:balanced:numpy"]["requests"] == 3
-    # ...while the flush window drained on the first stats poll
-    assert second["wisdom_flushed"] == 0
+    assert "wisdom_flushed" not in second
+    assert not wpath.exists()
 
 
-def test_a_flush_of_many_keys_rewrites_the_file_once(tier, wisdom_saves):
+def test_a_stats_poll_after_many_keys_leaves_the_file_alone(
+        tier, wisdom_saves):
     _, router, wpath = tier
     with ServeClient("127.0.0.1", router.port) as c:
         for n in (16, 32, 256):
             c.fft_retry(np.random.default_rng(n).standard_normal(n) + 0j)
-        assert c.stats()["router"]["wisdom_flushed"] == 3
-        assert c.stats()["router"]["wisdom_flushed"] == 0
-    assert wisdom_saves == [wpath]
+        per_plan = c.stats()["router"]["per_plan_latency"]
+        c.stats()
+    for n in (16, 32, 256):
+        assert per_plan[f"{n}:1:4:balanced:numpy"]["requests"] == 1
+    assert wisdom_saves == [] and not wpath.exists()
 
 
-def test_router_without_wisdom_never_flushes():
+def test_router_without_wisdom_never_flushes(wisdom_saves):
     with ShardFleet(1, ServeConfig(window_s=0.0)) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
@@ -74,18 +85,18 @@ def test_router_without_wisdom_never_flushes():
             with ServeClient("127.0.0.1", router.port) as c:
                 c.fft_retry(x)
                 stats = c.stats()
-            assert stats["router"]["wisdom_flushed"] == 0
+            assert "wisdom_flushed" not in stats["router"]
             assert "64:1:4:balanced:numpy" in \
                 stats["router"]["per_plan_latency"]
         finally:
             router.close()
+    assert wisdom_saves == []
 
 
-def test_router_and_tuning_shards_share_one_file(tmp_path):
-    """Three processes write one wisdom path — two shards' tuners and the
-    router's flush — and every writer's observations survive."""
-    import json
-    import time
+def test_a_tuning_fleet_leaves_only_rankings_in_the_file(tmp_path):
+    """``repro tune`` writes the file; two tuning shards and a polled
+    router serve from it and leave it byte for byte as it was."""
+    from repro.tune import measured_search
 
     wpath = tmp_path / "fleet.json"
     cfg = ServeConfig(window_s=0.0, wisdom_path=str(wpath), tune=True,
@@ -97,6 +108,9 @@ def test_router_and_tuning_shards_share_one_file(tmp_path):
             owners.setdefault(fleet.owner(fleet.route_key_for(n)), n)
         assert len(owners) == 2, "no two sizes with different owners"
         sizes = sorted(owners.values())
+        for n in sizes:
+            measured_search(n, budget=2, repeats=1, wisdom=Wisdom(wpath))
+        written = wpath.read_bytes()
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
         try:
@@ -108,24 +122,25 @@ def test_router_and_tuning_shards_share_one_file(tmp_path):
                         np.testing.assert_allclose(
                             c.fft_retry(x), np.fft.fft(x), atol=1e-6
                         )
-                    c.stats()  # the router flushes while the shards tick
+                    c.stats()
+                def ticks():
+                    shards = c.stats()["shards"].values()
+                    return min(s["tuner"]["ticks"] for s in shards)
+
+                # let both shards' tuners tick over what they served
+                seen = ticks()
+                deadline = time.monotonic() + 5
+                while ticks() < seen + 2 and time.monotonic() < deadline:
+                    time.sleep(0.05)
         finally:
             router.close()
-
-        # each request was observed twice on its lane: by the router and
-        # by the owning shard's tuner
-        def requests(n):
-            obs = Wisdom(wpath).observation(n, 1, 4, "numpy", "sequential")
-            return obs["requests"] if obs else 0
-
-        deadline = time.monotonic() + 15
-        while (time.monotonic() < deadline
-               and any(requests(n) < 2 * count for n in sizes)):
-            time.sleep(0.05)
-    assert [requests(n) for n in sizes] == [2 * count] * len(sizes)
-    assert set(json.loads(wpath.read_text())) == {
-        f"dft:{n}:p1:mu4" for n in sizes
-    }
+    assert wpath.read_bytes() == written
+    stored = json.loads(written)
+    assert set(stored) == {f"dft:{n}:p1:mu4" for n in sizes}
+    for entry in stored.values():
+        assert set(entry) == {"tune"}
+        assert set(entry["tune"]) == {"version", "rankings"}
+        assert entry["tune"]["version"] == TUNE_VERSION
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fleet.json", "fleet.json.lock"
     ]

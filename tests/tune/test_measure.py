@@ -101,23 +101,3 @@ class TestMeasuredSearch:
         path.write_text(json.dumps(stored))
         assert w.tuning(64, 1, 4, "numpy", "sequential") is None
         assert w.best(64, 1, 4, "numpy", "sequential") is None
-
-
-class TestObservations:
-    def test_observation_merge_accumulates(self, tmp_path):
-        w = Wisdom(tmp_path / "w.json")
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 10, "p50_ms": 2.0})
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 5, "p50_ms": 1.0})
-        obs = w.observation(64, 1, 4, "numpy", "sequential")
-        assert obs["requests"] == 15
-        assert obs["best_p50_ms"] == 1.0
-        assert obs["last"]["p50_ms"] == 1.0
-
-    def test_lanes_are_independent(self, tmp_path):
-        w = Wisdom(tmp_path / "w.json")
-        w.record_observation(64, 1, 4, "numpy", "sequential",
-                             {"requests": 1, "p50_ms": 2.0})
-        assert w.observation(64, 1, 4, "compiled", "sequential") is None
-        assert w.observation(64, 1, 4, "numpy", "pthreads") is None

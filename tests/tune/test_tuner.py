@@ -64,29 +64,30 @@ class TestTick:
         tuner.tick()
         assert tuner.snapshot()["windows_observed"] == 1
 
-    def test_tick_records_wisdom_observation(self, service, tmp_path):
+    def test_a_tick_with_traffic_rewrites_the_wisdom_file_zero_times(
+            self, service, tmp_path, wisdom_saves):
+        """Observing is in memory: only a retune's ranking is written."""
         w = Wisdom(tmp_path / "w.json")
-        tuner = Tuner(service, TunerConfig(), wisdom=w)
-        _drive(service, count=8)
-        tuner.tick()
-        obs = w.observation(64, 1, 4, "numpy", "sequential")
-        assert obs is not None and obs["requests"] == 8
-
-    def test_tick_rewrites_the_wisdom_file_once(self, service, tmp_path,
-                                                wisdom_saves):
-        """Many plan keys in one window are one transaction, and an idle
-        tick leaves the file alone."""
-        w = Wisdom(tmp_path / "w.json")
-        tuner = Tuner(service, TunerConfig(), wisdom=w)
+        tuner = Tuner(service, TunerConfig(min_requests=4), wisdom=w)
         for n in (64, 128, 256):
             _drive(service, n=n, count=4)
+        assert tuner.tick() == []
+        assert tuner.snapshot()["windows_observed"] == 3
+        assert tuner.snapshot()["tracked_keys"] == 3
+        assert wisdom_saves == [] and not w.path.exists()
+
+    def test_a_forced_retune_rewrites_the_wisdom_file_once(
+            self, service, tmp_path, wisdom_saves):
+        w = Wisdom(tmp_path / "w.json")
+        tuner = Tuner(service, TunerConfig(search_budget=2,
+                                           search_repeats=1), wisdom=w)
+        _drive(service, count=4)
         tuner.tick()
-        tuner.tick()
-        assert len(wisdom_saves) == 1
-        assert all(
-            w.observation(n, 1, 4, "numpy", "sequential")["requests"] == 4
-            for n in (64, 128, 256)
-        )
+        assert tuner.retune(PlanKey(64, 1, 4, service.config.strategy))
+        assert wisdom_saves == [w.path]
+        assert len(w.tuning(64, 1, 4, "numpy", "sequential")["ranking"]) == 2
+        assert set(w.entry(64)) == {"tune"}
+        assert set(w.entry(64)["tune"]) == {"version", "rankings"}
 
     def test_no_regression_below_min_requests(self, service):
         tuner = Tuner(service, TunerConfig(min_requests=1000))
