@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from _thread import allocate_lock
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -128,31 +129,45 @@ class ServeConfig:
 class FFTTicket:
     """A request's future; ``result()`` blocks for the answer.
 
-    A queued request's ticket waits on a ``threading.Event`` the batch sets.
-    One made with ``queued=False`` is for a request run on the thread that
-    submitted it: resolved before ``submit`` returns, it has nothing to wait
-    for and allocates no ``Event``.
+    A queued request's ticket is a one-shot latch: a ``_thread`` lock
+    allocated already held, which ``_resolve`` releases exactly once (a
+    ``threading.Event`` takes about fifteen times as long to build).  A
+    waiter takes the lock and hands it straight back, so any number of
+    waiters, one after another or at once, all get the result; ``done()``
+    is ``not locked()``, so it may read False for the instant a waiter
+    holds the latch.  One made with ``queued=False`` is for a request run
+    on the thread that submitted it: resolved before ``submit`` returns,
+    it has nothing to wait for and allocates no lock.
     """
 
-    __slots__ = ("_event", "_result", "_error")
+    __slots__ = ("_latch", "_result", "_error")
 
     def __init__(self, queued: bool = True):
-        self._event = threading.Event() if queued else None
+        self._latch = None
+        if queued:
+            self._latch = allocate_lock()
+            self._latch.acquire()
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._event is None or self._event.is_set()
+        return self._latch is None or not self._latch.locked()
 
     def _resolve(self, result=None, error=None) -> None:
         self._result = result
         self._error = error
-        if self._event is not None:
-            self._event.set()
+        if self._latch is not None:
+            self._latch.release()
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if self._event is not None and not self._event.wait(timeout):
-            raise DeadlineExceeded("timed out waiting for result")
+        latch = self._latch
+        if latch is not None and latch.locked():
+            if timeout is None:
+                latch.acquire()
+            elif not latch.acquire(True, min(max(timeout, 0.0),
+                                             threading.TIMEOUT_MAX)):
+                raise DeadlineExceeded("timed out waiting for result")
+            latch.release()
         if self._error is not None:
             raise self._error
         return self._result
@@ -278,7 +293,10 @@ class FFTService:
         Raises :class:`Overloaded` when the queue is full and
         :class:`ServiceClosed` during shutdown.  ``no_batch=True`` flushes
         the request immediately instead of waiting out the batching window
-        (the one-request-at-a-time baseline path).
+        (the one-request-at-a-time baseline path).  ``timeout`` is ``None``
+        (the configured default) or a number of seconds no larger in
+        magnitude than ``threading.TIMEOUT_MAX``; anything else — a bool,
+        NaN, an infinity — raises ``ValueError``.
 
         ``inline`` says whether the caller has nothing further to submit
         behind this request (a server session passes ``FrameConn.idle``);
@@ -297,6 +315,12 @@ class FFTService:
         key = self.config.plan_key(n, threads, mu, strategy, nu)
         if timeout is None:
             timeout = self.config.default_timeout_s
+        elif (type(timeout) is bool or not isinstance(timeout, (int, float))
+              or not -threading.TIMEOUT_MAX <= timeout
+              <= threading.TIMEOUT_MAX):
+            raise ValueError(
+                "timeout must be a number of seconds within "
+                f"±threading.TIMEOUT_MAX, got {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
         req = _Request(key, x, deadline, no_batch, squeeze=squeeze)
 
@@ -703,10 +727,11 @@ class FFTService:
             return []
         try:
             runtime = self._runtime_for(key.threads)
+            # every request's x is already (rows, n): one copy joins them
             X = (
                 live[0].x
                 if len(live) == 1
-                else np.vstack([r.x for r in live])
+                else np.concatenate([r.x for r in live])
             )
             with tr.span("serve.execute", "serve", n=key.n,
                          threads=key.threads, vectors=int(X.shape[0]),

@@ -9,6 +9,7 @@ dispatcher and the drain as before, in request order.  ``drain`` and
 """
 
 import dataclasses
+import json
 import select
 import socket
 import sys
@@ -121,27 +122,38 @@ class _CountingLock:
         self.release()
 
 
-def test_an_inline_request_costs_no_event_and_one_counter_round(
+def _count_built(monkeypatch, module, *names) -> list:
+    """Replace each class ``module.<name>`` by a subclass that records every
+    instance built; returns the list they are recorded in."""
+    made: list = []
+
+    def counted(base):
+        class Counted(base):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+        return Counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return made
+
+
+def test_no_request_makes_an_event_and_an_inline_one_costs_one_counter_round(
         served, monkeypatch):
-    """The per-request budget as counts: a request run on the thread that
-    submitted it — through ``transform`` and through a server session —
-    builds no ``threading.Event`` and counts everything in one lock round;
-    a queued request still gets its ``Event``, and its admission and its
+    """The per-request budget as counts: no request builds a
+    ``threading.Event`` — run on the thread that submitted it, through
+    ``transform`` or a server session, or queued through ``submit`` (its
+    ticket is a latch on a ``_thread`` lock).  An inline request counts
+    everything in one lock round; a queued one its admission and its
     batch one round each."""
     svc, srv = served
     x = _vec(64)
-    made: list = []
-
-    class _Event(threading.Event):
-        def __init__(self):
-            made.append(self)
-            super().__init__()
-
     with ServeClient("127.0.0.1", srv.port) as client:
         client.fft(x)  # plan built, handler running, max_queue_depth at 1
         rounds = _CountingLock(svc.counters._lock)
         monkeypatch.setattr(svc.counters, "_lock", rounds)
-        monkeypatch.setattr(threading, "Event", _Event)
+        made = _count_built(monkeypatch, threading, "Event")
         np.testing.assert_allclose(svc.transform(x), np.fft.fft(x),
                                    atol=1e-6)
         assert (made, rounds.rounds) == ([], 1)
@@ -149,14 +161,43 @@ def test_an_inline_request_costs_no_event_and_one_counter_round(
         assert (made, rounds.rounds) == ([], 2)
         assert srv.sessions[0].queued == []  # both ran inline
         ticket = svc.submit(x)
+        assert ticket._latch is not None  # queued, not run here
         np.testing.assert_allclose(ticket.result(5.0), np.fft.fft(x),
                                    atol=1e-6)
-        assert made == [ticket._event]
+        assert made == []
         assert svc.drain(5.0)
         assert rounds.rounds == 4
     stats = svc.stats()
     assert stats["requests"] == stats["batches"] == 4
     assert stats["max_queue_depth"] == 1
+
+
+def test_a_pipelined_burst_builds_no_event_condition_or_encoder(
+        served, monkeypatch):
+    """A burst of 16 through the server takes the queued path — tickets,
+    the dispatcher, the drain — and builds no ``threading.Event`` or
+    ``Condition`` on the way; every header line either side writes comes
+    from the one encoder ``dump_line`` built at import, not a
+    ``JSONEncoder`` (or a C encoder) per line."""
+    svc, srv = served
+    xs = [_vec(64, seed) for seed in range(16)]
+    with ServeClient("127.0.0.1", srv.port) as client:
+        client.fft(xs[0])  # plan built, the session and its drain running
+        made = _count_built(monkeypatch, threading, "Event", "Condition")
+        encoders = _count_built(monkeypatch, json, "JSONEncoder")
+        c_make = json.encoder.c_make_encoder
+        if c_make is not None:
+            monkeypatch.setattr(
+                json.encoder, "c_make_encoder",
+                lambda *args: (encoders.append(args), c_make(*args))[1])
+        replies = client.fft_pipeline(xs)
+        assert (made, encoders) == ([], [])
+    for x, (y, _, err) in zip(xs, replies):
+        assert err is None
+        np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
+    stats = svc.stats()
+    assert stats["requests"] == 17
+    assert stats["avg_batch_occupancy"] > 1  # the burst queued and batched
 
 
 def test_a_pipelined_burst_still_batches(served):

@@ -81,6 +81,12 @@ def _fft(req_id, **fields) -> bytes:
     return dump_line(head) + PAYLOAD
 
 
+def _fft_spelled(req_id, field: bytes) -> bytes:
+    """A well-framed fft request whose header ends with ``field`` exactly
+    as spelled (a number ``dump_line`` cannot write, such as ``1e400``)."""
+    return _fft(req_id)[:-len(PAYLOAD) - 2] + b"," + field + b"}\n" + PAYLOAD
+
+
 def _in_flight(session) -> int:
     """Requests a router session has forwarded and not seen answered."""
     return sum(len(up._sent) for up in session._upstreams.values())
@@ -121,6 +127,13 @@ IN_STEP = {
     "threads-is-a-string": (_fft(12, threads="two"), 12, "bad-request"),
     "threads-is-a-float": (_fft(13, threads=2.5), 13, "bad-request"),
     "timeout-is-a-string": (_fft(14, timeout="soon"), 14, "bad-request"),
+    # a deadline no wait can honour: not retryable, and not taken as 1 s
+    "timeout-is-nan": (_fft(16, timeout=float("nan")), 16, "bad-request"),
+    "timeout-is-infinity": (_fft(17, timeout=float("inf")), 17,
+                            "bad-request"),
+    "timeout-is-1e400": (_fft_spelled(18, b'"timeout":1e400'), 18,
+                         "bad-request"),
+    "timeout-is-a-bool": (_fft(19, timeout=True), 19, "bad-request"),
     "prewarm-n-is-a-string": (
         dump_line({"op": "prewarm", "id": 15, "n": "64"}), 15, "bad-request"),
 }

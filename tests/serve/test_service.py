@@ -10,6 +10,7 @@ import pytest
 from repro.serve import (
     DeadlineExceeded,
     FFTService,
+    FFTTicket,
     Overloaded,
     ServeConfig,
     ServiceClosed,
@@ -133,6 +134,61 @@ class TestAdmissionControl:
             with pytest.raises(DeadlineExceeded):
                 ticket.result(5.0)
             assert svc.stats()["deadline_misses"] == 1
+
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), -float("inf"), True, "soon",
+                    10 ** 400, 1e300],
+        ids=["nan", "inf", "-inf", "bool", "str", "huge-int", "huge-float"])
+    def test_a_timeout_that_is_not_a_finite_wait_is_a_value_error(
+            self, timeout):
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            with pytest.raises(ValueError, match="timeout"):
+                svc.submit(_vec(64), timeout=timeout)
+            assert svc.stats()["requests"] == 0
+
+    @pytest.mark.parametrize("timeout", [2, 1.5, -1, -0.5])
+    def test_a_finite_timeout_is_a_deadline(self, timeout):
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            ticket = svc.submit(_vec(64), timeout=timeout)
+            if timeout > 0:
+                np.testing.assert_allclose(ticket.result(5.0),
+                                           np.fft.fft(_vec(64)), atol=1e-6)
+            else:  # already past: a typed miss, not a wrong answer
+                with pytest.raises(DeadlineExceeded):
+                    ticket.result(5.0)
+
+
+class TestTicket:
+    """A queued ticket is a one-shot latch any number of waiters read."""
+
+    def test_two_waiting_threads_both_get_the_result(self):
+        ticket, got = FFTTicket(), []
+        waiters = [threading.Thread(target=lambda: got.append(
+            ticket.result(10.0))) for _ in range(2)]
+        for t in waiters:
+            t.start()
+        time.sleep(0.05)  # both blocked on the latch
+        assert not ticket.done() and got == []
+        y = np.arange(4.0)
+        ticket._resolve(result=y)
+        for t in waiters:
+            t.join(10.0)
+            assert not t.is_alive()
+        assert len(got) == 2 and all(r is y for r in got)
+        assert ticket.done() and ticket.result() is y and ticket.result(0) is y
+
+    def test_a_timed_out_wait_leaves_the_ticket_to_resolve(self):
+        ticket = FFTTicket()
+        with pytest.raises(DeadlineExceeded):
+            ticket.result(0.01)
+        with pytest.raises(DeadlineExceeded):
+            ticket.result(-5.0)  # a negative wait is no wait
+        threading.Timer(0.05, ticket._resolve,
+                        kwargs={"error": KeyError("late")}).start()
+        with pytest.raises(KeyError, match="late"):
+            ticket.result()
+        with pytest.raises(KeyError, match="late"):
+            ticket.result(-5.0)  # resolved: every read sees the outcome
 
 
 class TestLifecycle:
