@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 
 
@@ -328,9 +329,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Sweep the pipeline's plans through the dynamic concurrency checker."""
-    from .check import check_backend_program, check_program, compare_plans
+    """Sweep the pipeline's plans through the hunt's oracle stack."""
+    from .check import compare_plans
     from .codegen import BackendUnavailable, resolve_backend
+    from .hunt import ExecutorPools, HuntCase, run_oracle
     from .mp.spec import PlanSpec
     from .serve.plan_cache import build_plan
 
@@ -347,44 +349,47 @@ def _cmd_check(args: argparse.Namespace) -> int:
     mu_list = [int(m) for m in args.mu.split(",") if m]
     failures = 0
     checked = 0
+    pools = ExecutorPools()
     with _chaos_plan(args), _maybe_tracing(args):
-        for k in range(args.kmin, args.kmax + 1):
-            n = 1 << k
-            for p in threads_list:
-                for mu in mu_list:
-                    spec = PlanSpec.for_request(
-                        n, p, mu, args.strategy, nu=args.nu
+        try:
+            for k, p, mu in itertools.product(
+                range(args.kmin, args.kmax + 1), threads_list, mu_list
+            ):
+                case = HuntCase(
+                    n=1 << k, req_threads=p, mu=mu, strategy=args.strategy,
+                    batch=3, backend=args.backend, nu=args.nu,
+                )
+                verdict = run_oracle(case, pools=pools)
+                checked += 1
+                report = verdict.report
+                row = f"n=2^{k} p={p}(t={case.threads}) mu={mu}:"
+                if report is not None:
+                    row += (
+                        f" stages={report.stages} windows={report.windows}"
+                        f" elided={report.elided_certified}/{report.elided}"
                     )
-                    t = spec.threads
-                    # every runtime runs this one record (a process-pool
-                    # worker builds the same spec); a second build must
-                    # reproduce it exactly
-                    prog = build_plan(spec).program
-                    report = check_program(prog, mu, max_skew=args.skew)
-                    checked += 1
-                    status = "OK" if report.ok else "FAIL"
-                    print(
-                        f"n=2^{k} p={p}(t={t}) mu={mu}: "
-                        f"stages={report.stages} "
-                        f"windows={report.windows} "
-                        f"elided={report.elided_certified}/"
-                        f"{report.elided} {status}"
-                    )
-                    for f in report.findings:
-                        print(f"  {f}")
-                    if not report.ok:
-                        failures += 1
-                    if args.backend != "numpy":
-                        diffs = check_backend_program(prog, args.backend)
-                        for f in diffs:
-                            print(f"  backend: {f}")
-                        if diffs:
-                            failures += 1
-                        else:
-                            print(f"  backend={args.backend}: differential OK")
-                    for f in compare_plans(prog, build_plan(spec).program):
-                        print(f"  {f}")
-                        failures += 1
+                print(row, "OK" if verdict.ok else "FAIL")
+                for f in report.findings if report is not None else ():
+                    print(f"  {f}")
+                if not verdict.ok:
+                    failures += 1
+                    if verdict.kind != "dynamic-check":
+                        print(f"  {verdict}")
+                elif args.backend != "numpy":
+                    print(f"  backend={args.backend}: differential OK")
+                if verdict.program is None:
+                    continue
+                # every runtime runs the one builder's record (a process
+                # pool worker builds the same spec); it must reproduce the
+                # program the stack judged
+                spec = PlanSpec.for_request(n=1 << k, threads=p, mu=mu,
+                                            strategy=args.strategy, nu=args.nu)
+                for f in compare_plans(verdict.program,
+                                       build_plan(spec).program):
+                    print(f"  {f}")
+                    failures += 1
+        finally:
+            pools.close()
     print(
         f"# {checked} plan(s) checked, {failures} failure(s)",
         file=sys.stderr,
@@ -988,8 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser(
         "check",
-        help="replay generated plans; certify race freedom, false-sharing "
-        "freedom at mu, and load balance (non-zero exit on violations)",
+        help="run generated plans against the DFT and replay them; certify "
+        "race freedom, false-sharing freedom at mu, and load balance "
+        "(non-zero exit on violations)",
     )
     ck.add_argument("--kmin", type=int, default=4)
     ck.add_argument("--kmax", type=int, default=12)
@@ -1011,18 +1017,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="breakdown strategy for the generated plans",
     )
     ck.add_argument(
-        "--skew",
-        type=float,
-        default=1.25,
-        help="load-balance bound: max per-proc work over the mean",
-    )
-    ck.add_argument(
         "--backend",
         choices=["numpy", "compiled", "simulator"],
         default="numpy",
-        help="also differentially verify this execution backend's "
-        "stages against the DFT and the numpy backend on every "
-        "checked plan (strict: errors if unavailable)",
+        help="execution backend whose stages every checked plan runs "
+        "against the DFT (strict: errors if unavailable)",
     )
     ck.add_argument(
         "--nu",

@@ -3,8 +3,9 @@
 Every consumer of a lowered plan — the :mod:`repro.smp` thread runtimes,
 the :mod:`repro.mp` process pool, the serving layer's
 :class:`~repro.serve.plan_cache.PlanCache`, search timing, and the
-``repro check`` differential verifier — selects its executor through this
-registry instead of hard-coding a code generator.  A *backend* turns a
+hunt's oracle stack (``repro hunt`` / ``repro check``) — selects its
+executor through this registry instead of hard-coding a code generator.
+A *backend* turns a
 :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop IR) into a list
 of :class:`~repro.smp.runtime.PlanStage` entries with **batched
 semantics**: ``work(proc, src, dst)`` sees flat ``(b*n,)`` double buffers
@@ -155,8 +156,9 @@ class SimulatorBackend(ExecutionBackend):
     Executes every :class:`~repro.sigma.loops.BlockLoop` one batch row at
     a time through :meth:`BlockLoop.execute`, exactly mirroring the IR's
     documented semantics with no vectorization or fusion.  Slow by
-    design; used by ``repro check --backend`` cross-verification and by
-    the machine simulator's replay as the ground-truth access order.
+    design; a backend the hunt's oracle stack (``repro hunt``, ``repro
+    check --backend simulator``) verifies like any other, and the machine
+    simulator's replay uses it as the ground-truth access order.
     """
 
     name = "simulator"

@@ -1,6 +1,6 @@
 """``repro.hunt`` — differential fuzzing with automatic SPL-term reduction.
 
-The hunt closes the loop the check/fuzz subsystems opened: a seeded
+The hunt closes the loop the checker opened: a seeded
 generator sweeps random plan configurations across every executor
 (:mod:`~repro.hunt.gen`), an oracle stack classifies each run
 (:mod:`~repro.hunt.oracles`), a diopter-style reducer shrinks failures
@@ -27,7 +27,6 @@ from .gen import (
     STRATEGIES,
     HuntCase,
     sample_cases,
-    sample_config_tuples,
 )
 from .oracles import ExecutorPools, Verdict, run_oracle
 from .reduce import (
@@ -60,7 +59,6 @@ __all__ = [
     "run_hunt",
     "run_oracle",
     "sample_cases",
-    "sample_config_tuples",
     "shrink_candidates",
     "state_size",
     "term_from_json",

@@ -1,13 +1,10 @@
 """Seeded case generation for the ``repro hunt`` differential fuzzer.
 
-One sampler, two consumers: the hunt sweep draws full :class:`HuntCase`
-configurations (size, requested threads, µ, breakdown strategy, batch
-shape, execution backend, runtime), and the fuzz regression battery
-(``tests/fuzz/test_differential.py``) draws the base 5-tuples through
-:func:`sample_config_tuples` — the same dimension pools, the same draw
-order, the same :mod:`repro.seeding` derivation, so ``REPRO_SEED``
-reproduces both sweeps from one knob and the two lanes can never drift
-apart.
+:func:`sample_cases` draws full :class:`HuntCase` configurations (size,
+requested threads, µ, breakdown strategy, batch shape, execution
+backend, runtime, ν) through :mod:`repro.seeding`, so ``REPRO_SEED``
+reproduces a sweep — the CLI's and tier-1's seeded hunt budget alike —
+from one knob.
 
 Every dimension pool is deliberately adversarial: sizes span the whole
 small-transform range, thread requests include non-powers-of-two (the
@@ -128,33 +125,6 @@ class HuntCase:
         return replace(self, **kw)
 
 
-def sample_config_tuples(
-    count: int, seed: int | None = None, label: str = "fuzz-sweep"
-) -> list[tuple[int, int, int, str, int]]:
-    """The base ``(n, req_threads, mu, strategy, batch)`` sampler.
-
-    This is the exact draw sequence the fuzz battery has always used
-    (sizes, thread requests, µ, strategy, then batch rows in [1, 4]),
-    now shared: ``tests/fuzz/test_differential.py`` imports it instead
-    of keeping a duplicate, and :func:`sample_cases` extends the same
-    stream shape with backend/runtime draws under a different label.
-    """
-    base = default_seed() if seed is None else seed
-    rng = derive_rng(base, label)
-    cases = []
-    for _ in range(count):
-        cases.append(
-            (
-                SIZES[rng.integers(len(SIZES))],
-                THREAD_REQUESTS[rng.integers(len(THREAD_REQUESTS))],
-                MUS[rng.integers(len(MUS))],
-                STRATEGIES[rng.integers(len(STRATEGIES))],
-                int(rng.integers(1, 5)),  # batch rows
-            )
-        )
-    return cases
-
-
 def sample_cases(
     budget: int,
     seed: int | None = None,
@@ -166,10 +136,10 @@ def sample_cases(
 ) -> list[HuntCase]:
     """Sample ``budget`` :class:`HuntCase` configurations deterministically.
 
-    The first five dimensions use the same pools and draw order as
-    :func:`sample_config_tuples`; backend and runtime are drawn from the
-    given pools afterwards, so the hunt's sweep is fully determined by
-    ``(budget, seed, backends, runtimes)``.
+    Each case draws size, thread request, µ, strategy and batch rows in
+    that order, then backend and runtime from the given pools, so the
+    hunt's sweep is fully determined by ``(budget, seed, backends,
+    runtimes)``; a longer sweep extends a shorter one.
 
     A non-None ``wisdom`` (:class:`repro.wisdom.Wisdom`) extends the
     config space with tuned-plan provenance: any drawn case whose

@@ -6,14 +6,21 @@ on the resulting :attr:`Verdict.kind`):
 
 ``build``
     The pipeline itself: formula derivation/expansion, Σ-SPL lowering,
-    and backend stage construction must not raise.
+    and the named backend's stage construction must not raise.  Stages
+    are built strictly (``fallback=False``): a backend that cannot build
+    fails rather than passing as NumPy.  They must keep the plan's stage
+    count and ``parallel`` / ``needs_barrier`` flags, or the checker's
+    certificates would not describe what executes.
 ``numeric``
     Index-for-index output comparison.  For a full DFT configuration the
     reference is ``np.fft.fft``; for a pruned SPL term the reference is
     the term's own structural semantics (``term.apply`` — every SPL
     expression *is* a matrix), which is what makes formula-tree
     reduction possible at all: a pruned term no longer computes a DFT
-    but still has exact semantics every executor must agree with.
+    but still has exact semantics every executor must agree with.  On
+    the sequential runtime, stages that carry a whole-plan call
+    (:class:`~repro.smp.runtime.FusedStages`) are also walked stage by
+    stage, and the two must agree bit for bit.
 ``dynamic-check``
     The Definition 1 runtime verdict from :func:`repro.check.check_program`
     (races, false sharing at µ, load balance, barrier elision).
@@ -29,12 +36,15 @@ executed output before comparison (the numeric oracle must fail), and
 the dynamic checker (the check oracle must fail).  Both fire through the
 active :class:`~repro.faults.FaultPlan`, so ``repro hunt --chaos
 hunt.exec_corrupt:1.0`` is the self-test lane CI inverts.
+
+The stack is the one verifier: ``repro hunt`` sweeps it over sampled
+cases, ``repro check`` over an enumerated ``(k, p, µ)`` list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -42,8 +52,12 @@ from ..seeding import derive_rng
 from ..spl.expr import COMPLEX, Expr
 from .gen import HuntCase
 
-#: |y - ref| tolerance of the numeric oracle (measured headroom ~2e-12
-#: at n=512; see tests/fuzz/test_differential.py)
+if TYPE_CHECKING:
+    from ..check import CheckReport
+    from ..sigma.loops import SigmaProgram
+
+#: |y - ref| absolute tolerance of the numeric oracle (the worst error
+#: over ``repro check``'s default sweep, n <= 4096, is ~1.2e-13)
 ATOL = 1e-9
 
 
@@ -57,6 +71,12 @@ class Verdict:
     #: which oracle flagged, with executor context (informational)
     oracle: Optional[str] = None
     detail: str = ""
+    #: the lowered program and the dynamic checker's report on it, where
+    #: the stack got that far (``repro check`` prints its rows from them)
+    program: Optional[SigmaProgram] = field(
+        default=None, compare=False, repr=False)
+    report: Optional[CheckReport] = field(
+        default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.ok:
@@ -116,41 +136,22 @@ def _input_stack(case: HuntCase, seed: int) -> np.ndarray:
     ).astype(COMPLEX)
 
 
-def _execute(
-    case: HuntCase,
-    program,
-    X: np.ndarray,
-    pools: ExecutorPools,
-    term: Optional[Expr],
-) -> np.ndarray:
-    """Run the plan on the case's backend × runtime; return Y.
-
-    A full DFT configuration is built from its :class:`PlanSpec` by the
-    one builder, exactly as serving would.  A pruned term has no spec, so
-    its record wraps the backend's stages for the lowered ``program``; a
-    runtime whose workers rebuild plans from the spec (the process pool)
-    cannot run it, and that lane degrades to in-process sequential
-    execution of the same stages (the plan, not the transport, is under
-    test at that point).
-    """
-    from ..codegen.registry import resolve_backend
-    from ..mp.spec import PlanSpec
-    from ..serve.plan_cache import CachedPlan, build_plan
-
-    if term is None:
-        plan = build_plan(PlanSpec(
-            n=case.n, threads=case.threads, mu=case.mu,
-            strategy=case.strategy, backend=case.backend, nu=case.nu,
-        ))
-    else:
-        backend = resolve_backend(case.backend)
-        plan = CachedPlan(
-            None, program, backend.build_stages(program), backend.name
+def _structure_mismatch(program, stages) -> str:
+    """How ``stages`` fail to carry ``program``'s structure ("" if not)."""
+    if len(stages) != len(program.stages):
+        return (
+            f"stage count changed: plan has {len(program.stages)}, "
+            f"backend built {len(stages)}"
         )
-    runtime = pools.get(case.runtime, case.threads)
-    if plan.spec is None and runtime.needs_spec:
-        runtime = pools.get("sequential", 1)
-    return runtime.run(plan, X)[0]
+    for i, (ps, bs) in enumerate(zip(program.stages, stages)):
+        for flag in ("parallel", "needs_barrier"):
+            want, got = getattr(ps, flag), getattr(bs, flag)
+            if bool(want) != bool(got):
+                return (
+                    f"stage {i}: {flag} mismatch "
+                    f"(plan={want}, backend={got})"
+                )
+    return ""
 
 
 def run_oracle(
@@ -166,24 +167,41 @@ def run_oracle(
     oracle applies); a non-None ``term`` is a reduced SPL expression
     whose own semantics are the reference.  Deterministic for a fixed
     ``(case, term, seed)`` and fault plan.
+
+    The case is lowered once, and its one plan record wraps the named
+    backend's stages for that program.  A full DFT configuration keeps
+    its :class:`~repro.mp.spec.PlanSpec`, from which process-pool workers
+    rebuild the same plan; a pruned term has none, so its process lane
+    runs the same stages sequentially in-process (the plan, not the
+    transport, is under test at that point).
     """
     from ..check import check_program
     from ..check.negative import inject_misaligned_split
+    from ..codegen.registry import get_backend
     from ..faults import get_fault_plan
     from ..frontend import spiral_formula
+    from ..mp.spec import PlanSpec
+    from ..serve.plan_cache import CachedPlan
     from ..sigma.lower import lower
+    from ..smp.runtime import FusedStages
     from ..spl import is_fully_optimized
 
     own_pools = pools is None
     pools = pools or ExecutorPools()
     fp = get_fault_plan()
+    lane = f"{case.backend}/{case.runtime}"
     try:
         # -- build oracle --------------------------------------------------
+        spec = None
         try:
             if term is None:
+                spec = PlanSpec(
+                    n=case.n, threads=case.threads, mu=case.mu,
+                    strategy=case.strategy, backend=case.backend, nu=case.nu,
+                )
                 formula = spiral_formula(
-                    case.n, case.threads, case.mu, case.strategy,
-                    nu=case.nu,
+                    spec.n, spec.threads, spec.mu, spec.strategy,
+                    spec.min_leaf, nu=spec.nu,
                 )
             else:
                 formula = term
@@ -193,16 +211,48 @@ def run_oracle(
                 False, "build-error", "build",
                 f"{type(exc).__name__}: {exc}",
             )
+        try:
+            stages = get_backend(case.backend).build_stages(
+                program, fallback=False
+            )
+        except Exception as exc:  # noqa: BLE001 - classified, not raised
+            return Verdict(
+                False, "build-error", f"build:{case.backend}",
+                f"{type(exc).__name__}: {exc}", program=program,
+            )
+        mismatch = _structure_mismatch(program, stages)
+        if mismatch:
+            return Verdict(
+                False, "build-error", f"structure:{case.backend}", mismatch,
+                program=program,
+            )
+        plan = CachedPlan(None, program, stages, case.backend, spec)
 
         # -- numeric oracle ------------------------------------------------
         X = _input_stack(case, seed)
+        runtime = pools.get(case.runtime, case.threads)
+        if spec is None and runtime.needs_spec:
+            runtime = pools.get("sequential", 1)
+        walked = None
         try:
-            Y = _execute(case, program, X, pools, term)
+            Y = runtime.run(plan, X)[0]
+            if runtime.fuses and isinstance(stages, FusedStages):
+                # Y came from the whole-plan call; the pools walk the
+                # stages one by one, and both must give the same bits
+                walked = runtime.run_stages(list(stages), program.size, X)[0]
         except Exception as exc:  # noqa: BLE001 - classified, not raised
             return Verdict(
-                False, "build-error",
-                f"execute:{case.backend}/{case.runtime}",
-                f"{type(exc).__name__}: {exc}",
+                False, "build-error", f"execute:{lane}",
+                f"{type(exc).__name__}: {exc}", program=program,
+            )
+        if walked is not None and not np.array_equal(Y, walked):
+            row, col = np.argwhere(Y != walked)[0]
+            return Verdict(
+                False, "numeric", f"whole-vs-walk:{lane}",
+                f"whole-plan call diverges from its stage walk at "
+                f"[{row}, {col}]: got {Y[row, col]:.17g}, the stages give "
+                f"{walked[row, col]:.17g}",
+                program=program,
             )
         if fp.enabled and fp.fired("hunt.exec_corrupt"):
             Y = Y.copy()
@@ -212,10 +262,10 @@ def run_oracle(
         if not np.all(err <= atol):
             row, col = np.unravel_index(int(np.argmax(err)), err.shape)
             return Verdict(
-                False, "numeric",
-                f"differential:{case.backend}/{case.runtime}",
+                False, "numeric", f"differential:{lane}",
                 f"diverges from {'np.fft' if term is None else 'term'} "
                 f"semantics at [{row}, {col}]: |err|={err[row, col]:.3e}",
+                program=program,
             )
 
         # -- dynamic-check oracle ------------------------------------------
@@ -228,6 +278,7 @@ def run_oracle(
             return Verdict(
                 False, "dynamic-check", f"check:{first.kind}",
                 f"{len(report.errors)} error finding(s); first: {first}",
+                program=program, report=report,
             )
 
         # -- structural oracle ---------------------------------------------
@@ -240,8 +291,9 @@ def run_oracle(
                     False, "structural", "definition-1",
                     f"derived formula violates Definition 1 for "
                     f"p={case.threads}, mu={case.mu}",
+                    program=program, report=report,
                 )
-        return Verdict(True)
+        return Verdict(True, program=program, report=report)
     finally:
         if own_pools:
             pools.close()

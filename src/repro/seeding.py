@@ -1,11 +1,11 @@
 """Deterministic seeding for stochastic components (``REPRO_SEED``).
 
 Randomized pieces of the system — the stochastic search, the loadgen
-payload generator, the differential fuzz sweep, retry jitter in tests —
+payload generator, the hunt's case sampler, retry jitter in tests —
 derive their seeds through :func:`default_seed` so one environment
 variable reproduces a whole run::
 
-    REPRO_SEED=1234 python -m pytest tests/fuzz tests/search
+    REPRO_SEED=1234 python -m pytest tests/hunt tests/search
 
 Unset, every caller's documented fallback seed applies and runs are
 reproducible by default.  :func:`derive_seed` folds extra labels (a worker
@@ -46,8 +46,8 @@ def derive_rng(base: int, *labels: object):
     """A numpy :class:`~numpy.random.Generator` for one named stream.
 
     Shorthand for ``np.random.default_rng(derive_seed(base, *labels))`` —
-    the idiom every seeded sampler (the fuzz sweep, the ``repro hunt``
-    case generator, loadgen payloads) uses to obtain a decorrelated but
+    the idiom every seeded sampler (the ``repro hunt`` case generator,
+    loadgen payloads) uses to obtain a decorrelated but
     replayable stream under the one ``REPRO_SEED`` knob.
     """
     import numpy as np

@@ -74,8 +74,7 @@ class CachedPlan:
     cache's coalescing key; ``None`` outside a cache) and ``spec`` what was
     built — what a process pool ships to its workers — differing where a
     wisdom ranking substituted a faster strategy, leaf bound or ν.  Only a
-    hunt-pruned term or a ``repro check`` differential, built from a bare
-    program, has ``spec=None``.
+    hunt-pruned term, built from a bare program, has ``spec=None``.
     """
 
     key: Optional[PlanKey]

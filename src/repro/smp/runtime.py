@@ -205,8 +205,8 @@ class Runtime:
     #: False once a pool lost a worker; a runtime without workers never does
     healthy: bool = True
     #: True when workers rebuild the plan from ``plan.spec``, so ``run``
-    #: rejects a spec-less plan (a hunt-pruned term, ``repro check``'s bare
-    #: program — every plan a service builds has one) with ``TypeError``
+    #: rejects a spec-less plan (a hunt-pruned term — every plan a
+    #: service builds has one) with ``TypeError``
     needs_spec: bool = False
     #: True when an untraced :class:`FusedStages` runs as its one
     #: whole-plan call; otherwise it is walked like any stage list

@@ -251,7 +251,8 @@ class TestEndToEnd:
         clear_spec_cache()
 
     def test_check_differential_passes(self):
-        from repro.check import check_backend_program
+        from repro.hunt import HuntCase, run_oracle
 
-        gen = generate_fft(512, threads=2)
-        assert check_backend_program(gen.program, "compiled") == []
+        case = HuntCase(n=512, req_threads=2, mu=4, strategy="balanced",
+                        batch=3, backend="compiled")
+        assert run_oracle(case).ok

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,22 +139,24 @@ class TestEquivalence:
         assert d["backend"] == "compiled"
 
 
-class TestCheckBackendProgram:
-    def test_numpy_differential_is_clean(self):
-        from repro.check import check_backend_program
+def _oracle(backend: str, n: int = 64, threads: int = 1):
+    """The hunt's oracle stack on one sequential DFT case of ``backend``."""
+    from repro.hunt import HuntCase, run_oracle
 
-        gen = generate_fft(256, threads=2)
-        assert check_backend_program(gen.program, "numpy") == []
+    return run_oracle(HuntCase(n=n, req_threads=threads, mu=4,
+                               strategy="balanced", batch=3, backend=backend))
+
+
+class TestCheckBackendProgram:
+    """A backend's stages under the oracle stack ``repro check`` runs."""
+
+    def test_numpy_differential_is_clean(self):
+        assert _oracle("numpy", n=256, threads=2).ok
 
     def test_simulator_differential_is_clean(self):
-        from repro.check import check_backend_program
-
-        gen = generate_fft(64, threads=2)
-        assert check_backend_program(gen.program, "simulator") == []
+        assert _oracle("simulator", threads=2).ok
 
     def test_broken_backend_is_caught(self):
-        from repro.check import check_backend_program
-
         class Broken(ExecutionBackend):
             name = "broken-test"
 
@@ -164,30 +168,22 @@ class TestCheckBackendProgram:
                     _w(proc, src, dst)
                     dst[0] += 1.0  # corrupt one output element
 
-                stages[0] = type(victim)(
-                    work=bad,
-                    parallel=victim.parallel,
-                    needs_barrier=victim.needs_barrier,
-                    name=victim.name,
-                    nprocs=victim.nprocs,
-                )
+                stages[0] = dataclasses.replace(victim, work=bad)
                 return stages
 
         try:
             register_backend(Broken())
-            findings = check_backend_program(
-                generate_fft(64).program, "broken-test"
-            )
-            assert findings and "diverges" in findings[0]
+            v = _oracle("broken-test")
+            assert v.kind == "numeric" and "diverges" in v.detail, v
         finally:
             reg._REGISTRY.pop("broken-test", None)
 
     def test_whole_plan_call_disagreeing_with_its_stages_is_caught(self):
         """Both walks are certified: the one call the sequential runtime
         makes and the staged walk the pools make.  Here the stages are
-        right and only the whole-plan call is off by one element."""
-        from repro.check import check_backend_program
-        from repro.smp.runtime import FusedStages, SequentialRuntime
+        right and only the whole-plan call is off by one element, by far
+        less than the DFT tolerance."""
+        from repro.smp.runtime import FusedStages
 
         class Skewed(ExecutionBackend):
             name = "skewed-test"
@@ -206,12 +202,30 @@ class TestCheckBackendProgram:
 
         try:
             register_backend(Skewed())
-            findings = check_backend_program(
-                generate_fft(64).program, "skewed-test"
-            )
-            assert len(findings) == 1
-            assert "whole-plan entry diverges from its stages at [1, 5]" in (
-                findings[0]
-            )
+            v = _oracle("skewed-test")
+            assert v.kind == "numeric" and v.oracle.startswith(
+                "whole-vs-walk:"), v
+            assert "diverges from its stage walk at [1, 5]" in v.detail
         finally:
             reg._REGISTRY.pop("skewed-test", None)
+
+    def test_stage_structure_change_is_a_build_error(self):
+        """A backend that drops a barrier the plan keeps voids the
+        checker's certificate for what it runs."""
+        class Unfenced(ExecutionBackend):
+            name = "unfenced-test"
+
+            def build_stages(self, program, codelet_max=32, fallback=True):
+                return [
+                    dataclasses.replace(st, needs_barrier=False)
+                    for st in NumpyBackend().build_stages(program, codelet_max)
+                ]
+
+        try:
+            register_backend(Unfenced())
+            v = _oracle("unfenced-test", n=256, threads=2)
+            assert v.kind == "build-error", v
+            assert v.oracle == "structure:unfenced-test"
+            assert "needs_barrier mismatch" in v.detail
+        finally:
+            reg._REGISTRY.pop("unfenced-test", None)

@@ -2,34 +2,42 @@
 
 A seeded random sweep over the whole configuration space — size, thread
 count (including non-powers-of-two, clamped by ``feasible_threads``),
-vector length µ, breakdown strategy, batch shape — executed on the
-sequential, pthreads, and multiprocess runtimes and compared against
-numpy to 1e-10 absolute (measured headroom is ~2e-12 at n=512).
+vector length µ, breakdown strategy, batch shape — on the sequential,
+pthreads, and multiprocess runtimes.  Every case runs through the hunt's
+oracle stack (:func:`repro.hunt.oracles.run_oracle`), the one verifier
+``repro hunt`` and ``repro check`` also use, held here to 1e-10 absolute
+(measured headroom is ~2e-12 at n=512).
 
 ``REPRO_SEED`` reseeds the sweep; the default (0) makes it a fixed
-regression battery.  The case sampler itself lives in
-:func:`repro.hunt.gen.sample_config_tuples` — one seeded sampler shared
-with the ``repro hunt`` sweep, so the two lanes can never drift apart.
+regression battery.  The cases are :func:`repro.hunt.gen.sample_cases`
+draws under their own label, on one runtime pool so the five base
+dimensions keep the stream this battery has always drawn.
 """
 
-import numpy as np
 import pytest
 
 from repro.check import check_program
 from repro.faults import FaultPlan, FaultSpec, fault_plan
-from repro.frontend import feasible_threads, generate_fft, spiral_formula
-from repro.hunt.gen import sample_cases, sample_config_tuples
-from repro.mp import PlanSpec, ProcessPoolRuntime, segment_stats
-from repro.seeding import default_seed, derive_seed
-from repro.serve.batch_exec import run_batched
-from repro.smp import PThreadsRuntime, SequentialRuntime
+from repro.frontend import feasible_threads, spiral_formula
+from repro.hunt import ExecutorPools, HuntCase, run_oracle, sample_cases
+from repro.mp import segment_stats
 from repro.spl import is_fully_optimized
 
 ATOL = 1e-10
 
 N_CASES = 32  # sampled from the ~750-combo cross product
 
-CASES = sample_config_tuples(N_CASES)
+
+def _sample(count, seed=None):
+    """The battery's ``(n, req_threads, mu, strategy, batch)`` draws."""
+    return [
+        (c.n, c.req_threads, c.mu, c.strategy, c.batch)
+        for c in sample_cases(count, seed=seed, runtimes=("sequential",),
+                              label="fuzz-sweep", nus=(1,))
+    ]
+
+
+CASES = _sample(N_CASES)
 
 #: multiprocess sweep: every sampled case whose clamped thread count is
 #: parallel, bounded so the (expensive) process pools stay few
@@ -37,40 +45,20 @@ MP_CASES = [
     c for c in CASES if feasible_threads(c[0], c[1], c[2]) > 1
 ][:10]
 
-_POOLS: dict = {}
-_MP_POOLS: dict = {}
-_PROGRAMS: dict = {}
+_POOLS = ExecutorPools()
+_VERDICTS: dict = {}
 
 
-def _pool(threads: int) -> PThreadsRuntime:
-    if threads not in _POOLS:
-        _POOLS[threads] = PThreadsRuntime(threads)
-    return _POOLS[threads]
-
-
-def _mp_pool(procs: int) -> ProcessPoolRuntime:
-    if procs not in _MP_POOLS:
-        _MP_POOLS[procs] = ProcessPoolRuntime(procs)
-    return _MP_POOLS[procs]
-
-
-def _program(n, threads, mu, strategy):
-    key = (n, threads, mu, strategy)
-    if key not in _PROGRAMS:
-        _PROGRAMS[key] = generate_fft(
-            n, threads=threads, mu=mu, strategy=strategy
-        )
-    return _PROGRAMS[key]
+def _verdict(case: HuntCase):
+    """The oracle stack's verdict on ``case`` (cached across tests)."""
+    if case not in _VERDICTS:
+        _VERDICTS[case] = run_oracle(case, pools=_POOLS, atol=ATOL)
+    return _VERDICTS[case]
 
 
 def teardown_module(module):
-    for rt in _POOLS.values():
-        rt.close()
-    _POOLS.clear()
-    for rt in _MP_POOLS.values():
-        rt.close()
-    _MP_POOLS.clear()
-    _PROGRAMS.clear()
+    _POOLS.close()
+    _VERDICTS.clear()
     stats = segment_stats()
     assert stats["live"] == 0, f"leaked shared-memory segments: {stats}"
 
@@ -81,35 +69,11 @@ def teardown_module(module):
     ids=[f"n{n}-p{p}-mu{mu}-{s}-b{b}" for n, p, mu, s, b in CASES],
 )
 def test_differential_against_numpy(n, req_threads, mu, strategy, batch):
-    threads = feasible_threads(n, req_threads, mu)
-    gen = _program(n, threads, mu, strategy)
-    rng = np.random.default_rng(
-        derive_seed(default_seed(), "fuzz", n, req_threads, mu, strategy,
-                    batch)
-    )
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = np.fft.fft(x)
-
-    # sequential runtime
-    y_seq = gen.run(x.copy())
-    np.testing.assert_allclose(y_seq, ref, atol=ATOL, rtol=0)
-
-    # pthreads pool sized to the plan (identical bits modulo fp reassoc)
-    if threads > 1:
-        y_par = gen.run(x.copy(), runtime=_pool(threads))
-        np.testing.assert_allclose(y_par, ref, atol=ATOL, rtol=0)
-
-    # batched (b, n) execution of the same printed stages
-    X = np.stack(
-        [x]
-        + [
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for _ in range(batch - 1)
-        ]
-    )
-    runtime = _pool(threads) if threads > 1 else SequentialRuntime()
-    Y, _ = run_batched(gen.stages, n, X, runtime)
-    np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=ATOL, rtol=0)
+    """The (batch, n) stack agrees with numpy on both in-process runtimes."""
+    case = HuntCase(n, req_threads, mu, strategy, batch)
+    for runtime in ("sequential", "pthreads"):
+        v = _verdict(case.with_(runtime=runtime))
+        assert v.ok, str(v)
 
 
 @pytest.mark.parametrize(
@@ -124,20 +88,9 @@ def test_differential_process_pool(n, req_threads, mu, strategy, batch):
     determinism claim: master and workers must produce the identical
     plan for every (n, threads, mu, strategy) drawn.
     """
-    threads = feasible_threads(n, req_threads, mu)
-    pool = _mp_pool(threads)
-    spec = PlanSpec(n=n, threads=threads, mu=mu, strategy=strategy)
-    rng = np.random.default_rng(
-        derive_seed(default_seed(), "fuzz-mp", n, req_threads, mu, strategy,
-                    batch)
-    )
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y, _ = pool.execute_spec(spec, x)
-    np.testing.assert_allclose(y, np.fft.fft(x), atol=ATOL, rtol=0)
-
-    X = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
-    Y, _ = pool.execute_spec(spec, X)
-    np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=ATOL, rtol=0)
+    case = HuntCase(n, req_threads, mu, strategy, batch, runtime="process")
+    v = _verdict(case)
+    assert v.ok, str(v)
 
 
 @pytest.mark.parametrize(
@@ -154,8 +107,9 @@ def test_structural_verdict_implies_dynamic(n, req_threads, mu, strategy,
     configuration regardless (the pipeline only emits clean plans).
     """
     threads = feasible_threads(n, req_threads, mu)
-    gen = _program(n, threads, mu, strategy)
-    report = check_program(gen.program, mu)
+    v = _verdict(HuntCase(n, req_threads, mu, strategy, batch))
+    assert v.ok, str(v)
+    report = v.report
     assert report.ok, report.render_text()
     if threads > 1:
         f = spiral_formula(n, threads, mu, strategy)
@@ -184,21 +138,22 @@ def test_sabotage_flips_only_the_dynamic_verdict(n, threads, mu, strategy):
     The fault plane mutates the *plan* (after lowering), so the formula
     still satisfies Definition 1 — only the dynamic replay can notice.
     """
-    gen = _program(n, threads, mu, strategy)
+    v = _verdict(HuntCase(n, threads, mu, strategy, 1))
+    assert v.ok, str(v)
     spec = FaultSpec("check.misaligned_split", rate=1.0, max_fires=1)
     with fault_plan(FaultPlan([spec])):
-        report = check_program(gen.program, mu)
+        report = check_program(v.program, mu)
     assert not report.ok
     assert any(f.kind == "false-sharing" for f in report.errors)
     f = spiral_formula(n, threads, mu, strategy)
     assert is_fully_optimized(f, threads, mu)
     # and the unsabotaged plan is clean again (no cache poisoning)
-    assert check_program(gen.program, mu).ok
+    assert check_program(v.program, mu).ok
 
 
 def test_sweep_is_deterministic():
     """The sampled case list replays identically for a fixed seed."""
-    assert sample_config_tuples(N_CASES) == CASES
+    assert _sample(N_CASES) == CASES
 
 
 def test_hunt_and_fuzz_sweeps_share_determinism():
@@ -208,18 +163,16 @@ def test_hunt_and_fuzz_sweeps_share_determinism():
     derive from the same :mod:`repro.seeding` stream machinery; for any
     explicit seed each is a pure function of that seed.
     """
-    assert sample_config_tuples(8, seed=123) == sample_config_tuples(
-        8, seed=123
-    )
+    assert _sample(8, seed=123) == _sample(8, seed=123)
     assert sample_cases(8, seed=123) == sample_cases(8, seed=123)
     # distinct labels decorrelate the two sweeps even at the same seed
     tuples = [
         (c.n, c.req_threads, c.mu, c.strategy, c.batch)
         for c in sample_cases(8, seed=123)
     ]
-    assert tuples != sample_config_tuples(8, seed=123)
+    assert tuples != _sample(8, seed=123)
     # and the default-seed path answers to REPRO_SEED alone
-    assert sample_config_tuples(N_CASES) == CASES
+    assert _sample(N_CASES) == CASES
 
 
 def test_non_power_of_two_requests_clamp_feasibly():

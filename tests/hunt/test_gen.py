@@ -12,7 +12,6 @@ from repro.hunt.gen import (
     THREAD_REQUESTS,
     HuntCase,
     sample_cases,
-    sample_config_tuples,
 )
 
 
@@ -40,11 +39,18 @@ def test_sample_cases_rejects_unknown_pools():
         sample_cases(1, runtimes=("fiber",))
 
 
-def test_config_tuples_prefix_stable():
+def test_sample_cases_prefix_stable():
     """A longer sweep extends a shorter one (one stream, one draw order)."""
-    assert sample_config_tuples(8, seed=9) == sample_config_tuples(
-        24, seed=9
-    )[:8]
+    assert sample_cases(8, seed=9) == sample_cases(24, seed=9)[:8]
+
+
+def test_non_power_of_two_requests_clamp_feasibly():
+    """Thread clamping: (t*mu)^2 must divide n for the chosen t."""
+    for c in sample_cases(64, seed=5):
+        t = c.threads
+        assert 1 <= t <= c.req_threads
+        if t > 1:
+            assert c.n % ((t * c.mu) ** 2) == 0
 
 
 def test_case_threads_is_the_eq14_clamp():

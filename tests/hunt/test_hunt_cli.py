@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.codegen.compiled_backend import compiled_available
 from repro.hunt import load_corpus, replay
 
 
@@ -74,6 +75,24 @@ def test_unavailable_backend_is_a_loud_error(monkeypatch, capsys):
     rc = main(["hunt", "--budget", "1", "--backend", "compiled"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no C compiler")
+def test_failed_compile_is_found_not_replaced_by_numpy(capsys):
+    rc = main([
+        "hunt", "--budget", "4", "--seed", "0", "--backend", "compiled",
+        "--chaos", "codegen.compile_fail:1.0",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL[build-error]" in out
+    # the enumerated sweep through the same stack fails the same way
+    rc = main([
+        "check", "--kmin", "6", "--kmax", "6", "--threads", "2", "--mu", "4",
+        "--backend", "compiled", "--chaos", "codegen.compile_fail:1.0",
+    ])
+    assert rc == 1
+    assert "FAIL[build-error] build:compiled" in capsys.readouterr().out
 
 
 def test_plan_sabotage_kind_is_dynamic_check(tmp_path, capsys):

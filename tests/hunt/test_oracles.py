@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.compiled_backend import compiled_available
 from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.hunt import ExecutorPools, HuntCase, run_oracle
 from repro.spl.matrices import DFT, I
@@ -53,6 +54,17 @@ def test_invalid_config_is_a_build_error(pools):
     v = run_oracle(CASE.with_(strategy="no-such-strategy"), pools=pools)
     assert not v.ok
     assert v.kind == "build-error"
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no C compiler")
+def test_unbuildable_backend_is_a_build_error_not_numpy(pools):
+    """A backend that cannot build its stages fails; the stack never
+    certifies the NumPy stages a fallback would substitute."""
+    spec = FaultSpec("codegen.compile_fail", rate=1.0)
+    with fault_plan(FaultPlan([spec])):
+        v = run_oracle(CASE.with_(backend="compiled"), pools=pools)
+    assert v.kind == "build-error", v
+    assert v.oracle == "build:compiled"
 
 
 def test_term_oracle_uses_term_semantics(pools):
