@@ -36,6 +36,7 @@ from .flags import (
     optimization_tier,
     shared_cflags,
     simd_disabled,
+    unit_cflags,
 )
 from .python_backend import GeneratedProgram, generate
 from .registry import (
@@ -60,6 +61,7 @@ __all__ = [
     "optimization_tier",
     "shared_cflags",
     "simd_disabled",
+    "unit_cflags",
     "CodeletCompileError",
     "CompiledPlan",
     "ExecutionBackend",

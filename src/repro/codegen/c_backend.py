@@ -213,8 +213,10 @@ def compile_and_run(
 
     The compiler is the compiled backend's (:func:`find_compiler`, so
     ``REPRO_NO_CC`` switches it off) under the production optimization
-    tier (:func:`repro.codegen.flags.exe_cflags`); no compiler, or one
-    that rejects the program, is a :class:`CodeletCompileError`.
+    tier (:func:`repro.codegen.flags.exe_cflags`, whatever ν the plan
+    carries) and links nothing but the driver's threading library; no
+    compiler, or one that rejects the program, is a
+    :class:`CodeletCompileError`.
     """
     cc = cc or find_compiler()
     if cc is None:
@@ -227,7 +229,7 @@ def compile_and_run(
         gen.write(workdir / f"{stem}.c")
         run_cc(
             cc,
-            [*exe_cflags(cc), "-o", stem, f"{stem}.c", "-lm",
+            [*exe_cflags(cc), "-o", stem, f"{stem}.c",
              *_LINK_FLAGS[gen.mode]],
             workdir,
         )

@@ -227,8 +227,6 @@ class CodeletDef:
         return "\n".join([
             "/* Generated by repro: codelet object"
             f" (size {self.codelet.size} x {self.nu} lanes) */",
-            "#include <complex.h>",
-            "typedef double complex cplx;",
             f"#define {CODELET_STEM} {self.symbol}",
             self.definition,
         ])
@@ -643,8 +641,10 @@ class StageSource:
     ``preamble`` holds the :class:`Table`\\ s and :class:`CodeletDef`\\ s
     in the order the stage text first names them (``tables`` and
     ``codelets`` are its two halves); ``lines`` is one stage function per
-    stage, which assumes ``<complex.h>``, ``typedef double complex cplx;``
-    and a definition of every preamble name ahead of it.
+    stage, which assumes ``typedef double _Complex cplx;`` (a pointer
+    type for address arithmetic only: no complex value is ever formed),
+    :func:`vector_prelude` and a definition of every preamble name ahead
+    of it.
     """
 
     preamble: list[Table | CodeletDef]
@@ -717,19 +717,23 @@ def emit_plan_chain(program: SigmaProgram) -> list[str]:
     (a one-stage plan allocates nothing).  ``x`` is never written.  Returns
     non-zero, having run no stage, iff the scratch could not be
     allocated.  The chain only *calls* the stage functions: they stay the
-    one implementation of a stage.  The lines begin at
-    :data:`CHAIN_MARKER`.
+    one implementation of a stage.  It declares the two libc functions it
+    calls itself, ``posix_memalign`` and ``free``, so no emitted file
+    includes a header.  The lines begin at :data:`CHAIN_MARKER`.
     """
     k = len(program.stages)
     row = 2 * program.size  # doubles
     o = [CHAIN_MARKER]
     if k > 1:
-        o.append("#include <stdlib.h>")
+        o += [
+            "int posix_memalign(void **, __SIZE_TYPE__, __SIZE_TYPE__);",
+            "void free(void *);",
+        ]
     o.append("int repro_plan(long b, const double *x, double *y) {")
     if k > 1:
         o += [
             "  if (b <= 0) return 0;",
-            "  void *line = NULL; /* one row, on a cache line */",
+            "  void *line = 0; /* one row, on a cache line */",
             f"  if (posix_memalign(&line, {CACHE_LINE},"
             f" {row} * sizeof(double))) return 1;",
             "  double *t = line;",
@@ -751,11 +755,14 @@ def emit_plan_chain(program: SigmaProgram) -> list[str]:
 class PlanUnit:
     """One plan's C text, and what that text needs beside it to build:
     the codelets to link in and the table file to place next to it (both
-    empty for the single-file form, which is complete)."""
+    empty for the single-file form, which is complete).  ``nu`` is the
+    lanes every loop of the plan carries (None when they differ): what
+    :func:`repro.codegen.flags.unit_cflags` picks the unit's flags by."""
 
     text: str
     codelets: list[CodeletDef]
     tables: TableBlob
+    nu: Optional[int]
 
 
 def emit_plan_unit(
@@ -768,6 +775,7 @@ def emit_plan_unit(
     (tables declared, codelets bound: the unit wants ``tables`` beside it
     and ``codelets`` linked in) or the single-file form (tables as text,
     codelets ``static``: the unit is complete).  Nothing else differs.
+    No form includes a header: ``cplx`` is C99's built-in complex type.
     """
     source = emit_stage_functions(program, codelet_max)
     if linked:
@@ -782,16 +790,15 @@ def emit_plan_unit(
         f"/* size={program.size} stages={len(program.stages)}"
         f" barriers={program.barrier_count()}"
         f" codelet_max={codelet_max} */",
-        "#include <complex.h>",
-        "#include <math.h>",
-        "typedef double complex cplx;",
+        "typedef double _Complex cplx;",
         *vector_prelude(widths | {2}),
         "",
     ]
     text = "\n".join(header + preamble + source.lines) + "\n".join(
         emit_plan_chain(program)
     )
-    return PlanUnit(text, codelets, tables)
+    nu = next(iter(widths)) if len(widths) == 1 else None
+    return PlanUnit(text, codelets, tables, nu)
 
 
 __all__ = [

@@ -39,9 +39,14 @@ A cold plan compiles its loop nests and nothing else.  Codelet lifecycle
 4. **compile + link** — one compiler launch with the shared flag policy
    (:func:`repro.codegen.flags.shared_cflags`: the ``-O3 -march=native``
    tier, or the portable ``-O2`` tier under ``REPRO_NO_SIMD`` / non-native
-   compilers) compiles the unit and links the codelet objects into it
+   compilers; a unit whose loops all carry four lanes is glue around its
+   codelet calls and drops to ``-O2 -march=native`` at the native tier,
+   :func:`repro.codegen.flags.unit_cflags`, while codelet objects keep the
+   tier) compiles the unit and links the codelet objects into it
    statically: the ``.so`` is self-contained, and nothing else in the
-   cache directory is needed to load or run it;
+   cache directory is needed to load or run it.  No emitted file includes
+   a libc header and nothing is linked beyond the objects: a plan's only
+   undefined symbols are ``posix_memalign`` and ``free``;
 5. **cache** — shared objects land in a content-addressed disk cache keyed
    by source hash *and* compiler fingerprint (:func:`compiler_fingerprint`;
    the source names the codelets' content symbols and the blob's digest,
@@ -84,7 +89,7 @@ from ..smp.runtime import FusedStages, PlanStage
 from ..spl.expr import COMPLEX
 from ..trace import get_tracer
 from .c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
-from .flags import shared_cflags
+from .flags import GLUE_NU, shared_cflags, unit_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
 DEFAULT_CODELET_MAX = 32
@@ -147,18 +152,26 @@ def _compiler_version(path: str) -> str:
 def compiler_fingerprint(cc: Optional[str] = None) -> dict:
     """Identity of the toolchain baked into every codelet cache key.
 
-    Returns ``{"cc", "version", "flags"}`` for ``cc`` (default: the host
-    compiler, :func:`find_compiler`); two hosts (or two toolchain upgrades
-    on one host) with different fingerprints never share cached shared
-    objects.  Only the ``--version`` probe is memoized, per compiler path
-    and process — ``flags`` is recomputed on every call so a flag-policy
-    change (``REPRO_NO_SIMD``, a portable-tier fallback) lands in the
-    cache key immediately, never serving a stale object built under other
-    flags.
+    Returns ``{"cc", "version", "flags", "glue"}`` for ``cc`` (default:
+    the host compiler, :func:`find_compiler`); two hosts (or two toolchain
+    upgrades on one host) with different fingerprints never share cached
+    shared objects.  ``flags`` is the tier codelet objects and most units
+    compile under, ``glue`` what a glue unit's become
+    (:func:`repro.codegen.flags.unit_cflags`).  Only the ``--version``
+    probe is memoized, per compiler path and process — both flag lists
+    are recomputed on every call so a flag-policy change (``REPRO_NO_SIMD``,
+    a portable-tier fallback, the glue tier) lands in the cache key
+    immediately, never serving a stale object built under other flags.
     """
     path = cc or find_compiler()
     version = _compiler_version(path) if path else "unavailable"
-    return {"cc": path, "version": version, "flags": list(shared_cflags(path))}
+    flags = shared_cflags(path)
+    return {
+        "cc": path,
+        "version": version,
+        "flags": list(flags),
+        "glue": list(unit_cflags(flags, GLUE_NU)),
+    }
 
 
 def codelet_cache_dir() -> Path:
@@ -232,6 +245,9 @@ class CompiledPlan:
     codelets: tuple = ()
     #: digest of the table file's bytes; ``""`` for a plan without tables
     tables: str = ""
+    #: the flags the unit itself compiled under (its codelet objects
+    #: compiled under ``compiler["flags"]``)
+    cflags: tuple = ()
     _lib: Optional[ctypes.CDLL] = None
     #: ``repro_plan``, bound once by :func:`compile_plan`
     _chain: Optional[Callable[[int, int, int], int]] = None
@@ -245,7 +261,7 @@ class CompiledPlan:
             "so": str(self.so_path),
             "cc": self.compiler.get("cc"),
             "cc_version": self.compiler.get("version"),
-            "cflags": list(self.compiler.get("flags", [])),
+            "cflags": list(self.cflags),
             "codelets": list(self.codelets),
             "tables": self.tables,
         }
@@ -405,7 +421,9 @@ def compile_plan(
     to their file, and makes one compiler launch that compiles the unit
     and links the objects in; every file is published atomically (temp
     name, then ``os.replace``), the ``.so`` first — it is the whole
-    artifact, and a hit needs nothing else.  Raises
+    artifact, and a hit needs nothing else.  The unit compiles under
+    :func:`~repro.codegen.flags.unit_cflags` of the fingerprint's flags
+    and its lanes, the codelet objects under the flags as they are.  Raises
     :class:`CodeletCompileError` when no compiler is available or any of
     those steps is rejected (a codelet or the unit by the compiler, the
     table block by the assembler, a damaged object by the linker); the
@@ -420,10 +438,12 @@ def compile_plan(
             "no C compiler available (gcc/cc not on PATH, or REPRO_NO_CC set)"
         )
     fingerprint = compiler_fingerprint(cc)
+    flags = fingerprint["flags"]
     with tr.span("codegen.emit_c", "codegen", size=program.size,
                  stages=len(program.stages)):
         unit = emit_plan_unit(program, codelet_max, linked=True)
     key = _source_key(unit.text, fingerprint)
+    cflags = unit_cflags(flags, unit.nu)
     with _MEMO_LOCK:
         hit = _MEMO.get(key)
         if hit is not None:
@@ -446,7 +466,7 @@ def compile_plan(
         with tr.span("codegen.compile", "codegen", size=program.size,
                      key=key):
             for okey, source in objects.items():
-                _codelet_object(okey, source, cc, fingerprint["flags"], cache)
+                _codelet_object(okey, source, cc, flags, cache)
             with _publishing(cache, stem, (".so", ".c", ".tab")) as tmp:
                 Path(tmp[".c"]).write_text(unit.text)
                 tables = []
@@ -456,9 +476,8 @@ def compile_plan(
                     name = os.path.basename(tmp[".tab"])
                     tables = [f'-D{TABLES_MACRO}="{name}"']
                 run_cc(cc, [
-                    *tables, *fingerprint["flags"], "-o", tmp[".so"],
+                    *tables, *cflags, "-o", tmp[".so"],
                     tmp[".c"], *(f"codelet_{okey}.o" for okey in objects),
-                    "-lm",
                 ], cache)
             # used, and later than the plan was built: the GC keeps the
             # objects used since the oldest plan it keeps was built
@@ -489,6 +508,7 @@ def compile_plan(
         ],
         codelets=tuple(objects),
         tables=unit.tables.digest if unit.tables.nbytes else "",
+        cflags=cflags,
         _lib=lib,
         _chain=chain,
     )

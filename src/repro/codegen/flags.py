@@ -15,12 +15,23 @@ flags from :func:`optimization_tier`:
   set (the forced-scalar CI lane) or when the compiler rejects
   ``-march=native`` (probed once per compiler path, memoized).
 
+One kind of translation unit drops a level at the native tier: a plan
+unit whose loops all carry :data:`GLUE_NU` lanes compiles at
+:data:`OPT_GLUE` (``-O2 -march=native``, :func:`unit_cflags`).  Such a
+unit is *glue*: explicit 256-bit vector statements around calls into
+codelet objects it cannot see into, where ``-O3``'s extra passes buy
+little and cost about 40 % of the unit's compile from n = 2^12 up.  The
+ν = 1 and ν = 2 nests are scalar or half-width loops that ``-O3`` peels
+and vectorizes (8-20 % faster than at ``-O2``), so they, the codelet
+objects (straight-line code: the same compile time at either level) and
+the standalone programs keep the tier.
+
 :func:`exe_cflags` (standalone executables) and :func:`shared_cflags`
 (production ``.so`` builds) share the tier verbatim, and the full
-``shared_cflags`` value is folded into
-:func:`repro.codegen.compiled_backend.compiler_fingerprint` — and through
-it into the content-addressed codelet cache key — so *any* flag change
-recompiles instead of reusing stale objects
+``shared_cflags`` value — with the glue tier derived from it — is folded
+into :func:`repro.codegen.compiled_backend.compiler_fingerprint`, and
+through it into the content-addressed codelet cache key, so *any* flag
+change recompiles instead of reusing stale objects
 (``tests/codegen/test_flags.py`` proves both properties).
 """
 
@@ -29,7 +40,7 @@ from __future__ import annotations
 import os
 import subprocess
 import threading
-from typing import Optional
+from typing import Optional, Sequence
 
 #: environment variable forcing the portable (scalar-friendly) tier and
 #: disabling ν-way vector plan generation in the frontend
@@ -40,6 +51,12 @@ OPT_NATIVE: tuple[str, ...] = ("-O3", "-march=native")
 
 #: the fallback tier: conservative, runs on any host the binary reaches
 OPT_PORTABLE: tuple[str, ...] = ("-O2",)
+
+#: what the native tier becomes for a glue unit (:func:`unit_cflags`)
+OPT_GLUE: tuple[str, ...] = ("-O2", "-march=native")
+
+#: the lanes every loop of a plan unit carries when it is glue
+GLUE_NU = 4
 
 _PROBE_LOCK = threading.Lock()
 _PROBE: dict[str, bool] = {}
@@ -97,6 +114,21 @@ def shared_cflags(cc: Optional[str] = None) -> tuple[str, ...]:
     return optimization_tier(cc) + ("-fPIC", "-shared", "-std=gnu99")
 
 
+def unit_cflags(flags: Sequence[str], nu: Optional[int]) -> tuple[str, ...]:
+    """The flags a plan unit compiles under, from a builder's ``flags``
+    (:func:`shared_cflags`, say) and ``nu``, the lanes every loop of the
+    unit carries (None when its loops differ).
+
+    At the native tier a glue unit — ``nu == GLUE_NU`` — swaps
+    :data:`OPT_NATIVE` for :data:`OPT_GLUE`; any other unit, and any
+    other tier, keeps ``flags`` as they are.
+    """
+    flags = tuple(flags)
+    if nu == GLUE_NU and flags[:len(OPT_NATIVE)] == OPT_NATIVE:
+        return OPT_GLUE + flags[len(OPT_NATIVE):]
+    return flags
+
+
 def clear_flag_probe_cache() -> None:
     """Drop memoized ``-march=native`` probes (tests, toolchain swaps)."""
     with _PROBE_LOCK:
@@ -104,7 +136,9 @@ def clear_flag_probe_cache() -> None:
 
 
 __all__ = [
+    "GLUE_NU",
     "NO_SIMD_ENV",
+    "OPT_GLUE",
     "OPT_NATIVE",
     "OPT_PORTABLE",
     "clear_flag_probe_cache",
@@ -112,4 +146,5 @@ __all__ = [
     "optimization_tier",
     "shared_cflags",
     "simd_disabled",
+    "unit_cflags",
 ]

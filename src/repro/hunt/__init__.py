@@ -33,6 +33,7 @@ from .reduce import (
     Reducer,
     ReductionResult,
     ReductionState,
+    StateSize,
     shrink_candidates,
     state_size,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "ReductionResult",
     "ReductionState",
     "Reproducer",
+    "StateSize",
     "TermSerializationError",
     "Verdict",
     "file_reproducer",

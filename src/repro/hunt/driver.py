@@ -19,7 +19,7 @@ from typing import Optional
 from .corpus import Reproducer, TermSerializationError, file_reproducer
 from .gen import NUS, RUNTIMES, HuntCase, sample_cases
 from .oracles import ExecutorPools, Verdict, run_oracle
-from .reduce import ReductionState, Reducer, state_size
+from .reduce import ReductionState, Reducer, StateSize
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class HuntFinding:
     reduced: Optional[ReductionState] = None
     reduced_minimal: bool = False
     reduction_steps: int = 0
-    original_size: tuple = ()
-    reduced_size: tuple = ()
+    original_size: Optional[StateSize] = None
+    reduced_size: Optional[StateSize] = None
     corpus_path: Optional[Path] = None
 
 
@@ -79,8 +79,8 @@ class HuntReport:
         for f in self.findings:
             lines.append(f"  FAIL {f.case.label()}: {f.verdict}")
             if f.reduced is not None:
-                nodes_before = f.original_size[0] if f.original_size else "?"
-                nodes_after = f.reduced_size[0] if f.reduced_size else "?"
+                nodes_before = f.original_size.nodes if f.original_size else "?"
+                nodes_after = f.reduced_size.nodes if f.reduced_size else "?"
                 tag = "1-minimal" if f.reduced_minimal else "step-capped"
                 lines.append(
                     f"       reduced [{tag}] in {f.reduction_steps} step(s): "
@@ -136,7 +136,7 @@ def run_hunt(config: HuntConfig) -> HuntReport:
                     verdict,
                     term=result.final.term,
                     origin=case,
-                    origin_nodes=result.original_size[0],
+                    origin_nodes=result.original_size.nodes,
                     trail=[s.kind for s in result.steps],
                 )
             else:

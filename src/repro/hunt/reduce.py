@@ -40,7 +40,7 @@ re-verify independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ..rewrite.simplify import simplify
 from ..spl.expr import Compose, Expr, compose
@@ -84,7 +84,23 @@ def _has_vec_constructs(term: Expr) -> bool:
     )
 
 
-def state_size(state: ReductionState) -> tuple:
+class StateSize(NamedTuple):
+    """:func:`state_size`'s key: a tuple, compared in field order, whose
+    fields are read by name (``nodes`` is the effective formula's node
+    count; the enum fields are indices into their orders)."""
+
+    nu: int
+    nodes: int
+    n: int
+    req_threads: int
+    mu: int
+    batch: int
+    runtime: int
+    backend: int
+    strategy: int
+
+
+def state_size(state: ReductionState) -> StateSize:
     """Lexicographic size key; every shrink step strictly decreases it.
 
     ``nu`` leads the order: devectorizing a term can *grow* its node
@@ -93,7 +109,7 @@ def state_size(state: ReductionState) -> tuple:
     scalar state keeps the exact ordering it had before the vec lane.
     """
     c = state.case
-    return (
+    return StateSize(
         c.nu,
         _term_nodes(state),
         c.n,
@@ -258,11 +274,11 @@ class ReductionResult:
     minimal: bool = False
 
     @property
-    def original_size(self) -> tuple:
+    def original_size(self) -> StateSize:
         return state_size(self.original)
 
     @property
-    def final_size(self) -> tuple:
+    def final_size(self) -> StateSize:
         return state_size(self.final)
 
 

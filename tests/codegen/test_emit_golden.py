@@ -31,11 +31,17 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     then the 48 of step 3 above (plus the vector prelude ahead of them);
     the 21 ν = 1 entries again with the one-lane text (the prelude, split
     re/im broadcast tables where interleaved ones stood, ``vcodelet<i>_v1``
-    bindings).
+    bindings); all 63 once more, with ``"plan_chain"``, when the unit
+    stopped including libc headers: ``typedef double _Complex cplx;``
+    where ``<complex.h>``, ``<math.h>`` and ``typedef double complex
+    cplx;`` stood (``"stages"`` held).
 ``"plan_chain"``
     The trailer (marker to end of file), recorded in the commit that
     added it and re-recorded in PR 22's steps 1 and 2: the chain runs row
-    by row over a one-row scratch, allocated by ``posix_memalign``.
+    by row over a one-row scratch, allocated by ``posix_memalign``.  All
+    63 again when the chain declared ``posix_memalign`` and ``free``
+    itself in place of ``#include <stdlib.h>``, and wrote ``0`` for
+    ``NULL``.
 ``"codelet"``
     The library definition of each distinct codelet, k in {2,4,8,16,32} x
     nu in {1,2,4}: the text a ``codelet_<key>.o`` is compiled from and its
@@ -110,8 +116,11 @@ def _sha(text: str) -> str:
 #: sha256 of the entries the one-lane re-record had no business moving:
 #: every ν > 1 entry of ``plan`` / ``stages`` / ``codelet`` and the whole
 #: ``plan_chain``, ``python`` and ``generate_c`` maps, as they stood at the
-#: commit before it.  A deliberate re-record of any of them re-pins this.
-FROZEN = "2ef9edde2e5999b1597cdc37318ae7208745bd5e60198fdbee6b305237989571"
+#: commit before it.  A deliberate re-record of any of them re-pins this:
+#: re-pinned once, by the header-free re-record of ``plan`` and
+#: ``plan_chain`` (no ``stages``, ``codelet``, ``python`` or
+#: ``generate_c`` entry moved).
+FROZEN = "04ed313002032b08ccd3939b55b782c003531622ff16543576536219b894cc5b"
 
 
 def test_one_lane_rerecord_left_every_other_entry_alone():
@@ -190,7 +199,7 @@ def test_standalone_program_matches_golden_digest(key):
     plan_head, _, plan_chain = emit_plan_source(
         program, codelet_max
     ).partition(CHAIN_MARKER)
-    typedef, stage0 = "typedef double complex cplx;\n", "void repro_stage0("
+    typedef, stage0 = "typedef double _Complex cplx;\n", "void repro_stage0("
     assert head[:head.index(typedef)] == plan_head[:plan_head.index(typedef)]
     assert head[head.index(stage0):] == plan_head[plan_head.index(stage0):]
     assert rest.startswith(plan_chain)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.codegen.compiled_backend import compiled_available
-from repro.hunt import load_corpus, replay
+from repro.frontend import spiral_formula
+from repro.hunt import ReductionState, load_corpus, replay, state_size
 
 
 def test_clean_sweep_exits_zero(capsys):
@@ -47,6 +48,34 @@ def test_sabotage_yields_minimized_reproducer(tmp_path, capsys):
         assert final_nodes < repro.origin_nodes
         # fault plan restored by the CLI: replay on clean code passes
         assert replay(repro).ok
+
+
+def test_reproducer_files_the_origin_formula_node_count(tmp_path, capsys):
+    """``origin_nodes`` and the printed "N -> M nodes" are the origin's
+    formula node count, not the leading (ν) field of its size key: the
+    reducer's own ``(nu, nodes)`` strictly decreases against the
+    origin's."""
+    rc = main([
+        "hunt", "--budget", "2", "--seed", "3",
+        "--chaos", "hunt.exec_corrupt:1.0",
+        "--corpus", str(tmp_path),
+    ])
+    out = capsys.readouterr().out
+    assert rc == 1
+    filed = load_corpus(tmp_path)
+    assert filed
+    for _, repro in filed:
+        c = repro.origin
+        nodes = spiral_formula(
+            c.n, c.threads, c.mu, c.strategy, nu=c.nu
+        ).count_nodes()
+        assert nodes > c.nu  # the two fields can be told apart
+        assert repro.origin_nodes == nodes
+        origin = state_size(ReductionState(c))
+        final = state_size(ReductionState(repro.case, repro.term))
+        assert origin.nodes == nodes
+        assert (final.nu, final.nodes) < (repro.origin.nu, repro.origin_nodes)
+        assert f": {origin.nodes} -> {final.nodes} nodes, " in out
 
 
 def test_no_reduce_files_the_raw_case(tmp_path, capsys):
