@@ -39,9 +39,10 @@ request's own ``id`` — ``shape`` does not describe ``nbytes`` — means the
 payload was consumed and the next frame is served.
 
 Flush policy: a send flushes unless its caller knows another follows at
-once — ``fft_pipeline`` flushes after a burst's last request, the server's
-drain defers while responses are queued (and flushes before it blocks on an
-unresolved one); every other send flushes.  A payload is never copied in
+once — ``fft_pipeline`` flushes after a burst's last request, the server
+flushes a held group's replies once, after the last, and its drain defers
+while responses are queued (and flushes before it blocks on an unresolved
+one); every other send flushes.  A payload is never copied in
 user space: see :data:`BY_REFERENCE_BYTES` and :func:`_read_frame_raw`.  A
 relay encodes nothing: it sends the header line and payload buffer
 ``recv()`` returned (:func:`frame_buffers`).
@@ -229,22 +230,36 @@ class _SocketReader(io.RawIOBase):
     socket, as ``socket.makefile("rb")``'s raw stream does (a read timeout
     leaves the stream out of step, so every later read raises), except
     that while ``held`` is set a fill returns "nothing yet" instead of
-    blocking."""
+    blocking, and that a fill about to wait on an empty socket first
+    calls ``before_block`` (once: it is cleared as it is called)."""
 
     def __init__(self, sock):
         super().__init__()
         self._sock = sock
         self._timed_out = False
+        self._poll = None  # the socket's poll object, made on first use
         self.held = False
+        self.before_block = None
 
     def readable(self) -> bool:
         return True
+
+    def waiting(self) -> bool:
+        """Bytes (or a hang-up) are readable on the socket now."""
+        if self._poll is None:
+            self._poll = select.poll()
+            self._poll.register(self._sock, select.POLLIN)
+        return bool(self._poll.poll(0))
 
     def readinto(self, b):
         if self.held:
             return None
         if self._timed_out:
             raise OSError("cannot read from timed out object")
+        hook = self.before_block
+        if hook is not None and not self.waiting():
+            self.before_block = None
+            hook()
         try:
             return self._sock.recv_into(b)
         except TimeoutError:
@@ -266,7 +281,6 @@ class FrameConn:
         self._sock = sock
         self._raw = _SocketReader(sock)
         self._rfile = io.BufferedReader(self._raw)
-        self._poll = None  # the socket's poll object, made by idle()
         # headers, small payloads and whatever a deferred flush still owes
         self._out = bytearray()
         self._wlock = threading.Lock()
@@ -320,10 +334,14 @@ class FrameConn:
                 return False
         finally:
             self._raw.held = False
-        if self._poll is None:
-            self._poll = select.poll()
-            self._poll.register(self._sock, select.POLLIN)
-        return not self._poll.poll(0)
+        return not self._raw.waiting()
+
+    def before_block(self, hook) -> None:
+        """Have ``recv()`` call ``hook()`` once, when it is next about to
+        wait on the socket with everything received already returned or
+        part of the frame it is reading (``None`` cancels).  Set and run
+        on the thread that calls ``recv()``; ``hook`` must not read."""
+        self._raw.before_block = hook
 
     def flush(self) -> None:
         """Send what deferred flushes still owe."""

@@ -5,14 +5,17 @@ One long-lived service owns the whole serving pipeline:
 * a :class:`~repro.serve.plan_cache.PlanCache` (LRU + single-flight)
   building what the :class:`~repro.wisdom.Wisdom` file's measured
   rankings say is fastest;
-* a **request batcher**: a dispatcher thread coalesces requests for the
-  same :class:`~repro.serve.plan_cache.PlanKey` that arrive within
+* **one admission path**, :meth:`FFTService.admit`: a group of requests
+  (a server session's held burst; one request for ``submit`` and
+  ``transform``) is admitted in one lock round.  A group with nothing to
+  wait for — zero window, nothing queued or executing, nothing further
+  from its sender — runs on the thread that admitted it, one stacked
+  ``(b, n)`` batch per :class:`~repro.serve.plan_cache.PlanKey` in
+  arrival order; any other group queues, and a dispatcher thread
+  coalesces queued requests for the same key that arrive within
   ``window_s`` (or until ``max_batch`` vectors are pending) into one
-  stacked ``(b, n)`` execution of the plan's batched stages — and a
-  request with nothing to wait for (zero window, nothing queued or
-  executing, nothing further from its sender) runs on the thread that
-  submitted it instead, as a batch of its own rows: one baton, so one
-  batch executes at a time, always through ``_execute_batch``;
+  batch.  One baton, so one batch executes at a time, always through
+  ``_execute_batch``; a ``no_batch`` request is a batch of its own;
 * **persistent runtimes**: one worker pool per thread count — a
   :class:`~repro.smp.runtime.PThreadsRuntime` by default, or a
   :class:`~repro.mp.ProcessPoolRuntime` with ``ServeConfig(runtime=
@@ -21,7 +24,9 @@ One long-lived service owns the whole serving pipeline:
   every request, and closed exactly once on shutdown;
 * **admission control**: a bounded queue (``queue_limit`` pending vectors);
   an over-full queue rejects with :class:`Overloaded` carrying a
-  ``retry_after`` hint, and each request carries a deadline — requests
+  ``retry_after`` hint (a request larger than the whole queue is a
+  ``ValueError``: no wait would admit it), and each request carries a
+  deadline — requests
   whose deadline passes while queued fail *at expiry time* with a typed
   :class:`DeadlineExceeded` instead of wasting an execution slot;
 * **self-healing where the pool is used**: the batch that breaks a
@@ -45,7 +50,7 @@ import threading
 import time
 from _thread import allocate_lock
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -136,8 +141,9 @@ class FFTTicket:
     waiters, one after another or at once, all get the result; ``done()``
     is ``not locked()``, so it may read False for the instant a waiter
     holds the latch.  One made with ``queued=False`` is for a request run
-    on the thread that submitted it: resolved before ``submit`` returns,
-    it has nothing to wait for and allocates no lock.
+    on the thread that admitted it, or refused at admission (``failed``):
+    resolved before ``admit`` returns, it has nothing to wait for and
+    allocates no lock.
     """
 
     __slots__ = ("_latch", "_result", "_error")
@@ -149,6 +155,13 @@ class FFTTicket:
             self._latch.acquire()
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
+
+    @classmethod
+    def failed(cls, error: BaseException) -> "FFTTicket":
+        """A request refused at admission: resolved, with ``error``."""
+        ticket = cls(queued=False)
+        ticket._error = error
+        return ticket
 
     def done(self) -> bool:
         return self._latch is None or not self._latch.locked()
@@ -171,10 +184,6 @@ class FFTTicket:
         if self._error is not None:
             raise self._error
         return self._result
-
-
-def _always() -> bool:
-    return True
 
 
 class _Request:
@@ -201,6 +210,9 @@ class FFTService:
             y = svc.transform(x)            # blocking convenience
             t = svc.submit(x)               # or a ticket ...
             y = t.result(timeout=1.0)       # ... resolved by the batcher
+            group = [svc.request(x), svc.request(z)]
+            svc.admit(group, here=True)     # one admission for both
+            ys = [r.ticket.result() for r in group]
     """
 
     #: every count the service keeps (``stats()``; tracer ``serve.<name>``)
@@ -277,7 +289,7 @@ class FFTService:
 
     # -- public API ----------------------------------------------------------
 
-    def submit(
+    def request(
         self,
         x: np.ndarray,
         threads: Optional[int] = None,
@@ -286,33 +298,27 @@ class FFTService:
         nu: Optional[int] = None,
         timeout: Optional[float] = None,
         no_batch: bool = False,
-        inline: Optional[Callable[[], bool]] = None,
-    ) -> FFTTicket:
-        """Enqueue a request (one vector or a ``(b, n)`` stack); returns a ticket.
-
-        Raises :class:`Overloaded` when the queue is full and
-        :class:`ServiceClosed` during shutdown.  ``no_batch=True`` flushes
-        the request immediately instead of waiting out the batching window
-        (the one-request-at-a-time baseline path).  ``timeout`` is ``None``
-        (the configured default) or a number of seconds no larger in
-        magnitude than ``threading.TIMEOUT_MAX``; anything else — a bool,
-        NaN, an infinity — raises ``ValueError``.
-
-        ``inline`` says whether the caller has nothing further to submit
-        behind this request (a server session passes ``FrameConn.idle``);
-        it is asked only when the window is zero and nothing is queued or
-        executing, and if it holds the request runs on this thread and the
-        returned ticket is already resolved.  Without it a request is
-        always queued, so a burst of ``submit`` calls batches.
-        """
+    ) -> _Request:
+        """One request (one vector or a ``(b, n)`` stack), checked and not
+        yet admitted: its plan key, its deadline (counted from now) and its
+        rows.  Raises ``ValueError`` for a bad shape, for more rows than
+        ``queue_limit`` (no wait would ever admit them), and for a
+        ``timeout`` that is not ``None`` (the configured default) or a
+        number of seconds no larger in magnitude than
+        ``threading.TIMEOUT_MAX`` — a bool, NaN, an infinity.
+        ``no_batch=True`` makes the request a batch of its own that skips
+        the batching window (the one-request-at-a-time baseline path)."""
         x = np.asarray(x, dtype=np.complex128)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[np.newaxis, :]
         if x.ndim != 2 or x.shape[1] < 2:
             raise ValueError(f"expected (batch, n) input, got shape {x.shape}")
-        n = int(x.shape[1])
-        key = self.config.plan_key(n, threads, mu, strategy, nu)
+        if x.shape[0] > self.config.queue_limit:
+            raise ValueError(
+                f"{x.shape[0]} vectors exceed queue_limit "
+                f"{self.config.queue_limit}; split the request")
+        key = self.config.plan_key(int(x.shape[1]), threads, mu, strategy, nu)
         if timeout is None:
             timeout = self.config.default_timeout_s
         elif (type(timeout) is bool or not isinstance(timeout, (int, float))
@@ -322,53 +328,93 @@ class FFTService:
                 "timeout must be a number of seconds within "
                 f"±threading.TIMEOUT_MAX, got {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
-        req = _Request(key, x, deadline, no_batch, squeeze=squeeze)
+        return _Request(key, x, deadline, no_batch, squeeze=squeeze)
 
+    def admit(self, reqs: list[_Request], here: bool = False) -> None:
+        """Admit a group of requests in one lock round, giving each its
+        ``ticket``.
+
+        Each request must fit under ``queue_limit`` on top of what is
+        pending and what the group admitted before it; one that does not
+        gets a ticket already failed with :class:`Overloaded`, and during
+        shutdown every ticket fails with :class:`ServiceClosed`.
+
+        ``here`` says nothing further will follow the group from its
+        caller (a server session whose connection has nothing more to
+        read; ``transform``).  When it holds and the service is idle —
+        zero window, nothing queued or executing — the group runs on this
+        thread before ``admit`` returns, in arrival order as one batch per
+        :class:`PlanKey` of at most ``max_batch`` rows (a ``no_batch``
+        request alone), and its tickets are resolved.  Otherwise it queues
+        for the dispatcher, which wakes once.
+        """
         fp = get_fault_plan()
+        limit = self.config.queue_limit
+        rejected = 0
         with self._cond:
-            if self._closing:
-                raise ServiceClosed("service is shutting down")
-            # chaos: a queue-full burst rejects admissions regardless of the
-            # real backlog, exercising the client's retry-after handling
-            burst = fp.enabled and fp.fired("serve.queue_burst")
-            depth = self._pending_vectors + req.rows
-            if burst or depth > self.config.queue_limit:
-                retry = self._retry_after_locked()
-                self.counters.add("rejected")
-                raise Overloaded(retry, self._pending_vectors)
-            run_here = (inline is not None and not self._queue
+            base = depth = self._pending_vectors
+            admitted = []
+            for req in reqs:
+                if self._closing:
+                    req.ticket = FFTTicket.failed(
+                        ServiceClosed("service is shutting down"))
+                # chaos: a queue-full burst rejects admissions regardless of
+                # the real backlog, exercising the client's retry-after path
+                elif ((fp.enabled and fp.fired("serve.queue_burst"))
+                        or depth + req.rows > limit):
+                    req.ticket = FFTTicket.failed(
+                        Overloaded(self._retry_after(depth), depth))
+                    rejected += 1
+                else:
+                    depth += req.rows
+                    admitted.append(req)
+            run_here = (here and bool(admitted) and not self._queue
                         and not self._executing
-                        and (no_batch or self.config.window_s == 0)
-                        and inline())
-            req.ticket = FFTTicket(queued=not run_here)
+                        and (self.config.window_s == 0
+                             or all(r.no_batch for r in admitted)))
+            for req in admitted:
+                req.ticket = FFTTicket(queued=not run_here)
             if run_here:
                 self._executing = True
-            else:
-                self._queue.append(req)
+            elif admitted:
+                self._queue += admitted
                 self._pending_vectors = depth
                 self._cond.notify_all()
-        get_tracer().sample("serve.queue_depth", depth)
-        self.counters.peak("max_queue_depth", depth)
-        admitted = [("requests", 1), ("vectors", req.rows)]
-        if not run_here:
-            self.counters.add_many(admitted)
-            return req.ticket
-        # one lock round counts the admission and the batch together
-        try:
-            admitted += self._execute_batch(key, [req])
-        finally:
-            self._release_baton()
-            self.counters.add_many(admitted)
+        counts = [("rejected", rejected)] if rejected else []
+        if admitted:
+            get_tracer().sample("serve.queue_depth", depth)
+            self.counters.peak("max_queue_depth", depth)
+            counts += [("requests", len(admitted)), ("vectors", depth - base)]
+            if run_here:  # one lock round counts the admission and batches
+                try:
+                    for key, batch in self._batches(admitted):
+                        counts += self._execute_batch(key, batch)
+                finally:
+                    self._release_baton()
+        if counts:
+            self.counters.add_many(counts)
+
+    def submit(self, x: np.ndarray, **kw) -> FFTTicket:
+        """Queue one request (see :meth:`request` for ``kw``); returns its
+        ticket.  Raises :class:`Overloaded` when the queue is full and
+        :class:`ServiceClosed` during shutdown.  It never runs here, so a
+        burst of ``submit`` calls batches on the dispatcher."""
+        req = self.request(x, **kw)
+        self.admit([req])
+        if req.ticket._latch is None:  # refused at admission
+            req.ticket.result()
         return req.ticket
 
     def transform(self, x: np.ndarray, **kw) -> np.ndarray:
-        """Blocking convenience: ``submit(...).result()``, run on this
-        thread when the service is idle (nothing can follow a blocking
-        call from this caller)."""
+        """Blocking convenience: one request's result, run on this thread
+        when the service is idle (nothing can follow a blocking call from
+        this caller)."""
         timeout = kw.get("timeout", self.config.default_timeout_s)
         # grace so queue-side deadline handling (not the ticket wait) decides
         wait = None if timeout is None else timeout + 1.0
-        return self.submit(x, inline=_always, **kw).result(wait)
+        req = self.request(x, **kw)
+        self.admit([req], here=True)
+        return req.ticket.result(wait)
 
     def stats(self) -> dict:
         """A JSON-able snapshot of service and plan-cache metrics."""
@@ -538,11 +584,9 @@ class FFTService:
 
     # -- internals -----------------------------------------------------------
 
-    def _retry_after_locked(self) -> float:
-        """Backpressure hint: roughly the time to drain the current backlog."""
-        backlog_batches = 1 + self._pending_vectors // max(
-            1, self.config.max_batch
-        )
+    def _retry_after(self, pending: int) -> float:
+        """Backpressure hint: roughly the time to drain ``pending`` vectors."""
+        backlog_batches = 1 + pending // max(1, self.config.max_batch)
         return max(self.config.window_s, 0.001) * backlog_batches
 
     def _pool_locked(self, threads: int, now: float):
@@ -690,17 +734,14 @@ class FFTService:
                     if r.deadline is not None and r.deadline < wake_at:
                         wake_at = r.deadline
                 self._cond.wait(timeout=max(wake_at - now, 0.0001))
+            # the head key's first batch, by the rule a group run here
+            # follows, out of the queue in one pass
             group = [r for r in self._queue if r.key == key]
-            take: list[_Request] = []
-            total = 0
-            for r in group:
-                if take and total + r.rows > self.config.max_batch:
-                    break
-                take.append(r)
-                total += r.rows
-            for r in take:
-                self._queue.remove(r)
-            self._pending_vectors -= total
+            take = self._batches(group)[0][1] if group else []
+            if take:
+                taken = set(take)
+                self._queue = [r for r in self._queue if r not in taken]
+                self._pending_vectors -= sum(r.rows for r in take)
             self._executing = bool(take)
         if take:
             try:
@@ -708,6 +749,26 @@ class FFTService:
             finally:
                 self._release_baton()
         return True
+
+    def _batches(self, reqs: list[_Request]) -> list:
+        """``reqs`` as ``(key, requests)`` batches in arrival order: one per
+        :class:`PlanKey` until it would pass ``max_batch`` rows, and a
+        ``no_batch`` request alone."""
+        if len(reqs) == 1:  # the lone request, or a burst of one
+            return [(reqs[0].key, reqs)]
+        batches: list = []
+        filling: dict = {}  # key -> (requests, rows) of its batch still open
+        for r in reqs:
+            if r.no_batch:
+                batches.append((r.key, [r]))
+                continue
+            batch, rows = filling.get(r.key, (None, 0))
+            if batch is None or rows + r.rows > self.config.max_batch:
+                batch, rows = [], 0
+                batches.append((r.key, batch))
+            batch.append(r)
+            filling[r.key] = (batch, rows + r.rows)
+        return batches
 
     def _release_baton(self) -> None:
         """A batch finished: free the baton, waking the dispatcher if work

@@ -1,11 +1,14 @@
-"""A request with nothing to wait for runs on the thread that read it.
+"""Work with nothing to wait for runs on the thread that read it.
 
-Zero window, nothing queued or executing in the service, nothing further
-read from its connection: the handler thread runs the batch and writes the
-reply itself when no earlier reply is owed.  Anything else — a pipelined
-burst, an in-process ``submit`` burst, a reply owed before it — takes the
-dispatcher and the drain as before, in request order.  ``drain`` and
-``close`` wait for whichever thread holds the baton.
+A server session holds what a burst brings and admits it to the service as
+one group just before its read would block.  Zero window, nothing queued
+or executing in the service, nothing further read from the connection:
+the handler thread runs the group — a lone request is a group of one — as
+one batch per plan key and writes the replies itself, in one flush, when
+no earlier reply is owed.  Anything else — a busy service, a window, an
+in-process ``submit`` burst, a reply owed before it — takes the dispatcher
+and the drain, in request order.  ``drain`` and ``close`` wait for
+whichever thread holds the baton.
 """
 
 import dataclasses
@@ -15,13 +18,24 @@ import socket
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.serve import FFTService, ServeClient, ServeConfig, graceful_shutdown
-from repro.serve.protocol import FrameConn, dump_line, payload_array
-from repro.serve.server import FFTServer
+from repro.serve import (
+    FFTServer,
+    FFTService,
+    ServeClient,
+    ServeConfig,
+    graceful_shutdown,
+)
+from repro.serve.protocol import (
+    FrameConn,
+    dump_line,
+    frame_buffers,
+    payload_array,
+)
 from repro.serve.service import FFTTicket
 from repro.smp.runtime import SequentialRuntime
 
@@ -58,7 +72,7 @@ def _record_threads(svc: FFTService, n: int) -> list:
 
 class _RecordingServer(FFTServer):
     """Remembers each session, its handler thread, and what it queued for
-    its drain."""
+    its drain (the replies it did not write itself)."""
 
     def __init__(self, address, service):
         super().__init__(address, service)
@@ -68,8 +82,13 @@ class _RecordingServer(FFTServer):
         s = super().session(conn)
         s.handler = threading.get_ident()
         s.queued = []
-        put = s.reply
-        s.reply = lambda item: (s.queued.append(item), put(item))[1]
+        put = s._pending.put
+
+        def queue_for_the_drain(item):
+            if item is not None:  # not the session's closing sentinel
+                s.queued.append(item)
+            put(item)
+        s._pending.put = queue_for_the_drain
         self.sessions.append(s)
         return s
 
@@ -120,6 +139,9 @@ class _CountingLock:
 
     def __exit__(self, *exc):
         self.release()
+
+    def __getattr__(self, name):  # a Condition's wait and notify_all
+        return getattr(self._lock, name)
 
 
 def _count_built(monkeypatch, module, *names) -> list:
@@ -172,10 +194,21 @@ def test_no_request_makes_an_event_and_an_inline_one_costs_one_counter_round(
     assert stats["max_queue_depth"] == 1
 
 
+def _count_encoders(monkeypatch) -> list:
+    """Record every ``JSONEncoder`` and C encoder built from now on."""
+    encoders = _count_built(monkeypatch, json, "JSONEncoder")
+    c_make = json.encoder.c_make_encoder
+    if c_make is not None:
+        monkeypatch.setattr(
+            json.encoder, "c_make_encoder",
+            lambda *args: (encoders.append(args), c_make(*args))[1])
+    return encoders
+
+
 def test_a_pipelined_burst_builds_no_event_condition_or_encoder(
         served, monkeypatch):
-    """A burst of 16 through the server takes the queued path — tickets,
-    the dispatcher, the drain — and builds no ``threading.Event`` or
+    """A burst of 16 through the server — held, admitted as one group and
+    batched on the handler thread — builds no ``threading.Event`` or
     ``Condition`` on the way; every header line either side writes comes
     from the one encoder ``dump_line`` built at import, not a
     ``JSONEncoder`` (or a C encoder) per line."""
@@ -184,12 +217,7 @@ def test_a_pipelined_burst_builds_no_event_condition_or_encoder(
     with ServeClient("127.0.0.1", srv.port) as client:
         client.fft(xs[0])  # plan built, the session and its drain running
         made = _count_built(monkeypatch, threading, "Event", "Condition")
-        encoders = _count_built(monkeypatch, json, "JSONEncoder")
-        c_make = json.encoder.c_make_encoder
-        if c_make is not None:
-            monkeypatch.setattr(
-                json.encoder, "c_make_encoder",
-                lambda *args: (encoders.append(args), c_make(*args))[1])
+        encoders = _count_encoders(monkeypatch)
         replies = client.fft_pipeline(xs)
         assert (made, encoders) == ([], [])
     for x, (y, _, err) in zip(xs, replies):
@@ -197,12 +225,50 @@ def test_a_pipelined_burst_builds_no_event_condition_or_encoder(
         np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
     stats = svc.stats()
     assert stats["requests"] == 17
-    assert stats["avg_batch_occupancy"] > 1  # the burst queued and batched
+    assert stats["avg_batch_occupancy"] > 1  # the burst batched
+
+
+def test_an_idle_pipelined_burst_is_one_admission_on_its_handler_thread(
+        served, monkeypatch):
+    """The per-burst budget as counts: a 16-frame burst on an idle service
+    takes one ``_cond`` round to admit (and one to hand the baton back,
+    waking nobody), runs every batch on the connection's handler thread,
+    queues nothing for the drain, counts everything in one counter lock
+    round, and builds no ``Event``, ``Condition`` or encoder."""
+    svc, srv = served
+    seen = _record_threads(svc, 64)
+    xs = [_vec(64, seed) for seed in range(16)]
+    with ServeClient("127.0.0.1", srv.port) as client:
+        client.fft(np.stack(xs))  # plan built, max_queue_depth at 16
+        (session,) = srv.sessions
+        seen.clear()
+        cond = _CountingLock(svc._cond)
+        monkeypatch.setattr(svc, "_cond", cond)
+        notified = []
+        monkeypatch.setattr(cond, "notify_all",
+                            lambda: notified.append(threading.get_ident()),
+                            raising=False)
+        rounds = _CountingLock(svc.counters._lock)
+        monkeypatch.setattr(svc.counters, "_lock", rounds)
+        made = _count_built(monkeypatch, threading, "Event", "Condition")
+        encoders = _count_encoders(monkeypatch)
+        replies = client.fft_pipeline(xs)
+        assert (cond.rounds, notified) == (2, [])
+        assert rounds.rounds == 1
+        assert (made, encoders) == ([], [])
+        assert seen and set(seen) == {session.handler}
+        assert session.queued == []  # the drain never woke
+    for x, (y, _, err) in zip(xs, replies):
+        assert err is None
+        np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-6)
+    stats = svc.stats()
+    assert stats["requests"] == 17 and stats["batches"] == 2
+    assert stats["batched_vectors"] == 32
 
 
 def test_a_pipelined_burst_still_batches(served):
-    """Frames already read behind a request keep it off the inline path,
-    so a burst on one connection coalesces at a zero window."""
+    """A burst read off one connection is held and admitted as one group,
+    so it coalesces at a zero window."""
     svc, srv = served
     svc.prewarm(64)
     xs = [_vec(64, seed) for seed in range(16)]
@@ -283,9 +349,9 @@ def test_one_batch_at_a_time_under_contention():
 
 
 class _StubService:
-    """As much of a service as a session uses.  Each ``submit`` either
-    leaves its ticket for the test to resolve, or — when the session says
-    nothing follows — resolves it at once, as an inline run would."""
+    """As much of a service as a session uses.  Each admitted request
+    either leaves its ticket for the test to resolve, or — when the session
+    says nothing follows — resolves it at once, as a run here would."""
 
     config = ServeConfig()
     health = stats = staticmethod(dict)
@@ -295,13 +361,16 @@ class _StubService:
         self.tickets: list = []
         self.admitted = threading.Semaphore(0)
 
-    def submit(self, x, inline=None, **hints):
-        ticket = FFTTicket()
-        if self.plan.pop(0) == "inline" and inline is not None and inline():
-            ticket._resolve(result=2 * x)
-        self.tickets.append((ticket, x))
-        self.admitted.release()
-        return ticket
+    def request(self, x, **hints):
+        return SimpleNamespace(x=x, rows=1, ticket=None)
+
+    def admit(self, reqs, here=False):
+        for req in reqs:
+            req.ticket = FFTTicket()
+            if self.plan.pop(0) == "inline" and here:
+                req.ticket._resolve(result=2 * req.x)
+            self.tickets.append((req.ticket, req.x))
+            self.admitted.release()
 
 
 def test_replies_stay_in_request_order_across_inline_and_drained():
@@ -336,6 +405,168 @@ def test_replies_stay_in_request_order_across_inline_and_drained():
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+def _frame(msg: dict, x=None) -> bytes:
+    """One frame's bytes, as a client puts them on the wire."""
+    return b"".join(bytes(b) for b in frame_buffers(msg, x))
+
+
+class TestHeldFrames:
+    """A session holds what a burst brings and admits it as one group; no
+    held frame waits on the client, and every reply keeps its slot."""
+
+    @staticmethod
+    def _dial(srv) -> FrameConn:
+        return FrameConn.dial(("127.0.0.1", srv.port), 10.0)
+
+    @staticmethod
+    def _fft_reply(conn, req_id, x) -> None:
+        msg, buf, _ = conn.recv()
+        assert (msg["id"], msg["ok"]) == (req_id, True), msg
+        np.testing.assert_allclose(payload_array(msg, buf),
+                                   np.fft.fft(x, axis=-1), atol=1e-6)
+
+    @pytest.mark.parametrize("cut", [10, 700], ids=["header", "payload"])
+    def test_a_held_frame_is_answered_before_the_handler_blocks(
+            self, served, cut):
+        """One whole frame and part of the next, then silence: the first
+        is answered while the handler waits for the rest of the second."""
+        _, srv = served
+        x1, x2 = _vec(64, 1), _vec(64, 2)
+        second = _frame({"op": "fft", "id": 2}, x2)
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(_frame({"op": "fft", "id": 1}, x1)
+                               + second[:cut])
+            self._fft_reply(conn, 1, x1)
+            conn._sock.sendall(second[cut:])
+            self._fft_reply(conn, 2, x2)
+        finally:
+            conn.close()
+
+    def test_a_burst_then_a_half_close_gets_every_reply_in_order(
+            self, served):
+        _, srv = served
+        xs = [_vec(64 << (i % 3), i) for i in range(12)]
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(b"".join(
+                _frame({"op": "fft", "id": i}, x) for i, x in enumerate(xs)))
+            conn._sock.shutdown(socket.SHUT_WR)
+            for i, x in enumerate(xs):
+                self._fft_reply(conn, i, x)
+            assert conn.recv() is None  # and then the server hangs up
+        finally:
+            conn.close()
+
+    def test_every_op_in_a_burst_is_answered_in_its_slot(self, served):
+        _, srv = served
+        xs = [_vec(64, i) for i in range(4)]
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(b"".join([
+                _frame({"op": "fft", "id": 0}, xs[0]),
+                _frame({"op": "ping", "id": 1}),
+                _frame({"op": "fft", "id": 2}, xs[1]),
+                _frame({"op": "stats", "id": 3}),
+                _frame({"op": "health", "id": 4}),
+                _frame({"op": "fft", "id": 5}),  # no payload
+                dump_line({"op": "fft", "id": 6, "shape": [7],
+                           "nbytes": 128}) + bytes(128),  # malformed
+                _frame({"op": "fft", "id": 7}, xs[2]),
+                _frame({"op": "fft", "id": 8, "threads": "two"}, xs[3]),
+                _frame({"op": "fft", "id": 9}, xs[3]),
+            ]))
+            self._fft_reply(conn, 0, xs[0])
+            assert conn.recv()[0] == {"id": 1, "ok": True, "pong": True}
+            self._fft_reply(conn, 2, xs[1])
+            assert conn.recv()[0]["stats"]["requests"] >= 0
+            assert conn.recv()[0]["health"]["status"] == "ok"
+            for req_id in (5, 6):
+                msg = conn.recv()[0]
+                assert (msg["id"], msg["error"]) == (req_id, "bad-request")
+            self._fft_reply(conn, 7, xs[2])
+            msg = conn.recv()[0]
+            assert (msg["id"], msg["error"]) == (8, "bad-request")
+            self._fft_reply(conn, 9, xs[3])
+        finally:
+            conn.close()
+
+    def test_a_no_batch_request_in_a_burst_runs_as_its_own_batch(
+            self, served):
+        svc, srv = served
+        svc.prewarm(64)
+        batches: list = []
+        execute = svc._execute_batch
+        svc._execute_batch = lambda key, batch: (
+            batches.append([r.no_batch for r in batch]),
+            execute(key, batch))[1]
+        xs = [_vec(64, i) for i in range(5)]
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(b"".join(
+                _frame({"op": "fft", "id": i, "no_batch": i == 2}, x)
+                for i, x in enumerate(xs)))
+            for i, x in enumerate(xs):
+                self._fft_reply(conn, i, x)
+        finally:
+            conn.close()
+        assert sum(map(len, batches)) == 5
+        assert [True] in batches
+        assert all(b == [True] or True not in b for b in batches)
+
+    def test_a_burst_past_queue_limit_is_admitted_as_it_is_read(self):
+        """A session holds at most ``queue_limit`` rows: a longer burst is
+        admitted in groups while it is read, and every reply — a result or
+        an ``overloaded`` — keeps its slot."""
+        svc = FFTService(ServeConfig(window_s=0.0, queue_limit=4))
+        srv = FFTServer(("127.0.0.1", 0), svc)
+        srv.serve_background()
+        xs = [_vec(64, i) for i in range(12)]
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(b"".join(
+                _frame({"op": "fft", "id": i}, x) for i, x in enumerate(xs)))
+            for i, x in enumerate(xs):
+                msg, buf, _ = conn.recv()
+                assert msg["id"] == i
+                if i < 4 or msg["ok"]:  # the first group always fits
+                    np.testing.assert_allclose(payload_array(msg, buf),
+                                               np.fft.fft(x), atol=1e-6)
+                else:
+                    assert msg["error"] == "overloaded"
+        finally:
+            conn.close()
+            srv.shutdown()
+            srv.server_close()
+            svc.close()
+
+    def test_a_mid_burst_overload_is_answered_in_its_slot(self):
+        """Rows 1, 1, 2, 1 against a queue of 3: the third request does
+        not fit and is ``overloaded``; the fourth still does."""
+        svc = FFTService(ServeConfig(window_s=0.5, queue_limit=3))
+        srv = FFTServer(("127.0.0.1", 0), svc)
+        srv.serve_background()
+        xs = [_vec(64, 0), _vec(64, 1), np.stack([_vec(64, 2), _vec(64, 3)]),
+              _vec(64, 4)]
+        conn = self._dial(srv)
+        try:
+            conn._sock.sendall(b"".join(
+                _frame({"op": "fft", "id": i}, x) for i, x in enumerate(xs)))
+            for i, x in enumerate(xs):
+                if i != 2:
+                    self._fft_reply(conn, i, x)
+                    continue
+                msg = conn.recv()[0]
+                assert (msg["id"], msg["error"]) == (2, "overloaded")
+                assert msg["retry_after"] > 0
+            assert svc.stats()["rejected"] == 1
+        finally:
+            conn.close()
+            srv.shutdown()
+            srv.server_close()
+            svc.close()
 
 
 class TestIdleNeverBlocks:

@@ -4,6 +4,7 @@ import io
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,10 +182,14 @@ class _GatedService:
         self.tickets: list = []
         self.admitted = threading.Semaphore(0)
 
-    def submit(self, x, **hints):
-        self.tickets.append((FFTTicket(), x))
-        self.admitted.release()
-        return self.tickets[-1][0]
+    def request(self, x, **hints):
+        return SimpleNamespace(x=x, rows=1, ticket=None)
+
+    def admit(self, reqs, here=False):
+        for req in reqs:
+            req.ticket = FFTTicket()
+            self.tickets.append((req.ticket, req.x))
+            self.admitted.release()
 
 
 def test_a_finished_response_does_not_wait_for_the_next_requests_compute():

@@ -9,9 +9,12 @@ import pytest
 
 from repro.serve import (
     DeadlineExceeded,
+    FFTServer,
     FFTService,
     FFTTicket,
     Overloaded,
+    RemoteError,
+    ServeClient,
     ServeConfig,
     ServiceClosed,
 )
@@ -90,6 +93,24 @@ class TestBatching:
             assert time.perf_counter() - t0 < 5.0
             np.testing.assert_allclose(y, np.fft.fft(_vec(64)), atol=1e-6)
 
+    def test_a_queued_no_batch_request_is_a_batch_of_its_own(self):
+        """The dispatcher skips the window for a ``no_batch`` request and
+        never coalesces it with the same-key requests queued beside it."""
+        with FFTService(ServeConfig(window_s=0.2, max_batch=8)) as svc:
+            batches: list = []
+            execute = svc._execute_batch
+            svc._execute_batch = lambda key, batch: (
+                batches.append([r.no_batch for r in batch]),
+                execute(key, batch))[1]
+            tickets = [svc.submit(_vec(64, s), no_batch=s == 1)
+                       for s in range(3)]
+            for s, t in enumerate(tickets):
+                np.testing.assert_allclose(t.result(2.0),
+                                           np.fft.fft(_vec(64, s)), atol=1e-6)
+        assert sum(map(len, batches)) == 3
+        assert [True] in batches
+        assert all(b == [True] or True not in b for b in batches)
+
     def test_different_sizes_do_not_share_batches(self):
         cfg = ServeConfig(window_s=0.1, max_batch=8)
         with FFTService(cfg) as svc:
@@ -125,6 +146,44 @@ class TestAdmissionControl:
             with pytest.raises(Overloaded):
                 svc.submit(np.stack([_vec(64, s) for s in range(2)]))
         finally:
+            svc.close()
+
+    def test_a_request_larger_than_the_queue_is_a_value_error(self):
+        """No wait ever admits more rows than ``queue_limit``: that is a
+        bad request, not an overload, and nothing counts it rejected."""
+        with FFTService(ServeConfig(window_s=0.0, queue_limit=4)) as svc:
+            X = np.stack([_vec(64, s) for s in range(5)])
+            with pytest.raises(ValueError, match="queue_limit"):
+                svc.submit(X)
+            with pytest.raises(ValueError, match="queue_limit"):
+                svc.transform(X)
+            np.testing.assert_allclose(svc.transform(X[:4]),
+                                       np.fft.fft(X[:4], axis=-1), atol=1e-6)
+            stats = svc.stats()
+            assert stats["rejected"] == 0
+            assert stats["requests"] == 1
+
+    def test_a_request_larger_than_the_queue_is_not_retried_over_tcp(self):
+        """Over the wire the same request is a non-retryable
+        ``bad-request``: ``fft_retry`` fails on its first attempt."""
+        svc = FFTService(ServeConfig(window_s=0.0, queue_limit=4))
+        srv = FFTServer(("127.0.0.1", 0), svc)
+        srv.serve_background()
+        try:
+            with ServeClient("127.0.0.1", srv.port) as client:
+                X = np.stack([_vec(64, s) for s in range(5)])
+                with pytest.raises(RemoteError) as exc_info:
+                    client.fft_retry(X)
+                assert exc_info.value.code == "bad-request"
+                assert "queue_limit" in str(exc_info.value)
+                assert client.retries_total == 0
+                np.testing.assert_allclose(
+                    client.fft_retry(X[:4]), np.fft.fft(X[:4], axis=-1),
+                    atol=1e-6)
+            assert svc.stats()["rejected"] == 0
+        finally:
+            srv.shutdown()
+            srv.server_close()
             svc.close()
 
     def test_deadline_exceeded_while_queued(self):
