@@ -10,10 +10,12 @@ explicit:
   buffers are refcounted (:meth:`SharedBuffer.acquire` /
   :meth:`SharedBuffer.release`) and unlinked when the count reaches zero or
   the arena closes;
-* **attaching** processes (pool workers) open segments by name via
-  :func:`attach` and only ever ``close()`` their mapping — unlink stays the
-  owner's job, matching POSIX semantics (the segment disappears after the
-  last close once unlinked);
+* **attaching** processes (pool workers, a serve shard) open segments by
+  name via :func:`attach` and only ever ``close()`` their mapping — unlink
+  stays the owner's job, matching POSIX semantics (the segment disappears
+  after the last close once unlinked).  An owner may unlink early
+  (:meth:`SharedBuffer.unlink`) once every peer has attached: the name is
+  gone, every mapping stays valid;
 * a process-wide registry backs :func:`segment_stats` /
   :func:`live_segment_names`, and an ``atexit`` hook unlinks stragglers so
   a crashed or careless holder cannot leak past interpreter exit — every
@@ -24,6 +26,7 @@ explicit:
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import secrets
 import threading
@@ -47,20 +50,28 @@ def _unique_name(prefix: str) -> str:
     return f"{prefix}-{os.getpid() % 100000}-{secrets.token_hex(4)}"
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Stop the resource tracker from double-unlinking an attachment.
+class _UntrackedMapping:
+    """An existing segment opened read-write by name — no create flag — and
+    mapped without any resource tracker hearing of it: what Python 3.13's
+    ``SharedMemory(name, track=False)`` does, for every version.  Before
+    3.13, ``SharedMemory(name)`` registers the name with this process's
+    tracker (cpython#82300), and unregistering again would strip the
+    owner's entry when the two share one."""
 
-    Attaching registers the segment with this process's resource tracker
-    (cpython#82300), which would unlink it when *this* process exits even
-    though the creator still owns it.  Python 3.13 grew ``track=False``;
-    earlier versions need the unregister call.
-    """
-    try:
-        from multiprocessing import resource_tracker
+    def __init__(self, name: str):
+        from _posixshmem import shm_open  # what SharedMemory opens with
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
+        fd = shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self.buf = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+
+    def close(self) -> None:
+        try:
+            self.buf.close()
+        except BufferError:  # a view is still alive: the pages stay mapped
+            pass  # until it goes, and the mapping with it
 
 
 @dataclass
@@ -99,11 +110,12 @@ class SharedBuffer:
             (nelems,), dtype=self.dtype, buffer=shm.buf
         )
         self._refs = 1
+        self._name = shm.name
 
     @property
     def name(self) -> str:
         assert self._shm is not None, "buffer already destroyed"
-        return self._shm.name
+        return self._name
 
     @property
     def nbytes(self) -> int:
@@ -118,6 +130,18 @@ class SharedBuffer:
     def live(self) -> bool:
         return self._shm is not None
 
+    def unlink(self) -> None:
+        """Remove the segment's name now; this mapping (and every peer's)
+        stays valid until closed.  Idempotent."""
+        with _LOCK:
+            if _OWNED.pop(self._name, None) is None:
+                return
+            _COUNTS["unlinked"] += 1
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - raced external unlink
+            pass
+
     def acquire(self) -> "SharedBuffer":
         self._refs += 1
         return self
@@ -131,13 +155,10 @@ class SharedBuffer:
         """Drop the view, close the mapping, unlink the segment."""
         if self._shm is None:
             return
+        self.unlink()
         shm, self._shm = self._shm, None
         self._array = None  # a live view would make shm.close() fail
         shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced external unlink
-            pass
 
 
 class SharedArena:
@@ -178,11 +199,7 @@ class SharedArena:
             self.stats.released += 1
             self.stats.active -= 1
             self.stats.active_bytes -= buf.nbytes
-            name = buf.name
             buf._unlink()
-        with _LOCK:
-            _OWNED.pop(name, None)
-            _COUNTS["unlinked"] += 1
 
     @property
     def active(self) -> int:
@@ -209,30 +226,39 @@ class SharedArena:
 class AttachedSegment:
     """A worker-side mapping of a segment some other process owns.
 
-    ``untrack`` matters on Python < 3.13, where attaching registers the
-    segment with a resource tracker (cpython#82300).  Pool workers share
-    the *master's* tracker under every start method (fork inherits it,
-    spawn passes the tracker fd), so for them registration is an
-    idempotent set-add and unregistering would strip the owner's entry —
-    they must leave ``untrack=False``.  ``untrack=True`` is for unrelated
-    processes with their own tracker, which would otherwise unlink the
-    owner's segment when they exit.  On 3.13+ ``track=False`` sidesteps
-    the whole question.
+    ``untrack`` matters on Python < 3.13, where attaching through
+    ``SharedMemory`` registers the segment with a resource tracker
+    (cpython#82300).  Pool workers share the *master's* tracker under
+    every start method (fork inherits it, spawn passes the tracker fd), so
+    for them registration is an idempotent set-add and they may leave
+    ``untrack=False``.  ``untrack=True`` maps the segment without any
+    tracker hearing of it (:class:`_UntrackedMapping`): for a process that
+    does not know whose tracker it has, such as a serve shard attaching a
+    client's segment — a tracker of its own would unlink the owner's
+    segment when it exits, and unregistering from a shared one would strip
+    the owner's entry.  On 3.13+ ``track=False`` sidesteps the question.
+    ``nbytes`` is the mapping's size, which may exceed ``nelems``'s.
     """
 
     def __init__(self, name: str, nelems: int, dtype=COMPLEX,
                  untrack: bool = False):
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            shm = shared_memory.SharedMemory(name=name)
-            if untrack:
-                _untrack(shm)
-        self._shm: Optional[shared_memory.SharedMemory] = shm
+        if untrack:
+            shm = _UntrackedMapping(name)
+        else:
+            try:
+                shm = shared_memory.SharedMemory(name=name, track=False)
+            except TypeError:  # Python < 3.13: no track parameter
+                shm = shared_memory.SharedMemory(name=name)
+        self._shm = shm
         self.name = name
-        self._array: Optional[np.ndarray] = np.ndarray(
-            (nelems,), dtype=np.dtype(dtype), buffer=shm.buf
-        )
+        self.nbytes = len(shm.buf)
+        try:
+            self._array: Optional[np.ndarray] = np.ndarray(
+                (nelems,), dtype=np.dtype(dtype), buffer=shm.buf
+            )
+        except TypeError:  # the segment is smaller than asked for
+            shm.close()
+            raise
 
     @property
     def array(self) -> np.ndarray:
@@ -252,9 +278,8 @@ def attach(name: str, nelems: int, dtype=COMPLEX,
            untrack: bool = False) -> AttachedSegment:
     """Map an existing segment by name as ``nelems`` of ``dtype``.
 
-    Pass ``untrack=True`` from workers whose resource tracker is *not*
-    shared with the segment owner (the ``spawn`` start method); see
-    :class:`AttachedSegment` for why fork workers must leave it False.
+    Pass ``untrack=True`` from a process that may not share the owner's
+    resource tracker; see :class:`AttachedSegment`.
     """
     return AttachedSegment(name, nelems, dtype, untrack=untrack)
 
@@ -280,7 +305,6 @@ def _cleanup_at_exit() -> None:
     """Unlink stragglers at interpreter exit; each one counts as a leak."""
     with _LOCK:
         stragglers = list(_OWNED.values())
-        _OWNED.clear()
     for buf in stragglers:
         try:
             buf._unlink()
@@ -288,7 +312,6 @@ def _cleanup_at_exit() -> None:
             pass
         with _LOCK:
             _COUNTS["leaked_at_exit"] += 1
-            _COUNTS["unlinked"] += 1
 
 
 atexit.register(_cleanup_at_exit)

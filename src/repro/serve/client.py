@@ -3,7 +3,12 @@
 One :class:`ServeClient` holds one
 :class:`~repro.serve.protocol.FrameConn` and is intended for one thread
 (the load generator gives each worker its own client).  Arrays
-travel as binary frames (raw ``complex128`` after a JSON header line).
+travel as binary frames (raw ``complex128`` after a JSON header line) —
+except that a client whose peer is a loopback address offers each
+connection one shared segment (``attach``), and a payload of
+``BY_REFERENCE_BYTES`` or more then crosses no socket: it is written into
+the segment and the shard writes the result beside it.  A refused
+``attach`` (the router refuses it) leaves the connection on bytes.
 Remote failures surface as :class:`RemoteError`; ``overloaded``
 rejections carry the server's ``retry_after`` hint so callers can
 implement polite backoff.
@@ -35,8 +40,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..mp.arena import SharedArena
 from ..seeding import default_seed, derive_seed
-from .protocol import RETRYABLE_CODES, FrameConn, payload_array
+from .protocol import BY_REFERENCE_BYTES, RETRYABLE_CODES, WIRE_DTYPE, \
+    WIRE_PREFIX, FrameConn, payload_array
 
 #: per-process client counter; decorrelates jitter streams of a fleet of
 #: clients sharing one ``REPRO_SEED``
@@ -62,6 +69,46 @@ def jitter_rng(policy: "RetryPolicy",
     return random.Random(
         derive_seed(default_seed(), "serve.client.jitter", client_index)
     )
+
+
+def _lines(nbytes: int) -> int:
+    """``nbytes`` rounded up to whole 64-byte cache lines."""
+    return -(-nbytes // 64) * 64
+
+
+class _Segment:
+    """A connection's shared segment, client side.  A call bump-allocates
+    its regions from offset 0; no view of the mapping outlives the call
+    that made it, so the segment always closes."""
+
+    def __init__(self, arena: SharedArena, nbytes: int):
+        self._shared = arena.allocate(nbytes, np.uint8)
+        self.name, self.nbytes = self._shared.name, nbytes
+
+    def put(self, msg: dict, x: np.ndarray, at: int) -> int:
+        """Write ``x`` into the region at ``at`` and make ``msg`` its
+        segment frame; returns the offset of the region its result comes
+        back in (the next free offset is one region further)."""
+        view = np.ndarray(x.shape, WIRE_DTYPE, self._shared.array, at)
+        try:
+            view[...] = x
+        finally:
+            del view  # not even a failed call's traceback keeps it
+        out = at + _lines(16 * x.size)
+        msg["shape"], msg["shm"] = list(x.shape), [at, out]
+        return out
+
+    def take(self, at: int, shape) -> np.ndarray:
+        return np.array(np.ndarray(shape, WIRE_DTYPE, self._shared.array, at),
+                        dtype=np.complex128)
+
+    def unlink(self) -> None:
+        """Remove the name: both mappings stay valid, and no process that
+        dies from here on can leave the segment behind."""
+        self._shared.unlink()
+
+    def release(self) -> None:
+        self._shared.release()
 
 
 class RemoteError(Exception):
@@ -120,6 +167,8 @@ class ServeClient:
         self._next_id = 0
         self.retries_total = 0
         self.reconnects_total = 0
+        # owns each connection's shared segment in turn
+        self._arena = SharedArena(WIRE_PREFIX)
         self._connect()
 
     # -- plumbing -------------------------------------------------------------
@@ -128,6 +177,9 @@ class ServeClient:
         # one timeout: here the read timeout *is* the request timeout
         self._conn = FrameConn.dial(self._address, self._timeout)
         self._connected = True
+        self._segment: Optional[_Segment] = None
+        # may this connection still offer a segment: same host, not refused
+        self._offer = self._conn.loopback()
 
     def reconnect(self) -> None:
         """Drop the (possibly reset) connection and dial a fresh one."""
@@ -146,6 +198,42 @@ class ServeClient:
         if not resp.get("ok", False):
             raise RemoteError.of(resp)
         return resp
+
+    def _segment_for(self, need: int) -> Optional[_Segment]:
+        """The connection's segment, with room for ``need`` bytes: created
+        and offered (``attach``) on first need, and again, larger, when a
+        call needs more room; None on bytes."""
+        seg = self._segment
+        if seg is not None and seg.nbytes >= need:
+            return seg
+        if not self._offer:
+            return None
+        try:
+            fresh = _Segment(self._arena, 1 << (need - 1).bit_length())
+        except OSError:  # no shared memory here: bytes it is
+            self._offer = False
+            return None
+        try:
+            self.request("attach", name=fresh.name, size=fresh.nbytes)
+        except RemoteError:  # refused: this connection stays on bytes
+            fresh.release()
+            self._offer = False
+            return None
+        except BaseException:
+            fresh.release()
+            raise
+        fresh.unlink()
+        if seg is not None:
+            seg.release()
+        self._segment = fresh
+        return fresh
+
+    def _result(self, resp: dict, buf, shape, out: Optional[int]):
+        """A successful reply's array: its payload, or a copy of its
+        segment region (the next call reuses the region)."""
+        if out is None:
+            return payload_array(resp, buf)
+        return self._segment.take(out, shape)
 
     def _fft_header(self, threads, mu, strategy, timeout,
                     no_batch) -> dict:
@@ -183,10 +271,18 @@ class ServeClient:
     ) -> np.ndarray:
         """Transform one vector or a ``(b, n)`` stack on the server."""
         msg = self._fft_header(threads, mu, strategy, timeout, no_batch)
-        self._conn.send(msg, np.asarray(x))
+        x = np.asarray(x)
+        nbytes = 16 * x.size
+        seg = (None if nbytes < BY_REFERENCE_BYTES
+               else self._segment_for(2 * _lines(nbytes)))
+        out = None
+        if seg is None:
+            self._conn.send(msg, x)
+        else:
+            out = seg.put(msg, x, 0)
+            self._conn.send(msg)
         resp, buf = self._read_response()
-        self._check(resp)
-        return payload_array(resp, buf)
+        return self._result(self._check(resp), buf, x.shape, out)
 
     def fft_retry(
         self,
@@ -250,26 +346,35 @@ class ServeClient:
         failure), ``latency_s`` the send-to-receive wall time, and
         ``error`` a :class:`RemoteError` or None.
         """
-        sent: list[tuple[int, float]] = []
-        send, last = self._conn.send, len(xs) - 1
-        for i, x in enumerate(xs):
+        xs = [np.asarray(x) for x in xs]
+        sizes = [16 * x.size for x in xs]
+        need = sum(2 * _lines(nb) for nb in sizes if nb >= BY_REFERENCE_BYTES)
+        seg = self._segment_for(need) if need else None
+        send, last, at = self._conn.send, len(xs) - 1, 0
+        sent = []  # (id, shape, the result's segment offset or None, t0)
+        for i, (x, nb) in enumerate(zip(xs, sizes)):
             msg = self._fft_header(threads, mu, strategy, timeout, False)
-            send(msg, np.asarray(x), i == last)  # one flush per burst
-            sent.append((msg["id"], time.perf_counter()))
+            out = None
+            if seg is None or nb < BY_REFERENCE_BYTES:
+                send(msg, x, i == last)  # one flush per burst
+            else:
+                out = seg.put(msg, x, at)
+                send(msg, None, i == last)
+                at = out + _lines(nb)
+            sent.append((msg["id"], x.shape, out, time.perf_counter()))
         by_id: dict = {}
         for _ in sent:
             resp, buf = self._read_response()
-            now = time.perf_counter()
-            rid = resp.get("id")
+            by_id[resp.get("id")] = (resp, buf, time.perf_counter())
+        results = []
+        for rid, shape, out, t0 in sent:
+            resp, buf, t1 = by_id[rid]
             if resp.get("ok", False):
-                by_id[rid] = (payload_array(resp, buf), now, None)
+                results.append((self._result(resp, buf, shape, out), t1 - t0,
+                                None))
             else:
-                by_id[rid] = (None, now, RemoteError.of(resp))
-        out = []
-        for rid, t0 in sent:
-            y, t1, err = by_id[rid]
-            out.append((y, t1 - t0, err))
-        return out
+                results.append((None, t1 - t0, RemoteError.of(resp)))
+        return results
 
     def _envelope(self, op: str) -> dict:
         """One payload-less op under the client's own retry policy."""
@@ -297,6 +402,9 @@ class ServeClient:
     def close(self) -> None:
         self._connected = False
         self._conn.close()
+        if self._segment is not None:
+            self._segment.release()
+            self._segment = None
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -8,10 +8,17 @@ and ``FFTServer`` / ``ShardRouter`` only say which session a connection
 gets (``docs/serving.md`` §4).
 
 Every message is one JSON header line.  An array payload travels in one
-form only, the **binary frame**: the header carries ``"shape"`` and
+of two forms.  The **binary frame**: the header carries ``"shape"`` and
 ``"nbytes"`` and exactly ``nbytes`` of raw little-endian ``complex128``
 bytes follow the newline (no base64 expansion, no JSON string escaping).
-An ``fft`` request without a payload is a ``bad-request``.
+The **segment frame**, same host only: a client whose peer is a loopback
+address offers the connection one shared-memory segment (``attach``), and
+an ``fft`` payload of :data:`BY_REFERENCE_BYTES` or more is written into
+it; the header carries ``"shape"`` and ``"shm": [in, out]`` (byte offsets
+of the request's region and of the one its reply is written into) and no
+payload follows — nor does one follow the reply.  An endpoint that maps
+no segment (the router) refuses ``attach``, and its clients keep sending
+binary frames.  An ``fft`` request with neither is a ``bad-request``.
 
 Request ops::
 
@@ -21,6 +28,8 @@ Request ops::
     {"op": "ping", "id": 3}
     {"op": "health", "id": 4}
     {"op": "prewarm", "id": 5, "n": 4096, "threads": 2, "mu": 4}
+    {"op": "attach", "id": 6, "name": "repro-wire-...", "size": 2097152}
+    {"op": "fft", "id": 7, "shape": [4, 16384], "shm": [0, 1048576]}
 
 Responses echo ``id`` and carry ``ok``; failures carry ``error`` (a stable
 code from :data:`ERROR_CODES`) plus a human ``detail``, and ``overloaded``
@@ -35,23 +44,27 @@ A malformed frame gets one typed reply, never an exception out of the
 loop.  ``bad-json`` — the line is not a JSON object, or ``nbytes`` is not
 an integer in ``[0, MAX_PAYLOAD_BYTES]`` — means the stream is out of
 step: the connection closes after the reply.  ``bad-request`` under the
-request's own ``id`` — ``shape`` does not describe ``nbytes`` — means the
-payload was consumed and the next frame is served.
+request's own ``id`` — ``shape`` does not describe ``nbytes``, a segment
+region the attached segment does not hold, an ``attach`` refused — means
+the frame was consumed and the next frame is served.
 
 Flush policy: a send flushes unless its caller knows another follows at
 once — ``fft_pipeline`` flushes after a burst's last request, the server
 flushes a held group's replies once, after the last, and its drain defers
 while responses are queued (and flushes before it blocks on an unresolved
-one); every other send flushes.  A payload is never copied in
+one); every other send flushes.  A binary payload is never copied in
 user space: see :data:`BY_REFERENCE_BYTES` and :func:`_read_frame_raw`.  A
-relay encodes nothing: it sends the header line and payload buffer
-``recv()`` returned (:func:`frame_buffers`).
+segment payload crosses no socket: the client copies it in and the result
+out, and the shard copies the result into the reply's region.  A relay
+encodes nothing: it sends the header line and payload buffer ``recv()``
+returned (:func:`frame_buffers`).
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import ipaddress
 import json
 import select
 import socket
@@ -83,6 +96,10 @@ MAX_PAYLOAD_BYTES = 1 << 28
 #: of list handling per small frame is 5 % of a routed n=64 request), and a
 #: deferred flush stops deferring once this much is owed
 BY_REFERENCE_BYTES = 1 << 16
+
+#: the name prefix of a connection's shared segment: a shard attaches no
+#: other name
+WIRE_PREFIX = "repro-wire"
 
 
 def error_response(req_id, code: str, detail: str,
@@ -191,21 +208,26 @@ def _read_frame_raw(rfile) -> Optional[
     if rfile.readinto(buf) != nbytes:
         return None
     shape = msg.get("shape")
-    described = -1
-    if type(shape) is list and shape:
-        described = _ITEM_BYTES
-        for dim in shape:
-            if type(dim) is not int or dim < 0:
-                described = -1
-                break
-            described *= dim
-    if described != nbytes:
+    if described_bytes(shape) != nbytes:
         raise FrameError(
             "bad-request",
             f"shape {shape!r} does not describe {nbytes} payload bytes",
             msg.get("id"),
         )
     return msg, buf, line
+
+
+def described_bytes(shape) -> int:
+    """The payload bytes ``shape`` describes; -1 when it describes none
+    (not a non-empty list of non-negative integers)."""
+    if type(shape) is not list or not shape:
+        return -1
+    described = _ITEM_BYTES
+    for dim in shape:
+        if type(dim) is not int or dim < 0:
+            return -1
+        described *= dim
+    return described
 
 
 def payload_array(msg: dict, buf: memoryview) -> np.ndarray:
@@ -297,6 +319,15 @@ class FrameConn:
         sock.settimeout(timeout)
         return cls(sock)
 
+    def loopback(self) -> bool:
+        """The peer is a loopback address: on this host, so a shared
+        segment can carry what would otherwise cross the socket."""
+        try:
+            host = self._sock.getpeername()[0]
+            return ipaddress.ip_address(host).is_loopback
+        except (OSError, ValueError):
+            return False
+
     def send(self, msg, payload=None, flush: bool = True) -> None:
         """Write one frame (see :func:`frame_buffers`): coalesced by copy
         into the out-buffer, which leaves on ``flush`` — or by reference,
@@ -371,12 +402,16 @@ class Session:
     """What an accepted connection does with its frames: the op ladder.
     An endpoint's subclass adds what differs there — how a reply reaches
     the client (``reply``), what ``fft``, ``prewarm``, ``health`` and
-    ``stats`` mean, and what ``close`` releases."""
+    ``stats`` mean, whether it maps a shared segment (``attach``), and
+    what ``close`` releases."""
 
     #: what ``ping`` reports beside ``pong``
     ping_extra: dict = {}
     #: trace counter bumped once per request, labelled with its op
     counter = "serve.net_requests"
+    #: the connection's attached shared segment; an ``fft`` frame may name
+    #: its payload by region (``shm``) only once one is
+    segment = None
 
     def __init__(self, conn: FrameConn):
         self.conn = conn
@@ -390,12 +425,19 @@ class Session:
         req_id = msg.get("id")
         self._count(self.counter, 1, op=op)
         if op == "fft":
-            if payload is None:
+            if payload is not None or (self.segment is not None
+                                       and "shm" in msg):
+                self.fft(req_id, msg, payload, line)
+            elif "shm" in msg:
+                self.reply(error_response(
+                    req_id, "bad-request",
+                    "an 'shm' frame needs an attached segment"))
+            else:
                 self.reply(error_response(
                     req_id, "bad-request",
                     "fft needs a binary payload ('shape' + 'nbytes' header)"))
-            else:
-                self.fft(req_id, msg, payload, line)
+        elif op == "attach":
+            self.attach(req_id, msg)
         elif op == "ping":
             self.reply({"id": req_id, "ok": True, "pong": True,
                         **self.ping_extra})
@@ -412,6 +454,12 @@ class Session:
         else:
             self.reply(error_response(req_id, "bad-request",
                                       f"unknown op {op!r}"))
+
+    def attach(self, req_id, msg: dict) -> None:
+        """Map the client's shared segment.  Here: refused — an endpoint
+        that relays frames keeps them as bytes."""
+        self.reply(error_response(req_id, "bad-request",
+                                  "this endpoint maps no shared segment"))
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):

@@ -18,18 +18,27 @@ those replies in request order as their tickets resolve.  A client may
 keep many requests in flight on one connection either way.  Admission
 control applies per request of the group: one that does not fit under
 ``queue_limit`` is an ``overloaded`` reply in its own slot.
+
+A same-host client offers its connection one shared segment (``attach``).
+The session maps it (:class:`_Segment`), views each segment frame's
+request in place, and writes the result into the frame's ``out`` region
+when its reply is written — then answers with a header alone.
 """
 
 from __future__ import annotations
 
 import queue
+import re
 import sys
 import threading
 from typing import Optional
 
+import numpy as np
+
 from ..faults import get_fault_plan
-from .protocol import FrameConn, FrameServer, Session, error_response, \
-    payload_array
+from ..mp.arena import attach
+from .protocol import WIRE_DTYPE, WIRE_PREFIX, FrameConn, FrameServer, \
+    Session, described_bytes, error_response, payload_array
 from .service import (
     DeadlineExceeded,
     FFTService,
@@ -60,15 +69,74 @@ def exception_response(req_id, exc: BaseException) -> dict:
 
 def _answer(item) -> tuple[dict, object]:
     """A reply slot's header and payload: a finished header as it is, or an
-    admitted ``(request, req_id, timeout)`` once its ticket resolves."""
+    admitted ``(request, req_id, timeout, out)`` once its ticket resolves —
+    its result the payload, or written into ``out``, a segment region."""
     if type(item) is dict:
         return item, None
-    req, req_id, timeout = item
+    req, req_id, timeout, out = item
     try:
         y = req.ticket.result(None if timeout is None else timeout + 1.0)
     except Exception as exc:
         return exception_response(req_id, exc), None
-    return {"id": req_id, "ok": True}, y
+    if out is None:
+        return {"id": req_id, "ok": True}, y
+    out[...] = y
+    return {"id": req_id, "ok": True}, None
+
+
+#: a client's segment name, as ``SharedArena`` makes it: prefix, pid, hex
+_WIRE_NAME = re.compile(re.escape(WIRE_PREFIX) + r"-[0-9]+-[0-9a-f]+")
+
+
+class _Segment:
+    """A client's shared segment as the shard maps it: opened by its
+    ``repro-wire`` name only, with no create flag (the client created it,
+    mode 0600), and exactly ``size`` bytes long.  Raises ``ValueError`` or
+    ``OSError`` for anything else."""
+
+    def __init__(self, name, size):
+        if type(name) is not str or not _WIRE_NAME.fullmatch(name):
+            raise ValueError(f"{name!r} is not a {WIRE_PREFIX} segment")
+        if type(size) is not int or size < 1:
+            raise ValueError(f"size {size!r} is not a positive integer")
+        try:
+            self._map = attach(name, size, np.uint8, untrack=True)
+        except TypeError:  # the segment is smaller
+            raise ValueError(f"size {size} is not the segment's") from None
+        if self._map.nbytes != size:
+            self._map.close()
+            raise ValueError(f"size {size} is not the segment's "
+                             f"{self._map.nbytes} bytes")
+        self.nbytes = size
+
+    def regions(self, msg: dict) -> tuple[np.ndarray, np.ndarray]:
+        """A segment frame's request, viewed in place, and the view its
+        result is written into.  ``ValueError`` unless ``shape`` describes
+        a region and ``shm`` is two 16-byte-aligned offsets of disjoint
+        regions this segment holds."""
+        shape, shm = msg.get("shape"), msg["shm"]
+        nbytes = described_bytes(shape)
+        if nbytes < 0:
+            raise ValueError(f"shape {shape!r} describes no region")
+        if (type(shm) is not list or len(shm) != 2
+                or any(type(at) is not int for at in shm)):
+            raise ValueError(f"shm must be two byte offsets, got {shm!r}")
+        src, dst = shm
+        for at in shm:
+            if at < 0 or at % 16:
+                raise ValueError(f"region offset {at} is not 16-byte aligned")
+            if at + nbytes > self.nbytes:
+                raise ValueError(f"region [{at}, {at + nbytes}) runs past "
+                                 f"the segment's {self.nbytes} bytes")
+        if src < dst + nbytes and dst < src + nbytes:
+            raise ValueError(f"regions at {src} and {dst} overlap")
+        buf = self._map.array
+        x = np.ndarray(shape, WIRE_DTYPE, buf, src)
+        return (x.astype(np.complex128, copy=False),
+                np.ndarray(shape, WIRE_DTYPE, buf, dst))
+
+    def close(self) -> None:
+        self._map.close()
 
 
 class _ServerSession(Session):
@@ -80,7 +148,7 @@ class _ServerSession(Session):
         self.service = service
         self.health, self.stats = service.health, service.stats
         # read and not yet admitted, in request order: a finished reply
-        # header (a dict), or an fft's ``(request, req_id, timeout)``
+        # header (a dict), or an fft's ``(request, req_id, timeout, out)``
         self._held: list = []
         self._held_rows = 0
         # replies the drain writes in request order: the same slots, each
@@ -92,7 +160,7 @@ class _ServerSession(Session):
     def reply(self, item) -> None:
         """Hold ``item`` in its request's slot until the held group is
         admitted: a finished reply header, or an fft's ``(request, req_id,
-        timeout)``."""
+        timeout, out)``."""
         if not self._held:
             self.conn.before_block(self._admit_held)
         self._held.append(item)
@@ -107,9 +175,25 @@ class _ServerSession(Session):
             raise ConnectionAbortedError("injected fault: connection reset")
         Session.dispatch(self, msg, payload, line)
 
-    def fft(self, req_id, msg: dict, payload: memoryview, line: bytes) -> None:
+    def attach(self, req_id, msg: dict) -> None:
+        """Map the client's shared segment in place of the one before; a
+        refused ``attach`` leaves the session as it was."""
+        try:
+            segment = _Segment(msg.get("name"), msg.get("size"))
+        except (OSError, ValueError) as exc:
+            self.reply(error_response(req_id, "bad-request",
+                                      f"attach refused: {exc}"))
+            return
+        if self.segment is not None:
+            self.segment.close()
+        self.segment = segment
+        self.reply({"id": req_id, "ok": True})
+
+    def fft(self, req_id, msg: dict, payload: Optional[memoryview],
+            line: bytes) -> None:
         """Hold one request in its slot; admit the held group now if it
-        reached ``queue_limit`` rows (else before the next blocking read)."""
+        reached ``queue_limit`` rows (else before the next blocking read).
+        No ``payload``: a segment frame, viewed in place."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
@@ -119,9 +203,14 @@ class _ServerSession(Session):
             return
         service = self.service
         timeout = msg.get("timeout", service.config.default_timeout_s)
+        out = None
         try:
+            if payload is None:
+                x, out = self.segment.regions(msg)
+            else:
+                x = payload_array(msg, payload)
             req = service.request(
-                payload_array(msg, payload),
+                x,
                 threads=msg.get("threads"),
                 mu=msg.get("mu"),
                 strategy=msg.get("strategy"),
@@ -131,7 +220,7 @@ class _ServerSession(Session):
         except Exception as exc:
             self.reply(exception_response(req_id, exc))
             return
-        self.reply((req, req_id, timeout))
+        self.reply((req, req_id, timeout, out))
         self._held_rows += req.rows
         if self._held_rows >= service.config.queue_limit:
             self.conn.before_block(None)
@@ -214,6 +303,8 @@ class _ServerSession(Session):
             pass  # the connection is gone, or was closed under us
         self._pending.put(None)  # ends the drain once all queued is written
         self._drainer.join(timeout=60)
+        if self.segment is not None:
+            self.segment.close()
 
 
 class FFTServer(FrameServer):

@@ -19,8 +19,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.mp import SharedArena
 from repro.serve import FFTServer, FFTService, ServeConfig
-from repro.serve.protocol import MAX_PAYLOAD_BYTES, dump_line
+from repro.serve.protocol import MAX_PAYLOAD_BYTES, WIRE_PREFIX, dump_line
 from repro.shard import ShardFleet, ShardRouter
 
 X = np.arange(8) * (1.0 + 0.5j)
@@ -136,6 +137,18 @@ IN_STEP = {
     "timeout-is-a-bool": (_fft(19, timeout=True), 19, "bad-request"),
     "prewarm-n-is-a-string": (
         dump_line({"op": "prewarm", "id": 15, "n": "64"}), 15, "bad-request"),
+    # the segment plane: nothing is attached on a fresh connection, and
+    # neither endpoint opens a name it did not make or that is not there
+    "shm-frame-before-attach": (
+        dump_line({"op": "fft", "id": 40, "shape": [8], "shm": [0, 128]}),
+        40, "bad-request"),
+    "attach-without-the-prefix": (
+        dump_line({"op": "attach", "id": 41, "name": "repro-mp-1-0badc0de",
+                   "size": 4096}), 41, "bad-request"),
+    "attach-of-a-missing-name": (
+        dump_line({"op": "attach", "id": 42,
+                   "name": f"{WIRE_PREFIX}-1-0badc0de", "size": 4096}),
+        42, "bad-request"),
 }
 
 #: frames after which the stream cannot be trusted: (bytes, id)
@@ -181,6 +194,67 @@ def test_consumed_frame_gets_one_typed_reply_and_the_connection_serves_on(
                           "nbytes": 128}
         got = np.frombuffer(rfile.read(128), dtype="<c16")
         np.testing.assert_allclose(got, np.fft.fft(X), atol=1e-9)
+
+
+#: segment frames on a connection with a 4 KiB segment attached: (header
+#: fields, id).  A region of 8 points is 128 bytes.
+SEGMENT_BYTES = 4096
+SEGMENT_FRAMES = {
+    "region-past-the-end": ({"shape": [8], "shm": [0, SEGMENT_BYTES - 64]},
+                            50),
+    "region-offset-not-16-byte-aligned": ({"shape": [8], "shm": [8, 256]},
+                                          51),
+    "shape-and-region-disagree": ({"shape": [8, -2], "shm": [0, 256]}, 52),
+    "in-and-out-overlap": ({"shape": [8], "shm": [0, 64]}, 53),
+    "shm-is-not-two-offsets": ({"shape": [8], "shm": [0]}, 54),
+    "attach-of-another-size": ({"op": "attach", "size": 2 * SEGMENT_BYTES},
+                               55),
+}
+
+
+@pytest.fixture()
+def wire_segment():
+    """A client's 4 KiB segment, made as ``ServeClient`` makes it."""
+    with SharedArena(WIRE_PREFIX) as arena:
+        yield arena.allocate(SEGMENT_BYTES, np.uint8)
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_FRAMES))
+def test_a_malformed_segment_frame_gets_a_typed_reply_and_reads_on(
+        direct, wire_segment, case):
+    """Each bad segment frame is a ``bad-request`` under its own id, the
+    connection serves on, and the shard never writes outside the one
+    ``out`` region a good frame names."""
+    fields, req_id = SEGMENT_FRAMES[case]
+    seg = wire_segment.array
+    seg[:] = np.random.default_rng(req_id).integers(0, 256, SEGMENT_BYTES)
+    x = seg[:128].view("<c16").copy()
+    before = seg.copy()
+    with socket.create_connection(("127.0.0.1", direct.port)) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.settimeout(10)
+        sock.sendall(dump_line({"op": "attach", "id": 1,
+                                "name": wire_segment.name,
+                                "size": SEGMENT_BYTES}))
+        assert _read_reply(rfile) == {"id": 1, "ok": True}
+        head = {"op": "fft", "id": req_id, **fields}
+        if head["op"] == "attach":
+            head["name"] = wire_segment.name
+        sock.sendall(dump_line(head) + dump_line({"op": "ping", "id": 99}))
+        reply = _read_reply(rfile)
+        assert reply["id"] == req_id and reply["ok"] is False
+        assert reply["error"] == "bad-request"
+        assert _read_reply(rfile)["pong"] is True
+        assert (seg == before).all()  # a refused frame wrote nothing
+        # the segment attached first still serves a good frame
+        sock.sendall(dump_line({"op": "fft", "id": 2, "shape": [8],
+                                "shm": [0, 1024]}))
+        assert _read_reply(rfile) == {"id": 2, "ok": True}
+    out = seg[1024:1152].view("<c16")
+    np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-9)
+    assert (seg[:1024] == before[:1024]).all()
+    assert (seg[1152:] == before[1152:]).all()
+    assert direct.escaped == []
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_STEP))
