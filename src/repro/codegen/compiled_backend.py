@@ -85,7 +85,7 @@ import numpy as np
 
 from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
-from ..smp.runtime import FusedStages, PlanStage
+from ..smp.runtime import FusedStages, PlanStage, check_out
 from ..spl.expr import COMPLEX
 from ..trace import get_tracer
 from .c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
@@ -277,14 +277,21 @@ class CompiledPlan:
         multiple of ``n``, is a :class:`ValueError` before C sees it.  The
         ctypes call releases the GIL, so parallel stages scale on the
         pthreads pool.  The sequence is a
-        :class:`~repro.smp.runtime.FusedStages`: its ``whole(X,
-        writable)`` makes the chain's one C call on the ``(b, n)`` stack
+        :class:`~repro.smp.runtime.FusedStages`: its ``whole(X, writable,
+        out=None)`` makes the chain's one C call on the ``(b, n)`` stack
         :meth:`Runtime.run_stages <repro.smp.runtime.Runtime.run_stages>`
         vouched for (C-contiguous, aligned ``complex128``; read in place,
-        never written) and returns a fresh ``(b, n)`` result that starts
-        on a cache line (a view of an allocation one line longer, which it
-        alone keeps alive), raising :class:`MemoryError` if the chain
-        could not allocate its scratch.
+        never written), raising :class:`MemoryError` if the chain could
+        not allocate its scratch.  Without ``out`` it returns a fresh
+        ``(b, n)`` result that starts on a cache line (a view of an
+        allocation one line longer, which it alone keeps alive).  With
+        one, the chain stores the result straight into ``out`` and
+        ``out`` is returned — once
+        :func:`~repro.smp.runtime.check_out` has refused, before C, any
+        ``out`` the chain could overrun or that overlaps ``X``; an ``out``
+        that does not start on a cache line (a wire region may sit at 16
+        mod 64) gets the result computed on a line of its own and copied
+        in once.
         """
         n = self.size
         stages: list[PlanStage] = []
@@ -326,23 +333,34 @@ class CompiledPlan:
                 )
             )
 
-        def whole(X, writable, _chain=self._chain, _n=n,
+        def whole(X, writable, out=None, _chain=self._chain, _n=n,
                   _pad=CACHE_LINE // 16):
-            # one line over, sliced to start on a line (malloc's is 16 mod
-            # 64); the address is worked out from the one fetch of it
             size = X.size
-            raw = np.empty(size + _pad, COMPLEX)
-            at = ctypes.addressof(_view(raw))
-            skip = (-at % CACHE_LINE) // 16
+            if out is not None:
+                check_out(X, out)
+                # a zero-byte buffer has no view, and no row is written
+                y = ctypes.addressof(_view(out)) if size else 0
+            if out is None or y % CACHE_LINE:
+                # one line over, sliced to start on a line (malloc's is 16
+                # mod 64); the address is worked out from the one fetch of it
+                raw = np.empty(size + _pad, COMPLEX)
+                at = ctypes.addressof(_view(raw))
+                skip = (-at % CACHE_LINE) // 16
+                Y, y = raw[skip:skip + size].reshape(X.shape), at + 16 * skip
+            else:
+                Y = out  # the chain's own stores land in the caller's buffer
             if not size:
                 x = 0  # no row is read, and a zero-byte buffer has no view
             elif writable:
                 x = ctypes.addressof(_view(X))
             else:
                 x = X.ctypes.data  # a wire payload, say: refuses the view
-            if _chain(len(X), x, at + 16 * skip):
+            if _chain(len(X), x, y):
                 raise MemoryError(f"plan n={_n}: no scratch for a row")
-            return raw[skip:skip + size].reshape(X.shape)
+            if out is None or Y is out:
+                return Y
+            np.copyto(out, Y)  # an out off its line: the one copy
+            return out
 
         return FusedStages(stages, whole)
 

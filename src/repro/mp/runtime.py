@@ -205,7 +205,7 @@ class ProcessPoolRuntime(Runtime):
         """``run(compile_spec(spec), x)``: the spec-in, array-out shorthand."""
         return self.run(compile_spec(spec), x)
 
-    def _walk(self, stages, flat, spec):
+    def _walk(self, stages, flat, spec, out=None):
         """The master's side of one job: processor 0 of the lockstep walk.
 
         ``stages`` must come from the builder that workers apply to ``spec``
@@ -215,9 +215,9 @@ class ProcessPoolRuntime(Runtime):
         if spec is None:
             raise TypeError(_NEEDS_SPEC)
         with self._exec_lock:
-            return self._walk_locked(stages, flat, spec)
+            return self._walk_locked(stages, flat, spec, out)
 
-    def _walk_locked(self, stages, flat, spec):
+    def _walk_locked(self, stages, flat, spec, out):
         if self._closed:
             raise RuntimeError(
                 "ProcessPoolRuntime is closed; worker pool no longer exists"
@@ -285,7 +285,10 @@ class ProcessPoolRuntime(Runtime):
         # lockstep_walk swaps its buffer locals each stage; recover the
         # final buffer by parity, copy out so pooled buffers can be reused
         final = src.array if len(stages) % 2 == 0 else dst.array
-        return np.array(final, copy=True), stats
+        if out is None:
+            return np.array(final, copy=True), stats
+        np.copyto(out, final)
+        return out, stats
 
     def _master_wait(self) -> None:
         if self._barrier is not None:

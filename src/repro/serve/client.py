@@ -148,7 +148,10 @@ class RetryPolicy:
 
     def backoff_s(self, attempt: int, retry_after: Optional[float],
                   rng: random.Random) -> float:
-        delay = min(self.max_s, self.base_s * self.multiplier ** attempt)
+        try:
+            delay = min(self.max_s, self.base_s * self.multiplier ** attempt)
+        except OverflowError:  # the growth passed max_s long before
+            delay = self.max_s
         if retry_after is not None:
             delay = max(delay, retry_after)
         return delay * (1.0 + self.jitter * rng.random())

@@ -55,7 +55,9 @@ while responses are queued (and flushes before it blocks on an unresolved
 one); every other send flushes.  A binary payload is never copied in
 user space: see :data:`BY_REFERENCE_BYTES` and :func:`_read_frame_raw`.  A
 segment payload crosses no socket: the client copies it in and the result
-out, and the shard copies the result into the reply's region.  A relay
+out, and the shard computes the result into the reply's region (a lone
+request's whole-plan call stores it there; a request batched with others
+gets its rows copied in).  A relay
 encodes nothing: it sends the header line and payload buffer ``recv()``
 returned (:func:`frame_buffers`).
 """

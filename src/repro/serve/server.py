@@ -21,12 +21,14 @@ control applies per request of the group: one that does not fit under
 
 A same-host client offers its connection one shared segment (``attach``).
 The session maps it (:class:`_Segment`), views each segment frame's
-request in place, and writes the result into the frame's ``out`` region
-when its reply is written — then answers with a header alone.
+request in place, and hands the service the frame's ``out`` region as the
+request's result buffer — a lone request's whole-plan call stores ``Y``
+straight into it — then answers with a header alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import re
 import sys
@@ -70,18 +72,23 @@ def exception_response(req_id, exc: BaseException) -> dict:
 def _answer(item) -> tuple[dict, object]:
     """A reply slot's header and payload: a finished header as it is, or an
     admitted ``(request, req_id, timeout, out)`` once its ticket resolves —
-    its result the payload, or written into ``out``, a segment region."""
+    its result the payload, or none when it was computed into ``out``, a
+    segment region."""
     if type(item) is dict:
         return item, None
     req, req_id, timeout, out = item
     try:
         y = req.ticket.result(None if timeout is None else timeout + 1.0)
     except Exception as exc:
+        if out is not None:
+            # a batch still running may yet store into out: the shard's
+            # last write to the segment comes before its reply, so the
+            # timed-out header waits for the ticket (every batch resolves
+            # it) — the client's next call reuses the region
+            with contextlib.suppress(Exception):
+                req.ticket.result()
         return exception_response(req_id, exc), None
-    if out is None:
-        return {"id": req_id, "ok": True}, y
-    out[...] = y
-    return {"id": req_id, "ok": True}, None
+    return {"id": req_id, "ok": True}, (y if out is None else None)
 
 
 #: a client's segment name, as ``SharedArena`` makes it: prefix, pid, hex
@@ -111,7 +118,7 @@ class _Segment:
 
     def regions(self, msg: dict) -> tuple[np.ndarray, np.ndarray]:
         """A segment frame's request, viewed in place, and the view its
-        result is written into.  ``ValueError`` unless ``shape`` describes
+        result is computed into.  ``ValueError`` unless ``shape`` describes
         a region and ``shm`` is two 16-byte-aligned offsets of disjoint
         regions this segment holds."""
         shape, shm = msg.get("shape"), msg["shm"]
@@ -136,7 +143,13 @@ class _Segment:
                 np.ndarray(shape, WIRE_DTYPE, buf, dst))
 
     def close(self) -> None:
-        self._map.close()
+        """Let go of the mapping without unmapping it: a batch still
+        running may be reading a request's region or storing into its
+        ``out`` (a client that hung up, or attached a new segment), and
+        the views it holds keep the pages mapped until the last one goes.
+        A NumPy view pins no buffer export, so an explicit unmap would
+        pull the pages out from under it."""
+        self._map = None
 
 
 class _ServerSession(Session):
@@ -193,7 +206,8 @@ class _ServerSession(Session):
             line: bytes) -> None:
         """Hold one request in its slot; admit the held group now if it
         reached ``queue_limit`` rows (else before the next blocking read).
-        No ``payload``: a segment frame, viewed in place."""
+        No ``payload``: a segment frame, viewed in place and answered in
+        its ``out`` region."""
         fp = get_fault_plan()
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
@@ -216,6 +230,7 @@ class _ServerSession(Session):
                 strategy=msg.get("strategy"),
                 timeout=timeout,
                 no_batch=bool(msg.get("no_batch", False)),
+                out=out,
             )
         except Exception as exc:
             self.reply(exception_response(req_id, exc))

@@ -61,6 +61,7 @@ from ..smp.runtime import (
     Runtime,
     SequentialRuntime,
     WorkerPoolBroken,
+    check_out,
     make_runtime,
 )
 from ..trace import Counters, get_tracer
@@ -187,12 +188,13 @@ class FFTTicket:
 
 
 class _Request:
-    __slots__ = ("key", "x", "rows", "arrival", "deadline", "no_batch",
-                 "squeeze", "ticket")
+    __slots__ = ("key", "x", "out", "rows", "arrival", "deadline",
+                 "no_batch", "squeeze", "ticket")
 
-    def __init__(self, key, x, deadline, no_batch, squeeze=False):
+    def __init__(self, key, x, deadline, no_batch, squeeze=False, out=None):
         self.key = key
         self.x = x
+        self.out = out  # (rows, n), like x; None: a fresh result
         self.rows = int(x.shape[0])
         self.squeeze = squeeze
         self.arrival = time.monotonic()
@@ -298,6 +300,7 @@ class FFTService:
         nu: Optional[int] = None,
         timeout: Optional[float] = None,
         no_batch: bool = False,
+        out: Optional[np.ndarray] = None,
     ) -> _Request:
         """One request (one vector or a ``(b, n)`` stack), checked and not
         yet admitted: its plan key, its deadline (counted from now) and its
@@ -307,11 +310,21 @@ class FFTService:
         number of seconds no larger in magnitude than
         ``threading.TIMEOUT_MAX`` — a bool, NaN, an infinity.
         ``no_batch=True`` makes the request a batch of its own that skips
-        the batching window (the one-request-at-a-time baseline path)."""
+        the batching window (the one-request-at-a-time baseline path).
+
+        ``out`` names where the result goes (as ``Runtime.run``'s ``out``:
+        ``x``'s shape, C-contiguous, writable ``complex128``, apart from
+        ``x``; anything else is a ``ValueError`` here).  The ticket's
+        result is then ``out``: a batch of one is run into it, a batch of
+        several copies the request's rows into it as its ticket resolves."""
         x = np.asarray(x, dtype=np.complex128)
+        if out is not None:
+            check_out(x, out)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[np.newaxis, :]
+            if out is not None:
+                out = out[np.newaxis, :]
         if x.ndim != 2 or x.shape[1] < 2:
             raise ValueError(f"expected (batch, n) input, got shape {x.shape}")
         if x.shape[0] > self.config.queue_limit:
@@ -328,7 +341,7 @@ class FFTService:
                 "timeout must be a number of seconds within "
                 f"±threading.TIMEOUT_MAX, got {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
-        return _Request(key, x, deadline, no_batch, squeeze=squeeze)
+        return _Request(key, x, deadline, no_batch, squeeze, out)
 
     def admit(self, reqs: list[_Request], here: bool = False) -> None:
         """Admit a group of requests in one lock round, giving each its
@@ -788,19 +801,19 @@ class FFTService:
             return []
         try:
             runtime = self._runtime_for(key.threads)
-            # every request's x is already (rows, n): one copy joins them
-            X = (
-                live[0].x
-                if len(live) == 1
-                else np.concatenate([r.x for r in live])
-            )
+            # every request's x is already (rows, n): one copy joins them;
+            # a lone request is run straight into its own out, if it has one
+            if len(live) == 1:
+                X, out = live[0].x, live[0].out
+            else:
+                X, out = np.concatenate([r.x for r in live]), None
             with tr.span("serve.execute", "serve", n=key.n,
                          threads=key.threads, vectors=int(X.shape[0]),
                          requests=len(live)):
                 # whatever the pool kind, it runs the plan the cache holds
                 plan = self.plans.get(key)
                 try:
-                    Y, _ = runtime.run(plan, X)
+                    Y, _ = runtime.run(plan, X, out)
                 except BaseException as exc:
                     # the batch that breaks a pool retires it
                     if runtime is not self._fallback:
@@ -812,7 +825,7 @@ class FFTService:
                     # same plan on the sequential fallback rather than fail
                     # the tickets
                     self.counters.add("failovers", threads=key.threads)
-                    Y, _ = self._fallback.run(plan, X)
+                    Y, _ = self._fallback.run(plan, X, out)
         except BaseException as exc:
             for req in live:
                 req.ticket._resolve(error=exc)
@@ -821,7 +834,12 @@ class FFTService:
         window = self.tune_window
         row = 0
         for req in live:
-            result = Y[row] if req.squeeze else Y[row:row + req.rows]
+            if req.out is None:
+                result = Y[row] if req.squeeze else Y[row:row + req.rows]
+            else:
+                if req.out is not Y:  # one of several: its rows, copied
+                    np.copyto(req.out, Y[row:row + req.rows])
+                result = req.out[0] if req.squeeze else req.out
             req.ticket._resolve(result=result)
             row += req.rows
             wall = done - req.arrival

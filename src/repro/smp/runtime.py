@@ -23,7 +23,10 @@ emitted by the standalone C program's ``openmp`` driver, not run here.
 
 No runtime writes its input: the stage walks ping-pong two buffers of
 their own (the first a copy of the input), the whole-plan call reads the
-input in place and writes a fresh result.
+input in place and writes a fresh result.  A caller that names the result's
+buffer (``run(plan, X, out=...)``, checked by :func:`check_out`) gets it
+there: the whole-plan call stores into it directly, every walk copies its
+last buffer into it once.
 
 Every thread executes exactly the loops the formula assigned to its
 processor.  Whether the thread runtimes also *scale* depends on the stage
@@ -81,11 +84,13 @@ class PlanStage:
 class FusedStages(tuple):
     """A plan's stages plus one call that runs all of them.
 
-    ``whole(X, writable)`` takes the ``(b, n)`` C-contiguous, aligned
-    ``complex128`` stack :meth:`Runtime.run_stages` vouched for (and
+    ``whole(X, writable, out=None)`` takes the ``(b, n)`` C-contiguous,
+    aligned ``complex128`` stack :meth:`Runtime.run_stages` vouched for (and
     whether its memory is writable, from the flags it already read), reads
-    it in place, and returns a fresh ``(b, n)`` result equal bit for bit to
-    walking the stages in order, every processor share in turn.  The
+    it in place, and returns a ``(b, n)`` result equal bit for bit to
+    walking the stages in order, every processor share in turn: a fresh
+    array, or ``out`` itself when one is given (refused by
+    :func:`check_out` before anything runs).  The
     compiled backend builds these
     (:meth:`repro.codegen.compiled_backend.CompiledPlan.plan_stages`);
     everything that walks stage by stage — the pools, the tracer, the
@@ -100,11 +105,31 @@ class FusedStages(tuple):
     ``whole`` and is walked stage by stage.
     """
 
-    def __new__(cls, stages, whole: Callable[[np.ndarray, bool], np.ndarray]):
+    def __new__(cls, stages, whole: Callable[..., np.ndarray]):
         self = super().__new__(cls, stages)
         self.whole = whole
         self.parallel_stages = sum(1 for st in self if st.parallel)
         return self
+
+
+def check_out(X: np.ndarray, out) -> None:
+    """Refuse a result buffer no runtime may write ``X``'s result into.
+
+    Anything but a C-contiguous, writable ``complex128`` array of ``X``'s
+    shape that shares no memory with ``X`` is a :class:`ValueError`,
+    raised before any stage runs, so ``out`` is left as it was.  Where the
+    buffer starts is not checked: the whole-plan call copies a result
+    into an ``out`` that does not start on a cache line.
+    """
+    if not (isinstance(out, np.ndarray) and out.dtype == COMPLEX
+            and out.shape == X.shape):
+        raise ValueError(
+            f"out must be a complex128 array of shape {X.shape}")
+    flags = out.flags
+    if not (flags.c_contiguous and flags.writeable):
+        raise ValueError("out must be C-contiguous and writable")
+    if np.may_share_memory(X, out):
+        raise ValueError("out overlaps the input")
 
 
 @dataclass
@@ -212,17 +237,27 @@ class Runtime:
     #: whole-plan call; otherwise it is walked like any stage list
     fuses: bool = False
 
-    def run(self, plan, X: np.ndarray) -> tuple[np.ndarray, ExecutionStats]:
+    def run(self, plan, X: np.ndarray, out: Optional[np.ndarray] = None
+            ) -> tuple[np.ndarray, ExecutionStats]:
         """Run ``plan`` (a :func:`repro.serve.plan_cache.build_plan` record)
         on ``X`` of shape ``(n,)`` or ``(b, n)``: the one plan-execution
-        entry point.  The result has ``X``'s shape on every runtime."""
+        entry point.  The result has ``X``'s shape on every runtime.
+
+        Given ``out`` (see :func:`check_out`: ``X``'s shape, C-contiguous,
+        writable ``complex128``, apart from ``X``), the result is written
+        there and ``out`` is returned: by the whole-plan call's own stores,
+        or by one copy at the end of a walk."""
         Y, stats = self.run_stages(plan.stages, plan.program.size, X,
-                                   plan.spec)
+                                   plan.spec, out)
+        if out is not None:
+            return out, stats
         return (Y[0] if np.ndim(X) == 1 else Y), stats
 
     def run_stages(self, stages: Sequence[PlanStage], n: int, X: np.ndarray,
-                   spec=None) -> tuple[np.ndarray, ExecutionStats]:
-        """:meth:`run` for a bare stage list; the result is always ``(b, n)``.
+                   spec=None, out: Optional[np.ndarray] = None
+                   ) -> tuple[np.ndarray, ExecutionStats]:
+        """:meth:`run` for a bare stage list; the result is always ``(b, n)``
+        (``out`` itself, or the ``(1, n)`` view of a 1-D one).
 
         What reaches the whole-plan call or :meth:`_walk` (flattened) is
         C-contiguous, aligned ``complex128``: ``X``'s own memory when it
@@ -230,8 +265,12 @@ class Runtime:
         is fine), else a copy.
         """
         X = np.asarray(X, dtype=COMPLEX)
+        if out is not None:
+            check_out(X, out)
         if X.ndim == 1:
             X = X[np.newaxis, :]
+            if out is not None:
+                out = out[np.newaxis, :]
         if X.ndim != 2 or X.shape[1] != n:
             raise ValueError(f"expected a (batch, {n}) stack, got {X.shape}")
         flags = X.flags
@@ -243,14 +282,24 @@ class Runtime:
         if (self.fuses and isinstance(stages, FusedStages)
                 and not get_tracer().enabled):
             par = stages.parallel_stages
-            return stages.whole(X, writable), ExecutionStats(
+            Y = stages.whole(X, writable, out)
+            return Y, ExecutionStats(
                 parallel_stages=par, sequential_stages=len(stages) - par
             )
-        out, stats = self._walk(stages, X.reshape(-1), spec)
-        return out.reshape(X.shape), stats
+        if out is None:
+            Y, stats = self._walk(stages, X.reshape(-1), spec)
+            return Y.reshape(X.shape), stats
+        _, stats = self._walk(stages, X.reshape(-1), spec, out.reshape(-1))
+        return out, stats
 
-    def _walk(self, stages, flat: np.ndarray, spec):
-        return self.execute(stages, flat, flat.size)
+    def _walk(self, stages, flat: np.ndarray, spec, out=None):
+        """Walk ``stages`` over ``flat``: the flat result, or the flat
+        ``out`` it was copied into once."""
+        Y, stats = self.execute(stages, flat, flat.size)
+        if out is None:
+            return Y, stats
+        np.copyto(out, Y)
+        return out, stats
 
     def execute(
         self, stages: Sequence[PlanStage], x: np.ndarray, size: int

@@ -304,12 +304,12 @@ def test_one_batch_at_a_time_under_contention():
     lock, running, peak = threading.Lock(), [0], [0]
 
     class _Counting:
-        def run(self, plan, X):
+        def run(self, plan, X, out=None):
             with lock:
                 running[0] += 1
                 peak[0] = max(peak[0], running[0])
             try:
-                return SequentialRuntime().run(plan, X)
+                return SequentialRuntime().run(plan, X, out)
             finally:
                 with lock:
                     running[0] -= 1
@@ -632,12 +632,12 @@ class _SlowRuntime:
     def __init__(self):
         self.started, self.finished = threading.Event(), threading.Event()
 
-    def run(self, plan, X):
+    def run(self, plan, X, out=None):
         self.started.set()
         time.sleep(0.2)
-        out = SequentialRuntime().run(plan, X)
+        result = SequentialRuntime().run(plan, X, out)
         self.finished.set()
-        return out
+        return result
 
 
 @pytest.mark.parametrize("path", ["dispatched", "inline"])

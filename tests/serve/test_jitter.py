@@ -83,3 +83,20 @@ class TestBackoffShape:
             base = min(pol.max_s, pol.base_s * pol.multiplier ** a)
             v = pol.backoff_s(a, None, rng)
             assert base <= v <= base * (1 + pol.jitter)
+
+    def test_a_long_policy_backs_off_at_the_cap(self):
+        """``multiplier ** attempt`` overflows a float at attempt 1024
+        (``2.0 ** 1024``); past that the delay is the cap, jittered."""
+        pol = RetryPolicy(attempts=2000, seed=7)
+        rng, draws = jitter_rng(pol), jitter_rng(pol)
+        for attempt in (1023, 1024, 1100, 1999):
+            want = pol.max_s * (1 + pol.jitter * draws.random())
+            assert pol.backoff_s(attempt, None, rng) == want
+
+    def test_the_seeded_schedule_below_the_overflow_is_unchanged(self):
+        pol = RetryPolicy(seed=7)
+        rng, draws = jitter_rng(pol), jitter_rng(pol)
+        for attempt in range(1024):
+            base = min(pol.max_s, pol.base_s * pol.multiplier ** attempt)
+            want = base * (1 + pol.jitter * draws.random())
+            assert pol.backoff_s(attempt, None, rng) == want

@@ -3,24 +3,31 @@
 A :class:`ServeClient` whose peer is a loopback address offers its
 connection one shared segment (``attach``); an ``fft`` payload of
 ``BY_REFERENCE_BYTES`` or more is then written into a region of it and
-the shard writes the result into the region beside it.  Everything else —
-a smaller payload, a peer that is not a loopback address, a refused
-``attach`` (the router refuses it) — travels as bytes, exactly as before.
-Every test here ends with no ``repro-wire`` segment left anywhere.
+the shard computes the result into the region beside it — a lone
+request's whole-plan call stores ``Y`` there itself, a request batched
+with others gets its rows copied in.  Everything else — a smaller
+payload, a peer that is not a loopback address, a refused ``attach`` (the
+router refuses it) — travels as bytes, exactly as before.  Every test
+here ends with no ``repro-wire`` segment left anywhere.
 """
 
+import contextlib
+import dataclasses
+import json
 import multiprocessing
 import os
 import select
 import signal
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.codegen.compiled_backend import compile_plan, compiled_available
 from repro.faults import FaultPlan, FaultSpec, fault_plan
-from repro.mp import arena
+from repro.mp import SharedArena, arena
 from repro.serve import FFTServer, FFTService, RemoteError, ServeClient, \
     ServeConfig
 from repro.serve import protocol
@@ -60,6 +67,24 @@ def served():
     srv.session = lambda conn: sessions.append(make(conn)) or sessions[-1]
     srv.serve_background()
     yield srv.port, sessions
+    srv.shutdown()
+    srv.server_close()
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def compiled_served():
+    """One idle shard on the compiled ν = 4 backend, in process; yields
+    ``(port, service, sessions)``."""
+    if not compiled_available():
+        pytest.skip("no usable C compiler on this host")
+    service = FFTService(ServeConfig(window_s=0.0, backend="compiled", nu=4))
+    srv = FFTServer(("127.0.0.1", 0), service)
+    sessions: list = []
+    make = srv.session
+    srv.session = lambda conn: sessions.append(make(conn)) or sessions[-1]
+    srv.serve_background()
+    yield srv.port, service, sessions
     srv.shutdown()
     srv.server_close()
     service.close()
@@ -105,6 +130,249 @@ def test_results_are_bit_identical_to_the_byte_path(served, monkeypatch,
     assert got.flags.writeable and got.base is None  # the caller's own
     np.testing.assert_allclose(got, np.fft.fft(x, axis=-1), atol=1e-8)
 
+
+class _Watch:
+    """What the shard does with a segment request's result, counted: every
+    ``out`` region a session views, every output address its plan's chain
+    is handed, and every ``np.copyto`` into the newest session's
+    segment."""
+
+    def __init__(self, monkeypatch, service, sessions, n):
+        self.outs, self.chain, self.copies = [], [], []
+        regions = server_module._Segment.regions
+
+        def viewed(segment, msg):
+            x, out = regions(segment, msg)
+            self.outs.append(out.ctypes.data)
+            return x, out
+
+        monkeypatch.setattr(server_module._Segment, "regions", viewed)
+        cached = service.plans.get(service.config.plan_key(n))
+        compiled = compile_plan(cached.program)
+
+        def chain(b, x, y):
+            self.chain.append(y)
+            return compiled._chain(b, x, y)
+
+        monkeypatch.setattr(cached, "stages", dataclasses.replace(
+            compiled, _chain=chain).plan_stages())
+        copyto = np.copyto
+
+        def counted(dst, src, **kw):
+            segment = sessions[-1].segment
+            if (segment is not None and segment._map is not None
+                    and np.shares_memory(dst, segment._map.array)):
+                self.copies.append(dst.shape)
+            return copyto(dst, src, **kw)
+
+        monkeypatch.setattr(np, "copyto", counted)
+
+
+LONE_SHAPES = [(4, 1 << k) for k in range(12, 17)] + [(1 << 14,)]
+
+
+@pytest.mark.parametrize("shape", LONE_SHAPES, ids=str)
+def test_a_lone_segment_request_is_computed_in_its_out_region(
+        compiled_served, monkeypatch, shape):
+    """The chain's own stores write the result: the one C call is handed
+    the frame's ``out`` region, and the shard copies no result at all."""
+    port, service, sessions = compiled_served
+    x = _x(shape)
+    with _byte_client(port, monkeypatch) as plain:
+        want = plain.fft(x)
+    watch = _Watch(monkeypatch, service, sessions, shape[-1])
+    with ServeClient("127.0.0.1", port) as client:
+        got = client.fft(x)
+        assert client._segment is not None  # it rode the segment
+    assert got.tobytes() == want.tobytes()
+    assert len(watch.outs) == 1 and watch.outs[0] % 64 == 0
+    assert watch.chain == watch.outs
+    assert watch.copies == []
+
+
+def test_a_burst_of_segment_requests_is_one_batch_copied_into_each_out(
+        compiled_served, monkeypatch):
+    """Several same-key segment requests batch as one stack (one
+    ``np.concatenate``, one chain call), and each request's rows are
+    copied into its own ``out`` region once; the replies are bit-identical
+    to the byte path and leave in slot order."""
+    port, service, sessions = compiled_served
+    n = 4096
+    xs = [_x((4, n)) for _ in range(5)]
+    with _byte_client(port, monkeypatch) as plain:
+        want = [plain.fft(x) for x in xs]
+    batches: list = []
+    run = FFTService._execute_batch
+
+    def recorded(svc, key, batch):
+        batches.append(len(batch))
+        return run(svc, key, batch)
+
+    monkeypatch.setattr(FFTService, "_execute_batch", recorded)
+    with ServeClient("127.0.0.1", port) as client:
+        client.fft(np.concatenate(xs))  # attached, room for the burst
+        watch = _Watch(monkeypatch, service, sessions, n)
+        batches.clear()
+        order: list = []
+        read = client._read_response
+
+        def recording():
+            resp, buf = read()
+            order.append(resp["id"])
+            return resp, buf
+
+        client._read_response = recording
+        triples = client.fft_pipeline(xs)
+    assert order == sorted(order) and len(order) == len(xs)
+    for (y, _, err), w in zip(triples, want):
+        assert err is None and y.tobytes() == w.tobytes()
+    assert sum(batches) == len(xs) and max(batches) > 1
+    assert len(watch.chain) == len(batches)
+    assert not set(watch.chain) & set(watch.outs)
+    assert len(watch.copies) == len(xs) - batches.count(1)
+
+
+def _reply(rfile) -> dict:
+    reply = json.loads(rfile.readline())
+    assert "nbytes" not in reply  # a segment frame's reply is a header
+    return reply
+
+
+def test_a_failed_segment_request_writes_no_region(served):
+    """A poisoned request, and a request whose deadline passed while it
+    sat in a batch with live ones, get their typed replies; of the whole
+    segment, only the live requests' ``out`` regions change — one of them
+    16 bytes past its line, filled through the one fallback copy."""
+    n = 4096
+    region = 16 * n
+    with SharedArena(WIRE_PREFIX) as wire:
+        seg = wire.allocate(8 * region + 64, np.uint8)
+        buf = seg.array
+        buf[:] = np.random.default_rng(37).integers(0, 256, buf.size)
+        xs = [_x(n) for _ in range(4)]
+        for i, x in enumerate(xs):
+            buf[i * region:(i + 1) * region].view("<c16")[:] = x
+        before = buf.copy()
+
+        def frame(req_id, i, out, **fields):
+            return dump_line({"op": "fft", "id": req_id, "shape": [n],
+                              "shm": [i * region, out], **fields})
+
+        outs = {10: 4 * region, 12: 6 * region + 16}
+        with socket.create_connection(("127.0.0.1", served[0])) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.settimeout(10)
+            sock.sendall(dump_line({"op": "attach", "id": 1,
+                                    "name": seg.name, "size": buf.size}))
+            assert _reply(rfile) == {"id": 1, "ok": True}
+            with fault_plan(FaultPlan([FaultSpec("net.poison_payload",
+                                                 max_fires=1)])):
+                sock.sendall(frame(2, 3, 7 * region + 64))
+                assert _reply(rfile)["error"] == "internal"
+            assert (buf == before).all()
+            # one burst: a live request, an expired one, a live one
+            sock.sendall(frame(10, 0, outs[10])
+                         + frame(11, 1, 5 * region, timeout=-1.0)
+                         + frame(12, 2, outs[12]))
+            assert _reply(rfile) == {"id": 10, "ok": True}
+            assert _reply(rfile)["error"] == "deadline"
+            assert _reply(rfile) == {"id": 12, "ok": True}
+        written = np.zeros(buf.size, bool)
+        for req_id, at in outs.items():
+            y = buf[at:at + region].view("<c16")
+            np.testing.assert_allclose(y, np.fft.fft(xs[req_id - 10]),
+                                       atol=1e-8)
+            written[at:at + region] = True
+        assert (buf[~written] == before[~written]).all()
+        del y
+
+
+@contextlib.contextmanager
+def _slow_shard(monkeypatch):
+    """An in-process shard whose dispatcher runs every batch; each batch
+    first sleeps ``delay[0]`` s.  Yields ``(port, delay, finished)``:
+    ``finished`` is set as a batch's run returns."""
+    service = FFTService(ServeConfig(window_s=0.001))  # the dispatcher path
+    srv = FFTServer(("127.0.0.1", 0), service)
+    srv.serve_background()
+    delay, finished = [0.0], threading.Event()
+    fallback = service._fallback
+
+    class _Slow:
+        def run(self, plan, X, out=None):
+            time.sleep(delay[0])
+            try:
+                return fallback.run(plan, X, out)
+            finally:
+                finished.set()
+
+    monkeypatch.setattr(service, "_runtime_for", lambda threads: _Slow())
+    try:
+        yield srv.port, delay, finished
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        service.close()
+
+
+def test_a_timed_out_segment_request_is_answered_after_its_batch(
+        monkeypatch):
+    """A request whose batch outlasts ``timeout + 1`` s gets ``deadline``
+    only once the batch is done with its ``out`` region: the client's next
+    call on the connection reuses that region for its input, which a late
+    store of the old result would corrupt."""
+    n = 4096
+    x1, x2, warm = _x(n), _x((2, n)), _x((2, n))
+    with _slow_shard(monkeypatch) as (port, delay, finished), \
+            ServeClient("127.0.0.1", port) as client:
+        client.fft(warm)  # sizes the segment for x2: in 0, out 2n
+        delay[0] = 1.5
+        finished.clear()
+        with pytest.raises(RemoteError) as err:
+            # x1's out region is x2's second input row
+            client.fft(x1, timeout=0.1)
+        assert err.value.code == "deadline"
+        assert finished.is_set()
+        delay[0] = 0.0
+        got = client.fft(x2)
+        assert client._segment is not None
+    np.testing.assert_allclose(got, np.fft.fft(x2, axis=-1), atol=1e-8)
+
+
+def test_a_segment_let_go_mid_batch_stays_mapped_for_the_batch(
+        monkeypatch):
+    """A session lets go of a segment without unmapping it: here the
+    client attaches a second segment while a batch is still reading its
+    request's region in the first and storing into its ``out``.  The
+    batch finishes into the first segment's ``out`` and the shard serves
+    on."""
+    n = 4096
+    x = _x(n)
+    with _slow_shard(monkeypatch) as (port, delay, finished), \
+            SharedArena(WIRE_PREFIX) as wire:
+        first, second = (wire.allocate(32 * n, np.uint8) for _ in range(2))
+        first.array[:16 * n].view("<c16")[:] = x
+        with socket.create_connection(("127.0.0.1", port)) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.settimeout(10)
+            sock.sendall(dump_line({"op": "attach", "id": 1,
+                                    "name": first.name, "size": 32 * n}))
+            assert _reply(rfile) == {"id": 1, "ok": True}
+            delay[0] = 0.5
+            finished.clear()
+            sock.sendall(dump_line({"op": "fft", "id": 2, "shape": [n],
+                                    "shm": [0, 16 * n]})
+                         + dump_line({"op": "attach", "id": 3,
+                                      "name": second.name, "size": 32 * n}))
+            assert _reply(rfile) == {"id": 2, "ok": True}
+            assert _reply(rfile) == {"id": 3, "ok": True}
+        assert finished.is_set()
+        np.testing.assert_allclose(first.array[16 * n:].view("<c16"),
+                                   np.fft.fft(x), atol=1e-8)
+        delay[0] = 0.0
+        with ServeClient("127.0.0.1", port) as client:
+            np.testing.assert_allclose(client.fft(x), np.fft.fft(x),
+                                       atol=1e-8)
 
 def test_a_pipelined_mix_of_byte_and_segment_frames_is_answered_in_order(
         served, attaches):

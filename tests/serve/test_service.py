@@ -39,6 +39,34 @@ class TestTransform:
             Y = svc.transform(X)
             np.testing.assert_allclose(Y, np.fft.fft(X, axis=-1), atol=1e-6)
 
+    def test_out_holds_the_result_alone_or_batched(self):
+        """A request's ``out`` is where its result lands, whether it runs
+        as a batch of one or as rows of a batch of several; an ``out``
+        that could not take it is refused by ``request`` itself."""
+        with FFTService(ServeConfig(window_s=0.0)) as svc:
+            x = _vec(256)
+            out = np.full(256, np.nan, complex)
+            y = svc.transform(x, out=out)
+            assert np.shares_memory(y, out) and y.shape == (256,)
+            np.testing.assert_allclose(out, np.fft.fft(x), atol=1e-9)
+
+            xs = [np.stack([_vec(256, s), _vec(256, s + 9)])
+                  for s in range(3)]
+            outs = [np.full((2, 256), np.nan, complex) for _ in xs]
+            group = [svc.request(x, out=o) for x, o in zip(xs, outs)]
+            svc.admit(group, here=True)
+            for req, x, o in zip(group, xs, outs):
+                assert req.ticket.result() is o
+                np.testing.assert_allclose(o, np.fft.fft(x, axis=-1),
+                                           atol=1e-9)
+            assert svc.stats()["batches"] == 2  # the three ran as one
+
+            buf = _vec(512)
+            for bad in (np.empty(256, np.complex64), np.empty(255, complex),
+                        np.empty(512, complex)[::2], buf[100:356]):
+                with pytest.raises(ValueError, match="out"):
+                    svc.request(buf[:256], out=bad)
+
     def test_threads_hint_respects_feasibility(self):
         # threads=4, mu=4 is infeasible for n=64 ((4*4)^2 > 64): the plan
         # key must clamp via feasible_threads instead of failing
