@@ -43,8 +43,9 @@ kernel → twiddle scale → scatter chain is fused into one loop nest:
   ν-vectors (element-major, lane-minor — the codelets' layout), no
   ``double complex`` arithmetic (no ``__muldc3`` calls), 64-byte-aligned
   locals, ``restrict``-qualified stage pointers (source and dest never
-  alias: the drivers double-buffer), and twiddle planes that repeat stored
-  once (:meth:`_StageEmitter._lane_scale`).
+  alias: the drivers double-buffer — but for the stages the chain runs in
+  place, :func:`chain_in_place`, which are printed without it), and
+  twiddle planes that repeat stored once (:meth:`_StageEmitter._lane_scale`).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from ..rewrite.breakdown import expand_dft, factor_pairs
 from ..sigma.index_map import recover_affine
 from ..sigma.loops import BlockLoop, SigmaProgram, Stage
 from ..spl.matrices import DFT, F2, I
+from . import flags
 from .unroll import Codelet
 
 #: linkage of everything a plan object shares between its translation
@@ -594,19 +596,24 @@ class _StageEmitter:
 
     # -- stages -------------------------------------------------------------
 
-    def emit_stage(self, stage: Stage, sid: int, n: int) -> None:
+    def emit_stage(
+        self, stage: Stage, sid: int, n: int, in_place: bool = False
+    ) -> None:
         """One batched stage function, exported as ``repro_stage<sid>``.
 
         The signature is the stage ABI: ``(int proc, long b, const double
         *src, double *dst)`` over ``b`` stacked rows of ``n`` interleaved
         re/im pairs (NumPy ``complex128`` layout).  Parallel stages branch
         on ``proc`` exactly like the Python backend, so every runtime's
-        processor-share contract carries over.
+        processor-share contract carries over.  Both pointers are
+        ``restrict`` unless the chain runs the stage ``in_place`` (one
+        buffer as both), where the promise would be false.
         """
         o = self.lines
+        qual = "" if in_place else "restrict "
         o.append(
             f"void repro_stage{sid}(int proc, long b, "
-            f"const double *restrict srcd, double *restrict dstd) {{"
+            f"const double *{qual}srcd, double *{qual}dstd) {{"
         )
         o.append(
             f"  /* {stage.name}: parallel={int(stage.parallel)}"
@@ -662,12 +669,14 @@ class StageSource:
 
 
 def emit_stage_functions(
-    program: SigmaProgram, codelet_max: int
+    program: SigmaProgram, codelet_max: int, in_place: Iterable[int] = ()
 ) -> StageSource:
-    """Walk ``program`` once: its tables, codelets and stage functions."""
+    """Walk ``program`` once: its tables, codelets and stage functions
+    (the stages ``in_place`` names printed for one buffer)."""
     em = _StageEmitter(codelet_max)
+    in_place = set(in_place)
     for sid, stage in enumerate(program.stages):
-        em.emit_stage(stage, sid, program.size)
+        em.emit_stage(stage, sid, program.size, sid in in_place)
     return StageSource(em.preamble, em.lines)
 
 
@@ -701,7 +710,46 @@ def plan_preamble(blob: TableBlob, source: StageSource) -> list[str]:
 CHAIN_MARKER = "/* whole-plan chain: every stage above, in order, in one call */"
 
 
-def emit_plan_chain(program: SigmaProgram) -> list[str]:
+def in_place_able(stage: Stage) -> bool:
+    """May ``stage`` read and write one buffer?
+
+    Yes when every loop of every processor share scatters to exactly the
+    rows it gathers.  A stage writes each row once (its scatters are a
+    permutation), so no block gathers a row another block scatters to, and
+    every loop body loads its whole block into ``tre`` / ``tim`` before its
+    first store (:meth:`_StageEmitter.emit_loop`): a block overwrites only
+    what it has read.
+    """
+    loops = [lp for _, share in stage.shares() for _, lp in share]
+    return bool(loops) and all(
+        np.array_equal(lp.gather, lp.scatter) for lp in loops
+    )
+
+
+def chain_in_place(program: SigmaProgram) -> tuple[int, ...]:
+    """The stages :func:`emit_plan_chain` runs on one buffer.
+
+    Only when two rows of the plan (``32 n`` bytes) are at least the host's
+    L2 (:func:`repro.codegen.flags.l2_cache_bytes`; none when unknown): a
+    row that no longer fits the L2 beside its scratch streams from memory
+    at every stage, and a stage that writes where it reads moves a buffer
+    fewer.  Within the L2 it is slower (2^14 × 4: +4–10 %), so there every
+    stage moves data.  Stage 0 always moves data — it reads ``x``, which
+    is never written — and so does every stage :func:`in_place_able`
+    refuses.
+    """
+    l2 = flags.l2_cache_bytes()
+    if l2 is None or 32 * program.size < l2:
+        return ()
+    return tuple(
+        sid for sid, stage in enumerate(program.stages)
+        if sid and in_place_able(stage)
+    )
+
+
+def emit_plan_chain(
+    program: SigmaProgram, in_place: Iterable[int] = ()
+) -> list[str]:
     """A plan's sequential driver, ``repro_plan``.
 
     ``int repro_plan(long b, const double *x, double *y)`` runs the plan
@@ -710,27 +758,41 @@ def emit_plan_chain(program: SigmaProgram) -> list[str]:
     every processor share of a stage in turn (the loop of
     :meth:`repro.smp.runtime.SequentialRuntime.execute`, in C), so a row
     stays in cache between its stages instead of the whole stack being
-    streamed once per stage.  Stage 0 reads the row of ``x`` in place and
-    the last stage writes the row of ``y``; the stages between ping-pong
-    that row of ``y`` and a **one-row**, cache-line-aligned scratch the
-    call itself allocates and frees, so concurrent callers share nothing
-    (a one-stage plan allocates nothing).  ``x`` is never written.  Returns
-    non-zero, having run no stage, iff the scratch could not be
-    allocated.  The chain only *calls* the stage functions: they stay the
-    one implementation of a stage.  It declares the two libc functions it
+    streamed once per stage.
+
+    The buffer schedule is one function of ``in_place``, the stages run on
+    one buffer (:func:`chain_in_place`; never stage 0).  Such a stage reads
+    and writes the buffer the row is in.  Every other stage *moves* the
+    row: stage 0 reads the row of ``x`` in place, and the moving stages
+    alternate between the row of ``y`` and a **one-row**,
+    cache-line-aligned scratch ``t`` so that the last lands in ``y`` —
+    ``x → t → y → t → y`` for four stages with none in place, ``x → t → t
+    → y → y`` with stages 1 and 3.  The call allocates and frees the
+    scratch itself, so concurrent callers share nothing, and only when two
+    or more stages move data.  ``x`` is never written.  Returns non-zero,
+    having run no stage, iff the scratch could not be allocated.  The
+    chain only *calls* the stage functions: they stay the one
+    implementation of a stage.  It declares the two libc functions it
     calls itself, ``posix_memalign`` and ``free``, so no emitted file
-    includes a header.  The lines begin at :data:`CHAIN_MARKER`.
+    includes a header.  The lines begin at :data:`CHAIN_MARKER`, and the
+    next names the stages run in place, if any.
     """
-    k = len(program.stages)
+    in_place = sorted(set(in_place))
+    assert 0 not in in_place, "stage 0 reads x, which is never written"
+    moves = len(program.stages) - len(in_place)
+    scratch = moves > 1
     row = 2 * program.size  # doubles
     o = [CHAIN_MARKER]
-    if k > 1:
+    if in_place:
+        o.append(f"/* in place (two rows >= L2): stages"
+                 f" {_lane_list(in_place)} */")
+    if scratch:
         o += [
             "int posix_memalign(void **, __SIZE_TYPE__, __SIZE_TYPE__);",
             "void free(void *);",
         ]
     o.append("int repro_plan(long b, const double *x, double *y) {")
-    if k > 1:
+    if scratch:
         o += [
             "  if (b <= 0) return 0;",
             "  void *line = 0; /* one row, on a cache line */",
@@ -741,12 +803,15 @@ def emit_plan_chain(program: SigmaProgram) -> list[str]:
     o.append(f"  for (long r = 0; r < b; ++r, x += {row}, y += {row}) {{")
     src = "x"
     for sid, stage in enumerate(program.stages):
-        dst = "y" if (k - 1 - sid) % 2 == 0 else "t"
+        dst = src
+        if sid not in in_place:
+            moves -= 1
+            dst = "y" if moves % 2 == 0 else "t"
         for proc in range(max(len(stage.procs), 1)):
             o.append(f"    repro_stage{sid}({proc}, 1, {src}, {dst});")
         src = dst
     o.append("  }")
-    if k > 1:
+    if scratch:
         o.append("  free(t);")
     return o + ["  return 0;", "}", ""]
 
@@ -763,6 +828,8 @@ class PlanUnit:
     codelets: list[CodeletDef]
     tables: TableBlob
     nu: Optional[int]
+    #: the stages the chain runs on one buffer (:func:`chain_in_place`)
+    in_place: tuple[int, ...]
 
 
 def emit_plan_unit(
@@ -776,8 +843,11 @@ def emit_plan_unit(
     and ``codelets`` linked in) or the single-file form (tables as text,
     codelets ``static``: the unit is complete).  Nothing else differs.
     No form includes a header: ``cplx`` is C99's built-in complex type.
+    The stages :func:`chain_in_place` picks are printed for one buffer
+    and run on one by the chain.
     """
-    source = emit_stage_functions(program, codelet_max)
+    in_place = chain_in_place(program)
+    source = emit_stage_functions(program, codelet_max, in_place)
     if linked:
         codelets, tables = source.codelets, TableBlob(source.tables)
         preamble = plan_preamble(tables, source)
@@ -795,10 +865,10 @@ def emit_plan_unit(
         "",
     ]
     text = "\n".join(header + preamble + source.lines) + "\n".join(
-        emit_plan_chain(program)
+        emit_plan_chain(program, in_place)
     )
     nu = next(iter(widths)) if len(widths) == 1 else None
-    return PlanUnit(text, codelets, tables, nu)
+    return PlanUnit(text, codelets, tables, nu, in_place)
 
 
 __all__ = [
@@ -811,9 +881,11 @@ __all__ = [
     "TABLES_MACRO",
     "Table",
     "TableBlob",
+    "chain_in_place",
     "codelet_formula",
     "emit_plan_chain",
     "emit_plan_unit",
     "emit_stage_functions",
+    "in_place_able",
     "plan_preamble",
 ]

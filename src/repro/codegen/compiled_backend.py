@@ -248,14 +248,18 @@ class CompiledPlan:
     #: the flags the unit itself compiled under (its codelet objects
     #: compiled under ``compiler["flags"]``)
     cflags: tuple = ()
+    #: the stages ``repro_plan`` runs on one buffer
+    #: (:func:`repro.codegen.c_emit.chain_in_place`)
+    in_place: tuple = ()
     _lib: Optional[ctypes.CDLL] = None
     #: ``repro_plan``, bound once by :func:`compile_plan`
     _chain: Optional[Callable[[int, int, int], int]] = None
 
     def artifact_info(self) -> dict:
         """JSON-able provenance record: the cached .so, the toolchain
-        identity, and the build inputs (codelet object keys, table digest)
-        the object was linked from."""
+        identity, the build inputs (codelet object keys, table digest)
+        the object was linked from, and the stages its chain runs in
+        place (``in_place``: which buffer schedule the plan runs)."""
         return {
             "source_hash": self.source_hash,
             "so": str(self.so_path),
@@ -264,6 +268,7 @@ class CompiledPlan:
             "cflags": list(self.cflags),
             "codelets": list(self.codelets),
             "tables": self.tables,
+            "in_place": list(self.in_place),
         }
 
     def plan_stages(self) -> FusedStages:
@@ -527,6 +532,7 @@ def compile_plan(
         codelets=tuple(objects),
         tables=unit.tables.digest if unit.tables.nbytes else "",
         cflags=cflags,
+        in_place=unit.in_place,
         _lib=lib,
         _chain=chain,
     )

@@ -33,13 +33,22 @@ into :func:`repro.codegen.compiled_backend.compiler_fingerprint`, and
 through it into the content-addressed codelet cache key, so *any* flag
 change recompiles instead of reusing stale objects
 (``tests/codegen/test_flags.py`` proves both properties).
+
+Beside the ``-march=native`` probe sits one more host reading,
+:func:`l2_cache_bytes`: the emitter runs a stage in place when two rows
+of the plan are at least the L2
+(:func:`repro.codegen.c_emit.chain_in_place`), so that choice, too,
+follows the build host.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import threading
+from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 #: environment variable forcing the portable (scalar-friendly) tier and
@@ -57,6 +66,13 @@ OPT_GLUE: tuple[str, ...] = ("-O2", "-march=native")
 
 #: the lanes every loop of a plan unit carries when it is glue
 GLUE_NU = 4
+
+#: where Linux describes cpu0's caches, one ``index<i>`` directory each
+CACHE_SYSFS = Path("/sys/devices/system/cpu/cpu0/cache")
+
+#: a cache ``size`` as sysfs writes it (``2048K``), and its unit's shift
+_SIZE = re.compile(r"(\d+)([KMG]?)")
+_SHIFT = {"": 0, "K": 10, "M": 20, "G": 30}
 
 _PROBE_LOCK = threading.Lock()
 _PROBE: dict[str, bool] = {}
@@ -129,13 +145,38 @@ def unit_cflags(flags: Sequence[str], nu: Optional[int]) -> tuple[str, ...]:
     return flags
 
 
+@lru_cache(maxsize=None)
+def l2_cache_bytes() -> Optional[int]:
+    """The host's L2 (data or unified) in bytes, or None when unknown.
+
+    Read once per process from ``level``, ``type`` and ``size`` under
+    :data:`CACHE_SYSFS` (``2``, ``Unified``, ``2048K``, say); a host that
+    does not list its caches there reads None.
+    """
+    for index in sorted(CACHE_SYSFS.glob("index*")):
+        try:
+            level, kind, size = (
+                (index / name).read_text().strip()
+                for name in ("level", "type", "size")
+            )
+        except OSError:
+            continue
+        match = _SIZE.fullmatch(size)
+        if level == "2" and kind in ("Data", "Unified") and match:
+            return int(match[1]) << _SHIFT[match[2]]
+    return None
+
+
 def clear_flag_probe_cache() -> None:
-    """Drop memoized ``-march=native`` probes (tests, toolchain swaps)."""
+    """Drop memoized host probes: ``-march=native`` and the L2 reading
+    (tests, toolchain swaps)."""
     with _PROBE_LOCK:
         _PROBE.clear()
+    l2_cache_bytes.cache_clear()
 
 
 __all__ = [
+    "CACHE_SYSFS",
     "GLUE_NU",
     "NO_SIMD_ENV",
     "OPT_GLUE",
@@ -143,6 +184,7 @@ __all__ = [
     "OPT_PORTABLE",
     "clear_flag_probe_cache",
     "exe_cflags",
+    "l2_cache_bytes",
     "optimization_tier",
     "shared_cflags",
     "simd_disabled",

@@ -30,6 +30,7 @@ import mmap
 import os
 import secrets
 import threading
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Optional
@@ -238,6 +239,10 @@ class AttachedSegment:
     segment when it exits, and unregistering from a shared one would strip
     the owner's entry.  On 3.13+ ``track=False`` sidesteps the question.
     ``nbytes`` is the mapping's size, which may exceed ``nelems``'s.
+
+    ``array`` is an ``np.frombuffer`` view, which holds a buffer export of
+    the mapping, so :meth:`close` cannot unmap pages a view taken before it
+    still reads: with a view alive, the unmap waits for the last one to go.
     """
 
     def __init__(self, name: str, nelems: int, dtype=COMPLEX,
@@ -253,10 +258,10 @@ class AttachedSegment:
         self.name = name
         self.nbytes = len(shm.buf)
         try:
-            self._array: Optional[np.ndarray] = np.ndarray(
-                (nelems,), dtype=np.dtype(dtype), buffer=shm.buf
+            self._array: Optional[np.ndarray] = np.frombuffer(
+                shm.buf, dtype=np.dtype(dtype), count=nelems
             )
-        except TypeError:  # the segment is smaller than asked for
+        except ValueError:  # the segment is smaller than asked for
             shm.close()
             raise
 
@@ -266,12 +271,19 @@ class AttachedSegment:
         return self._array
 
     def close(self) -> None:
-        """Unmap; never unlinks (the creator owns the segment)."""
+        """Unmap; never unlinks (the creator owns the segment).  A view
+        taken before the close keeps the pages mapped until it goes."""
         if self._shm is None:
             return
         shm, self._shm = self._shm, None
-        self._array = None
-        shm.close()
+        exported, self._array = self._array.base, None
+        try:
+            shm.close()
+        except BufferError:  # a view is still alive (the tracked path):
+            # finish the close when the buffer it holds goes, not in
+            # ``__del__``, which would only raise again; the untracked
+            # mapping needs nothing more
+            weakref.finalize(exported, shm.close).atexit = False
 
 
 def attach(name: str, nelems: int, dtype=COMPLEX,

@@ -108,7 +108,7 @@ class _Segment:
             raise ValueError(f"size {size!r} is not a positive integer")
         try:
             self._map = attach(name, size, np.uint8, untrack=True)
-        except TypeError:  # the segment is smaller
+        except ValueError:  # the segment is smaller
             raise ValueError(f"size {size} is not the segment's") from None
         if self._map.nbytes != size:
             self._map.close()

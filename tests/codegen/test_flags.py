@@ -81,6 +81,50 @@ class TestTierPolicy:
             flags_mod.clear_flag_probe_cache()
 
 
+class TestL2Probe:
+    """The L2 reading the in-place rule follows: the level-2 data or
+    unified cache, once per process; no reading where sysfs lists none."""
+
+    @staticmethod
+    def _cache(root, index, level, kind, size):
+        d = root / f"index{index}"
+        d.mkdir()
+        for name, value in (("level", level), ("type", kind), ("size", size)):
+            (d / name).write_text(f"{value}\n")
+
+    def test_reads_the_level_2_data_or_unified_cache(self, tmp_path,
+                                                     monkeypatch):
+        self._cache(tmp_path, 0, 1, "Data", "48K")
+        self._cache(tmp_path, 1, 1, "Instruction", "32K")
+        self._cache(tmp_path, 2, 2, "Unified", "2048K")
+        self._cache(tmp_path, 3, 3, "Unified", "300M")
+        monkeypatch.setattr(flags_mod, "CACHE_SYSFS", tmp_path)
+        flags_mod.clear_flag_probe_cache()
+        try:
+            assert flags_mod.l2_cache_bytes() == 2 << 20
+            (tmp_path / "index2" / "size").write_text("1M\n")
+            assert flags_mod.l2_cache_bytes() == 2 << 20  # memoized
+            flags_mod.clear_flag_probe_cache()
+            assert flags_mod.l2_cache_bytes() == 1 << 20
+        finally:
+            flags_mod.clear_flag_probe_cache()
+
+    @pytest.mark.parametrize("layout", ["none", "l1-only", "unreadable"])
+    def test_no_listing_is_no_reading(self, layout, tmp_path, monkeypatch):
+        if layout == "l1-only":
+            self._cache(tmp_path, 0, 1, "Data", "48K")
+        elif layout == "unreadable":
+            self._cache(tmp_path, 0, 2, "Unified", "lots")
+            (tmp_path / "index1").mkdir()  # no files at all
+        monkeypatch.setattr(flags_mod, "CACHE_SYSFS", tmp_path / "cache"
+                            if layout == "none" else tmp_path)
+        flags_mod.clear_flag_probe_cache()
+        try:
+            assert flags_mod.l2_cache_bytes() is None
+        finally:
+            flags_mod.clear_flag_probe_cache()
+
+
 def _captured_compiles(monkeypatch, fn):
     """Run ``fn`` while recording every compiler argv subprocess sees."""
     calls = []

@@ -22,7 +22,12 @@ pool and the tracer still walk stage by stage.  Pinned here:
 * **the call is its C call plus a few Python steps** — one chain entry, no
   NumPy ``.ctypes`` object for a writable input, a fixed count of frames;
 * **a stage closure refuses what C would overrun** — the wrong dtype, a
-  short ``dst``, a size that is not a multiple of ``n``.
+  short ``dst``, a size that is not a multiple of ``n``;
+* **a stage run in place changes no bit** — with the L2 reading forced
+  down so that the rule fires at every size, the chain equals the stage
+  walk and the three-buffer chain, ``x`` untouched, ``restrict`` gone from
+  exactly the stages it runs in place, a scratch only when two or more
+  stages move data.
 
 Everything needs a C compiler; the ``no-compiler`` lane skips the module.
 """
@@ -40,6 +45,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.codegen import flags
 from repro.codegen.c_emit import CHAIN_MARKER, emit_plan_unit
 from repro.codegen.compiled_backend import (
     DEFAULT_CODELET_MAX,
@@ -223,6 +229,107 @@ def test_portable_flag_tier_through_the_chain(rng, monkeypatch):
     np.testing.assert_allclose(
         fused, np.fft.fft(X, axis=-1), atol=1e-9 * n, rtol=1e-9
     )
+
+
+# -- a stage run in place -----------------------------------------------------
+
+
+def _compiled_under_l2(monkeypatch, l2, program):
+    """``program`` compiled as on a host whose L2 reads ``l2`` bytes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(flags, "l2_cache_bytes", lambda: l2)
+        return compile_plan(program)
+
+
+def _scatters_where_it_gathers(stage):
+    return all(np.array_equal(lp.gather, lp.scatter) for lp in stage.loops)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("nu", [1, 2, 4])
+@pytest.mark.parametrize("k", range(2, 13))
+def test_the_in_place_chain_changes_no_bit(k, nu, threads, rng, monkeypatch):
+    """The rule forced to fire — two rows (``32 n`` bytes) exactly the L2
+    — against the same plan one byte of L2 later, which runs every stage
+    out of place: equal to each other and to the stage walk bit for bit,
+    ``x`` never written, whichever buffer the result is asked into."""
+    n = 1 << k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        program = generate_fft(
+            n, threads=feasible_threads(n, threads, 4), nu=nu
+        ).program
+    three = _compiled_under_l2(monkeypatch, 32 * n + 1, program)
+    forced = _compiled_under_l2(monkeypatch, 32 * n, program)
+    assert three.in_place == ()
+    assert forced.in_place == tuple(
+        sid for sid, st in enumerate(program.stages)
+        if sid and _scatters_where_it_gathers(st)
+    )
+    assert forced.artifact_info()["in_place"] == list(forced.in_place)
+
+    text = forced.so_path.with_suffix(".c").read_text()
+    heads = [ln for ln in text.splitlines()
+             if ln.startswith("void repro_stage")]
+    assert [sid for sid, head in enumerate(heads)
+            if "restrict" not in head] == list(forced.in_place)
+    trailer = text.partition(CHAIN_MARKER)[2]
+    moving = forced.nstages - len(forced.in_place)
+    assert ("posix_memalign(" in trailer) == (moving >= 2)
+    named = ", ".join(map(str, forced.in_place))
+    assert (trailer.splitlines()[1] == f"/* in place (two rows >= L2):"
+            f" stages {named} */") == bool(forced.in_place)
+
+    stages, calls = _spied(forced)
+    three_stages = three.plan_stages()
+    for b in (0, 1, 3):
+        X = _stack(rng, b, n)
+        keep = X.copy()
+        got, _ = run_batched(stages, n, X, SEQ)
+        assert calls == [b]
+        calls.clear()
+        walked, _ = run_batched(list(stages), n, X, SEQ)
+        np.testing.assert_array_equal(got, walked)
+        np.testing.assert_array_equal(
+            got, run_batched(three_stages, n, X, SEQ)[0]
+        )
+        np.testing.assert_array_equal(X, keep)
+        # ... and stored straight into a caller's out at 16 mod 64
+        raw = np.empty(b * n * 16 + 128, np.uint8)
+        start = -raw.ctypes.data % 64 + 16
+        out = raw[start:start + b * n * 16].view(COMPLEX).reshape(b, n)
+        assert SEQ.run_stages(stages, n, X, None, out)[0] is out
+        assert calls == [b]
+        calls.clear()
+        np.testing.assert_array_equal(out, got)
+        np.testing.assert_array_equal(X, keep)
+    np.testing.assert_allclose(
+        got, np.fft.fft(X, axis=-1), atol=1e-9 * n, rtol=1e-9
+    )
+
+
+def test_the_rule_follows_the_l2(monkeypatch):
+    """Two rows of 2^16 are 2 MiB: an L2 of 2 MiB runs stages 1 and 3 in
+    place; one byte more, or no reading at all, is the three-buffer chain
+    with ``restrict`` on every stage."""
+    program = generate_fft(1 << 16, nu=4).program
+    texts = {}
+    for l2 in (None, (2 << 20) + 1, 2 << 20):
+        with monkeypatch.context() as patch:
+            patch.setattr(flags, "l2_cache_bytes", lambda: l2)
+            texts[l2] = emit_plan_source(program)
+    assert texts[None] == texts[(2 << 20) + 1]
+    assert texts[None].count("restrict srcd") == 4
+    trailer = texts[2 << 20].partition(CHAIN_MARKER)[2]
+    assert texts[2 << 20].count("restrict srcd") == 2
+    assert "/* in place (two rows >= L2): stages 1, 3 */" in trailer
+    body = trailer.partition("for (long r = 0; r < b; ++r")[2]
+    assert [ln.strip() for ln in body.splitlines()[1:5]] == [
+        "repro_stage0(0, 1, x, t);",
+        "repro_stage1(0, 1, t, t);",
+        "repro_stage2(0, 1, t, y);",
+        "repro_stage3(0, 1, y, y);",
+    ]
 
 
 # -- only the sequence as built is fused --------------------------------------

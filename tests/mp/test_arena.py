@@ -1,5 +1,11 @@
 """Shared-memory arena: ownership, refcounts, attach, leak accounting."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +86,47 @@ class TestAttach:
     def test_attach_unknown_name_raises(self):
         with pytest.raises(FileNotFoundError):
             attach("no-such-segment-xyz", 8)
+
+    @pytest.mark.parametrize("untrack", [False, True])
+    def test_a_segment_smaller_than_asked_for_is_refused(self, untrack):
+        with SharedArena(prefix="t-small") as arena:
+            buf = arena.allocate(8)
+            with pytest.raises(ValueError, match="smaller"):
+                attach(buf.name, 4096, untrack=untrack)
+
+    @pytest.mark.parametrize("untrack", [False, True])
+    def test_a_view_outlives_close(self, untrack):
+        """``close()`` with a view of the mapping still alive: the view
+        reads the values, the mapping (and any descriptor) goes when the
+        view does, and nothing is said on the way.  In a subprocess,
+        because unmapped pages under a view are a segfault, not an
+        exception."""
+        script = textwrap.dedent(f"""
+            import gc, os
+            import numpy as np
+            from repro.mp import SharedArena, attach
+            with SharedArena(prefix="t-view") as arena:
+                buf = arena.allocate(1024)
+                buf.array[:] = np.arange(1024)
+                fds = len(os.listdir("/proc/self/fd"))
+                seg = attach(buf.name, 1024, untrack={untrack})
+                view = seg.array[10:20]
+                seg.close()
+                del seg
+                gc.collect()
+                assert view.tolist() == list(range(10, 20)), view
+                del view
+                gc.collect()
+                assert len(os.listdir("/proc/self/fd")) == fds
+            print("intact")
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "intact"
+        assert proc.stderr == ""
 
 
 class TestProcessWideAccounting:
