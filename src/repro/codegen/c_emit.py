@@ -35,11 +35,17 @@ kernel → twiddle scale → scatter chain is fused into one loop nest:
   ``codelet_max`` unrolled straight-line codelets
   (:class:`repro.codegen.unroll.Codelet`), larger ones a dense
   coefficient-table multiply;
+* a codelet stores its own outputs: a loop whose scatter is an affine
+  form with contiguous lanes (or one lane) and no post-scale passes the
+  block's scatter address and column stride, and has no scatter loop;
+  any other codelet loop passes a line-aligned local block its scatter
+  loop reads;
 * every loop runs its ν lanes per iteration (``loop.nu``: 1 for a scalar
   loop — the one-lane case of the same text — more from the ``vec(ν)``
   rewriting, :mod:`repro.vector`) in **explicit** GCC/Clang
   vector-extension statements (:func:`vector_prelude`), never lane loops
-  left to an auto-vectorizer: working data in **split re/im planes** of
+  left to an auto-vectorizer — the codelets included: working data in
+  **split re/im planes** of
   ν-vectors (element-major, lane-minor — the codelets' layout), no
   ``double complex`` arithmetic (no ``__muldc3`` calls), 64-byte-aligned
   locals, ``restrict``-qualified stage pointers (source and dest never
@@ -63,7 +69,7 @@ from ..sigma.index_map import recover_affine
 from ..sigma.loops import BlockLoop, SigmaProgram, Stage
 from ..spl.matrices import DFT, F2, I
 from . import flags
-from .unroll import Codelet
+from .unroll import Codelet, interleaved_store
 
 #: linkage of everything a plan object shares between its translation
 #: units: visible to the link, absent from the ``.so``'s dynamic symbols
@@ -194,7 +200,8 @@ class CodeletDef:
     """One unrolled codelet: the name the stage text calls, ν, the code.
 
     Codelet text is printed here, by :meth:`to_c`, for both C targets and
-    every ν: ν lanes over split re/im planes (:meth:`Codelet.to_c_vec`).
+    every ν: explicit ν-vector statements over split re/im planes that
+    store each output at ``y + i*ys`` (:meth:`Codelet.to_c_vec`).
     """
 
     name: str
@@ -225,11 +232,13 @@ class CodeletDef:
         return f"{CODELET_STEM}_{digest}"
 
     def object_source(self) -> str:
-        """The codelet as a translation unit of its own."""
+        """The codelet as a translation unit of its own: its ν's
+        :func:`vector_prelude` ahead of the definition."""
         return "\n".join([
             "/* Generated by repro: codelet object"
             f" (size {self.codelet.size} x {self.nu} lanes) */",
             f"#define {CODELET_STEM} {self.symbol}",
+            *vector_prelude([self.nu]),
             self.definition,
         ])
 
@@ -350,11 +359,13 @@ class _StageEmitter:
 
     def _addr(
         self, table: np.ndarray, kind: str, base: str, nu: int
-    ) -> tuple[bool, Callable[..., str]]:
-        """``(lane-contiguous?, C expression factory)`` for ``table``.
+    ) -> tuple[bool, Callable[..., str], Optional[int]]:
+        """``(lane-contiguous?, C expression factory, column stride)`` for
+        ``table``.
 
         ``addr(j, u, l=0)`` is the element column ``u`` of lane ``l`` of
-        *block* ``j`` addresses; the lanes are contiguous when ν
+        *block* ``j`` addresses (``u = None``: column 0 of an affine form,
+        its base and digit terms alone); the lanes are contiguous when ν
         consecutive rows address ν consecutive elements (permutation
         folding keeps that in every stage but the one that absorbed the
         in-register transpose, whose lanes sit ν apart; one lane has no
@@ -362,7 +373,8 @@ class _StageEmitter:
         recovered :class:`~repro.sigma.index_map.AffineForm` (one term per
         digit of ``j``); a map no form reproduces is emitted as ``int``
         data: per block (``<kind>vb<base>``) when the lanes are
-        contiguous, else per row (``<kind>v<base>``).
+        contiguous, else per row (``<kind>v<base>``).  The column stride
+        is the form's, in elements: None for a table.
         """
         form = recover_affine(table, nu)
         if form is not None:
@@ -373,13 +385,12 @@ class _StageEmitter:
                 if div < table.shape[0] // nu:
                     digit = f"({digit}%{radix})"
                 terms.append(f"{digit}*{stride}")
-            text = " + ".join(
-                [str(form.base), *terms, f"{{u}}*{form.col_stride}"]
-            )
+            text = " + ".join([str(form.base), *terms])
             return form.lane_stride == 1, lambda j, u, l=0: (
-                text.format(j=j, u=u)
+                text.format(j=j)
+                + ("" if u is None else f" + {u}*{form.col_stride}")
                 + (f" + {l * form.lane_stride}" if l else "")
-            )
+            ), form.col_stride
         k = table.shape[1]
         blocks = table.reshape(-1, nu, k)
         steps = np.diff(blocks, axis=1)  # lane to lane: none at one lane
@@ -387,8 +398,9 @@ class _StageEmitter:
         name = kind + ("vb" if contig else "v") + base
         self.preamble.append(Table(name, table[::nu] if contig else table))
         if contig:
-            return True, lambda j, u, l=0: f"{name}[{j}*{k} + {u}]"
-        return False, lambda j, u, l=0: f"{name}[({j}*{nu}+{l})*{k} + {u}]"
+            return True, lambda j, u, l=0: f"{name}[{j}*{k} + {u}]", None
+        return (False, lambda j, u, l=0: f"{name}[({j}*{nu}+{l})*{k} + {u}]",
+                None)
 
     def _lane_scale(
         self, scale: Optional[np.ndarray], nu: int, kind: str, base: str
@@ -455,10 +467,16 @@ class _StageEmitter:
 
         Reads ``s`` and writes ``d`` (the current batch row's ``cplx``
         pointers).  Working data sits in split re/im planes of ν-vectors
-        (``tre[u]`` is element ``u`` of all ν lanes), the codelet's layout.
-        A lane-contiguous gather is two loads and two shuffles that
-        de-interleave and a strided one ν 16-byte loads combined; scatters
-        mirror them; twiddle scales multiply in registers in between.
+        (``tre[u]`` is element ``u`` of all ν lanes), the codelet's input
+        layout.  A lane-contiguous gather is two loads and two shuffles
+        that de-interleave and a strided one ν 16-byte loads combined;
+        scatters mirror them; twiddle scales multiply in registers in
+        between.  A codelet whose scatter is an affine form with
+        contiguous lanes (or one lane) and no post-scale is handed the
+        block's scatter address and ``2*col_stride`` and does the scatter
+        itself; any other is handed ``yb``, a line-aligned local block of
+        ν interleaved pairs per output (``ys = 2ν``), which the scatter
+        loop de-interleaves as a gather would.
         """
         base = f"{sid}_{lid}"
         o = self.lines
@@ -469,9 +487,10 @@ class _StageEmitter:
         kernel = loop.kernel
         vec, mem = f"v{nu}", f"v{nu}u"
         lanes = range(nu)
+        even, odd = (_lane_list(range(at, 2 * nu, 2)) for at in (0, 1))
 
-        g_contig, g_addr = self._addr(loop.gather, "g", base, nu)
-        s_contig, s_addr = self._addr(loop.scatter, "s", base, nu)
+        g_contig, g_addr, _ = self._addr(loop.gather, "g", base, nu)
+        s_contig, s_addr, s_stride = self._addr(loop.scatter, "s", base, nu)
         w_factor = self._lane_scale(loop.pre_scale, nu, "w", base)
         v_factor = self._lane_scale(loop.post_scale, nu, "v", base)
         cname, kname = self._kernel_names(kernel, nu)
@@ -500,8 +519,8 @@ class _StageEmitter:
             )
             o.append(
                 f"{ind}    const {vec}"
-                f" xr = SHUF({nu}, lo, hi, {_lane_list(range(0, 2 * nu, 2))}),"
-                f" xi = SHUF({nu}, lo, hi, {_lane_list(range(1, 2 * nu, 2))});"
+                f" xr = SHUF({nu}, lo, hi, {even}),"
+                f" xi = SHUF({nu}, lo, hi, {odd});"
             )
         else:
             o.append(f"{ind}    const v2 " + ", ".join(
@@ -524,6 +543,15 @@ class _StageEmitter:
         # kernel: ν lanes at once (I_n is a pure ν-block move: the
         # gather/scatter carry the permutation)
         out_re, out_im = "tre", "tim"
+        if cname is not None and s_stride is not None \
+                and (s_contig or nu == 1) and v_factor is None:
+            # the codelet stores the block at its scatter address itself
+            o.append(
+                f"{ind}  {cname}((const double *)tre, (const double *)tim,"
+                f" (double *)(d + ({s_addr('jb', None)})), {2 * s_stride});"
+            )
+            o.append(f"{ind}}}")
+            return
         if isinstance(kernel, F2):
             o.append(
                 f"{ind}  {{ const {vec} ar = tre[0] + tre[1],"
@@ -531,61 +559,56 @@ class _StageEmitter:
                 f" bi = tim[0] - tim[1]; tre[0] = ar; tim[0] = ai;"
                 f" tre[1] = br; tim[1] = bi; }} /* F_2 x {nu} */"
             )
-        elif cname is not None or kname is not None:
+        elif cname is not None:  # into a local block, ys = one element
+            o.append(
+                f"{ind}  {vec} yb[{2 * kout}] __attribute__((aligned(64)));"
+            )
+            o.append(
+                f"{ind}  {cname}((const double *)tre, (const double *)tim,"
+                f" (double *)yb, {2 * nu});"
+            )
+        elif kname is not None:  # dense: one coefficient against ν lanes
             out_re, out_im = "yre", "yim"
             o.append(
                 f"{ind}  {vec} yre[{kout}] __attribute__((aligned(64))),"
                 f" yim[{kout}] __attribute__((aligned(64)));"
             )
-            if cname is not None:
-                o.append(
-                    f"{ind}  {cname}((const double *)tre, (const double *)tim,"
-                    f" (double *)yre, (double *)yim);"
-                )
-            else:  # dense: one coefficient against ν lanes at a time
-                at = f"{kname}[2*(v*{k}+u)"
-                o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
-                o.append(f"{ind}    {vec} ar = {{0}}, ai = {{0}};")
-                o.append(f"{ind}    for (int u = 0; u < {k}; ++u) {{")
-                o.append(f"{ind}      {_broadcast(nu, at + ']', at + '+1]')}")
-                o.append(
-                    f"{ind}      ar += cr*tre[u] - ci*tim[u];"
-                    f" ai += cr*tim[u] + ci*tre[u];"
-                )
-                o.append(f"{ind}    }}")
-                o.append(f"{ind}    yre[v] = ar; yim[v] = ai;")
-                o.append(f"{ind}  }}")
+            at = f"{kname}[2*(v*{k}+u)"
+            o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
+            o.append(f"{ind}    {vec} ar = {{0}}, ai = {{0}};")
+            o.append(f"{ind}    for (int u = 0; u < {k}; ++u) {{")
+            o.append(f"{ind}      {_broadcast(nu, at + ']', at + '+1]')}")
+            o.append(
+                f"{ind}      ar += cr*tre[u] - ci*tim[u];"
+                f" ai += cr*tim[u] + ci*tre[u];"
+            )
+            o.append(f"{ind}    }}")
+            o.append(f"{ind}    yre[v] = ar; yim[v] = ai;")
+            o.append(f"{ind}  }}")
 
         # scatter (+ post-scale): re-interleave the planes
         if not s_contig:
             o.append(f"{ind}  v2u *dc = (v2u *)d;")
         o.append(f"{ind}  for (int v = 0; v < {kout}; ++v) {{")
-        if v_factor is None:
+        got = f"{out_re}[v]", f"{out_im}[v]"
+        if cname is not None:  # the block's ν interleaved re/im pairs
             o.append(
-                f"{ind}    const {vec} zr = {out_re}[v], zi = {out_im}[v];"
+                f"{ind}    const {vec} lo = yb[2*v], hi = yb[2*v + 1];"
             )
-        else:
-            o.append(
-                f"{ind}    const {vec} yr = {out_re}[v], yi = {out_im}[v];"
-            )
+            got = f"SHUF({nu}, lo, hi, {even})", f"SHUF({nu}, lo, hi, {odd})"
+        z = "z" if v_factor is None else "y"
+        o.append(f"{ind}    const {vec} {z}r = {got[0]}, {z}i = {got[1]};")
+        if v_factor is not None:
             o.append(f"{ind}    {v_factor('v')}")
             o.append(
                 f"{ind}    const {vec} zr = yr*cr - yi*ci, zi = yr*ci + yi*cr;"
             )
         if s_contig:
-            half = nu // 2
-            lo, hi = (
-                _lane_list(x for l in part for x in (l, nu + l))
-                for part in (range(half), range(half, nu))
-            )
             o.append(
                 f"{ind}    double *q = (double *)"
                 f"(d + ({s_addr('jb', 'v')}));"
             )
-            o.append(
-                f"{ind}    *({mem} *)q = SHUF({nu}, zr, zi, {lo});"
-                f" *({mem} *)(q + {nu}) = SHUF({nu}, zr, zi, {hi});"
-            )
+            o.append(f"{ind}    {interleaved_store(nu, 'q', 'zr', 'zi')}")
         else:
             o.append(f"{ind}   " + "".join(
                 f" dc[{s_addr('jb', 'v', l)}] = (v2){{zr[{l}], zi[{l}]}};"

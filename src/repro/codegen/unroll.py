@@ -10,11 +10,17 @@ stage:
   producing an expression DAG with algebraic simplification built into the
   constructors (x+0, 1*x, (-1)*x, constant folding) and hash-consing CSE,
   both owned by a per-codelet :class:`NodePool`;
-* :class:`Codelet` schedules the DAG into SSA statements and emits them as
-  a Python function (the reference the tests compare against) or a C
-  function of ν lanes over split re/im planes (every ν, one included);
+* :class:`Codelet` schedules the DAG into SSA statements in the order it
+  was built — each sub-transform finished before the next starts, the
+  genfft-style order that keeps live values within the register file —
+  and emits them as a Python function (the reference the tests compare
+  against) or a C function of explicit ν-vector statements over split
+  re/im input planes (every ν, one included; never a lane loop left to
+  an auto-vectorizer) that stores each output, interleaved, at a
+  caller's address and stride right after the statement that defines it;
 * op counts come out of the DAG, so tests can verify e.g. that the
-  generated radix-2 DFT_8 costs 78 real flops — far below both the 5n log n
+  generated radix-2 DFT_8 executes 60 real flops (52 adds and 8 muls: a
+  multiply by ±i is a swap and a negation) — far below both the 5n log n
   pseudo count (120) and the O(n^2) dense definition (~500).
 """
 
@@ -30,6 +36,12 @@ from ..spl.matrices import DFT, Diag, DiagFunc, F2, I, L, Perm, Twiddle
 from ..spl.parallel import LinePerm, ParDirectSum, ParTensor, SMP
 
 _EPS = 1e-12
+
+#: what a C codelet is defined with: every statement is already ν lanes
+#: wide, and at ν = 1 gcc's SLP vectorizer would pack each output's re/im
+#: pair and move which product a contracted multiply-add rounds — the bits
+#: of every one-lane plan (clang ignores the attribute)
+_NO_SLP = '__attribute__((optimize("no-tree-slp-vectorize")))'
 
 
 class Node:
@@ -227,7 +239,8 @@ class Codelet:
 
         Runs the formula over symbolic inputs (one :class:`Node` per
         column), letting the constructors fold constants and hash-cons
-        common subexpressions, then topologically schedules the DAG.
+        common subexpressions, then schedules the DAG in the order it was
+        built.
         """
         pool = NodePool()
         xs = [pool.var(i) for i in range(expr.cols)]
@@ -237,25 +250,39 @@ class Codelet:
         return codelet
 
     def _schedule(self) -> None:
-        """Topological order over the DAG; each op node becomes one temp."""
-        seen: dict = {}
-        order: list[Node] = []
+        """Every op node the outputs reach, in the order it was built.
 
-        def visit(node: Node) -> None:
-            if id(node) in seen or node.op in ("var", "const"):
-                if node.op in ("var", "const"):
-                    seen[id(node)] = True
-                return
-            seen[id(node)] = True
-            for a in node.args:
-                if isinstance(a, Node):
-                    visit(a)
-            order.append(node)
-
-        for out in self.outputs:
-            visit(out)
+        A node's serial is its rank in :func:`symbolic_apply`'s walk, and
+        its arguments were built before it, so serial order is a
+        topological order — the one that finishes each sub-transform
+        before the next starts, which keeps the values live at any point
+        few enough for the register file.  Each op node becomes one temp.
+        """
+        reached: dict = {}
+        todo = list(self.outputs)
+        while todo:
+            node = todo.pop()
+            if node.op in ("var", "const") or id(node) in reached:
+                continue
+            reached[id(node)] = node
+            todo.extend(node.args)
+        order = sorted(reached.values(), key=lambda node: node.serial)
         self.schedule = [(f"t{i}", node) for i, node in enumerate(order)]
         self._names = {id(node): nm for nm, node in self.schedule}
+
+    def _stores(self) -> tuple[list[int], dict]:
+        """``(first, after)``: the outputs no statement defines (an input
+        or a constant, stored ahead of every statement), and the outputs
+        each scheduled statement defines, by temp name."""
+        first: list[int] = []
+        after: dict = {}
+        for i, out in enumerate(self.outputs):
+            name = self._names.get(id(out))
+            if name is None:
+                first.append(i)
+            else:
+                after.setdefault(name, []).append(i)
+        return first, after
 
     # -- accounting -----------------------------------------------------------
 
@@ -273,9 +300,24 @@ class Codelet:
         return c["add"] + c["sub"] + c["mul"]
 
     def real_flops(self) -> int:
-        """Real-flop estimate (cadd=2, cmul=6, neg free)."""
-        c = self.op_counts()
-        return 2 * (c["add"] + c["sub"]) + 6 * c["mul"]
+        """The real flops the printed code executes.
+
+        A complex add or sub is 2; a multiply is what :meth:`_stmt_vec`
+        prints for it: 4 muls and 2 adds by a general constant (or a
+        variable), 2 muls by a purely real or purely imaginary one, and
+        nothing by ±i, a swap and a negation.  Negations are free.
+        """
+        flops = 0
+        for _, node in self.schedule:
+            if node.op in ("add", "sub"):
+                flops += 2
+            elif node.op == "mul":
+                c = node.args[0].value if node.args[0].is_const() else None
+                if c is None or (c.real and c.imag):
+                    flops += 6
+                elif c.real or abs(c.imag) != 1.0:
+                    flops += 2
+        return flops
 
     # -- emission ---------------------------------------------------------------
 
@@ -298,95 +340,109 @@ class Codelet:
         return f"    {name} = {rhs}"
 
     def to_python(self) -> str:
-        """The codelet as Python source: ``def name(x, y)`` straight-line."""
+        """The codelet as Python source: ``def name(x, y)`` straight-line,
+        in the schedule's order, each output stored after its statement."""
+        first, after = self._stores()
         lines = [
             f"def {self.name}(x, y):",
             f"    # unrolled size-{self.size} codelet: "
             f"{self.complex_ops()} complex ops ({self.real_flops()} flops)",
         ]
-        lines += [self._stmt(nm, node) for nm, node in self.schedule]
-        for i, out in enumerate(self.outputs):
-            lines.append(f"    y[{i}] = {self._ref(out)}")
+        lines += [f"    y[{i}] = {self._ref(self.outputs[i])}" for i in first]
+        for nm, node in self.schedule:
+            lines.append(self._stmt(nm, node))
+            lines += [f"    y[{i}] = {nm}" for i in after.get(nm, ())]
         return "\n".join(lines) + "\n"
 
-    # -- C emission: ν lanes over split re/im planes ----------------------------
+    # -- C emission: ν-vectors over split re/im planes --------------------------
 
     def _ref_vec(self, node: Node, nu: int) -> tuple[str, str]:
-        """(re, im) C expressions for a node inside the lane loop."""
+        """(re, im) C expressions for a node: an input plane's vector, a
+        constant (a ν-vector of it), or a temp."""
         if node.op == "var":
             i = node.args[0]
-            return f"xre[{i * nu}+l]", f"xim[{i * nu}+l]"
+            return f"xr[{i}]", f"xi[{i}]"
         if node.op == "const":
-            v = node.value
-            return repr(float(v.real)), repr(float(v.imag))
+            re, im = repr(float(node.value.real)), repr(float(node.value.imag))
+            if nu == 1:
+                return re, im
+            return (f"(v{nu}){{{', '.join([re] * nu)}}}",
+                    f"(v{nu}){{{', '.join([im] * nu)}}}")
         nm = self._names[id(node)]
         return f"{nm}re", f"{nm}im"
 
-    def _stmt_vec(self, name: str, node: Node, nu: int) -> list[str]:
-        """One scheduled complex op as split re/im scalar statements.
+    def _stmt_vec(self, name: str, node: Node, nu: int) -> str:
+        """One scheduled complex op as split re/im ν-vector statements.
 
-        Emitted inside the ν-lane loop, so every statement is one vector
-        instruction after auto-vectorization.  Constant multiplies
-        specialize: pure-real and pure-imaginary twiddle factors cost two
-        real multiplies instead of four.
+        Constant multiplies specialize: a purely real or purely imaginary
+        factor costs two real multiplies instead of four, and ±i none — a
+        swap and a negation.
         """
+        t = "double" if nu == 1 else f"v{nu}"
         refs = [self._ref_vec(a, nu) for a in node.args]
-        if node.op == "add":
+        if node.op in ("add", "sub"):
             (ar, ai), (br, bi) = refs
-            return [f"      const double {name}re = {ar} + {br}, "
-                    f"{name}im = {ai} + {bi};"]
-        if node.op == "sub":
-            (ar, ai), (br, bi) = refs
-            return [f"      const double {name}re = {ar} - {br}, "
-                    f"{name}im = {ai} - {bi};"]
-        if node.op == "neg":
+            op = "+" if node.op == "add" else "-"
+            re, im = f"{ar} {op} {br}", f"{ai} {op} {bi}"
+        elif node.op == "neg":
             ((ar, ai),) = refs
-            return [f"      const double {name}re = -{ar}, "
-                    f"{name}im = -{ai};"]
-        # mul: constants are normalized to the left by Node.mul
-        a, b = node.args
-        if a.is_const():
-            cr, ci = float(a.value.real), float(a.value.imag)
-            br, bi = self._ref_vec(b, nu)
+            re, im = f"-{ar}", f"-{ai}"
+        elif node.args[0].is_const():  # constants are normalized left
+            c = complex(node.args[0].value)
+            cr, ci = c.real, c.imag
+            br, bi = refs[1]
             if ci == 0.0:
-                return [f"      const double {name}re = ({cr!r})*{br}, "
-                        f"{name}im = ({cr!r})*{bi};"]
-            if cr == 0.0:
-                return [f"      const double {name}re = -({ci!r})*{bi}, "
-                        f"{name}im = ({ci!r})*{br};"]
-            return [f"      const double {name}re = ({cr!r})*{br} - "
-                    f"({ci!r})*{bi},"
-                    f" {name}im = ({cr!r})*{bi} + ({ci!r})*{br};"]
-        (ar, ai), (br, bi) = refs
-        return [f"      const double {name}re = {ar}*{br} - {ai}*{bi}, "
-                f"{name}im = {ar}*{bi} + {ai}*{br};"]
+                re, im = f"({cr!r})*{br}", f"({cr!r})*{bi}"
+            elif cr == 0.0 and abs(ci) == 1.0:
+                re, im = (f"-{bi}", br) if ci > 0 else (bi, f"-{br}")
+            elif cr == 0.0:
+                re, im = f"-({ci!r})*{bi}", f"({ci!r})*{br}"
+            else:
+                re = f"({cr!r})*{br} - ({ci!r})*{bi}"
+                im = f"({cr!r})*{bi} + ({ci!r})*{br}"
+        else:
+            (ar, ai), (br, bi) = refs
+            re, im = f"{ar}*{br} - {ai}*{bi}", f"{ar}*{bi} + {ai}*{br}"
+        return f"  const {t} {name}re = {re}, {name}im = {im};"
+
+    def _store_vec(self, i: int, node: Node, nu: int) -> str:
+        """Output ``i`` stored as ν interleaved re/im pairs at ``y + i*ys``."""
+        re, im = self._ref_vec(node, nu)
+        if nu == 1:
+            return f"  y[{i}*ys] = {re}; y[{i}*ys + 1] = {im};"
+        return "  " + interleaved_store(nu, f"y + {i}*ys", re, im)
 
     def to_c_vec(self, nu: int, linkage: str = "static") -> str:
-        """The codelet as C99 — the one C printer: a ν-lane function over
-        split re/im planes (``nu = 1``, a scalar codelet, is one lane).
+        """The codelet as C99 — the one C printer, for every ν (``nu = 1``,
+        a scalar codelet, is one lane).
 
-        Layout: ``x``/``y`` hold ``size`` elements of ``nu`` lanes each,
-        element-major (``x[u][l]`` at index ``u*nu + l``).  The lane loop
-        is the vectorization axis: its body is branch-free straight-line
-        code with unit-stride accesses, exactly what gcc/clang's loop
-        vectorizer turns into ν-wide SIMD — the :class:`VecTensor`
-        semantics (one vector instruction per scalar op of the child).
+        ``xre`` / ``xim`` are the input planes, ``size`` ν-vectors each
+        (element ``u`` of every lane at ``[u*nu, u*nu + nu)``, the stage
+        text's ``tre`` / ``tim``).  The body is one explicit ``v<ν>``
+        statement (``double`` at ν = 1) per scheduled op, in the
+        schedule's order: no lane loop is left to an auto-vectorizer.
+        Output ``i`` is stored, as ν interleaved re/im pairs at ``y +
+        i*ys`` (``ys`` in doubles), right after the statement that
+        defines it — a stage passes its scatter address and stride, or a
+        local block.  The text assumes :func:`repro.codegen.c_emit.
+        vector_prelude` of ``nu`` ahead of it.
         """
+        t = "double" if nu == 1 else f"v{nu}"
+        first, after = self._stores()
         lines = [
-            f"{linkage} void {self.name}("
+            f"{linkage} {_NO_SLP} void {self.name}("
             "const double *restrict xre, const double *restrict xim, "
-            "double *restrict yre, double *restrict yim) {",
+            "double *restrict y, long ys) {",
             f"  /* unrolled size-{self.size} codelet x {nu} lanes: "
             f"{self.complex_ops()} complex vector ops */",
-            f"  for (int l = 0; l < {nu}; ++l) {{",
+            f"  const {t} *xr = (const {t} *)xre, *xi = (const {t} *)xim;",
         ]
+        lines += [self._store_vec(i, self.outputs[i], nu) for i in first]
         for nm, node in self.schedule:
-            lines += self._stmt_vec(nm, node, nu)
-        for i, out in enumerate(self.outputs):
-            orr, oi = self._ref_vec(out, nu)
-            lines.append(f"      yre[{i * nu}+l] = {orr}; "
-                         f"yim[{i * nu}+l] = {oi};")
-        lines.append("  }")
+            lines.append(self._stmt_vec(nm, node, nu))
+            lines += [
+                self._store_vec(i, node, nu) for i in after.get(nm, ())
+            ]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -402,6 +458,22 @@ class Codelet:
             return y
 
         return apply
+
+
+def interleaved_store(nu: int, at: str, re: str, im: str) -> str:
+    """C text storing ν-vectors ``re`` / ``im`` as ν interleaved re/im
+    pairs at ``at``, a ``double *`` expression: two shuffles and two
+    stores through ``v<ν>u`` (ν >= 2; :func:`repro.codegen.c_emit.
+    vector_prelude` declares both)."""
+    half = nu // 2
+    lo, hi = (
+        ", ".join(str(x) for l in part for x in (l, nu + l))
+        for part in (range(half), range(half, nu))
+    )
+    return (
+        f"*(v{nu}u *)({at}) = SHUF({nu}, {re}, {im}, {lo});"
+        f" *(v{nu}u *)({at} + {nu}) = SHUF({nu}, {re}, {im}, {hi});"
+    )
 
 
 def dft_codelet(n: int, name: Optional[str] = None) -> Codelet:

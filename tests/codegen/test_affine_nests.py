@@ -121,10 +121,14 @@ def test_hunt_corpus_tables_round_trip(repro):
 
 def test_sixteen_bit_plan_is_the_nest_the_docs_print():
     """2^16, ν = 4: three digits where there were 384 KiB of ``int``
-    tables, and stages 1 and 3 read 2 x 2 KiB where they read 2 x 512."""
+    tables, and stages 1 and 3 read 2 x 2 KiB where they read 2 x 512.
+    The scatter's digits are the codelet's store address: it is handed
+    the block's element 0 and the column stride (256 elements, 512
+    doubles), and no stage keeps a ``yre`` / ``yim`` block."""
     source = emit_stage_functions(_program(1 << 16, 4), DEFAULT_CODELET_MAX)
     text = "\n".join(source.lines)
-    assert "(jb%64)*4 + (jb/64)*4096 + v*256" in text
+    assert "(double *)(d + (0 + (jb%64)*4 + (jb/64)*4096)), 512);" in text
+    assert "yre" not in text and "for (int v = 0;" not in text
     assert "(jb%64)*1024 + (jb/64)*1 + u*16 + 256]" in text
     sizes = {t.name: t.flat().nbytes for t in source.tables}
     assert sizes == {

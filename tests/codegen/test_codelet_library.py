@@ -175,11 +175,12 @@ class TestThreeProducts:
             codelet = Codelet.from_formula(codelet_formula(DFT(k)), "local7")
             cdef = CodeletDef("local7", nu, codelet)
             static, library = cdef.to_c(), cdef.definition
-            assert static.startswith("static void local7(")
+            assert static.startswith("static __attribute__((optimize(")
+            assert "void local7(" in static.split("\n")[0]
             assert library.startswith(
-                '__attribute__((visibility("hidden"))) void '
-                f"{CODELET_STEM}("
+                '__attribute__((visibility("hidden"))) __attribute__'
             )
+            assert f" void {CODELET_STEM}(" in library.split("\n")[0]
             assert static.split("\n")[1:] == library.split("\n")[1:]
             obj = cdef.object_source()
             assert f"#define {CODELET_STEM} {cdef.symbol}\n" in obj

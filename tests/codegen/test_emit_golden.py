@@ -18,7 +18,14 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     then; all 21 ν = 1 digests were re-recorded when the scalar body was
     deleted and ν = 1 became the one-lane case of the ν-lane nest (``v1``
     planes, broadcast twiddle tables, no ``double complex`` arithmetic).
-    No ν > 1 digest moved: :data:`FROZEN` pins them.
+    No ν > 1 digest moved: :data:`FROZEN` pins them.  All 63 were
+    re-recorded when codelets began storing their own outputs: a codelet
+    loop whose scatter is an affine form with contiguous lanes and no
+    post-scale passes the block's scatter address and ``2*col_stride``
+    to the codelet and lost its ``yre`` / ``yim`` locals and scatter loop;
+    every other codelet loop passes a line-aligned local ``yb`` block its
+    scatter loop reads (every plan has a codelet loop, so every digest
+    moved; the results did not move a bit).
 ``"plan"``
     Everything before ``CHAIN_MARKER``: the unit's preamble and the stage
     functions.  Re-recorded in the commit that made the preamble *declare*
@@ -34,7 +41,9 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     bindings); all 63 once more, with ``"plan_chain"``, when the unit
     stopped including libc headers: ``typedef double _Complex cplx;``
     where ``<complex.h>``, ``<math.h>`` and ``typedef double complex
-    cplx;`` stood (``"stages"`` held).
+    cplx;`` stood (``"stages"`` held); all 63 again with the codelet
+    stores of ``"stages"`` (the bindings' signature is ``(xre, xim, y,
+    ys)``; ``"plan_chain"`` held).
 ``"plan_chain"``
     The trailer (marker to end of file), recorded in the commit that
     added it and re-recorded in PR 22's steps 1 and 2: the chain runs row
@@ -50,7 +59,11 @@ k=4..12 x nu in {1,2,4} x threads in {1,2,4} at mu=4 and the default
     ``0.7071067811865476`` four times, where ``...75``, ``...74`` and
     ``...77`` stood beside it); untouched by steps 1-3.  The five ν = 1
     entries moved when the scalar ``cplx`` printer was deleted: a ν = 1
-    codelet is :meth:`Codelet.to_c_vec` at one lane.
+    codelet is :meth:`Codelet.to_c_vec` at one lane.  All 15 moved when
+    the printer emitted the schedule in construction order as explicit
+    ``v<ν>`` statements (``double`` at ν = 1; no lane loop), printed ±i
+    as a swap and a negation, and stored each output at ``y + i*ys``
+    right after the statement that defines it.
 ``"generate_c"``
     The standalone program's driver tail, one per mode: what
     ``generate_c`` appends to the plan's single-file text (driver +
@@ -119,8 +132,10 @@ def _sha(text: str) -> str:
 #: commit before it.  A deliberate re-record of any of them re-pins this:
 #: re-pinned once, by the header-free re-record of ``plan`` and
 #: ``plan_chain`` (no ``stages``, ``codelet``, ``python`` or
-#: ``generate_c`` entry moved).
-FROZEN = "04ed313002032b08ccd3939b55b782c003531622ff16543576536219b894cc5b"
+#: ``generate_c`` entry moved), and once by the codelet-stores re-record
+#: of ``plan``, ``stages`` and ``codelet`` (no ``plan_chain``, ``python``
+#: or ``generate_c`` entry moved).
+FROZEN = "ac85f5336269310734df31009f97f1a6f4fa9a2158c74f26728d05625d5aded0"
 
 
 def test_one_lane_rerecord_left_every_other_entry_alone():
