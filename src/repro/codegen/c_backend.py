@@ -54,19 +54,20 @@ MODES = tuple(_LINK_FLAGS)
 
 
 _BARRIER_C = r"""
-/* sense-reversing centralized barrier (GCC atomics) */
-static volatile int bar_count;
-static volatile int bar_sense = 0;
+/* sense-reversing centralized barrier (GCC atomics: the last arrival
+   acquires every arrival's writes and releases them with the sense) */
+static int bar_count;
+static int bar_sense = 0;
 static void barrier_wait(int *local_sense) {
   *local_sense = !*local_sense;
-  if (__sync_sub_and_fetch(&bar_count, 1) == 0) {
-    bar_count = P;
-    __sync_synchronize();
-    bar_sense = *local_sense;
+  if (__atomic_sub_fetch(&bar_count, 1, __ATOMIC_ACQ_REL) == 0) {
+    __atomic_store_n(&bar_count, P, __ATOMIC_RELAXED);
+    __atomic_store_n(&bar_sense, *local_sense, __ATOMIC_RELEASE);
   } else {
-    while (bar_sense != *local_sense) { /* spin */ }
+    while (__atomic_load_n(&bar_sense, __ATOMIC_ACQUIRE) != *local_sense) {
+      /* spin */
+    }
   }
-  __sync_synchronize();
 }
 """
 

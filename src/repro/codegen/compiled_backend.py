@@ -85,7 +85,7 @@ import numpy as np
 
 from ..faults import get_fault_plan
 from ..sigma.loops import SigmaProgram
-from ..smp.runtime import FusedStages, PlanStage, check_out
+from ..smp.runtime import FusedStages, PlanStage
 from ..spl.expr import COMPLEX
 from ..trace import get_tracer
 from .c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
@@ -293,10 +293,11 @@ class CompiledPlan:
         one, the chain stores the result straight into ``out`` and
         ``out`` is returned — once
         :func:`~repro.smp.runtime.check_out` has refused, before C, any
-        ``out`` the chain could overrun or that overlaps ``X``; an ``out``
-        that does not start on a cache line (a wire region may sit at 16
-        mod 64) gets the result computed on a line of its own and copied
-        in once.
+        ``out`` the chain could overrun or that overlaps ``X`` (in
+        ``FusedStages.whole``, or in ``run_stages`` before its one
+        ``call``); an ``out`` that does not start on a cache line (a wire
+        region may sit at 16 mod 64) gets the result computed on a line
+        of its own and copied in once.
         """
         n = self.size
         stages: list[PlanStage] = []
@@ -341,8 +342,7 @@ class CompiledPlan:
         def whole(X, writable, out=None, _chain=self._chain, _n=n,
                   _pad=CACHE_LINE // 16):
             size = X.size
-            if out is not None:
-                check_out(X, out)
+            if out is not None:  # checked by FusedStages.whole/run_stages
                 # a zero-byte buffer has no view, and no row is written
                 y = ctypes.addressof(_view(out)) if size else 0
             if out is None or y % CACHE_LINE:

@@ -16,6 +16,7 @@ percentile estimates remain representative.
 from __future__ import annotations
 
 import threading
+from array import array
 
 
 def percentile(sorted_vals: list[float], q: float) -> float | None:
@@ -59,6 +60,17 @@ def latency_summary(latencies_s: list[float]) -> dict:
     }
 
 
+class _Reservoir:
+    """One key's samples: how many were recorded, the stride that keeps
+    every ``stride``-th of them, and those kept (8 bytes each, where a list
+    keeps a 24-byte float object and a pointer)."""
+
+    __slots__ = ("seen", "stride", "samples")
+
+    def __init__(self):
+        self.seen, self.stride, self.samples = 0, 1, array("d")
+
+
 class LatencyRecorder:
     """Thread-safe per-key latency samples with bounded memory.
 
@@ -74,29 +86,35 @@ class LatencyRecorder:
             raise ValueError(f"cap must be >= 2, got {cap}")
         self._cap = cap
         self._lock = threading.Lock()
-        self._samples: dict[str, list[float]] = {}
-        self._stride: dict[str, int] = {}
-        self._seen: dict[str, int] = {}
+        self._keys: dict = {}  # key -> _Reservoir
 
-    def record(self, key: str, seconds: float) -> None:
-        with self._lock:
-            seen = self._seen.get(key, 0)
-            self._seen[key] = seen + 1
-            stride = self._stride.setdefault(key, 1)
-            if seen % stride:
+    def record(self, key, seconds: float) -> None:
+        # acquire/release and a subscript: a served request records one
+        # sample, and this is its whole cost
+        self._lock.acquire()
+        try:
+            try:
+                res = self._keys[key]
+            except KeyError:
+                res = self._keys[key] = _Reservoir()
+            seen = res.seen
+            res.seen = seen + 1
+            if seen % res.stride:
                 return
-            vals = self._samples.setdefault(key, [])
+            vals = res.samples
             vals.append(seconds)
             if len(vals) >= self._cap:
-                self._samples[key] = vals[::2]
-                self._stride[key] = stride * 2
+                res.samples = vals[::2]
+                res.stride *= 2
+        finally:
+            self._lock.release()
 
-    def counts(self) -> dict[str, int]:
+    def counts(self) -> dict:
         """True per-key totals (before any decimation)."""
         with self._lock:
-            return dict(self._seen)
+            return {k: res.seen for k, res in self._keys.items()}
 
-    def drain(self) -> dict[str, list[float]]:
+    def drain(self) -> dict:
         """Take-and-clear: every key's samples, then reset the reservoir.
 
         The tuner's observation windows are built on this: each tick
@@ -106,18 +124,15 @@ class LatencyRecorder:
         away still appear with their surviving samples.
         """
         with self._lock:
-            samples = self._samples
-            self._samples = {}
-            self._stride = {}
-            self._seen = {}
-        return samples
+            keys, self._keys = self._keys, {}
+        return {k: res.samples.tolist() for k, res in keys.items()}
 
-    def summary(self) -> dict[str, dict]:
+    def summary(self) -> dict:
         """Per-key ``latency_summary`` blocks plus true request counts."""
         with self._lock:
-            keys = {k: list(v) for k, v in self._samples.items()}
-            seen = dict(self._seen)
+            keys = {k: (res.seen, res.samples.tolist())
+                    for k, res in self._keys.items()}
         return {
-            k: {"requests": seen.get(k, len(v)), **latency_summary(v)}
-            for k, v in keys.items()
+            k: {"requests": seen, **latency_summary(vals)}
+            for k, (seen, vals) in keys.items()
         }

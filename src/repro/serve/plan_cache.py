@@ -161,7 +161,8 @@ class PlanCache:
         self._builder = builder or plan_builder(wisdom, backend)
         self._lock = threading.Lock()
         self._entries: OrderedDict[PlanKey, CachedPlan] = OrderedDict()
-        self.stats = Counters("serve.plan_cache", self.COUNTERS)
+        # counted under the cache's own lock: a hit is one lock round
+        self.stats = Counters("serve.plan_cache", self.COUNTERS, self._lock)
         self._inflight: dict[PlanKey, _Flight] = {}
 
     def __len__(self) -> int:
@@ -197,13 +198,13 @@ class PlanCache:
             plan = self._entries.get(key)
             if plan is not None:
                 self._entries.move_to_end(key)
-                self.stats.add("hits")
+                self.stats.add_held("hits")
                 return plan
             flight = self._inflight.get(key)
             leader = flight is None
             if leader:
                 flight = self._inflight[key] = _Flight()
-            self.stats.add("misses" if leader else "single_flight_waits")
+            self.stats.add_held("misses" if leader else "single_flight_waits")
 
         if not leader:
             flight.event.wait()
@@ -228,10 +229,10 @@ class PlanCache:
         with self._lock:
             self._entries[key] = plan
             self._entries.move_to_end(key)
-            self.stats.add("plans_built")
+            self.stats.add_held("plans_built")
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.add("evictions")
+                self.stats.add_held("evictions")
             self._inflight.pop(key, None)
         flight.plan = plan
         flight.event.set()
@@ -262,9 +263,9 @@ class PlanCache:
                 return False
             self._entries[key] = plan
             self._entries.move_to_end(key)
-            self.stats.add("swaps")
+            self.stats.add_held("swaps")
             # a no-op when the key was present: only a new entry overflows
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.add("evictions")
+                self.stats.add_held("evictions")
         return True

@@ -417,7 +417,7 @@ class Session:
 
     def __init__(self, conn: FrameConn):
         self.conn = conn
-        self._count = get_tracer().count
+        self._tracer = get_tracer()
 
     def dispatch(self, msg: dict, payload: Optional[memoryview],
                  line: bytes) -> None:
@@ -425,7 +425,8 @@ class Session:
         three parts; ``fft`` gets the header line a relay forwards)."""
         op = msg.get("op", "fft")
         req_id = msg.get("id")
-        self._count(self.counter, 1, op=op)
+        if self._tracer.enabled:
+            self._tracer.count(self.counter, 1, op=op)
         if op == "fft":
             if payload is not None or (self.segment is not None
                                        and "shm" in msg):

@@ -164,6 +164,7 @@ class _ServerSession(Session):
         # header (a dict), or an fft's ``(request, req_id, timeout, out)``
         self._held: list = []
         self._held_rows = 0
+        self._held_reqs: list = []  # the held slots' requests, in order
         # replies the drain writes in request order: the same slots, each
         # fft's admitted, its ticket's result waited for
         self._pending: queue.Queue = queue.Queue()
@@ -236,6 +237,7 @@ class _ServerSession(Session):
             self.reply(exception_response(req_id, exc))
             return
         self.reply((req, req_id, timeout, out))
+        self._held_reqs.append(req)
         self._held_rows += req.rows
         if self._held_rows >= service.config.queue_limit:
             self.conn.before_block(None)
@@ -248,7 +250,9 @@ class _ServerSession(Session):
         resolved and nothing earlier is owed; the rest through the drain.
         The connection's before-block hook while anything is held."""
         held, self._held, self._held_rows = self._held, [], 0
-        reqs = [slot[0] for slot in held if type(slot) is not dict]
+        if not held:
+            return
+        reqs, self._held_reqs = self._held_reqs, []
         if reqs:
             try:
                 self.service.admit(reqs, idle)
@@ -258,13 +262,14 @@ class _ServerSession(Session):
         # nothing owed: the drain marks a reply done only once written, and
         # this thread is the only one that queues replies
         direct = not self._pending.unfinished_tasks
-        send, put, last = self.conn.send, self._pending.put, len(held) - 1
-        for i, slot in enumerate(held):
+        send, put, first, last = (self.conn.send, self._pending.put,
+                                  held[0], held[-1])
+        for slot in held:
             if direct and (type(slot) is dict or slot[0].ticket.done()):
-                send(*_answer(slot), i == last)
+                send(*_answer(slot), slot is last)
                 continue
-            if direct and i:  # what was written here leaves before the drain
-                self.conn.flush()
+            if direct and slot is not first:  # what was written here
+                self.conn.flush()             # leaves before the drain
             direct = False
             put(slot)
 

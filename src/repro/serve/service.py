@@ -73,6 +73,8 @@ from .plan_cache import PlanCache, PlanKey, plan_builder
 MAX_POOL_REBUILDS = 2
 #: failure-free time after which a degraded thread count gets a pool again
 DEGRADE_COOLDOWN_S = 1.0
+#: plan keys a service remembers, one per spelling of a request's hints
+PLAN_KEY_MEMO_SIZE = 256
 
 
 class ServeError(Exception):
@@ -191,13 +193,13 @@ class _Request:
     __slots__ = ("key", "x", "out", "rows", "arrival", "deadline",
                  "no_batch", "squeeze", "ticket")
 
-    def __init__(self, key, x, deadline, no_batch, squeeze=False, out=None):
+    def __init__(self, key, x, arrival, deadline, no_batch, squeeze, out):
         self.key = key
         self.x = x
         self.out = out  # (rows, n), like x; None: a fresh result
-        self.rows = int(x.shape[0])
+        self.rows = x.shape[0]
         self.squeeze = squeeze
-        self.arrival = time.monotonic()
+        self.arrival = arrival
         self.deadline = deadline
         self.no_batch = no_batch
         self.ticket: Optional[FFTTicket] = None  # set once admitted
@@ -257,6 +259,8 @@ class FFTService:
         #: creates it, so an untuned service retains nothing per request
         self.latencies = LatencyRecorder()
         self.tune_window: Optional[LatencyRecorder] = None
+        #: a request's spelling of its hints -> its PlanKey (_plan_key_for)
+        self._plan_keys: dict[tuple, PlanKey] = {}
         self._cond = threading.Condition()
         self._queue: list[_Request] = []
         self._pending_vectors = 0
@@ -316,7 +320,10 @@ class FFTService:
         ``x``'s shape, C-contiguous, writable ``complex128``, apart from
         ``x``; anything else is a ``ValueError`` here).  The ticket's
         result is then ``out``: a batch of one is run into it, a batch of
-        several copies the request's rows into it as its ticket resolves."""
+        several copies the request's rows into it as its ticket resolves.
+
+        The plan key is worked out once per spelling of the hints and then
+        remembered (:meth:`_plan_key_for`)."""
         x = np.asarray(x, dtype=np.complex128)
         if out is not None:
             check_out(x, out)
@@ -327,21 +334,32 @@ class FFTService:
                 out = out[np.newaxis, :]
         if x.ndim != 2 or x.shape[1] < 2:
             raise ValueError(f"expected (batch, n) input, got shape {x.shape}")
-        if x.shape[0] > self.config.queue_limit:
+        rows, n = x.shape
+        if rows > self.config.queue_limit:
             raise ValueError(
-                f"{x.shape[0]} vectors exceed queue_limit "
+                f"{rows} vectors exceed queue_limit "
                 f"{self.config.queue_limit}; split the request")
-        key = self.config.plan_key(int(x.shape[1]), threads, mu, strategy, nu)
+        spelling = (n, threads, mu, strategy, nu,
+                    type(threads), type(mu), type(strategy), type(nu))
+        try:
+            key = self._plan_keys[spelling]
+        except (KeyError, TypeError):  # a new spelling, or unhashable
+            key = None
+        if key is None:
+            key = self._plan_key_for(spelling)
         if timeout is None:
             timeout = self.config.default_timeout_s
-        elif (type(timeout) is bool or not isinstance(timeout, (int, float))
+        elif (type(timeout) not in (float, int)  # else: a number, not bool
+              and (type(timeout) is bool
+                   or not isinstance(timeout, (int, float)))
               or not -threading.TIMEOUT_MAX <= timeout
               <= threading.TIMEOUT_MAX):
             raise ValueError(
                 "timeout must be a number of seconds within "
                 f"±threading.TIMEOUT_MAX, got {timeout!r}")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        return _Request(key, x, deadline, no_batch, squeeze, out)
+        now = time.monotonic()
+        deadline = None if timeout is None else now + timeout
+        return _Request(key, x, now, deadline, no_batch, squeeze, out)
 
     def admit(self, reqs: list[_Request], here: bool = False) -> None:
         """Admit a group of requests in one lock round, giving each its
@@ -360,11 +378,18 @@ class FFTService:
         :class:`PlanKey` of at most ``max_batch`` rows (a ``no_batch``
         request alone), and its tickets are resolved.  Otherwise it queues
         for the dispatcher, which wakes once.
+
+        A group of one takes this same path and pays only for what it
+        uses: two ``_cond`` rounds (claim and release the baton), one
+        plan-cache round, and one counter round for everything it counts —
+        admission, batch and wall time in one ``add_many``.
         """
         fp = get_fault_plan()
         limit = self.config.queue_limit
         rejected = 0
-        with self._cond:
+        cond = self._cond
+        cond.acquire()  # not ``with``: Condition's __enter__ is Python
+        try:
             base = depth = self._pending_vectors
             admitted = []
             for req in reqs:
@@ -392,10 +417,14 @@ class FFTService:
             elif admitted:
                 self._queue += admitted
                 self._pending_vectors = depth
-                self._cond.notify_all()
+                cond.notify_all()
+        finally:
+            cond.release()
         counts = [("rejected", rejected)] if rejected else []
         if admitted:
-            get_tracer().sample("serve.queue_depth", depth)
+            tr = get_tracer()
+            if tr.enabled:
+                tr.sample("serve.queue_depth", depth)
             self.counters.peak("max_queue_depth", depth)
             counts += [("requests", len(admitted)), ("vectors", depth - base)]
             if run_here:  # one lock round counts the admission and batches
@@ -597,6 +626,24 @@ class FFTService:
 
     # -- internals -----------------------------------------------------------
 
+    def _plan_key_for(self, spelling: tuple) -> PlanKey:
+        """:meth:`ServeConfig.plan_key` of a request's ``(n, threads, mu,
+        strategy, nu)``, remembered per spelling — each hint's value *and*
+        type, so ``2`` and ``2.0`` (an error) never share an entry.  What
+        raises is not remembered and raises again; an unhashable hint is
+        worked out every time.  At most :data:`PLAN_KEY_MEMO_SIZE`
+        spellings are kept."""
+        key = self.config.plan_key(*spelling[:5])
+        try:
+            hash(spelling)
+        except TypeError:  # a list or object hint
+            return key
+        memo = self._plan_keys
+        if len(memo) >= PLAN_KEY_MEMO_SIZE:
+            memo.clear()
+        memo[spelling] = key
+        return key
+
     def _retry_after(self, pending: int) -> float:
         """Backpressure hint: roughly the time to drain ``pending`` vectors."""
         backlog_batches = 1 + pending // max(1, self.config.max_batch)
@@ -786,19 +833,28 @@ class FFTService:
     def _release_baton(self) -> None:
         """A batch finished: free the baton, waking the dispatcher if work
         queued behind it and ``close`` if it waits."""
-        with self._cond:
+        cond = self._cond
+        cond.acquire()
+        try:
             self._executing = False
             if self._queue or self._closing:
-                self._cond.notify_all()
+                cond.notify_all()
+        finally:
+            cond.release()
 
     def _execute_batch(self, key: PlanKey, batch: list[_Request]) -> list:
         """Run ``batch`` and resolve its tickets; returns the ``(name,
         value)`` counts it owes, for the caller's one ``add_many``."""
-        tr = get_tracer()
-        expired = self._fail_expired(batch, time.monotonic())
-        live = [r for r in batch if r not in expired] if expired else batch
+        live = batch
+        now = time.monotonic()
+        for r in batch:  # a list is built only when a deadline has passed
+            if r.deadline is not None and now > r.deadline:
+                expired = self._fail_expired(batch, now)
+                live = [r for r in batch if r not in expired]
+                break
         if not live:
             return []
+        tr = get_tracer()
         try:
             runtime = self._runtime_for(key.threads)
             # every request's x is already (rows, n): one copy joins them;
@@ -807,25 +863,13 @@ class FFTService:
                 X, out = live[0].x, live[0].out
             else:
                 X, out = np.concatenate([r.x for r in live]), None
-            with tr.span("serve.execute", "serve", n=key.n,
-                         threads=key.threads, vectors=int(X.shape[0]),
-                         requests=len(live)):
-                # whatever the pool kind, it runs the plan the cache holds
-                plan = self.plans.get(key)
-                try:
-                    Y, _ = runtime.run(plan, X, out)
-                except BaseException as exc:
-                    # the batch that breaks a pool retires it
-                    if runtime is not self._fallback:
-                        self._retire_if_broken(key.threads)
-                    if not isinstance(exc, WorkerPoolBroken):
-                        raise
-                    # the pool died under this batch; the input stack is
-                    # untouched (no runtime writes its input), so re-run the
-                    # same plan on the sequential fallback rather than fail
-                    # the tickets
-                    self.counters.add("failovers", threads=key.threads)
-                    Y, _ = self._fallback.run(plan, X, out)
+            if tr.enabled:
+                with tr.span("serve.execute", "serve", n=key.n,
+                             threads=key.threads, vectors=X.shape[0],
+                             requests=len(live)):
+                    Y = self._run_plan(runtime, key, X, out)
+            else:
+                Y = self._run_plan(runtime, key, X, out)
         except BaseException as exc:
             for req in live:
                 req.ticket._resolve(error=exc)
@@ -833,6 +877,7 @@ class FFTService:
         done = time.monotonic()
         window = self.tune_window
         row = 0
+        wall_s = 0
         for req in live:
             if req.out is None:
                 result = Y[row] if req.squeeze else Y[row:row + req.rows]
@@ -843,9 +888,31 @@ class FFTService:
             req.ticket._resolve(result=result)
             row += req.rows
             wall = done - req.arrival
+            wall_s += wall
             self.latencies.record(key, wall)
             if window is not None:
                 window.record(key, wall)
-        tr.sample("serve.batch_occupancy", int(Y.shape[0]))
-        return [("batches", 1), ("batched_vectors", int(Y.shape[0])),
-                ("request_wall_s", sum(done - r.arrival for r in live))]
+        if tr.enabled:
+            tr.sample("serve.batch_occupancy", Y.shape[0])
+        return [("batches", 1), ("batched_vectors", Y.shape[0]),
+                ("request_wall_s", wall_s)]
+
+    def _run_plan(self, runtime: Runtime, key: PlanKey, X: np.ndarray,
+                  out: Optional[np.ndarray]) -> np.ndarray:
+        """``key``'s cached plan on ``X`` (into ``out``): on ``runtime``, or
+        on the sequential fallback when the pool died under it."""
+        # whatever the pool kind, it runs the plan the cache holds
+        plan = self.plans.get(key)
+        try:
+            return runtime.run(plan, X, out)[0]
+        except BaseException as exc:
+            # the batch that breaks a pool retires it
+            if runtime is not self._fallback:
+                self._retire_if_broken(key.threads)
+            if not isinstance(exc, WorkerPoolBroken):
+                raise
+        # the pool died under this batch; the input stack is untouched (no
+        # runtime writes its input), so re-run the same plan on the
+        # sequential fallback rather than fail the tickets
+        self.counters.add("failovers", threads=key.threads)
+        return self._fallback.run(plan, X, out)[0]

@@ -90,8 +90,10 @@ class FusedStages(tuple):
     it in place, and returns a ``(b, n)`` result equal bit for bit to
     walking the stages in order, every processor share in turn: a fresh
     array, or ``out`` itself when one is given (refused by
-    :func:`check_out` before anything runs).  The
-    compiled backend builds these
+    :func:`check_out` before anything runs).  ``call`` is the same call
+    without that check, for :meth:`Runtime.run_stages`, which has made it
+    already, against the caller's own ``X``.  The compiled backend builds
+    these
     (:meth:`repro.codegen.compiled_backend.CompiledPlan.plan_stages`);
     everything that walks stage by stage — the pools, the tracer, the
     process-pool workers — iterates one like any stage list.
@@ -105,11 +107,18 @@ class FusedStages(tuple):
     ``whole`` and is walked stage by stage.
     """
 
-    def __new__(cls, stages, whole: Callable[..., np.ndarray]):
+    def __new__(cls, stages, call: Callable[..., np.ndarray]):
         self = super().__new__(cls, stages)
-        self.whole = whole
+        self.call = call
         self.parallel_stages = sum(1 for st in self if st.parallel)
+        self.sequential_stages = len(self) - self.parallel_stages
         return self
+
+    def whole(self, X: np.ndarray, writable: bool,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is not None:
+            check_out(X, out)
+        return self.call(X, writable, out)
 
 
 def check_out(X: np.ndarray, out) -> None:
@@ -246,12 +255,17 @@ class Runtime:
         Given ``out`` (see :func:`check_out`: ``X``'s shape, C-contiguous,
         writable ``complex128``, apart from ``X``), the result is written
         there and ``out`` is returned: by the whole-plan call's own stores,
-        or by one copy at the end of a walk."""
+        or by one copy at the end of a walk.
+
+        ``out`` is checked once on the way: in :meth:`run_stages`, which
+        hands a compiled plan's whole-plan call an ``out`` already
+        checked."""
+        X = np.asarray(X, dtype=COMPLEX)
         Y, stats = self.run_stages(plan.stages, plan.program.size, X,
                                    plan.spec, out)
         if out is not None:
             return out, stats
-        return (Y[0] if np.ndim(X) == 1 else Y), stats
+        return (Y[0] if X.ndim == 1 else Y), stats
 
     def run_stages(self, stages: Sequence[PlanStage], n: int, X: np.ndarray,
                    spec=None, out: Optional[np.ndarray] = None
@@ -281,11 +295,10 @@ class Runtime:
         # a tracer wants one span per stage, which only the walk can give
         if (self.fuses and isinstance(stages, FusedStages)
                 and not get_tracer().enabled):
-            par = stages.parallel_stages
-            Y = stages.whole(X, writable, out)
-            return Y, ExecutionStats(
-                parallel_stages=par, sequential_stages=len(stages) - par
-            )
+            # out was checked above, against the caller's own X
+            return stages.call(X, writable, out), ExecutionStats(
+                parallel_stages=stages.parallel_stages,
+                sequential_stages=stages.sequential_stages)
         if out is None:
             Y, stats = self._walk(stages, X.reshape(-1), spec)
             return Y.reshape(X.shape), stats

@@ -318,9 +318,12 @@ class Counters:
     always-on number and the traced one are one event counted once.
     """
 
-    def __init__(self, prefix: str, names):
+    def __init__(self, prefix: str, names, lock=None):
+        """``lock`` guards the values: a component that counts while it
+        holds a lock of its own passes that lock, and counts through
+        :meth:`add_held` under it (one lock round, not two)."""
         self.prefix = prefix
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if lock is None else lock
         self._values = dict.fromkeys(names, 0)
 
     def add(self, name: str, value: float = 1, **attrs) -> None:
@@ -334,6 +337,12 @@ class Counters:
             self._lock.release()
         if _active.enabled:
             _active.count(f"{self.prefix}.{name}", value, **attrs)
+
+    def add_held(self, name: str, value: float = 1) -> None:
+        """:meth:`add`, by a caller that already holds the shared lock."""
+        self._values[name] += value
+        if _active.enabled:
+            _active.count(f"{self.prefix}.{name}", value)
 
     def add_many(self, pairs) -> None:
         """:meth:`add` each ``(name, value)`` of the sequence ``pairs`` in

@@ -13,6 +13,7 @@ whichever thread holds the baton.
 
 import dataclasses
 import json
+import os
 import select
 import socket
 import sys
@@ -192,6 +193,147 @@ def test_no_request_makes_an_event_and_an_inline_one_costs_one_counter_round(
     stats = svc.stats()
     assert stats["requests"] == stats["batches"] == 4
     assert stats["max_queue_depth"] == 1
+
+
+class _HandlerCalls:
+    """A ``threading.setprofile`` function counting the profiled calls —
+    Python functions (``call``) and built-ins (``c_call``), as ``cProfile``
+    counts them — that one handler thread makes over whole request cycles.
+
+    A cycle runs from one ``recv_into`` of the handler's socket (where it
+    waits for the next frame) to the next.  Armed for ``cycles``, it counts
+    from the first of those it sees to the ``cycles + 1``-th: exact, however
+    the client's thread and the handler's interleave, as long as the
+    client sends one request more than it counts."""
+
+    def __init__(self):
+        self.handler, self.left, self.counting = None, 0, False
+        self.calls = {"call": 0, "c_call": 0}
+        self.done = threading.Event()
+
+    def arm(self, handler, cycles) -> None:
+        self.handler, self.left = handler, cycles + 1
+
+    def __call__(self, frame, event, arg):
+        if self.left <= 0 or threading.get_ident() != self.handler:
+            return
+        if event == "c_call" and getattr(arg, "__name__", "") == "recv_into":
+            self.left -= 1
+            if not self.left:
+                self.done.set()
+                return
+            self.counting = True
+        if self.counting and event in self.calls:
+            self.calls[event] += 1
+
+
+#: what one lone n = 64 request (NumPy backend) costs its handler thread,
+#: in profiled calls of both kinds and in Python calls alone (136 and 66
+#: before the lone path was trimmed)
+LONE_CALLS = 109
+LONE_PYTHON_CALLS = 47
+#: lock rounds per lone request on ``_cond``, the service's counters and
+#: the plan cache: claim and release the baton, one cache hit, one
+#: ``add_many`` (5 before: the cache counted its hit in a round of its own)
+LONE_LOCK_ROUNDS = 4
+
+
+def test_a_lone_request_is_pinned_as_counts(served, monkeypatch):
+    """The lone path's budget as counts, on the handler thread of an
+    in-process server.  Per lone n = 64 request: at most ``LONE_CALLS``
+    profiled calls, ``LONE_PYTHON_CALLS`` of them Python functions;
+    ``LONE_LOCK_ROUNDS`` lock rounds over ``_cond``, the service's
+    ``Counters`` and the ``PlanCache`` (its hit counted under the cache's
+    own lock); no ``threading.Event``; and each request run on the
+    handler thread, none through the drain."""
+    svc, srv = served
+    x = _vec(64)
+    n_requests = 40
+    calls = _HandlerCalls()
+    threading.setprofile(calls)
+    try:
+        with ServeClient("127.0.0.1", srv.port) as client:
+            client.fft(x)  # plan built, handler running, depth mark at 1
+            (session,) = srv.sessions
+            calls.arm(session.handler, n_requests)
+            for _ in range(n_requests + 1):
+                np.testing.assert_allclose(client.fft(x), np.fft.fft(x),
+                                           atol=1e-6)
+            assert calls.done.wait(10.0)
+
+            # the same requests again, the locks wrapped to count rounds
+            locks = {}
+            for label, owner, name in (
+                    ("_cond", svc, "_cond"),
+                    ("counters", svc.counters, "_lock"),
+                    ("plan_cache", svc.plans, "_lock"),
+                    ("plan_cache.stats", svc.plans.stats, "_lock")):
+                locks[label] = _CountingLock(getattr(owner, name))
+                monkeypatch.setattr(owner, name, locks[label])
+            made = _count_built(monkeypatch, threading, "Event")
+            for _ in range(n_requests):
+                client.fft(x)
+    finally:
+        threading.setprofile(None)
+    per_request = {k: v / n_requests for k, v in calls.calls.items()}
+    assert per_request["call"] <= LONE_PYTHON_CALLS, per_request
+    assert sum(per_request.values()) <= LONE_CALLS, per_request
+    rounds = {label: lock.rounds / n_requests
+              for label, lock in locks.items()}
+    assert sum(rounds.values()) <= LONE_LOCK_ROUNDS, rounds
+    assert rounds["plan_cache.stats"] == 0  # the hit: the cache's round
+    assert made == []
+    assert session.queued == []  # every one ran on the handler thread
+    assert svc.stats()["batches"] == 2 * n_requests + 2
+
+
+@pytest.mark.parametrize("plane", ["bytes", "segment"])
+def test_a_lone_request_loses_no_accounting(served, plane):
+    """What the trimmed lone path still counts, through a server session:
+    after N lone requests run on the handler thread, each is one request,
+    one vector and one batch of one, its latency sampled under its plan
+    and its wall time summed; one whose deadline has passed is a typed
+    ``deadline`` (counted as a miss, run as no batch); and a chaos
+    ``serve.queue_burst`` is ``overloaded`` in the request's own slot.  A
+    segment request (its result computed into its ``out`` region) alike."""
+    from repro.faults import FaultPlan, FaultSpec, fault_plan
+    from repro.serve import RemoteError
+    from repro.serve.protocol import BY_REFERENCE_BYTES, WIRE_PREFIX
+
+    svc, srv = served
+    n = 64 if plane == "bytes" else BY_REFERENCE_BYTES // 16
+    count = 5
+    xs = [_vec(n, seed) for seed in range(count)]
+    with ServeClient("127.0.0.1", srv.port) as client:
+        for x in xs:
+            np.testing.assert_allclose(client.fft(x), np.fft.fft(x),
+                                       atol=1e-9 * n)
+        assert (client._segment is not None) == (plane == "segment")
+        (session,) = srv.sessions
+        assert session.queued == []  # each ran on the handler thread
+        stats = svc.stats()
+        assert (stats["requests"], stats["vectors"], stats["batches"],
+                stats["batched_vectors"]) == (count,) * 4
+        label = svc.config.plan_key(n).label()
+        assert stats["per_plan_latency"][label]["requests"] == count
+        assert stats["request_wall_s"] > 0
+
+        with pytest.raises(RemoteError) as late:
+            client.fft(xs[0], timeout=-1.0)  # its deadline passed already
+        assert late.value.code == "deadline"
+        with fault_plan(FaultPlan([FaultSpec("serve.queue_burst")])):
+            with pytest.raises(RemoteError) as burst:
+                client.fft(xs[0])
+        assert burst.value.code == "overloaded"
+        assert burst.value.retry_after > 0
+        assert client.ping()  # the connection stayed in step
+        stats = svc.stats()
+        assert (stats["requests"], stats["batches"],
+                stats["deadline_misses"], stats["rejected"]) == (
+                    count + 1, count, 1, 1)
+        assert stats["per_plan_latency"][label]["requests"] == count
+    assert not [name for name in os.listdir("/dev/shm")
+                if name.startswith(WIRE_PREFIX + "-")]
 
 
 def _count_encoders(monkeypatch) -> list:

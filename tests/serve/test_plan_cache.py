@@ -1,6 +1,7 @@
 """Plan cache: LRU bounds, counters, and single-flight planning."""
 
 import json
+import sys
 import threading
 import time
 
@@ -195,6 +196,42 @@ class TestSingleFlight:
         assert cache.stats["misses"] == 1
         assert cache.stats["single_flight_waits"] == 7
         assert cache.stats["plans_built"] == 1
+
+    def test_every_lookup_is_counted_once_under_contention(self):
+        """The counts share the cache's lock: more threads than cores, a
+        short switch interval, hits, misses, evictions and swaps at once,
+        and every lookup is still counted once — a hit, a miss or a wait —
+        and every miss one plan built."""
+        cache = PlanCache(capacity=2, builder=lambda key: CachedPlan(
+            key=key, program=None, stages=[]))
+        keys = [PlanKey(n, 1, 4) for n in (16, 32, 64)]
+        workers, rounds = 8, 300
+
+        def worker(w):
+            for i in range(rounds):
+                key = keys[(w + i) % len(keys)]
+                cache.get(key)
+                if i % 50 == 0:
+                    cache.swap(key, CachedPlan(key=key, program=None,
+                                               stages=[]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,))
+                       for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats_snapshot()
+        assert (stats["hits"] + stats["misses"]
+                + stats["single_flight_waits"]) == workers * rounds
+        assert stats["misses"] == stats["plans_built"]
+        assert len(cache) <= cache.capacity
 
     def test_trace_counters_record_traffic(self):
         calls = []
