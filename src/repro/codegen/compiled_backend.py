@@ -45,8 +45,11 @@ A cold plan compiles its loop nests and nothing else.  Codelet lifecycle
    tier) compiles the unit and links the codelet objects into it
    statically: the ``.so`` is self-contained, and nothing else in the
    cache directory is needed to load or run it.  No emitted file includes
-   a libc header and nothing is linked beyond the objects: a plan's only
-   undefined symbols are ``posix_memalign`` and ``free``;
+   a libc header, and the link is freestanding
+   (:data:`repro.codegen.flags.SHARED_LINK`: ``-nostdlib``, the compiler's
+   static helpers after the last input): the ``.so`` needs no library, and
+   its only undefined symbols, ``posix_memalign`` and ``free``, bind at
+   load to the process's own libc;
 5. **cache** — shared objects land in a content-addressed disk cache keyed
    by source hash *and* compiler fingerprint (:func:`compiler_fingerprint`;
    the source names the codelets' content symbols and the blob's digest,
@@ -89,6 +92,7 @@ from ..smp.runtime import FusedStages, PlanStage
 from ..spl.expr import COMPLEX
 from ..trace import get_tracer
 from .c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
+from . import flags as flag_policy
 from .flags import GLUE_NU, shared_cflags, unit_cflags
 
 #: kernels up to this size are unrolled into straight-line codelets
@@ -152,16 +156,18 @@ def _compiler_version(path: str) -> str:
 def compiler_fingerprint(cc: Optional[str] = None) -> dict:
     """Identity of the toolchain baked into every codelet cache key.
 
-    Returns ``{"cc", "version", "flags", "glue"}`` for ``cc`` (default:
-    the host compiler, :func:`find_compiler`); two hosts (or two toolchain
-    upgrades on one host) with different fingerprints never share cached
-    shared objects.  ``flags`` is the tier codelet objects and most units
-    compile under, ``glue`` what a glue unit's become
-    (:func:`repro.codegen.flags.unit_cflags`).  Only the ``--version``
-    probe is memoized, per compiler path and process — both flag lists
-    are recomputed on every call so a flag-policy change (``REPRO_NO_SIMD``,
-    a portable-tier fallback, the glue tier) lands in the cache key
-    immediately, never serving a stale object built under other flags.
+    Returns ``{"cc", "version", "flags", "glue", "link"}`` for ``cc``
+    (default: the host compiler, :func:`find_compiler`); two hosts (or two
+    toolchain upgrades on one host) with different fingerprints never
+    share cached shared objects.  ``flags`` is the tier codelet objects and
+    most units compile under, ``glue`` what a glue unit's become
+    (:func:`repro.codegen.flags.unit_cflags`), ``link`` what a unit's
+    launch links after its inputs (:data:`repro.codegen.flags.SHARED_LINK`).
+    Only the ``--version`` probe is memoized, per compiler path and
+    process — the flag lists are recomputed on every call so a
+    flag-policy change (``REPRO_NO_SIMD``, a portable-tier fallback, the
+    glue tier, the link line) lands in the cache key immediately, never
+    serving a stale object built under other flags.
     """
     path = cc or find_compiler()
     version = _compiler_version(path) if path else "unavailable"
@@ -171,6 +177,7 @@ def compiler_fingerprint(cc: Optional[str] = None) -> dict:
         "version": version,
         "flags": list(flags),
         "glue": list(unit_cflags(flags, GLUE_NU)),
+        "link": list(flag_policy.SHARED_LINK),
     }
 
 
@@ -424,10 +431,7 @@ def _codelet_object(
     with tr.span("codegen.codelet_compile", "codegen", key=key):
         with _publishing(cache, stem, (".o", ".c")) as tmp:
             Path(tmp[".c"]).write_text(source)
-            compile_only = [f for f in flags if f != "-shared"]
-            run_cc(
-                cc, [*compile_only, "-c", "-o", tmp[".o"], tmp[".c"]], cache
-            )
+            run_cc(cc, [*flags, "-c", "-o", tmp[".o"], tmp[".c"]], cache)
 
 
 def compile_plan(
@@ -446,7 +450,8 @@ def compile_plan(
     name, then ``os.replace``), the ``.so`` first — it is the whole
     artifact, and a hit needs nothing else.  The unit compiles under
     :func:`~repro.codegen.flags.unit_cflags` of the fingerprint's flags
-    and its lanes, the codelet objects under the flags as they are.  Raises
+    and its lanes, the codelet objects under the flags as they are, and
+    the launch ends with the fingerprint's ``link`` (no C runtime).  Raises
     :class:`CodeletCompileError` when no compiler is available or any of
     those steps is rejected (a codelet or the unit by the compiler, the
     table block by the assembler, a damaged object by the linker); the
@@ -501,6 +506,7 @@ def compile_plan(
                 run_cc(cc, [
                     *tables, *cflags, "-o", tmp[".so"],
                     tmp[".c"], *(f"codelet_{okey}.o" for okey in objects),
+                    *fingerprint["link"],
                 ], cache)
             # used, and later than the plan was built: the GC keeps the
             # objects used since the oldest plan it keeps was built

@@ -28,8 +28,10 @@ the standalone programs keep the tier.
 
 :func:`exe_cflags` (standalone executables) and :func:`shared_cflags`
 (production ``.so`` builds) share the tier verbatim, and the full
-``shared_cflags`` value — with the glue tier derived from it — is folded
-into :func:`repro.codegen.compiled_backend.compiler_fingerprint`, and
+``shared_cflags`` value — with the glue tier derived from it, and
+:data:`SHARED_LINK`, the freestanding link a plan unit's launch ends
+with — is folded into
+:func:`repro.codegen.compiled_backend.compiler_fingerprint`, and
 through it into the content-addressed codelet cache key, so *any* flag
 change recompiles instead of reusing stale objects
 (``tests/codegen/test_flags.py`` proves both properties).
@@ -66,6 +68,15 @@ OPT_GLUE: tuple[str, ...] = ("-O2", "-march=native")
 
 #: the lanes every loop of a plan unit carries when it is glue
 GLUE_NU = 4
+
+#: what a plan unit's launch links, after its last input: a shared object
+#: and none of the C runtime (no crt files, no ``libc.so``, no
+#: ``libgcc_s``), so it carries no ``NEEDED`` entry and no ``_init`` /
+#: ``_fini``; its only undefined symbols, ``posix_memalign`` and ``free``,
+#: bind at ``dlopen`` to the libc every loading process already has.  The
+#: compiler's static helpers (``-lgcc``) come last, so an archive member is
+#: pulled only for an object that calls one
+SHARED_LINK: tuple[str, ...] = ("-shared", "-nostdlib", "-lgcc")
 
 #: where Linux describes cpu0's caches, one ``index<i>`` directory each
 CACHE_SYSFS = Path("/sys/devices/system/cpu/cpu0/cache")
@@ -126,8 +137,10 @@ def exe_cflags(cc: Optional[str] = None) -> tuple[str, ...]:
 
 
 def shared_cflags(cc: Optional[str] = None) -> tuple[str, ...]:
-    """Flags for JIT shared objects (the production codelet builds)."""
-    return optimization_tier(cc) + ("-fPIC", "-shared", "-std=gnu99")
+    """Compile flags for JIT shared objects (the production codelet
+    builds): codelet objects compile under these alone, and a plan unit
+    under them (or their glue tier) plus :data:`SHARED_LINK`."""
+    return optimization_tier(cc) + ("-fPIC", "-std=gnu99")
 
 
 def unit_cflags(flags: Sequence[str], nu: Optional[int]) -> tuple[str, ...]:
@@ -182,6 +195,7 @@ __all__ = [
     "OPT_GLUE",
     "OPT_NATIVE",
     "OPT_PORTABLE",
+    "SHARED_LINK",
     "clear_flag_probe_cache",
     "exe_cflags",
     "l2_cache_bytes",

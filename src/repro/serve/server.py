@@ -91,6 +91,10 @@ def _answer(item) -> tuple[dict, object]:
     return {"id": req_id, "ok": True}, (y if out is None else None)
 
 
+#: the per-request hints an ``fft`` header may carry; a header with none of
+#: them (a routed one, say) skips reading them
+_HINTS = frozenset(("timeout", "threads", "mu", "strategy", "no_batch"))
+
 #: a client's segment name, as ``SharedArena`` makes it: prefix, pid, hex
 _WIRE_NAME = re.compile(re.escape(WIRE_PREFIX) + r"-[0-9]+-[0-9a-f]+")
 
@@ -181,7 +185,9 @@ class _ServerSession(Session):
 
     def dispatch(self, msg: dict, payload: Optional[memoryview],
                  line: bytes) -> None:
-        fp = get_fault_plan()
+        # the fault plan is read once per frame, for every chaos point the
+        # frame passes (``fft``'s too)
+        fp = self._faults = get_fault_plan()
         if fp.enabled and fp.fired("net.conn_reset"):
             # chaos: hard-reset the connection mid-conversation; clients
             # must reconnect and resend (FFT is idempotent)
@@ -209,7 +215,7 @@ class _ServerSession(Session):
         reached ``queue_limit`` rows (else before the next blocking read).
         No ``payload``: a segment frame, viewed in place and answered in
         its ``out`` region."""
-        fp = get_fault_plan()
+        fp = self._faults
         if fp.enabled and fp.fired("net.poison_payload"):
             # chaos: this payload is "poisoned" — it must surface as a
             # typed, retryable error, never as a silently wrong answer
@@ -217,22 +223,28 @@ class _ServerSession(Session):
                                       "injected fault: poisoned payload"))
             return
         service = self.service
-        timeout = msg.get("timeout", service.config.default_timeout_s)
+        timeout = service.config.default_timeout_s
+        hinted = not _HINTS.isdisjoint(msg)
+        if hinted:
+            timeout = msg.get("timeout", timeout)
         out = None
         try:
             if payload is None:
                 x, out = self.segment.regions(msg)
             else:
                 x = payload_array(msg, payload)
-            req = service.request(
-                x,
-                threads=msg.get("threads"),
-                mu=msg.get("mu"),
-                strategy=msg.get("strategy"),
-                timeout=timeout,
-                no_batch=bool(msg.get("no_batch", False)),
-                out=out,
-            )
+            if hinted:
+                req = service.request(
+                    x,
+                    threads=msg.get("threads"),
+                    mu=msg.get("mu"),
+                    strategy=msg.get("strategy"),
+                    timeout=timeout,
+                    no_batch=bool(msg.get("no_batch", False)),
+                    out=out,
+                )
+            else:
+                req = service.request(x, timeout=timeout, out=out)
         except Exception as exc:
             self.reply(exception_response(req_id, exc))
             return
@@ -265,9 +277,27 @@ class _ServerSession(Session):
         send, put, first, last = (self.conn.send, self._pending.put,
                                   held[0], held[-1])
         for slot in held:
-            if direct and (type(slot) is dict or slot[0].ticket.done()):
-                send(*_answer(slot), slot is last)
-                continue
+            if direct:
+                if type(slot) is dict:
+                    send(slot, None, slot is last)
+                    continue
+                req, req_id, _, out = slot
+                ticket = req.ticket
+                if ticket._latch is None:
+                    # run by this thread, or refused at admission: resolved,
+                    # nothing to wait for, so no ticket protocol
+                    error = ticket._error
+                    if error is None:
+                        send({"id": req_id, "ok": True},
+                             ticket._result if out is None else None,
+                             slot is last)
+                    else:
+                        send(exception_response(req_id, error), None,
+                             slot is last)
+                    continue
+                if ticket.done():
+                    send(*_answer(slot), slot is last)
+                    continue
             if direct and slot is not first:  # what was written here
                 self.conn.flush()             # leaves before the drain
             direct = False

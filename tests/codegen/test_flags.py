@@ -9,7 +9,10 @@ an object built under other flags.
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
 import json
+import multiprocessing
 import re
 import shutil
 import subprocess
@@ -21,7 +24,7 @@ import pytest
 
 from repro.codegen import flags as flags_mod
 from repro.codegen.c_backend import compile_and_run, generate_c
-from repro.codegen.c_emit import emit_plan_unit
+from repro.codegen.c_emit import CACHE_LINE, TABLES_MACRO, emit_plan_unit
 from repro.codegen.compiled_backend import (
     DEFAULT_CODELET_MAX,
     _source_key,
@@ -30,12 +33,14 @@ from repro.codegen.compiled_backend import (
     compiled_available,
     compiler_fingerprint,
     emit_plan_source,
+    run_cc,
 )
 from repro.codegen.flags import (
     GLUE_NU,
     OPT_GLUE,
     OPT_NATIVE,
     OPT_PORTABLE,
+    SHARED_LINK,
     exe_cflags,
     optimization_tier,
     shared_cflags,
@@ -46,6 +51,7 @@ from repro.frontend import generate_fft
 from repro.sigma.lower import lower
 from repro.spl.matrices import DFT
 from repro.rewrite.breakdown import expand_dft
+from repro.spl.expr import COMPLEX
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_emit_digests.json").read_text()
@@ -172,6 +178,7 @@ class TestOneFlagSet:
     def test_fingerprint_carries_the_full_flag_set(self):
         fp = compiler_fingerprint()
         assert tuple(fp["flags"]) == shared_cflags(fp["cc"])
+        assert tuple(fp["link"]) == SHARED_LINK
 
 
 class TestCacheInvalidation:
@@ -379,13 +386,16 @@ class TestGlueTier:
                 [nm, "-D", "--undefined-only", str(plan.so_path)],
                 capture_output=True, text=True, check=True,
             ).stdout.split("\n")
-            # ``U`` is a strong reference; the ``w`` entries are the
-            # toolchain's own weak hooks, resolved or not
+            # ``U`` is a strong reference: exactly the two the chain calls,
+            # and no ``w`` entry — the toolchain's weak hooks came with the
+            # C runtime the freestanding link leaves out
             wanted = {
                 line.split()[-1].split("@")[0]
                 for line in listed if line.split()[:1] == ["U"]
             }
             assert wanted == {"posix_memalign", "free"}, listed
+            assert sorted(line.split()[0] for line in listed
+                          if line.strip()) == ["U", "U"], listed
         clear_compiled_memo()
 
     @needs_cc
@@ -406,6 +416,180 @@ class TestGlueTier:
         # both objects exist side by side: nothing was silently reused
         assert glue_plan.so_path.exists() and other_plan.so_path.exists()
         clear_compiled_memo()
+
+
+#: the plan_build ladder: 2^6 ... 2^12, each one and four lanes wide
+LADDER = tuple((1 << k, nu) for k in range(6, 13) for nu in (1, 4))
+
+
+def _tool(*argv) -> list:
+    """The lines a binutils listing prints, blank ones dropped."""
+    out = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return [line for line in out.stdout.splitlines() if line.strip()]
+
+
+def _linked_the_old_way(plan, workdir):
+    """``plan`` with its unit and codelet objects linked as before the
+    freestanding link: the same launch, the default C runtime around it."""
+    cache, stem = plan.so_path.parent, plan.so_path.stem
+    old = workdir / f"{stem}_old.so"
+    tables = [f'-D{TABLES_MACRO}="{stem}.tab"'] if plan.tables else []
+    run_cc(plan.compiler["cc"], [
+        *tables, *plan.cflags, "-shared", "-o", str(old), f"{stem}.c",
+        *(f"codelet_{key}.o" for key in plan.codelets),
+    ], cache)
+    lib = ctypes.CDLL(str(old))
+    chain = lib.repro_plan  # bound as compile_plan binds it
+    chain.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    chain.restype = ctypes.c_int
+    return dataclasses.replace(plan, so_path=old, _lib=lib, _chain=chain)
+
+
+def _results(plan, X):
+    """``repro_plan``'s ``Y`` for ``X``: into a fresh result, into an
+    ``out`` on its cache line, and into one at 16 mod 64 — as bytes."""
+    whole = plan.plan_stages().whole
+    got = [whole(X, True).tobytes()]
+    for skew in (0, 16):
+        raw = np.empty(X.nbytes + 2 * CACHE_LINE, np.uint8)
+        at = -raw.ctypes.data % CACHE_LINE + skew
+        out = raw[at:at + X.nbytes].view(COMPLEX).reshape(X.shape)
+        assert whole(X, True, out) is out
+        got.append(out.tobytes())
+    return got
+
+
+def _run_in_child(n, nu, X):
+    """In a fresh interpreter: the plan ``compile_plan`` finds for ``(n,
+    nu)`` in the inherited cache, and its result for ``X``."""
+    plan = compile_plan(generate_fft(n, nu=nu).program)
+    return str(plan.so_path), plan.plan_stages().whole(X, True)
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory):
+    """The ladder's plans and 2^16 four lanes wide on a host whose L2 is
+    two of its rows (stages 1 and 3 in place), built cold into one
+    private cache at the native tier."""
+    if not compiled_available():
+        pytest.skip("no usable C compiler on this host")
+    patch = pytest.MonkeyPatch()
+    cache = tmp_path_factory.mktemp("ladder")
+    patch.setenv("REPRO_CODELET_CACHE", str(cache))
+    patch.delenv("REPRO_CODELET_CACHE_MAX", raising=False)
+    patch.delenv("REPRO_NO_SIMD", raising=False)
+    clear_compiled_memo()
+    plans = {(n, nu): compile_plan(_lanes(n, nu)) for n, nu in LADDER}
+    with pytest.MonkeyPatch.context() as l2:
+        l2.setattr(flags_mod, "l2_cache_bytes", lambda: 32 << 16)
+        program = generate_fft(1 << 16, nu=4).program
+        plans[1 << 16, 4] = compile_plan(program)
+    assert plans[1 << 16, 4].in_place == (1, 3)
+    yield plans
+    patch.undo()
+    clear_compiled_memo()
+
+
+class TestFreestandingLink:
+    """A plan unit links none of the C runtime: ``-nostdlib``, with the
+    compiler's static helpers after its last input.  The ``.so`` needs no
+    library and binds ``posix_memalign`` and ``free`` from the loading
+    process; its bits are the old link's."""
+
+    def test_every_plan_is_a_freestanding_elf(self, ladder):
+        readelf, nm = shutil.which("readelf"), shutil.which("nm")
+        if readelf is None or nm is None:
+            pytest.skip("no binutils to read the plans' ELF")
+        for (n, nu), plan in ladder.items():
+            so = str(plan.so_path)
+            dynamic = " ".join(_tool(readelf, "-d", so))
+            for tag in ("(NEEDED)", "(INIT)", "(FINI)"):
+                assert tag not in dynamic, (n, nu, tag)
+            undefined = sorted(
+                line.split() for line in
+                _tool(nm, "-D", "--undefined-only", so))
+            assert undefined == [["U", "free"], ["U", "posix_memalign"]], (
+                n, nu, undefined)
+            symbols = {line.split()[-1]
+                       for line in _tool(nm, "--defined-only", so)}
+            assert not symbols & {"_init", "_fini"}, (n, nu)
+            exported = {line.split()[-1]
+                        for line in _tool(nm, "-D", "--defined-only", so)}
+            stages = {f"repro_stage{k}" for k in range(plan.nstages)}
+            assert {"repro_plan", *stages} <= exported, (n, nu, exported)
+
+    @needs_cc
+    def test_no_codelet_launch_links_and_the_unit_links_last(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        clear_compiled_memo()
+        programs = [_lanes(256, nu) for nu in (1, 4)]
+        argvs = _captured_compiles(
+            monkeypatch, lambda: [compile_plan(p) for p in programs]
+        )
+        units, objects = _launches(argvs)
+        assert len(units) == 2 and objects
+        for argv in objects:
+            assert "-shared" not in argv and "-nostdlib" not in argv, argv
+            assert not any(arg.startswith("-l") for arg in argv), argv
+        for argv in units:
+            assert tuple(argv[-len(SHARED_LINK):]) == SHARED_LINK, argv
+            inputs = [at for at, arg in enumerate(argv)
+                      if arg.endswith((".c", ".o"))]
+            assert argv.index("-lgcc") > max(inputs), argv
+            assert sum(arg.endswith(".o") for arg in argv) >= 1, argv
+        clear_compiled_memo()
+
+    @needs_cc
+    def test_link_line_flip_misses_disk_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        clear_compiled_memo()
+        program = _lanes(256, 4)
+        freestanding = compile_plan(program)
+        # the C runtime linked back in: another link line, another plan
+        monkeypatch.setattr(flags_mod, "SHARED_LINK", ("-shared",))
+        clear_compiled_memo()
+        runtime = compile_plan(program)
+        assert runtime.compiler["link"] == ["-shared"]
+        assert freestanding.source_hash != runtime.source_hash
+        assert freestanding.so_path != runtime.so_path
+        # both objects exist side by side: nothing was silently reused
+        assert freestanding.so_path.exists() and runtime.so_path.exists()
+        readelf = shutil.which("readelf")
+        if readelf is not None:
+            assert any("(NEEDED)" in line for line in
+                       _tool(readelf, "-d", str(runtime.so_path)))
+        clear_compiled_memo()
+
+    def test_the_freestanding_link_changes_no_bit(self, ladder, tmp_path):
+        rng = np.random.default_rng(43)
+        for (n, nu), plan in ladder.items():
+            old = _linked_the_old_way(plan, tmp_path)
+            for b in (1, 3):
+                X = (rng.standard_normal((b, n))
+                     + 1j * rng.standard_normal((b, n))).astype(COMPLEX)
+                new = _results(plan, X)
+                assert new == _results(old, X), (n, nu, b)
+                assert len(set(new)) == 1, (n, nu, b)
+                np.testing.assert_allclose(
+                    np.frombuffer(new[0], COMPLEX).reshape(b, n),
+                    np.fft.fft(X, axis=-1), atol=1e-9 * n, rtol=1e-9,
+                )
+
+    def test_a_plan_runs_in_a_spawn_child(self, ladder, monkeypatch):
+        """A fresh interpreter (the process pool's start method) finds the
+        plan on disk, binds the two libc symbols from its own libc, and
+        computes the parent's bits."""
+        plan = ladder[1024, 4]
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(plan.so_path.parent))
+        rng = np.random.default_rng(7)
+        X = (rng.standard_normal((3, 1024))
+             + 1j * rng.standard_normal((3, 1024))).astype(COMPLEX)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            so, Y = pool.apply(_run_in_child, (1024, 4, X))
+        assert so == str(plan.so_path)  # a disk hit: the same object
+        assert Y.tobytes() == plan.plan_stages().whole(X, True).tobytes()
 
 
 def test_no_emitted_unit_or_codelet_source_includes_a_header():

@@ -94,7 +94,7 @@ def _sampled(key):
 SAMPLE = [key for key in GRID if _sampled(key)]
 
 #: flags under which C semantics, not the optimiser, fix every rounding
-STRICT = ("-O0", "-ffp-contract=off", "-fPIC", "-shared", "-std=gnu99")
+STRICT = ("-O0", "-ffp-contract=off", "-fPIC", "-std=gnu99")
 
 SEQ = SequentialRuntime()
 
@@ -130,8 +130,8 @@ def _both_forms(program, workdir):
     c_path, so_path = workdir / f"{digest}.c", workdir / f"{digest}.so"
     c_path.write_text(unit)
     cc = subprocess.Popen(
-        [fingerprint["cc"], *fingerprint["flags"], "-o", str(so_path),
-         str(c_path), "-lm"]
+        [fingerprint["cc"], *fingerprint["flags"], "-shared", "-o",
+         str(so_path), str(c_path), "-lm"]
     )
     library = compile_plan(program)  # while the single unit compiles
     assert cc.wait(timeout=300) == 0

@@ -493,8 +493,8 @@ def test_failed_scratch_allocation_is_a_memory_error(plan256, rng, tmp_path):
     )
     run_cc(
         cc,
-        [*shared_cflags(cc), "-Dposix_memalign=nomem", "-o", "plan.so",
-         "plan.c", "nomem.c", "-lm"],
+        [*shared_cflags(cc), "-shared", "-Dposix_memalign=nomem",
+         "-o", "plan.so", "plan.c", "nomem.c", "-lm"],
         tmp_path,
     )
     chain = ctypes.CDLL(str(tmp_path / "plan.so")).repro_plan

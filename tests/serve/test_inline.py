@@ -229,9 +229,11 @@ class _HandlerCalls:
 
 #: what one lone n = 64 request (NumPy backend) costs its handler thread,
 #: in profiled calls of both kinds and in Python calls alone (136 and 66
-#: before the lone path was trimmed)
-LONE_CALLS = 109
-LONE_PYTHON_CALLS = 47
+#: before the lone path was trimmed; 109 and 47 while a frame read the
+#: fault plan twice and five absent hints, and the session answered a
+#: ticket it had just resolved through ``done`` and ``result``)
+LONE_CALLS = 101
+LONE_PYTHON_CALLS = 43
 #: lock rounds per lone request on ``_cond``, the service's counters and
 #: the plan cache: claim and release the baton, one cache hit, one
 #: ``add_many`` (5 before: the cache counted its hit in a round of its own)
