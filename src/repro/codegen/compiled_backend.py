@@ -30,9 +30,10 @@ A cold plan compiles its loop nests and nothing else.  Codelet lifecycle
    ``cc`` sees per plan: table *declarations*, codelet *bindings*, the
    stage functions, and the chain ``repro_plan(long b, x, y)`` — a few
    kilobytes at every size;
-2. **codelet objects** — every codelet is compiled once per toolchain
-   fingerprint into ``codelet_<key>.o`` under a content-derived hidden
-   symbol, and reused by every later plan that names it;
+2. **codelet objects** — every codelet is compiled once per compiler,
+   version and flag tier (the fingerprint's part its ``-c`` launch sees)
+   into ``codelet_<key>.o`` under a content-derived hidden symbol, and
+   reused by every later plan that names it;
 3. **table blob** — the tables' bytes are streamed to one binary file
    beside the plan source (each distinct table once), which the unit's
    assembler block places in ``.rodata``;
@@ -482,10 +483,12 @@ def compile_plan(
     cache = codelet_cache_dir()
     stem = f"plan_{program.size}_{key}"
     so_path = cache / (stem + ".so")
-    # the codelet objects the plan links, by cache key: keyed like the
-    # plan itself (source + fingerprint), so a flag flip shares none
+    # the codelet objects the plan links, by cache key: the source and
+    # what its ``-c`` launch sees (compiler, version, flags), so a flag
+    # flip shares none and a glue-tier or link-line flip shares them all
+    compiles = {k: fingerprint[k] for k in ("cc", "version", "flags")}
     objects = {
-        _source_key(source, fingerprint): source
+        _source_key(source, compiles): source
         for source in (c.object_source() for c in unit.codelets)
     }
     if not so_path.exists():

@@ -75,8 +75,11 @@ GLUE_NU = 4
 #: ``_fini``; its only undefined symbols, ``posix_memalign`` and ``free``,
 #: bind at ``dlopen`` to the libc every loading process already has.  The
 #: compiler's static helpers (``-lgcc``) come last, so an archive member is
-#: pulled only for an object that calls one
-SHARED_LINK: tuple[str, ...] = ("-shared", "-nostdlib", "-lgcc")
+#: pulled only for an object that calls one.  ``-Bsymbolic`` binds the
+#: unit's own symbols inside it: ``repro_plan`` calls each
+#: ``repro_stage<k>`` directly, not through the PLT
+SHARED_LINK: tuple[str, ...] = ("-shared", "-Wl,-Bsymbolic", "-nostdlib",
+                                "-lgcc")
 
 #: where Linux describes cpu0's caches, one ``index<i>`` directory each
 CACHE_SYSFS = Path("/sys/devices/system/cpu/cpu0/cache")

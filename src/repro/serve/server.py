@@ -1,4 +1,4 @@
-"""The TCP front end: ``repro serve`` wraps an :class:`FFTService`.
+"""The network front end: ``repro serve`` wraps an :class:`FFTService`.
 
 A :class:`FFTServer` is the framed endpoint of :mod:`repro.serve.protocol`
 (one handler thread per connection, one request loop, one op ladder);

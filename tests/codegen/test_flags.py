@@ -245,6 +245,37 @@ class TestCacheInvalidation:
         assert linked == portable and not linked & native
         clear_compiled_memo()
 
+    @needs_cc
+    @pytest.mark.parametrize("flip", [
+        ("OPT_GLUE", ("-O1", "-march=native")),
+        ("SHARED_LINK", ("-shared", "-nostdlib", "-lgcc")),
+    ], ids=["glue", "link"])
+    def test_a_unit_only_flip_shares_every_codelet_object(
+        self, monkeypatch, tmp_path, flip
+    ):
+        """A codelet object is keyed by what its ``-c`` launch sees: a
+        flip of the glue tier or of the link line misses the plan's
+        ``.so`` and compiles no codelet again."""
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_SIMD", raising=False)
+        clear_compiled_memo()
+        program = _lanes(256, 4)  # a glue unit at the native tier
+        before = compile_plan(program)
+        objects = {p.name for p in tmp_path.glob("codelet_*.o")}
+        assert objects == {f"codelet_{k}.o" for k in before.codelets}
+
+        monkeypatch.setattr(flags_mod, *flip)
+        clear_compiled_memo()
+        built = []
+        argvs = _captured_compiles(
+            monkeypatch, lambda: built.append(compile_plan(program)))
+        (after,) = built
+        assert after.so_path != before.so_path and after.so_path.exists()
+        assert {p.name for p in tmp_path.glob("codelet_*.o")} == objects
+        assert after.codelets == before.codelets
+        assert [argv for argv in argvs if "-c" in argv] == []
+        clear_compiled_memo()
+
 
 def _lanes(n, nu):
     """A plan of size ``n`` whose every loop carries ``nu`` lanes."""
@@ -517,6 +548,20 @@ class TestFreestandingLink:
                         for line in _tool(nm, "-D", "--defined-only", so)}
             stages = {f"repro_stage{k}" for k in range(plan.nstages)}
             assert {"repro_plan", *stages} <= exported, (n, nu, exported)
+
+    def test_the_chain_calls_its_stages_directly(self, ladder):
+        """``-Bsymbolic``: ``repro_plan`` calls each ``repro_stage<k>`` by
+        address; only the two libc symbols go through the PLT."""
+        objdump = shutil.which("objdump")
+        if objdump is None:
+            pytest.skip("no binutils to disassemble the plans")
+        for (n, nu), plan in ladder.items():
+            text = "\n".join(_tool(objdump, "-d", str(plan.so_path)))
+            plt = set(re.findall(r"<([\w.]+)@plt>", text))
+            assert plt <= {"free", "posix_memalign"}, (n, nu, plt)
+            called = set(re.findall(r"call\s+\w+ <(repro_stage\d+)>", text))
+            assert called == {f"repro_stage{k}" for k in range(plan.nstages)}, (
+                n, nu, called)
 
     @needs_cc
     def test_no_codelet_launch_links_and_the_unit_links_last(
