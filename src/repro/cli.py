@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-ms",
         type=float,
         default=0.0,
-        help="with --shards: per-shard batching window (dispatcher-bound "
+        help="with --shards: per-shard batching window (window-bound "
         "workloads show the sharding speedup on any host; see "
         "docs/sharding.md)",
     )

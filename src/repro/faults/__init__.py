@@ -2,8 +2,8 @@
 
 The runtime/serving layers are threaded with *named injection points*
 (:data:`~repro.faults.plan.INJECTION_POINTS`) — worker stall, worker
-crash, slow plan build, queue-full burst, dispatcher crash, connection
-reset, poisoned payload.  Each point consults the process-wide
+crash, slow plan build, queue-full burst, connection reset, poisoned
+payload.  Each point consults the process-wide
 :class:`FaultPlan`, which is a no-op :class:`NullFaultPlan` by default;
 tests install a real plan with :func:`fault_plan` and ``repro serve
 --chaos`` installs one from a CLI spec (:func:`parse_chaos_spec`).
@@ -19,10 +19,9 @@ tests install a real plan with :func:`fault_plan` and ``repro serve
     fp.fires("runtime.worker_crash")   # -> 1
 
 Everything downstream (pool retirement and rebuilds, degradation to the
-sequential runtime, the dispatcher carrying on past its crash, client
-retry) is exercised by ``tests/serve/test_chaos.py`` and
-``tests/serve/test_healing.py`` against these points.  See
-``docs/serving.md``.
+sequential runtime, client retry) is exercised by
+``tests/serve/test_chaos.py`` and ``tests/serve/test_healing.py`` against
+these points.  See ``docs/serving.md``.
 """
 
 from .plan import (

@@ -42,8 +42,6 @@ INJECTION_POINTS: dict[str, str] = {
     "mp.worker_crash": "ProcessPoolRuntime worker process is killed mid-job",
     "plan.slow": "PlanCache leader sleeps before building a plan",
     "serve.queue_burst": "FFTService admission pretends the queue is full",
-    "serve.dispatcher_crash": "FFTService dispatcher loop pass raises "
-    "(counted in dispatcher_restarts; the loop carries on)",
     "net.conn_reset": "FFTServer handler resets the TCP connection",
     "codegen.compile_fail": "compiled backend's gcc invocation is made to "
     "fail, exercising the registry's NumPy fallback",

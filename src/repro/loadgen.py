@@ -91,7 +91,7 @@ class ShardLoadgenConfig(_Traffic):
     verify: str = "first"        #: "first" | "all" | "none" (as loadgen)
     queue_limit: int = 512       #: per-shard admission bound (as serve)
     #: per-shard batching window; a large window makes the workload
-    #: dispatcher-bound, the regime where sharding pays on any host
+    #: window-bound, the regime where sharding pays on any host
     #: (see docs/sharding.md "Scaling regimes")
     window_ms: float = 0.0
     baseline: bool = True        #: run the 1-shard reference fleet
@@ -421,9 +421,7 @@ def render_report(report: dict) -> str:
         lines.append(
             f"server health: {health['status']} "
             f"(rebuilds {health['counters']['pool_rebuilds']}, "
-            f"failovers {health['counters']['failovers']}, "
-            f"dispatcher restarts "
-            f"{health['counters']['dispatcher_restarts']})"
+            f"failovers {health['counters']['failovers']})"
         )
     return "\n".join(lines)
 

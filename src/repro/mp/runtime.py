@@ -148,8 +148,8 @@ class ProcessPoolRuntime(Runtime):
         self._seq = 0
         self._closed = False
         self._broken = False
-        # one execution at a time: the pool runs jobs in lockstep, and the
-        # serving dispatcher is single-threaded anyway
+        # one execution at a time: the pool runs jobs in lockstep, and a
+        # service's baton lets one batch run at a time anyway
         self._exec_lock = threading.Lock()
         if p > 1:
             _ensure_resource_tracker()

@@ -12,8 +12,8 @@ path (see ``docs/serving.md``):
   with retry-after backpressure), per-request deadlines, and self-healing
   where the pool is used: the batch that breaks a worker pool retires it,
   the next one rebuilds it, a thread count that keeps failing runs
-  sequentially until a cooldown passes, and the dispatcher carries on
-  past a pass that raises;
+  sequentially until a cooldown passes; no thread of its own runs a
+  request — whoever waits for a queued one runs the queue;
 * :class:`FFTServer` / :class:`ServeClient` — the TCP/JSON front end
   behind ``repro serve``, both ends of the one hop in
   :mod:`~repro.serve.protocol`; the client retries retryable failures

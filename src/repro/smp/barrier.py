@@ -10,8 +10,8 @@ spin-wait of the C implementation (spinning burns the GIL in CPython).
 A party's sense is read on arrival, under the lock, not kept per thread
 (an episode cannot complete before every party has arrived, so all of
 its arrivals read the same value): a pool's master role may pass between
-threads, as a service's batches do between its dispatcher and the
-connections that run a request inline.
+threads, as a service's batches do between the threads that hold its
+baton in turn.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Each tick it drains the service's per-plan observation window
   whose p99 overshoots the target halves the batching window
   (multiplicative decrease), one comfortably under it grows the window
   and batch bound (additive-ish increase) to win throughput back —
-  the dispatcher re-reads both knobs every loop, so adjustments apply
+  the baton holder re-reads both knobs every batch, so adjustments apply
   live with no restart;
 * **re-searches** hot plan keys whose observed median regressed past
   ``regress_factor`` × their best window (kept in memory), using the

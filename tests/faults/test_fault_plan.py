@@ -77,10 +77,10 @@ class TestFaultPlan:
         assert plan.fired("serve.queue_burst")
 
     def test_raise_if(self):
-        plan = FaultPlan([FaultSpec("serve.dispatcher_crash")])
+        plan = FaultPlan([FaultSpec("codegen.compile_fail")])
         with pytest.raises(FaultInjected) as ei:
-            plan.raise_if("serve.dispatcher_crash")
-        assert ei.value.point == "serve.dispatcher_crash"
+            plan.raise_if("codegen.compile_fail")
+        assert ei.value.point == "codegen.compile_fail"
         plan.raise_if("plan.slow")  # unconfigured: no-op
 
     def test_stall_sleeps_delay(self):

@@ -209,7 +209,7 @@ class TestFleetStats:
             assert set(_numeric(shard["plan_cache"])) <= \
                 set(_numeric(stats["plan_cache"]))
         # the ones a hand-kept list used to drop
-        for key in ("failovers", "pool_rebuilds", "dispatcher_restarts",
+        for key in ("failovers", "pool_rebuilds",
                     "degraded_executions", "request_wall_s",
                     "avg_request_wall_s"):
             assert key in stats

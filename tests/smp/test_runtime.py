@@ -128,7 +128,7 @@ class TestPThreadsRuntime:
 
     def test_master_role_may_pass_between_threads(self, rng):
         """Every job submitted from a fresh thread, as a service's baton
-        hands the pool from the dispatcher to a connection's thread: the
+        hands the pool from one connection's thread to another's: the
         barrier must not remember which thread arrived before (a
         thread-local sense put the pool out of lockstep and hung it)."""
         gen = make_plan(256, 2, 4, 16)
