@@ -14,7 +14,7 @@ Commands
               persist the rankings as wisdom for serve/shard to build from
 ``profile``   trace one transform end to end and print the per-stage report
 ``serve``     run the TCP/JSON FFT service (plan cache + request batching);
-              ``--tune`` adds the online autotuner (knob walking + plan
+              ``--tune`` adds the online autotuner (plan re-search and
               hot-swap; see docs/tuning.md)
 ``shard``     run a consistent-hash router over a fleet of serve shards
 ``loadgen``   drive a running server; throughput/latency report, JSON
@@ -85,7 +85,6 @@ def _serve_config(args: argparse.Namespace, **extra):
     return ServeConfig(
         threads=args.threads,
         mu=args.mu,
-        window_s=args.window_ms / 1e3,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         cache_capacity=args.cache_capacity,
@@ -298,20 +297,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         nu=args.nu,
         tune=args.tune,
         tune_interval_s=args.tune_interval_ms / 1e3,
-        p99_target_ms=args.p99_target_ms,
     )
     with _chaos_plan(args), _maybe_tracing(args):
         service = FFTService(config)
         server = FFTServer((args.host, args.port), service)
         tune_note = (
-            f", tuner on (interval={args.tune_interval_ms}ms, "
-            f"p99-target={args.p99_target_ms}ms)" if args.tune else ""
+            f", tuner on (interval={args.tune_interval_ms}ms)"
+            if args.tune else ""
         )
         print(
             f"# repro serve listening on {args.host}:{server.port} "
             f"(runtime={args.runtime}, backend={args.backend}, "
-            f"threads={args.threads}, "
-            f"mu={args.mu}, window={args.window_ms}ms, "
+            f"threads={args.threads}, mu={args.mu}, "
             f"max-batch={args.max_batch}, queue-limit={args.queue_limit}"
             f"{tune_note})",
             file=sys.stderr,
@@ -489,8 +486,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             **traffic,
             windows=args.windows,
             window_duration_s=args.window_duration_ms / 1e3,
-            p99_target_ms=args.p99_target_ms,
-            initial_window_ms=args.initial_window_ms,
             tune_interval_s=args.tune_interval_ms / 1e3,
             swap_window=args.swap_window,
             chaos=args.chaos,
@@ -508,7 +503,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             kill_after_s=args.kill_after,
             baseline=not args.no_baseline,
             replicas=args.replicas,
-            window_ms=args.window_ms,
             queue_limit=args.queue_limit,
         ))
         print(lg.render_shard_report(report))
@@ -534,14 +528,6 @@ def _add_serve_config_flags(parser, scope: str = "") -> None:
     ``scope`` prefixes the help of the knobs a fleet applies per shard."""
     parser.add_argument("--threads", "-p", type=int, default=1)
     parser.add_argument("--mu", type=int, default=4)
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=0.0,
-        help=f"{scope}max batching wait in milliseconds; 0 (default) "
-        "batches continuously: each execution coalesces whatever queued "
-        "during the previous one",
-    )
     parser.add_argument(
         "--max-batch",
         type=int,
@@ -780,8 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--tune",
         action="store_true",
-        help="run the background autotuner: watches per-plan latency, "
-        "AIMD-tunes the batcher knobs toward --p99-target-ms, and "
+        help="run the background autotuner: watches per-plan latency and "
         "re-searches and hot-swaps regressed plans with zero dropped "
         "requests (see docs/tuning.md)",
     )
@@ -790,13 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=500.0,
         help="tuner tick period in milliseconds",
-    )
-    sv.add_argument(
-        "--p99-target-ms",
-        type=float,
-        default=None,
-        help="with --tune: latency goal the batcher knobs walk toward "
-        "(omit to leave the knobs alone and only re-search regressions)",
     )
     _add_chaos_flags(
         sv,
@@ -924,14 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --shards: ring successors prewarmed per plan key",
     )
     lg.add_argument(
-        "--window-ms",
-        type=float,
-        default=0.0,
-        help="with --shards: per-shard batching window (window-bound "
-        "workloads show the sharding speedup on any host; see "
-        "docs/sharding.md)",
-    )
-    lg.add_argument(
         "--queue-limit",
         type=int,
         default=512,
@@ -940,10 +910,10 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--tune",
         action="store_true",
-        help="tuning-lifetime lane: start an in-process, deliberately "
-        "mistuned server with the autotuner on and report throughput/p99 "
-        "per window over the run (a mid-run hot-swap under load must "
-        "lose zero acknowledged requests)",
+        help="tuning-lifetime lane: start an in-process server with the "
+        "autotuner on and report throughput/p99 per window over the run "
+        "(a mid-run hot-swap under load must lose zero acknowledged "
+        "requests)",
     )
     lg.add_argument(
         "--windows",
@@ -956,19 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=600.0,
         help="with --tune: length of each measurement window",
-    )
-    lg.add_argument(
-        "--p99-target-ms",
-        type=float,
-        default=5.0,
-        help="with --tune: the tuner's latency goal",
-    )
-    lg.add_argument(
-        "--initial-window-ms",
-        type=float,
-        default=25.0,
-        help="with --tune: the deliberately mistuned starting batch "
-        "window the tuner must walk down from",
     )
     lg.add_argument(
         "--tune-interval-ms",

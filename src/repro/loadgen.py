@@ -20,8 +20,8 @@ The three lanes only build a topology and add their own report blocks:
   ports: per-shard percentiles, router/fleet counters, an optional
   1-shard baseline, and the chaos lane (``kill_after_s`` SIGKILLs one
   shard mid-run; every request must still complete, verified);
-* :func:`run_tune_loadgen` — an in-process, deliberately mistuned server
-  with the :class:`~repro.tune.Tuner` on, driven through consecutive
+* :func:`run_tune_loadgen` — an in-process server with the
+  :class:`~repro.tune.Tuner` on, driven through consecutive
   measurement windows with a forced hot-swap of every hot plan at
   ``swap_window``; every response is verified, so the integrity block
   proves zero lost and zero wrong answers across the swap (and, with
@@ -90,10 +90,6 @@ class ShardLoadgenConfig(_Traffic):
     requests: int = 150          #: requests per client (each phase)
     verify: str = "first"        #: "first" | "all" | "none" (as loadgen)
     queue_limit: int = 512       #: per-shard admission bound (as serve)
-    #: per-shard batching window; a large window makes the workload
-    #: window-bound, the regime where sharding pays on any host
-    #: (see docs/sharding.md "Scaling regimes")
-    window_ms: float = 0.0
     baseline: bool = True        #: run the 1-shard reference fleet
     kill_after_s: Optional[float] = None  #: chaos: SIGKILL a shard mid-run
     replicas: int = 1
@@ -101,12 +97,10 @@ class ShardLoadgenConfig(_Traffic):
 
 @dataclass
 class TuneLoadgenConfig(_Traffic):
-    """``repro loadgen --tune``: a mistuned server tuning itself live."""
+    """``repro loadgen --tune``: a server re-tuning its plans live."""
 
     windows: int = 6             #: consecutive measurement windows
     window_duration_s: float = 0.6
-    p99_target_ms: float = 5.0   #: the tuner's latency goal
-    initial_window_ms: float = 25.0  #: deliberately mistuned starting knob
     tune_interval_s: float = 0.15
     #: force measured re-search + hot-swap of every hot plan at the start
     #: of this window (0-based); -1 disables the forced swap
@@ -457,11 +451,8 @@ def _shard_phase(router: ShardRouter, cfg: ShardLoadgenConfig,
 def _run_topology(cfg: ShardLoadgenConfig, shards: int,
                   kill_after_s: Optional[float]) -> dict:
     """Spin up fleet + router, drive one phase, tear down."""
-    shard_cfg = ServeConfig(
-        queue_limit=cfg.queue_limit,
-        window_s=cfg.window_ms / 1e3,
-        **_server_hints(cfg),
-    )
+    shard_cfg = ServeConfig(queue_limit=cfg.queue_limit,
+                            **_server_hints(cfg))
     with ShardFleet(shards, shard_cfg, replicas=cfg.replicas) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
@@ -494,7 +485,6 @@ def run_shard_loadgen(cfg: ShardLoadgenConfig) -> dict:
             "pipeline_depth": cfg.pipeline,
             "threads": cfg.threads,
             "mu": cfg.mu,
-            "window_ms": cfg.window_ms,
             "queue_limit": cfg.queue_limit,
             "replicas": cfg.replicas,
             "kill_after_s": cfg.kill_after_s,
@@ -548,7 +538,7 @@ def render_shard_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-# -- lane 3: an in-process mistuned server with the tuner on ------------------
+# -- lane 3: an in-process server with the tuner on ---------------------------
 
 
 def run_tune_loadgen(cfg: TuneLoadgenConfig) -> dict:
@@ -563,17 +553,14 @@ def run_tune_loadgen(cfg: TuneLoadgenConfig) -> dict:
 
 def _run_tune(cfg: TuneLoadgenConfig) -> dict:
     service = FFTService(ServeConfig(
-        window_s=cfg.initial_window_ms / 1e3,
         tune=True,
         tune_interval_s=cfg.tune_interval_s,
-        p99_target_ms=cfg.p99_target_ms,
         **_server_hints(cfg),
     ))
     server = FFTServer(("127.0.0.1", 0), service)
     server.serve_background()
 
     edges: list[float] = []  # window boundaries; edges[0] is the start
-    knobs: list[dict] = []
     forced = {"attempted": 0, "committed": 0}
 
     def windows() -> None:
@@ -589,10 +576,6 @@ def _run_tune(cfg: TuneLoadgenConfig) -> dict:
                         forced["committed"] += 1
             time.sleep(cfg.window_duration_s)
             edges.append(time.perf_counter())
-            knobs.append({
-                "window_ms_knob": service.config.window_s * 1e3,
-                "max_batch_knob": service.config.max_batch,
-            })
 
     try:
         # every response is verified: the integrity block is the point
@@ -617,26 +600,7 @@ def _run_tune(cfg: TuneLoadgenConfig) -> dict:
             "duration_s": duration,
             "throughput_rps": len(lat) / duration,
             **latency_summary(lat),
-            **knobs[w],
         })
-
-    nonempty = [r for r in rows if r["requests"]]
-    first = nonempty[0] if nonempty else None
-    last = nonempty[-1] if nonempty else None
-    improvement = {
-        "first_window": first["window"] if first else None,
-        "last_window": last["window"] if last else None,
-        "first_p99_ms": first["p99_ms"] if first else None,
-        "last_p99_ms": last["p99_ms"] if last else None,
-        "first_throughput_rps": first["throughput_rps"] if first else None,
-        "last_throughput_rps": last["throughput_rps"] if last else None,
-        "improved": bool(
-            first and last and first is not last and (
-                last["p99_ms"] < first["p99_ms"]
-                or last["throughput_rps"] > first["throughput_rps"]
-            )
-        ),
-    }
     return _finish_report({
         "config": {
             "sizes": list(cfg.sizes),
@@ -646,15 +610,12 @@ def _run_tune(cfg: TuneLoadgenConfig) -> dict:
             "pipeline": cfg.pipeline,
             "windows": cfg.windows,
             "window_duration_s": cfg.window_duration_s,
-            "p99_target_ms": cfg.p99_target_ms,
-            "initial_window_ms": cfg.initial_window_ms,
             "swap_window": cfg.swap_window,
             "chaos": cfg.chaos,
             "seed": cfg.seed,
         },
         "measured": run.phase,
         "windows": rows,
-        "improvement": improvement,
         "integrity": {
             "acknowledged": run.phase["completed"],
             "corrupt": run.phase["corrupt"],
@@ -673,34 +634,20 @@ def render_tune_report(report: dict) -> str:
     cfg = report["config"]
     lines = [
         f"# repro loadgen --tune: {cfg['clients']} clients x pipeline "
-        f"{cfg['pipeline']}, sizes={cfg['sizes']}, "
-        f"p99 target {cfg['p99_target_ms']:.1f} ms, "
-        f"initial window {cfg['initial_window_ms']:.1f} ms"
+        f"{cfg['pipeline']}, sizes={cfg['sizes']}"
         + (f", chaos={cfg['chaos']}" if cfg["chaos"] else ""),
-        f"{'win':>4} {'req':>6} {'req/s':>8} {'p50 ms':>8} {'p99 ms':>8} "
-        f"{'knob ms':>8} {'batch':>6}",
+        f"{'win':>4} {'req':>6} {'req/s':>8} {'p50 ms':>8} {'p99 ms':>8}",
     ]
     for w in report["windows"]:
         lines.append(
             f"{w['window']:>4} {w['requests']:>6} "
             f"{w['throughput_rps']:>8.1f} {w['p50_ms']:>8.2f} "
-            f"{w['p99_ms']:>8.2f} {w['window_ms_knob']:>8.2f} "
-            f"{w['max_batch_knob']:>6}"
-        )
-    imp = report["improvement"]
-    if imp["first_p99_ms"] is not None:
-        lines.append(
-            f"lifetime: p99 {imp['first_p99_ms']:.2f} -> "
-            f"{imp['last_p99_ms']:.2f} ms, throughput "
-            f"{imp['first_throughput_rps']:.1f} -> "
-            f"{imp['last_throughput_rps']:.1f} req/s "
-            f"({'IMPROVED' if imp['improved'] else 'no improvement'})"
+            f"{w['p99_ms']:>8.2f}"
         )
     tuner = report.get("tuner") or {}
     forced = report["forced_retunes"]
     lines.append(
         f"tuner: {tuner.get('ticks', 0)} ticks, "
-        f"{tuner.get('knob_adjustments', 0)} knob adjustments, "
         f"{tuner.get('swaps', 0)} swaps "
         f"({forced['attempted']} forced, {forced['committed']} committed, "
         f"{tuner.get('swap_failures', 0)} failures, "

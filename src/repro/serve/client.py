@@ -16,9 +16,8 @@ implement polite backoff.
 
 ``fft`` is the blocking request/response call.  ``fft_pipeline`` keeps a
 whole burst of requests in flight on the connection before reading any
-response — the server handler submits each one to the batcher on
-arrival, so a pipelined burst is what actually fills the service's
-batching window from one client.
+response — the server handler admits the burst as one group, so a
+pipelined burst is what fills a stacked batch from one client.
 
 ``fft_retry`` wraps ``fft`` with the fault-tolerant policy
 (:class:`RetryPolicy`): exponential backoff with jitter, honoring the

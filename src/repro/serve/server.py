@@ -8,11 +8,11 @@ requests and finished replies alike, each in its request's slot — for as
 long as more of the connection is already received, and admits the held
 requests to the service as one group (:meth:`FFTService.admit`: one lock
 round) just before it would wait on the socket, at ``queue_limit`` rows
-read ahead, or at end of stream.  On an idle service (zero window, nothing
-queued or executing) the group runs right there, on the handler thread,
-as one batch per plan key, and its replies leave in request order in one
-flush.  A group that meets a busy service or a non-zero window queues
-instead; before its next blocking read the handler waits for what it
+read ahead, or at end of stream.  On an idle service (nothing queued or
+executing) the group runs right there, on the handler thread, as one
+batch per plan key, and its replies leave in request order in one
+flush.  A group that meets a busy service queues instead; before its
+next blocking read the handler waits for what it
 owes, in request order, running the service's queue meanwhile, and
 reads on as soon as bytes arrive.  A handler writes only its own socket,
 so a client that stops reading stalls no other connection.  Admission

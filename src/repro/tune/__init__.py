@@ -11,9 +11,8 @@ telemetry instead of an offline timer (see ``docs/tuning.md``):
   a wisdom file holds, and what a build reads.
 * :class:`Tuner` — a background thread inside a live
   :class:`~repro.serve.FFTService`: drains per-plan latency windows
-  (kept in memory), AIMD-tunes the batcher knobs (``window_ms``,
-  ``max_batch``) toward a p99 target, and re-searches regressed plans
-  (recording the new ranking), hot-swapping the winner through the
+  (kept in memory) and re-searches regressed plans (recording the new
+  ranking), hot-swapping the winner through the
   :class:`~repro.serve.plan_cache.PlanCache` with zero dropped or
   misrouted in-flight requests.
 

@@ -2,21 +2,14 @@
 
 A :class:`Tuner` rides inside a live :class:`~repro.serve.FFTService`.
 Each tick it drains the service's per-plan observation window
-(:meth:`repro.serve.metrics.LatencyRecorder.drain`), and then:
-
-* **auto-tunes the batcher** toward a p99 target with AIMD: a window
-  whose p99 overshoots the target halves the batching window
-  (multiplicative decrease), one comfortably under it grows the window
-  and batch bound (additive-ish increase) to win throughput back —
-  the baton holder re-reads both knobs every batch, so adjustments apply
-  live with no restart;
-* **re-searches** hot plan keys whose observed median regressed past
-  ``regress_factor`` × their best window (kept in memory), using the
-  measured cost model (:func:`~repro.tune.measured_search`, which
-  records its ranking into the tuner's :class:`~repro.wisdom.Wisdom`
-  file when it has one — the tuner's only write to it), and
-  **hot-swaps** the winner into the
-  :class:`~repro.serve.plan_cache.PlanCache`.
+(:meth:`repro.serve.metrics.LatencyRecorder.drain`), **re-searches** hot
+plan keys whose observed median regressed past ``regress_factor`` ×
+their best window (kept in memory), using the measured cost model
+(:func:`~repro.tune.measured_search`, which records its ranking into the
+tuner's :class:`~repro.wisdom.Wisdom` file when it has one — the tuner's
+only write to it), and **hot-swaps** the winner into the
+:class:`~repro.serve.plan_cache.PlanCache`.  It never writes the
+service's :class:`~repro.serve.ServeConfig`.
 
 The swap protocol is zero-drop by construction: the cache replacement is
 atomic under the cache lock, defers (rather than races) when a
@@ -50,16 +43,10 @@ class TunerConfig:
     """Knobs of one background :class:`Tuner`."""
 
     interval_s: float = 0.5        #: tick period of the background thread
-    p99_target_ms: Optional[float] = None  #: batcher-knob goal; None = off
     regress_factor: float = 1.5    #: window p50 vs best-ever triggering retune
     min_requests: int = 16         #: window size before a key is judged
     search_budget: int = 4         #: measured-search candidates per retune
     search_repeats: int = 2        #: timer repeats per candidate
-    min_window_s: float = 0.0      #: batching window floor
-    max_window_s: float = 0.05     #: batching window ceiling
-    min_batch: int = 1             #: max_batch floor
-    max_batch: int = 256           #: max_batch ceiling
-    headroom: float = 0.7          #: grow knobs only under this × target
 
 
 class Tuner:
@@ -74,8 +61,7 @@ class Tuner:
 
     #: every count the tuner keeps (``snapshot()``; tracer ``tune.<name>``)
     COUNTERS = ("ticks", "windows_observed", "retunes", "swaps",
-                "swap_failures", "swaps_deferred", "knob_adjustments",
-                "tick_errors")
+                "swap_failures", "swaps_deferred", "tick_errors")
 
     def __init__(self, service, config: Optional[TunerConfig] = None,
                  wisdom=None):
@@ -91,7 +77,6 @@ class Tuner:
         #: best observed window p50 (ms) per plan key — regression baseline
         self._best_p50: dict[PlanKey, float] = {}
         self.counters = Counters("tune", self.COUNTERS)
-        self._last_p99_ms: Optional[float] = None
         self._thread = threading.Thread(
             target=self._loop, name="fft-serve-tuner", daemon=True
         )
@@ -118,26 +103,19 @@ class Tuner:
     def snapshot(self) -> dict:
         """JSON-able tuner state for the ``stats`` endpoint."""
         m = self.counters.snapshot()
-        m["last_p99_ms"] = self._last_p99_ms
-        cfg = self.service.config
-        m["window_ms"] = cfg.window_s * 1e3
-        m["max_batch"] = cfg.max_batch
-        m["p99_target_ms"] = self.config.p99_target_ms
         m["tracked_keys"] = len(self._best_p50)
         return m
 
     def tick(self) -> list[PlanKey]:
-        """One observe/adjust/retune pass; returns retuned keys."""
+        """One observe/retune pass; returns retuned keys."""
         with self._lock:
             drained = self.service.tune_window.drain()
             self.counters.add("ticks")
-            all_samples: list[float] = []
             regressed: list[PlanKey] = []
             for key, samples in drained.items():
                 if not samples:
                     continue
                 self.counters.add("windows_observed")
-                all_samples.extend(samples)
                 if len(samples) < self.config.min_requests:
                     continue
                 p50 = percentile(sorted(samples), 0.5) * 1e3
@@ -146,34 +124,9 @@ class Tuner:
                     self._best_p50[key] = p50
                 elif p50 > best * self.config.regress_factor:
                     regressed.append(key)
-            self._adjust_knobs_locked(all_samples)
             for key in regressed:
                 self._retune_locked(key)
             return regressed
-
-    def _adjust_knobs_locked(self, samples: list[float]) -> None:
-        """AIMD on (window_s, max_batch) toward the p99 target."""
-        target = self.config.p99_target_ms
-        if target is None or not samples:
-            return
-        p99_ms = percentile(sorted(samples), 0.99) * 1e3
-        self._last_p99_ms = p99_ms
-        cfg = self.service.config
-        c = self.config
-        window, batch = cfg.window_s, cfg.max_batch
-        if p99_ms > target:
-            # over target: shed latency fast (multiplicative decrease)
-            window = max(c.min_window_s, cfg.window_s * 0.5)
-        elif p99_ms < c.headroom * target:
-            # comfortable headroom: buy throughput back (gentle increase)
-            window = min(c.max_window_s, max(cfg.window_s, 0.0005) * 1.25)
-            batch = min(c.max_batch, cfg.max_batch + max(1,
-                                                         cfg.max_batch // 4))
-        batch = max(c.min_batch, batch)
-        if window != cfg.window_s or batch != cfg.max_batch:
-            cfg.window_s = window
-            cfg.max_batch = batch
-            self.counters.add("knob_adjustments")
 
     # -- retune + hot-swap ----------------------------------------------------
 

@@ -115,7 +115,6 @@ class TestServeParsers:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 7373
         assert args.threads == 1 and args.mu == 4
-        assert args.window_ms == pytest.approx(0.0)
         assert args.max_batch == 48 and args.queue_limit == 512
         assert args.cache_capacity == 64 and args.wisdom is None
 
@@ -123,13 +122,23 @@ class TestServeParsers:
         args = build_parser().parse_args(
             [
                 "serve", "--host", "0.0.0.0", "--port", "9000", "-p", "2",
-                "--window-ms", "5", "--max-batch", "8", "--queue-limit", "64",
+                "--max-batch", "8", "--queue-limit", "64",
                 "--cache-capacity", "16", "--wisdom", "w.json",
             ]
         )
         assert args.port == 9000 and args.threads == 2
-        assert args.window_ms == pytest.approx(5.0)
         assert args.max_batch == 8 and args.wisdom == "w.json"
+
+    @pytest.mark.parametrize("argv", [
+        "serve --window-ms 5", "shard --window-ms 5",
+        "loadgen --shards 2 --window-ms 5", "serve --tune --p99-target-ms 5",
+        "loadgen --tune --p99-target-ms 5",
+        "loadgen --tune --initial-window-ms 25",
+    ])
+    def test_batching_window_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv.split())
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_backend_flag(self):
         args = build_parser().parse_args(["serve", "--backend", "compiled"])

@@ -49,7 +49,7 @@ def chaos_server(monkeypatch):
     """A served FFTService with 2-thread pools (so pool faults matter)."""
     monkeypatch.setattr(service_module, "DEGRADE_COOLDOWN_S", 0.3)
     service = FFTService(
-        ServeConfig(threads=2, window_s=0.001, max_batch=16)
+        ServeConfig(threads=2, max_batch=16)
     )
     srv = FFTServer(("127.0.0.1", 0), service)
     srv.serve_background()
@@ -132,7 +132,7 @@ class TestQueueBurst:
         assert snap["counters"]["rejected"] >= 3
 
     def test_service_level_burst(self):
-        with FFTService(ServeConfig(window_s=0.001)) as svc:
+        with FFTService(ServeConfig()) as svc:
             plan = FaultPlan([FaultSpec("serve.queue_burst", max_fires=1)])
             with fault_plan(plan):
                 with pytest.raises(Overloaded):
@@ -150,7 +150,7 @@ class TestDispatcherCrash:
     def test_dispatcher_survives_its_crash(self, monkeypatch):
         """Two batch passes raise on the baton holder: each frees the
         baton and loses nothing queued, and the next wait serves it."""
-        svc = FFTService(ServeConfig(window_s=0.001))
+        svc = FFTService(ServeConfig())
         try:
             next_batch, crashes = svc._next_batch, [2]
 

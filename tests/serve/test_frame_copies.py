@@ -119,7 +119,7 @@ def test_empty_stack_is_a_frame_like_any_other(pair):
 
 
 def test_client_result_is_a_writable_array_over_no_bytes_object():
-    service = FFTService(ServeConfig(window_s=0.001))
+    service = FFTService(ServeConfig())
     srv = FFTServer(("127.0.0.1", 0), service)
     srv.serve_background()
     try:

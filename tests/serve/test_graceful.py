@@ -32,14 +32,14 @@ def _vec(n, seed=0):
 
 class TestDrain:
     def test_drain_empty_service_is_immediate(self):
-        service = FFTService(ServeConfig(window_s=0.001))
+        service = FFTService(ServeConfig())
         try:
             assert service.drain(timeout=1.0) is True
         finally:
             service.close()
 
     def test_drain_waits_for_queued_work(self):
-        service = FFTService(ServeConfig(window_s=0.005, max_batch=64))
+        service = FFTService(ServeConfig(max_batch=64))
         try:
             tickets = [service.submit(_vec(256, seed=i)) for i in range(8)]
             assert service.drain(timeout=10.0) is True
@@ -55,7 +55,7 @@ class TestDrain:
 
 class TestGracefulShutdown:
     def test_inflight_request_completes(self):
-        service = FFTService(ServeConfig(window_s=0.02, max_batch=64))
+        service = FFTService(ServeConfig(max_batch=64))
         server = FFTServer(("127.0.0.1", 0), service)
         server.serve_background()
         client = ServeClient("127.0.0.1", server.port)
@@ -67,7 +67,7 @@ class TestGracefulShutdown:
 
         t = threading.Thread(target=_burst)
         t.start()
-        time.sleep(0.01)  # let the burst land in the batcher's window
+        time.sleep(0.01)  # let the burst land
         assert graceful_shutdown(server, service, drain_timeout=10.0)
         t.join(timeout=10.0)
         assert not t.is_alive()
@@ -81,7 +81,7 @@ class TestGracefulShutdown:
             ServeClient("127.0.0.1", server.port, timeout=0.5)
 
     def test_signal_handler_drives_shutdown(self):
-        service = FFTService(ServeConfig(window_s=0.001))
+        service = FFTService(ServeConfig())
         server = FFTServer(("127.0.0.1", 0), service)
         server.serve_background()
         old = signal.getsignal(signal.SIGTERM)
@@ -100,7 +100,7 @@ class TestGracefulShutdown:
             signal.signal(signal.SIGTERM, old)
 
     def test_handler_is_idempotent(self):
-        service = FFTService(ServeConfig(window_s=0.001))
+        service = FFTService(ServeConfig())
         server = FFTServer(("127.0.0.1", 0), service)
         server.serve_background()
         old = signal.getsignal(signal.SIGTERM)

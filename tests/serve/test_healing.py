@@ -63,7 +63,7 @@ def test_a_raising_stage_retires_its_pool_and_the_next_request_rebuilds():
             raise RuntimeError("kernel failed")
         time.sleep(0.02)  # the master meets the broken barrier next
 
-    with FFTService(ServeConfig(threads=2, window_s=0.0)) as svc:
+    with FFTService(ServeConfig(threads=2)) as svc:
         x = _vec(256)
         key = svc.config.plan_key(256)
         svc.transform(x)
@@ -89,7 +89,7 @@ def test_a_raising_stage_retires_its_pool_and_the_next_request_rebuilds():
 def test_degradation_expires_by_time_with_no_thread_running(quick_degrade):
     x = _vec(256)
     before = set(threading.enumerate())
-    with FFTService(ServeConfig(threads=2, window_s=0.0)) as svc:
+    with FFTService(ServeConfig(threads=2)) as svc:
         _crash_the_pool(svc, x)
         snap = svc.health()
         assert snap["status"] == "degraded" and snap["pools"]["2"]["degraded"]
@@ -108,7 +108,7 @@ def test_degradation_expires_by_time_with_no_thread_running(quick_degrade):
 def test_a_promotion_is_counted_once_whoever_sees_it(quick_degrade,
                                                      first_look):
     x = _vec(256)
-    with FFTService(ServeConfig(threads=2, window_s=0.0)) as svc:
+    with FFTService(ServeConfig(threads=2)) as svc:
         _crash_the_pool(svc, x)
         time.sleep(0.5)
         if first_look == "health":
@@ -127,7 +127,7 @@ def test_the_dispatcher_outlives_a_pass_that_raises(monkeypatch):
     """A batch pass that raises on the baton holder reaches the waiter that
     ran it, frees the baton and leaves the queue intact: the next waiter
     serves the request."""
-    with FFTService(ServeConfig(window_s=0.001)) as svc:
+    with FFTService(ServeConfig()) as svc:
         next_batch = svc._next_batch
         raised = []
 

@@ -48,7 +48,7 @@ class _Endpoint:
 
 @pytest.fixture(scope="module")
 def direct():
-    service = FFTService(ServeConfig(window_s=0.001))
+    service = FFTService(ServeConfig())
     srv = FFTServer(("127.0.0.1", 0), service)
     srv.serve_background()
     yield _Endpoint(srv)
@@ -59,7 +59,7 @@ def direct():
 
 @pytest.fixture(scope="module")
 def routed():
-    with ShardFleet(1, ServeConfig(window_s=0.001)) as fleet:
+    with ShardFleet(1, ServeConfig()) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
         try:

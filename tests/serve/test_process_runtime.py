@@ -27,14 +27,14 @@ def _vec(n, seed=0):
 
 class TestProcessBackedService:
     def test_single_vector_roundtrip(self):
-        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        cfg = ServeConfig(threads=2, runtime="process")
         with FFTService(cfg) as svc:
             x = _vec(256)
             y = svc.transform(x)
             np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-8)
 
     def test_batched_stack(self):
-        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        cfg = ServeConfig(threads=2, runtime="process")
         with FFTService(cfg) as svc:
             X = np.stack([_vec(1024, s) for s in range(5)])
             Y = svc.transform(X)
@@ -46,7 +46,7 @@ class TestProcessBackedService:
         a prewarmed key is a cache hit, and every plan carries the spec
         its workers rebuild it from."""
         cfg = ServeConfig(
-            threads=2, runtime="process", window_s=0.0,
+            threads=2, runtime="process",
             wisdom_path=str(tmp_path / "w.json") if with_wisdom else None,
         )
         with FFTService(cfg) as svc:
@@ -74,7 +74,7 @@ class TestProcessBackedService:
         )
         built = {}
         for runtime in ("threads", "process"):
-            cfg = ServeConfig(threads=2, runtime=runtime, window_s=0.0,
+            cfg = ServeConfig(threads=2, runtime=runtime,
                               wisdom_path=str(path))
             with FFTService(cfg) as svc:
                 x = _vec(256)
@@ -95,7 +95,7 @@ class TestProcessBackedService:
         )
 
     def test_pools_are_process_pools(self):
-        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        cfg = ServeConfig(threads=2, runtime="process")
         with FFTService(cfg) as svc:
             svc.transform(_vec(256))
             assert any(
@@ -106,7 +106,7 @@ class TestProcessBackedService:
     def test_segments_released_on_close(self):
         from repro.mp import segment_stats
 
-        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        cfg = ServeConfig(threads=2, runtime="process")
         svc = FFTService(cfg)
         svc.transform(_vec(256))
         svc.close()
@@ -122,7 +122,7 @@ class TestFailover:
     def test_worker_crash_fails_over_to_fallback(self):
         """A broken process pool must not fail the request: the batch
         reruns on the sequential fallback and the supervisor counts it."""
-        cfg = ServeConfig(threads=2, runtime="process", window_s=0.0)
+        cfg = ServeConfig(threads=2, runtime="process")
         with FFTService(cfg) as svc:
             x = _vec(256, seed=3)
             svc.transform(x)  # warm pool + plan
@@ -141,7 +141,7 @@ class TestServerTuning:
         old = sys.getswitchinterval()
         sys.setswitchinterval(0.005)
         try:
-            svc = FFTService(ServeConfig(window_s=0.0))
+            svc = FFTService(ServeConfig())
             srv = FFTServer(("127.0.0.1", 0), svc)
             try:
                 assert sys.getswitchinterval() == pytest.approx(0.0005)

@@ -23,7 +23,7 @@ from repro.serve.server import FFTServer
 
 @pytest.fixture()
 def server():
-    service = FFTService(ServeConfig(window_s=0.001, max_batch=16))
+    service = FFTService(ServeConfig(max_batch=16))
     srv = FFTServer(("127.0.0.1", 0), service)
     srv.serve_background()
     yield srv

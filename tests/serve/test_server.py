@@ -43,7 +43,7 @@ from . import ResolvedByHand
 
 @pytest.fixture()
 def server():
-    service = FFTService(ServeConfig(window_s=0.001, max_batch=16))
+    service = FFTService(ServeConfig(max_batch=16))
     srv = FFTServer(("127.0.0.1", 0), service)
     srv.serve_background()
     yield srv

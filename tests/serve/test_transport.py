@@ -62,7 +62,7 @@ class _TcpOnly(_Recording):
 
 @pytest.fixture()
 def service():
-    svc = FFTService(ServeConfig(window_s=0.0))
+    svc = FFTService(ServeConfig())
     yield svc
     svc.close()
 
@@ -118,7 +118,7 @@ def test_a_router_and_its_upstreams_are_on_unix_sockets():
             sessions.append(s)
             return s
 
-    with ShardFleet(1, ServeConfig(window_s=0.0)) as fleet:
+    with ShardFleet(1, ServeConfig()) as fleet:
         router = Router(("127.0.0.1", 0), fleet, prewarm=False)
         router.serve_background()
         try:
@@ -312,7 +312,7 @@ def test_resets_over_unix_lose_no_request(service):
 
 
 def test_a_shard_killed_mid_run_over_unix_loses_no_request():
-    with ShardFleet(2, ServeConfig(window_s=0.001, max_batch=16),
+    with ShardFleet(2, ServeConfig(max_batch=16),
                     supervise_interval_s=0.05) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()

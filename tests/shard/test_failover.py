@@ -11,6 +11,8 @@ The shard-tier acceptance invariants:
    points drive the same machinery deterministically.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -43,7 +45,7 @@ def _wait(predicate, timeout=RECOVERY_S, interval=0.05):
 
 @pytest.fixture()
 def tier():
-    with ShardFleet(2, ServeConfig(window_s=0.001, max_batch=16),
+    with ShardFleet(2, ServeConfig(max_batch=16),
                     supervise_interval_s=0.05) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
@@ -115,18 +117,20 @@ class TestReplayByOrder:
         """Replies pair with requests by their order on an upstream, not by
         ``id``: two requests under one id, both queued on a shard when it
         dies, are both replayed and answered, each with its own result."""
-        # a long window keeps both queued on the shard until the kill
-        with ShardFleet(2, ServeConfig(window_s=10.0),
+        with ShardFleet(2, ServeConfig(),
                         supervise_interval_s=0.05) as fleet:
             router = ShardRouter(("127.0.0.1", 0), fleet, prewarm=False)
             router.serve_background()
             conn = FrameConn.dial(("127.0.0.1", router.port), 15.0)
+            owner = fleet.owner(fleet.route_key_for(64))
+            # a stopped shard keeps both unanswered until the kill
+            os.kill(fleet._workers[owner].pid, signal.SIGSTOP)
             try:
                 xs = [_vec(64, seed) for seed in (1, 2)]
                 for x in xs:
                     conn.send({"op": "fft", "id": 7}, x)
                 assert _wait(lambda: router.counters()["routed"] == 2, 5.0)
-                fleet.kill_shard(fleet.owner(fleet.route_key_for(64)))
+                fleet.kill_shard(owner)
                 for x in xs:
                     msg, buf, _ = conn.recv()
                     assert msg["id"] == 7 and msg["ok"] is True
@@ -140,7 +144,7 @@ class TestReplayByOrder:
 
 class TestSingleShardDegradation:
     def test_all_shards_dead_is_typed_overloaded(self):
-        with ShardFleet(1, ServeConfig(window_s=0.001), max_restarts=0,
+        with ShardFleet(1, ServeConfig(), max_restarts=0,
                         supervise_interval_s=0.05) as fleet:
             router = ShardRouter(("127.0.0.1", 0), fleet)
             router.serve_background()
@@ -212,7 +216,7 @@ class TestCounterParity:
         router name reads the same from ``counters()`` and from the tracer
         (at the parent none of the router's nine reached a trace)."""
         with tracing() as tr:
-            with ShardFleet(2, ServeConfig(window_s=0.001),
+            with ShardFleet(2, ServeConfig(),
                             supervise_interval_s=0.05) as fleet:
                 router = ShardRouter(("127.0.0.1", 0), fleet)
                 router.serve_background()
@@ -254,7 +258,7 @@ class TestDegradedShard:
     def test_a_shard_serving_numpy_for_compiled_is_degraded_not_ejected(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CC", "1")  # the children inherit it
-        with ShardFleet(1, ServeConfig(window_s=0.001, backend="compiled"),
+        with ShardFleet(1, ServeConfig(backend="compiled"),
                         supervise_interval_s=0.05) as fleet:
             assert fleet.health()["status"] == "ok"  # nothing built yet
             with ServeClient(*fleet.address("shard-0")) as c:
@@ -274,7 +278,7 @@ class TestDegradedShard:
 
 class TestWorkerLifecycle:
     def test_terminate_is_clean_exit(self):
-        w = ShardWorker("solo", ServeConfig(window_s=0.001))
+        w = ShardWorker("solo", ServeConfig())
         port = w.spawn()
         assert w.alive and w.port == port
         with ServeClient(*w.address) as c:
@@ -282,7 +286,7 @@ class TestWorkerLifecycle:
         assert w.terminate() is True  # SIGTERM -> drain -> exit 0
 
     def test_respawn_counts_restarts(self):
-        w = ShardWorker("phoenix", ServeConfig(window_s=0.001))
+        w = ShardWorker("phoenix", ServeConfig())
         w.spawn()
         w.kill()
         assert not w.alive

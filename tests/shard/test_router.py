@@ -22,7 +22,7 @@ SIZES = [64, 128, 256, 512]
 
 @pytest.fixture(scope="module")
 def tier():
-    with ShardFleet(2, ServeConfig(window_s=0.001, max_batch=16)) as fleet:
+    with ShardFleet(2, ServeConfig(max_batch=16)) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
         try:

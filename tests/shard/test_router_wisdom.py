@@ -18,7 +18,7 @@ from repro.wisdom import TUNE_VERSION, Wisdom
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
     wpath = tmp_path_factory.mktemp("wisdom") / "fleet.json"
-    cfg = ServeConfig(window_s=0.0, wisdom_path=str(wpath))
+    cfg = ServeConfig(wisdom_path=str(wpath))
     with ShardFleet(1, cfg) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
@@ -77,7 +77,7 @@ def test_a_stats_poll_after_many_keys_leaves_the_file_alone(
 
 
 def test_router_without_wisdom_never_flushes(wisdom_saves):
-    with ShardFleet(1, ServeConfig(window_s=0.0)) as fleet:
+    with ShardFleet(1, ServeConfig()) as fleet:
         router = ShardRouter(("127.0.0.1", 0), fleet)
         router.serve_background()
         try:
@@ -99,7 +99,7 @@ def test_a_tuning_fleet_leaves_only_rankings_in_the_file(tmp_path):
     from repro.tune import measured_search
 
     wpath = tmp_path / "fleet.json"
-    cfg = ServeConfig(window_s=0.0, wisdom_path=str(wpath), tune=True,
+    cfg = ServeConfig(wisdom_path=str(wpath), tune=True,
                       tune_interval_s=0.05)
     count = 6
     with ShardFleet(2, cfg) as fleet:

@@ -10,6 +10,7 @@ owners (service, plan cache, tuner — the fleet / router pair is in
 import re
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,7 @@ class TestParity:
     def test_service_plan_cache_and_tuner(self):
         """Requests, one Overloaded, one queued deadline miss, one
         worker-crash failover, one eviction, one swap, one tick."""
-        cfg = ServeConfig(threads=2, window_s=0.2, max_batch=64,
-                          cache_capacity=2)
+        cfg = ServeConfig(threads=2, max_batch=64, cache_capacity=2)
         with tracing() as tr:
             svc = FFTService(cfg)
             tuner = Tuner(svc, TunerConfig(search_budget=1, search_repeats=1))
@@ -128,8 +128,10 @@ class TestParity:
                     svc.transform(_vec(n), no_batch=True)
                 svc.transform(np.stack([_vec(256, 1), _vec(256, 2)]),
                               no_batch=True)
+                late = svc.submit(_vec(256, 3), timeout=0.02)
+                time.sleep(0.04)  # queued, unwaited, past its deadline
                 with pytest.raises(DeadlineExceeded):
-                    svc.submit(_vec(256, 3), timeout=0.02).result(2.0)
+                    late.result(2.0)
                 svc.prewarm(1024)
                 assert tuner.retune(cfg.plan_key(1024)) is True
                 tuner.tick()

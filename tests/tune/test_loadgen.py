@@ -47,7 +47,7 @@ class TestTuneLoadgen:
         assert on_disk["integrity"]["lost"] == 0
         # render shape
         text = render_tune_report(report)
-        assert "lifetime:" in text and "integrity:" in text
+        assert "tuner:" in text and "integrity:" in text
 
     def test_chaos_swap_corrupt_degrades_gracefully(self, tmp_path):
         cfg = _short_cfg(tmp_path, chaos="tune.swap_corrupt:1.0")
