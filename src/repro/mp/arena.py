@@ -57,7 +57,9 @@ class _UntrackedMapping:
     ``SharedMemory(name, track=False)`` does, for every version.  Before
     3.13, ``SharedMemory(name)`` registers the name with this process's
     tracker (cpython#82300), and unregistering again would strip the
-    owner's entry when the two share one."""
+    owner's entry when the two share one.  The owner maps its own segments
+    this way too: an ``mmap`` closed under a live export stays mapped until
+    the export goes, where ``SharedMemory.close`` (and ``__del__``) raise."""
 
     def __init__(self, name: str):
         from _posixshmem import shm_open  # what SharedMemory opens with
@@ -96,9 +98,15 @@ class ArenaStats:
 class SharedBuffer:
     """A refcounted shared segment owned by a :class:`SharedArena`.
 
-    ``array`` is a 1-D NumPy view over the mapping.  The buffer starts with
-    one reference; :meth:`release` drops one and the segment is closed and
-    unlinked when the count reaches zero.
+    ``array`` is a 1-D ``np.frombuffer`` view over the buffer's own
+    mapping of the segment (:class:`_UntrackedMapping`; the creating
+    ``SharedMemory`` is closed at once and kept only to unlink), which holds
+    a buffer export of it, as :class:`AttachedSegment`'s does.  The buffer
+    starts with one reference; :meth:`release` drops one, and at zero the
+    segment is unlinked and counted released at once.  Its mapping closes
+    then too, or, while a view of ``array`` still lives, with the last one:
+    nothing unmaps pages under a live view, and nothing raises
+    ``BufferError`` at a close or at interpreter exit.
     """
 
     def __init__(self, arena: "SharedArena", shm: shared_memory.SharedMemory,
@@ -107,8 +115,10 @@ class SharedBuffer:
         self._shm: Optional[shared_memory.SharedMemory] = shm
         self.nelems = nelems
         self.dtype = np.dtype(dtype)
-        self._array: Optional[np.ndarray] = np.ndarray(
-            (nelems,), dtype=self.dtype, buffer=shm.buf
+        self._map: Optional[_UntrackedMapping] = _UntrackedMapping(shm.name)
+        shm.close()
+        self._array: Optional[np.ndarray] = np.frombuffer(
+            self._map.buf, dtype=self.dtype, count=nelems
         )
         self._refs = 1
         self._name = shm.name
@@ -153,13 +163,14 @@ class SharedBuffer:
             self._arena._destroy(self)
 
     def _unlink(self) -> None:
-        """Drop the view, close the mapping, unlink the segment."""
+        """Unlink the segment, drop the view, close the mapping — or leave
+        it to the last view still alive."""
         if self._shm is None:
             return
         self.unlink()
-        shm, self._shm = self._shm, None
-        self._array = None  # a live view would make shm.close() fail
-        shm.close()
+        self._shm = self._array = None
+        mapping, self._map = self._map, None
+        mapping.close()
 
 
 class SharedArena:

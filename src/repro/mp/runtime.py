@@ -232,7 +232,6 @@ class ProcessPoolRuntime(Runtime):
             )
         tr = get_tracer()
         collect = tr.enabled
-        stats = ExecutionStats()
         src, dst = self._buffers_for(flat.size)
         src.array[:] = flat
 
@@ -277,11 +276,11 @@ class ProcessPoolRuntime(Runtime):
             )
         if master_reports:
             merge_span_reports(tr, master_reports)
-        stats.barriers = (
-            self._barrier.wait_count // self.p if self.p > 1 else 0
+        par = sum(1 for s in stages if s.parallel)
+        stats = ExecutionStats(
+            barriers=self._barrier.wait_count // self.p if self.p > 1 else 0,
+            parallel_stages=par, sequential_stages=len(stages) - par,
         )
-        stats.parallel_stages = sum(1 for s in stages if s.parallel)
-        stats.sequential_stages = sum(1 for s in stages if not s.parallel)
         # lockstep_walk swaps its buffer locals each stage; recover the
         # final buffer by parity, copy out so pooled buffers can be reused
         final = src.array if len(stages) % 2 == 0 else dst.array

@@ -8,8 +8,9 @@ travel as binary frames (raw ``complex128`` after a JSON header line) —
 except that a client whose peer is on this host (``FrameConn.loopback``)
 offers each connection one shared segment (``attach``), and a payload of
 ``BY_REFERENCE_BYTES`` or more then crosses no socket: it is written into
-the segment and the shard writes the result beside it.  A refused
-``attach`` (the router refuses it) leaves the connection on bytes.
+a region of the segment, the shard writes the result into another, and
+that region is the array the call returns.  A refused ``attach`` (the
+router refuses it) leaves the connection on bytes.
 Remote failures surface as :class:`RemoteError`; ``overloaded``
 rejections carry the server's ``retry_after`` hint so callers can
 implement polite backoff.
@@ -36,6 +37,8 @@ import itertools
 import random
 import threading
 import time
+import weakref
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,30 +80,67 @@ def _lines(nbytes: int) -> int:
 
 
 class _Segment:
-    """A connection's shared segment, client side.  A call bump-allocates
-    its regions from offset 0; no view of the mapping outlives the call
-    that made it, so the segment always closes."""
+    """A connection's shared segment, client side.
+
+    A call places its regions first fit on 64-byte lines, skipping every
+    region in use: a call's own, and each live result's.  An ``in`` region
+    is free again when its call returns.  An ``out`` region becomes the
+    call's result: one ``np.frombuffer`` owner array, the ``.base`` every
+    view, slice and reshape of the result collapses to, whose finalizer
+    hands the region back.  Released, the segment stays mapped until its
+    last result dies."""
 
     def __init__(self, arena: SharedArena, nbytes: int):
         self._shared = arena.allocate(nbytes, np.uint8)
         self.name, self.nbytes = self._shared.name, nbytes
+        # what each owner views: a buffer of the mapping's array, so every
+        # result holds the mapping through it
+        self._lines = memoryview(self._shared.array)
+        self._used: list = []  # the (start, end) of every region in use
+        # offsets of results dead since the last placement; their
+        # finalizers append from whichever thread drops the last view
+        self._freed: list = []
 
-    def put(self, msg: dict, x: np.ndarray, at: int) -> int:
+    def place(self, sizes) -> Optional[list]:
+        """An ``(in, out)`` offset pair for each of ``sizes`` (bytes), all
+        now in use; None, with nothing placed, when they do not fit."""
+        used, freed = self._used, self._freed
+        while freed:
+            self.free(freed.pop())
+        spots: list = []
+        for nbytes in sizes:
+            pair, need = [], _lines(nbytes)
+            for _ in range(2):
+                at = 0
+                for start, end in used:
+                    if start - at >= need:
+                        break
+                    at = end
+                if at + need > self.nbytes:
+                    for region in spots + [pair]:
+                        for placed in region:
+                            self.free(placed)
+                    return None
+                insort(used, (at, at + need))
+                pair.append(at)
+            spots.append(pair)
+        return spots
+
+    def free(self, at: int) -> None:
+        used = self._used
+        del used[bisect_left(used, (at,))]
+
+    def put(self, msg: dict, x: np.ndarray, at: int, out: int) -> None:
         """Write ``x`` into the region at ``at`` and make ``msg`` its
-        segment frame; returns the offset of the region its result comes
-        back in (the next free offset is one region further)."""
-        view = np.ndarray(x.shape, WIRE_DTYPE, self._shared.array, at)
-        try:
-            view[...] = x
-        finally:
-            del view  # not even a failed call's traceback keeps it
-        out = at + _lines(16 * x.size)
+        segment frame, with its result to come back at ``out``."""
+        np.ndarray(x.shape, WIRE_DTYPE, self._shared.array, at)[...] = x
         msg["shape"], msg["shm"] = list(x.shape), [at, out]
-        return out
 
-    def take(self, at: int, shape) -> np.ndarray:
-        return np.array(np.ndarray(shape, WIRE_DTYPE, self._shared.array, at),
-                        dtype=np.complex128)
+    def result(self, out: int, x: np.ndarray) -> np.ndarray:
+        """The region at ``out`` as ``x``'s result, which owns it."""
+        owner = np.frombuffer(self._lines, WIRE_DTYPE, x.size, out)
+        weakref.finalize(owner, self._freed.append, out).atexit = False
+        return owner.reshape(x.shape)
 
     def unlink(self) -> None:
         """Remove the name: both mappings stay valid, and no process that
@@ -108,6 +148,7 @@ class _Segment:
         self._shared.unlink()
 
     def release(self) -> None:
+        self._lines = None
         self._shared.release()
 
 
@@ -208,17 +249,23 @@ class ServeClient:
             raise RemoteError.of(resp)
         return resp
 
-    def _segment_for(self, need: int) -> Optional[_Segment]:
-        """The connection's segment, with room for ``need`` bytes: created
-        and offered (``attach``) on first need, and again, larger, when a
-        call needs more room; None on bytes."""
+    def _regions(self, sizes) -> Optional[tuple[_Segment, list]]:
+        """The segment and an ``(in, out)`` region pair for each of
+        ``sizes`` (payload bytes), placed in the connection's segment, or
+        in one twice as large (at least) created and offered (``attach``)
+        in its place when they do not fit; None on bytes."""
         seg = self._segment
-        if seg is not None and seg.nbytes >= need:
-            return seg
+        if seg is not None:
+            spots = seg.place(sizes)
+            if spots is not None:
+                return seg, spots
         if not self._offer:
             return None
+        need = sum(2 * _lines(nbytes) for nbytes in sizes)
+        size = 1 << (need - 1).bit_length()
         try:
-            fresh = _Segment(self._arena, 1 << (need - 1).bit_length())
+            fresh = _Segment(self._arena, max(size, 2 * seg.nbytes) if seg
+                             else size)
         except OSError:  # no shared memory here: bytes it is
             self._offer = False
             return None
@@ -233,16 +280,16 @@ class ServeClient:
             raise
         fresh.unlink()
         if seg is not None:
-            seg.release()
+            seg.release()  # mapped on while its results live
         self._segment = fresh
-        return fresh
+        return fresh, fresh.place(sizes)
 
-    def _result(self, resp: dict, buf, shape, out: Optional[int]):
-        """A successful reply's array: its payload, or a copy of its
-        segment region (the next call reuses the region)."""
-        if out is None:
-            return payload_array(resp, buf)
-        return self._segment.take(out, shape)
+    def _cut_off(self, seg: _Segment) -> None:
+        """A call on ``seg`` ended without its reply: the shard may still
+        store into its regions, so no later call places one there."""
+        if self._segment is seg:
+            self._segment = None
+            seg.release()
 
     def _fft_header(self, threads, mu, strategy, timeout,
                     no_batch) -> dict:
@@ -278,20 +325,33 @@ class ServeClient:
         timeout: Optional[float] = None,
         no_batch: bool = False,
     ) -> np.ndarray:
-        """Transform one vector or a ``(b, n)`` stack on the server."""
+        """Transform one vector or a ``(b, n)`` stack on the server.
+
+        A result that rode the connection's segment *is* its ``out``
+        region: it holds the region, and its segment's mapping, until its
+        last view dies (``.copy()`` gives an array that owns its memory)."""
         msg = self._fft_header(threads, mu, strategy, timeout, no_batch)
         x = np.asarray(x)
         nbytes = 16 * x.size
-        seg = (None if nbytes < BY_REFERENCE_BYTES
-               else self._segment_for(2 * _lines(nbytes)))
-        out = None
-        if seg is None:
+        placed = (None if nbytes < BY_REFERENCE_BYTES
+                  else self._regions((nbytes,)))
+        if placed is None:
             self._conn.send(msg, x)
-        else:
-            out = seg.put(msg, x, 0)
+            resp, buf = self._read_response()
+            return payload_array(self._check(resp), buf)
+        seg, ((at, out),) = placed
+        try:
+            seg.put(msg, x, at, out)
             self._conn.send(msg)
-        resp, buf = self._read_response()
-        return self._result(self._check(resp), buf, x.shape, out)
+            resp, _ = self._read_response()
+        except BaseException:
+            self._cut_off(seg)
+            raise
+        seg.free(at)
+        if not resp.get("ok", False):
+            seg.free(out)
+            raise RemoteError.of(resp)
+        return seg.result(out, x)
 
     def fft_retry(
         self,
@@ -352,43 +412,58 @@ class ServeClient:
 
         Returns one ``(result, latency_s, error)`` triple per input, in
         input order: ``result`` is the transformed array (None on
-        failure), ``latency_s`` the send-to-receive wall time, and
-        ``error`` a :class:`RemoteError` or None.
+        failure; a segment region, as :meth:`fft` returns one), ``latency_s``
+        the send-to-receive wall time, and ``error`` a :class:`RemoteError`
+        or None.  Every segment region is placed before the first frame
+        leaves.
         """
         xs = [np.asarray(x) for x in xs]
         sizes = [16 * x.size for x in xs]
-        need = sum(2 * _lines(nb) for nb in sizes if nb >= BY_REFERENCE_BYTES)
-        seg = self._segment_for(need) if need else None
+        big = [nb for nb in sizes if nb >= BY_REFERENCE_BYTES]
+        placed = self._regions(big) if big else None
+        seg, spots = placed or (None, ())
         send, last = self._conn.send, len(xs) - 1
-        sent = []  # (id, shape, the result's segment offset or None, t0)
+        sent = []  # (id, x, its (in, out) regions or None, t0)
 
         def send_all() -> None:
-            at = 0
+            regions = iter(spots)
             for i, (x, nb) in enumerate(zip(xs, sizes)):
                 msg = self._fft_header(threads, mu, strategy, timeout, False)
-                out = None
+                region = None
                 if seg is None or nb < BY_REFERENCE_BYTES:
                     send(msg, x, i == last)  # one flush per burst
                 else:
-                    out = seg.put(msg, x, at)
+                    region = next(regions)
+                    seg.put(msg, x, *region)
                     send(msg, None, i == last)
-                    at = out + _lines(nb)
-                sent.append((msg["id"], x.shape, out, time.perf_counter()))
+                sent.append((msg["id"], x, region, time.perf_counter()))
 
         wire = sum(nb for nb in sizes if seg is None or nb < BY_REFERENCE_BYTES)
-        if wire <= self._burst_room:
-            send_all()
-            by_id = self._responses(len(xs))
-        else:
-            by_id = self._send_while_reading(send_all, len(xs))
-        results = []
-        for rid, shape, out, t0 in sent:
-            resp, buf, t1 = by_id[rid]
-            if resp.get("ok", False):
-                results.append((self._result(resp, buf, shape, out), t1 - t0,
-                                None))
+        try:
+            if wire <= self._burst_room:
+                send_all()
+                by_id = self._responses(len(xs))
             else:
-                results.append((None, t1 - t0, RemoteError.of(resp)))
+                by_id = self._send_while_reading(send_all, len(xs))
+        except BaseException:
+            if seg is not None:
+                self._cut_off(seg)
+            raise
+        results = []
+        for rid, x, region, t0 in sent:
+            resp, buf, t1 = by_id[rid]
+            ok = resp.get("ok", False)
+            y = None
+            if region is not None:
+                at, out = region
+                seg.free(at)
+                if ok:
+                    y = seg.result(out, x)
+                else:
+                    seg.free(out)
+            elif ok:
+                y = payload_array(resp, buf)
+            results.append((y, t1 - t0, None if ok else RemoteError.of(resp)))
         return results
 
     def _responses(self, count: int) -> dict:

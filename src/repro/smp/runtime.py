@@ -110,8 +110,10 @@ class FusedStages(tuple):
     def __new__(cls, stages, call: Callable[..., np.ndarray]):
         self = super().__new__(cls, stages)
         self.call = call
-        self.parallel_stages = sum(1 for st in self if st.parallel)
-        self.sequential_stages = len(self) - self.parallel_stages
+        par = sum(1 for st in self if st.parallel)
+        #: what every whole-plan call reports: one record for the plan
+        self.stats = ExecutionStats(parallel_stages=par,
+                                    sequential_stages=len(self) - par)
         return self
 
     def whole(self, X: np.ndarray, writable: bool,
@@ -141,9 +143,12 @@ def check_out(X: np.ndarray, out) -> None:
         raise ValueError("out overlaps the input")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionStats:
     """Synchronization accounting of one plan execution.
+
+    Frozen: a walk builds its record once, at the end, and a
+    :class:`FusedStages` builds one for all its whole-plan calls.
 
     The counters mean the same thing on every runtime, so traces are
     comparable across backends:
@@ -296,9 +301,7 @@ class Runtime:
         if (self.fuses and isinstance(stages, FusedStages)
                 and not get_tracer().enabled):
             # out was checked above, against the caller's own X
-            return stages.call(X, writable, out), ExecutionStats(
-                parallel_stages=stages.parallel_stages,
-                sequential_stages=stages.sequential_stages)
+            return stages.call(X, writable, out), stages.stats
         if out is None:
             Y, stats = self._walk(stages, X.reshape(-1), spec)
             return Y.reshape(X.shape), stats
@@ -349,9 +352,9 @@ class SequentialRuntime(Runtime):
 
     def execute(self, stages, x, size):
         tr = get_tracer()
-        stats = ExecutionStats()
         src = np.array(x, dtype=np.complex128, copy=True)
         dst = np.empty_like(src)
+        par = seq = 0
         for si, stage in enumerate(stages):
             if tr.enabled:
                 t0 = time.perf_counter()
@@ -365,11 +368,11 @@ class SequentialRuntime(Runtime):
                 for proc in range(max(1, stage.nprocs)):
                     stage.work(proc, src, dst)
             if stage.parallel:
-                stats.parallel_stages += 1
+                par += 1
             else:
-                stats.sequential_stages += 1
+                seq += 1
             src, dst = dst, src
-        return src, stats
+        return src, ExecutionStats(parallel_stages=par, sequential_stages=seq)
 
 
 class PThreadsRuntime(Runtime):
@@ -483,7 +486,6 @@ class PThreadsRuntime(Runtime):
                     f"plan stage {st.name!r} needs {st.nprocs} processors, "
                     f"pool has {self.p}"
                 )
-        stats = ExecutionStats()
         src = np.array(x, dtype=np.complex128, copy=True)
         dst = np.empty_like(src)
         self._errors.clear()
@@ -523,9 +525,10 @@ class PThreadsRuntime(Runtime):
             raise WorkerPoolBroken(
                 f"pool of {self.p} lost a worker mid-plan"
             )
-        stats.barriers = self._barrier.wait_count // self.p
-        stats.parallel_stages = sum(1 for s in stages if s.parallel)
-        stats.sequential_stages = sum(1 for s in stages if not s.parallel)
+        par = sum(1 for s in stages if s.parallel)
+        stats = ExecutionStats(barriers=self._barrier.wait_count // self.p,
+                               parallel_stages=par,
+                               sequential_stages=len(stages) - par)
         # lockstep_walk swaps its locals each stage; recover the final buffer
         # by parity (even stage count ends back in `src`)
         final = src if len(stages) % 2 == 0 else dst

@@ -133,7 +133,10 @@ def test_whole_plan_equals_the_stage_walk(k, nu, threads, rng, pthreads2):
         np.testing.assert_array_equal(fused, walked)
         np.testing.assert_array_equal(X, keep)
         assert fused_stats == walked_stats == want_stats
-        assert run_batched(stages, n, X, SEQ)[1] is not fused_stats
+        # the plan's one record, which no caller can change under it
+        assert run_batched(stages, n, X, SEQ)[1] is stages.stats
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fused_stats.barriers = 1
         calls.clear()
         np.testing.assert_allclose(
             fused, np.fft.fft(X, axis=-1), atol=1e-9 * n, rtol=1e-9
@@ -545,9 +548,9 @@ def test_concurrent_callers_of_one_plan_share_nothing(plan256, rng):
 # -- what the call costs in Python --------------------------------------------
 
 #: every Python frame one whole-plan ``run_batched`` enters outside this
-#: module: ``run_batched``, ``Runtime.run_stages``, ``get_tracer``, ``whole``
-#: and ``ExecutionStats.__init__``
-CALL_FRAMES = 5
+#: module: ``run_batched``, ``Runtime.run_stages``, ``get_tracer`` and
+#: ``whole`` (the plan's ``ExecutionStats`` is built once, with the plan)
+CALL_FRAMES = 4
 
 
 def _frames(fn, *args):

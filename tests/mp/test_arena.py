@@ -1,5 +1,6 @@
 """Shared-memory arena: ownership, refcounts, attach, leak accounting."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -10,6 +11,13 @@ import numpy as np
 import pytest
 
 from repro.mp import SharedArena, attach, live_segment_names, segment_stats
+
+
+def _mapped() -> str:
+    """This process's mappings, one line each (an unlinked segment's name
+    stays in its line)."""
+    with open("/proc/self/maps") as maps:
+        return maps.read()
 
 
 class TestSharedArena:
@@ -69,6 +77,63 @@ class TestSharedArena:
         with SharedArena(prefix="t-uniq") as arena:
             names = {arena.allocate(4).name for _ in range(8)}
             assert len(names) == 8
+
+
+    def test_a_release_under_a_live_export_leaves_only_the_unmap(self):
+        """Released while an ``np.frombuffer`` export of its mapping lives,
+        a buffer loses its name and counts as released and unlinked at
+        once; the export reads the same bytes; its death unmaps the
+        segment, and nothing is raised on the way."""
+        raised: list = []
+        hook, sys.unraisablehook = sys.unraisablehook, raised.append
+        try:
+            before = segment_stats()
+            arena = SharedArena(prefix="t-export")
+            buf = arena.allocate(64)
+            buf.array[:] = np.arange(64)
+            export = np.frombuffer(memoryview(buf.array), np.complex128)
+            name = buf.name
+            buf.release()
+            assert not buf.live and name not in live_segment_names()
+            assert not os.path.exists(f"/dev/shm/{name}")
+            assert arena.stats.snapshot()["released"] == 1
+            assert segment_stats()["unlinked"] == before["unlinked"] + 1
+            assert name in _mapped()
+            np.testing.assert_array_equal(export, np.arange(64))
+            del export
+            gc.collect()
+            assert name not in _mapped()
+            after = segment_stats()
+            assert after["created"] - after["unlinked"] == after["live"]
+            assert after["leaked_at_exit"] == before["leaked_at_exit"]
+            arena.close()
+        finally:
+            sys.unraisablehook = hook
+        assert raised == []
+
+
+    def test_a_buffer_dropped_under_a_live_export_raises_nothing(self):
+        """An unlinked buffer (a client's wire segment) whose holders drop
+        it unreleased, as at interpreter exit, while a view of it lives:
+        nothing is raised, the view reads on, and its death unmaps."""
+        raised: list = []
+        hook, sys.unraisablehook = sys.unraisablehook, raised.append
+        try:
+            arena = SharedArena(prefix="t-drop")
+            buf = arena.allocate(64)
+            buf.array[:] = np.arange(64)
+            export = np.frombuffer(memoryview(buf.array), np.complex128)
+            name = buf.name
+            buf.unlink()
+            del buf, arena
+            gc.collect()
+            np.testing.assert_array_equal(export, np.arange(64))
+            del export
+            gc.collect()
+            assert name not in _mapped()
+        finally:
+            sys.unraisablehook = hook
+        assert raised == []
 
 
 class TestAttach:

@@ -3,12 +3,14 @@
 A :class:`ServeClient` whose peer is a loopback address offers its
 connection one shared segment (``attach``); an ``fft`` payload of
 ``BY_REFERENCE_BYTES`` or more is then written into a region of it and
-the shard computes the result into the region beside it — a lone
-request's whole-plan call stores ``Y`` there itself, a request batched
-with others gets its rows copied in.  Everything else — a smaller
-payload, a peer that is not a loopback address, a refused ``attach`` (the
-router refuses it) — travels as bytes, exactly as before.  Every test
-here ends with no ``repro-wire`` segment left anywhere.
+the shard computes the result into an ``out`` region — a lone request's
+whole-plan call stores ``Y`` there itself, a request batched with others
+gets its rows copied in — and the array the client returns is that
+region, which it owns until its last view dies.  Everything else — a
+smaller payload, a peer that is not a loopback address, a refused
+``attach`` (the router refuses it) — travels as bytes, exactly as
+before.  Every test here ends with no ``repro-wire`` segment left
+anywhere.
 """
 
 import contextlib
@@ -104,6 +106,15 @@ def attaches(monkeypatch) -> list:
     return seen
 
 
+def _owner(y: np.ndarray) -> np.ndarray:
+    """The one array a segment result and its views collapse to: an
+    ``np.frombuffer`` view of the result's region, no ndarray above it."""
+    owner = y.base
+    assert isinstance(owner, np.ndarray) and owner.ndim == 1
+    assert isinstance(owner.base, memoryview)
+    return owner
+
+
 def _byte_client(port, monkeypatch) -> ServeClient:
     """A client whose connection never offers a segment."""
     with monkeypatch.context() as m:
@@ -127,9 +138,13 @@ def test_results_are_bit_identical_to_the_byte_path(served, monkeypatch,
         got = client.fft(x)
         assert client._segment is not None  # it rode the segment
         assert sessions[-1].segment is not None
+        # the result is its out region, and owns it
+        owner = _owner(got)
+        assert np.shares_memory(got, client._segment._shared.array)
+        assert not np.shares_memory(got, client.fft(x))
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-    assert got.flags.writeable and got.base is None  # the caller's own
+    assert got.tobytes() == want.tobytes()  # after close too
+    assert got.flags.writeable and _owner(got) is owner
     np.testing.assert_allclose(got, np.fft.fft(x, axis=-1), atol=1e-8)
 
 
@@ -424,6 +439,157 @@ def test_the_segment_grows_across_calls(served, attaches):
         np.testing.assert_allclose(client.fft(x), np.fft.fft(x), atol=1e-8)
         assert client._segment.name == grown[0]  # room enough: kept
     assert [msg["size"] for _, msg in attaches] == [first[1], grown[1]]
+
+
+# -- a result owns its region ------------------------------------------------
+
+
+MIXED = [(4096,), (2, 4096), (16384,), (4, 8192), (4, 16384), (256,),
+         (65536,)]
+
+
+def test_held_results_keep_their_bits_through_later_calls_and_close(
+        served):
+    """32 held ``(4, 2^14)`` results: 200 later calls of mixed shapes (the
+    segment grows under them) and the client's close change no bit."""
+    port, _ = served
+    with ServeClient("127.0.0.1", port) as client:
+        held = [client.fft(_x((4, 1 << 14))) for _ in range(32)]
+        kept = [y.copy() for y in held]
+        for i in range(200):
+            x = _x(MIXED[i % len(MIXED)])
+            np.testing.assert_allclose(client.fft(x), np.fft.fft(x, axis=-1),
+                                       atol=1e-8)
+        assert all(y.tobytes() == k.tobytes() for y, k in zip(held, kept))
+    assert all(y.tobytes() == k.tobytes() for y, k in zip(held, kept))
+    regions = sorted((y.ctypes.data, y.nbytes) for y in held)
+    assert all(a + n <= b for (a, n), (b, _) in zip(regions, regions[1:]))
+
+
+def test_a_slice_or_reshape_keeps_its_region_after_the_parent_goes(
+        served, attaches):
+    port, _ = served
+    x = _x((4, 16384))
+    want = np.fft.fft(x, axis=-1)
+    with ServeClient("127.0.0.1", port) as client:
+        y = client.fft(x)
+        first = client._segment
+        row, flat = y[2], y.reshape(-1)
+        owner = _owner(y)
+        del y
+        assert row.base is owner and flat.base is owner
+        del owner
+        for _ in range(4):  # each would take a freed region first
+            client.fft(x)
+        np.testing.assert_allclose(row, want[2], atol=1e-8)
+        np.testing.assert_allclose(flat, want.reshape(-1), atol=1e-8)
+        assert first._freed == []
+        del row, flat
+        # the last view handed the region back
+        assert first._freed == [at for at, _ in first._used]
+    # the views' region left the first segment no room: one growth
+    assert len(attaches) == 2
+
+
+def test_a_loop_that_drops_each_result_runs_on_one_attach(served, attaches):
+    port, _ = served
+    x = _x(4096)  # 64 KiB: the smallest payload the segment carries
+    want = np.fft.fft(x)
+    with ServeClient("127.0.0.1", port) as client:
+        for _ in range(1000):
+            assert np.abs(client.fft(x) - want).max() < 1e-8
+        assert client._segment.nbytes == 2 * 16 * 4096
+    assert len(attaches) == 1
+
+
+@pytest.mark.parametrize("fault", ["poison", "deadline"])
+def test_an_error_reply_frees_its_out_region_at_once(served, attaches,
+                                                     fault):
+    """The segment has room for one call exactly; the call after a failed
+    one fits in it again."""
+    port, _ = served
+    x = _x((4, 16384))
+    with ServeClient("127.0.0.1", port) as client:
+        client.fft(x)  # a 2 MiB segment: one in and one out region
+        with pytest.raises(RemoteError) as err:
+            if fault == "poison":
+                with fault_plan(FaultPlan([FaultSpec("net.poison_payload",
+                                                     max_fires=1)])):
+                    client.fft(x)
+            else:
+                client.fft(x, timeout=-1.0)
+        assert err.value.code == ("internal" if fault == "poison"
+                                  else "deadline")
+        assert client._segment._used == []
+        np.testing.assert_allclose(client.fft(x), np.fft.fft(x, axis=-1),
+                                   atol=1e-8)
+    assert len(attaches) == 1
+
+
+@pytest.mark.parametrize("cut", ["timeout", "reset"])
+def test_a_call_cut_off_mid_flight_never_has_its_segment_reused(
+        monkeypatch, cut):
+    """A call whose reply never came may still be stored into, late: the
+    client's later results live in a fresh segment, and stay intact while
+    the late store lands in the old one."""
+    n = 4096
+    x1, x2 = _x((2, n)), _x((2, n))
+    with _slow_shard(monkeypatch) as (port, delay, finished), \
+            ServeClient("127.0.0.1", port, timeout=0.5) as client:
+        client.fft(x1)  # attached
+        old = client._segment
+        mapping = old._shared.array  # kept mapped to watch the late store
+        if cut == "timeout":
+            delay[0] = 1.5
+            with pytest.raises(TimeoutError):
+                client.fft(x1)
+        else:
+            with fault_plan(FaultPlan([FaultSpec("net.conn_reset",
+                                                 max_fires=1)])):
+                with pytest.raises(OSError):
+                    client.fft(x1)
+        assert client._segment is None
+        (_, end), = old._used[1:]  # the cut-off call's out region
+        delay[0] = 0.0
+        client._timeout = 10.0  # the later call may queue behind the late one
+        client.reconnect()
+        later = client.fft(x2)
+        assert client._segment is not old
+        assert not np.shares_memory(later, mapping)
+        if cut == "timeout":
+            late = mapping[end - 32 * n:end].view(np.complex128)
+            for _ in range(100):  # the shard's late store lands there
+                if np.abs(late - np.fft.fft(x1, axis=-1).reshape(-1)
+                          ).max() < 1e-8:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("the late store never landed")
+        np.testing.assert_allclose(later, np.fft.fft(x2, axis=-1), atol=1e-8)
+
+
+def test_a_burst_leaves_the_results_of_the_last_one_alone(served):
+    port, _ = served
+    sizes = [4096, 16384, 64, 8192, 4096]
+    with ServeClient("127.0.0.1", port) as client:
+        first = [y for y, _, _ in client.fft_pipeline([_x(n) for n in sizes])]
+        kept = [y.copy() for y in first]
+        xs = [_x(n) for n in sizes]
+        second = [y for y, _, _ in client.fft_pipeline(xs)]
+        for y, x in zip(second, xs):
+            np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-8)
+    assert all(y.tobytes() == k.tobytes() for y, k in zip(first, kept))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_a_result_shares_no_memory_with_the_next(served):
+    port, _ = served
+    x = _x((4, 16384))
+    with ServeClient("127.0.0.1", port) as client:
+        y = client.fft(x)
+        nxt = client.fft(x)
+        assert not np.shares_memory(y, nxt)
+        assert y.tobytes() == nxt.tobytes()
 
 
 @pytest.fixture(scope="module")
